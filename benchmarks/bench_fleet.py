@@ -1,14 +1,16 @@
-"""Fleet perf harness: sequential study execution vs a multi-process fleet.
+"""Fleet perf harness: in-process study execution vs a multi-process fleet.
 
 Runs the same >= 8-cell study twice into fresh stores -- once through the
-in-process :class:`repro.study.StudyRunner` forced sequential, once through
+in-process :class:`repro.study.StudyRunner`, once through
 :func:`repro.fleet.launch_fleet` with ``--workers`` worker processes -- and
 records both wall-clocks plus the speedup to ``BENCH_fleet.json`` at the
-repository root.  The two stores must agree run-for-run (same content-hashed
-run ids, identical stored metrics), which the harness asserts: the fleet is
-a faster transport for the *same* results, never a different experiment.
+repository root.  Both runs stamp a fixed ``created_at``
+(``REPRO_STORE_FIXED_CREATED_AT``), so the two stores must be byte-identical
+(equal :func:`repro.chaos.store_digest`), which the harness asserts: the
+fleet is another transport for the *same* results, never a different
+experiment.
 
-The wall-clock floor (fleet must beat sequential) is only asserted on hosts
+The wall-clock floor (fleet must beat in-process) is only asserted on hosts
 with at least 4 usable CPUs: on 1-2 CPU runners the worker processes share
 one core and the comparison measures the scheduler, not the fleet.
 
@@ -36,8 +38,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.api.specs import ClusterSpec, ExperimentSpec, WorkloadSpec
+from repro.chaos import store_digest
 from repro.fleet import launch_fleet
-from repro.store import ResultStore
+from repro.store import FIXED_CREATED_AT_ENV, ResultStore
 from repro.study import StudyAxes, StudyRunner, StudySpec
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
@@ -46,6 +49,9 @@ QUICK_RESULT_PATH = RESULT_PATH.with_name("BENCH_fleet_quick.json")
 
 #: Below this many usable CPUs the wall-clock floor is informational only.
 MIN_CPUS_FOR_FLOOR = 4
+
+#: Run timestamp both stores are stamped with, so their bytes can agree.
+FIXED_CREATED_AT = "1000000000.0"
 
 
 def _usable_cpus() -> int:
@@ -78,10 +84,10 @@ def fleet_study(quick: bool) -> StudySpec:
                      axes=StudyAxes(systems=systems, cluster_sizes=(2, 4)))
 
 
-def run_sequential(study: StudySpec, root: Path) -> float:
+def run_in_process(study: StudySpec, root: Path) -> float:
     store = ResultStore(root)
     start = time.perf_counter()
-    report = StudyRunner(store, parallel=False).run(study)
+    report = StudyRunner(store).run(study)
     elapsed = time.perf_counter() - start
     assert len(report.executed) == study.num_cells
     return elapsed
@@ -94,18 +100,6 @@ def run_fleet(study: StudySpec, root: Path, workers: int) -> float:
     elapsed = time.perf_counter() - start
     assert len(report.executed) == study.num_cells
     return elapsed
-
-
-def stores_agree(root_a: Path, root_b: Path) -> bool:
-    """Same run ids, and bit-identical stored results for each."""
-    store_a, store_b = ResultStore(root_a), ResultStore(root_b)
-    if store_a.run_ids() != store_b.run_ids():
-        return False
-    for run_id in store_a.run_ids():
-        if store_a.get_result(run_id).to_dict() \
-                != store_b.get_result(run_id).to_dict():
-            return False
-    return True
 
 
 def main(argv=None) -> int:
@@ -121,38 +115,42 @@ def main(argv=None) -> int:
 
     study = fleet_study(args.quick)
     cpus = _usable_cpus()
+    # Fleet workers inherit the environment, so both stores get this stamp.
+    os.environ.setdefault(FIXED_CREATED_AT_ENV, FIXED_CREATED_AT)
     workdir = Path(tempfile.mkdtemp(prefix="bench-fleet-"))
     try:
-        sequential_s = run_sequential(study, workdir / "sequential")
+        in_process_s = run_in_process(study, workdir / "in-process")
         fleet_s = run_fleet(study, workdir / "fleet", args.workers)
-        agree = stores_agree(workdir / "sequential", workdir / "fleet")
+        agree = (store_digest(workdir / "in-process")
+                 == store_digest(workdir / "fleet"))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    speedup = sequential_s / fleet_s if fleet_s > 0 else float("inf")
+    speedup = in_process_s / fleet_s if fleet_s > 0 else float("inf")
     record = {
         "host": {"platform": platform.platform(), "python":
                  platform.python_version(), "usable_cpus": cpus},
         "config": {"cells": study.num_cells, "workers": args.workers,
                    "quick": args.quick},
-        "sequential_s": round(sequential_s, 4),
+        "sequential_s": round(in_process_s, 4),
         "fleet_s": round(fleet_s, 4),
         "speedup": round(speedup, 3),
         "stores_agree": agree,
         "floor_asserted": cpus >= MIN_CPUS_FOR_FLOOR and not args.no_check,
     }
     output.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"{study.num_cells} cells: sequential {sequential_s:.2f}s, "
+    print(f"{study.num_cells} cells: in-process {in_process_s:.2f}s, "
           f"{args.workers}-worker fleet {fleet_s:.2f}s "
           f"({speedup:.2f}x, {cpus} CPUs) -> {output}")
 
     failed = False
     if not agree:
-        print("FAIL: fleet and sequential stores disagree", file=sys.stderr)
+        print("FAIL: fleet and in-process stores differ (store_digest)",
+              file=sys.stderr)
         failed = True
     if not args.no_check and cpus >= MIN_CPUS_FOR_FLOOR and speedup <= 1.0:
-        print(f"FAIL: fleet ({fleet_s:.2f}s) did not beat sequential "
-              f"({sequential_s:.2f}s) on a {cpus}-CPU host", file=sys.stderr)
+        print(f"FAIL: fleet ({fleet_s:.2f}s) did not beat in-process "
+              f"({in_process_s:.2f}s) on a {cpus}-CPU host", file=sys.stderr)
         failed = True
     return 1 if failed else 0
 

@@ -188,7 +188,7 @@ def bench_end_to_end(iterations: int) -> dict:
     )
 
     def run():
-        return run_experiment(spec, parallel=False)
+        return run_experiment(spec)
 
     run()  # warm caches/imports before timing either path
     start = time.perf_counter()

@@ -7,8 +7,7 @@ core computation through pytest-benchmark.
 
 The absolute numbers differ from the paper (the substrate is an analytic
 simulator, not a 32-A100 testbed), but the qualitative shape -- who wins, by
-roughly what factor, where the crossovers fall -- should match; see
-EXPERIMENTS.md for the side-by-side comparison.
+roughly what factor, where the crossovers fall -- should match.
 """
 
 from __future__ import annotations

@@ -87,9 +87,8 @@ def main() -> int:
         systems=("fsdp_ep", "laer"),
         reference="fsdp_ep",
     )
-    nominal_result = run_experiment(spec, parallel=False)
-    calibrated_result = run_experiment(spec.with_calibration(fit.profile),
-                                       parallel=False)
+    nominal_result = run_experiment(spec)
+    calibrated_result = run_experiment(spec.with_calibration(fit.profile))
     print(f"{'system':10s} {'nominal tok/s':>14s} {'calibrated tok/s':>17s}")
     for key in nominal_result.systems:
         before = nominal_result.systems[key].throughput

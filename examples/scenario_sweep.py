@@ -3,12 +3,18 @@
 
 The sweep is now declarative end to end: the registered ``sweep-scenarios``
 study expands a scenario axis into a grid of experiment specs, the
-:class:`repro.study.StudyRunner` executes the grid (cells run in parallel
-worker processes when the host is big enough), and every cell lands in a
-persistent :class:`repro.store.ResultStore`.  Because run ids are
-content-hashed from the specs, re-running this script is a near-instant
-no-op -- the store recognises every completed cell and skips it -- and the
-accumulated runs can be inspected later with::
+:class:`repro.study.StudyRunner` executes the grid in this process, one
+cell after another, and every cell lands in a persistent
+:class:`repro.store.ResultStore`.  Because run ids are content-hashed from
+the specs, re-running this script is a near-instant no-op -- the store
+recognises every completed cell and skips it.  To drain the same grid with
+several worker processes, use the fleet (the script then skips every
+cell)::
+
+    repro study run sweep-scenarios --store ./scenario-sweep-store \
+      --param tokens_per_device=8192 --param seed=17 --workers 2
+
+The accumulated runs can be inspected later with::
 
     repro study ls     --store ./scenario-sweep-store
     repro study diff   --store ./scenario-sweep-store RUN_A RUN_B

@@ -6,10 +6,15 @@ Training*.  It contains:
 
 * ``repro.api`` -- the declarative front door: JSON-serializable experiment
   specs (:class:`repro.api.ExperimentSpec`), the experiment runner executing
-  them end to end, and structured, serializable results.  Start here.
+  them end to end in this process, and structured, serializable results.
+  Start here.
 * ``repro.study`` -- declarative sweeps: axes over systems / scenarios /
-  cluster sizes expanded into experiment grids, executed resumably by
-  :class:`repro.study.StudyRunner`.
+  cluster sizes expanded into experiment grids, executed resumably in this
+  process by :class:`repro.study.StudyRunner`.
+* ``repro.fleet`` -- the one way to use several processes: N workers drain
+  a study's grid through a file queue into one shared store
+  (``repro study run --workers N``), storing the same runs as the
+  in-process :class:`repro.study.StudyRunner`.
 * ``repro.store`` -- the persistent result store sweeps accumulate into:
   content-hashed run JSONs, an incrementally maintained index, and
   cross-run ``query`` / ``diff`` / ``regressions``.

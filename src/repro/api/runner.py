@@ -26,7 +26,7 @@ from repro.core.cost_model import MoECostModel
 from repro.core.layout import static_ep_layout
 from repro.core.lite_routing import lite_route
 from repro.core.planner import LoadBalancingPlanner, PlannerConfig
-from repro.sim.engine import RunResult, compare_systems_detailed
+from repro.sim.engine import RunResult, compare_systems
 from repro.sim.systems import make_system
 from repro.api.specs import ExperimentSpec
 
@@ -129,11 +129,11 @@ class ExperimentResult:
             substitution).
         requested_reference: Reference key the spec asked for.
         systems: Per-system results, in spec order.
-        execution_mode: How the systems were executed: ``"parallel"``,
-            ``"sequential"``, ``"sequential-auto"`` (parallelism requested
-            but demoted -- too few systems or cores) or
-            ``"sequential-fallback"`` (worker-pool infrastructure failed).
-            Empty for results loaded from pre-mode JSON files.
+        execution_mode: How the systems were executed.  Every run writes
+            ``"sequential"``; results stored by older versions may carry
+            ``"parallel"``, ``"sequential-auto"`` or
+            ``"sequential-fallback"`` and load unchanged.  Empty for results
+            loaded from pre-mode JSON files.
     """
 
     spec: ExperimentSpec
@@ -228,28 +228,18 @@ class ExperimentRunner:
 
     The workload is materialised lazily: the spec's scenario is built once
     into a streaming :class:`~repro.workloads.scenarios.TraceSource` and each
-    system consumes its own deterministic fork, which is what lets the
-    (independent) systems execute in parallel worker processes without
-    changing any reported number.
+    system consumes its own deterministic fork.  The systems run in this
+    process, one after another; a comparison that needs several processes
+    is a study with a ``systems`` axis drained by ``repro study run
+    --workers N``.
 
     The runner is stateless between :meth:`run` calls except for
     ``last_runs``, which retains the most recent raw
     :class:`~repro.sim.engine.RunResult` objects for callers that need
     per-iteration detail beyond the serializable summary.
-
-    Args:
-        parallel: Execute the spec's systems concurrently via
-            :mod:`concurrent.futures` (default).  Results are identical to
-            sequential execution; infrastructure failures fall back to the
-            sequential path with a warning.
-        max_workers: Worker-process cap for the parallel path (default:
-            executor default, i.e. the CPU count).
     """
 
-    def __init__(self, parallel: bool = True,
-                 max_workers: Optional[int] = None) -> None:
-        self.parallel = parallel
-        self.max_workers = max_workers
+    def __init__(self) -> None:
         self.last_runs: Dict[str, RunResult] = {}
 
     def run(self, spec: ExperimentSpec) -> ExperimentResult:
@@ -288,9 +278,7 @@ class ExperimentRunner:
             built.name = system_spec.key
             systems.append(built)
 
-        runs, mode = compare_systems_detailed(
-            systems, source, warmup=spec.workload.warmup,
-            parallel=self.parallel, max_workers=self.max_workers)
+        runs = compare_systems(systems, source, warmup=spec.workload.warmup)
         self.last_runs = runs
 
         reference = (spec.reference if spec.reference in runs
@@ -304,14 +292,17 @@ class ExperimentRunner:
         }
         return ExperimentResult(spec=spec, reference=reference,
                                 requested_reference=spec.reference,
-                                systems=results, execution_mode=mode)
+                                systems=results, execution_mode="sequential")
 
 
-def run_experiment(spec: ExperimentSpec, parallel: bool = True,
-                   max_workers: Optional[int] = None) -> ExperimentResult:
-    """Convenience wrapper: run ``spec`` with a fresh :class:`ExperimentRunner`."""
-    return ExperimentRunner(parallel=parallel,
-                            max_workers=max_workers).run(spec)
+def run_experiment(spec: ExperimentSpec,
+                   parallel: bool = False) -> ExperimentResult:
+    """Convenience wrapper: run ``spec`` with a fresh :class:`ExperimentRunner`.
+
+    ``parallel`` is accepted for existing callers and ignored: the systems
+    always run in this process, one after another.
+    """
+    return ExperimentRunner().run(spec)
 
 
 # ----------------------------------------------------------------------

@@ -47,12 +47,7 @@ class LAERPolicy(LoadBalancingPolicy):
 
     # ------------------------------------------------------------------
     def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
-        routing = np.asarray(routing, dtype=np.int64)
-        layout = self.planner.current_layout(layer)
-        plan = self.planner.dispatch(routing, layout)
-        # Feed the observation to the asynchronous tuner for the next iteration.
-        self.planner.observe(layer, routing)
-        self.planner.tune_layout(layer)
+        layout, plan, _ = self.planner.plan_layer(layer, routing)
         return PolicyDecision(
             layout=layout,
             routing_plan=plan,

@@ -359,8 +359,7 @@ def _torn_journal_child(store_root: str,
         install(FaultInjector(FaultPlan.from_dict(plan_payload)))
     store = ResultStore(store_root)
     for index in range(_TORN_RUNS):
-        result = run_experiment(_tiny_spec("chaos-torn", index, seed),
-                                parallel=False)
+        result = run_experiment(_tiny_spec("chaos-torn", index, seed))
         store.put(result, tags=("chaos", "torn-journal"))
 
 

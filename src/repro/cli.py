@@ -125,11 +125,13 @@ Workloads are scenarios: ``run``, ``compare``, ``plan`` and ``trace`` accept
     repro compare --scenario bursty-churn --param period=20
 
 Every simulation flows through :class:`repro.api.ExperimentRunner`, which
-executes the compared systems in parallel worker processes by default
-(``--sequential`` disables this), so ``repro compare`` and ``repro run`` on
-an equivalent spec produce identical numbers.  (``python -m repro.cli``
-works too; the ``repro`` console script is installed by the package
-metadata.)
+simulates the compared systems in this process, one after another, so
+``repro compare`` and ``repro run`` on an equivalent spec produce identical
+numbers.  The only way to use several processes is the fleet: ``repro
+study run --workers N`` (or ``repro fleet run``) drains a study's grid --
+make the systems a ``systems`` axis to spread a comparison out.
+(``python -m repro.cli`` works too; the ``repro`` console script is
+installed by the package metadata.)
 """
 
 from __future__ import annotations
@@ -333,9 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     study_run.add_argument("--tag", action="append", default=[],
                            help="extra tag stored on every cell run, "
                                 "repeatable")
-    study_run.add_argument("--sequential", action="store_true",
-                           help="execute grid cells one after another "
-                                "instead of in parallel worker processes")
     study_run.add_argument("--workers", type=int, default=0, metavar="N",
                            help="fast path to 'repro fleet run': drain the "
                                 "grid with N cooperating worker processes "
@@ -780,9 +779,6 @@ def _add_simulation_args(parser: argparse.ArgumentParser) -> None:
                         default=["megatron", "fsdp_ep", "flexmoe", "laer"],
                         choices=available_systems())
     parser.add_argument("--reference", type=str, default="megatron")
-    parser.add_argument("--sequential", action="store_true",
-                        help="simulate the systems one after another instead "
-                             "of in parallel worker processes")
     parser.add_argument("--overflow-penalty", type=float, default=0.0,
                         metavar="FACTOR",
                         help="charge tokens routed beyond a device's memory "
@@ -1035,8 +1031,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                           reference=args.reference, name="compare")
     if spec is None:
         return 2
-    runner = ExperimentRunner(parallel=not args.sequential)
-    _print_experiment(runner.run(spec))
+    _print_experiment(ExperimentRunner().run(spec))
     return 0
 
 
@@ -1083,7 +1078,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             return 2
         print(f"Spec saved to {path}")
         return 0
-    result = ExperimentRunner(parallel=not args.sequential).run(spec)
+    result = ExperimentRunner().run(spec)
     _print_experiment(result)
     if args.output:
         try:
@@ -1172,18 +1167,12 @@ def cmd_study_run(args: argparse.Namespace) -> int:
         print(f"Study spec saved to {path}")
         return 0
     if getattr(args, "workers", 0) > 0:  # 0 = in-process StudyRunner
-        if args.sequential:
-            print("error: --sequential and --workers are mutually "
-                  "exclusive (worker processes are inherently parallel)",
-                  file=sys.stderr)
-            return 2
         return _run_fleet(study, args, workers=args.workers,
                           lease_timeout=60.0, queue=None, quiet=False)
     store = ResultStore(args.store)
-    runner = StudyRunner(store, parallel=not args.sequential)
-    report = runner.run(study, tags=args.tag, resume=not args.no_resume)
-    _print_cell_table(store, report.cells,
-                      f"Study {study.name!r} ({report.execution_mode})")
+    report = StudyRunner(store).run(study, tags=args.tag,
+                                    resume=not args.no_resume)
+    _print_cell_table(store, report.cells, f"Study {study.name!r}")
     print(report.summary())
     return 0
 

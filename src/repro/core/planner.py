@@ -12,7 +12,7 @@ layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -142,7 +142,7 @@ class LoadBalancingPlanner:
 
         This models the CPU-side solve that happens while the GPU computes the
         current iteration; the returned layout is cached and used by the next
-        :meth:`plan_iteration` call for this layer.
+        :meth:`plan_layer` call for this layer.
         """
         predicted = self.predicted_routing(layer)
         if predicted is None:
@@ -164,8 +164,35 @@ class LoadBalancingPlanner:
         return lite_route(np.asarray(routing, dtype=np.int64), layout, self.topology)
 
     # ------------------------------------------------------------------
-    # Full per-iteration planning
+    # Full per-layer / per-iteration planning
     # ------------------------------------------------------------------
+    def plan_layer(self, layer: int, routing: np.ndarray
+                   ) -> Tuple[ExpertLayout, np.ndarray, bool]:
+        """Plan one MoE layer of the current iteration.
+
+        Dispatches ``routing`` (the layer's actual ``(N, E)`` routing) onto
+        the layout tuned from previous iterations, then feeds the routing to
+        the tuner so the next iteration of this layer uses an updated layout.
+
+        Returns:
+            ``(layout, routing_plan, planned_from_history)``: the layout used
+            this iteration, the dispatcher's token routing plan, and whether
+            the layout came from the tuner (False for the static fallback
+            used before any history exists).
+        """
+        routing = np.asarray(routing, dtype=np.int64)
+        planned = layer in self._pending_layouts
+        layout = self.current_layout(layer)
+        # Telemetry phases (no-op spans while no tracer is armed).
+        with _span("planner.lite-route", layer=layer):
+            plan = self.dispatch(routing, layout)
+        # Asynchronous part: feed the observation to the tuner so the next
+        # iteration of this layer uses an updated layout.
+        with _span("planner.layout-tune", layer=layer):
+            self.observe(layer, routing)
+            self.tune_layout(layer)
+        return layout, plan, planned
+
     def plan_iteration(self, routing_by_layer: np.ndarray) -> List[IterationPlan]:
         """Plan one training iteration for every MoE layer.
 
@@ -185,21 +212,12 @@ class LoadBalancingPlanner:
             raise ValueError("routing_by_layer must have shape (layers, N, E)")
         plans: List[IterationPlan] = []
         for layer in range(routing_by_layer.shape[0]):
-            routing = routing_by_layer[layer]
-            planned = layer in self._pending_layouts
-            layout = self.current_layout(layer)
-            # Telemetry phases (no-op spans while no tracer is armed).
-            with _span("planner.lite-route", layer=layer):
-                plan = self.dispatch(routing, layout)
+            layout, plan, planned = self.plan_layer(
+                layer, routing_by_layer[layer])
             with _span("planner.cost-eval", layer=layer):
                 cost = self.cost_model.evaluate(plan)
             plans.append(IterationPlan(layout=layout, routing_plan=plan,
                                        cost=cost, planned_from_history=planned))
-            # Asynchronous part: feed the observation to the tuner so the next
-            # iteration of this layer uses an updated layout.
-            with _span("planner.layout-tune", layer=layer):
-                self.observe(layer, routing)
-                self.tune_layout(layer)
         return plans
 
     def reset(self) -> None:

@@ -1,10 +1,11 @@
 """Fleet subsystem: multi-process sweep execution over a shared store.
 
-Where :class:`repro.study.StudyRunner` executes a sweep inside one process,
-the fleet turns the same sweep into a small *service*: a file-based
-:class:`WorkQueue` of study cells (claimed via ``O_EXCL`` lease files with
-heartbeat mtimes; crashed workers' cells expire and are reclaimed), N
-:class:`FleetWorker` processes draining it, and one shared
+The fleet is the only code path that uses more than one process.  Where
+:class:`repro.study.StudyRunner` executes a sweep inside one process, cell
+after cell, the fleet turns the same sweep into a small *service*: a
+file-based :class:`WorkQueue` of study cells (claimed via ``O_EXCL`` lease
+files with heartbeat mtimes; crashed workers' cells expire and are
+reclaimed), N :class:`FleetWorker` processes draining it, and one shared
 :class:`repro.store.ResultStore` whose append-only index journal makes the
 concurrent writes safe::
 
@@ -16,9 +17,12 @@ concurrent writes safe::
     report = launch_fleet(study, ResultStore("./study-store"), workers=2)
     print(report.summary())   # per-worker claim counts included
 
-The ``repro fleet`` CLI (``run`` / ``status`` / ``workers``) and the
-``--workers N`` fast path on ``repro study run`` are built on exactly these
-entry points.
+Both paths store the same results under the same run ids; with a fixed
+``REPRO_STORE_FIXED_CREATED_AT`` timestamp the two stores are byte-identical.
+A comparison of several systems that should run in separate processes is a
+study with a ``systems`` axis.  The ``repro fleet`` CLI (``run`` /
+``status`` / ``workers``) and the ``--workers N`` fast path on ``repro study
+run`` are built on exactly these entry points.
 """
 
 from repro.fleet.queue import (

@@ -1,7 +1,7 @@
 """Fleet execution: worker processes draining a shared queue into one store.
 
 :class:`FleetWorker` is the per-process loop: claim a cell from the
-:class:`~repro.fleet.queue.WorkQueue`, simulate it with a (system-sequential)
+:class:`~repro.fleet.queue.WorkQueue`, simulate it with an
 :class:`~repro.api.ExperimentRunner`, persist the result to the shared
 :class:`~repro.store.ResultStore` (an O(1) journal append -- see the store's
 lock-safe index protocol), record the outcome, repeat until every cell has an
@@ -134,7 +134,7 @@ class FleetWorker:
                 inject("worker.pre-run", cell=cell.key,
                        worker=self.worker_id)
                 try:
-                    result = ExperimentRunner(parallel=False).run(cell.spec)
+                    result = ExperimentRunner().run(cell.spec)
                 except Exception as error:  # deterministic cell failure
                     self.queue.fail(cell.key, self.worker_id,
                                     f"{type(error).__name__}: {error}",

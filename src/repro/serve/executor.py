@@ -8,10 +8,10 @@ resolving to the :class:`~repro.store.StoredRun` envelope, plus
 ``shutdown(wait)``):
 
 * :class:`PoolExecutor` -- the default: a bounded in-process thread pool
-  running a system-sequential :class:`~repro.api.ExperimentRunner` per
-  miss and persisting straight to the daemon's store.  (Threads, not
-  processes: the simulation kernels are NumPy and the store instance --
-  with its index read cache -- is shared.)
+  running an :class:`~repro.api.ExperimentRunner` per miss and
+  persisting straight to the daemon's store.  (Threads, not processes: the
+  simulation kernels are NumPy and the store instance -- with its index
+  read cache -- is shared.)
 * :class:`FleetQueueExecutor` -- hand-off to an attached fleet queue: the
   miss is enqueued as a :class:`~repro.fleet.QueuedCell` and executed by
   whatever ``repro fleet``-style workers drain that queue (other
@@ -78,7 +78,7 @@ class PoolExecutor:
 
     def _run(self, spec: ExperimentSpec, tags: Tuple[str, ...]) -> StoredRun:
         inject("serve.pre-execute", spec=spec.name)
-        result = ExperimentRunner(parallel=False).run(spec)
+        result = ExperimentRunner().run(spec)
         stored = self.store.put(result, tags=tags)
         with self._counter_lock:
             self.executed += 1

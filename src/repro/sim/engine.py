@@ -7,24 +7,17 @@ into the :class:`RunResult` aggregates as it goes -- memory stays O(1) in the
 number of iterations when ``keep_iterations=False``, and the statistics are
 identical either way because both modes share the same accumulation.
 
-:func:`compare_systems` runs several systems over the same workload.  Each
-system consumes its own ``source.fork()`` -- an independent, deterministic
-replay of the workload -- so the systems can execute in parallel worker
-processes (``parallel=True``) and still produce results bit-identical to the
-sequential order.
+:func:`compare_systems` runs several systems over the same workload, one
+after another.  Each system consumes its own ``source.fork()`` -- an
+independent, deterministic replay of the workload -- so no system's result
+depends on which systems ran before it.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-import pickle
-import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Dict, List, Union
 
 from repro.sim.iteration import IterationResult
 from repro.sim.systems import SystemSpec
@@ -228,112 +221,21 @@ class TrainingRunSimulator:
         return result
 
 
-def _run_one_system(system: SystemSpec, workload: Workload,
-                    max_iterations: Optional[int], warmup: int,
-                    keep_iterations: bool) -> RunResult:
-    """Module-level worker so parallel executors can pickle the call."""
-    return TrainingRunSimulator(system).run(
-        workload, max_iterations=max_iterations, warmup=warmup,
-        keep_iterations=keep_iterations)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may actually run on.
-
-    ``os.cpu_count()`` reports the host's cores even when the process is
-    pinned to a subset (cgroups, CI runners, ``taskset``); the scheduler
-    affinity mask reflects the cores worker processes would really share.
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # platforms without affinity support
-        return os.cpu_count() or 1
-
-
-def resolve_execution_mode(parallel: bool, num_systems: int) -> str:
-    """Decide how :func:`compare_systems` should execute a comparison.
-
-    Worker processes only pay off when there are both enough independent
-    systems and enough cores: ``BENCH_scenarios.json`` measured the parallel
-    path at 0.897x (a slowdown) on a 1-CPU runner, so a parallel request is
-    demoted to ``"sequential-auto"`` when the process may use 2 or fewer
-    CPUs or the comparison covers 2 or fewer systems.
-
-    Returns one of ``"parallel"``, ``"sequential"`` (explicitly requested)
-    or ``"sequential-auto"`` (parallel requested but not worthwhile).
-    """
-    if not parallel:
-        return "sequential"
-    if num_systems <= 2 or _usable_cpus() <= 2:
-        return "sequential-auto"
-    return "parallel"
-
-
-def compare_systems_detailed(
-        systems: List[SystemSpec], workload: Workload,
-        max_iterations: int | None = None,
-        warmup: int = 0,
-        parallel: bool = False,
-        max_workers: int | None = None,
-        keep_iterations: bool = True) -> Tuple[Dict[str, RunResult], str]:
-    """:func:`compare_systems` plus the execution mode actually used.
-
-    The second element of the returned tuple is ``"parallel"``,
-    ``"sequential"``, ``"sequential-auto"`` (parallel requested, demoted by
-    :func:`resolve_execution_mode`) or ``"sequential-fallback"`` (parallel
-    attempted but the worker-pool infrastructure failed).
-    """
-    jobs = [(system, _fork_workload(workload)) for system in systems]
-    mode = resolve_execution_mode(parallel, len(jobs))
-    if mode == "parallel":
-        try:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                futures = [
-                    pool.submit(_run_one_system, system, source,
-                                max_iterations, warmup, keep_iterations)
-                    for system, source in jobs
-                ]
-                runs = [future.result() for future in futures]
-            return ({system.name: run
-                     for (system, _), run in zip(jobs, runs)}, mode)
-        # Pickling failures surface as PickleError, but also as raw
-        # AttributeError ("Can't pickle local object") or TypeError ("cannot
-        # pickle '_thread.lock'"); simulation errors (ValueError & friends)
-        # are deliberately NOT caught and propagate to the caller unchanged.
-        except (pickle.PickleError, AttributeError, TypeError,
-                BrokenExecutor, OSError) as error:
-            warnings.warn(
-                f"parallel comparison unavailable "
-                f"({type(error).__name__}: {error}); "
-                f"falling back to sequential execution", RuntimeWarning)
-            mode = "sequential-fallback"
-    results: Dict[str, RunResult] = {}
-    for system, source in jobs:
-        results[system.name] = _run_one_system(
-            system, source, max_iterations, warmup, keep_iterations)
-    return results, mode
-
-
 def compare_systems(systems: List[SystemSpec], workload: Workload,
                     max_iterations: int | None = None,
                     warmup: int = 0,
-                    parallel: bool = False,
-                    max_workers: int | None = None,
                     keep_iterations: bool = True) -> Dict[str, RunResult]:
     """Run several systems over the same workload and return results by name.
 
-    Every system consumes its own ``workload.fork()``, so all systems see
-    bit-identical routing matrices regardless of execution order.  With
-    ``parallel=True`` the (independent) systems run in worker processes via
-    :mod:`concurrent.futures`; results are identical to the sequential path
-    by construction.  Parallel execution is demoted to sequential when it
-    cannot win (see :func:`resolve_execution_mode`); parallel-infrastructure
-    failures (an unpicklable user system, a broken pool, process-spawn
-    limits) fall back to sequential execution with a warning; exceptions
-    raised by the simulation itself propagate unchanged.
+    The systems run in this process, one after another.  Every system
+    consumes its own ``workload.fork()``, so all systems see bit-identical
+    routing matrices regardless of execution order.  To spread systems over
+    several processes, make them a study's ``systems`` axis and drain it
+    with ``repro study run --workers N`` (:func:`repro.fleet.launch_fleet`).
     """
-    runs, _ = compare_systems_detailed(
-        systems, workload, max_iterations=max_iterations, warmup=warmup,
-        parallel=parallel, max_workers=max_workers,
-        keep_iterations=keep_iterations)
-    return runs
+    results: Dict[str, RunResult] = {}
+    for system in systems:
+        results[system.name] = TrainingRunSimulator(system).run(
+            _fork_workload(workload), max_iterations=max_iterations,
+            warmup=warmup, keep_iterations=keep_iterations)
+    return results

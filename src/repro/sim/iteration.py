@@ -100,9 +100,13 @@ class IterationResult:
         return max((layer.relative_max_tokens for layer in self.layers), default=1.0)
 
     def throughput(self, global_tokens: int) -> float:
-        """Training throughput in tokens/s for a given global batch size."""
+        """Training throughput in tokens/s for a given global batch size.
+
+        A zero/negative modelled time reports ``0.0``, like
+        :attr:`repro.sim.engine.RunResult.throughput`.
+        """
         if self.total_time <= 0:
-            return float("inf")
+            return 0.0
         return global_tokens / self.total_time
 
 

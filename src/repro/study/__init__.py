@@ -15,8 +15,10 @@ such grids first-class::
   cluster-sizes into :class:`ExperimentSpec` grids;
 * the **study registry** -- named, parameterized study definitions
   (``sweep-cluster-sizes`` reproduces the Table 4 axis);
-* :class:`StudyRunner` -- resumable execution of the grid into a
-  :class:`repro.store.ResultStore`, parallel across cells when worthwhile.
+* :class:`StudyRunner` -- resumable, in-process execution of the grid into
+  a :class:`repro.store.ResultStore`, one cell after another (drain a grid
+  with several processes through :mod:`repro.fleet`, ``repro study run
+  --workers N``).
 
 The ``repro study`` CLI (``run`` / ``ls`` / ``diff`` / ``report``) is built
 on exactly these entry points.

@@ -4,15 +4,10 @@
 :class:`repro.api.ExperimentRunner`: it expands a :class:`StudySpec` into
 its grid, skips every cell whose run is already in the
 :class:`~repro.store.ResultStore` (resume -- re-running a finished study is
-a no-op), and executes the remaining cells either sequentially or in
-parallel worker processes.  Cell-level parallelism reuses the engine's
-execution-mode policy (:func:`repro.sim.engine.resolve_execution_mode`):
-a parallel request is demoted on small hosts or tiny grids, and worker-pool
-infrastructure failures fall back to sequential execution with a warning --
-exactly the semantics ``compare_systems`` applies across systems, applied
-across grid cells.  When cells run in parallel, each cell's systems run
-sequentially inside its worker (nesting process pools loses on every
-host this code targets).
+a no-op), and executes the remaining cells in this process, one after
+another.  To drain a grid with several processes, use the fleet
+(:func:`repro.fleet.launch_fleet`, ``repro study run --workers N``); both
+store the same results under the same run ids.
 
 Every executed cell is written to the store tagged ``"study:<name>"`` (plus
 the study's and the caller's tags), which is what ``repro study report``
@@ -21,15 +16,10 @@ queries.
 
 from __future__ import annotations
 
-import pickle
-import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.runner import ExperimentResult, ExperimentRunner
-from repro.api.specs import ExperimentSpec
-from repro.sim.engine import resolve_execution_mode
+from repro.api.runner import ExperimentRunner
 from repro.store import ResultStore, run_id_for
 from repro.study.spec import StudyCell, StudySpec
 
@@ -72,18 +62,12 @@ def split_resumable_cells(
     return pending, skipped
 
 
-def _run_cell(spec: ExperimentSpec) -> ExperimentResult:
-    """Module-level worker so parallel executors can pickle the call."""
-    return ExperimentRunner(parallel=False).run(spec)
-
-
 class StudyStoreError(RuntimeError):
     """Persisting a finished cell to the result store failed.
 
-    Distinct from pool-infrastructure errors so a full disk or unwritable
-    store aborts the study immediately instead of being mistaken for a
-    broken worker pool (which would re-simulate the grid sequentially into
-    the same write failure).  The original exception is the ``__cause__``.
+    Distinct from simulation errors so a full disk or unwritable store is
+    reported as such, naming the cell whose result could not be written.
+    The original exception is the ``__cause__``.
     """
 
     def __init__(self, cell_id: str, original: BaseException):
@@ -94,13 +78,11 @@ class StudyStoreError(RuntimeError):
 
 
 class StudyCellError(RuntimeError):
-    """A grid cell's simulation failed (as opposed to pool infrastructure).
+    """A grid cell's simulation failed.
 
     Raised with the failing cell's id so a deterministic error -- a bad
-    trace path, an incompatible cluster size -- is reported as such instead
-    of being mistaken for a broken worker pool (which would pointlessly
-    re-run the grid sequentially into the same error).  The original
-    exception is the ``__cause__``.
+    trace path, an incompatible cluster size -- names the cell it came
+    from.  The original exception is the ``__cause__``.
     """
 
     def __init__(self, cell_id: str, original: BaseException):
@@ -130,7 +112,6 @@ class StudyReport:
     study: str
     store_root: str
     tags: Tuple[str, ...]
-    execution_mode: str
     cells: List[CellOutcome] = field(default_factory=list)
 
     @property
@@ -149,14 +130,13 @@ class StudyReport:
         """One-line, machine-greppable outcome (used by the CI smoke step)."""
         return (f"study {self.study!r}: {len(self.cells)} cells, "
                 f"executed {len(self.executed)}, skipped {len(self.skipped)} "
-                f"({self.execution_mode}; store: {self.store_root})")
+                f"(store: {self.store_root})")
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "study": self.study,
             "store_root": self.store_root,
             "tags": list(self.tags),
-            "execution_mode": self.execution_mode,
             "cells": [cell.to_dict() for cell in self.cells],
         }
 
@@ -164,20 +144,14 @@ class StudyReport:
 class StudyRunner:
     """Expand a study, resume from the store, execute the remaining cells.
 
+    Cells run in this process, one after another.
+
     Args:
         store: Result store every cell run is written to (and resume reads).
-        parallel: Execute pending cells in parallel worker processes when
-            the grid and the host are big enough (the engine's demotion
-            policy applies); sequential execution runs each cell through a
-            system-parallel :class:`ExperimentRunner` instead.
-        max_workers: Worker-process cap for the parallel path.
     """
 
-    def __init__(self, store: ResultStore, parallel: bool = True,
-                 max_workers: Optional[int] = None) -> None:
+    def __init__(self, store: ResultStore) -> None:
         self.store = store
-        self.parallel = parallel
-        self.max_workers = max_workers
 
     # ------------------------------------------------------------------
     def run_tags(self, study: StudySpec,
@@ -198,7 +172,7 @@ class StudyRunner:
 
         Returns:
             A :class:`StudyReport` listing every cell as executed or
-            skipped, with the cell-level execution mode actually used.
+            skipped.
         """
         all_tags = self.run_tags(study, tags)
         cells = study.expand()
@@ -210,7 +184,9 @@ class StudyRunner:
         # Every cell is persisted the moment its simulation finishes, so a
         # mid-study failure (one bad cell, a killed process) loses only the
         # unfinished cells -- the next run resumes past everything stored.
-        def persist(cell: StudyCell, result: ExperimentResult) -> None:
+        runner = ExperimentRunner()
+        for cell in pending:
+            result = runner.run(cell.spec)
             try:
                 stored = self.store.put(result, tags=all_tags)
             except Exception as exc:
@@ -218,26 +194,7 @@ class StudyRunner:
             outcomes[cell.cell_id] = CellOutcome(
                 cell_id=cell.cell_id, run_id=stored.run_id, status="executed")
 
-        mode = resolve_execution_mode(self.parallel, len(pending))
-        if not pending:
-            mode = "resumed"
-        elif mode == "parallel":
-            try:
-                self._run_parallel(pending, persist)
-            except (pickle.PickleError, AttributeError, TypeError,
-                    BrokenExecutor, OSError) as error:
-                warnings.warn(
-                    f"parallel study execution unavailable "
-                    f"({type(error).__name__}: {error}); "
-                    f"falling back to sequential execution", RuntimeWarning)
-                mode = "sequential-fallback"
-                remaining = [cell for cell in pending
-                             if cell.cell_id not in outcomes]
-                self._run_sequential(remaining, persist)
-        else:
-            self._run_sequential(pending, persist)
-
-        if any(outcome.status == "executed" for outcome in outcomes.values()):
+        if pending:
             # Fold this run's journal appends into index.json: one cheap
             # O(cells) pass per study keeps the journal bounded and leaves
             # a fresh compacted index for downstream (read-only) tooling.
@@ -247,47 +204,11 @@ class StudyRunner:
             study=study.name,
             store_root=str(self.store.root),
             tags=all_tags,
-            execution_mode=mode,
             cells=[outcomes[cell.cell_id] for cell in cells],
         )
 
-    # ------------------------------------------------------------------
-    def _run_parallel(
-            self, cells: Sequence[StudyCell],
-            persist: Callable[[StudyCell, ExperimentResult], None]) -> None:
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            futures = {pool.submit(_run_cell, cell.spec): cell
-                       for cell in cells}
-            error: Optional[StudyCellError] = None
-            for future in as_completed(futures):
-                cell = futures[future]
-                try:
-                    result = future.result()
-                except BrokenExecutor:
-                    raise  # pool infrastructure died: let run() fall back
-                except Exception as exc:  # persist the finished cells first
-                    if error is None:
-                        error = StudyCellError(cell.cell_id, exc)
-                        error.__cause__ = exc
-                    continue
-                persist(cell, result)
-            if error is not None:
-                raise error
-
-    def _run_sequential(
-            self, cells: Sequence[StudyCell],
-            persist: Callable[[StudyCell, ExperimentResult], None]) -> None:
-        runner = ExperimentRunner(parallel=self.parallel,
-                                  max_workers=self.max_workers)
-        for cell in cells:
-            persist(cell, runner.run(cell.spec))
-
 
 def run_study(study: StudySpec, store: ResultStore,
-              tags: Sequence[str] = (), parallel: bool = True,
-              max_workers: Optional[int] = None,
-              resume: bool = True) -> StudyReport:
+              tags: Sequence[str] = (), resume: bool = True) -> StudyReport:
     """Convenience wrapper: run ``study`` into ``store`` with a fresh runner."""
-    return StudyRunner(store, parallel=parallel,
-                       max_workers=max_workers).run(study, tags=tags,
-                                                    resume=resume)
+    return StudyRunner(store).run(study, tags=tags, resume=resume)

@@ -217,7 +217,7 @@ def adversarial_search(
     cluster = cluster or ClusterSpec(num_nodes=1, devices_per_node=8)
     rng = np.random.default_rng(seed)
     tags = search_tags(suite, target)
-    runner = ExperimentRunner(parallel=False)
+    runner = ExperimentRunner()
     say = progress or (lambda message: None)
 
     result = SearchResult(suite_id=suite.suite_id, target=target, seed=seed,

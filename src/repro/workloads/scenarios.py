@@ -75,8 +75,8 @@ class TraceSource(Protocol):
     Implementations must behave like value objects: ``iter_iterations()``
     restarts from the beginning (with the same pseudo-random stream) on every
     call, and ``fork()`` returns an independent source producing the same
-    matrices -- this is what makes parallel multi-system execution
-    deterministic.
+    matrices -- this is what makes multi-system comparisons independent of
+    the order the systems run in.
     """
 
     @property

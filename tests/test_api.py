@@ -280,13 +280,8 @@ class TestRunner:
         assert restored.execution_mode == result.execution_mode
 
     def test_execution_mode_recorded(self):
-        sequential = run_experiment(small_spec(), parallel=False)
+        sequential = run_experiment(small_spec())
         assert sequential.execution_mode == "sequential"
-        requested = run_experiment(small_spec(), parallel=True)
-        # Parallel may be demoted on small hosts/comparisons, but the
-        # decision is always recorded.
-        assert requested.execution_mode in ("parallel", "sequential-auto",
-                                            "sequential-fallback")
         # Results from pre-mode JSON files load with an empty mode.
         data = sequential.to_dict()
         del data["execution_mode"]
@@ -308,17 +303,6 @@ class TestRunner:
         assert (result.systems["laer"].throughput
                 > result.systems["laer_raw"].throughput)
 
-    def test_parallel_and_sequential_runners_agree(self):
-        spec = small_spec(systems=("megatron", "fsdp_ep", "flexmoe", "laer"))
-        parallel = ExperimentRunner(parallel=True).run(spec)
-        sequential = ExperimentRunner(parallel=False).run(spec)
-        assert parallel.throughputs() == sequential.throughputs()
-        for key in spec.system_keys:
-            assert (parallel.systems[key].breakdown_s
-                    == sequential.systems[key].breakdown_s)
-            assert (parallel.systems[key].per_layer_relative_max_tokens
-                    == sequential.systems[key].per_layer_relative_max_tokens)
-
     def test_overflow_penalty_slows_bursty_churn(self):
         """The capacity-overflow regression test: a bursty-churn workload
         whose hotspots exceed the per-device token budget must get slower
@@ -330,10 +314,10 @@ class TestRunner:
                     seed=7, scenario="bursty-churn", params={"period": 4}),
                 systems=("fsdp_ep",), reference="fsdp_ep", **overrides)
 
-        baseline = ExperimentRunner(parallel=False).run(bursty())
-        off = ExperimentRunner(parallel=False).run(
+        baseline = ExperimentRunner().run(bursty())
+        off = ExperimentRunner().run(
             bursty(overflow_penalty=0.0, token_capacity=1024))
-        charged = ExperimentRunner(parallel=False).run(
+        charged = ExperimentRunner().run(
             bursty(overflow_penalty=1.0, token_capacity=1024))
         # Off by default: a zero penalty changes nothing, and no overflow
         # bucket appears in the breakdown.
@@ -375,7 +359,7 @@ class TestResultRoundTripAudit:
     """Store round-trips must be bit-exact (regression for lossy fields)."""
 
     def test_to_dict_is_plain_json_data(self):
-        result = run_experiment(small_spec(), parallel=False)
+        result = run_experiment(small_spec())
 
         def walk(obj):
             if isinstance(obj, dict):
@@ -395,7 +379,7 @@ class TestResultRoundTripAudit:
         walk(result.to_dict())
 
     def test_json_round_trip_is_bit_exact(self):
-        result = run_experiment(small_spec(), parallel=False)
+        result = run_experiment(small_spec())
         text = result.to_json()
         restored = ExperimentResult.from_json(text)
         assert restored.to_dict() == result.to_dict()
@@ -404,7 +388,7 @@ class TestResultRoundTripAudit:
         assert restored.execution_mode == result.execution_mode
 
     def test_null_execution_mode_loads_as_default(self):
-        result = run_experiment(small_spec(), parallel=False)
+        result = run_experiment(small_spec())
         data = result.to_dict()
         # Hand-edited / legacy files may carry an explicit null.
         data["execution_mode"] = None

@@ -121,9 +121,9 @@ class TestSpecCalibration:
 
     def test_calibration_changes_simulated_throughput(self):
         from repro.api.runner import run_experiment
-        baseline = run_experiment(tiny_spec(), parallel=False)
+        baseline = run_experiment(tiny_spec())
         calibrated = run_experiment(
-            tiny_spec().with_calibration(drawn_profile()), parallel=False)
+            tiny_spec().with_calibration(drawn_profile()))
         slow = calibrated.systems["fsdp_ep"].throughput
         fast = baseline.systems["fsdp_ep"].throughput
         # The drawn machine is strictly degraded (bw, flops < 1; added

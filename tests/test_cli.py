@@ -189,13 +189,6 @@ class TestRunCommand:
         assert spec.workload.scenario == "multi-tenant-mix"
         assert spec.workload.params == {"tenants": 3}
 
-    def test_run_scenario_matches_sequential(self, capsys):
-        args = ["run", *self.ARGS, "--scenario", "bursty-churn"]
-        assert main(args) == 0
-        parallel_out = capsys.readouterr().out
-        assert main([*args, "--sequential"]) == 0
-        assert capsys.readouterr().out == parallel_out
-
     def test_run_saves_result(self, tmp_path, capsys):
         result_path = tmp_path / "result.json"
         assert main(["run", *self.ARGS, "--output", str(result_path)]) == 0
@@ -208,8 +201,7 @@ class TestStudyCommands:
     RUN_ARGS = ["study", "run", "sweep-cluster-sizes",
                 "--param", "sizes=[1,2]", "--param", "devices_per_node=4",
                 "--param", "tokens_per_device=1024",
-                "--param", "iterations=2", "--param", "warmup=1",
-                "--sequential"]
+                "--param", "iterations=2", "--param", "warmup=1"]
 
     def run_small_study(self, store):
         return main(self.RUN_ARGS + ["--store", str(store)])
@@ -240,7 +232,7 @@ class TestStudyCommands:
                    tokens_per_device=1024, iterations=2,
                    warmup=1).save(spec_path)
         code = main(["study", "run", str(spec_path),
-                     "--store", str(tmp_path / "store"), "--sequential"])
+                     "--store", str(tmp_path / "store")])
         assert code == 0
         assert "executed 1" in capsys.readouterr().out
 
@@ -459,14 +451,6 @@ class TestFleetCommands:
         assert main(self.RUN_ARGS + ["--store", str(store)]) == 0
         assert "executed 0, skipped 2" in capsys.readouterr().out
 
-    def test_study_run_rejects_sequential_with_workers(self, tmp_path,
-                                                       capsys):
-        code = main(["study", "run", "sweep-cluster-sizes",
-                     "--param", "sizes=[1]", "--store", str(tmp_path),
-                     "--sequential", "--workers", "2"])
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
     def test_study_run_workers_fast_path(self, tmp_path, capsys):
         store = tmp_path / "store"
         code = main(["study", "run", "sweep-cluster-sizes",
@@ -520,8 +504,7 @@ class TestOverflowFlags:
     ARGS = ["--num-nodes", "1", "--devices-per-node", "4",
             "--tokens-per-device", "1024", "--iterations", "3",
             "--systems", "fsdp_ep", "--reference", "fsdp_ep",
-            "--scenario", "bursty-churn", "--param", "period=4",
-            "--sequential"]
+            "--scenario", "bursty-churn", "--param", "period=4"]
 
     def test_overflow_flags_reach_the_spec(self, capsys):
         code = main(["run", *self.ARGS, "--overflow-penalty", "1.0",

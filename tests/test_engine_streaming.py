@@ -1,4 +1,4 @@
-"""Tests for streaming engine consumption, parallel comparison and resets."""
+"""Tests for streaming engine consumption, comparisons and resets."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,7 @@ import pytest
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout_tuner import TunerConfig
 from repro.baselines.laer import LAERPolicy
-from repro.sim.engine import (
-    RunResult,
-    TrainingRunSimulator,
-    compare_systems,
-    compare_systems_detailed,
-    resolve_execution_mode,
-)
+from repro.sim.engine import RunResult, TrainingRunSimulator, compare_systems
 from repro.sim.iteration import IterationResult, LayerResult
 from repro.sim.systems import SystemBuildContext, available_systems, make_system
 from repro.workloads.model_configs import get_model_config
@@ -77,74 +71,22 @@ class TestStreaming:
             TrainingRunSimulator(system).run(source, warmup=99)
 
 
-class TestParallelCompare:
-    def test_parallel_matches_sequential(self, topology, context, monkeypatch):
-        # Pretend the host is large so the comparison genuinely runs in
-        # worker processes even on small CI runners (the auto-demotion
-        # would otherwise reduce this to sequential-vs-sequential).
-        monkeypatch.setattr("repro.sim.engine._usable_cpus", lambda: 8)
+class TestCompareSystems:
+    def test_results_do_not_depend_on_system_order(self, topology, context):
+        # Every system consumes its own fork of the workload, so running the
+        # systems in reverse order changes no result.
         source = make_scenario("phase-shift", context)
         names = ("megatron", "fsdp_ep", "flexmoe", "laer")
 
-        def build_all():
+        def build(order):
             return [make_system(name, CONFIG, topology, 2048)
-                    for name in names]
+                    for name in order]
 
-        sequential = compare_systems(build_all(), source, warmup=1,
-                                     parallel=False)
-        parallel, mode = compare_systems_detailed(build_all(), source,
-                                                  warmup=1, parallel=True)
-        assert mode == "parallel"
-        assert set(sequential) == set(parallel) == set(names)
+        forward = compare_systems(build(names), source, warmup=1)
+        backward = compare_systems(build(names[::-1]), source, warmup=1)
+        assert list(forward) == list(names)
         for name in names:
-            _assert_runs_identical(sequential[name], parallel[name])
-
-    def test_unpicklable_system_falls_back_to_sequential(self, topology,
-                                                         context,
-                                                         monkeypatch):
-        # Force the parallel path regardless of the host's core count (the
-        # auto-demotion would otherwise mask the infra-fallback behaviour).
-        monkeypatch.setattr("repro.sim.engine._usable_cpus", lambda: 8)
-        source = make_scenario("drifting", context)
-        systems = [make_system("fsdp_ep", CONFIG, topology, 2048),
-                   make_system("megatron", CONFIG, topology, 2048)]
-        broken = make_system("laer", CONFIG, topology, 2048)
-        broken.policy.unpicklable = lambda: None  # closures don't pickle
-        systems.append(broken)
-        with pytest.warns(RuntimeWarning, match="falling back to sequential"):
-            results, mode = compare_systems_detailed(systems, source, warmup=1,
-                                                     parallel=True)
-        assert mode == "sequential-fallback"
-        assert results["fsdp_ep"].throughput > 0
-        assert results["laer"].throughput > 0
-
-    def test_parallel_demoted_on_small_hosts_or_comparisons(self, monkeypatch):
-        monkeypatch.setattr("repro.sim.engine._usable_cpus", lambda: 1)
-        assert resolve_execution_mode(True, 8) == "sequential-auto"
-        monkeypatch.setattr("repro.sim.engine._usable_cpus", lambda: 8)
-        assert resolve_execution_mode(True, 2) == "sequential-auto"
-        assert resolve_execution_mode(True, 3) == "parallel"
-        assert resolve_execution_mode(False, 8) == "sequential"
-
-    def test_detailed_mode_recorded(self, topology, context):
-        source = make_scenario("drifting", context)
-        systems = [make_system("fsdp_ep", CONFIG, topology, 2048),
-                   make_system("laer", CONFIG, topology, 2048)]
-        runs, mode = compare_systems_detailed(systems, source, warmup=1,
-                                              parallel=False)
-        assert mode == "sequential"
-        assert set(runs) == {"fsdp_ep", "laer"}
-
-    def test_simulation_errors_propagate_without_sequential_rerun(
-            self, topology, context, monkeypatch):
-        """Worker-side simulation failures are not executor failures."""
-        monkeypatch.setattr("repro.sim.engine._usable_cpus", lambda: 8)
-        source = make_scenario("drifting", context)
-        systems = [make_system("fsdp_ep", CONFIG, topology, 2048),
-                   make_system("megatron", CONFIG, topology, 2048),
-                   make_system("laer", CONFIG, topology, 2048)]
-        with pytest.raises(ValueError, match="warmup leaves no iterations"):
-            compare_systems(systems, source, warmup=99, parallel=True)
+            _assert_runs_identical(forward[name], backward[name])
 
 
 class TestDegenerateResults:
@@ -159,6 +101,11 @@ class TestDegenerateResults:
                                         breakdown={}, layers=[])])
         assert degenerate.mean_iteration_time == 0.0
         assert degenerate.throughput == 0.0
+
+    def test_zero_time_iteration_throughput_is_zero(self):
+        iteration = IterationResult(iteration=0, total_time=0.0,
+                                    breakdown={}, layers=[])
+        assert iteration.throughput(global_tokens=1000) == 0.0
 
     def test_speedup_over_handles_degenerate_pairs(self):
         layer = LayerResult(layer=0, forward_time=1.0, backward_time=1.0,

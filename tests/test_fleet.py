@@ -419,9 +419,26 @@ class TestLaunchFleet:
 
         study = tiny_study()
         store = ResultStore(tmp_path / "store")
-        StudyRunner(store, parallel=False).run(study)
+        StudyRunner(store).run(study)
         report = launch_fleet(study, store, workers=2, poll_interval=0.05)
         assert not report.executed and len(report.skipped) == 2
+
+    def test_fleet_and_study_runner_write_identical_stores(self, tmp_path,
+                                                           monkeypatch):
+        """The one-path invariant: in-process and fleet execution of a study
+        leave byte-identical stores (run files and compacted index)."""
+        from repro.chaos import store_digest
+        from repro.store import FIXED_CREATED_AT_ENV
+        from repro.study import StudyRunner
+
+        monkeypatch.setenv(FIXED_CREATED_AT_ENV, "1000000000.0")
+        study = tiny_study()
+        in_process = ResultStore(tmp_path / "in-process")
+        StudyRunner(in_process).run(study)
+        fleet = ResultStore(tmp_path / "fleet")
+        launch_fleet(study, fleet, workers=2, poll_interval=0.05)
+        assert len(in_process.run_ids()) == 2
+        assert store_digest(in_process) == store_digest(fleet)
 
     def test_new_tags_re_execute_despite_old_done_records(self, tmp_path):
         """Tags are part of run identity: a second invocation under a new

@@ -1,8 +1,9 @@
 """Cross-process fork() determinism audit of the scenario registry.
 
-Fleet workers and parallel runners ship ``TraceSource.fork()`` results to
-other processes and expect them to replay the exact trace the parent would
-have produced.  This regression matrix covers every registered runnable
+Fleet workers simulate cells in other processes, and their stores must match
+the in-process ``StudyRunner``'s byte for byte, so a ``TraceSource.fork()``
+must replay the exact trace the parent would have produced in whatever
+process consumes it.  This regression matrix covers every registered runnable
 scenario plus ``compose`` with each registered wrapper: a forked source
 iterated in a child process must yield frames bit-identical to the parent's.
 """

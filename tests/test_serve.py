@@ -171,7 +171,7 @@ class GatedExecutor:
         def run():
             assert self.release.wait(20), "test never released the gate"
             try:
-                result = ExperimentRunner(parallel=False).run(spec)
+                result = ExperimentRunner().run(spec)
                 stored = self.store.put(result, tags=tuple(tags))
             except Exception as error:
                 future.set_exception(error)
@@ -336,7 +336,7 @@ class TestServeApp:
     def test_seeded_fingerprint_map_hits_prior_runs(self, store):
         """Runs stored before the daemon existed (by a study, a fleet, a
         previous daemon) are cache hits even under unknown tags."""
-        result = ExperimentRunner(parallel=False).run(serve_spec())
+        result = ExperimentRunner().run(serve_spec())
         store.put(result, tags=("study:old", "baseline"))
         app = ServeApp(store)
         status, body = app.submit_spec(serve_spec(), client="new-client")

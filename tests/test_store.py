@@ -36,7 +36,7 @@ def small_spec(**overrides) -> ExperimentSpec:
 
 @pytest.fixture(scope="module")
 def result() -> ExperimentResult:
-    return ExperimentRunner(parallel=False).run(small_spec())
+    return ExperimentRunner().run(small_spec())
 
 
 def fake_result(name: str, systems=("a", "b"), throughput=100.0,

@@ -166,7 +166,7 @@ class TestRegistry:
 class TestStudyRunner:
     def run_tiny(self, store, **kwargs):
         study = tiny_study(cluster_sizes=(1, 2))
-        return study, StudyRunner(store, parallel=False).run(study, **kwargs)
+        return study, StudyRunner(store).run(study, **kwargs)
 
     def test_every_cell_is_persisted(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -185,7 +185,6 @@ class TestStudyRunner:
         _, second = self.run_tiny(store)
         assert not second.executed
         assert len(second.skipped) == 2
-        assert second.execution_mode == "resumed"
         assert sorted(second.run_ids) == sorted(first.run_ids)
 
     def test_partial_resume_executes_only_missing_cells(self, tmp_path):
@@ -198,30 +197,6 @@ class TestStudyRunner:
         assert [c.cell_id for c in second.skipped] == \
             [first.cells[1].cell_id]
 
-    def test_parallel_cell_error_is_reported_as_a_cell_error(self, tmp_path,
-                                                             monkeypatch):
-        # A deterministic cell failure must surface as StudyCellError, not
-        # trigger the sequential "pool infrastructure failed" fallback.
-        import repro.sim.engine as engine
-        from repro.study import StudyCellError
-        from repro.study.runner import StudyRunner as Runner
-
-        monkeypatch.setattr(engine, "resolve_execution_mode",
-                            lambda parallel, n: "parallel")
-        monkeypatch.setattr("repro.study.runner.resolve_execution_mode",
-                            lambda parallel, n: "parallel")
-        store = ResultStore(tmp_path)
-        # A workload whose trace file does not exist fails inside workers.
-        bad = StudySpec(
-            name="bad",
-            base=base_spec(workload=WorkloadSpec(
-                tokens_per_device=1024, layers=1, iterations=2, warmup=0,
-                scenario="trace-replay",
-                params={"path": str(tmp_path / "missing.npz")})),
-            axes=StudyAxes(cluster_sizes=(1, 2)))
-        with pytest.raises(StudyCellError, match="failed"):
-            Runner(store, parallel=True).run(bad)
-
     def test_store_write_failure_aborts_instead_of_sequential_rerun(
             self, tmp_path, monkeypatch):
         from repro.study import StudyStoreError
@@ -233,7 +208,7 @@ class TestStudyRunner:
 
         monkeypatch.setattr(store, "put", disk_full)
         with pytest.raises(StudyStoreError, match="No space left"):
-            StudyRunner(store, parallel=False).run(
+            StudyRunner(store).run(
                 tiny_study(cluster_sizes=(1,)))
 
     def test_failed_cell_keeps_completed_cells_in_the_store(self, tmp_path,
@@ -254,12 +229,12 @@ class TestStudyRunner:
         monkeypatch.setattr(api_runner.ExperimentRunner, "run",
                             failing_second_cell)
         with pytest.raises(ValueError, match="mid-study"):
-            StudyRunner(store, parallel=False).run(study)
+            StudyRunner(store).run(study)
         monkeypatch.undo()
         # The first cell was persisted before the failure, so the re-run
         # resumes past it and only recomputes the failed cell.
         assert len(store) == 1
-        report = StudyRunner(store, parallel=False).run(study)
+        report = StudyRunner(store).run(study)
         assert len(report.skipped) == 1 and len(report.executed) == 1
 
     def test_no_resume_re_executes(self, tmp_path):
@@ -271,7 +246,7 @@ class TestStudyRunner:
     def test_tags_are_part_of_run_identity(self, tmp_path):
         store = ResultStore(tmp_path)
         study = tiny_study(cluster_sizes=(1,))
-        runner = StudyRunner(store, parallel=False)
+        runner = StudyRunner(store)
         first = runner.run(study, tags=["v1"])
         second = runner.run(study, tags=["v2"])
         assert len(second.executed) == 1  # different tag set, no resume
@@ -281,24 +256,11 @@ class TestStudyRunner:
     def test_stored_run_id_matches_content_hash(self, tmp_path):
         store = ResultStore(tmp_path)
         study = tiny_study(cluster_sizes=(1,))
-        report = StudyRunner(store, parallel=False).run(study)
+        report = StudyRunner(store).run(study)
         (cell,) = study.expand()
         expected = run_id_for(
             cell.spec, StudyRunner(store).run_tags(study))
         assert report.run_ids == [expected]
-
-    def test_sequential_matches_parallel_request(self, tmp_path):
-        # The parallel request demotes (2 cells) but must produce identical
-        # stored numbers either way.
-        sequential = ResultStore(tmp_path / "seq")
-        parallel = ResultStore(tmp_path / "par")
-        study = tiny_study(cluster_sizes=(1, 2))
-        StudyRunner(sequential, parallel=False).run(study)
-        StudyRunner(parallel, parallel=True).run(study)
-        for run_id in ResultStore(tmp_path / "seq").run_ids():
-            a = sequential.get_result(run_id)
-            b = parallel.get_result(run_id)
-            assert a.to_dict()["systems"] == b.to_dict()["systems"]
 
     def test_systems_by_cluster_size_grid_persists_every_cell(self, tmp_path):
         # The acceptance shape: a systems x cluster-size grid where every
@@ -308,7 +270,7 @@ class TestStudyRunner:
             name="grid", base=base_spec(),
             axes=StudyAxes(systems=(("fsdp_ep",), ("fsdp_ep", "laer")),
                            cluster_sizes=(1, 2)))
-        runner = StudyRunner(store, parallel=False)
+        runner = StudyRunner(store)
         report = runner.run(study)
         assert len(report.executed) == 4
         assert {c.cell_id for c in report.cells} == {
@@ -331,11 +293,9 @@ class TestStudyRunner:
 class TestRunStudyConvenience:
     def test_run_study_wrapper(self, tmp_path):
         store = ResultStore(tmp_path)
-        report = run_study(tiny_study(cluster_sizes=(1,)), store,
-                           parallel=False)
+        report = run_study(tiny_study(cluster_sizes=(1,)), store)
         assert len(report.executed) == 1
-        assert not run_study(tiny_study(cluster_sizes=(1,)), store,
-                             parallel=False).executed
+        assert not run_study(tiny_study(cluster_sizes=(1,)), store).executed
 
 
 class TestCellCorrectness:
@@ -344,9 +304,9 @@ class TestCellCorrectness:
 
         store = ResultStore(tmp_path)
         study = tiny_study(cluster_sizes=(2,))
-        report = StudyRunner(store, parallel=False).run(study)
+        report = StudyRunner(store).run(study)
         stored = store.get_result(report.run_ids[0])
-        direct = ExperimentRunner(parallel=False).run(study.expand()[0].spec)
+        direct = ExperimentRunner().run(study.expand()[0].spec)
         assert stored.to_dict()["systems"] == direct.to_dict()["systems"]
         assert np.isclose(stored.systems["laer"].throughput,
                           direct.systems["laer"].throughput)

@@ -20,7 +20,7 @@ import re
 import pytest
 
 from repro.api import ClusterSpec, ExperimentRunner, ExperimentSpec, \
-    WorkloadSpec
+    WorkloadSpec, run_experiment
 from repro.chaos.verify import store_digest
 from repro.cli import main
 from repro.fleet import WorkQueue, launch_fleet
@@ -371,16 +371,30 @@ class TestExport:
 class TestPhaseProfiling:
     def test_engine_and_planner_phases_appear_in_trace(self, tmp_path):
         install(Tracer(tmp_path, scope="runner"))
-        ExperimentRunner(parallel=False).run(small_spec())
+        ExperimentRunner().run(small_spec())
         uninstall()
         phases = {event["name"]
                   for event in read_events(tmp_path)
                   if event["type"] == "span"}
         assert {"sim.routing-draw", "sim.decide", "sim.simulate",
                 "sim.layer"} <= phases
-        # laer routes through the planner's phases as well.
-        assert {"planner.lite-route", "planner.cost-eval",
-                "planner.layout-tune"} & phases or True
+
+    def test_laer_planner_phases_nest_under_decide(self, tmp_path):
+        # LAER's decisions go through LoadBalancingPlanner.plan_layer, so the
+        # planner's dispatch and layout-tuning spans sit inside sim.decide.
+        install(Tracer(tmp_path, scope="runner"))
+        run_experiment(small_spec(systems=("laer",), reference="laer"))
+        uninstall()
+        spans = [event for event in read_events(tmp_path)
+                 if event["type"] == "span"]
+        names = {event["id"]: event["name"] for event in spans}
+        parents = {event["name"]: set() for event in spans}
+        for event in spans:
+            parents[event["name"]].add(names.get(event["parent"]))
+        assert parents["planner.lite-route"] == {"sim.decide"}
+        assert parents["planner.layout-tune"] == {"sim.decide"}
+        # Simulation adds no cost evaluation of its own.
+        assert "planner.cost-eval" not in parents
 
     def test_store_digest_identical_with_tracing_on_and_off(self, tmp_path):
         spec = small_spec()
@@ -390,7 +404,7 @@ class TestPhaseProfiling:
             if traced:
                 install(Tracer(tmp_path / "trace", scope="determinism"))
             try:
-                result = ExperimentRunner(parallel=False).run(spec)
+                result = ExperimentRunner().run(spec)
             finally:
                 uninstall()
             store.put(result, tags=["telemetry"], created_at=1.0)
@@ -518,7 +532,7 @@ class TestCliFleetWatch:
 class TestCliStoreStats:
     def test_stats_line_reads_the_registry(self, tmp_path, capsys):
         store = ResultStore(tmp_path / "store")
-        result = ExperimentRunner(parallel=False).run(small_spec())
+        result = ExperimentRunner().run(small_spec())
         store.put(result, created_at=1.0)
         assert main(["store", "ls", "--store", str(store.root),
                      "--stats"]) == 0
@@ -538,7 +552,7 @@ class TestStudyReportTraceSection:
         trace_dir = tmp_path / "trace"
         install(Tracer(trace_dir, scope="runner"))
         try:
-            result = ExperimentRunner(parallel=False).run(small_spec())
+            result = ExperimentRunner().run(small_spec())
         finally:
             uninstall()
         store.put(result, created_at=1.0)
@@ -550,7 +564,7 @@ class TestStudyReportTraceSection:
 
     def test_missing_trace_dir_errors(self, tmp_path, capsys):
         store = ResultStore(tmp_path / "store")
-        result = ExperimentRunner(parallel=False).run(small_spec())
+        result = ExperimentRunner().run(small_spec())
         store.put(result, created_at=1.0)
         assert main(["study", "report", "--store", str(store.root),
                      "--trace", str(tmp_path / "nope")]) == 2
