@@ -34,6 +34,8 @@ Training*.  It contains:
   FlexMoE load-balancing policies, plus a perfectly-balanced oracle.
 * ``repro.workloads`` -- Table 2 model configurations, synthetic routing
   traces and synthetic datasets.
+* ``repro.registry`` -- the one name -> factory registry class behind the
+  system, scenario, scenario-wrapper and study registries.
 * ``repro.training`` -- end-to-end numpy training used by the convergence
   experiments.
 * ``repro.analysis`` -- metrics, breakdowns and report formatting used by the

@@ -256,11 +256,6 @@ class ExperimentRunner:
             ``reference``).
         """
         topology = spec.cluster.to_topology()
-        if spec.calibration is not None:
-            # Applied exactly once: the calibrated topology carries the
-            # bandwidth/latency/FLOPs corrections, make_system threads the
-            # remaining per-token byte overhead.
-            topology = spec.calibration.apply_to_topology(topology)
         config = spec.workload.model_config()
         source = spec.workload.make_source(topology.num_devices)
 

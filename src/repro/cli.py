@@ -350,16 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     study_ls = ssub.add_parser("ls", help="list the runs stored in a store")
     _add_store_arg(study_ls)
-    study_ls.add_argument("--name", type=str, default=None,
-                          help="filter by experiment name ('prefix*' allowed)")
-    study_ls.add_argument("--system", type=str, default=None,
-                          help="filter by system key")
-    study_ls.add_argument("--scenario", type=str, default=None,
-                          help="filter by routing scenario")
-    study_ls.add_argument("--cluster-size", type=int, default=None,
-                          help="filter by total device count")
-    study_ls.add_argument("--tag", type=str, default=None,
-                          help="filter by tag")
+    _add_run_filter_args(study_ls)
 
     study_diff = ssub.add_parser(
         "diff", help="per-system, per-metric deltas between two stored runs")
@@ -621,16 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     store_ls = stsub.add_parser("ls", help="list the runs stored in a store")
     _add_store_arg(store_ls)
-    store_ls.add_argument("--name", type=str, default=None,
-                          help="filter by experiment name ('prefix*' allowed)")
-    store_ls.add_argument("--system", type=str, default=None,
-                          help="filter by system key")
-    store_ls.add_argument("--scenario", type=str, default=None,
-                          help="filter by routing scenario")
-    store_ls.add_argument("--cluster-size", type=int, default=None,
-                          help="filter by total device count")
-    store_ls.add_argument("--tag", type=str, default=None,
-                          help="filter by tag")
+    _add_run_filter_args(store_ls)
     store_ls.add_argument("--stats", action="store_true",
                           help="also print the store's telemetry counters "
                                "(index cache hits/misses, journal lines, "
@@ -769,6 +751,20 @@ def _add_store_arg(parser: argparse.ArgumentParser,
     parser.add_argument("--store", type=str, required=required,
                         help="result-store directory"
                         + ("" if required else " (or pass --queue)"))
+
+
+def _add_run_filter_args(parser: argparse.ArgumentParser) -> None:
+    """The stored-run filters shared by ``study ls`` and ``store ls``."""
+    parser.add_argument("--name", type=str, default=None,
+                        help="filter by experiment name ('prefix*' allowed)")
+    parser.add_argument("--system", type=str, default=None,
+                        help="filter by system key")
+    parser.add_argument("--scenario", type=str, default=None,
+                        help="filter by routing scenario")
+    parser.add_argument("--cluster-size", type=int, default=None,
+                        help="filter by total device count")
+    parser.add_argument("--tag", type=str, default=None,
+                        help="filter by tag")
 
 
 def _add_simulation_args(parser: argparse.ArgumentParser) -> None:

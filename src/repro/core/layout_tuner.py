@@ -21,7 +21,7 @@ import numpy as np
 from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import CostBreakdown, MoECostModel
 from repro.core.layout import ExpertLayout
-from repro.core.lite_routing import lite_route, lite_route_batch
+from repro.core.lite_routing import lite_route_batch
 from repro.core.relocation import relocate_experts
 from repro.telemetry.trace import span as _span
 from repro.core.replica_allocation import (
@@ -44,9 +44,6 @@ class TunerConfig:
         perturbation_seed: Seed of the random perturbations (candidates beyond
             the two analytic schemes).
         max_perturbation_moves: Maximum replicas moved by one perturbation.
-        batch_eval: Score all candidates through one batched
-            lite-route + cost evaluation (bit-identical to the per-candidate
-            loop; disable to force the scalar reference path).
     """
 
     num_candidates: int = 2
@@ -54,7 +51,6 @@ class TunerConfig:
     use_even: bool = True
     perturbation_seed: int = 0
     max_perturbation_moves: int = 2
-    batch_eval: bool = True
 
     def __post_init__(self) -> None:
         if self.num_candidates < 1:
@@ -147,36 +143,19 @@ class ExpertLayoutTuner:
                    for replicas in self.candidate_replica_schemes(
                        expert_loads, num_experts)]
 
-        best_layout: Optional[ExpertLayout] = None
-        best_plan: Optional[np.ndarray] = None
-        best_cost: Optional[CostBreakdown] = None
-        candidate_costs: List[float] = []
-
-        if self.config.batch_eval and len(layouts) > 1:
-            # Hot path: one batched lite-route + cost evaluation over the
-            # whole candidate set (bit-identical to the scalar loop below;
-            # guarded by tests and benchmarks/bench_calib.py).
-            with _span("planner.batch-eval", candidates=len(layouts)):
-                plans = lite_route_batch(routing, layouts, self.topology)
-                costs = self.cost_model.evaluate_batch(plans)
-            for index, (layout, cost) in enumerate(zip(layouts, costs)):
-                candidate_costs.append(cost.total)
-                if best_cost is None or cost.total < best_cost.total:
-                    best_layout, best_cost = layout, cost
-                    best_plan = plans[index]
-        else:
-            for layout in layouts:
-                plan = lite_route(routing, layout, self.topology)
-                cost = self.cost_model.evaluate(plan)
-                candidate_costs.append(cost.total)
-                if best_cost is None or cost.total < best_cost.total:
-                    best_layout, best_plan, best_cost = layout, plan, cost
-
-        assert best_layout is not None and best_plan is not None and best_cost is not None
+        # One batched lite-route + cost evaluation over the whole candidate
+        # set, bit-identical to scoring each candidate with lite_route and
+        # MoECostModel.evaluate (guarded by tests and
+        # benchmarks/bench_calib.py).  The first cheapest candidate wins.
+        with _span("planner.batch-eval", candidates=len(layouts)):
+            plans = lite_route_batch(routing, layouts, self.topology)
+            costs = self.cost_model.evaluate_batch(plans)
+        candidate_costs = [cost.total for cost in costs]
+        best = candidate_costs.index(min(candidate_costs))
         return TunerResult(
-            layout=best_layout,
-            routing_plan=best_plan,
-            cost=best_cost,
+            layout=layouts[best],
+            routing_plan=plans[best],
+            cost=costs[best],
             candidates_evaluated=len(candidate_costs),
             candidate_costs=candidate_costs,
         )

@@ -26,7 +26,6 @@ from repro.sim.iteration import (
 from repro.sim.systems import (
     SystemSpec,
     SystemBuildContext,
-    RegisteredSystem,
     make_system,
     available_systems,
     register_system,
@@ -49,7 +48,6 @@ __all__ = [
     "LayerResult",
     "SystemSpec",
     "SystemBuildContext",
-    "RegisteredSystem",
     "make_system",
     "available_systems",
     "register_system",

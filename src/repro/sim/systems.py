@@ -9,10 +9,11 @@ of the compared systems on a given model and cluster:
 * the communication-scheduling configuration (Fig. 5 optimisations);
 * the tensor-parallel degree of the attention layers (Megatron only).
 
-Systems are assembled through a decorator-based **registry**: each entry pairs
-a factory function with default parameters, so ablations are parameterised
-registry entries rather than string special-cases, and downstream code (or
-users) can add systems without editing this module::
+Systems are assembled through a decorator-based **registry** (``SYSTEMS``, a
+:class:`repro.registry.Registry`): each entry pairs a factory function with
+default parameters, so ablations are parameterised registry entries rather
+than string special-cases, and downstream code (or users) can add systems
+without editing this module::
 
     from repro.sim.systems import SystemBuildContext, register_system
 
@@ -29,9 +30,7 @@ the CLI, the benchmarks and :mod:`repro.api`; they resolve every system --
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional
+from dataclasses import dataclass
 
 from repro.baselines import (
     FasterMoEPolicy,
@@ -49,6 +48,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.comm_schedule import CommScheduleConfig
 from repro.core.cost_model import MoECostModel
 from repro.core.layout_tuner import TunerConfig
+from repro.registry import Registry
 from repro.sim.iteration import IterationSimulator
 from repro.workloads.model_configs import MoEModelConfig
 
@@ -125,8 +125,8 @@ class SystemBuildContext:
             :class:`repro.sim.iteration.IterationSimulator`).
         calibration: Optional fitted machine corrections
             (:class:`repro.calib.profile.CalibrationProfile`).  The
-            bandwidth/latency/FLOPs corrections are expected to be baked
-            into ``topology`` already (the runner applies them once via
+            bandwidth/latency/FLOPs corrections are baked into ``topology``
+            already (:func:`make_system` applies them via
             ``apply_to_topology``); the context only threads the per-token
             byte overhead into the cost model and every built simulator.
     """
@@ -201,126 +201,14 @@ class SystemBuildContext:
                           ep_size=simulator.ep_size)
 
 
-#: Signature of a registered system factory.
-SystemFactory = Callable[..., SystemSpec]
-
-
-@dataclass(frozen=True)
-class RegisteredSystem:
-    """One registry entry: a factory plus its bound default parameters."""
-
-    name: str
-    factory: SystemFactory
-    params: Mapping[str, object] = field(default_factory=dict)
-    description: str = ""
-
-    def accepted_params(self) -> Optional[FrozenSet[str]]:
-        """Parameter names the factory accepts, or ``None`` for ``**kwargs``."""
-        params = list(inspect.signature(self.factory).parameters.values())[1:]
-        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params):
-            return None
-        return frozenset(
-            p.name for p in params
-            if p.kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                          inspect.Parameter.KEYWORD_ONLY))
-
-    def check_params(self, params: Mapping[str, object]) -> None:
-        """Raise ``ValueError`` for parameters the factory does not accept."""
-        accepted = self.accepted_params()
-        if accepted is None:
-            return
-        unknown = sorted(set(params) - accepted)
-        if unknown:
-            raise ValueError(
-                f"system {self.name!r} does not accept parameter(s) {unknown}; "
-                f"accepted: {sorted(accepted)}")
-
-    def build(self, ctx: SystemBuildContext, **overrides: object) -> SystemSpec:
-        """Invoke the factory with the bound parameters (plus overrides)."""
-        merged = {**dict(self.params), **overrides}
-        self.check_params(merged)
-        return self.factory(ctx, **merged)
-
-
-_SYSTEM_REGISTRY: Dict[str, RegisteredSystem] = {}
-
-
-def register_system(name: str, *, description: str = "",
-                    override: bool = False,
-                    **params: object) -> Callable[[SystemFactory], SystemFactory]:
-    """Class/function decorator registering a system factory under ``name``.
-
-    Args:
-        name: Registry name (case-insensitive at lookup time).
-        description: One-line human-readable summary.
-        override: Allow replacing an existing entry (default: duplicate names
-            raise ``ValueError``).
-        **params: Default keyword parameters bound to the factory; callers of
-            :func:`make_system` may override them per build, and
-            :func:`register_system_variant` derives new entries from them.
-
-    Returns:
-        The decorator; the decorated factory is returned unchanged so it can
-        be registered under several names.
-    """
-    def decorator(factory: SystemFactory) -> SystemFactory:
-        _register(RegisteredSystem(name=name.lower(), factory=factory,
-                                   params=dict(params),
-                                   description=description),
-                  override=override)
-        return factory
-    return decorator
-
-
-def register_system_variant(name: str, base: str, *, description: str = "",
-                            override: bool = False,
-                            **params: object) -> RegisteredSystem:
-    """Register ``name`` as a parameterized variant of the ``base`` system.
-
-    The new entry reuses ``base``'s factory with ``params`` merged over the
-    base entry's defaults -- this is how the LAER ablations are expressed, and
-    how users can add ablations of their own without touching this module.
-    """
-    parent = registered_system(base)
-    entry = RegisteredSystem(name=name.lower(), factory=parent.factory,
-                             params={**dict(parent.params), **params},
-                             description=description or parent.description)
-    _register(entry, override=override)
-    return entry
-
-
-def _register(entry: RegisteredSystem, override: bool = False) -> None:
-    if not override and entry.name in _SYSTEM_REGISTRY:
-        raise ValueError(
-            f"system {entry.name!r} is already registered; pass override=True "
-            f"to replace it")
-    entry.check_params(entry.params)
-    _SYSTEM_REGISTRY[entry.name] = entry
-
-
-def unregister_system(name: str) -> None:
-    """Remove a registry entry (mainly for tests and interactive use)."""
-    _SYSTEM_REGISTRY.pop(name.lower(), None)
-
-
-def registered_system(name: str) -> RegisteredSystem:
-    """Look up a registry entry, raising ``ValueError`` for unknown names."""
-    try:
-        return _SYSTEM_REGISTRY[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown system {name!r}; available: {available_systems()}"
-        ) from None
-
-
-def system_descriptions() -> Dict[str, str]:
-    """Registry names mapped to their one-line descriptions."""
-    return {name: entry.description for name, entry in _SYSTEM_REGISTRY.items()}
-
-
-def available_systems() -> List[str]:
-    """Names accepted by :func:`make_system`, in registration order."""
-    return list(_SYSTEM_REGISTRY)
+#: The system registry; factories take the :class:`SystemBuildContext`.
+SYSTEMS = Registry("system", skip=1)
+register_system = SYSTEMS.register
+register_system_variant = SYSTEMS.register_variant
+unregister_system = SYSTEMS.unregister
+registered_system = SYSTEMS.get
+available_systems = SYSTEMS.names
+system_descriptions = SYSTEMS.descriptions
 
 
 def make_system(name: str, config: MoEModelConfig, topology: ClusterTopology,
@@ -345,10 +233,9 @@ def make_system(name: str, config: MoEModelConfig, topology: ClusterTopology,
             overflow model.
         drop_policy: Capacity-overflow handling policy (``"penalty"``,
             ``"truncate"`` or ``"recompute"``).
-        calibration: Optional fitted machine corrections; pass a topology
-            already produced by ``calibration.apply_to_topology`` so the
-            bandwidth/latency/FLOPs corrections apply exactly once (the
-            profile here only contributes the per-token byte overhead).
+        calibration: Optional fitted machine corrections, applied here to
+            the nominal ``topology`` (bandwidth, latency, FLOPs) and to the
+            cost model and simulator (per-token byte overhead).
         **overrides: Per-build overrides of the entry's registered parameters
             (e.g. ``make_system("laer", ..., comm_opt=False)``).
 
@@ -356,6 +243,8 @@ def make_system(name: str, config: MoEModelConfig, topology: ClusterTopology,
         A :class:`SystemSpec` with the policy and iteration simulator wired up.
     """
     entry = registered_system(name)
+    if calibration is not None:
+        topology = calibration.apply_to_topology(topology)
     ctx = SystemBuildContext(name=entry.name, config=config, topology=topology,
                              tokens_per_device=tokens_per_device,
                              activation_checkpointing=activation_checkpointing,

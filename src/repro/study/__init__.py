@@ -26,7 +26,6 @@ on exactly these entry points.
 
 from repro.study.spec import StudyAxes, StudyCell, StudySpec
 from repro.study.registry import (
-    RegisteredStudy,
     available_studies,
     make_study,
     register_study,
@@ -50,7 +49,6 @@ __all__ = [
     "StudyAxes",
     "StudyCell",
     "StudySpec",
-    "RegisteredStudy",
     "available_studies",
     "make_study",
     "register_study",

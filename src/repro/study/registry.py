@@ -1,8 +1,9 @@
 """Decorator-based registry of named study definitions.
 
-Mirrors the system registry (:mod:`repro.sim.systems`) and the scenario
-registry (:mod:`repro.workloads.scenarios`): studies are referenced by name
-from the CLI (``repro study run sweep-cluster-sizes``), parameter typos are
+``STUDIES`` is a :class:`repro.registry.Registry`, the same class as the
+system registry (:mod:`repro.sim.systems`) and the scenario registry
+(:mod:`repro.workloads.scenarios`): studies are referenced by name from the
+CLI (``repro study run sweep-cluster-sizes``), parameter typos are
 rejected at build time, and users register their own studies without
 editing this module::
 
@@ -19,88 +20,19 @@ batch constant), comparing the paper's system against static FSDP+EP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence
+from typing import Sequence
 
 from repro.api.specs import ClusterSpec, ExperimentSpec, WorkloadSpec
+from repro.registry import Registry
 from repro.study.spec import StudyAxes, StudySpec
-from repro.workloads.scenarios import (
-    accepted_factory_params,
-    check_factory_params,
-)
 
-#: Signature of a registered study factory.
-StudyFactory = Callable[..., StudySpec]
-
-
-@dataclass(frozen=True)
-class RegisteredStudy:
-    """One registry entry: a factory plus its bound default parameters."""
-
-    name: str
-    factory: StudyFactory
-    params: Mapping[str, object] = field(default_factory=dict)
-    description: str = ""
-
-    def accepted_params(self) -> Optional[FrozenSet[str]]:
-        """Parameter names the factory accepts, or ``None`` for ``**kwargs``."""
-        return accepted_factory_params(self.factory, skip=0)
-
-    def check_params(self, params: Mapping[str, object]) -> None:
-        """Raise ``ValueError`` for parameters the factory does not accept."""
-        check_factory_params(f"study {self.name!r}", self.factory, 0, params)
-
-    def build(self, **overrides: object) -> StudySpec:
-        """Invoke the factory with the bound parameters (plus overrides)."""
-        merged = {**dict(self.params), **overrides}
-        self.check_params(merged)
-        return self.factory(**merged)
-
-
-_STUDY_REGISTRY: Dict[str, RegisteredStudy] = {}
-
-
-def register_study(name: str, *, description: str = "",
-                   override: bool = False,
-                   **params: object) -> Callable[[StudyFactory], StudyFactory]:
-    """Decorator registering a study factory under ``name``."""
-    def decorator(factory: StudyFactory) -> StudyFactory:
-        entry = RegisteredStudy(name=name.lower(), factory=factory,
-                                params=dict(params), description=description)
-        if not override and entry.name in _STUDY_REGISTRY:
-            raise ValueError(
-                f"study {entry.name!r} is already registered; pass "
-                f"override=True to replace it")
-        entry.check_params(entry.params)
-        _STUDY_REGISTRY[entry.name] = entry
-        return factory
-    return decorator
-
-
-def unregister_study(name: str) -> None:
-    """Remove a registry entry (mainly for tests and interactive use)."""
-    _STUDY_REGISTRY.pop(name.lower(), None)
-
-
-def registered_study(name: str) -> RegisteredStudy:
-    """Look up a registry entry, raising ``ValueError`` for unknown names."""
-    try:
-        return _STUDY_REGISTRY[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown study {name!r}; available: {available_studies()}"
-        ) from None
-
-
-def available_studies() -> List[str]:
-    """Names accepted by :func:`make_study`, in registration order."""
-    return list(_STUDY_REGISTRY)
-
-
-def study_descriptions() -> Dict[str, str]:
-    """Registry names mapped to their one-line descriptions."""
-    return {name: entry.description
-            for name, entry in _STUDY_REGISTRY.items()}
+#: The study registry; factories take only keyword parameters.
+STUDIES = Registry("study", skip=0)
+register_study = STUDIES.register
+unregister_study = STUDIES.unregister
+registered_study = STUDIES.get
+available_studies = STUDIES.names
+study_descriptions = STUDIES.descriptions
 
 
 def make_study(name: str, **overrides: object) -> StudySpec:

@@ -18,21 +18,18 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from repro.api.specs import ClusterSpec, ExperimentSpec, WorkloadSpec
+from repro.api.specs import (
+    ClusterSpec,
+    ExperimentSpec,
+    WorkloadSpec,
+    _check_fields,
+)
 from repro.workloads.model_configs import list_model_configs
 from repro.workloads.scenarios import registered_scenario
-
-
-def _check_fields(cls: type, data: Mapping[str, Any]) -> None:
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValueError(
-            f"unknown {cls.__name__} field(s) {unknown}; known: {sorted(known)}")
 
 
 def _slug(name: str) -> str:

@@ -45,8 +45,6 @@ from repro.workloads.scenarios import (
     FileTraceSource,
     MixtureTraceSource,
     PhaseShiftTraceSource,
-    RegisteredScenario,
-    RegisteredScenarioWrapper,
     ScenarioContext,
     StragglerTraceSource,
     SyntheticTraceSource,
@@ -102,8 +100,6 @@ __all__ = [
     "StragglerTraceSource",
     "MixtureTraceSource",
     "ScenarioContext",
-    "RegisteredScenario",
-    "RegisteredScenarioWrapper",
     "register_scenario",
     "registered_scenario",
     "unregister_scenario",

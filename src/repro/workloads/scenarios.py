@@ -13,9 +13,10 @@ first-class concepts:
   :class:`repro.workloads.routing_traces.RoutingTrace` satisfies the protocol
   too, so fully-materialized traces and streaming sources are interchangeable
   everywhere.
-* the **scenario registry** -- a decorator-based registry (mirroring the
-  system registry in :mod:`repro.sim.systems`) that maps scenario names to
-  source factories.  Experiments reference scenarios by name from
+* the **scenario registry** -- ``SCENARIOS``, a decorator-based
+  :class:`repro.registry.Registry` (the class behind the system and study
+  registries too) that maps scenario names to source factories.
+  Experiments reference scenarios by name from
   :class:`repro.api.WorkloadSpec`; users register new scenarios without
   editing this module::
 
@@ -35,13 +36,10 @@ registered *wrappers* -- e.g. straggler failures -- on any base scenario).
 from __future__ import annotations
 
 import copy
-import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    Callable,
     Dict,
-    FrozenSet,
     Iterator,
     List,
     Mapping,
@@ -55,6 +53,7 @@ from typing import (
 
 import numpy as np
 
+from repro.registry import Registry
 from repro.workloads.routing_traces import (
     RoutingTrace,
     RoutingTraceConfig,
@@ -655,180 +654,13 @@ class ScenarioContext:
         return RoutingTraceConfig(**kwargs)  # type: ignore[arg-type]
 
 
-#: Signature of a registered scenario factory.
-ScenarioFactory = Callable[..., TraceSource]
-
-
-def accepted_factory_params(factory: Callable[..., object],
-                            skip: int) -> Optional[FrozenSet[str]]:
-    """Keyword parameters a registry factory accepts, ``None`` for ``**kwargs``.
-
-    Shared by the scenario, scenario-wrapper and study registries; ``skip``
-    is the number of leading positional parameters the registry supplies
-    itself (``ctx`` for scenarios, ``inner, ctx`` for wrappers, none for
-    studies).
-    """
-    params = list(inspect.signature(factory).parameters.values())[skip:]
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params):
-        return None
-    return frozenset(
-        p.name for p in params
-        if p.kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                      inspect.Parameter.KEYWORD_ONLY))
-
-
-def required_factory_params(factory: Callable[..., object],
-                            skip: int) -> FrozenSet[str]:
-    """Factory parameters without defaults (must be supplied to build)."""
-    params = list(inspect.signature(factory).parameters.values())[skip:]
-    return frozenset(
-        p.name for p in params
-        if p.default is inspect.Parameter.empty
-        and p.kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                       inspect.Parameter.KEYWORD_ONLY))
-
-
-def check_factory_params(label: str, factory: Callable[..., object],
-                         skip: int, params: Mapping[str, object]) -> None:
-    """Raise ``ValueError`` for parameters the factory does not accept."""
-    accepted = accepted_factory_params(factory, skip)
-    if accepted is None:
-        return
-    unknown = sorted(set(params) - accepted)
-    if unknown:
-        raise ValueError(
-            f"{label} does not accept parameter(s) {unknown}; "
-            f"accepted: {sorted(accepted)}")
-
-
-def factory_param_details(factory: Callable[..., object], skip: int,
-                          bound_params: Mapping[str, object]) -> List[Dict[str, str]]:
-    """Per-parameter ``{"param", "type", "default"}`` rows for a factory.
-
-    ``bound_params`` (the registry entry's defaults) win over the signature's
-    own defaults; parameters with neither are shown as ``(required)``.  The
-    module uses ``from __future__ import annotations``, so annotations are
-    already strings; un-annotated parameters fall back to the default
-    value's type name.
-    """
-    rows: List[Dict[str, str]] = []
-    params = list(inspect.signature(factory).parameters.values())[skip:]
-    for p in params:
-        if p.kind not in (inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                          inspect.Parameter.KEYWORD_ONLY):
-            continue
-        if p.name in bound_params:
-            default = repr(bound_params[p.name])
-        elif p.default is not inspect.Parameter.empty:
-            default = repr(p.default)
-        else:
-            default = "(required)"
-        if p.annotation is not inspect.Parameter.empty:
-            annotation = str(p.annotation)
-        elif p.default is not inspect.Parameter.empty:
-            annotation = type(p.default).__name__
-        else:
-            annotation = ""
-        rows.append({"param": p.name, "type": annotation, "default": default})
-    return rows
-
-
-@dataclass(frozen=True)
-class RegisteredScenario:
-    """One registry entry: a factory plus its bound default parameters."""
-
-    name: str
-    factory: ScenarioFactory
-    params: Mapping[str, object] = field(default_factory=dict)
-    description: str = ""
-
-    def accepted_params(self) -> Optional[FrozenSet[str]]:
-        """Parameter names the factory accepts, or ``None`` for ``**kwargs``."""
-        return accepted_factory_params(self.factory, skip=1)
-
-    def check_params(self, params: Mapping[str, object]) -> None:
-        """Raise ``ValueError`` for parameters the factory does not accept."""
-        check_factory_params(f"scenario {self.name!r}", self.factory, 1,
-                             params)
-
-    def required_params(self) -> FrozenSet[str]:
-        """Factory parameters without defaults (must be supplied to build)."""
-        return required_factory_params(self.factory, skip=1)
-
-    def param_details(self) -> List[Dict[str, str]]:
-        """Per-parameter name/type/default rows (``repro scenarios -v``)."""
-        return factory_param_details(self.factory, skip=1,
-                                     bound_params=self.params)
-
-    def build(self, ctx: ScenarioContext, **overrides: object) -> TraceSource:
-        """Invoke the factory with the bound parameters (plus overrides)."""
-        merged = {**dict(self.params), **overrides}
-        self.check_params(merged)
-        missing = sorted(self.required_params() - set(merged))
-        if missing:
-            raise ValueError(
-                f"scenario {self.name!r} requires parameter(s) {missing}")
-        return self.factory(ctx, **merged)
-
-
-_SCENARIO_REGISTRY: Dict[str, RegisteredScenario] = {}
-
-
-def register_scenario(name: str, *, description: str = "",
-                      override: bool = False,
-                      **params: object) -> Callable[[ScenarioFactory],
-                                                    ScenarioFactory]:
-    """Decorator registering a scenario factory under ``name``.
-
-    Args:
-        name: Registry name (case-insensitive at lookup time).
-        description: One-line human-readable summary (``repro scenarios``).
-        override: Allow replacing an existing entry.
-        **params: Default keyword parameters bound to the factory; spec
-            ``params`` and :func:`make_scenario` callers may override them.
-    """
-    def decorator(factory: ScenarioFactory) -> ScenarioFactory:
-        _register(RegisteredScenario(name=name.lower(), factory=factory,
-                                     params=dict(params),
-                                     description=description),
-                  override=override)
-        return factory
-    return decorator
-
-
-def _register(entry: RegisteredScenario, override: bool = False) -> None:
-    if not override and entry.name in _SCENARIO_REGISTRY:
-        raise ValueError(
-            f"scenario {entry.name!r} is already registered; pass "
-            f"override=True to replace it")
-    entry.check_params(entry.params)
-    _SCENARIO_REGISTRY[entry.name] = entry
-
-
-def unregister_scenario(name: str) -> None:
-    """Remove a registry entry (mainly for tests and interactive use)."""
-    _SCENARIO_REGISTRY.pop(name.lower(), None)
-
-
-def registered_scenario(name: str) -> RegisteredScenario:
-    """Look up a registry entry, raising ``ValueError`` for unknown names."""
-    try:
-        return _SCENARIO_REGISTRY[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; available: {available_scenarios()}"
-        ) from None
-
-
-def scenario_descriptions() -> Dict[str, str]:
-    """Registry names mapped to their one-line descriptions."""
-    return {name: entry.description
-            for name, entry in _SCENARIO_REGISTRY.items()}
-
-
-def available_scenarios() -> List[str]:
-    """Names accepted by :func:`make_scenario`, in registration order."""
-    return list(_SCENARIO_REGISTRY)
+#: The scenario registry; factories take the :class:`ScenarioContext`.
+SCENARIOS = Registry("scenario", skip=1)
+register_scenario = SCENARIOS.register
+unregister_scenario = SCENARIOS.unregister
+registered_scenario = SCENARIOS.get
+available_scenarios = SCENARIOS.names
+scenario_descriptions = SCENARIOS.descriptions
 
 
 def default_runnable_scenarios() -> List[str]:
@@ -838,8 +670,8 @@ def default_runnable_scenarios() -> List[str]:
     needs a recording path); sweeps that iterate "every scenario" -- the
     ``sweep-scenarios`` study, determinism test matrices -- use this list.
     """
-    return [name for name, entry in _SCENARIO_REGISTRY.items()
-            if not (entry.required_params() - set(entry.params))]
+    return [name for name in available_scenarios()
+            if not registered_scenario(name).required]
 
 
 def make_scenario(name: str, ctx: ScenarioContext,
@@ -935,80 +767,14 @@ def _build_multi_tenant_mix(ctx: ScenarioContext,
 # ----------------------------------------------------------------------
 # Scenario wrappers (composition) and the trace-driven scenarios
 # ----------------------------------------------------------------------
-#: Signature of a registered wrapper factory: (inner, ctx, **params).
-ScenarioWrapperFactory = Callable[..., TraceSource]
-
-
-@dataclass(frozen=True)
-class RegisteredScenarioWrapper:
-    """One wrapper entry: transforms an inner source into a wrapped one."""
-
-    name: str
-    factory: ScenarioWrapperFactory
-    params: Mapping[str, object] = field(default_factory=dict)
-    description: str = ""
-
-    def accepted_params(self) -> Optional[FrozenSet[str]]:
-        """Parameter names after ``(inner, ctx)``, or ``None`` for kwargs."""
-        return accepted_factory_params(self.factory, skip=2)
-
-    def check_params(self, params: Mapping[str, object]) -> None:
-        check_factory_params(f"scenario wrapper {self.name!r}", self.factory,
-                             2, params)
-
-    def param_details(self) -> List[Dict[str, str]]:
-        """Per-parameter name/type/default rows (``repro scenarios -v``)."""
-        return factory_param_details(self.factory, skip=2,
-                                     bound_params=self.params)
-
-    def build(self, inner: TraceSource, ctx: ScenarioContext,
-              **overrides: object) -> TraceSource:
-        merged = {**dict(self.params), **overrides}
-        self.check_params(merged)
-        return self.factory(inner, ctx, **merged)
-
-
-_WRAPPER_REGISTRY: Dict[str, RegisteredScenarioWrapper] = {}
-
-
-def register_scenario_wrapper(
-        name: str, *, description: str = "", override: bool = False,
-        **params: object) -> Callable[[ScenarioWrapperFactory],
-                                      ScenarioWrapperFactory]:
-    """Decorator registering a scenario *wrapper* under ``name``.
-
-    Wrappers transform an already-built :class:`TraceSource` (e.g. inject
-    device failures) and are stacked onto any base scenario by the
-    ``compose`` registry entry, so behaviours combine without a
-    combinatorial explosion of dedicated scenario entries.
-    """
-    def decorator(factory: ScenarioWrapperFactory) -> ScenarioWrapperFactory:
-        entry = RegisteredScenarioWrapper(
-            name=name.lower(), factory=factory, params=dict(params),
-            description=description)
-        if not override and entry.name in _WRAPPER_REGISTRY:
-            raise ValueError(
-                f"scenario wrapper {entry.name!r} is already registered; "
-                f"pass override=True to replace it")
-        entry.check_params(entry.params)
-        _WRAPPER_REGISTRY[entry.name] = entry
-        return factory
-    return decorator
-
-
-def registered_scenario_wrapper(name: str) -> RegisteredScenarioWrapper:
-    """Look up a wrapper entry, raising ``ValueError`` for unknown names."""
-    try:
-        return _WRAPPER_REGISTRY[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario wrapper {name!r}; available: "
-            f"{available_scenario_wrappers()}") from None
-
-
-def available_scenario_wrappers() -> List[str]:
-    """Registered wrapper names, in registration order."""
-    return list(_WRAPPER_REGISTRY)
+#: Scenario wrappers: factories take ``(inner, ctx)`` and transform an
+#: already-built :class:`TraceSource` (e.g. inject device failures).  The
+#: ``compose`` scenario stacks them onto any base scenario, so behaviours
+#: combine without a combinatorial explosion of dedicated scenario entries.
+SCENARIO_WRAPPERS = Registry("scenario wrapper", skip=2)
+register_scenario_wrapper = SCENARIO_WRAPPERS.register
+registered_scenario_wrapper = SCENARIO_WRAPPERS.get
+available_scenario_wrappers = SCENARIO_WRAPPERS.names
 
 
 @register_scenario_wrapper(

@@ -130,6 +130,30 @@ class TestSpecCalibration:
         # latency; byte overhead >= 1), so throughput must drop.
         assert slow < fast
 
+    def test_make_system_calibrates_a_nominal_topology(self):
+        """make_system(calibration=p) on the nominal topology simulates
+        exactly what run_experiment(spec.with_calibration(p)) does."""
+        from repro.api.runner import run_experiment
+        from repro.sim.engine import compare_systems
+        from repro.sim.systems import make_system
+
+        profile = drawn_profile()
+        names = ("fsdp_ep", "laer")
+        spec = tiny_spec(systems=names)
+        expected = run_experiment(spec.with_calibration(profile))
+        topology = spec.cluster.to_topology()
+        systems = [make_system(name, spec.workload.model_config(), topology,
+                               spec.workload.tokens_per_device,
+                               calibration=profile)
+                   for name in names]
+        runs = compare_systems(systems,
+                               spec.workload.make_source(topology.num_devices),
+                               warmup=spec.workload.warmup)
+        for name in names:
+            assert runs[name].throughput == expected.systems[name].throughput
+            assert (runs[name].mean_breakdown()
+                    == expected.systems[name].breakdown_s)
+
 
 # ----------------------------------------------------------------------
 # Measurement

@@ -7,6 +7,7 @@ from repro.core.cost_model import MoECostModel
 from repro.core.layout import static_ep_layout
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.core.lite_routing import lite_route
+from repro.core.relocation import relocate_experts
 from repro.workloads.model_configs import tiny_test_config
 from repro.workloads.routing_traces import RoutingTraceConfig, SyntheticRoutingTraceGenerator
 
@@ -124,39 +125,54 @@ class TestReset:
         assert first == second
 
 
+def scalar_reference_solve(tuner, routing):
+    """Score each candidate with lite_route + evaluate; first cheapest wins."""
+    routing = np.asarray(routing, dtype=np.int64)
+    loads = routing.sum(axis=0)
+    layouts = [relocate_experts(replicas, loads, tuner.topology,
+                                tuner.capacity)
+               for replicas in tuner.candidate_replica_schemes(
+                   loads, routing.shape[1])]
+    plans = [lite_route(routing, layout, tuner.topology) for layout in layouts]
+    costs = [tuner.cost_model.evaluate(plan) for plan in plans]
+    best = 0
+    for index, cost in enumerate(costs):
+        if cost.total < costs[best].total:
+            best = index
+    return layouts[best], plans[best], costs[best], [c.total for c in costs]
+
+
+def assert_matches_scalar_reference(topology, cost_model, config, routing):
+    batched = ExpertLayoutTuner(topology, cost_model, 2, config).solve(routing)
+    layout, plan, cost, candidate_costs = scalar_reference_solve(
+        ExpertLayoutTuner(topology, cost_model, 2, config), routing)
+    # Not approx: the batched path must be the same arithmetic.
+    assert batched.candidate_costs == candidate_costs
+    assert batched.candidates_evaluated == len(candidate_costs)
+    assert batched.cost.total == cost.total
+    assert batched.cost.comm_time == cost.comm_time
+    assert np.array_equal(batched.cost.tokens_per_device,
+                          cost.tokens_per_device)
+    assert np.array_equal(batched.routing_plan, plan)
+    assert np.array_equal(batched.layout.assignment, layout.assignment)
+
+
 class TestBatchEval:
-    @pytest.mark.parametrize("candidates", [2, 4, 8])
+    @pytest.mark.parametrize("candidates", [1, 2, 4, 8])
     def test_batched_solve_is_bit_identical_to_scalar(
             self, small_topology, small_cost_model, candidates):
-        routing = skewed_routing(seed=candidates)
-        batched = ExpertLayoutTuner(
-            small_topology, small_cost_model, 2,
-            TunerConfig(num_candidates=candidates,
-                        batch_eval=True)).solve(routing)
-        scalar = ExpertLayoutTuner(
-            small_topology, small_cost_model, 2,
-            TunerConfig(num_candidates=candidates,
-                        batch_eval=False)).solve(routing)
-        # Not approx: the batched path must be the same arithmetic.
-        assert batched.candidate_costs == scalar.candidate_costs
-        assert batched.cost.total == scalar.cost.total
-        assert batched.cost.comm_time == scalar.cost.comm_time
-        assert np.array_equal(batched.routing_plan, scalar.routing_plan)
-        assert np.array_equal(batched.layout.assignment,
-                              scalar.layout.assignment)
+        """One candidate (the laer_pq_only ablation) up to eight."""
+        assert_matches_scalar_reference(
+            small_topology, small_cost_model,
+            TunerConfig(num_candidates=candidates, use_even=candidates > 1),
+            skewed_routing(seed=candidates))
 
     def test_tie_breaks_pick_the_first_candidate(self, small_topology,
                                                  small_cost_model):
-        """Equal-cost candidates resolve identically on both paths."""
-        routing = np.full((8, 8), 64, dtype=np.int64)
-        batched = ExpertLayoutTuner(
-            small_topology, small_cost_model, 2,
-            TunerConfig(batch_eval=True)).solve(routing)
-        scalar = ExpertLayoutTuner(
-            small_topology, small_cost_model, 2,
-            TunerConfig(batch_eval=False)).solve(routing)
-        assert np.array_equal(batched.layout.assignment,
-                              scalar.layout.assignment)
+        """Equal-cost candidates resolve like the scalar reference."""
+        assert_matches_scalar_reference(
+            small_topology, small_cost_model, TunerConfig(),
+            np.full((8, 8), 64, dtype=np.int64))
 
     def test_batch_eval_emits_planner_span(self, small_topology,
                                            small_cost_model, tmp_path):

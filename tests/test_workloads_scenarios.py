@@ -378,7 +378,7 @@ class TestComposeScenario:
 
     def test_user_registered_wrapper(self):
         from repro.workloads.scenarios import (
-            _WRAPPER_REGISTRY,
+            SCENARIO_WRAPPERS,
             available_scenario_wrappers,
             register_scenario_wrapper,
         )
@@ -398,7 +398,7 @@ class TestComposeScenario:
                 next(iter(composed.iter_iterations())),
                 2 * next(iter(base.iter_iterations())))
         finally:
-            _WRAPPER_REGISTRY.pop("double", None)
+            SCENARIO_WRAPPERS.unregister("double")
 
     def test_compose_usable_from_workload_spec(self):
         from repro.api import WorkloadSpec
