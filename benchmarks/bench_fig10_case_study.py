@@ -29,9 +29,8 @@ def run_case_study(paper_cluster):
     return out
 
 
-def test_fig10_case_study(benchmark, paper_cluster):
-    results = benchmark.pedantic(run_case_study, args=(paper_cluster,),
-                                 rounds=1, iterations=1)
+def test_fig10_case_study(paper_cluster):
+    results = run_case_study(paper_cluster)
 
     blocks = []
     for model, runs in results.items():

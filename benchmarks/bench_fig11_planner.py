@@ -62,9 +62,8 @@ def run_fig11(paper_cluster):
     return rows
 
 
-def test_fig11_planner_scaling(benchmark, paper_cluster):
-    rows = benchmark.pedantic(run_fig11, args=(paper_cluster,),
-                              rounds=1, iterations=1)
+def test_fig11_planner_scaling(paper_cluster):
+    rows = run_fig11(paper_cluster)
     print_report(format_table(
         rows, title="Figure 11: expert layout solver time vs cluster scale "
                     "(grey dashed baseline = avg per-layer time of "

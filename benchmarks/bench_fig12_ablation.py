@@ -31,9 +31,8 @@ def run_ablation(paper_cluster):
     return run_experiment(spec)
 
 
-def test_fig12_ablation(benchmark, paper_cluster):
-    result = benchmark.pedantic(run_ablation, args=(paper_cluster,),
-                                rounds=1, iterations=1)
+def test_fig12_ablation(paper_cluster):
+    result = run_ablation(paper_cluster)
 
     speedups = result.format_speedups(
         title="Figure 12: ablation of the layout solver schemes and the "

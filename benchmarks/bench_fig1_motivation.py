@@ -38,9 +38,8 @@ def run_motivation(paper_cluster):
     return imbalance, observed, balanced
 
 
-def test_fig1_motivation(benchmark, paper_cluster):
-    imbalance, observed, balanced = benchmark.pedantic(
-        run_motivation, args=(paper_cluster,), rounds=1, iterations=1)
+def test_fig1_motivation(paper_cluster):
+    imbalance, observed, balanced = run_motivation(paper_cluster)
 
     series = format_series(
         {"expert_load_imbalance_max_over_mean": imbalance},

@@ -32,8 +32,8 @@ def run_sweep():
     return study.aux_loss_sweep(AUX_WEIGHTS)
 
 
-def test_fig2_aux_loss_convergence(benchmark):
-    results = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_fig2_aux_loss_convergence():
+    results = run_sweep()
 
     series = {f"aux={weight:g}": results[weight].lm_losses
               for weight in AUX_WEIGHTS}

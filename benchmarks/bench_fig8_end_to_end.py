@@ -52,9 +52,8 @@ def run_end_to_end(paper_cluster):
     return rows
 
 
-def test_fig8_end_to_end_throughput(benchmark, paper_cluster):
-    rows = benchmark.pedantic(run_end_to_end, args=(paper_cluster,),
-                              rounds=1, iterations=1)
+def test_fig8_end_to_end_throughput(paper_cluster):
+    rows = run_end_to_end(paper_cluster)
 
     table = format_table(rows, title="Figure 8: end-to-end throughput and "
                                      "LAER-MoE speedups")

@@ -59,9 +59,8 @@ def run_convergence(paper_cluster):
     return runs, seconds, curves, errors
 
 
-def test_fig9_convergence(benchmark, paper_cluster):
-    runs, seconds, curves, errors = benchmark.pedantic(
-        run_convergence, args=(paper_cluster,), rounds=1, iterations=1)
+def test_fig9_convergence(paper_cluster):
+    runs, seconds, curves, errors = run_convergence(paper_cluster)
 
     loss_vs_steps = format_series(
         {label: run.lm_losses for label, run in runs.items()},

@@ -53,9 +53,8 @@ def run_table3(paper_cluster):
     return rows
 
 
-def test_tab3_lite_routing_overhead(benchmark, paper_cluster):
-    rows = benchmark.pedantic(run_table3, args=(paper_cluster,),
-                              rounds=1, iterations=1)
+def test_tab3_lite_routing_overhead(paper_cluster):
+    rows = run_table3(paper_cluster)
     print_report(format_table(
         rows, title="Table 3: lite routing time and share of iteration time "
                     "(paper: ~25-31 ms, < 0.1%)"))

@@ -60,8 +60,8 @@ def run_scalability():
     return sorted(rows, key=lambda row: row["num_gpus"])
 
 
-def test_tab4_scalability(benchmark):
-    rows = benchmark.pedantic(run_scalability, rounds=1, iterations=1)
+def test_tab4_scalability():
+    rows = run_scalability()
     print_report(format_table(
         rows, title="Table 4: simulated MLP speedup of LAER-MoE re-layout vs "
                     "static FSDP+EP, 8 to 128 GPUs (paper: ~1.49x, stable)"))

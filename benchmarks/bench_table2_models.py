@@ -39,8 +39,8 @@ def build_table():
     return rows
 
 
-def test_table2_model_configurations(benchmark):
-    rows = benchmark.pedantic(build_table, rounds=1, iterations=1)
+def test_table2_model_configurations():
+    rows = build_table()
     print_report(format_table(rows, title="Table 2: evaluated model "
                                           "configurations (derived vs paper)"))
     for row in rows:

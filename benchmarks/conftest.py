@@ -1,9 +1,10 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-figure benchmarks.
 
-Every benchmark regenerates one table or figure of the paper: it runs the
-corresponding experiment on the simulated cluster (or the numpy trainer),
-prints the same rows/series the paper reports, and times the experiment's
-core computation through pytest-benchmark.
+Every ``bench_fig*``/``bench_tab*`` test regenerates one table or figure of
+the paper: it runs the corresponding experiment on the simulated cluster
+(or the numpy trainer), prints the same rows/series the paper reports, and
+asserts the paper's qualitative shape.  ``bench_floors.py`` holds the
+same-host performance floors; the absolute timings live in ``perfbench/``.
 
 The absolute numbers differ from the paper (the substrate is an analytic
 simulator, not a 32-A100 testbed), but the qualitative shape -- who wins, by

@@ -18,15 +18,14 @@ Provides quick access to the most common workflows without writing Python:
         sweep-cluster-sizes --store ./study-store --workers 2
       repro trace export --dir .repro-trace --output trace.json
 
-* ``repro compare`` -- simulate the compared training systems on a
-  model/cluster/scenario combination and print throughput, speedups and the
-  time breakdown;
 * ``repro plan`` -- run the load-balancing planner over a trace and print
   per-iteration balance (aggregated over all MoE layers) against the static
   EP layout;
-* ``repro run`` -- execute a declarative :class:`repro.api.ExperimentSpec`,
-  either loaded from a JSON file (``--spec exp.json``) or assembled from the
-  command-line flags; ``--dump-spec`` writes the spec instead of running it;
+* ``repro run`` (alias ``repro compare``) -- execute a declarative
+  :class:`repro.api.ExperimentSpec`, either loaded from a JSON file
+  (``--spec exp.json``) or assembled from the command-line flags, and print
+  throughput, speedups and the time breakdown of the compared systems;
+  ``--dump-spec`` writes the spec instead of running it;
 * ``repro studies`` -- print the registered study definitions;
 * ``repro study run|ls|diff|report|gate`` -- the sweep workflow: expand a
   :class:`repro.study.StudySpec` (a registered name such as
@@ -116,20 +115,20 @@ Provides quick access to the most common workflows without writing Python:
 Exit codes (uniform across commands): **0** success; **1** execution or
 gate failure (a submitted run failed, ``study gate`` tripped, a fleet cell
 failed); **2** usage/environment errors (bad flags or spec, missing store,
-unreachable daemon).
+unreachable daemon, unwritable output path).
 
-Workloads are scenarios: ``run``, ``compare``, ``plan`` and ``trace`` accept
+Workloads are scenarios: ``run``, ``plan`` and ``trace`` accept
 ``--scenario`` (any name from ``repro scenarios``) plus repeatable
 ``--param key=value`` scenario knobs, e.g.::
 
     repro compare --scenario bursty-churn --param period=20
 
 Every simulation flows through :class:`repro.api.ExperimentRunner`, which
-simulates the compared systems in this process, one after another, so
-``repro compare`` and ``repro run`` on an equivalent spec produce identical
-numbers.  The only way to use several processes is the fleet: ``repro
-study run --workers N`` (or ``repro fleet run``) drains a study's grid --
-make the systems a ``systems`` axis to spread a comparison out.
+simulates the compared systems in this process, one after another, so a
+spec file and the equivalent flags produce identical numbers.  The only way
+to use several processes is the fleet: ``repro study run --workers N`` (or
+``repro fleet run``) drains a study's grid -- make the systems a
+``systems`` axis to spread a comparison out.
 (``python -m repro.cli`` works too; the ``repro`` console script is
 installed by the package metadata.)
 """
@@ -144,7 +143,16 @@ import shutil
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    TypeVar,
+    Union,
+)
 
 from repro.analysis.reporting import (
     format_phase_breakdown,
@@ -240,6 +248,8 @@ from repro.workloads.scenarios import (
 )
 from repro.workloads.trace_io import save_trace, summarize_trace
 
+T = TypeVar("T")
+
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
@@ -293,16 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
                               help="Chrome trace JSON path "
                                    "(default: <dir>/trace.json)")
 
-    compare = sub.add_parser("compare", help="simulate the training systems")
-    _add_common_workload_args(compare)
-    _add_simulation_args(compare)
-
     plan = sub.add_parser("plan", help="run the planner over a trace")
     _add_common_workload_args(plan)
     plan.add_argument("--iterations", type=int, default=6)
 
     run = sub.add_parser(
-        "run", help="run a declarative experiment spec end to end")
+        "run", aliases=["compare"],
+        help="run a declarative experiment spec end to end")
     _add_common_workload_args(run)
     _add_simulation_args(run)
     run.add_argument("--name", type=str, default="experiment",
@@ -768,7 +775,7 @@ def _add_run_filter_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_simulation_args(parser: argparse.ArgumentParser) -> None:
-    """Flags shared by the simulation commands (``compare`` and ``run``)."""
+    """Flags shared by the simulation commands (``run`` and ``submit``)."""
     parser.add_argument("--iterations", type=int, default=10)
     parser.add_argument("--warmup", type=int, default=2)
     parser.add_argument("--systems", nargs="+",
@@ -917,6 +924,22 @@ def _spec_or_error(args: argparse.Namespace, warmup: int,
         return None
 
 
+def _write_or_error(what: str, path: Union[str, Path],
+                    write: Callable[[], T]) -> Optional[T]:
+    """Run ``write`` and return its result (the path it wrote, say).
+
+    An unwritable output path is an environment error: on ``OSError`` print
+    ``error: cannot write <what> to <path>: <error>`` and return None, and
+    the command exits 2.
+    """
+    try:
+        return write()
+    except OSError as error:
+        print(f"error: cannot write {what} to {str(path)!r}: {error}",
+              file=sys.stderr)
+        return None
+
+
 def _check_scenario_buildable(spec: ExperimentSpec) -> None:
     """Build (but don't consume) the scenario source to validate param values.
 
@@ -942,7 +965,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
                               title=f"Routing trace summary "
                                     f"({spec.workload.scenario})"))
     if args.output:
-        path = save_trace(trace, args.output)
+        path = _write_or_error("trace", args.output,
+                               lambda: save_trace(trace, args.output))
+        if path is None:
+            return 2
         print(f"Trace saved to {path}")
     return 0
 
@@ -1007,10 +1033,8 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
         print(f"error: no trace events under {trace_dir}", file=sys.stderr)
         return 2
     output = Path(args.output) if args.output else trace_dir / "trace.json"
-    try:
-        export_chrome_trace(events, output)
-    except OSError as error:
-        print(f"error: cannot write {output}: {error}", file=sys.stderr)
+    if _write_or_error("Chrome trace", output,
+                       lambda: export_chrome_trace(events, output)) is None:
         return 2
     spans = sum(1 for event in events if event.get("type") == "span")
     pids = {event.get("pid") for event in events}
@@ -1019,15 +1043,6 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
     rows = phase_breakdown(events)
     if rows:
         print_report(format_phase_breakdown(rows))
-    return 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    spec = _spec_or_error(args, warmup=args.warmup, systems=args.systems,
-                          reference=args.reference, name="compare")
-    if spec is None:
-        return 2
-    _print_experiment(ExperimentRunner().run(spec))
     return 0
 
 
@@ -1066,22 +1081,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.dump_spec == "-":
             print(spec.to_json())
             return 0
-        try:
-            path = spec.save(args.dump_spec)
-        except OSError as error:
-            print(f"error: cannot write spec to {args.dump_spec!r}: {error}",
-                  file=sys.stderr)
+        path = _write_or_error("spec", args.dump_spec,
+                               lambda: spec.save(args.dump_spec))
+        if path is None:
             return 2
         print(f"Spec saved to {path}")
         return 0
     result = ExperimentRunner().run(spec)
     _print_experiment(result)
     if args.output:
-        try:
-            path = result.save(args.output)
-        except OSError as error:
-            print(f"error: cannot write result to {args.output!r}: {error}",
-                  file=sys.stderr)
+        path = _write_or_error("result", args.output,
+                               lambda: result.save(args.output))
+        if path is None:
             return 2
         print(f"Result saved to {path}")
     return 0
@@ -1154,11 +1165,9 @@ def cmd_study_run(args: argparse.Namespace) -> int:
         if args.dump_spec == "-":
             print(study.to_json())
             return 0
-        try:
-            path = study.save(args.dump_spec)
-        except OSError as error:
-            print(f"error: cannot write study spec to {args.dump_spec!r}: "
-                  f"{error}", file=sys.stderr)
+        path = _write_or_error("study spec", args.dump_spec,
+                               lambda: study.save(args.dump_spec))
+        if path is None:
             return 2
         print(f"Study spec saved to {path}")
         return 0
@@ -1329,11 +1338,8 @@ def cmd_study_report(args: argparse.Namespace) -> int:
     text = format_study_report(title, _entry_rows(entries),
                                intro=intro, sections=sections)
     if args.output:
-        try:
-            Path(args.output).write_text(text)
-        except OSError as error:
-            print(f"error: cannot write report to {args.output!r}: {error}",
-                  file=sys.stderr)
+        if _write_or_error("report", args.output,
+                           lambda: Path(args.output).write_text(text)) is None:
             return 2
         print(f"Report written to {args.output}")
     else:
@@ -1795,7 +1801,10 @@ def cmd_chaos_run(args: argparse.Namespace) -> int:
                        inject_faults=not args.no_inject, log=print)
     print(report.summary())
     if args.report:
-        path = report.save(args.report)
+        path = _write_or_error("chaos report", args.report,
+                               lambda: report.save(args.report))
+        if path is None:
+            return 2
         print(f"chaos report written to {path}")
     return 0 if report.ok else 1
 
@@ -1847,12 +1856,19 @@ def cmd_calib_measure(args: argparse.Namespace) -> int:
                                devices_per_node=args.devices_per_node)
     observations = run_microbenchmarks(topology, machine,
                                        config=config, seed=args.seed)
-    path = observations.save(args.output)
-    # The hidden machine rides along so tests and CI can check recovery;
-    # real measurement campaigns simply won't have this file.
-    with (path / "ground_truth.json").open("w") as handle:
-        json.dump(machine.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+
+    def save() -> Path:
+        path = observations.save(args.output)
+        # The hidden machine rides along so tests and CI can check recovery;
+        # real measurement campaigns simply won't have this file.
+        with (path / "ground_truth.json").open("w") as handle:
+            json.dump(machine.to_dict(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        return path
+
+    path = _write_or_error("observations", args.output, save)
+    if path is None:
+        return 2
     counts = observations.counts()
     print(f"Measured {counts['comm']} transfers, {counts['compute']} "
           f"kernels, {counts['all_to_all']} All-to-All exchanges "
@@ -1879,7 +1895,10 @@ def cmd_calib_fit(args: argparse.Namespace) -> int:
     print(fit_summary_line(fit))
     print(fit.profile.describe())
     if args.output:
-        path = fit.profile.save(args.output)
+        path = _write_or_error("profile", args.output,
+                               lambda: fit.profile.save(args.output))
+        if path is None:
+            return 2
         print(f"Profile {fit.profile.profile_id} saved to {path}")
     if args.min_r2 is not None and fit.r2_min < args.min_r2:
         print(f"FIT GATE FAILED: r2_min {fit.r2_min:.4f} < {args.min_r2}",
@@ -1894,8 +1913,10 @@ def cmd_calib_report(args: argparse.Namespace) -> int:
         return 2
     report = fit_report(fit, title=args.observations)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(report + "\n")
+        if _write_or_error(
+                "report", args.output,
+                lambda: Path(args.output).write_text(report + "\n")) is None:
+            return 2
         print(f"Report written to {args.output}")
     else:
         print_report(report)
@@ -1915,15 +1936,16 @@ def cmd_calib_apply(args: argparse.Namespace) -> int:
         print(f"error: cannot load spec {args.spec!r}: {error}",
               file=sys.stderr)
         return 2
-    calibrated = spec.with_calibration(profile)
+    text = json.dumps(spec.with_calibration(profile).to_dict(), indent=2)
     if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(calibrated.to_dict(), handle, indent=2)
-            handle.write("\n")
+        if _write_or_error(
+                "calibrated spec", args.output,
+                lambda: Path(args.output).write_text(text + "\n")) is None:
+            return 2
         print(f"Calibrated spec ({profile.describe()}) "
               f"written to {args.output}")
     else:
-        print(json.dumps(calibrated.to_dict(), indent=2))
+        print(text)
     return 0
 
 
@@ -1941,7 +1963,10 @@ def _load_suite(path: str) -> Optional[SuiteSpec]:
 def cmd_suite_make(args: argparse.Namespace) -> int:
     suite = default_suite()
     if args.output:
-        path = suite.save(args.output)
+        path = _write_or_error("suite", args.output,
+                               lambda: suite.save(args.output))
+        if path is None:
+            return 2
         print(f"Suite {suite.suite_id} ({len(suite.members)} members) "
               f"saved to {path}")
     else:
@@ -1974,7 +1999,10 @@ def cmd_suite_characterize(args: argparse.Namespace) -> int:
     num_devices = args.num_nodes * args.devices_per_node
     characterization = characterize_suite(suite, num_devices=num_devices)
     if args.output:
-        path = characterization.save(args.output)
+        path = _write_or_error("characterization", args.output,
+                               lambda: characterization.save(args.output))
+        if path is None:
+            return 2
         print(f"Characterization of {suite.suite_id} "
               f"({len(characterization.profiles)} members on {num_devices} "
               f"devices) saved to {path}")
@@ -2004,11 +2032,8 @@ def cmd_suite_report(args: argparse.Namespace) -> int:
             suite, num_devices=args.num_nodes * args.devices_per_node)
     text = format_suite_report(characterization)
     if args.output:
-        try:
-            Path(args.output).write_text(text)
-        except OSError as error:
-            print(f"error: cannot write report to {args.output!r}: {error}",
-                  file=sys.stderr)
+        if _write_or_error("report", args.output,
+                           lambda: Path(args.output).write_text(text)) is None:
             return 2
         print(f"Report written to {args.output}")
     else:
@@ -2038,7 +2063,10 @@ def cmd_suite_search(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
         graduated = graduate(suite, result)
-        path = graduated.save(args.graduate)
+        path = _write_or_error("graduated suite", args.graduate,
+                               lambda: graduated.save(args.graduate))
+        if path is None:
+            return 2
         print(f"Graduated winner into {graduated.suite_id} "
               f"({len(graduated.members)} members) at {path}")
     return 0
@@ -2122,9 +2150,9 @@ COMMANDS = {
     "systems": cmd_systems,
     "scenarios": cmd_scenarios,
     "trace": cmd_trace,
-    "compare": cmd_compare,
     "plan": cmd_plan,
     "run": cmd_run,
+    "compare": cmd_run,
     "studies": cmd_studies,
     "study": cmd_study,
     "suite": cmd_suite,

@@ -146,7 +146,7 @@ class ExpertLayoutTuner:
         # One batched lite-route + cost evaluation over the whole candidate
         # set, bit-identical to scoring each candidate with lite_route and
         # MoECostModel.evaluate (guarded by tests and
-        # benchmarks/bench_calib.py).  The first cheapest candidate wins.
+        # benchmarks/bench_floors.py).  The first cheapest candidate wins.
         with _span("planner.batch-eval", candidates=len(layouts)):
             plans = lite_route_batch(routing, layouts, self.topology)
             costs = self.cost_model.evaluate_batch(plans)

@@ -7,8 +7,8 @@ the original loop semantics in one canonical place so that
 
 * ``tests/test_vectorized_kernels.py`` can assert scalar-vs-vectorized
   equivalence against the true original behaviour, and
-* ``benchmarks/bench_perf.py`` can patch the scalar kernels back in and
-  measure an honest before/after on the same host
+* ``benchmarks/bench_floors.py`` can patch the scalar kernels back in and
+  check the vectorized kernels' speedup floors on the same host
 
 without maintaining two drifting copies of the reference code.  Nothing in
 the production pipeline imports this module.

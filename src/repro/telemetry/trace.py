@@ -5,8 +5,8 @@ a module-global tracer armed via :func:`install` (or from the
 ``REPRO_TRACE_*`` environment variables in spawned fleet workers), and a
 :func:`span` hook whose *disarmed* fast path is a single global ``None``
 check returning a shared no-op span -- cheap enough to leave in the
-simulator's per-iteration loop (benchmarked with a CI-gated ceiling in
-``benchmarks/bench_telemetry.py``).
+simulator's per-iteration loop (its per-call ceiling is checked in CI by
+``benchmarks/bench_floors.py``).
 
 Each traced process appends complete-span JSON lines to its own file
 (``events-<scope>-i<incarnation>-<pid>.jsonl``) inside the trace

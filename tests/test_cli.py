@@ -945,3 +945,102 @@ class TestScenarioRobustnessSection:
         code = main(["study", "report", "--store", str(single)])
         assert code == 0
         assert "Scenario robustness" not in capsys.readouterr().out
+
+
+#: Every command that writes a file, as ``(argv builder, what it writes)``.
+#: Each builder takes the readable inputs (see ``writer_inputs``) and an
+#: output path that cannot be written.
+SMALL_RUN = ["--num-nodes", "1", "--devices-per-node", "4",
+             "--tokens-per-device", "512", "--iterations", "2"]
+WRITERS = {
+    "trace --output": (
+        lambda inp, out: ["trace", *SMALL_RUN, "--output", out], "trace"),
+    "trace export --output": (
+        lambda inp, out: ["trace", "export", "--dir", inp["trace"],
+                          "--output", out], "Chrome trace"),
+    "run --dump-spec": (
+        lambda inp, out: ["run", *SMALL_RUN, "--dump-spec", out], "spec"),
+    "run --output": (
+        lambda inp, out: ["run", "--spec", inp["spec"], "--output", out],
+        "result"),
+    "study run --dump-spec": (
+        lambda inp, out: ["study", "run", "sweep-cluster-sizes",
+                          "--store", inp["store"], "--dump-spec", out],
+        "study spec"),
+    "study report --output": (
+        lambda inp, out: ["study", "report", "--store", inp["store"],
+                          "--output", out], "report"),
+    "suite make --output": (
+        lambda inp, out: ["suite", "make", "--output", out], "suite"),
+    "suite characterize --output": (
+        lambda inp, out: ["suite", "characterize", inp["suite"],
+                          "--devices-per-node", "4", "--output", out],
+        "characterization"),
+    "suite report --output": (
+        lambda inp, out: ["suite", "report", inp["suite"],
+                          "--devices-per-node", "4", "--output", out],
+        "report"),
+    "suite search --graduate": (
+        lambda inp, out: ["suite", "search", inp["suite"],
+                          "--store", inp["store"], "--target", "static_ep",
+                          "--budget", "1", "--quiet", "--graduate", out],
+        "graduated suite"),
+    "chaos run --report": (
+        lambda inp, out: ["chaos", "run", "--plan", "torn-journal", "--quick",
+                          "--store", inp["chaos"], "--report", out],
+        "chaos report"),
+    "calib measure --output": (
+        lambda inp, out: ["calib", "measure", "--output", out, "--tiny"],
+        "observations"),
+    "calib fit --output": (
+        lambda inp, out: ["calib", "fit", "--observations", inp["obs"],
+                          "--output", out], "profile"),
+    "calib report --output": (
+        lambda inp, out: ["calib", "report", "--observations", inp["obs"],
+                          "--output", out], "report"),
+    "calib apply --output": (
+        lambda inp, out: ["calib", "apply", "--profile", inp["profile"],
+                          "--spec", inp["spec"], "--output", out],
+        "calibrated spec"),
+}
+
+
+@pytest.fixture(scope="module")
+def writer_inputs(tmp_path_factory):
+    """Readable inputs for the ``WRITERS``: a spec, a store holding one run,
+    a recorded trace, a tiny suite, calibration observations and a profile."""
+    from repro.suite import SuiteMember, SuiteSpec
+
+    root = tmp_path_factory.mktemp("writers")
+    inputs = {name: str(root / name) for name in
+              ("spec", "store", "trace", "suite", "obs", "profile", "chaos")}
+    SuiteSpec(name="tiny", tokens_per_device=512, iterations=4, warmup=1,
+              members=(SuiteMember(name="steady", scenario="steady",
+                                   seed=3),)).save(inputs["suite"])
+    for argv in (
+            ["run", *SMALL_RUN, "--dump-spec", inputs["spec"]],
+            ["study", "run", "sweep-cluster-sizes", "--store",
+             inputs["store"], "--param", "sizes=[1]",
+             "--param", "devices_per_node=4",
+             "--param", "tokens_per_device=512",
+             "--param", "iterations=2", "--param", "warmup=1"],
+            ["trace", "record", "--dir", inputs["trace"], "--", "models"],
+            ["calib", "measure", "--output", inputs["obs"], "--tiny"],
+            ["calib", "fit", "--observations", inputs["obs"],
+             "--output", inputs["profile"]]):
+        assert main(argv) == 0, argv
+    return inputs
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_unwritable_output_path_exits_2(writer, writer_inputs, tmp_path,
+                                        capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    out = str(blocker / "out")  # a path under a regular file
+    build, what = WRITERS[writer]
+    capsys.readouterr()
+    assert main(build(writer_inputs, out)) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {what} to {out!r}: " in err
+    assert "Traceback" not in err

@@ -5,7 +5,7 @@ batched lite-routing splits, matrix trace transforms) must reproduce the
 scalar implementations they replaced: collectives to float tolerance,
 integer token splits exactly, and seeded trace generation deterministically.
 The scalar references live in :mod:`repro.scalar_reference` (verbatim ports
-of the pre-vectorization loops, shared with ``benchmarks/bench_perf.py``).
+of the pre-vectorization loops, shared with ``benchmarks/bench_floors.py``).
 """
 
 import numpy as np
