@@ -11,12 +11,12 @@ recognises every completed cell and skips it.  To drain the same grid with
 several worker processes, use the fleet (the script then skips every
 cell)::
 
-    repro study run sweep-scenarios --store ./scenario-sweep-store \
+    repro fleet run sweep-scenarios --store ./scenario-sweep-store \
       --param tokens_per_device=8192 --param seed=17 --workers 2
 
 The accumulated runs can be inspected later with::
 
-    repro study ls     --store ./scenario-sweep-store
+    repro store ls     --store ./scenario-sweep-store
     repro study diff   --store ./scenario-sweep-store RUN_A RUN_B
     repro study report --store ./scenario-sweep-store --study sweep-scenarios
 

@@ -13,7 +13,7 @@ Training*.  It contains:
   process by :class:`repro.study.StudyRunner`.
 * ``repro.fleet`` -- the one way to use several processes: N workers drain
   a study's grid through a file queue into one shared store
-  (``repro study run --workers N``), storing the same runs as the
+  (``repro fleet run --workers N``), storing the same runs as the
   in-process :class:`repro.study.StudyRunner`.
 * ``repro.store`` -- the persistent result store sweeps accumulate into:
   content-hashed run JSONs, an incrementally maintained index, and

@@ -230,7 +230,7 @@ class ExperimentRunner:
     into a streaming :class:`~repro.workloads.scenarios.TraceSource` and each
     system consumes its own deterministic fork.  The systems run in this
     process, one after another; a comparison that needs several processes
-    is a study with a ``systems`` axis drained by ``repro study run
+    is a study with a ``systems`` axis drained by ``repro fleet run
     --workers N``.
 
     The runner is stateless between :meth:`run` calls except for

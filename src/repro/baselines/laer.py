@@ -29,15 +29,10 @@ class LAERPolicy(LoadBalancingPolicy):
     def __init__(self, topology: ClusterTopology, num_experts: int,
                  capacity: int, expert_param_bytes: float,
                  cost_model: MoECostModel,
-                 tuner_config: Optional[TunerConfig] = None,
-                 history_length: int = 8, ema_decay: float = 1.0):
+                 tuner_config: Optional[TunerConfig] = None):
         super().__init__(topology, num_experts, capacity, expert_param_bytes)
         planner_config = PlannerConfig(
-            capacity=capacity,
-            history_length=history_length,
-            ema_decay=ema_decay,
-            tuner=tuner_config or TunerConfig(),
-        )
+            capacity=capacity, tuner=tuner_config or TunerConfig())
         self.planner = LoadBalancingPlanner(topology, cost_model, num_experts,
                                             planner_config)
 

@@ -5,9 +5,9 @@ Provides quick access to the most common workflows without writing Python:
 * ``repro models`` -- print the Table 2 model registry;
 * ``repro systems`` -- print the registered training systems;
 * ``repro scenarios`` -- print the registered routing scenarios;
-* ``repro trace`` -- generate (and optionally save) a synthetic routing trace
-  and print its summary statistics;
-* ``repro trace record|export`` -- observability (see
+* ``repro trace routing|record|export`` -- ``routing`` generates (and
+  optionally saves) a synthetic routing trace and prints its summary
+  statistics; ``record`` and ``export`` are observability (see
   :mod:`repro.telemetry`): re-run any repro command with the cross-process
   tracer armed, collecting span events from the coordinator and every
   worker process it spawns, then merge the per-process event files and
@@ -27,17 +27,18 @@ Provides quick access to the most common workflows without writing Python:
   throughput, speedups and the time breakdown of the compared systems;
   ``--dump-spec`` writes the spec instead of running it;
 * ``repro studies`` -- print the registered study definitions;
-* ``repro study run|ls|diff|report|gate`` -- the sweep workflow: expand a
+* ``repro study run|diff|report|gate`` -- the sweep workflow: expand a
   :class:`repro.study.StudySpec` (a registered name such as
   ``sweep-cluster-sizes``, or a JSON file) into its experiment grid, execute
-  it into a persistent :class:`repro.store.ResultStore` (cells already in
-  the store are skipped, so re-running is a cheap no-op), then list the
-  stored runs, diff two of them metric-by-metric, render a markdown
-  report, or gate CI on regressions against a stored baseline::
+  it in this process into a persistent :class:`repro.store.ResultStore`
+  (cells already in the store are skipped, so re-running is a cheap
+  no-op), then diff two stored runs metric-by-metric, render a markdown
+  report, or gate CI on regressions against a stored baseline
+  (``repro store ls`` lists the stored runs)::
 
       repro study run sweep-cluster-sizes --store ./study-store \
         --param sizes='[1,2,4]'
-      repro study ls --store ./study-store
+      repro store ls --store ./study-store
       repro study diff --store ./study-store RUN_A RUN_B
       repro study report --store ./study-store --study sweep-cluster-sizes
       repro study gate --store ./study-store --baseline baseline  # exit 1
@@ -66,8 +67,6 @@ Provides quick access to the most common workflows without writing Python:
       repro fleet status  --store ./study-store
       repro fleet workers --store ./study-store
       repro fleet watch   --store ./study-store --interval 2
-
-  ``repro study run --workers N`` is a shortcut for ``fleet run``.
 
 * ``repro serve`` -- the serving tier: a long-lived daemon answering
   ExperimentSpec/StudySpec submissions over HTTP (or a Unix socket) straight
@@ -117,7 +116,7 @@ gate failure (a submitted run failed, ``study gate`` tripped, a fleet cell
 failed); **2** usage/environment errors (bad flags or spec, missing store,
 unreachable daemon, unwritable output path).
 
-Workloads are scenarios: ``run``, ``plan`` and ``trace`` accept
+Workloads are scenarios: ``run``, ``plan`` and ``trace routing`` accept
 ``--scenario`` (any name from ``repro scenarios``) plus repeatable
 ``--param key=value`` scenario knobs, e.g.::
 
@@ -126,9 +125,8 @@ Workloads are scenarios: ``run``, ``plan`` and ``trace`` accept
 Every simulation flows through :class:`repro.api.ExperimentRunner`, which
 simulates the compared systems in this process, one after another, so a
 spec file and the equivalent flags produce identical numbers.  The only way
-to use several processes is the fleet: ``repro study run --workers N`` (or
-``repro fleet run``) drains a study's grid -- make the systems a
-``systems`` axis to spread a comparison out.
+to use several processes is the fleet: ``repro fleet run`` drains a study's
+grid -- make the systems a ``systems`` axis to spread a comparison out.
 (``python -m repro.cli`` works too; the ``repro`` console script is
 installed by the package metadata.)
 """
@@ -252,15 +250,21 @@ T = TypeVar("T")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Build the top-level argument parser."""
+    """Build the top-level argument parser.
+
+    Every leaf command's parser carries its handler as the ``func``
+    default (see :func:`_command`), and :func:`main` calls it.
+    """
     parser = argparse.ArgumentParser(
         prog="repro", description="LAER-MoE reproduction command line")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("models", help="list the Table 2 model configurations")
-    sub.add_parser("systems", help="list the registered training systems")
-    scenarios = sub.add_parser(
-        "scenarios", help="list the registered routing scenarios")
+    _command(sub, "models", cmd_models,
+             help="list the Table 2 model configurations")
+    _command(sub, "systems", cmd_systems,
+             help="list the registered training systems")
+    scenarios = _command(sub, "scenarios", cmd_scenarios,
+                         help="list the registered routing scenarios")
     scenarios.add_argument("--verbose", "-v", action="store_true",
                            help="also print each scenario's parameters with "
                                 "types and defaults")
@@ -269,17 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="generate a synthetic routing trace, or record/export a "
              "cross-process telemetry trace")
-    _add_common_workload_args(trace)
-    trace.add_argument("--iterations", type=int, default=20)
-    trace.add_argument("--output", type=str, default=None,
-                       help="optional .npz path to save the trace to")
-    # Optional subcommands: plain `repro trace` keeps its original
-    # synthetic-routing-trace behaviour (trace_command is None then).
-    trsub = trace.add_subparsers(
-        dest="trace_command", required=False, metavar="{record,export}",
-        help="telemetry tracing (omit for the synthetic routing trace)")
-    trace_record = trsub.add_parser(
-        "record",
+    trsub = trace.add_subparsers(dest="trace_command", required=True)
+    trace_routing = _command(
+        trsub, "routing", cmd_trace_routing,
+        help="generate a synthetic routing trace and print its summary "
+             "statistics")
+    _add_common_workload_args(trace_routing)
+    trace_routing.add_argument("--iterations", type=int, default=20)
+    trace_routing.add_argument("--output", type=str, default=None,
+                               help="optional .npz path to save the trace to")
+    trace_record = _command(
+        trsub, "record", cmd_trace_record,
         help="run a repro command with the tracer armed, collecting span "
              "events from every process it spawns")
     trace_record.add_argument("--dir", dest="trace_dir", type=str,
@@ -290,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="-- COMMAND ...",
                               help="the repro command line to trace, e.g. "
                                    "-- fleet run sweep-cluster-sizes ...")
-    trace_export = trsub.add_parser(
-        "export",
+    trace_export = _command(
+        trsub, "export", cmd_trace_export,
         help="merge recorded span events into Chrome trace-event JSON "
              "plus a per-phase time breakdown")
     trace_export.add_argument("--dir", dest="trace_dir", type=str,
@@ -303,13 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
                               help="Chrome trace JSON path "
                                    "(default: <dir>/trace.json)")
 
-    plan = sub.add_parser("plan", help="run the planner over a trace")
+    plan = _command(sub, "plan", cmd_plan,
+                    help="run the planner over a trace")
     _add_common_workload_args(plan)
     plan.add_argument("--iterations", type=int, default=6)
 
-    run = sub.add_parser(
-        "run", aliases=["compare"],
-        help="run a declarative experiment spec end to end")
+    run = _command(sub, "run", cmd_run, aliases=["compare"],
+                   help="run a declarative experiment spec end to end")
     _add_common_workload_args(run)
     _add_simulation_args(run)
     run.add_argument("--name", type=str, default="experiment",
@@ -323,14 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output", type=str, default=None,
                      help="optional path to save the JSON experiment result")
 
-    sub.add_parser("studies", help="list the registered study definitions")
+    _command(sub, "studies", cmd_studies,
+             help="list the registered study definitions")
 
     study = sub.add_parser(
         "study", help="run sweeps into a persistent result store")
     ssub = study.add_subparsers(dest="study_command", required=True)
 
-    study_run = ssub.add_parser(
-        "run", help="expand a study into its grid and execute it (resumable)")
+    study_run = _command(
+        ssub, "run", cmd_study_run,
+        help="expand a study into its grid and execute it in this process "
+             "(resumable)")
     study_run.add_argument("study",
                            help="registered study name (see 'repro studies') "
                                 "or a StudySpec JSON file")
@@ -342,10 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     study_run.add_argument("--tag", action="append", default=[],
                            help="extra tag stored on every cell run, "
                                 "repeatable")
-    study_run.add_argument("--workers", type=int, default=0, metavar="N",
-                           help="fast path to 'repro fleet run': drain the "
-                                "grid with N cooperating worker processes "
-                                "(0 = in-process StudyRunner)")
     study_run.add_argument("--no-resume", action="store_true",
                            help="re-execute cells even when their run is "
                                 "already in the store")
@@ -355,18 +358,16 @@ def build_parser() -> argparse.ArgumentParser:
                                 "PATH ('-' for stdout) and exit without "
                                 "running")
 
-    study_ls = ssub.add_parser("ls", help="list the runs stored in a store")
-    _add_store_arg(study_ls)
-    _add_run_filter_args(study_ls)
-
-    study_diff = ssub.add_parser(
-        "diff", help="per-system, per-metric deltas between two stored runs")
+    study_diff = _command(
+        ssub, "diff", cmd_study_diff,
+        help="per-system, per-metric deltas between two stored runs")
     study_diff.add_argument("run_a", help="base run id")
     study_diff.add_argument("run_b", help="other run id")
     _add_store_arg(study_diff)
 
-    study_report = ssub.add_parser(
-        "report", help="render the stored runs of a study as markdown")
+    study_report = _command(
+        ssub, "report", cmd_study_report,
+        help="render the stored runs of a study as markdown")
     _add_store_arg(study_report)
     study_report.add_argument("--study", type=str, default=None,
                               help="restrict to runs of one study "
@@ -385,8 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
                                    "trace record') whose per-phase time "
                                    "breakdown is appended as a section")
 
-    study_gate = ssub.add_parser(
-        "gate", help="exit nonzero when stored runs regressed vs a baseline")
+    study_gate = _command(
+        ssub, "gate", cmd_study_gate,
+        help="exit nonzero when stored runs regressed vs a baseline")
     _add_store_arg(study_gate)
     study_gate.add_argument("--baseline", type=str, required=True,
                             help="baseline tag the candidates are compared "
@@ -406,17 +408,18 @@ def build_parser() -> argparse.ArgumentParser:
                       "adversarial search")
     susub = suite.add_subparsers(dest="suite_command", required=True)
 
-    suite_make = susub.add_parser(
-        "make", help="emit the curated default suite as JSON")
+    suite_make = _command(susub, "make", cmd_suite_make,
+                          help="emit the curated default suite as JSON")
     suite_make.add_argument("--output", type=str, default=None, metavar="PATH",
                             help="write the suite JSON to PATH instead of "
                                  "stdout")
 
-    suite_ls = susub.add_parser("ls", help="list a suite's members")
+    suite_ls = _command(susub, "ls", cmd_suite_ls,
+                        help="list a suite's members")
     suite_ls.add_argument("suite", help="SuiteSpec JSON file")
 
-    suite_char = susub.add_parser(
-        "characterize",
+    suite_char = _command(
+        susub, "characterize", cmd_suite_characterize,
         help="stream every member and compute its workload metrics")
     suite_char.add_argument("suite", help="SuiteSpec JSON file")
     suite_char.add_argument("--num-nodes", type=int, default=1)
@@ -425,8 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write the characterization JSON to PATH "
                                  "(default: render the report to stdout)")
 
-    suite_report = susub.add_parser(
-        "report", help="render a suite characterization as markdown")
+    suite_report = _command(
+        susub, "report", cmd_suite_report,
+        help="render a suite characterization as markdown")
     suite_report.add_argument("suite", help="SuiteSpec JSON file")
     suite_report.add_argument("--characterization", type=str, default=None,
                               metavar="PATH",
@@ -439,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="write the markdown report to a file "
                                    "instead of stdout")
 
-    suite_search = susub.add_parser(
-        "search",
+    suite_search = _command(
+        susub, "search", cmd_suite_search,
         help="adversarial search: find scenarios maximizing a system's "
              "regret vs the oracle")
     suite_search.add_argument("suite", help="SuiteSpec JSON file")
@@ -468,8 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet", help="multi-process sweep execution over a shared store")
     fsub = fleet.add_subparsers(dest="fleet_command", required=True)
 
-    fleet_run = fsub.add_parser(
-        "run", help="drain a study's grid with N worker processes")
+    fleet_run = _command(
+        fsub, "run", cmd_fleet_run,
+        help="drain a study's grid with N worker processes")
     fleet_run.add_argument("study",
                            help="registered study name (see 'repro studies') "
                                 "or a StudySpec JSON file")
@@ -495,25 +500,28 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument("--quiet", action="store_true",
                            help="suppress the periodic progress lines")
 
-    fleet_status = fsub.add_parser(
-        "status", help="per-queue cell counts of a store's fleet queues")
+    fleet_status = _command(
+        fsub, "status", cmd_fleet_status,
+        help="per-queue cell counts of a store's fleet queues")
     _add_store_arg(fleet_status, required=False)
     fleet_status.add_argument("--queue", type=str, default=None,
                               metavar="DIR",
                               help="inspect one queue directory instead of "
                                    "every queue under the store")
 
-    fleet_workers = fsub.add_parser(
-        "workers", help="per-worker claim counts and lease heartbeats")
+    fleet_workers = _command(
+        fsub, "workers", cmd_fleet_workers,
+        help="per-worker claim counts and lease heartbeats")
     _add_store_arg(fleet_workers, required=False)
     fleet_workers.add_argument("--queue", type=str, default=None,
                                metavar="DIR",
                                help="inspect one queue directory instead of "
                                     "every queue under the store")
 
-    fleet_watch = fsub.add_parser(
-        "watch", help="live queue depth, per-worker heartbeat ages and "
-                      "completed-cell rate")
+    fleet_watch = _command(
+        fsub, "watch", cmd_fleet_watch,
+        help="live queue depth, per-worker heartbeat ages and "
+             "completed-cell rate")
     _add_store_arg(fleet_watch, required=False)
     fleet_watch.add_argument("--queue", type=str, default=None, metavar="DIR",
                              help="watch one queue directory instead of "
@@ -528,8 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="stop watching after SECONDS even while "
                                   "the queues are still running")
 
-    serve = sub.add_parser(
-        "serve", help="serve specs from the result cache (long-lived daemon)")
+    serve = _command(
+        sub, "serve", cmd_serve,
+        help="serve specs from the result cache (long-lived daemon)")
     _add_store_arg(serve)
     serve.add_argument("--host", type=str, default=DEFAULT_HOST,
                        help=f"TCP bind host (default: {DEFAULT_HOST})")
@@ -571,8 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--verbose", action="store_true",
                        help="log one line per request to stderr")
 
-    submit = sub.add_parser(
-        "submit", help="submit a spec to a running 'repro serve' daemon")
+    submit = _command(
+        sub, "submit", cmd_submit,
+        help="submit a spec to a running 'repro serve' daemon")
     submit.add_argument("--address", type=str,
                         default=f"{DEFAULT_HOST}:{DEFAULT_PORT}",
                         metavar="ADDR",
@@ -614,27 +624,40 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment name recorded in the spec")
 
     store_cmd = sub.add_parser(
-        "store", help="result-store maintenance (ls/compact/rebuild)")
+        "store", help="result-store maintenance (ls/compact/rebuild/prune)")
     stsub = store_cmd.add_subparsers(dest="store_command", required=True)
 
-    store_ls = stsub.add_parser("ls", help="list the runs stored in a store")
+    store_ls = _command(stsub, "ls", cmd_store_ls,
+                        help="list the runs stored in a store")
     _add_store_arg(store_ls)
-    _add_run_filter_args(store_ls)
+    store_ls.add_argument("--name", type=str, default=None,
+                          help="filter by experiment name ('prefix*' allowed)")
+    store_ls.add_argument("--system", type=str, default=None,
+                          help="filter by system key")
+    store_ls.add_argument("--scenario", type=str, default=None,
+                          help="filter by routing scenario")
+    store_ls.add_argument("--cluster-size", type=int, default=None,
+                          help="filter by total device count")
+    store_ls.add_argument("--tag", type=str, default=None,
+                          help="filter by tag")
     store_ls.add_argument("--stats", action="store_true",
                           help="also print the store's telemetry counters "
                                "(index cache hits/misses, journal lines, "
                                "auto-compactions) from the metrics registry")
 
-    store_compact = stsub.add_parser(
-        "compact", help="fold the append-only index journal into index.json")
+    store_compact = _command(
+        stsub, "compact", cmd_store_compact,
+        help="fold the append-only index journal into index.json")
     _add_store_arg(store_compact)
 
-    store_rebuild = stsub.add_parser(
-        "rebuild", help="regenerate the index from the run files (the truth)")
+    store_rebuild = _command(
+        stsub, "rebuild", cmd_store_rebuild,
+        help="regenerate the index from the run files (the truth)")
     _add_store_arg(store_rebuild)
 
-    store_prune = stsub.add_parser(
-        "prune", help="bounded eviction: delete old runs by age and/or count")
+    store_prune = _command(
+        stsub, "prune", cmd_store_prune,
+        help="bounded eviction: delete old runs by age and/or count")
     _add_store_arg(store_prune)
     store_prune.add_argument("--older-than", type=float, default=None,
                              metavar="DAYS",
@@ -656,9 +679,10 @@ def build_parser() -> argparse.ArgumentParser:
                       "(crash/torn-write/stall) with invariant checking")
     chsub = chaos.add_subparsers(dest="chaos_command", required=True)
 
-    chaos_run = chsub.add_parser(
-        "run", help="execute a fault plan against a scratch store and "
-                    "verify the crash-consistency invariants")
+    chaos_run = _command(
+        chsub, "run", cmd_chaos_run,
+        help="execute a fault plan against a scratch store and verify the "
+             "crash-consistency invariants")
     chaos_run.add_argument("--plan", type=str, required=True,
                            choices=PLAN_NAMES,
                            help="which built-in fault campaign to run")
@@ -677,18 +701,21 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_run.add_argument("--report", type=str, default=None, metavar="PATH",
                            help="also write the full JSON chaos report here")
 
-    chsub.add_parser("plans", help="list the built-in chaos plans")
-    chsub.add_parser("points", help="list the named fault-injection points")
+    _command(chsub, "plans", cmd_chaos_plans,
+             help="list the built-in chaos plans")
+    _command(chsub, "points", cmd_chaos_points,
+             help="list the named fault-injection points")
 
     calib = sub.add_parser(
         "calib", help="calibrate the analytic cost model against measured "
                       "(or synthetic) microbenchmark observations")
     casub = calib.add_subparsers(dest="calib_command", required=True)
 
-    calib_measure = casub.add_parser(
-        "measure", help="run the seeded microbenchmark schedule against a "
-                        "hidden ground-truth machine and write observation "
-                        "CSVs (comm/compute/all_to_all)")
+    calib_measure = _command(
+        casub, "measure", cmd_calib_measure,
+        help="run the seeded microbenchmark schedule against a hidden "
+             "ground-truth machine and write observation CSVs "
+             "(comm/compute/all_to_all)")
     calib_measure.add_argument("--output", type=str, required=True,
                                metavar="DIR",
                                help="observation directory to write")
@@ -710,10 +737,10 @@ def build_parser() -> argparse.ArgumentParser:
     calib_measure.add_argument("--tiny", action="store_true",
                                help="minimal schedule for CI smoke runs")
 
-    calib_fit = casub.add_parser(
-        "fit", help="fit bandwidth scales, latency intercepts, FLOPs "
-                    "efficiency and the per-token byte overhead to an "
-                    "observation directory")
+    calib_fit = _command(
+        casub, "fit", cmd_calib_fit,
+        help="fit bandwidth scales, latency intercepts, FLOPs efficiency "
+             "and the per-token byte overhead to an observation directory")
     calib_fit.add_argument("--observations", type=str, required=True,
                            metavar="DIR")
     calib_fit.add_argument("--output", type=str, default=None,
@@ -727,9 +754,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="exit 1 when any term's R² is below R2 "
                                 "(the CI gate)")
 
-    calib_report = casub.add_parser(
-        "report", help="render the goodness-of-fit report (per-term R², "
-                       "MAPE, residuals, worst-fit links)")
+    calib_report = _command(
+        casub, "report", cmd_calib_report,
+        help="render the goodness-of-fit report (per-term R², MAPE, "
+             "residuals, worst-fit links)")
     calib_report.add_argument("--observations", type=str, required=True,
                               metavar="DIR")
     calib_report.add_argument("--robust", action="store_true")
@@ -738,10 +766,10 @@ def build_parser() -> argparse.ArgumentParser:
                               help="write the markdown report here instead "
                                    "of printing it")
 
-    calib_apply = casub.add_parser(
-        "apply", help="embed a fitted profile into an ExperimentSpec so "
-                      "studies and the serve daemon run on the calibrated "
-                      "machine")
+    calib_apply = _command(
+        casub, "apply", cmd_calib_apply,
+        help="embed a fitted profile into an ExperimentSpec so studies and "
+             "the serve daemon run on the calibrated machine")
     calib_apply.add_argument("--profile", type=str, required=True,
                              metavar="PROFILE.json")
     calib_apply.add_argument("--spec", type=str, required=True,
@@ -753,25 +781,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command(subparsers: Any, name: str,
+             func: Callable[[argparse.Namespace], int],
+             **kwargs: Any) -> argparse.ArgumentParser:
+    """Add the leaf command ``name``, whose handler ``main`` calls."""
+    parser = subparsers.add_parser(name, **kwargs)
+    parser.set_defaults(func=func)
+    return parser
+
+
 def _add_store_arg(parser: argparse.ArgumentParser,
                    required: bool = True) -> None:
     parser.add_argument("--store", type=str, required=required,
                         help="result-store directory"
                         + ("" if required else " (or pass --queue)"))
-
-
-def _add_run_filter_args(parser: argparse.ArgumentParser) -> None:
-    """The stored-run filters shared by ``study ls`` and ``store ls``."""
-    parser.add_argument("--name", type=str, default=None,
-                        help="filter by experiment name ('prefix*' allowed)")
-    parser.add_argument("--system", type=str, default=None,
-                        help="filter by system key")
-    parser.add_argument("--scenario", type=str, default=None,
-                        help="filter by routing scenario")
-    parser.add_argument("--cluster-size", type=int, default=None,
-                        help="filter by total device count")
-    parser.add_argument("--tag", type=str, default=None,
-                        help="filter by tag")
 
 
 def _add_simulation_args(parser: argparse.ArgumentParser) -> None:
@@ -940,6 +963,22 @@ def _write_or_error(what: str, path: Union[str, Path],
         return None
 
 
+def _flag_error(flag: str, requirement: str) -> int:
+    """Report an out-of-range numeric flag; returns the usage exit code 2."""
+    print(f"error: {flag} must be {requirement}", file=sys.stderr)
+    return 2
+
+
+def _cluster_flags_ok(args: argparse.Namespace) -> bool:
+    """Whether both cluster-shape flags are >= 1 (else print the error)."""
+    for flag, value in (("--num-nodes", args.num_nodes),
+                        ("--devices-per-node", args.devices_per_node)):
+        if value < 1:
+            _flag_error(flag, "at least 1")
+            return False
+    return True
+
+
 def _check_scenario_buildable(spec: ExperimentSpec) -> None:
     """Build (but don't consume) the scenario source to validate param values.
 
@@ -950,12 +989,7 @@ def _check_scenario_buildable(spec: ExperimentSpec) -> None:
     spec.workload.make_source(spec.cluster.num_devices)
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    command = getattr(args, "trace_command", None)
-    if command == "record":
-        return cmd_trace_record(args)
-    if command == "export":
-        return cmd_trace_export(args)
+def cmd_trace_routing(args: argparse.Namespace) -> int:
     spec = _spec_or_error(args, warmup=0)
     if spec is None:
         return 2
@@ -1078,15 +1112,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if spec is None:
             return 2
     if args.dump_spec:
-        if args.dump_spec == "-":
-            print(spec.to_json())
-            return 0
-        path = _write_or_error("spec", args.dump_spec,
-                               lambda: spec.save(args.dump_spec))
-        if path is None:
-            return 2
-        print(f"Spec saved to {path}")
-        return 0
+        return _dump_spec("spec", spec, args.dump_spec)
     result = ExperimentRunner().run(spec)
     _print_experiment(result)
     if args.output:
@@ -1098,6 +1124,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _dump_spec(what: str, spec: Union[ExperimentSpec, StudySpec],
+               path: str) -> int:
+    """``--dump-spec PATH``: print the spec's JSON for ``-``, else save it."""
+    if path == "-":
+        print(spec.to_json())
+        return 0
+    saved = _write_or_error(what, path, lambda: spec.save(path))
+    if saved is None:
+        return 2
+    print(f"{what.capitalize()} saved to {saved}")
+    return 0
+
+
 def cmd_studies(_: argparse.Namespace) -> int:
     rows = [{"study": name, "description": description}
             for name, description in study_descriptions().items()]
@@ -1105,21 +1144,28 @@ def cmd_studies(_: argparse.Namespace) -> int:
     return 0
 
 
-def _load_study(args: argparse.Namespace) -> StudySpec:
+def _load_study(args: argparse.Namespace) -> Optional[StudySpec]:
     """Resolve the study argument: registry name or JSON file path.
 
     Registered names win, so a stray file or directory in the working
     directory named like a study (e.g. a store created with
-    ``--store sweep-cluster-sizes``) cannot shadow the registry.
+    ``--store sweep-cluster-sizes``) cannot shadow the registry.  A study
+    that cannot be loaded prints ``error: cannot load study ...`` and
+    returns None, and the command exits 2.
     """
-    params = _scenario_params(args.param)
-    if args.study.lower() not in study_descriptions() and (
-            args.study.endswith(".json") or Path(args.study).is_file()):
-        if params:
-            raise ValueError("--param only applies to registered studies; "
-                             "edit the JSON spec instead")
-        return StudySpec.load(args.study)
-    return make_study(args.study, **params)
+    try:
+        params = _scenario_params(args.param)
+        if args.study.lower() not in study_descriptions() and (
+                args.study.endswith(".json") or Path(args.study).is_file()):
+            if params:
+                raise ValueError("--param only applies to registered "
+                                 "studies; edit the JSON spec instead")
+            return StudySpec.load(args.study)
+        return make_study(args.study, **params)
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        print(f"error: cannot load study {args.study!r}: {error}",
+              file=sys.stderr)
+        return None
 
 
 def _entry_rows(entries: Sequence[IndexEntry]) -> List[Dict[str, Any]]:
@@ -1155,25 +1201,11 @@ def _print_cell_table(store: ResultStore, cells, title: str) -> None:
 
 
 def cmd_study_run(args: argparse.Namespace) -> int:
-    try:
-        study = _load_study(args)
-    except (OSError, ValueError, KeyError, TypeError) as error:
-        print(f"error: cannot load study {args.study!r}: {error}",
-              file=sys.stderr)
+    study = _load_study(args)
+    if study is None:
         return 2
     if args.dump_spec:
-        if args.dump_spec == "-":
-            print(study.to_json())
-            return 0
-        path = _write_or_error("study spec", args.dump_spec,
-                               lambda: study.save(args.dump_spec))
-        if path is None:
-            return 2
-        print(f"Study spec saved to {path}")
-        return 0
-    if getattr(args, "workers", 0) > 0:  # 0 = in-process StudyRunner
-        return _run_fleet(study, args, workers=args.workers,
-                          lease_timeout=60.0, queue=None, quiet=False)
+        return _dump_spec("study spec", study, args.dump_spec)
     store = ResultStore(args.store)
     report = StudyRunner(store).run(study, tags=args.tag,
                                     resume=not args.no_resume)
@@ -1189,28 +1221,6 @@ def _open_store(path: str) -> Optional[ResultStore]:
         print(f"error: no result store at {path!r}", file=sys.stderr)
         return None
     return ResultStore(path)
-
-
-def cmd_study_ls(args: argparse.Namespace) -> int:
-    store = _open_store(args.store)
-    if store is None:
-        return 2
-    entries = store.query(name=args.name, system=args.system,
-                          scenario=args.scenario,
-                          cluster_size=args.cluster_size, tag=args.tag)
-    rows = [{
-        "run_id": entry.run_id,
-        "name": entry.name,
-        "scenario": entry.scenario,
-        "cluster": f"{entry.num_nodes}x{entry.devices_per_node}",
-        "systems": "+".join(entry.systems),
-        "tags": ",".join(entry.tags),
-        "created": time.strftime("%Y-%m-%d %H:%M:%S",
-                                 time.localtime(entry.created_at)),
-    } for entry in entries]
-    print_report(format_table(
-        rows, title=f"Stored runs in {store.root} ({len(rows)})"))
-    return 0
 
 
 def cmd_study_diff(args: argparse.Namespace) -> int:
@@ -1417,9 +1427,14 @@ def cmd_study_gate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_fleet(study: StudySpec, args: argparse.Namespace, workers: int,
-               lease_timeout: float, queue: Optional[str],
-               quiet: bool) -> int:
+def cmd_fleet_run(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        return _flag_error("--workers", "at least 1")
+    if args.lease_timeout <= 0:
+        return _flag_error("--lease-timeout", "positive")
+    study = _load_study(args)
+    if study is None:
+        return 2
     store = ResultStore(args.store)
 
     def progress(status) -> None:
@@ -1429,9 +1444,10 @@ def _run_fleet(study: StudySpec, args: argparse.Namespace, workers: int,
 
     try:
         report = launch_fleet(
-            study, store, workers=workers, tags=args.tag,
-            resume=not args.no_resume, lease_timeout=lease_timeout,
-            queue_root=queue, on_progress=None if quiet else progress)
+            study, store, workers=args.workers, tags=args.tag,
+            resume=not args.no_resume, lease_timeout=args.lease_timeout,
+            queue_root=args.queue,
+            on_progress=None if args.quiet else progress)
     except (StudyCellError, StudyStoreError, RuntimeError) as error:
         report = getattr(error, "report", None)
         if report is not None:
@@ -1446,21 +1462,6 @@ def _run_fleet(study: StudySpec, args: argparse.Namespace, workers: int,
                       f"Fleet {study.name!r} ({len(report.workers)} workers)")
     print(report.summary())
     return 0
-
-
-def cmd_fleet_run(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
-    try:
-        study = _load_study(args)
-    except (OSError, ValueError, KeyError, TypeError) as error:
-        print(f"error: cannot load study {args.study!r}: {error}",
-              file=sys.stderr)
-        return 2
-    return _run_fleet(study, args, workers=args.workers,
-                      lease_timeout=args.lease_timeout, queue=args.queue,
-                      quiet=args.quiet)
 
 
 def _fleet_queues(args: argparse.Namespace) -> Optional[List[WorkQueue]]:
@@ -1534,6 +1535,8 @@ def cmd_fleet_workers(args: argparse.Namespace) -> int:
 
 def cmd_fleet_watch(args: argparse.Namespace) -> int:
     """Periodic fleet snapshot: queue depth, leases, completed-cell rate."""
+    if args.interval < 0:
+        return _flag_error("--interval", "non-negative")
     queues = _fleet_queues(args)
     if queues is None:
         return 2
@@ -1586,6 +1589,8 @@ def cmd_fleet_watch(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the serving daemon in the foreground until shutdown."""
+    if args.max_workers < 1:
+        return _flag_error("--max-workers", "at least 1")
     store = ResultStore(args.store,
                         auto_compact_lines=args.auto_compact_lines,
                         auto_compact_bytes=args.auto_compact_bytes)
@@ -1601,9 +1606,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 executor, PoolExecutor(store, max_workers=args.max_workers),
                 CircuitBreaker())
     else:
-        if args.max_workers < 1:
-            print("error: --max-workers must be at least 1", file=sys.stderr)
-            return 2
         executor = PoolExecutor(store, max_workers=args.max_workers)
     try:
         server = ReproServer(store, host=args.host, port=args.port,
@@ -1696,33 +1698,44 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 
 def cmd_store_ls(args: argparse.Namespace) -> int:
-    code = cmd_study_ls(args)
-    if code == 0:
-        store = _open_store(args.store)
-        if store is not None:
-            skipped = store.journal_skipped_lines()
-            quarantined = store.quarantined()
-            print(f"journal: {skipped} torn/skipped line(s); "
-                  f"quarantine: {len(quarantined)} run(s)"
-                  + (f" ({', '.join(quarantined)})" if quarantined else ""))
-            if getattr(args, "stats", False):
-                # Process-wide counters from the unified metrics registry
-                # (populated by the store operations this command just ran).
-                value = METRICS_REGISTRY.value
-                print(f"stats: index cache "
-                      f"{int(value('repro_store_index_cache_hits_total'))} "
-                      f"hit(s) / "
-                      f"{int(value('repro_store_index_cache_misses_total'))} "
-                      f"miss(es); journal "
-                      f"{int(value('repro_store_journal_lines'))} line(s) "
-                      f"({int(value('repro_store_journal_torn_lines'))} "
-                      f"torn), "
-                      f"{int(value('repro_store_journal_appends_total'))} "
-                      f"append(s); "
-                      f"{int(value('repro_store_auto_compactions_total'))} "
-                      f"auto-compaction(s); "
-                      f"{int(value('repro_store_puts_total'))} put(s)")
-    return code
+    store = _open_store(args.store)
+    if store is None:
+        return 2
+    entries = store.query(name=args.name, system=args.system,
+                          scenario=args.scenario,
+                          cluster_size=args.cluster_size, tag=args.tag)
+    rows = [{
+        "run_id": entry.run_id,
+        "name": entry.name,
+        "scenario": entry.scenario,
+        "cluster": f"{entry.num_nodes}x{entry.devices_per_node}",
+        "systems": "+".join(entry.systems),
+        "tags": ",".join(entry.tags),
+        "created": time.strftime("%Y-%m-%d %H:%M:%S",
+                                 time.localtime(entry.created_at)),
+    } for entry in entries]
+    print_report(format_table(
+        rows, title=f"Stored runs in {store.root} ({len(rows)})"))
+    skipped = store.journal_skipped_lines()
+    quarantined = store.quarantined()
+    print(f"journal: {skipped} torn/skipped line(s); "
+          f"quarantine: {len(quarantined)} run(s)"
+          + (f" ({', '.join(quarantined)})" if quarantined else ""))
+    if args.stats:
+        # Process-wide counters from the unified metrics registry
+        # (populated by the store operations this command just ran).
+        value = METRICS_REGISTRY.value
+        print(f"stats: index cache "
+              f"{int(value('repro_store_index_cache_hits_total'))} hit(s) / "
+              f"{int(value('repro_store_index_cache_misses_total'))} "
+              f"miss(es); journal "
+              f"{int(value('repro_store_journal_lines'))} line(s) "
+              f"({int(value('repro_store_journal_torn_lines'))} torn), "
+              f"{int(value('repro_store_journal_appends_total'))} append(s); "
+              f"{int(value('repro_store_auto_compactions_total'))} "
+              f"auto-compaction(s); "
+              f"{int(value('repro_store_puts_total'))} put(s)")
+    return 0
 
 
 def cmd_store_compact(args: argparse.Namespace) -> int:
@@ -1758,6 +1771,10 @@ def cmd_store_prune(args: argparse.Namespace) -> int:
         print("error: pass --older-than and/or --max-runs",
               file=sys.stderr)
         return 2
+    if args.older_than is not None and args.older_than < 0:
+        return _flag_error("--older-than", "non-negative")
+    if args.max_runs is not None and args.max_runs < 0:
+        return _flag_error("--max-runs", "non-negative")
     store = _open_store(args.store)
     if store is None:
         return 2
@@ -1839,9 +1856,10 @@ def _load_observations(path: str) -> Optional[ObservationSet]:
 
 
 def cmd_calib_measure(args: argparse.Namespace) -> int:
-    if args.num_nodes < 1 or args.devices_per_node < 1:
-        print("error: cluster shape must be at least 1x1", file=sys.stderr)
+    if not _cluster_flags_ok(args):
         return 2
+    if args.noise < 0:
+        return _flag_error("--noise", "non-negative")
     if args.num_nodes < 2 and args.devices_per_node < 2:
         print("error: a 1x1 cluster has no links to measure",
               file=sys.stderr)
@@ -1993,6 +2011,8 @@ def cmd_suite_ls(args: argparse.Namespace) -> int:
 
 
 def cmd_suite_characterize(args: argparse.Namespace) -> int:
+    if not _cluster_flags_ok(args):
+        return 2
     suite = _load_suite(args.suite)
     if suite is None:
         return 2
@@ -2012,6 +2032,8 @@ def cmd_suite_characterize(args: argparse.Namespace) -> int:
 
 
 def cmd_suite_report(args: argparse.Namespace) -> int:
+    if not _cluster_flags_ok(args):
+        return 2
     suite = _load_suite(args.suite)
     if suite is None:
         return 2
@@ -2042,11 +2064,12 @@ def cmd_suite_report(args: argparse.Namespace) -> int:
 
 
 def cmd_suite_search(args: argparse.Namespace) -> int:
-    suite = _load_suite(args.suite)
-    if suite is None:
+    if not _cluster_flags_ok(args):
         return 2
     if args.budget < 1:
-        print("error: --budget must be at least 1", file=sys.stderr)
+        return _flag_error("--budget", "at least 1")
+    suite = _load_suite(args.suite)
+    if suite is None:
         return 2
     store = ResultStore(args.store)
     cluster = ClusterSpec(num_nodes=args.num_nodes,
@@ -2072,103 +2095,10 @@ def cmd_suite_search(args: argparse.Namespace) -> int:
     return 0
 
 
-SUITE_COMMANDS = {
-    "make": cmd_suite_make,
-    "ls": cmd_suite_ls,
-    "characterize": cmd_suite_characterize,
-    "report": cmd_suite_report,
-    "search": cmd_suite_search,
-}
-
-
-def cmd_suite(args: argparse.Namespace) -> int:
-    return SUITE_COMMANDS[args.suite_command](args)
-
-
-CHAOS_COMMANDS = {
-    "run": cmd_chaos_run,
-    "plans": cmd_chaos_plans,
-    "points": cmd_chaos_points,
-}
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    return CHAOS_COMMANDS[args.chaos_command](args)
-
-
-CALIB_COMMANDS = {
-    "measure": cmd_calib_measure,
-    "fit": cmd_calib_fit,
-    "report": cmd_calib_report,
-    "apply": cmd_calib_apply,
-}
-
-
-def cmd_calib(args: argparse.Namespace) -> int:
-    return CALIB_COMMANDS[args.calib_command](args)
-
-
-STORE_COMMANDS = {
-    "ls": cmd_store_ls,
-    "compact": cmd_store_compact,
-    "rebuild": cmd_store_rebuild,
-    "prune": cmd_store_prune,
-}
-
-
-def cmd_store(args: argparse.Namespace) -> int:
-    return STORE_COMMANDS[args.store_command](args)
-
-
-STUDY_COMMANDS = {
-    "run": cmd_study_run,
-    "ls": cmd_study_ls,
-    "diff": cmd_study_diff,
-    "report": cmd_study_report,
-    "gate": cmd_study_gate,
-}
-
-
-def cmd_study(args: argparse.Namespace) -> int:
-    return STUDY_COMMANDS[args.study_command](args)
-
-
-FLEET_COMMANDS = {
-    "run": cmd_fleet_run,
-    "status": cmd_fleet_status,
-    "workers": cmd_fleet_workers,
-    "watch": cmd_fleet_watch,
-}
-
-
-def cmd_fleet(args: argparse.Namespace) -> int:
-    return FLEET_COMMANDS[args.fleet_command](args)
-
-
-COMMANDS = {
-    "models": cmd_models,
-    "systems": cmd_systems,
-    "scenarios": cmd_scenarios,
-    "trace": cmd_trace,
-    "plan": cmd_plan,
-    "run": cmd_run,
-    "compare": cmd_run,
-    "studies": cmd_studies,
-    "study": cmd_study,
-    "suite": cmd_suite,
-    "fleet": cmd_fleet,
-    "serve": cmd_serve,
-    "submit": cmd_submit,
-    "store": cmd_store,
-    "chaos": cmd_chaos,
-    "calib": cmd_calib,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -225,36 +225,3 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
             m, num_ranks, num_experts, n)
     return plans
 
-
-def global_even_route(routing: np.ndarray, layout: ExpertLayout) -> np.ndarray:
-    """Topology-oblivious variant: always split across all global replicas.
-
-    Used by the ablation study to quantify the benefit of topology awareness in
-    lite routing.
-    """
-    routing = np.asarray(routing, dtype=np.int64)
-    n, num_experts = routing.shape
-    weights = layout.assignment.T.astype(np.float64)  # (E, N)
-    _check_replicas(routing, weights)
-    totals = routing.reshape(-1)                      # (N*E,)
-    tiled = np.tile(weights, (n, 1))                  # (N*E, N)
-    return _split_evenly_batched(totals, tiled).reshape(n, num_experts, n)
-
-
-def ep_route(routing: np.ndarray, layout: ExpertLayout) -> np.ndarray:
-    """Classic EP routing: all tokens of an expert go to its (unique) owner.
-
-    When the layout replicates an expert this degenerates to sending everything
-    to the first hosting device; it is provided for the vanilla-EP baseline
-    where layouts never replicate.
-    """
-    routing = np.asarray(routing, dtype=np.int64)
-    n, num_experts = routing.shape
-    plan = np.zeros((n, num_experts, n), dtype=np.int64)
-    for expert in range(num_experts):
-        hosts = layout.devices_hosting(expert)
-        if not hosts:
-            raise ValueError(f"expert {expert} has no replica in the layout")
-        owner = hosts[0]
-        plan[:, expert, owner] = routing[:, expert]
-    return plan

@@ -1,12 +1,12 @@
 """The load-balancing planner: asynchronous layout tuning + synchronous dispatch.
 
-The planner (Fig. 3 / Fig. 7) keeps a per-layer history of observed routing
-matrices.  While the GPU computes iteration ``t``, the (conceptually CPU-side)
-expert layout tuner solves the re-layout strategy for iteration ``t + 1`` from
-the history -- so layouts are always one step behind the routing they react to,
-exactly as in the paper.  At execution time the synchronous token dispatcher
-(lite routing) maps the *actual* routing of the iteration onto the planned
-layout.
+The planner (Fig. 3 / Fig. 7) keeps the latest observed routing matrix of
+every layer.  While the GPU computes iteration ``t``, the (conceptually
+CPU-side) expert layout tuner solves the re-layout strategy for iteration
+``t + 1`` from that observation -- so layouts are always one step behind the
+routing they react to, exactly as in the paper.  At execution time the
+synchronous token dispatcher (lite routing) maps the *actual* routing of the
+iteration onto the planned layout.
 """
 
 from __future__ import annotations
@@ -30,25 +30,15 @@ class PlannerConfig:
 
     Attributes:
         capacity: Expert capacity per device ``C``.
-        history_length: Number of past iterations kept per layer.
-        ema_decay: Exponential-moving-average decay applied to the history when
-            predicting the next iteration's routing (1.0 = use only the latest
-            observation, matching the paper's per-iteration adaptation).
         tuner: Configuration of the embedded expert layout tuner.
     """
 
     capacity: int
-    history_length: int = 8
-    ema_decay: float = 1.0
     tuner: TunerConfig = field(default_factory=TunerConfig)
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
-        if self.history_length < 1:
-            raise ValueError("history_length must be at least 1")
-        if not 0.0 < self.ema_decay <= 1.0:
-            raise ValueError("ema_decay must be in (0, 1]")
 
 
 @dataclass
@@ -81,7 +71,7 @@ class LoadBalancingPlanner:
         self.config = config
         self.tuner = ExpertLayoutTuner(topology, cost_model, config.capacity,
                                        config.tuner)
-        self._history: Dict[int, List[np.ndarray]] = {}
+        self._latest: Dict[int, np.ndarray] = {}
         self._pending_layouts: Dict[int, ExpertLayout] = {}
         self._fallback_layout = self._build_fallback_layout()
 
@@ -107,38 +97,26 @@ class LoadBalancingPlanner:
             return ExpertLayout(assignment, capacity)
 
     # ------------------------------------------------------------------
-    # History management (asynchronous layout tuner input)
+    # Observation (asynchronous layout tuner input)
     # ------------------------------------------------------------------
     def observe(self, layer: int, routing: np.ndarray) -> None:
         """Record the observed routing ``R`` of ``layer`` for the current iteration."""
         routing = np.asarray(routing, dtype=np.int64)
         if routing.shape != (self.topology.num_devices, self.num_experts):
             raise ValueError("routing matrix has the wrong shape")
-        history = self._history.setdefault(layer, [])
-        history.append(routing.copy())
-        if len(history) > self.config.history_length:
-            history.pop(0)
+        self._latest[layer] = routing.copy()
 
     def predicted_routing(self, layer: int) -> Optional[np.ndarray]:
-        """Predict the next iteration's routing of ``layer`` from its history."""
-        history = self._history.get(layer)
-        if not history:
-            return None
-        if self.config.ema_decay >= 1.0 or len(history) == 1:
-            return history[-1].astype(np.float64)
-        weights = np.array([
-            (1.0 - self.config.ema_decay) ** (len(history) - 1 - idx)
-            for idx in range(len(history))
-        ])
-        weights /= weights.sum()
-        stacked = np.stack(history).astype(np.float64)
-        return np.tensordot(weights, stacked, axes=1)
+        """Predict the next iteration's routing of ``layer``: the latest one
+        observed (the paper's per-iteration adaptation), None before any."""
+        latest = self._latest.get(layer)
+        return None if latest is None else latest.copy()
 
     # ------------------------------------------------------------------
     # Asynchronous layout tuning
     # ------------------------------------------------------------------
     def tune_layout(self, layer: int) -> ExpertLayout:
-        """Run the layout tuner for ``layer`` using its routing history.
+        """Run the layout tuner for ``layer`` on its latest observed routing.
 
         This models the CPU-side solve that happens while the GPU computes the
         current iteration; the returned layout is cached and used by the next
@@ -148,7 +126,7 @@ class LoadBalancingPlanner:
         if predicted is None:
             layout = self._fallback_layout.copy()
         else:
-            layout = self.tuner.solve(np.rint(predicted).astype(np.int64)).layout
+            layout = self.tuner.solve(predicted).layout
         self._pending_layouts[layer] = layout
         return layout
 
@@ -202,10 +180,10 @@ class LoadBalancingPlanner:
 
         Returns:
             One :class:`IterationPlan` per layer.  The layout of each layer is
-            the one tuned from *previous* iterations' history (asynchronous
-            adaptation); the dispatch uses the current iteration's routing.
-            After planning, the current routing is pushed into the history and
-            a new layout is tuned for the next iteration.
+            the one tuned from the *previous* iteration's routing
+            (asynchronous adaptation); the dispatch uses the current
+            iteration's routing.  After planning, the current routing is
+            observed and a new layout is tuned for the next iteration.
         """
         routing_by_layer = np.asarray(routing_by_layer, dtype=np.int64)
         if routing_by_layer.ndim != 3:
@@ -221,7 +199,7 @@ class LoadBalancingPlanner:
         return plans
 
     def reset(self) -> None:
-        """Clear all history, pending layouts and the tuner's random stream."""
-        self._history.clear()
+        """Clear all observations, pending layouts and the tuner's random stream."""
+        self._latest.clear()
         self._pending_layouts.clear()
         self.tuner.reset()

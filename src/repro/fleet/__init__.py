@@ -21,8 +21,8 @@ Both paths store the same results under the same run ids; with a fixed
 ``REPRO_STORE_FIXED_CREATED_AT`` timestamp the two stores are byte-identical.
 A comparison of several systems that should run in separate processes is a
 study with a ``systems`` axis.  The ``repro fleet`` CLI (``run`` /
-``status`` / ``workers``) and the ``--workers N`` fast path on ``repro study
-run`` are built on exactly these entry points.
+``status`` / ``workers`` / ``watch``) is built on exactly these entry
+points.
 """
 
 from repro.fleet.queue import (

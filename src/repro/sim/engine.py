@@ -231,7 +231,7 @@ def compare_systems(systems: List[SystemSpec], workload: Workload,
     consumes its own ``workload.fork()``, so all systems see bit-identical
     routing matrices regardless of execution order.  To spread systems over
     several processes, make them a study's ``systems`` axis and drain it
-    with ``repro study run --workers N`` (:func:`repro.fleet.launch_fleet`).
+    with ``repro fleet run --workers N`` (:func:`repro.fleet.launch_fleet`).
     """
     results: Dict[str, RunResult] = {}
     for system in systems:

@@ -2,7 +2,7 @@
 
 See :class:`repro.store.result_store.ResultStore` -- the accumulation layer
 the study subsystem (:mod:`repro.study`) writes every sweep cell into, and
-the substrate of ``repro study ls / diff / report``.
+the substrate of ``repro store ls`` and ``repro study diff / report``.
 """
 
 from repro.store.result_store import (

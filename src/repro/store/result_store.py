@@ -829,7 +829,13 @@ class ResultStore:
             dry_run: Report what would be deleted, delete nothing.
 
         Returns the deleted (or, dry-run, doomed) run ids, oldest first.
+        Raises ``ValueError`` on a negative ``older_than_days`` or
+        ``max_runs``.
         """
+        if older_than_days is not None and older_than_days < 0:
+            raise ValueError("older_than_days must be non-negative")
+        if max_runs is not None and max_runs < 0:
+            raise ValueError("max_runs must be non-negative")
         now = time.time() if now is None else float(now)
         entries = self.entries()  # oldest first
         protected = set(protect_tags)

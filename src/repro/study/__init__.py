@@ -17,11 +17,11 @@ such grids first-class::
   (``sweep-cluster-sizes`` reproduces the Table 4 axis);
 * :class:`StudyRunner` -- resumable, in-process execution of the grid into
   a :class:`repro.store.ResultStore`, one cell after another (drain a grid
-  with several processes through :mod:`repro.fleet`, ``repro study run
+  with several processes through :mod:`repro.fleet`, ``repro fleet run
   --workers N``).
 
-The ``repro study`` CLI (``run`` / ``ls`` / ``diff`` / ``report``) is built
-on exactly these entry points.
+The ``repro study`` CLI (``run`` / ``diff`` / ``report`` / ``gate``) is
+built on exactly these entry points.
 """
 
 from repro.study.spec import StudyAxes, StudyCell, StudySpec

@@ -6,7 +6,7 @@ its grid, skips every cell whose run is already in the
 :class:`~repro.store.ResultStore` (resume -- re-running a finished study is
 a no-op), and executes the remaining cells in this process, one after
 another.  To drain a grid with several processes, use the fleet
-(:func:`repro.fleet.launch_fleet`, ``repro study run --workers N``); both
+(:func:`repro.fleet.launch_fleet`, ``repro fleet run --workers N``); both
 store the same results under the same run ids.
 
 Every executed cell is written to the store tagged ``"study:<name>"`` (plus

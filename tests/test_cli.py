@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import argparse
+import shutil
+
 import pytest
 
 from repro.api import ExperimentResult, ExperimentSpec
@@ -20,6 +23,28 @@ class TestParser:
         assert args.model == "mixtral-8x7b-e8k2"
         assert args.num_nodes == 4
 
+    def test_every_command_dispatches_from_its_parser(self):
+        """Every subcommand group is required and every leaf parser carries
+        its handler, so each job has one spelling and one dispatch."""
+        def walk(parser):
+            groups = [action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+            if not groups:
+                assert callable(parser.get_default("func")), parser.prog
+            for group in groups:
+                assert group.required, parser.prog
+                for child in group.choices.values():
+                    walk(child)
+
+        walk(build_parser())
+        for retired in (["study", "ls", "--store", "s"],
+                        ["study", "run", "sweep-cluster-sizes",
+                         "--store", "s", "--workers", "2"],
+                        ["trace", "--num-nodes", "1"]):
+            with pytest.raises(SystemExit) as exited:
+                main(retired)
+            assert exited.value.code == 2, retired
+
 
 class TestCommands:
     def test_models(self, capsys):
@@ -30,7 +55,8 @@ class TestCommands:
 
     def test_trace_summary_and_save(self, tmp_path, capsys):
         output = tmp_path / "trace.npz"
-        code = main(["trace", "--num-nodes", "1", "--devices-per-node", "4",
+        code = main(["trace", "routing", "--num-nodes", "1",
+                     "--devices-per-node", "4",
                      "--tokens-per-device", "512", "--iterations", "3",
                      "--output", str(output)])
         assert code == 0
@@ -144,7 +170,8 @@ class TestCommands:
         assert "expected KEY=VALUE" in capsys.readouterr().err
 
     def test_trace_reports_scenario(self, capsys):
-        code = main(["trace", "--num-nodes", "1", "--devices-per-node", "4",
+        code = main(["trace", "routing", "--num-nodes", "1",
+                     "--devices-per-node", "4",
                      "--tokens-per-device", "512", "--iterations", "3",
                      "--scenario", "diurnal"])
         assert code == 0
@@ -264,7 +291,7 @@ class TestStudyCommands:
 
     def test_ls_on_missing_store_is_a_cli_error(self, tmp_path, capsys):
         missing = tmp_path / "no-such-store"
-        code = main(["study", "ls", "--store", str(missing)])
+        code = main(["store", "ls", "--store", str(missing)])
         assert code == 2
         assert "no result store" in capsys.readouterr().err
         assert not missing.exists()
@@ -274,14 +301,14 @@ class TestStudyCommands:
         assert self.run_small_study(store) == 0
         capsys.readouterr()
 
-        assert main(["study", "ls", "--store", str(store)]) == 0
+        assert main(["store", "ls", "--store", str(store)]) == 0
         out = capsys.readouterr().out
         assert "sweep-cluster-sizes/n1x4" in out
         run_ids = [line.split()[0] for line in out.splitlines()
                    if line.startswith("sweep-cluster-sizes-")]
         assert len(run_ids) == 2
 
-        assert main(["study", "ls", "--store", str(store),
+        assert main(["store", "ls", "--store", str(store),
                      "--cluster-size", "8"]) == 0
         out = capsys.readouterr().out
         assert "n2x4" in out and "n1x4" not in out
@@ -450,19 +477,6 @@ class TestFleetCommands:
         capsys.readouterr()
         assert main(self.RUN_ARGS + ["--store", str(store)]) == 0
         assert "executed 0, skipped 2" in capsys.readouterr().out
-
-    def test_study_run_workers_fast_path(self, tmp_path, capsys):
-        store = tmp_path / "store"
-        code = main(["study", "run", "sweep-cluster-sizes",
-                     "--param", "sizes=[1,2]",
-                     "--param", "devices_per_node=4",
-                     "--param", "tokens_per_device=1024",
-                     "--param", "iterations=2", "--param", "warmup=1",
-                     "--workers", "2", "--store", str(store)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fleet 'sweep-cluster-sizes'" in out
-        assert "executed 2" in out
 
     def test_fleet_status_and_workers(self, tmp_path, capsys):
         store = tmp_path / "store"
@@ -954,7 +968,8 @@ SMALL_RUN = ["--num-nodes", "1", "--devices-per-node", "4",
              "--tokens-per-device", "512", "--iterations", "2"]
 WRITERS = {
     "trace --output": (
-        lambda inp, out: ["trace", *SMALL_RUN, "--output", out], "trace"),
+        lambda inp, out: ["trace", "routing", *SMALL_RUN, "--output", out],
+        "trace"),
     "trace export --output": (
         lambda inp, out: ["trace", "export", "--dir", inp["trace"],
                           "--output", out], "Chrome trace"),
@@ -1044,3 +1059,47 @@ def test_unwritable_output_path_exits_2(writer, writer_inputs, tmp_path,
     err = capsys.readouterr().err
     assert f"error: cannot write {what} to {out!r}: " in err
     assert "Traceback" not in err
+
+
+#: Out-of-range numeric flags, keyed by ``command --flag``.  Each entry
+#: maps the ``writer_inputs`` (with a private copy of the store under
+#: ``store`` and a fresh directory under ``out``) to an argv.
+OUT_OF_RANGE = {
+    "serve --max-workers": lambda inp: [
+        "serve", "--store", inp["store"], "--executor", "fleet",
+        "--stuck-timeout", "5", "--max-workers", "0"],
+    "fleet watch --interval": lambda inp: [
+        "fleet", "watch", "--store", inp["store"], "--interval", "-1"],
+    "fleet run --lease-timeout": lambda inp: [
+        "fleet", "run", "sweep-cluster-sizes", "--store", inp["store"],
+        "--lease-timeout", "-1"],
+    "calib measure --noise": lambda inp: [
+        "calib", "measure", "--output", inp["out"], "--tiny",
+        "--noise", "-0.5"],
+    "suite characterize --num-nodes": lambda inp: [
+        "suite", "characterize", inp["suite"], "--num-nodes", "0"],
+    "suite report --num-nodes": lambda inp: [
+        "suite", "report", inp["suite"], "--num-nodes", "0"],
+    "suite search --num-nodes": lambda inp: [
+        "suite", "search", inp["suite"], "--store", inp["store"],
+        "--num-nodes", "0", "--budget", "1", "--quiet"],
+    "store prune --older-than": lambda inp: [
+        "store", "prune", "--store", inp["store"], "--older-than", "-1"],
+    "store prune --max-runs": lambda inp: [
+        "store", "prune", "--store", inp["store"], "--max-runs", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+def test_out_of_range_flag_exits_2(case, writer_inputs, tmp_path, capsys):
+    """A usage error names the flag and exits 2 -- and deletes no run."""
+    store = tmp_path / "store"
+    shutil.copytree(writer_inputs["store"], store)
+    runs = sorted((store / "runs").iterdir())
+    inputs = {**writer_inputs, "store": str(store),
+              "out": str(tmp_path / "out")}
+    capsys.readouterr()
+    assert main(OUT_OF_RANGE[case](inputs)) == 2
+    flag = case.split()[-1]
+    assert f"error: {flag} must be " in capsys.readouterr().err
+    assert sorted((store / "runs").iterdir()) == runs

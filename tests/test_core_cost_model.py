@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.api import WorkloadSpec
+from repro.baselines.base import PolicyDecision
+from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import MoECostModel
 from repro.core.layout import static_ep_layout
-from repro.core.lite_routing import lite_route
+from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
+from repro.core.lite_routing import lite_route, lite_route_batch
+from repro.core.relocation import relocate_experts
+from repro.sim.iteration import IterationSimulator
 from repro.workloads.model_configs import get_model_config, tiny_test_config
 
 
@@ -135,3 +141,59 @@ class TestEvaluateBatch:
             small_cost_model.evaluate_batch(np.zeros((8, 8, 8)))
         with pytest.raises(ValueError):
             small_cost_model.evaluate_batch(np.zeros((2, 8, 8, 7)))
+
+
+def stable_ranks(values: np.ndarray) -> np.ndarray:
+    ranks = np.empty(len(values))
+    ranks[np.argsort(values, kind="stable")] = np.arange(len(values))
+    return ranks
+
+
+class TestAgreesWithSimulator:
+    """The planner minimizes a serial-sum ``T_comm`` while the simulator
+    charges the max-drain All-to-All: the two models must still agree on
+    which candidate layout is fastest, so neither can silently diverge."""
+
+    def test_cost_model_ranks_candidates_like_the_simulator(self):
+        config = get_model_config("mixtral-8x7b-e8k2")
+        topology = ClusterTopology(num_nodes=4, devices_per_node=8)
+        cost_model = MoECostModel.from_model_config(config, topology)
+        capacity = config.expert_capacity
+        hits, correlations, regrets = 0, [], []
+        for scenario in ("steady", "drifting", "bursty-churn", "phase-shift"):
+            workload = WorkloadSpec(scenario=scenario, iterations=16, seed=0)
+            simulator = IterationSimulator(
+                config=config, topology=topology,
+                tokens_per_device=workload.tokens_per_device, paradigm="fsep")
+            frames = list(workload.make_source(
+                topology.num_devices).iter_iterations())[workload.warmup:]
+            for frame in frames:
+                routing = frame[0]
+                loads = routing.sum(axis=0)
+                tuner = ExpertLayoutTuner(topology, cost_model, capacity,
+                                          TunerConfig(num_candidates=12))
+                layouts = [relocate_experts(replicas, loads, topology,
+                                            capacity)
+                           for replicas in tuner.candidate_replica_schemes(
+                               loads, routing.shape[1])]
+                plans = lite_route_batch(routing, layouts, topology)
+                costs = np.array([cost.total for cost in
+                                  cost_model.evaluate_batch(plans)])
+                times = np.array([
+                    simulator.simulate_layer(
+                        0, PolicyDecision(layout, plan)).total_time
+                    for layout, plan in zip(layouts, plans)])
+                pick = times[int(np.argmin(costs))]
+                hits += pick == times.min()
+                regrets.append(pick / times.min() - 1.0)
+                if np.ptp(costs) == 0 or np.ptp(times) == 0:
+                    correlations.append(1.0)
+                else:
+                    correlations.append(float(np.corrcoef(
+                        stable_ranks(costs), stable_ranks(times))[0, 1]))
+        assert len(regrets) == 64
+        # Measured: 62 of 64 argmins agree, mean Spearman 0.96, worst
+        # regret 0.90%.
+        assert hits >= 60
+        assert np.mean(correlations) >= 0.90
+        assert max(regrets) <= 0.01

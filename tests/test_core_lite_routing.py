@@ -5,8 +5,6 @@ import pytest
 
 from repro.core.layout import ExpertLayout, static_ep_layout
 from repro.core.lite_routing import (
-    ep_route,
-    global_even_route,
     lite_route,
     lite_route_single_rank,
     _split_evenly,
@@ -125,39 +123,6 @@ class TestLiteRouting:
             single = lite_route_single_rank(routing[rank], layout,
                                             small_topology, rank)
             assert np.array_equal(single, plan[rank])
-
-
-class TestAlternativeRouters:
-    def test_global_even_route_conserves(self, small_topology):
-        rng = np.random.default_rng(3)
-        routing = rng.integers(0, 40, size=(8, 8)).astype(np.int64)
-        layout = static_ep_layout(8, 8, 2)
-        plan = global_even_route(routing, layout)
-        assert np.array_equal(plan.sum(axis=2), routing)
-
-    def test_global_even_route_ignores_topology(self, small_topology):
-        assignment = np.zeros((8, 1), dtype=np.int64)
-        assignment[0, 0] = 1
-        assignment[4, 0] = 1
-        layout = ExpertLayout(assignment, capacity=1)
-        routing = np.zeros((8, 1), dtype=np.int64)
-        routing[1, 0] = 10
-        plan = global_even_route(routing, layout)
-        assert plan[1, 0, 0] == 5 and plan[1, 0, 4] == 5
-
-    def test_ep_route_sends_to_single_owner(self):
-        routing = np.full((4, 4), 7, dtype=np.int64)
-        layout = static_ep_layout(4, 4, 2)
-        plan = ep_route(routing, layout)
-        assert np.array_equal(plan.sum(axis=2), routing)
-        for expert in range(4):
-            owner = layout.devices_hosting(expert)[0]
-            assert plan[:, expert, owner].sum() == routing[:, expert].sum()
-
-    def test_ep_route_missing_replica(self):
-        layout = ExpertLayout(np.zeros((2, 1), dtype=np.int64), capacity=1)
-        with pytest.raises(ValueError):
-            ep_route(np.ones((2, 1), dtype=np.int64), layout)
 
 
 class TestLiteRouteBatch:

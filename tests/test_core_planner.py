@@ -25,10 +25,6 @@ class TestPlannerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             PlannerConfig(capacity=0)
-        with pytest.raises(ValueError):
-            PlannerConfig(capacity=2, history_length=0)
-        with pytest.raises(ValueError):
-            PlannerConfig(capacity=2, ema_decay=0.0)
 
 
 class TestHistory:
@@ -40,23 +36,6 @@ class TestHistory:
 
     def test_no_history_returns_none(self, planner):
         assert planner.predicted_routing(3) is None
-
-    def test_history_length_bounded(self, small_topology, small_cost_model):
-        planner = LoadBalancingPlanner(
-            small_topology, small_cost_model, 8,
-            PlannerConfig(capacity=2, history_length=2))
-        for value in range(5):
-            planner.observe(0, np.full((8, 8), value, dtype=np.int64))
-        assert len(planner._history[0]) == 2
-
-    def test_ema_prediction_blends_history(self, small_topology, small_cost_model):
-        planner = LoadBalancingPlanner(
-            small_topology, small_cost_model, 8,
-            PlannerConfig(capacity=2, ema_decay=0.5))
-        planner.observe(0, np.zeros((8, 8), dtype=np.int64))
-        planner.observe(0, np.full((8, 8), 10, dtype=np.int64))
-        predicted = planner.predicted_routing(0)
-        assert 0 < predicted[0, 0] < 10
 
     def test_observe_wrong_shape(self, planner):
         with pytest.raises(ValueError):

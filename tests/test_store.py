@@ -524,6 +524,13 @@ class TestPruneAndQuarantine:
         store.prune(max_runs=3, now=5 * day)
         assert store.journal_path.read_text() == ""
 
+    def test_prune_rejects_negative_bounds(self, tmp_path):
+        store, day = self.seeded(tmp_path)
+        for bound in ({"older_than_days": -1.0}, {"max_runs": -1}):
+            with pytest.raises(ValueError, match="must be non-negative"):
+                store.prune(now=5 * day, **bound)
+        assert len(store) == 5
+
     def test_journal_skipped_lines_counts_garbage(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(fake_result("exp-0"), created_at=0.0)

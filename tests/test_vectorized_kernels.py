@@ -21,7 +21,6 @@ from repro.core.layout import ExpertLayout, static_ep_layout
 from repro.core.lite_routing import (
     _split_evenly,
     _split_evenly_batched,
-    global_even_route,
     lite_route,
     lite_route_single_rank,
 )
@@ -226,19 +225,6 @@ class TestLiteRoutingEquivalence:
             assert np.array_equal(
                 lite_route_single_rank(routing[rank], layout, topology, rank),
                 plan[rank])
-
-    def test_global_even_route_matches_scalar_split(self, topology):
-        rng = np.random.default_rng(7)
-        routing = rng.integers(0, 80, size=(8, 8)).astype(np.int64)
-        layout = random_replicated_layout(rng, 8, 8, capacity=8)
-        plan = global_even_route(routing, layout)
-        for rank in range(8):
-            for expert in range(8):
-                tokens = int(routing[rank, expert])
-                expected = (scalar_split_evenly(
-                    tokens, layout.assignment[:, expert].astype(np.float64))
-                    if tokens else np.zeros(8, dtype=np.int64))
-                assert plan[rank, expert].tolist() == expected.tolist()
 
     def test_missing_replica_still_raises(self, topology):
         layout = ExpertLayout(np.zeros((8, 2), dtype=np.int64), capacity=1)
