@@ -26,10 +26,13 @@ Training*.  It contains:
   models (the hardware substrate).
 * ``repro.model`` -- a numpy MoE transformer with hand-written backward passes
   (the model substrate used for convergence studies and trace extraction).
-* ``repro.parallel`` -- classic parallel paradigms (DP / FSDP / EP / TP and
-  hybrids) reimplemented as sharding plans and cost models.
-* ``repro.sim`` -- a multi-stream discrete-event iteration simulator that
-  reproduces the paper's timeline figures and end-to-end comparisons.
+  Only the convergence path (``repro.training``, ``repro.core.executor``)
+  imports it; ``import repro.api`` does not.
+* ``repro.parallel`` -- the tensor-parallel cost model of the Megatron
+  baseline.
+* ``repro.sim`` -- an analytic iteration simulator (per-layer costs under the
+  Fig. 5 communication schedule) that reproduces the paper's end-to-end
+  comparisons and breakdowns.
 * ``repro.baselines`` -- GShard-style EP, FasterMoE, SmartMoE, Prophet and
   FlexMoE load-balancing policies, plus a perfectly-balanced oracle.
 * ``repro.workloads`` -- Table 2 model configurations, synthetic routing
@@ -38,8 +41,8 @@ Training*.  It contains:
   system, scenario, scenario-wrapper and study registries.
 * ``repro.training`` -- end-to-end numpy training used by the convergence
   experiments.
-* ``repro.analysis`` -- metrics, breakdowns and report formatting used by the
-  benchmark harness.
+* ``repro.analysis`` -- breakdowns and report formatting used by the CLI and
+  the benchmark harness.
 """
 
 __version__ = "1.0.0"

@@ -1,12 +1,5 @@
-"""Metrics, breakdowns and report formatting used by the benchmark harness."""
+"""Breakdowns and report formatting used by the CLI and the benchmark harness."""
 
-from repro.analysis.metrics import (
-    expert_load_imbalance,
-    device_load_imbalance,
-    relative_max_token_count,
-    jains_fairness_index,
-    coefficient_of_variation,
-)
 from repro.analysis.breakdown import BreakdownTable, breakdown_table_from_runs
 from repro.analysis.reporting import (
     format_markdown_table,
@@ -19,11 +12,6 @@ from repro.analysis.reporting import (
 )
 
 __all__ = [
-    "expert_load_imbalance",
-    "device_load_imbalance",
-    "relative_max_token_count",
-    "jains_fairness_index",
-    "coefficient_of_variation",
     "BreakdownTable",
     "breakdown_table_from_runs",
     "format_table",

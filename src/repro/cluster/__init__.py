@@ -14,7 +14,7 @@ link involved.
 
 from repro.cluster.topology import ClusterTopology, LinkType
 from repro.cluster.device import DeviceSpec, A100_SPEC, H100_SPEC, V100_SPEC
-from repro.cluster.collectives import CollectiveCostModel, CollectiveKind
+from repro.cluster.collectives import CollectiveCostModel
 from repro.cluster.memory import MemoryModel, MemoryBreakdown
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "H100_SPEC",
     "V100_SPEC",
     "CollectiveCostModel",
-    "CollectiveKind",
     "MemoryModel",
     "MemoryBreakdown",
 ]

@@ -18,23 +18,11 @@ standard ``(p - 1) / p`` factor over the slowest link in the group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from repro.cluster.topology import ClusterTopology
-
-
-class CollectiveKind(Enum):
-    """Enumeration of the supported collective operations."""
-
-    ALL_TO_ALL = "all_to_all"
-    ALL_GATHER = "all_gather"
-    REDUCE_SCATTER = "reduce_scatter"
-    ALL_REDUCE = "all_reduce"
-    BROADCAST = "broadcast"
-    POINT_TO_POINT = "point_to_point"
 
 
 @dataclass

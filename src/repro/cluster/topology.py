@@ -30,11 +30,6 @@ class LinkType(Enum):
     INTER_NODE = "inter_node"
 
 
-#: Integer codes used by :meth:`ClusterTopology.link_type_matrix`; the code of
-#: a link kind is its index in this tuple.
-LINK_TYPE_ORDER = (LinkType.LOCAL, LinkType.INTRA_NODE, LinkType.INTER_NODE)
-
-
 _GB = 1024.0 ** 3
 
 #: Intra-node unidirectional bandwidth used in the paper (NVLink, 300 GB/s).
@@ -211,24 +206,6 @@ class ClusterTopology:
                                  self.inter_node_latency)
         return self._sliced(full, group)
 
-    def link_type_matrix(self, group: Sequence[int] | None = None) -> np.ndarray:
-        """Return the ``N x N`` link classification as integer codes.
-
-        Codes index :data:`LINK_TYPE_ORDER`: 0 = LOCAL, 1 = INTRA_NODE,
-        2 = INTER_NODE, i.e. ``LINK_TYPE_ORDER[mat[i, j]] is
-        self.link_type(i, j)``.  ``group`` slices as in
-        :meth:`bandwidth_matrix`.
-        """
-        cached = self._matrix_cache.get("link_type")
-        if cached is None:
-            nodes = self.device_nodes()
-            same = nodes[:, None] == nodes[None, :]
-            cached = np.where(same, 1, 2).astype(np.int8)
-            np.fill_diagonal(cached, 0)
-            cached.setflags(write=False)
-            self._matrix_cache["link_type"] = cached
-        return self._sliced(cached, group)
-
     # ------------------------------------------------------------------
     # Convenience constructors
     # ------------------------------------------------------------------
@@ -279,21 +256,3 @@ class ClusterTopology:
             f"(intra {self.intra_node_bandwidth / _GB:.0f} GB/s, "
             f"inter {self.inter_node_bandwidth / _GB:.0f} GB/s)"
         )
-
-
-def group_by_node(topology: ClusterTopology, devices: Sequence[int]) -> List[List[int]]:
-    """Group a sequence of device ranks by the node that hosts them.
-
-    Returns a list with ``topology.num_nodes`` entries; entry ``n`` contains the
-    subset of ``devices`` located on node ``n`` (possibly empty), preserving the
-    original order.
-    """
-    groups: List[List[int]] = [[] for _ in range(topology.num_nodes)]
-    devs = np.asarray(list(devices), dtype=np.intp)
-    if devs.size == 0:
-        return groups
-    if devs.min() < 0 or devs.max() >= topology.num_devices:
-        raise ValueError("device rank out of range for the topology")
-    for dev, node in zip(devs.tolist(), topology.device_nodes()[devs].tolist()):
-        groups[node].append(dev)
-    return groups

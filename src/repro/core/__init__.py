@@ -10,8 +10,6 @@ Modules:
   device restores which experts, ``A`` in the paper).
 * :mod:`repro.core.fsep` -- Fully Sharded Expert Parallelism: shard / unshard /
   reshard of flattened expert parameters with arbitrary layouts (Fig. 4).
-* :mod:`repro.core.comm_analysis` -- the communication / memory / overlap
-  analysis of Sec. 3.1 (V_fsep, V_fsdp, Eq. 1).
 * :mod:`repro.core.cost_model` -- the joint communication + computation cost
   model of Sec. 3.2 (Eq. 2-4).
 * :mod:`repro.core.lite_routing` -- Algorithm 3 (token dispatcher).
@@ -26,21 +24,15 @@ Modules:
 * :mod:`repro.core.comm_schedule` -- the fine-grained communication scheduling
   optimisations of Fig. 5.
 * :mod:`repro.core.executor` -- an FSEP executor that runs real (numpy) MoE
-  computation under a plan and matches the single-device reference bit-for-bit
-  up to floating point reordering.
+  computation under a plan.  This package does not import it, because it
+  loads the numpy model (:mod:`repro.model`) that no simulated run needs;
+  import it directly.
 """
 
-from repro.core.layout import ExpertLayout, static_ep_layout, replicate_all_layout
+from repro.core.layout import ExpertLayout, static_ep_layout
 from repro.core.fsep import FSEPShardedExperts, UnshardResult, ReshardResult
-from repro.core.comm_analysis import (
-    fsep_unshard_volume,
-    fsdp_allgather_volume,
-    fsep_to_fsdp_volume_ratio,
-    overlap_token_threshold,
-    fsep_extra_memory_bytes,
-)
 from repro.core.cost_model import MoECostModel, CostBreakdown
-from repro.core.lite_routing import lite_route, lite_route_single_rank
+from repro.core.lite_routing import lite_route
 from repro.core.replica_allocation import allocate_replicas_priority_queue, even_replicas
 from repro.core.relocation import relocate_experts
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig, TunerResult
@@ -50,27 +42,17 @@ from repro.core.comm_schedule import (
     LayerTimings,
     ScheduleResult,
     schedule_layer,
-    schedule_iteration,
 )
-from repro.core.executor import FSEPExecutor, DistributedMoEOutput
-from repro.core.reference_solver import ReferenceSolution, solve_reference, enumerate_layouts
 
 __all__ = [
     "ExpertLayout",
     "static_ep_layout",
-    "replicate_all_layout",
     "FSEPShardedExperts",
     "UnshardResult",
     "ReshardResult",
-    "fsep_unshard_volume",
-    "fsdp_allgather_volume",
-    "fsep_to_fsdp_volume_ratio",
-    "overlap_token_threshold",
-    "fsep_extra_memory_bytes",
     "MoECostModel",
     "CostBreakdown",
     "lite_route",
-    "lite_route_single_rank",
     "allocate_replicas_priority_queue",
     "even_replicas",
     "relocate_experts",
@@ -84,10 +66,4 @@ __all__ = [
     "LayerTimings",
     "ScheduleResult",
     "schedule_layer",
-    "schedule_iteration",
-    "FSEPExecutor",
-    "DistributedMoEOutput",
-    "ReferenceSolution",
-    "solve_reference",
-    "enumerate_layouts",
 ]

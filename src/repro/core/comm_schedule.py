@@ -24,7 +24,6 @@ iteration simulator and the ablation benchmark (Fig. 12) consume it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
 
 
 @dataclass(frozen=True)
@@ -176,32 +175,3 @@ def schedule_layer(timings: LayerTimings,
         a2a_time=4.0 * timings.token_a2a + a2a_penalty_fw + a2a_penalty_bw,
         compute_time=3.0 * (timings.attention_compute + timings.expert_compute),
     )
-
-
-def schedule_iteration(layer_timings: Sequence[LayerTimings],
-                       config: CommScheduleConfig) -> Dict[str, float]:
-    """Schedule every layer of an iteration and aggregate the breakdown.
-
-    Returns a dictionary with the total iteration time and the per-component
-    totals used by the Fig. 10(a) breakdown: ``attention`` (plus other
-    non-expert work), ``expert_compute``, ``all_to_all`` (token dispatch and
-    combine, including contention penalties) and ``exposed_comm`` (prefetch and
-    gradient-sync time not hidden by computation).
-    """
-    if not layer_timings:
-        raise ValueError("layer_timings must not be empty")
-    totals = {
-        "iteration_time": 0.0,
-        "attention": 0.0,
-        "expert_compute": 0.0,
-        "all_to_all": 0.0,
-        "exposed_comm": 0.0,
-    }
-    for timings in layer_timings:
-        result = schedule_layer(timings, config)
-        totals["iteration_time"] += result.total
-        totals["attention"] += 3.0 * timings.attention_compute
-        totals["expert_compute"] += 3.0 * timings.expert_compute
-        totals["all_to_all"] += result.a2a_time
-        totals["exposed_comm"] += result.exposed_prefetch + result.exposed_grad_sync
-    return totals

@@ -167,12 +167,3 @@ def static_ep_layout(num_devices: int, num_experts: int,
         for expert in range(ep_rank * capacity, (ep_rank + 1) * capacity):
             assignment[device, expert] = 1
     return ExpertLayout(assignment, capacity)
-
-
-def replicate_all_layout(num_devices: int, num_experts: int) -> ExpertLayout:
-    """Every device restores every expert (capacity ``E``).
-
-    Only feasible for small expert counts; used as an upper bound in tests.
-    """
-    assignment = np.ones((num_devices, num_experts), dtype=np.int64)
-    return ExpertLayout(assignment, capacity=num_experts)

@@ -43,22 +43,18 @@ class TunerConfig:
         use_even: Include the even allocation.
         perturbation_seed: Seed of the random perturbations (candidates beyond
             the two analytic schemes).
-        max_perturbation_moves: Maximum replicas moved by one perturbation.
     """
 
     num_candidates: int = 2
     use_priority_queue: bool = True
     use_even: bool = True
     perturbation_seed: int = 0
-    max_perturbation_moves: int = 2
 
     def __post_init__(self) -> None:
         if self.num_candidates < 1:
             raise ValueError("num_candidates must be at least 1")
         if not (self.use_priority_queue or self.use_even):
             raise ValueError("at least one analytic allocation scheme must be enabled")
-        if self.max_perturbation_moves < 1:
-            raise ValueError("max_perturbation_moves must be at least 1")
 
 
 @dataclass
@@ -115,8 +111,7 @@ class ExpertLayoutTuner:
             schemes.append(even_replicas(n, num_experts, self.capacity))
         while len(schemes) < self.config.num_candidates:
             base = schemes[int(self._rng.integers(len(schemes)))]
-            schemes.append(perturb_replicas(
-                base, self._rng, self.config.max_perturbation_moves))
+            schemes.append(perturb_replicas(base, self._rng))
         return schemes[:max(self.config.num_candidates, len(schemes))]
 
     # ------------------------------------------------------------------

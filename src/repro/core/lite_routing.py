@@ -74,30 +74,6 @@ def _split_evenly(total: int, weights: np.ndarray) -> np.ndarray:
     return _split_evenly_batched(np.asarray([total]), weights)[0]
 
 
-def lite_route_single_rank(routing_row: np.ndarray, layout: ExpertLayout,
-                           topology: ClusterTopology, rank: int) -> np.ndarray:
-    """Algorithm 3 for one sender: route ``R[rank, :]`` under layout ``A``.
-
-    Args:
-        routing_row: ``(E,)`` token counts of the sender for each expert.
-        layout: Expert layout ``A``.
-        topology: Cluster topology (for the node mapping).
-        rank: Global rank of the sending device.
-
-    Returns:
-        ``(E, N)`` plan: tokens of each expert sent to each destination device.
-    """
-    routing_row = np.asarray(routing_row, dtype=np.int64)
-    num_experts = layout.num_experts
-    if routing_row.shape != (num_experts,):
-        raise ValueError(f"routing_row must have shape ({num_experts},)")
-    if np.any(routing_row < 0):
-        raise ValueError("token counts must be non-negative")
-    weights = _node_target_weights(layout, topology, topology.node(rank))
-    _check_replicas(routing_row[None, :], weights)
-    return _split_evenly_batched(routing_row, weights)
-
-
 def _node_target_weights(layout: ExpertLayout, topology: ClusterTopology,
                          node: int) -> np.ndarray:
     """Per-expert ``(E, N)`` split weights for senders hosted on ``node``.

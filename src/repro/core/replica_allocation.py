@@ -106,19 +106,3 @@ def perturb_replicas(replicas: np.ndarray, rng: np.random.Generator,
         replicas[src] -= 1
         replicas[dst] += 1
     return replicas
-
-
-def expected_max_load(expert_loads: np.ndarray, replicas: np.ndarray) -> float:
-    """The highest per-replica load implied by an allocation.
-
-    A quick quality proxy used in tests: lower is better, and the
-    priority-queue allocation should never be worse than the even one on
-    skewed loads.
-    """
-    loads = np.asarray(expert_loads, dtype=np.float64)
-    replicas = np.asarray(replicas, dtype=np.float64)
-    if loads.shape != replicas.shape:
-        raise ValueError("loads and replicas must have the same shape")
-    if np.any(replicas < 1):
-        raise ValueError("every expert needs at least one replica")
-    return float(np.max(loads / replicas))

@@ -1,21 +1,12 @@
-"""Classic parallel paradigms used by the baselines and the hybrid strategies.
+"""The tensor-parallel cost model behind the Megatron baseline.
 
-The paper compares FSEP against combinations of data parallelism, fully
-sharded data parallelism (ZeRO-3), expert parallelism and tensor parallelism.
-This subpackage implements those paradigms at the level the reproduction
-needs: actual parameter sharding over numpy arrays (so correctness can be
-tested and FSEP can be compared against FSDP bit-for-bit) and per-layer
-communication volumes (so the iteration simulator can charge them).
+The iteration simulator times a tensor-parallel system's attention with
+:class:`TensorParallelCost`: the per-device GEMM time at reduced efficiency
+plus the activation All-Reduces.
 """
 
-from repro.parallel.config import ParallelismConfig
-from repro.parallel.fsdp import FSDPShardedParameters
-from repro.parallel.ep import ExpertParallelGroups
 from repro.parallel.tp import TensorParallelCost
 
 __all__ = [
-    "ParallelismConfig",
-    "FSDPShardedParameters",
-    "ExpertParallelGroups",
     "TensorParallelCost",
 ]

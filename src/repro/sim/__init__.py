@@ -1,11 +1,8 @@
-"""Discrete-event iteration simulator.
+"""Analytic iteration simulator.
 
 Turns a (model configuration, cluster topology, training system, routing
 trace) tuple into per-iteration times and component breakdowns:
 
-* :mod:`repro.sim.streams` -- a small multi-stream event scheduler (operations
-  with dependencies placed on named streams, like CUDA streams), used to build
-  Fig. 5 style timelines.
 * :mod:`repro.sim.iteration` -- the per-iteration cost assembly: attention,
   token All-to-All, expert computation (after load balancing), parameter
   prefetch, gradient synchronisation and re-layout overheads.
@@ -16,7 +13,6 @@ trace) tuple into per-iteration times and component breakdowns:
   throughput, breakdowns and balance statistics.
 """
 
-from repro.sim.streams import StreamOp, StreamScheduler, StreamTimeline
 from repro.sim.iteration import (
     DROP_POLICIES,
     IterationSimulator,
@@ -36,13 +32,9 @@ from repro.sim.systems import (
     choose_megatron_tp,
 )
 from repro.sim.engine import TrainingRunSimulator, RunResult, compare_systems
-from repro.sim.timeline import ForwardTimeline, build_forward_timeline, format_timeline
 
 __all__ = [
     "DROP_POLICIES",
-    "StreamOp",
-    "StreamScheduler",
-    "StreamTimeline",
     "IterationSimulator",
     "IterationResult",
     "LayerResult",
@@ -59,7 +51,4 @@ __all__ = [
     "TrainingRunSimulator",
     "RunResult",
     "compare_systems",
-    "ForwardTimeline",
-    "build_forward_timeline",
-    "format_timeline",
 ]

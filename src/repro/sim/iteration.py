@@ -232,26 +232,6 @@ class IterationSimulator:
         np.fill_diagonal(traffic, 0.0)
         return self.collectives.all_to_all(traffic)
 
-    def expert_forward_time(self, routing_plan: np.ndarray) -> float:
-        """Forward expert computation time of the most loaded device."""
-        plan = np.asarray(routing_plan, dtype=np.float64)
-        tokens_per_device = plan.sum(axis=(0, 1))
-        flops = tokens_per_device.max() * self.config.expert_flops_per_token
-        return flops / self.topology.device_spec.effective_flops
-
-    def expert_forward_time_mean(self, routing_plan: np.ndarray) -> float:
-        """Forward expert computation time averaged across devices.
-
-        This is the per-rank *useful* compute time; the difference between the
-        max and the mean is the stall the slower ranks spend waiting inside the
-        All-to-All combine, which the paper's profiles attribute to
-        communication time.
-        """
-        plan = np.asarray(routing_plan, dtype=np.float64)
-        tokens_per_device = plan.sum(axis=(0, 1))
-        flops = tokens_per_device.mean() * self.config.expert_flops_per_token
-        return flops / self.topology.device_spec.effective_flops
-
     def prefetch_time(self) -> float:
         """Expert-parameter restore time per layer for the active paradigm."""
         expert_bytes = self.config.expert_param_bytes

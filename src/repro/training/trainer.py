@@ -16,7 +16,7 @@ which is exactly the paper's "no loss in precision" claim (Sec. 3.1, Fig. 9b).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from repro.core.executor import FSEPExecutor
 from repro.core.layout_tuner import TunerConfig
 from repro.core.planner import LoadBalancingPlanner, PlannerConfig
 from repro.model.optimizer import Adam, clip_gradients
-from repro.model.transformer import MoETransformer
+from repro.model.transformer import ModelOutput, MoETransformer
 from repro.workloads.datasets import SyntheticTextDataset
 from repro.workloads.model_configs import MoEModelConfig
 from repro.workloads.routing_traces import RoutingTrace
@@ -145,8 +145,8 @@ class Trainer:
                            for block in self.model.blocks]
 
     # ------------------------------------------------------------------
-    def train_step(self, step: int) -> Dict[str, float]:
-        """Run one optimisation step and return its scalar statistics."""
+    def _step(self, step: int) -> ModelOutput:
+        """Run one optimisation step and return the model output."""
         inputs, targets = self.dataset.batch(
             self.config.batch_size, self.config.seq_length,
             seed=self.config.seed + step)
@@ -163,11 +163,7 @@ class Trainer:
             assert self._executors is not None
             for executor in self._executors:
                 executor.refresh_shards()
-        return {
-            "loss": output.loss,
-            "lm_loss": output.lm_loss,
-            "aux_loss": output.aux_loss,
-        }
+        return output
 
     # ------------------------------------------------------------------
     def _fsep_forward_backward(self, inputs: np.ndarray, targets: np.ndarray):
@@ -232,7 +228,6 @@ class Trainer:
             res.cache["gating"].expert_counts for res in executor_results])
         expert_indices = [res.cache["gating"].expert_indices
                           for res in executor_results]
-        from repro.model.transformer import ModelOutput
         return ModelOutput(
             loss=total_loss,
             lm_loss=lm_loss,
@@ -251,22 +246,7 @@ class Trainer:
         result = TrainingResult()
         routing_frames = []
         for step in range(num_steps):
-            inputs, targets = self.dataset.batch(
-                self.config.batch_size, self.config.seq_length,
-                seed=self.config.seed + step)
-            self.model.zero_grad()
-            if self.config.execution == "reference":
-                output = self.model.forward(inputs, targets)
-                self.model.backward(output)
-            else:
-                output = self._fsep_forward_backward(inputs, targets)
-            if self.config.max_grad_norm > 0:
-                clip_gradients(self.model, self.config.max_grad_norm)
-            self.optimizer.step()
-            if self.config.execution == "fsep":
-                assert self._executors is not None
-                for executor in self._executors:
-                    executor.refresh_shards()
+            output = self._step(step)
             result.losses.append(output.loss)
             result.lm_losses.append(output.lm_loss)
             result.aux_losses.append(output.aux_loss)

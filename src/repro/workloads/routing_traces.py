@@ -137,12 +137,6 @@ class RoutingTrace:
         """Return the ``(N, E)`` routing matrix of one layer of one iteration."""
         return self.routing[it, layer]
 
-    def iter_layers(self) -> Iterator[np.ndarray]:
-        """Yield every per-layer ``(N, E)`` routing matrix in temporal order."""
-        for it in range(self.num_iterations):
-            for layer in range(self.num_layers):
-                yield self.routing[it, layer]
-
     # ------------------------------------------------------------------
     def expert_loads(self, it: int, layer: int) -> np.ndarray:
         """Total tokens routed to each expert in one layer of one iteration."""
@@ -163,12 +157,6 @@ class RoutingTrace:
         peak = loads.max(axis=2)
         vals = np.where(mean == 0, 1.0, peak / np.where(mean == 0, 1.0, mean))
         return float(vals.mean())
-
-    def slice_iterations(self, start: int, stop: int) -> "RoutingTrace":
-        """Return a trace containing only iterations ``start..stop-1``."""
-        return RoutingTrace(routing=self.routing[start:stop].copy(),
-                            top_k=self.top_k,
-                            tokens_per_device=self.tokens_per_device)
 
     def scaled(self, factor: int) -> "RoutingTrace":
         """Scale every token count by an integer factor.

@@ -1,16 +1,8 @@
-"""Tests for the analysis metrics, breakdown tables and report formatting."""
+"""Tests for the analysis breakdown tables and report formatting."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.breakdown import BreakdownTable, breakdown_table_from_runs
-from repro.analysis.metrics import (
-    coefficient_of_variation,
-    device_load_imbalance,
-    expert_load_imbalance,
-    jains_fairness_index,
-    relative_max_token_count,
-)
 from repro.analysis.reporting import (
     format_series,
     format_speedup_table,
@@ -18,41 +10,6 @@ from repro.analysis.reporting import (
 )
 from repro.sim.engine import RunResult
 from repro.sim.iteration import IterationResult, LayerResult
-
-
-class TestMetrics:
-    def test_expert_load_imbalance_balanced(self):
-        routing = np.full((4, 8), 10)
-        assert expert_load_imbalance(routing) == pytest.approx(1.0)
-
-    def test_expert_load_imbalance_skewed(self):
-        routing = np.zeros((4, 8))
-        routing[:, 0] = 100
-        assert expert_load_imbalance(routing) == pytest.approx(8.0)
-
-    def test_expert_load_imbalance_empty(self):
-        assert expert_load_imbalance(np.zeros((4, 8))) == 1.0
-
-    def test_device_load_imbalance(self):
-        plan = np.zeros((4, 2, 4))
-        plan[:, :, 0] = 5
-        assert device_load_imbalance(plan) == pytest.approx(4.0)
-
-    def test_relative_max_token_count(self):
-        plan = np.zeros((4, 2, 4))
-        for dev in range(4):
-            plan[dev, :, dev] = 10
-        assert relative_max_token_count(plan) == pytest.approx(1.0)
-
-    def test_jains_fairness(self):
-        assert jains_fairness_index(np.array([1.0, 1.0, 1.0])) == pytest.approx(1.0)
-        assert jains_fairness_index(np.array([1.0, 0.0, 0.0])) == pytest.approx(1 / 3)
-        with pytest.raises(ValueError):
-            jains_fairness_index(np.array([]))
-
-    def test_coefficient_of_variation(self):
-        assert coefficient_of_variation(np.array([5.0, 5.0])) == 0.0
-        assert coefficient_of_variation(np.array([0.0, 10.0])) == pytest.approx(1.0)
 
 
 def make_run(name, attention=1.0, expert=2.0, a2a=1.5, exposed=0.2):

@@ -1,9 +1,14 @@
 """Tests for the declarative experiment API (specs, registry, runner)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import (
     ClusterSpec,
     ExperimentResult,
@@ -393,3 +398,20 @@ class TestResultRoundTripAudit:
         # Hand-edited / legacy files may carry an explicit null.
         data["execution_mode"] = None
         assert ExperimentResult.from_dict(data).execution_mode == ""
+
+
+class TestImportFootprint:
+    def test_api_does_not_import_numpy_model(self):
+        """A simulated run never loads the numpy model or its executor."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
+        script = ("import sys, repro.api; "
+                  "print('\\n'.join(sorted(sys.modules)))")
+        loaded = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True).stdout.split()
+        heavy = [name for name in loaded
+                 if name.startswith(("repro.model", "repro.training",
+                                     "repro.core.executor"))]
+        assert "repro.api" in loaded
+        assert heavy == []

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster.memory import MemoryModel, MemoryBreakdown
 from repro.cluster.topology import ClusterTopology
-from repro.core.comm_analysis import fsep_extra_memory_bytes
 from repro.workloads.model_configs import get_model_config
 
 
@@ -41,8 +40,11 @@ class TestParadigmBudgets:
         n = memory_model.topology.num_devices
         sharded = memory_model.total_param_bytes / n
         overhead = (fsep.parameters - sharded) + (fsep.gradients - sharded)
-        expected = (2 * fsep_extra_memory_bytes(memory_model.config)
-                    + 2 * memory_model.config.non_expert_params_per_layer * 2)
+        config = memory_model.config
+        # 2 * C * Psi_expert bf16 bytes: this layer's restored experts plus
+        # the next layer's prefetched ones.
+        fsep_extra = 2 * config.expert_capacity * config.expert_params_per_layer * 2
+        expected = 2 * fsep_extra + 2 * config.non_expert_params_per_layer * 2
         assert overhead == pytest.approx(expected, rel=1e-6)
 
     def test_fsep_fits_on_a100(self, memory_model):

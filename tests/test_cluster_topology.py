@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.topology import ClusterTopology, LinkType, group_by_node
+from repro.cluster.topology import ClusterTopology, LinkType
 
 
 class TestClusterTopologyStructure:
@@ -121,14 +121,3 @@ class TestConstructors:
 
     def test_describe_mentions_device(self):
         assert "A100" in ClusterTopology.paper_cluster().describe()
-
-
-class TestGroupByNode:
-    def test_grouping(self):
-        topo = ClusterTopology(num_nodes=2, devices_per_node=2)
-        groups = group_by_node(topo, [0, 3, 1, 2])
-        assert groups == [[0, 1], [3, 2]]
-
-    def test_empty_devices(self):
-        topo = ClusterTopology(num_nodes=2, devices_per_node=2)
-        assert group_by_node(topo, []) == [[], []]

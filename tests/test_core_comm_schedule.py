@@ -5,7 +5,6 @@ import pytest
 from repro.core.comm_schedule import (
     CommScheduleConfig,
     LayerTimings,
-    schedule_iteration,
     schedule_layer,
 )
 
@@ -84,23 +83,3 @@ class TestScheduleLayer:
         result = schedule_layer(t, CommScheduleConfig.none_enabled())
         assert result.exposed_prefetch == 0.0
         assert result.a2a_time == 0.0
-
-
-class TestScheduleIteration:
-    def test_aggregates_layers(self):
-        per_layer = [timings(), timings(expert=4.0)]
-        totals = schedule_iteration(per_layer, CommScheduleConfig.all_enabled())
-        assert totals["iteration_time"] > 0
-        assert totals["expert_compute"] == pytest.approx(3 * (6.0 + 4.0))
-        assert totals["attention"] == pytest.approx(3 * 2 * 2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            schedule_iteration([], CommScheduleConfig.all_enabled())
-
-    def test_optimisations_reduce_iteration_time(self):
-        per_layer = [timings() for _ in range(4)]
-        on = schedule_iteration(per_layer, CommScheduleConfig.all_enabled())
-        off = schedule_iteration(per_layer, CommScheduleConfig.none_enabled())
-        assert on["iteration_time"] < off["iteration_time"]
-        assert on["exposed_comm"] <= off["exposed_comm"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.fsep import FSEPShardedExperts
-from repro.core.layout import ExpertLayout, replicate_all_layout, static_ep_layout
+from repro.core.layout import ExpertLayout, static_ep_layout
 
 
 def make_experts(num_experts=4, size=24, seed=0):
@@ -182,7 +182,7 @@ class TestUpdates:
         """Restoring every expert everywhere reproduces the dense parameters."""
         experts = make_experts(seed=8)
         sharded = FSEPShardedExperts(experts, num_devices=4)
-        layout = replicate_all_layout(num_devices=4, num_experts=4)
+        layout = ExpertLayout(np.ones((4, 4), dtype=np.int64), capacity=4)
         result = sharded.unshard(layout)
         for device in range(4):
             for expert_id, original in enumerate(experts):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.layout import ExpertLayout, replicate_all_layout, static_ep_layout
+from repro.core.layout import ExpertLayout, static_ep_layout
 
 
 class TestExpertLayout:
@@ -94,9 +94,3 @@ class TestReferenceLayouts:
             static_ep_layout(num_devices=8, num_experts=7, capacity=2)
         with pytest.raises(ValueError):
             static_ep_layout(num_devices=6, num_experts=8, capacity=2)
-
-    def test_replicate_all_layout(self):
-        layout = replicate_all_layout(num_devices=3, num_experts=5)
-        assert np.all(layout.assignment == 1)
-        assert layout.capacity == 5
-        layout.validate(require_full_capacity=True)

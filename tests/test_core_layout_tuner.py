@@ -35,8 +35,6 @@ class TestTunerConfig:
             TunerConfig(num_candidates=0)
         with pytest.raises(ValueError):
             TunerConfig(use_priority_queue=False, use_even=False)
-        with pytest.raises(ValueError):
-            TunerConfig(max_perturbation_moves=0)
 
 
 class TestCandidateGeneration:

@@ -6,7 +6,6 @@ import pytest
 from repro.core.layout import ExpertLayout, static_ep_layout
 from repro.core.lite_routing import (
     lite_route,
-    lite_route_single_rank,
     _split_evenly,
 )
 
@@ -103,26 +102,13 @@ class TestLiteRouting:
         layout = static_ep_layout(8, 8, 2)
         with pytest.raises(ValueError):
             lite_route(np.zeros((4, 8), dtype=np.int64), layout, small_topology)
-        with pytest.raises(ValueError):
-            lite_route_single_rank(np.zeros(4, dtype=np.int64), layout,
-                                   small_topology, rank=0)
 
     def test_negative_counts_rejected(self, small_topology):
         layout = static_ep_layout(8, 8, 2)
-        routing = np.zeros(8, dtype=np.int64)
-        routing[0] = -1
+        routing = np.zeros((8, 8), dtype=np.int64)
+        routing[0, 0] = -1
         with pytest.raises(ValueError):
-            lite_route_single_rank(routing, layout, small_topology, rank=0)
-
-    def test_per_rank_matches_full(self, small_topology):
-        rng = np.random.default_rng(2)
-        routing = rng.integers(0, 50, size=(8, 8)).astype(np.int64)
-        layout = static_ep_layout(8, 8, 2)
-        plan = lite_route(routing, layout, small_topology)
-        for rank in range(8):
-            single = lite_route_single_rank(routing[rank], layout,
-                                            small_topology, rank)
-            assert np.array_equal(single, plan[rank])
+            lite_route(routing, layout, small_topology)
 
 
 class TestLiteRouteBatch:

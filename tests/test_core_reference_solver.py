@@ -6,8 +6,9 @@ import pytest
 from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import MoECostModel
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
-from repro.core.reference_solver import enumerate_layouts, solve_reference
 from repro.workloads.model_configs import get_model_config
+
+from reference_solver import enumerate_layouts, solve_reference
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ import pytest
 
 from repro.analysis.breakdown import breakdown_table_from_runs
 from repro.cluster.topology import ClusterTopology
-from repro.core.comm_analysis import fsep_to_fsdp_volume_ratio
 from repro.sim.engine import compare_systems
 from repro.sim.systems import make_system
 from repro.training.trainer import Trainer, TrainerConfig
@@ -98,5 +97,6 @@ class TestAnalysisConsistency:
         fsdp_system = make_system("fsdp_ep", config, topology, 16384)
         sim_ratio = (fsep_system.simulator.prefetch_time()
                      / fsdp_system.simulator.prefetch_time())
-        analytic = fsep_to_fsdp_volume_ratio(32, 8)
+        # Sec. 3.1: V_fsep / V_fsdp = (P_fsep - 1) * P_fsdp / (P_fsep * (P_fsdp - 1)).
+        analytic = (32 - 1) * 8 / (32 * (8 - 1))
         assert sim_ratio == pytest.approx(analytic, rel=0.35)

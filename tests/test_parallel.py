@@ -1,130 +1,9 @@
-"""Tests for the classic parallel paradigms (DP / FSDP / EP / TP)."""
+"""Tests for the tensor-parallel cost model."""
 
-import numpy as np
 import pytest
 
-from repro.parallel.config import ParallelismConfig
-from repro.parallel.ep import ExpertParallelGroups
-from repro.parallel.fsdp import FSDPShardedParameters
 from repro.parallel.tp import TensorParallelCost
 from repro.workloads.model_configs import get_model_config
-
-
-class TestParallelismConfig:
-    def test_megatron_factory(self):
-        cfg = ParallelismConfig.megatron(num_devices=32, tp_size=4, ep_size=4)
-        cfg.validate(32)
-        assert cfg.dp_size == 8
-        assert cfg.fsdp_size == 8
-
-    def test_fsdp_ep_factory(self):
-        cfg = ParallelismConfig.fsdp_ep(num_devices=32, ep_size=4)
-        cfg.validate(32)
-        assert cfg.fsdp_size == 8
-        assert cfg.dp_size == 32
-
-    def test_fsep_factory(self):
-        cfg = ParallelismConfig.fsep(num_devices=32)
-        cfg.validate(32)
-        assert cfg.fsdp_size == 32
-
-    def test_validate_rejects_mismatch(self):
-        cfg = ParallelismConfig(tp_size=2, dp_size=4, ep_size=2, fsdp_size=4)
-        with pytest.raises(ValueError):
-            cfg.validate(32)
-
-    def test_invalid_sizes(self):
-        with pytest.raises(ValueError):
-            ParallelismConfig(tp_size=0)
-        with pytest.raises(ValueError):
-            ParallelismConfig.megatron(num_devices=10, tp_size=4, ep_size=2)
-
-
-class TestFSDPSharding:
-    def test_roundtrip(self):
-        flat = np.arange(10, dtype=float)
-        sharded = FSDPShardedParameters(flat, group_size=4)
-        assert sharded.shard_size == 3  # padded to 12
-        assert np.array_equal(sharded.all_gather(), flat)
-
-    def test_shard_access(self):
-        sharded = FSDPShardedParameters(np.arange(8, dtype=float), group_size=4)
-        assert sharded.shard(2).tolist() == [4.0, 5.0]
-        with pytest.raises(ValueError):
-            sharded.shard(5)
-
-    def test_reduce_scatter_sums_gradients(self):
-        flat = np.zeros(8)
-        sharded = FSDPShardedParameters(flat, group_size=2)
-        grads = [np.ones(8), 2 * np.ones(8)]
-        reduced = sharded.reduce_scatter(grads)
-        assert reduced.shape == (2, 4)
-        assert np.all(reduced == 3.0)
-
-    def test_reduce_scatter_validation(self):
-        sharded = FSDPShardedParameters(np.zeros(8), group_size=2)
-        with pytest.raises(ValueError):
-            sharded.reduce_scatter([np.zeros(8)])
-        with pytest.raises(ValueError):
-            sharded.reduce_scatter([np.zeros(7), np.zeros(8)])
-
-    def test_apply_sharded_update(self):
-        sharded = FSDPShardedParameters(np.zeros(8), group_size=2)
-        sharded.apply_sharded_update(np.ones((2, 4)))
-        assert np.all(sharded.all_gather() == 1.0)
-
-    def test_communication_volumes(self):
-        sharded = FSDPShardedParameters(np.zeros(16), group_size=4,
-                                        bytes_per_element=2)
-        expected = 3 / 4 * 16 * 2
-        assert sharded.all_gather_bytes_per_rank() == pytest.approx(expected)
-        assert sharded.reduce_scatter_bytes_per_rank() == pytest.approx(expected)
-
-    def test_volume_matches_fsep_comparison(self):
-        """The FSDP volume formula matches comm_analysis.fsdp_allgather_volume."""
-        from repro.core.comm_analysis import fsdp_allgather_volume
-        psi = 1000
-        sharded = FSDPShardedParameters(np.zeros(2 * psi), group_size=8,
-                                        bytes_per_element=2)
-        assert sharded.all_gather_bytes_per_rank() == pytest.approx(
-            fsdp_allgather_volume(capacity=2, fsdp_size=8,
-                                  expert_param_bytes=psi * 2))
-
-
-class TestExpertParallelGroups:
-    def test_group_structure(self, paper_topology):
-        groups = ExpertParallelGroups(paper_topology, ep_size=4, num_experts=8)
-        assert groups.experts_per_device == 2
-        assert groups.fsdp_size == 8
-        assert groups.ep_group(0) == [0, 1, 2, 3]
-        assert groups.ep_group(5) == [4, 5, 6, 7]
-
-    def test_ownership(self, paper_topology):
-        groups = ExpertParallelGroups(paper_topology, ep_size=4, num_experts=8)
-        assert groups.experts_of(0) == [0, 1]
-        assert groups.experts_of(1) == [2, 3]
-        assert groups.owner_of(0, 5) == 2
-        assert groups.owner_of(6, 5) == 6
-
-    def test_fsdp_group_spans_ep_groups(self, paper_topology):
-        groups = ExpertParallelGroups(paper_topology, ep_size=4, num_experts=8)
-        assert groups.fsdp_group(0) == [0, 4, 8, 12, 16, 20, 24, 28]
-
-    def test_ownership_matrix(self, paper_topology):
-        groups = ExpertParallelGroups(paper_topology, ep_size=4, num_experts=8)
-        matrix = groups.ownership_matrix()
-        assert matrix.shape == (32, 8)
-        assert np.all(matrix.sum(axis=1) == 2)
-        assert np.all(matrix.sum(axis=0) == 8)
-
-    def test_validation(self, paper_topology):
-        with pytest.raises(ValueError):
-            ExpertParallelGroups(paper_topology, ep_size=5, num_experts=8)
-        with pytest.raises(ValueError):
-            ExpertParallelGroups(paper_topology, ep_size=4, num_experts=6)
-        groups = ExpertParallelGroups(paper_topology, ep_size=4, num_experts=8)
-        with pytest.raises(ValueError):
-            groups.owner_of(0, 99)
 
 
 class TestTensorParallelCost:

@@ -61,13 +61,6 @@ class TestComponentCosts:
             plan[dev, :, dev] = 10
         assert sim.token_a2a_time(plan) == 0.0
 
-    def test_expert_time_max_vs_mean(self, small_topology):
-        sim = make_simulator(small_topology)
-        n = small_topology.num_devices
-        plan = np.zeros((n, 8, n), dtype=np.int64)
-        plan[:, :, 0] = 10  # everything lands on device 0
-        assert sim.expert_forward_time(plan) > sim.expert_forward_time_mean(plan)
-
     def test_exposed_time_from_bytes(self, small_topology):
         sim = make_simulator(small_topology)
         assert sim.exposed_time_from_bytes(0.0) == 0.0

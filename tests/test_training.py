@@ -76,11 +76,6 @@ class TestTrainer:
         assert result.final_loss(window=2) == pytest.approx(
             np.mean(result.lm_losses[-2:]))
 
-    def test_train_step_returns_stats(self, config, dataset):
-        trainer = make_trainer(config, dataset)
-        stats = trainer.train_step(0)
-        assert set(stats) == {"loss", "lm_loss", "aux_loss"}
-
     def test_aux_loss_weight_changes_trajectory(self, config, dataset):
         plain = make_trainer(config, dataset, aux_loss_weight=0.0).train(6)
         heavy = make_trainer(config, dataset, aux_loss_weight=1.0).train(6)

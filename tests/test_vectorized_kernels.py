@@ -12,17 +12,12 @@ import numpy as np
 import pytest
 
 from repro.cluster.collectives import CollectiveCostModel
-from repro.cluster.topology import (
-    LINK_TYPE_ORDER,
-    ClusterTopology,
-    group_by_node,
-)
+from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout, static_ep_layout
 from repro.core.lite_routing import (
     _split_evenly,
     _split_evenly_batched,
     lite_route,
-    lite_route_single_rank,
 )
 from repro.scalar_reference import (
     scalar_all_to_all,
@@ -77,23 +72,19 @@ class TestTopologyMatrices:
         n = topo.num_devices
         bw = topo.bandwidth_matrix()
         lat = topo.latency_matrix()
-        kinds = topo.link_type_matrix()
         for i in range(n):
             for j in range(n):
                 assert bw[i, j] == topo.bandwidth(i, j)
                 assert lat[i, j] == topo.latency(i, j)
-                assert LINK_TYPE_ORDER[kinds[i, j]] is topo.link_type(i, j)
 
     def test_group_slice_matches_global_ranks(self, topo):
         group = [1, 4, 9, 14]
         bw = topo.bandwidth_matrix(group)
         lat = topo.latency_matrix(group)
-        kinds = topo.link_type_matrix(group)
         for a, ga in enumerate(group):
             for b, gb in enumerate(group):
                 assert bw[a, b] == topo.bandwidth(ga, gb)
                 assert lat[a, b] == topo.latency(ga, gb)
-                assert LINK_TYPE_ORDER[kinds[a, b]] is topo.link_type(ga, gb)
 
     def test_full_matrices_are_cached_and_read_only(self, topo):
         first = topo.bandwidth_matrix()
@@ -106,16 +97,6 @@ class TestTopologyMatrices:
     def test_device_nodes_matches_node(self, topo):
         nodes = topo.device_nodes()
         assert [topo.node(d) for d in range(topo.num_devices)] == nodes.tolist()
-
-    def test_group_by_node_matches_scalar(self, topo):
-        devices = [3, 0, 7, 12, 5, 15]
-        groups = group_by_node(topo, devices)
-        expected = [[] for _ in range(topo.num_nodes)]
-        for dev in devices:
-            expected[topo.node(dev)].append(dev)
-        assert groups == expected
-        with pytest.raises(ValueError):
-            group_by_node(topo, [99])
 
 
 # ----------------------------------------------------------------------
@@ -215,16 +196,6 @@ class TestLiteRoutingEquivalence:
         layout = static_ep_layout(8, 8, 2)
         assert np.array_equal(lite_route(routing, layout, topology),
                               scalar_lite_route(routing, layout, topology))
-
-    def test_single_rank_matches_batched_rows(self, topology):
-        rng = np.random.default_rng(6)
-        routing = rng.integers(0, 50, size=(8, 8)).astype(np.int64)
-        layout = random_replicated_layout(rng, 8, 8, capacity=8)
-        plan = lite_route(routing, layout, topology)
-        for rank in range(8):
-            assert np.array_equal(
-                lite_route_single_rank(routing[rank], layout, topology, rank),
-                plan[rank])
 
     def test_missing_replica_still_raises(self, topology):
         layout = ExpertLayout(np.zeros((8, 2), dtype=np.int64), capacity=1)

@@ -82,16 +82,6 @@ class TestRoutingTrace:
         assert trace.iteration(1).shape == (2, 8, 8)
         assert trace.layer(1, 0).shape == (8, 8)
 
-    def test_iter_layers_count(self):
-        trace = make_generator().generate(3)
-        assert sum(1 for _ in trace.iter_layers()) == 6
-
-    def test_slice_iterations(self):
-        trace = make_generator().generate(6)
-        sliced = trace.slice_iterations(2, 5)
-        assert sliced.num_iterations == 3
-        assert np.array_equal(sliced.routing[0], trace.routing[2])
-
     def test_remap_devices_preserves_expert_totals(self):
         trace = make_generator().generate(2)
         remapped = trace.remap_devices(16)
