@@ -8,7 +8,7 @@ do the work they claim, then asserts its floor.  Absolute end-to-end
 timings of the same entry points, layer by layer, are the repository
 benchmark's job (``perfbench/``, declared in ``BENCHMARK.json``).
 
-Run with ``python -m pytest benchmarks -q`` (about 10 s).
+Run with ``python -m pytest benchmarks -q`` (about 25 s).
 """
 
 from __future__ import annotations
@@ -37,12 +37,16 @@ from repro.core.cost_model import MoECostModel
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.core.lite_routing import lite_route, lite_route_batch
 from repro.core.relocation import relocate_experts
+from repro.core.replica_allocation import (
+    allocate_replicas_priority_queue,
+    even_replicas,
+)
 from repro.fleet import launch_fleet
 from repro.scalar_reference import (
     scalar_all_to_all,
     scalar_draw_routing_frame,
     scalar_lite_route,
-    scalar_select_device,
+    scalar_relocate_experts,
 )
 from repro.serve import ReproServer, ServeClient
 from repro.store import FIXED_CREATED_AT_ENV, ResultStore
@@ -52,11 +56,17 @@ from repro.telemetry.trace import active as active_tracer
 from repro.telemetry.trace import span
 from repro.telemetry.trace import uninstall as uninstall_tracer
 from repro.workloads.model_configs import get_model_config
+from repro.workloads.scenarios import (
+    ScenarioContext,
+    default_runnable_scenarios,
+    make_scenario,
+)
 
 #: Speedup floors (fast path over the path it replaces).
 ALL_TO_ALL_FLOOR = 10.0
 RUN_EXPERIMENT_FLOOR = 5.0
 TUNER_BATCH_FLOOR = 2.0
+PLANNER_STEP_FLOOR = 5.0
 HOT_OVER_COLD_FLOOR = 20.0
 SEARCH_RESUME_FLOOR = 3.0
 
@@ -128,8 +138,8 @@ def scalar_kernels():
         "draw_routing_frame": (traces_mod.draw_routing_frame,
                                scalar_draw_routing_frame),
         "lite_route": (lite_routing_mod.lite_route, scalar_lite_route),
-        "_select_device": (relocation_mod._select_device,
-                           scalar_select_device),
+        "relocate_experts": (relocation_mod.relocate_experts,
+                             scalar_relocate_experts),
     }
     vectorized_all_to_all = CollectiveCostModel.all_to_all
     CollectiveCostModel.all_to_all = scalar_all_to_all
@@ -215,17 +225,63 @@ def test_batched_tuner_eval_beats_per_candidate_loop():
     assert _speedup(per_candidate, batched, 20) >= TUNER_BATCH_FLOOR
 
 
+def test_compact_planner_step_beats_scalar_kernels():
+    """Routing plus relocation at 1024 devices: the compact plans and the
+    heap placement against the dense per-rank route and the per-replica
+    device scan.  Both must agree exactly on the pq and even schemes of the
+    first frame of every runnable registered scenario; the drifting frame
+    is timed."""
+    config = get_model_config("mixtral-8x7b-e8k2")
+    topology = ClusterTopology(num_nodes=128, devices_per_node=8)
+    n, e, c = topology.num_devices, config.num_experts, config.expert_capacity
+
+    def step(relocate, route, routing, loads, schemes):
+        layouts = [relocate(replicas, loads, topology, c)
+                   for replicas in schemes]
+        return layouts, [route(routing, layout, topology)
+                         for layout in layouts]
+
+    timed = None
+    for scenario in sorted(default_runnable_scenarios()):
+        ctx = ScenarioContext(num_devices=n, num_experts=e, num_layers=1,
+                              tokens_per_device=TOKENS_PER_DEVICE,
+                              top_k=config.top_k, iterations=1, seed=3)
+        routing = next(iter(make_scenario(scenario, ctx).iter_iterations()))[0]
+        loads = routing.sum(axis=0)
+        problem = (routing, loads,
+                   (allocate_replicas_priority_queue(loads, n, e, c),
+                    even_replicas(n, e, c)))
+        layouts, plans = step(relocate_experts, lite_route, *problem)
+        scalar_layouts, scalar_plans = step(
+            scalar_relocate_experts, scalar_lite_route, *problem)
+        assert layouts == scalar_layouts, scenario
+        for plan, scalar in zip(plans, scalar_plans):
+            dense = scalar.to_dense()
+            assert np.array_equal(plan.to_dense(), dense), scenario
+            assert np.array_equal(plan.pairwise(), dense.sum(axis=1))
+            assert np.array_equal(plan.tokens_per_device(),
+                                  dense.sum(axis=(0, 1)))
+        if scenario == "drifting":
+            timed = problem
+
+    speedup = _speedup(
+        lambda: step(scalar_relocate_experts, scalar_lite_route, *timed),
+        lambda: step(relocate_experts, lite_route, *timed), 3)
+    assert speedup >= PLANNER_STEP_FLOOR
+
+
 # ----------------------------------------------------------------------
 # Caches and resumability vs the work they save
 # ----------------------------------------------------------------------
 def test_serve_cache_hits_beat_misses(tmp_path):
     def spec(seed: int) -> ExperimentSpec:
-        # Heavy enough that a miss measures simulation, not HTTP framing.
+        # Heavy enough that a miss measures simulation, not HTTP framing:
+        # about 60 ms of run_experiment on a 2-vCPU host.
         return ExperimentSpec(
             name="bench-serve",
             cluster=ClusterSpec(num_nodes=2, devices_per_node=8),
             workload=WorkloadSpec(tokens_per_device=8192, layers=2,
-                                  iterations=8, warmup=2, seed=seed),
+                                  iterations=20, warmup=2, seed=seed),
             systems=("laer",), reference="laer")
 
     cold = [spec(100), spec(101)]

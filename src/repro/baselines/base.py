@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout
+from repro.core.routing_plan import RoutingPlan
 
 
 @dataclass
@@ -35,7 +36,8 @@ class PolicyDecision:
 
     Attributes:
         layout: Expert layout ``A`` used during the iteration.
-        routing_plan: Token routing plan ``S`` of shape ``(N, E, N)``.
+        routing_plan: Token routing plan ``S``: per (sender, expert), the
+            destination devices and their token counts.
         relayout_bytes_exposed: Per-device bytes of re-layout traffic that sit
             on the critical path of this iteration (0 when nothing changed or
             the system hides re-layout entirely).
@@ -45,7 +47,7 @@ class PolicyDecision:
     """
 
     layout: ExpertLayout
-    routing_plan: np.ndarray
+    routing_plan: RoutingPlan
     relayout_bytes_exposed: float = 0.0
     grad_sync_extra_bytes: float = 0.0
     metadata: dict = field(default_factory=dict)

@@ -15,9 +15,10 @@ from typing import Optional
 import numpy as np
 
 from repro.baselines.base import LoadBalancingPolicy, PolicyDecision
-from repro.baselines.static_ep import ep_group_route
+from repro.baselines.static_ep import ep_owners
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout, static_ep_layout
+from repro.core.routing_plan import RoutingPlan
 
 
 class FasterMoEPolicy(LoadBalancingPolicy):
@@ -83,11 +84,9 @@ class FasterMoEPolicy(LoadBalancingPolicy):
 
         # Routing: shadowed experts are computed locally, the rest follow the
         # classic EP route.
-        plan = ep_group_route(routing, self.capacity)
-        for expert in shadows:
-            plan[:, expert, :] = 0
-            for sender in range(n):
-                plan[sender, expert, sender] = routing[sender, expert]
+        owners = ep_owners(n, self.num_experts, self.capacity)
+        owners[:, shadows] = np.arange(n)[:, None]
+        plan = RoutingPlan.from_owners(routing, owners)
 
         # Broadcast of shadow parameters (each device receives each shadowed
         # expert once) and All-Reduce of their gradients (2x volume, ring).

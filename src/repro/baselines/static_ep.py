@@ -14,36 +14,41 @@ import numpy as np
 from repro.baselines.base import LoadBalancingPolicy, PolicyDecision
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout, static_ep_layout
+from repro.core.routing_plan import RoutingPlan
 
 
-def ep_group_route(routing: np.ndarray, capacity: int) -> np.ndarray:
-    """Classic EP routing: tokens go to the expert owner inside the sender's group.
+def ep_owners(num_devices: int, num_experts: int, capacity: int) -> np.ndarray:
+    """``(N, E)`` classic EP owner table: the device that computes sender
+    ``i``'s tokens for expert ``j``.
 
     The devices are organised in rows of ``P_ep = E / C`` consecutive ranks;
-    sender ``i`` sends tokens for expert ``j`` to the device of its own row
-    whose EP rank is ``j // C``.
+    the owner is the device of the sender's own row whose EP rank is
+    ``j // C``.
+    """
+    if num_experts % capacity != 0:
+        raise ValueError("num_experts must be a multiple of capacity")
+    p_ep = num_experts // capacity
+    if num_devices % p_ep != 0:
+        raise ValueError("num_devices must be a multiple of E/C")
+    row_start = (np.arange(num_devices) // p_ep) * p_ep
+    return row_start[:, None] + np.arange(num_experts)[None, :] // capacity
+
+
+def ep_group_route(routing: np.ndarray, capacity: int) -> RoutingPlan:
+    """Classic EP routing: tokens go to the expert owner inside the sender's group.
 
     Args:
         routing: ``(N, E)`` routing matrix ``R``.
         capacity: Experts per device ``C``.
 
     Returns:
-        ``(N, E, N)`` plan ``S``.
+        The plan ``S`` with one destination per (sender, expert) row, the
+        owner from :func:`ep_owners`.
     """
     routing = np.asarray(routing, dtype=np.int64)
     num_devices, num_experts = routing.shape
-    if num_experts % capacity != 0:
-        raise ValueError("num_experts must be a multiple of capacity")
-    p_ep = num_experts // capacity
-    if num_devices % p_ep != 0:
-        raise ValueError("num_devices must be a multiple of E/C")
-    plan = np.zeros((num_devices, num_experts, num_devices), dtype=np.int64)
-    for sender in range(num_devices):
-        row_start = (sender // p_ep) * p_ep
-        for expert in range(num_experts):
-            owner = row_start + expert // capacity
-            plan[sender, expert, owner] = routing[sender, expert]
-    return plan
+    return RoutingPlan.from_owners(
+        routing, ep_owners(num_devices, num_experts, capacity))
 
 
 class StaticEPPolicy(LoadBalancingPolicy):

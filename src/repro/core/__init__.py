@@ -12,6 +12,8 @@ Modules:
   reshard of flattened expert parameters with arbitrary layouts (Fig. 4).
 * :mod:`repro.core.cost_model` -- the joint communication + computation cost
   model of Sec. 3.2 (Eq. 2-4).
+* :mod:`repro.core.routing_plan` -- the compact token routing plan ``S``
+  (per (sender, expert) destination rows).
 * :mod:`repro.core.lite_routing` -- Algorithm 3 (token dispatcher).
 * :mod:`repro.core.replica_allocation` -- Algorithm 4 (priority-queue replica
   allocation).
@@ -32,6 +34,7 @@ Modules:
 from repro.core.layout import ExpertLayout, static_ep_layout
 from repro.core.fsep import FSEPShardedExperts, UnshardResult, ReshardResult
 from repro.core.cost_model import MoECostModel, CostBreakdown
+from repro.core.routing_plan import RoutingPlan
 from repro.core.lite_routing import lite_route
 from repro.core.replica_allocation import allocate_replicas_priority_queue, even_replicas
 from repro.core.relocation import relocate_experts
@@ -52,6 +55,7 @@ __all__ = [
     "ReshardResult",
     "MoECostModel",
     "CostBreakdown",
+    "RoutingPlan",
     "lite_route",
     "allocate_replicas_priority_queue",
     "even_replicas",

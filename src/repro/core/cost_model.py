@@ -2,7 +2,8 @@
 
 Given an expert re-layout strategy ``A`` and a token routing strategy ``S``
 (``S[i, j, k]`` = tokens on device ``i`` routed to expert ``j`` that are sent
-to device ``k``), the planner minimises
+to device ``k``, held as a compact
+:class:`~repro.core.routing_plan.RoutingPlan`), the planner minimises
 
 ``T = T_comm + T_comp``
 
@@ -11,6 +12,8 @@ the four All-to-All operations per MoE layer (dispatch + combine, forward and
 backward) and ``T_comp = (3 + F_ckpt) * max_i V_comp * tokens_i / B_comp``
 takes the slowest device's expert computation, counting backward as twice the
 forward cost and one extra forward when activation checkpointing is enabled.
+Both terms read only the plan's ``(N, N)`` pairwise traffic and ``(N,)``
+per-device token counts.
 
 The same class also validates the constraints (3)-(4): every device restores at
 most ``C`` distinct experts and every routed token reaches a device that hosts
@@ -25,6 +28,7 @@ import numpy as np
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout
+from repro.core.routing_plan import RoutingPlan, reduce_plans
 from repro.workloads.model_configs import MoEModelConfig
 
 
@@ -112,47 +116,51 @@ class MoECostModel:
     # ------------------------------------------------------------------
     # Cost terms
     # ------------------------------------------------------------------
-    def comm_time(self, routing_plan: np.ndarray) -> float:
-        """``T_comm`` for a routing plan ``S`` of shape ``(N, E, N)``."""
-        plan = self._check_plan(routing_plan)
+    def comm_time(self, routing_plan: RoutingPlan) -> float:
+        """``T_comm`` for a routing plan ``S``."""
         # Tokens sent from i to k, over all experts.
-        pairwise = plan.sum(axis=1)
-        seconds = float(np.sum(pairwise * self._inv_bw))
+        seconds = float(np.sum(routing_plan.pairwise() * self._inv_bw))
         return self.num_all_to_all * self.comm_bytes_per_token * seconds
 
-    def tokens_per_device(self, routing_plan: np.ndarray) -> np.ndarray:
-        """Token-expert assignments computed on each destination device."""
-        plan = self._check_plan(routing_plan)
-        return plan.sum(axis=(0, 1))
-
-    def comp_time(self, routing_plan: np.ndarray) -> float:
+    def comp_time(self, routing_plan: RoutingPlan) -> float:
         """``T_comp`` -- slowest device's forward+backward expert compute."""
-        tokens = self.tokens_per_device(routing_plan)
+        tokens = routing_plan.tokens_per_device()
         forward_factor = 3.0 + (1.0 if self.activation_checkpointing else 0.0)
         forward_time = tokens.max() * self.compute_flops_per_token / self.device_flops
         return float(forward_factor * forward_time)
 
-    def evaluate(self, routing_plan: np.ndarray) -> CostBreakdown:
-        """Evaluate the full objective ``T = T_comm + T_comp`` for a plan."""
-        comm = self.comm_time(routing_plan)
-        tokens = self.tokens_per_device(routing_plan)
+    def _breakdown(self, pairwise: np.ndarray,
+                   tokens: np.ndarray) -> CostBreakdown:
+        """The objective from a plan's pairwise traffic and device loads."""
+        if pairwise.shape != self._inv_bw.shape:
+            raise ValueError(
+                f"routing plan covers {pairwise.shape[0]} devices, the "
+                f"topology {self.topology.num_devices}")
+        seconds = float(np.sum(pairwise * self._inv_bw))
+        comm = self.num_all_to_all * self.comm_bytes_per_token * seconds
         forward_factor = 3.0 + (1.0 if self.activation_checkpointing else 0.0)
-        comp = float(forward_factor * tokens.max()
+        peak = tokens.max()
+        comp = float(forward_factor * peak
                      * self.compute_flops_per_token / self.device_flops)
         return CostBreakdown(
             total=comm + comp,
             comm_time=comm,
             comp_time=comp,
             tokens_per_device=tokens,
-            max_tokens=int(tokens.max()),
+            max_tokens=int(peak),
         )
 
-    def evaluate_batch(self, routing_plans: np.ndarray) -> list:
-        """Evaluate ``M`` candidate plans at once (shape ``(M, N, E, N)``).
+    def evaluate(self, routing_plan: RoutingPlan) -> CostBreakdown:
+        """Evaluate the full objective ``T = T_comm + T_comp`` for a plan."""
+        return self._breakdown(routing_plan.pairwise(),
+                               routing_plan.tokens_per_device())
 
-        Bit-identical to calling :meth:`evaluate` on each plan: the heavy
-        elementwise work (summing the plans down to pairwise traffic and
-        per-device token counts) is vectorized across candidates, while the
+    def evaluate_batch(self, routing_plans: "list[RoutingPlan]") -> list:
+        """Evaluate ``M`` candidate plans at once.
+
+        Bit-identical to calling :meth:`evaluate` on each plan: one stacked
+        ``np.bincount`` reduces every plan to its pairwise traffic and
+        per-device token counts (integers in float64, so exact), while the
         order-sensitive float reductions -- ``sum(pairwise * 1/bw)`` and the
         final scalar arithmetic -- run per candidate on contiguous slices,
         so they see exactly the operand order of the scalar path.
@@ -160,39 +168,14 @@ class MoECostModel:
         Returns:
             ``[CostBreakdown, ...]`` in candidate order.
         """
-        plans = np.asarray(routing_plans, dtype=np.float64)
-        n = self.topology.num_devices
-        if plans.ndim != 4 or plans.shape[1] != n or plans.shape[3] != n:
-            raise ValueError(
-                f"routing plans must have shape (M, N, E, N) with N={n}, "
-                f"got {plans.shape}")
-        if np.any(plans < 0):
-            raise ValueError("routing plan entries must be non-negative")
-        # Token counts are integers stored as float64, so these sums are
-        # exact regardless of reduction order.
-        pairwise = plans.sum(axis=2)            # (M, N, N)
-        tokens = plans.sum(axis=(1, 2))         # (M, N)
-        forward_factor = 3.0 + (1.0 if self.activation_checkpointing else 0.0)
-        results = []
-        for m in range(plans.shape[0]):
-            seconds = float(np.sum(pairwise[m] * self._inv_bw))
-            comm = self.num_all_to_all * self.comm_bytes_per_token * seconds
-            device_tokens = tokens[m]
-            comp = float(forward_factor * device_tokens.max()
-                         * self.compute_flops_per_token / self.device_flops)
-            results.append(CostBreakdown(
-                total=comm + comp,
-                comm_time=comm,
-                comp_time=comp,
-                tokens_per_device=device_tokens,
-                max_tokens=int(device_tokens.max()),
-            ))
-        return results
+        pairwise, tokens = reduce_plans(list(routing_plans))
+        return [self._breakdown(pairwise[m], tokens[m])
+                for m in range(pairwise.shape[0])]
 
     # ------------------------------------------------------------------
     # Constraint checking (Eq. 3-4)
     # ------------------------------------------------------------------
-    def check_constraints(self, layout: ExpertLayout, routing_plan: np.ndarray,
+    def check_constraints(self, layout: ExpertLayout, routing_plan: RoutingPlan,
                           routing: np.ndarray) -> None:
         """Validate the planner constraints for ``(A, S)`` against ``R``.
 
@@ -200,34 +183,21 @@ class MoECostModel:
 
         * capacity: each device restores at most ``C`` distinct experts;
         * completeness: every expert is restored somewhere;
-        * conservation (Eq. 4): ``sum_k S[i, j, k] == R[i, j]``;
-        * placement: ``S[i, j, k] > 0`` only if device ``k`` restores expert
-          ``j`` (``A[k, j] > 0``).
+        * conservation (Eq. 4): each (sender, expert) row of ``S`` sums to
+          ``R[i, j]``;
+        * placement: every entry that carries tokens for expert ``j`` goes
+          to a device ``k`` that restores it (``A[k, j] > 0``).
         """
-        plan = self._check_plan(routing_plan)
         routing = np.asarray(routing)
         n, e = routing.shape
-        if plan.shape != (n, e, n):
+        if (routing_plan.num_devices, routing_plan.num_experts) != (n, e):
             raise ValueError("routing plan shape does not match routing matrix")
         layout.validate()
         if np.any(layout.experts_used_per_device() > layout.capacity):
             raise ValueError("a device restores more distinct experts than C")
-        sums = plan.sum(axis=2)
-        if not np.array_equal(sums, routing):
+        if not np.array_equal(routing_plan.row_sums(), routing):
             raise ValueError("routing plan does not conserve token counts (Eq. 4)")
-        hosted = layout.assignment.T > 0  # (E, N)
-        violations = plan.sum(axis=0) * (~hosted)
-        if np.any(violations > 0):
+        carries = routing_plan.tokens > 0
+        experts = routing_plan.rows()[carries] % e
+        if np.any(layout.assignment[routing_plan.dest[carries], experts] <= 0):
             raise ValueError("tokens routed to a device that does not host the expert")
-
-    # ------------------------------------------------------------------
-    def _check_plan(self, routing_plan: np.ndarray) -> np.ndarray:
-        plan = np.asarray(routing_plan, dtype=np.float64)
-        n = self.topology.num_devices
-        if plan.ndim != 3 or plan.shape[0] != n or plan.shape[2] != n:
-            raise ValueError(
-                f"routing plan must have shape (N, E, N) with N={n}, "
-                f"got {plan.shape}")
-        if np.any(plan < 0):
-            raise ValueError("routing plan entries must be non-negative")
-        return plan

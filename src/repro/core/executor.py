@@ -31,6 +31,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.fsep import FSEPShardedExperts
 from repro.core.layout import ExpertLayout
 from repro.core.lite_routing import lite_route
+from repro.core.routing_plan import RoutingPlan
 from repro.model.expert import SwiGLUExpert
 from repro.model.moe_layer import MoELayer
 from repro.workloads.routing_traces import routing_from_assignments
@@ -44,7 +45,7 @@ class DistributedMoEOutput:
         output: ``(batch, seq, hidden)`` MoE layer output (identical to the
             reference layer's output up to floating-point summation order).
         routing: ``(N, E)`` observed routing matrix of this batch.
-        routing_plan: ``(N, E, N)`` token routing plan used for dispatch.
+        routing_plan: Token routing plan ``S`` used for dispatch.
         layout: Expert layout used for the unshard.
         tokens_per_device: ``(N,)`` expert-token assignments each device computed.
         unshard_bytes: Total parameter-restore traffic in bytes.
@@ -54,7 +55,7 @@ class DistributedMoEOutput:
 
     output: np.ndarray
     routing: np.ndarray
-    routing_plan: np.ndarray
+    routing_plan: RoutingPlan
     layout: ExpertLayout
     tokens_per_device: np.ndarray
     unshard_bytes: float
@@ -139,7 +140,8 @@ class FSEPExecutor:
         unshard = self.sharded.unshard(layout)
 
         # Assign each (token, slot) pair to a destination device according to
-        # the plan, per (source device, expert) in deterministic token order.
+        # the plan, per (source device, expert) in deterministic token order:
+        # the row's destinations ascend, so tokens fill devices in order.
         dest_device = np.full(gating.expert_indices.shape, -1, dtype=np.int64)
         for src, token_idx in enumerate(device_tokens):
             if token_idx.size == 0:
@@ -151,10 +153,11 @@ class FSEPExecutor:
                     continue
                 order = np.argsort(rows, kind="stable")
                 rows, cols = rows[order], cols[order]
-                split = plan[src, expert]
+                row = src * self.num_experts + expert
+                lo, hi = plan.offsets[row], plan.offsets[row + 1]
                 cursor = 0
-                for dst in range(self.num_devices):
-                    count = int(split[dst])
+                for dst, count in zip(plan.dest[lo:hi].tolist(),
+                                      plan.tokens[lo:hi].tolist()):
                     if count == 0:
                         continue
                     sel = slice(cursor, cursor + count)

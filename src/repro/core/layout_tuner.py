@@ -23,12 +23,13 @@ from repro.core.cost_model import CostBreakdown, MoECostModel
 from repro.core.layout import ExpertLayout
 from repro.core.lite_routing import lite_route_batch
 from repro.core.relocation import relocate_experts
-from repro.telemetry.trace import span as _span
 from repro.core.replica_allocation import (
     allocate_replicas_priority_queue,
     even_replicas,
     perturb_replicas,
 )
+from repro.core.routing_plan import RoutingPlan
+from repro.telemetry.trace import span as _span
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class TunerResult:
     """
 
     layout: ExpertLayout
-    routing_plan: np.ndarray
+    routing_plan: RoutingPlan
     cost: CostBreakdown
     candidates_evaluated: int
     candidate_costs: List[float] = field(default_factory=list)
@@ -133,10 +134,12 @@ class ExpertLayoutTuner:
         num_experts = routing.shape[1]
         expert_loads = routing.sum(axis=0)
 
-        layouts = [relocate_experts(replicas, expert_loads, self.topology,
-                                    self.capacity)
-                   for replicas in self.candidate_replica_schemes(
-                       expert_loads, num_experts)]
+        schemes = self.candidate_replica_schemes(expert_loads, num_experts)
+        with _span("planner.relocate",
+                   replicas=int(sum(scheme.sum() for scheme in schemes))):
+            layouts = [relocate_experts(replicas, expert_loads, self.topology,
+                                        self.capacity)
+                       for replicas in schemes]
 
         # One batched lite-route + cost evaluation over the whole candidate
         # set, bit-identical to scoring each candidate with lite_route and

@@ -8,99 +8,152 @@ to.  The algorithm is topology-aware and requires no global coordination:
   split evenly among those intra-node replicas (keeping traffic on NVLink);
 * otherwise tokens are split evenly among **all** replicas across the cluster.
 
-The result is the routing plan ``S[i, j, k]`` consumed by the cost model, the
-All-to-All dispatcher and the iteration simulator.
+The result is the routing plan ``S`` (a compact
+:class:`~repro.core.routing_plan.RoutingPlan`: one row of destinations per
+(sender, expert)) consumed by the cost model, the All-to-All dispatcher and
+the iteration simulator.  A node is a contiguous range of devices, so the
+targets of a (node, expert) pair are one contiguous slice of the expert's
+device-sorted replica list, and every sender on every node (and every
+candidate layout of a batch) is routed in one vectorized pass.
 """
 
 from __future__ import annotations
+
+from typing import List
 
 import numpy as np
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout
+from repro.core.routing_plan import RoutingPlan
 
 
-def _split_evenly_batched(totals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`_split_evenly`: split ``totals[m]`` along ``weights[m]``.
+def _split_rows(totals: np.ndarray, offsets: np.ndarray, rows: np.ndarray,
+                weights: np.ndarray) -> np.ndarray:
+    """Split ``totals[r]`` over the positive ``weights`` of row ``r``.
 
-    Args:
-        totals: ``(M,)`` non-negative token counts.
-        weights: ``(M, K)`` non-negative weights; every row whose total is
-            positive must have a positive weight sum (rows with a zero total
-            yield all zeros and their weights are ignored).
+    Row ``r`` owns ``weights[offsets[r]:offsets[r + 1]]`` (``rows`` names
+    the row of every entry).  Each entry first gets the floor of its
+    proportional share; a row's leftover tokens then go one each to its
+    largest fractional shares, ties to the earlier entry.  A row with a
+    positive total must own at least one entry.
 
     Returns:
-        ``(M, K)`` int64 splits, each row exactly equal to
-        ``_split_evenly(totals[m], weights[m])``: floor of the proportional
-        share first, leftovers to the largest fractional shares with ties
-        broken by index.
+        ``(len(weights),)`` int64 token counts, each row summing to its total.
     """
-    totals = np.asarray(totals, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
-    if np.any(totals < 0):
-        raise ValueError("total must be non-negative")
-    weight_sums = weights.sum(axis=1)
-    active = totals > 0
-    if np.any(active & (weight_sums <= 0)):
-        raise ValueError("weights must sum to a positive value")
-    safe_sums = np.where(weight_sums > 0, weight_sums, 1.0)
-    raw = totals[:, None] * weights / safe_sums[:, None]
+    sums = np.bincount(rows, weights=weights, minlength=totals.size)
+    raw = totals[rows] * weights / sums[rows]
     base = np.floor(raw).astype(np.int64)
-    remainder = totals - base.sum(axis=1)
-    frac = raw - base
-    # Rank the fractional shares per row (stable => ties broken by index)
-    # and hand each row's leftover tokens to its top-`remainder` ranks.
-    order = np.argsort(-frac, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    rows = np.arange(order.shape[0])[:, None]
-    ranks[rows, order] = np.arange(order.shape[1])[None, :]
-    base += ranks < remainder[:, None]
-    return base
+    leftover = totals - np.bincount(
+        rows, weights=base, minlength=totals.size).astype(np.int64)
+    # Rank the entries of every row by descending fraction; lexsort is
+    # stable, so equal fractions keep their entry order.
+    order = np.lexsort((-(raw - base), rows))
+    rank = np.arange(rows.size) - offsets[:-1][rows]
+    bonus = np.empty(rows.size, dtype=np.int64)
+    bonus[order] = rank < leftover[rows]
+    return base + bonus
 
 
 def _split_evenly(total: int, weights: np.ndarray) -> np.ndarray:
     """Split ``total`` integer tokens proportionally to ``weights``.
 
     The split is deterministic: the integer floor of the proportional share is
-    assigned first and the remaining tokens are handed out one-by-one in index
-    order, so tests (and all devices running the algorithm independently)
-    agree on the result.
+    assigned first and the remaining tokens are handed out one-by-one to the
+    largest fractional shares (ties by index), so tests (and all devices
+    running the algorithm independently) agree on the result.  Zero weights
+    receive nothing.
     """
-    weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+    weights = np.asarray(weights, dtype=np.float64)
     if total < 0:
         raise ValueError("total must be non-negative")
     if weights.sum() <= 0:
         raise ValueError("weights must sum to a positive value")
-    return _split_evenly_batched(np.asarray([total]), weights)[0]
+    positive = np.nonzero(weights > 0)[0]
+    split = np.zeros(weights.shape, dtype=np.int64)
+    split[positive] = _split_rows(
+        np.asarray([total], dtype=np.int64),
+        np.asarray([0, positive.size]),
+        np.zeros(positive.size, dtype=np.int64), weights[positive])
+    return split
 
 
-def _node_target_weights(layout: ExpertLayout, topology: ClusterTopology,
-                         node: int) -> np.ndarray:
-    """Per-expert ``(E, N)`` split weights for senders hosted on ``node``.
+def _route(routing: np.ndarray, layouts: "list[ExpertLayout]",
+           topology: ClusterTopology) -> List[RoutingPlan]:
+    """Lite-route ``routing`` onto every layout in one vectorized pass."""
+    m = len(layouts)
+    n, num_experts = routing.shape
+    per_node = topology.devices_per_node
+    nodes = topology.num_nodes
+    # Every replica of every (candidate, expert), sorted by device: the
+    # nonzeros of the stacked (M, E, N) replica counts in C order.
+    replica = np.stack([layout.assignment.T for layout in layouts])
+    cand, expert, device = np.nonzero(replica)
+    counts = replica[cand, expert, device]
+    key = (cand * num_experts + expert) * n + device
+    blocks = np.arange(m * num_experts) * n                      # (M*E,)
+    first = np.searchsorted(key, blocks)
+    last = np.searchsorted(key, blocks + n)
 
-    Every expert's row is the node-local replica counts when the node hosts
-    at least one replica (keeping traffic on NVLink), otherwise the global
-    replica counts -- the vectorized form of Algorithm 3's target selection,
-    shared by every sender on the node.
-    """
-    replica = layout.assignment.T.astype(np.float64)  # (E, N)
-    node_devices = np.asarray(topology.devices_on_node(node))
-    intra = np.zeros_like(replica)
-    intra[:, node_devices] = replica[:, node_devices]
-    has_intra = intra.sum(axis=1) > 0
-    return np.where(has_intra[:, None], intra, replica)
-
-
-def _check_replicas(routing: np.ndarray, weights: np.ndarray) -> None:
-    """Raise for the first expert that has tokens but no replica anywhere."""
-    missing = (routing.sum(axis=0) > 0) & (weights.sum(axis=1) <= 0)
+    node_tokens = routing.reshape(nodes, per_node, num_experts).sum(axis=1)
+    missing = (node_tokens[None] > 0) & (first == last).reshape(
+        m, 1, num_experts)
     if np.any(missing):
-        expert = int(np.argmax(missing))
-        raise ValueError(f"expert {expert} has no replica in the layout")
+        node = int(np.argmax(missing.any(axis=(0, 2))))
+        expert_id = int(np.argmax(missing[:, node].any(axis=0)))
+        raise ValueError(f"expert {expert_id} has no replica in the layout")
+
+    # Targets of (candidate, expert, node): the node's replicas of the
+    # expert when it hosts any, every replica of the expert otherwise.
+    node_starts = blocks[:, None] + np.arange(nodes) * per_node  # (M*E, nodes)
+    lo = np.searchsorted(key, node_starts)
+    hi = np.searchsorted(key, node_starts + per_node)
+    intra = hi > lo
+    lo = np.where(intra, lo, first[:, None])
+    hi = np.where(intra, hi, last[:, None])
+
+    def per_row(table: np.ndarray) -> np.ndarray:
+        """(M*E, nodes) -> one value per (candidate, sender, expert) row."""
+        by_node = table.reshape(m, num_experts, nodes).transpose(0, 2, 1)
+        return np.repeat(by_node, per_node, axis=1).reshape(-1)
+
+    totals = np.broadcast_to(routing, (m, n, num_experts)).reshape(-1)
+    row_lo = per_row(lo)
+    sizes = np.where(totals > 0, per_row(hi) - row_lo, 0)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    rows = np.repeat(np.arange(totals.size), sizes)
+    entries = row_lo[rows] + np.arange(rows.size) - offsets[:-1][rows]
+    dest = device[entries]
+    tokens = _split_rows(totals, offsets, rows, counts[entries])
+
+    plans = []
+    span = n * num_experts
+    for index in range(m):
+        row_offsets = offsets[index * span:(index + 1) * span + 1]
+        start, stop = int(row_offsets[0]), int(row_offsets[-1])
+        plans.append(RoutingPlan(n, num_experts, row_offsets - start,
+                                 dest[start:stop], tokens[start:stop]))
+    return plans
+
+
+def _check_routing(routing: np.ndarray, num_devices: int, num_experts: int,
+                   topology: ClusterTopology, what: str) -> np.ndarray:
+    """Validate ``routing`` against the cluster shape; return it as int64."""
+    routing = np.asarray(routing, dtype=np.int64)
+    if routing.shape != (num_devices, num_experts):
+        raise ValueError(
+            f"routing must have shape ({num_devices}, {num_experts}), "
+            f"got {routing.shape}")
+    if topology.num_devices != num_devices:
+        raise ValueError(f"topology size does not match the {what}")
+    if np.any(routing < 0):
+        raise ValueError("token counts must be non-negative")
+    return routing
 
 
 def lite_route(routing: np.ndarray, layout: ExpertLayout,
-               topology: ClusterTopology) -> np.ndarray:
+               topology: ClusterTopology) -> RoutingPlan:
     """Run lite routing for every sender, producing the full plan ``S``.
 
     Args:
@@ -109,45 +162,24 @@ def lite_route(routing: np.ndarray, layout: ExpertLayout,
         topology: Cluster topology.
 
     Returns:
-        ``(N, E, N)`` integer plan ``S`` satisfying
-        ``S.sum(axis=2) == routing`` and placing tokens only on devices that
-        restore the corresponding expert.
+        The plan ``S`` as a :class:`RoutingPlan`: its ``row_sums()`` equal
+        ``routing`` and it places tokens only on devices that restore the
+        corresponding expert.
     """
-    routing = np.asarray(routing, dtype=np.int64)
-    n = layout.num_devices
-    if routing.shape != (n, layout.num_experts):
-        raise ValueError(
-            f"routing must have shape ({n}, {layout.num_experts}), "
-            f"got {routing.shape}")
-    if topology.num_devices != n:
-        raise ValueError("topology size does not match the layout")
-    if np.any(routing < 0):
-        raise ValueError("token counts must be non-negative")
-    num_experts = layout.num_experts
-    plan = np.zeros((n, num_experts, n), dtype=np.int64)
-    # All senders on a node share the same per-expert target weights, so the
-    # whole node's (ranks x experts) splits batch into one call.
-    for node in range(topology.num_nodes):
-        ranks = topology.devices_on_node(node)
-        weights = _node_target_weights(layout, topology, node)
-        _check_replicas(routing[ranks], weights)
-        totals = routing[ranks].reshape(-1)                  # (R*E,)
-        tiled = np.tile(weights, (len(ranks), 1))            # (R*E, N)
-        plan[ranks] = _split_evenly_batched(totals, tiled).reshape(
-            len(ranks), num_experts, n)
-    return plan
+    routing = _check_routing(routing, layout.num_devices, layout.num_experts,
+                             topology, "layout")
+    return _route(routing, [layout], topology)[0]
 
 
 def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
-                     topology: ClusterTopology) -> np.ndarray:
+                     topology: ClusterTopology) -> List[RoutingPlan]:
     """Run :func:`lite_route` for ``M`` candidate layouts in one batch.
 
     The layout tuner scores every candidate layout on the *same* routing
-    matrix; since :func:`_split_evenly_batched` is purely row-wise, the
-    ``(candidate, sender, expert)`` rows of all candidates stack into a
-    single call and the result is bit-identical to ``M`` separate
-    :func:`lite_route` invocations -- this is the tuner's vectorized hot
-    path (wrapped in the ``planner.batch-eval`` telemetry span).
+    matrix; the ``(candidate, sender, expert)`` rows of all candidates are
+    split in one vectorized pass, and the result is bit-identical to ``M``
+    separate :func:`lite_route` invocations -- this is the tuner's hot path
+    (wrapped in the ``planner.batch-eval`` telemetry span).
 
     Args:
         routing: ``(N, E)`` routing matrix ``R`` shared by all candidates.
@@ -155,10 +187,9 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
         topology: Cluster topology.
 
     Returns:
-        ``(M, N, E, N)`` integer plans; ``plans[m]`` equals
+        ``M`` plans; ``plans[m]`` equals
         ``lite_route(routing, layouts[m], topology)`` exactly.
     """
-    routing = np.asarray(routing, dtype=np.int64)
     if not layouts:
         raise ValueError("need at least one candidate layout")
     n = layouts[0].num_devices
@@ -166,38 +197,5 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
     for layout in layouts:
         if layout.num_devices != n or layout.num_experts != num_experts:
             raise ValueError("candidate layouts must share one cluster shape")
-    if routing.shape != (n, num_experts):
-        raise ValueError(
-            f"routing must have shape ({n}, {num_experts}), "
-            f"got {routing.shape}")
-    if topology.num_devices != n:
-        raise ValueError("topology size does not match the layouts")
-    if np.any(routing < 0):
-        raise ValueError("token counts must be non-negative")
-    m = len(layouts)
-    replica = np.stack([layout.assignment.T for layout in layouts]
-                       ).astype(np.float64)                      # (M, E, N)
-    plans = np.zeros((m, n, num_experts, n), dtype=np.int64)
-    for node in range(topology.num_nodes):
-        ranks = topology.devices_on_node(node)
-        # Per-candidate node target weights: intra-node replicas when the
-        # node hosts any, global replicas otherwise (same selection as
-        # _node_target_weights, vectorized over candidates).
-        intra = np.zeros_like(replica)
-        intra[:, :, ranks] = replica[:, :, ranks]
-        has_intra = intra.sum(axis=2) > 0                        # (M, E)
-        weights = np.where(has_intra[:, :, None], intra, replica)
-        missing = ((routing[ranks].sum(axis=0) > 0)[None, :]
-                   & (weights.sum(axis=2) <= 0))
-        if np.any(missing):
-            expert = int(np.argmax(np.any(missing, axis=0)))
-            raise ValueError(f"expert {expert} has no replica in the layout")
-        num_ranks = len(ranks)
-        totals = np.tile(routing[ranks].reshape(-1), m)          # (M*R*E,)
-        tiled = np.broadcast_to(
-            weights[:, None, :, :], (m, num_ranks, num_experts, n)
-        ).reshape(m * num_ranks * num_experts, n)
-        plans[:, ranks] = _split_evenly_batched(totals, tiled).reshape(
-            m, num_ranks, num_experts, n)
-    return plans
-
+    routing = _check_routing(routing, n, num_experts, topology, "layouts")
+    return _route(routing, layouts, topology)

@@ -21,6 +21,7 @@ from repro.core.cost_model import CostBreakdown, MoECostModel
 from repro.core.layout import ExpertLayout, static_ep_layout
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.core.lite_routing import lite_route
+from repro.core.routing_plan import RoutingPlan
 from repro.telemetry.trace import span as _span
 
 
@@ -55,7 +56,7 @@ class IterationPlan:
     """
 
     layout: ExpertLayout
-    routing_plan: np.ndarray
+    routing_plan: RoutingPlan
     cost: CostBreakdown
     planned_from_history: bool
 
@@ -137,7 +138,7 @@ class LoadBalancingPlanner:
     # ------------------------------------------------------------------
     # Synchronous dispatch (token dispatcher)
     # ------------------------------------------------------------------
-    def dispatch(self, routing: np.ndarray, layout: ExpertLayout) -> np.ndarray:
+    def dispatch(self, routing: np.ndarray, layout: ExpertLayout) -> RoutingPlan:
         """Run the synchronous token dispatcher (lite routing) for one layer."""
         return lite_route(np.asarray(routing, dtype=np.int64), layout, self.topology)
 
@@ -145,7 +146,7 @@ class LoadBalancingPlanner:
     # Full per-layer / per-iteration planning
     # ------------------------------------------------------------------
     def plan_layer(self, layer: int, routing: np.ndarray
-                   ) -> Tuple[ExpertLayout, np.ndarray, bool]:
+                   ) -> Tuple[ExpertLayout, RoutingPlan, bool]:
         """Plan one MoE layer of the current iteration.
 
         Dispatches ``routing`` (the layer's actual ``(N, E)`` routing) onto

@@ -6,10 +6,19 @@ per-replica load first.  For each replica it prefers the node(s) currently
 holding the fewest replicas of that expert (so lite routing's intra-node
 splitting stays balanced) and, within those nodes, the device with the smallest
 accumulated load and free capacity.
+
+That choice is the lexicographic minimum of (replicas of the expert on the
+device's node, device load, device index) over the devices with a free slot.
+All replicas of one expert share one load, so they are placed one after
+another, starting from zero replicas on every node.  Each node therefore
+keeps a heap of (load, device) over its devices with a free slot, and each
+expert a heap of (replicas on the node, the node's top load, its top device,
+node): a replica costs ``O(log N)`` instead of a scan over every device.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import List, Tuple
 
 import numpy as np
@@ -50,53 +59,41 @@ def relocate_experts(expert_replicas: np.ndarray, expert_loads: np.ndarray,
         raise ValueError(
             f"{total_replicas} replicas exceed the cluster capacity "
             f"{num_devices * capacity}")
+    per_node = topology.devices_per_node
 
-    # Build the replica list: one entry per replica, carrying the average load
-    # a replica of that expert will serve (Line 3-4), sorted descending by
-    # load with ties broken by expert id for determinism (Line 5).
-    replica_experts = np.repeat(np.arange(num_experts), expert_replicas)
-    replica_loads = np.repeat(expert_loads / expert_replicas, expert_replicas)
-    order = np.lexsort((replica_experts, -replica_loads))
-    replica_list: List[Tuple[int, float]] = list(
-        zip(replica_experts[order].tolist(), replica_loads[order].tolist()))
+    # Experts in placement order: descending per-replica load (Lines 3-5),
+    # ties broken by expert id for determinism.
+    replica_loads = expert_loads / expert_replicas
+    order = np.lexsort((np.arange(num_experts), -replica_loads))
 
     assignment = np.zeros((num_devices, num_experts), dtype=np.int64)
-    device_slots = np.zeros(num_devices, dtype=np.int64)
-    device_loads = np.zeros(num_devices, dtype=np.float64)
-    node_of = np.array([topology.node(d) for d in range(num_devices)])
-    # Replica count of every expert on every node, maintained incrementally so
-    # the per-replica work stays O(nodes + devices) instead of O(nodes * devices).
-    node_expert_counts = np.zeros((topology.num_nodes, num_experts), dtype=np.int64)
+    slots = [0] * num_devices
+    # Per node: (load, device) of every device with a free slot.  A sorted
+    # list is a heap.
+    node_heaps: List[List[Tuple[float, int]]] = [
+        [(0.0, device) for device in range(node * per_node,
+                                           (node + 1) * per_node)]
+        for node in range(topology.num_nodes)]
 
-    for expert, load in replica_list:
-        node_counts = node_expert_counts[:, expert]
-        device = _select_device(node_counts, node_of, device_slots,
-                                device_loads, capacity)
-        assignment[device, expert] += 1
-        node_expert_counts[node_of[device], expert] += 1
-        device_loads[device] += load
-        device_slots[device] += 1
+    for expert in order.tolist():
+        load = float(replica_loads[expert])
+        # (replicas of this expert on the node, the node's top load and
+        # device, node) for every node with a free slot.
+        nodes = [(0, heap[0][0], heap[0][1], node)
+                 for node, heap in enumerate(node_heaps) if heap]
+        heapq.heapify(nodes)
+        for _ in range(int(expert_replicas[expert])):
+            if not nodes:
+                raise ValueError("no device has spare capacity for the replica")
+            count, device_load, device, node = heapq.heappop(nodes)
+            heap = node_heaps[node]
+            slots[device] += 1
+            if slots[device] < capacity:
+                heapq.heapreplace(heap, (device_load + load, device))
+            else:
+                heapq.heappop(heap)
+            assignment[device, expert] += 1
+            if heap:
+                heapq.heappush(nodes, (count + 1, heap[0][0], heap[0][1], node))
 
     return ExpertLayout(assignment, capacity)
-
-
-def _select_device(node_counts: np.ndarray, node_of: np.ndarray,
-                   device_slots: np.ndarray, device_loads: np.ndarray,
-                   capacity: int) -> int:
-    """Pick the device for the next replica (Lines 8-10 of Algorithm 1).
-
-    Prefer nodes holding the fewest replicas of the expert, restricted to
-    devices with spare capacity; among candidates take the device with the
-    smallest accumulated load.  If every device on the preferred nodes is full,
-    progressively relax to nodes with the next-fewest replicas.
-    """
-    has_capacity = device_slots < capacity
-    if not np.any(has_capacity):
-        raise ValueError("no device has spare capacity for the replica")
-    # The node-preference scan is a lexicographic argmin over the devices
-    # with spare capacity: minimise (replicas of the expert already on the
-    # device's node, accumulated device load, device index).
-    per_device_count = np.where(has_capacity, node_counts[node_of], np.iinfo(np.int64).max)
-    preferred = per_device_count == per_device_count.min()
-    masked_loads = np.where(preferred, device_loads, np.inf)
-    return int(np.argmin(masked_loads))

@@ -1,7 +1,7 @@
 """Scalar reference kernels: verbatim ports of the pre-vectorization loops.
 
 The vectorized simulation kernels (matrix-form ``all_to_all``, batched
-routing draws, batched lite-routing splits, lexicographic replica
+routing draws, compact lite-routing splits, heap-based replica
 placement) replaced per-pair / per-device Python loops.  This module keeps
 the original loop semantics in one canonical place so that
 
@@ -16,7 +16,12 @@ the production pipeline imports this module.
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import numpy as np
+
+from repro.core.layout import ExpertLayout
+from repro.core.routing_plan import RoutingPlan
 
 
 def scalar_all_to_all(model, traffic, group=None):
@@ -81,7 +86,11 @@ def scalar_split_evenly(total, weights):
 
 
 def scalar_lite_route(routing, layout, topology):
-    """Original per-rank, per-expert lite-routing loop (Algorithm 3)."""
+    """Original per-rank, per-expert lite-routing loop (Algorithm 3).
+
+    Fills the dense ``(N, E, N)`` plan and returns it as a
+    :class:`RoutingPlan`.
+    """
     routing = np.asarray(routing, dtype=np.int64)
     n = layout.num_devices
     plan = np.zeros((n, layout.num_experts, n), dtype=np.int64)
@@ -99,12 +108,13 @@ def scalar_lite_route(routing, layout, topology):
             if targets.sum() == 0:
                 raise ValueError(f"expert {expert} has no replica")
             plan[rank, expert] = scalar_split_evenly(tokens, targets)
-    return plan
+    return RoutingPlan.from_dense(plan)
 
 
 def scalar_select_device(node_counts, node_of, device_slots, device_loads,
                          capacity):
-    """Original node-preference scan of relocation's ``_select_device``."""
+    """Original node-preference scan that places one replica: the device
+    minimising (replicas on its node, accumulated load, index)."""
     has_capacity = device_slots < capacity
     if not np.any(has_capacity):
         raise ValueError("no device has spare capacity for the replica")
@@ -117,3 +127,53 @@ def scalar_select_device(node_counts, node_of, device_slots, device_loads,
         return int(candidates[int(np.argmin(device_loads[candidates]))])
     candidates = np.nonzero(has_capacity)[0]
     return int(candidates[int(np.argmin(device_loads[candidates]))])
+
+
+def scalar_relocate_experts(expert_replicas, expert_loads, topology, capacity):
+    """Original greedy relocation (Algorithm 1): one device scan per replica.
+
+    Signature-compatible with ``repro.core.relocation.relocate_experts``.
+    """
+    expert_replicas = np.asarray(expert_replicas, dtype=np.int64)
+    expert_loads = np.asarray(expert_loads, dtype=np.float64)
+    num_experts = expert_replicas.shape[0]
+    num_devices = topology.num_devices
+    if expert_loads.shape != (num_experts,):
+        raise ValueError("expert_loads and expert_replicas must align")
+    if np.any(expert_replicas < 1):
+        raise ValueError("every expert needs at least one replica")
+    if np.any(expert_loads < 0):
+        raise ValueError("expert loads must be non-negative")
+    if capacity <= 0:
+        raise ValueError("capacity must be positive")
+    total_replicas = int(expert_replicas.sum())
+    if total_replicas > num_devices * capacity:
+        raise ValueError(
+            f"{total_replicas} replicas exceed the cluster capacity "
+            f"{num_devices * capacity}")
+
+    # One entry per replica, carrying the average load a replica of that
+    # expert will serve, sorted descending by load, ties by expert id.
+    replica_experts = np.repeat(np.arange(num_experts), expert_replicas)
+    replica_loads = np.repeat(expert_loads / expert_replicas, expert_replicas)
+    order = np.lexsort((replica_experts, -replica_loads))
+    replica_list: List[Tuple[int, float]] = list(
+        zip(replica_experts[order].tolist(), replica_loads[order].tolist()))
+
+    assignment = np.zeros((num_devices, num_experts), dtype=np.int64)
+    device_slots = np.zeros(num_devices, dtype=np.int64)
+    device_loads = np.zeros(num_devices, dtype=np.float64)
+    node_of = np.array([topology.node(d) for d in range(num_devices)])
+    node_expert_counts = np.zeros((topology.num_nodes, num_experts),
+                                  dtype=np.int64)
+
+    for expert, load in replica_list:
+        node_counts = node_expert_counts[:, expert]
+        device = scalar_select_device(node_counts, node_of, device_slots,
+                                      device_loads, capacity)
+        assignment[device, expert] += 1
+        node_expert_counts[node_of[device], expert] += 1
+        device_loads[device] += load
+        device_slots[device] += 1
+
+    return ExpertLayout(assignment, capacity)

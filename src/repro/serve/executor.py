@@ -9,9 +9,10 @@ resolving to the :class:`~repro.store.StoredRun` envelope, plus
 
 * :class:`PoolExecutor` -- the default: a bounded in-process thread pool
   running an :class:`~repro.api.ExperimentRunner` per miss and
-  persisting straight to the daemon's store.  (Threads, not processes: the
-  simulation kernels are NumPy and the store instance -- with its index
-  read cache -- is shared.)
+  persisting straight to the daemon's store.  (Threads, so the store
+  instance -- with its index read cache -- is shared.  A miss holds the
+  GIL for over half of its run, because its NumPy calls are small, so
+  request threads wait on it: hit latency tracks how long misses run.)
 * :class:`FleetQueueExecutor` -- hand-off to an attached fleet queue: the
   miss is enqueued as a :class:`~repro.fleet.QueuedCell` and executed by
   whatever ``repro fleet``-style workers drain that queue (other

@@ -30,7 +30,7 @@ collective cost models and the Fig. 5 communication schedule:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from repro.core.comm_schedule import (
     LayerTimings,
     schedule_layer,
 )
+from repro.core.routing_plan import RoutingPlan
 from repro.parallel.tp import TensorParallelCost
 from repro.telemetry.trace import span as _span
 from repro.workloads.model_configs import MoEModelConfig
@@ -188,6 +189,7 @@ class IterationSimulator:
                            or self.drop_policy != "penalty")
         self._device_token_capacity = (
             self.device_token_capacity() if overflow_active else None)
+        self._layer_invariants: Optional[Tuple[float, float, float, float]] = None
 
     def device_token_capacity(self) -> int:
         """The per-device *routed*-token budget the overflow model enforces.
@@ -223,11 +225,9 @@ class IterationSimulator:
         """Forward attention (+ dense work) time per layer per device."""
         return self._tp_cost.attention_forward_time(self.tokens_per_device)
 
-    def token_a2a_time(self, routing_plan: np.ndarray) -> float:
+    def token_a2a_time(self, routing_plan: RoutingPlan) -> float:
         """One token All-to-All (dispatch or combine) from the routing plan."""
-        plan = np.asarray(routing_plan, dtype=np.float64)
-        pairwise_tokens = plan.sum(axis=1)
-        traffic = (pairwise_tokens * self.config.hidden_size
+        traffic = (routing_plan.pairwise() * self.config.hidden_size
                    * BYTES_PER_ELEMENT * self.comm_bytes_scale)
         np.fill_diagonal(traffic, 0.0)
         return self.collectives.all_to_all(traffic)
@@ -281,6 +281,21 @@ class IterationSimulator:
         other_bytes = self.config.non_expert_params_per_layer * BYTES_PER_ELEMENT
         return self.collectives.all_gather(other_bytes / n)
 
+    def _invariant_times(self) -> Tuple[float, float, float, float]:
+        """``(attention forward, expert prefetch, attention prefetch, grad
+        sync)`` per layer.
+
+        They depend only on fields fixed at construction, so the first
+        simulated layer computes them and every later one reuses them.
+        Computing them on first use rather than at construction keeps
+        building a system cheap.
+        """
+        if self._layer_invariants is None:
+            self._layer_invariants = (
+                self.attention_forward_time(), self.prefetch_time(),
+                self.attention_prefetch_time(), self.grad_sync_time())
+        return self._layer_invariants
+
     def exposed_time_from_bytes(self, num_bytes: float) -> float:
         """Convert policy-reported exposed re-layout bytes into time."""
         if num_bytes <= 0:
@@ -300,11 +315,12 @@ class IterationSimulator:
         All-to-All time, so the expert-compute bucket records the mean and the
         difference max - mean is added to the All-to-All bucket.
         """
-        attention = self.attention_forward_time()
-        a2a = self.token_a2a_time(decision.routing_plan)
-        plan = np.asarray(decision.routing_plan, dtype=np.float64)
-        tokens_per_device = plan.sum(axis=(0, 1))
-        ideal = plan.sum() / self.topology.num_devices
+        (attention, prefetch, attention_prefetch,
+         grad_sync) = self._invariant_times()
+        plan = decision.routing_plan
+        a2a = self.token_a2a_time(plan)
+        tokens_per_device = plan.tokens_per_device()
+        ideal = plan.tokens.sum() / self.topology.num_devices
         max_tokens = int(tokens_per_device.max())
         unit_time = (self.config.expert_flops_per_token
                      / self.topology.device_spec.effective_flops)
@@ -336,9 +352,9 @@ class IterationSimulator:
             attention_compute=attention,
             expert_compute=expert_max,
             token_a2a=a2a,
-            expert_prefetch=self.prefetch_time(),
-            attention_prefetch=self.attention_prefetch_time(),
-            grad_sync=self.grad_sync_time()
+            expert_prefetch=prefetch,
+            attention_prefetch=attention_prefetch,
+            grad_sync=grad_sync
             + self.exposed_time_from_bytes(decision.grad_sync_extra_bytes),
         )
         scheduled = schedule_layer(timings, self.schedule)

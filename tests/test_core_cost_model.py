@@ -11,6 +11,7 @@ from repro.core.layout import static_ep_layout
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.core.lite_routing import lite_route, lite_route_batch
 from repro.core.relocation import relocate_experts
+from repro.core.routing_plan import RoutingPlan
 from repro.sim.iteration import IterationSimulator
 from repro.workloads.model_configs import get_model_config, tiny_test_config
 
@@ -21,51 +22,55 @@ def cost_model(small_topology):
 
 
 def balanced_plan(n=8, e=8, tokens=64):
-    """Every device keeps its tokens locally, evenly over experts."""
+    """Every device keeps its tokens locally, evenly over experts (dense)."""
     plan = np.zeros((n, e, n), dtype=np.int64)
     for device in range(n):
         plan[device, :, device] = tokens // e
     return plan
 
 
+compact = RoutingPlan.from_dense
+
+
 class TestCostTerms:
     def test_local_plan_has_zero_comm(self, cost_model):
         plan = balanced_plan()
-        assert cost_model.comm_time(plan) == 0.0
+        assert cost_model.comm_time(compact(plan)) == 0.0
 
     def test_remote_plan_has_positive_comm(self, cost_model):
         plan = balanced_plan()
         plan[0, 0, 0] = 0
         plan[0, 0, 7] = 8
-        assert cost_model.comm_time(plan) > 0.0
+        assert cost_model.comm_time(compact(plan)) > 0.0
 
     def test_inter_node_costs_more_than_intra(self, cost_model):
         intra = np.zeros((8, 8, 8), dtype=np.int64)
         intra[0, 0, 1] = 100
         inter = np.zeros((8, 8, 8), dtype=np.int64)
         inter[0, 0, 4] = 100
-        assert cost_model.comm_time(inter) > cost_model.comm_time(intra)
+        assert (cost_model.comm_time(compact(inter))
+                > cost_model.comm_time(compact(intra)))
 
     def test_comp_time_uses_max_device(self, cost_model):
         plan = balanced_plan()
-        base = cost_model.comp_time(plan)
+        base = cost_model.comp_time(compact(plan))
         plan[0, 0, 0] += 1000
-        assert cost_model.comp_time(plan) > base
+        assert cost_model.comp_time(compact(plan)) > base
 
     def test_comp_time_checkpointing_factor(self, small_topology):
         config = tiny_test_config()
         plain = MoECostModel.from_model_config(config, small_topology)
         ckpt = MoECostModel.from_model_config(config, small_topology,
                                               activation_checkpointing=True)
-        plan = balanced_plan()
+        plan = compact(balanced_plan())
         assert ckpt.comp_time(plan) == pytest.approx(4 / 3 * plain.comp_time(plan))
 
-    def test_tokens_per_device(self, cost_model):
-        plan = balanced_plan(tokens=64)
-        assert np.all(cost_model.tokens_per_device(plan) == 64)
+    def test_tokens_per_device(self):
+        plan = compact(balanced_plan(tokens=64))
+        assert np.all(plan.tokens_per_device() == 64)
 
     def test_evaluate_consistency(self, cost_model):
-        plan = balanced_plan()
+        plan = compact(balanced_plan())
         breakdown = cost_model.evaluate(plan)
         assert breakdown.total == pytest.approx(
             breakdown.comm_time + breakdown.comp_time)
@@ -73,11 +78,11 @@ class TestCostTerms:
 
     def test_plan_validation(self, cost_model):
         with pytest.raises(ValueError):
-            cost_model.comm_time(np.zeros((3, 3, 3)))
-        bad = balanced_plan().astype(float)
+            cost_model.evaluate(compact(np.zeros((3, 3, 3))))
+        bad = balanced_plan()
         bad[0, 0, 0] = -1
         with pytest.raises(ValueError):
-            cost_model.comm_time(bad)
+            compact(bad)
 
 
 class TestConstraints:
@@ -91,21 +96,21 @@ class TestConstraints:
     def test_conservation_violation_detected(self, small_topology, cost_model):
         routing = np.full((8, 8), 10, dtype=np.int64)
         layout = static_ep_layout(8, 8, 2)
-        plan = lite_route(routing, layout, small_topology)
+        plan = lite_route(routing, layout, small_topology).to_dense()
         plan[0, 0, :] = 0
         with pytest.raises(ValueError, match="conserve"):
-            cost_model.check_constraints(layout, plan, routing)
+            cost_model.check_constraints(layout, compact(plan), routing)
 
     def test_placement_violation_detected(self, small_topology, cost_model):
         routing = np.full((8, 8), 10, dtype=np.int64)
         layout = static_ep_layout(8, 8, 2)
-        plan = lite_route(routing, layout, small_topology)
+        plan = lite_route(routing, layout, small_topology).to_dense()
         # Send expert 0 tokens to a device that does not host expert 0.
         bad_device = [d for d in range(8) if layout.assignment[d, 0] == 0][0]
         plan[0, 0, :] = 0
         plan[0, 0, bad_device] = 10
         with pytest.raises(ValueError, match="does not host"):
-            cost_model.check_constraints(layout, plan, routing)
+            cost_model.check_constraints(layout, compact(plan), routing)
 
 
 class TestConstruction:
@@ -128,9 +133,10 @@ class TestEvaluateBatch:
     def test_batch_matches_scalar_bitwise(self, small_topology,
                                           small_cost_model):
         rng = np.random.default_rng(17)
-        plans = rng.integers(0, 300, size=(5, 8, 8, 8)).astype(np.int64)
+        plans = [compact(plan) for plan in rng.integers(
+            0, 300, size=(5, 8, 8, 8))]
         batched = small_cost_model.evaluate_batch(plans)
-        for index in range(plans.shape[0]):
+        for index in range(len(plans)):
             scalar = small_cost_model.evaluate(plans[index])
             assert batched[index].comm_time == scalar.comm_time
             assert batched[index].comp_time == scalar.comp_time
@@ -138,9 +144,12 @@ class TestEvaluateBatch:
 
     def test_batch_shape_validation(self, small_cost_model):
         with pytest.raises(ValueError):
-            small_cost_model.evaluate_batch(np.zeros((8, 8, 8)))
+            small_cost_model.evaluate_batch([])
         with pytest.raises(ValueError):
-            small_cost_model.evaluate_batch(np.zeros((2, 8, 8, 7)))
+            small_cost_model.evaluate_batch(
+                [compact(np.zeros((8, 8, 8))), compact(np.zeros((7, 8, 7)))])
+        with pytest.raises(ValueError):
+            small_cost_model.evaluate_batch([compact(np.zeros((7, 8, 7)))])
 
 
 def stable_ranks(values: np.ndarray) -> np.ndarray:

@@ -72,13 +72,13 @@ class TestForwardEquivalence:
         x = np.random.default_rng(4).normal(size=(2, 8, 16))
         result = executor.forward(x)
         assert result.routing.sum() == 2 * 8 * 2
-        assert np.array_equal(result.routing_plan.sum(axis=2), result.routing)
+        assert np.array_equal(result.routing_plan.row_sums(), result.routing)
 
     def test_tokens_per_device_matches_plan(self, executor):
         x = np.random.default_rng(5).normal(size=(2, 8, 16))
         result = executor.forward(x)
         assert np.array_equal(result.tokens_per_device,
-                              result.routing_plan.sum(axis=(0, 1)))
+                              result.routing_plan.tokens_per_device())
 
     def test_communication_volumes_reported(self, executor):
         x = np.random.default_rng(6).normal(size=(2, 8, 16))

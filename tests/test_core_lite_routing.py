@@ -41,14 +41,14 @@ class TestLiteRouting:
         routing = rng.integers(0, 100, size=(8, 8)).astype(np.int64)
         layout = static_ep_layout(8, 8, 2)
         plan = lite_route(routing, layout, small_topology)
-        assert np.array_equal(plan.sum(axis=2), routing)
+        assert np.array_equal(plan.row_sums(), routing)
 
     def test_tokens_only_on_hosting_devices(self, small_topology):
         rng = np.random.default_rng(1)
         routing = rng.integers(0, 100, size=(8, 8)).astype(np.int64)
         layout = static_ep_layout(8, 8, 2)
         plan = lite_route(routing, layout, small_topology)
-        received = plan.sum(axis=0)  # (E, N)
+        received = plan.to_dense().sum(axis=0)  # (E, N)
         hosted = layout.assignment.T > 0
         assert np.all(received[~hosted] == 0)
 
@@ -64,7 +64,7 @@ class TestLiteRouting:
         routing = np.zeros((8, 4), dtype=np.int64)
         routing[1, 0] = 100   # sender on node 0
         routing[5, 0] = 100   # sender on node 1
-        plan = lite_route(routing, layout, small_topology)
+        plan = lite_route(routing, layout, small_topology).to_dense()
         assert plan[1, 0, 0] == 100 and plan[1, 0, 4] == 0
         assert plan[5, 0, 4] == 100 and plan[5, 0, 0] == 0
 
@@ -77,7 +77,7 @@ class TestLiteRouting:
         layout = ExpertLayout(assignment, capacity=1)
         routing = np.zeros((8, 2), dtype=np.int64)
         routing[1, 0] = 10  # sender on node 0, replicas only on node 1
-        plan = lite_route(routing, layout, small_topology)
+        plan = lite_route(routing, layout, small_topology).to_dense()
         assert plan[1, 0, 4] == 5 and plan[1, 0, 5] == 5
 
     def test_splits_evenly_among_intra_node_replicas(self, small_topology):
@@ -89,7 +89,7 @@ class TestLiteRouting:
         layout = ExpertLayout(assignment, capacity=1)
         routing = np.zeros((8, 2), dtype=np.int64)
         routing[0, 0] = 90
-        plan = lite_route(routing, layout, small_topology)
+        plan = lite_route(routing, layout, small_topology).to_dense()
         assert plan[0, 0, 0] == 30 and plan[0, 0, 1] == 30 and plan[0, 0, 2] == 30
 
     def test_missing_replica_raises(self, small_topology):
@@ -97,6 +97,23 @@ class TestLiteRouting:
         routing = np.ones((8, 2), dtype=np.int64)
         with pytest.raises(ValueError):
             lite_route(routing, layout, small_topology)
+
+    def test_missing_replica_names_first_node_then_lowest_expert(
+            self, small_topology):
+        from repro.core.lite_routing import lite_route_batch
+        assignment = np.zeros((8, 4), dtype=np.int64)
+        assignment[:, 0] = 1              # experts 1-3 have no replica
+        layout = ExpertLayout(assignment, capacity=1)
+        routing = np.zeros((8, 4), dtype=np.int64)
+        routing[5, 1] = 7                 # node 1 needs expert 1
+        routing[2, 3] = 7                 # node 0 needs expert 3
+        routing[3, 2] = 7                 # ... and expert 2
+        for route in (lambda: lite_route(routing, layout, small_topology),
+                      lambda: lite_route_batch(routing, [layout, layout],
+                                               small_topology)):
+            with pytest.raises(ValueError,
+                               match="^expert 2 has no replica in the layout$"):
+                route()
 
     def test_shape_validation(self, small_topology):
         layout = static_ep_layout(8, 8, 2)
@@ -137,7 +154,8 @@ class TestLiteRouteBatch:
         batched = lite_route_batch(routing, layouts, topology)
         for index, layout in enumerate(layouts):
             expected = lite_route(routing, layout, topology)
-            assert np.array_equal(batched[index], expected), \
+            assert np.array_equal(batched[index].to_dense(),
+                                  expected.to_dense()), \
                 f"candidate {index} diverged"
 
     def test_single_layout_matches(self):
@@ -145,9 +163,11 @@ class TestLiteRouteBatch:
         topology, layouts = self.layouts(count=1)
         routing = np.full((8, 8), 13, dtype=np.int64)
         batched = lite_route_batch(routing, layouts[:1], topology)
-        assert batched.shape == (1, 8, 8, 8)
-        assert np.array_equal(batched[0],
-                              lite_route(routing, layouts[0], topology))
+        assert len(batched) == 1
+        assert batched[0].to_dense().shape == (8, 8, 8)
+        assert np.array_equal(
+            batched[0].to_dense(),
+            lite_route(routing, layouts[0], topology).to_dense())
 
     def test_conservation_across_the_batch(self):
         from repro.core.lite_routing import lite_route_batch
@@ -156,7 +176,7 @@ class TestLiteRouteBatch:
         routing = rng.integers(0, 512, size=(8, 8)).astype(np.int64)
         batched = lite_route_batch(routing, layouts, topology)
         for plan in batched:
-            assert np.array_equal(plan.sum(axis=2), routing)
+            assert np.array_equal(plan.row_sums(), routing)
 
     def test_missing_replica_raises(self):
         from repro.core.lite_routing import lite_route_batch

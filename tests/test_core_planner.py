@@ -107,4 +107,4 @@ class TestPlanIteration:
         trace = make_trace()
         layout = planner.current_layout(0)
         plan = planner.dispatch(trace.layer(0, 0), layout)
-        assert np.array_equal(plan.sum(axis=2), trace.layer(0, 0))
+        assert np.array_equal(plan.row_sums(), trace.layer(0, 0))

@@ -1,0 +1,113 @@
+"""Tests for the compact token routing plan ``S``."""
+
+import numpy as np
+import pytest
+
+from repro.core.routing_plan import RoutingPlan, reduce_plans
+
+
+def random_dense(seed, n=6, e=4, density=0.3):
+    rng = np.random.default_rng(seed)
+    dense = rng.integers(1, 50, size=(n, e, n))
+    dense[rng.uniform(size=dense.shape) > density] = 0
+    return dense
+
+
+def two_row_plan(**overrides):
+    """N=2, E=1: sender 0 sends 3 tokens to device 1, sender 1 keeps 4."""
+    fields = dict(num_devices=2, num_experts=1, offsets=[0, 1, 2],
+                  dest=[1, 1], tokens=[3, 4])
+    fields.update(overrides)
+    return RoutingPlan(**fields)
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dense_round_trip_and_reductions(self, seed):
+        dense = random_dense(seed)
+        plan = RoutingPlan.from_dense(dense)
+        assert np.array_equal(plan.to_dense(), dense)
+        assert np.array_equal(plan.pairwise(), dense.sum(axis=1))
+        assert np.array_equal(plan.tokens_per_device(),
+                              dense.sum(axis=(0, 1)))
+        assert np.array_equal(plan.row_sums(), dense.sum(axis=2))
+        assert plan.pairwise().dtype == plan.tokens_per_device().dtype \
+            == np.float64
+
+    def test_rows_name_sender_and_expert(self):
+        plan = RoutingPlan.from_dense(random_dense(3))
+        dense = plan.to_dense()
+        senders, experts = np.divmod(plan.rows(), plan.num_experts)
+        assert np.array_equal(dense[senders, experts, plan.dest], plan.tokens)
+
+    def test_from_owners_has_one_destination_per_row(self):
+        routing = np.array([[5, 0], [2, 7]])
+        owners = np.array([[1, 0], [1, 1]])
+        plan = RoutingPlan.from_owners(routing, owners)
+        assert np.array_equal(plan.offsets, [0, 1, 2, 3, 4])
+        dense = plan.to_dense()
+        assert dense[0, 0, 1] == 5 and dense[1, 0, 1] == 2
+        assert dense[1, 1, 1] == 7 and dense.sum() == routing.sum()
+        assert np.array_equal(plan.row_sums(), routing)
+
+    def test_reduce_plans_stacks_the_cached_reductions(self):
+        plans = [RoutingPlan.from_dense(random_dense(seed))
+                 for seed in range(3)]
+        pairwise, tokens = reduce_plans(plans)
+        for index, plan in enumerate(plans):
+            assert np.array_equal(pairwise[index], plan.pairwise())
+            assert np.array_equal(tokens[index], plan.tokens_per_device())
+        with pytest.raises(ValueError):
+            reduce_plans([])
+        with pytest.raises(ValueError):
+            reduce_plans([plans[0], RoutingPlan.from_dense(
+                random_dense(0, n=5))])
+
+
+class TestImmutability:
+    def test_cached_arrays_are_read_only(self):
+        plan = RoutingPlan.from_dense(random_dense(4))
+        assert plan.pairwise() is plan.pairwise()
+        assert plan.tokens_per_device() is plan.tokens_per_device()
+        for array in (plan.pairwise(), plan.tokens_per_device(),
+                      plan.offsets, plan.dest, plan.tokens):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_fields_cannot_be_reassigned(self):
+        plan = two_row_plan()
+        with pytest.raises(AttributeError):
+            plan.tokens = np.array([1, 1])
+
+
+class TestValidation:
+    def test_well_formed_plan_builds(self):
+        plan = two_row_plan()
+        assert plan.pairwise().tolist() == [[0.0, 3.0], [0.0, 4.0]]
+
+    def test_negative_tokens_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            two_row_plan(tokens=[3, -1])
+
+    @pytest.mark.parametrize("dest", [[2, 1], [1, -1]])
+    def test_destination_out_of_range_rejected(self, dest):
+        with pytest.raises(ValueError, match="destinations"):
+            two_row_plan(dest=dest)
+
+    @pytest.mark.parametrize("offsets", [
+        [0, 1],            # one row short
+        [1, 1, 2],         # does not start at 0
+        [0, 2, 1],         # falls
+        [0, 1, 1],         # stops before the last entry
+    ])
+    def test_bad_offsets_rejected(self, offsets):
+        with pytest.raises(ValueError, match="offsets"):
+            two_row_plan(offsets=offsets)
+
+    def test_mismatched_entry_arrays_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            two_row_plan(tokens=[3])
+
+    def test_dense_input_must_be_square_in_devices(self):
+        with pytest.raises(ValueError):
+            RoutingPlan.from_dense(np.zeros((2, 3, 4)))

@@ -6,6 +6,7 @@ import pytest
 from repro.baselines import LAERPolicy, StaticEPPolicy
 from repro.core.comm_schedule import CommScheduleConfig
 from repro.core.cost_model import MoECostModel
+from repro.core.routing_plan import RoutingPlan
 from repro.sim.iteration import IterationSimulator
 from repro.workloads.model_configs import get_model_config
 from repro.workloads.routing_traces import (
@@ -59,7 +60,7 @@ class TestComponentCosts:
         plan = np.zeros((n, 8, n), dtype=np.int64)
         for dev in range(n):
             plan[dev, :, dev] = 10
-        assert sim.token_a2a_time(plan) == 0.0
+        assert sim.token_a2a_time(RoutingPlan.from_dense(plan)) == 0.0
 
     def test_exposed_time_from_bytes(self, small_topology):
         sim = make_simulator(small_topology)

@@ -393,6 +393,10 @@ class TestPhaseProfiling:
             parents[event["name"]].add(names.get(event["parent"]))
         assert parents["planner.lite-route"] == {"sim.decide"}
         assert parents["planner.layout-tune"] == {"sim.decide"}
+        # Relocation is timed once per solve, beneath the layout tuning.
+        assert parents["planner.relocate"] == {"planner.layout-tune"}
+        assert all(event["attrs"]["replicas"] > 0 for event in spans
+                   if event["name"] == "planner.relocate")
         # Simulation adds no cost evaluation of its own.
         assert "planner.cost-eval" not in parents
 

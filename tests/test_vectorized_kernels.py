@@ -1,12 +1,15 @@
 """Scalar-vs-vectorized equivalence tests for the simulation kernels.
 
 The vectorized kernels (matrix-form collectives, batched routing draws,
-batched lite-routing splits, matrix trace transforms) must reproduce the
-scalar implementations they replaced: collectives to float tolerance,
-integer token splits exactly, and seeded trace generation deterministically.
+compact lite-routing plans, heap-based relocation, matrix trace transforms)
+must reproduce the scalar implementations they replaced: collectives to
+float tolerance, integer token splits and replica placements exactly, and
+seeded trace generation deterministically.
 The scalar references live in :mod:`repro.scalar_reference` (verbatim ports
 of the pre-vectorization loops, shared with ``benchmarks/bench_floors.py``).
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -16,14 +19,23 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout, static_ep_layout
 from repro.core.lite_routing import (
     _split_evenly,
-    _split_evenly_batched,
+    _split_rows,
     lite_route,
+    lite_route_batch,
+)
+from repro.core.relocation import relocate_experts
+from repro.core.replica_allocation import (
+    allocate_replicas_priority_queue,
+    even_replicas,
+    perturb_replicas,
 )
 from repro.scalar_reference import (
     scalar_all_to_all,
     scalar_lite_route,
+    scalar_relocate_experts,
     scalar_split_evenly,
 )
+from repro.workloads.model_configs import get_model_config
 from repro.workloads.routing_traces import (
     RoutingTrace,
     RoutingTraceConfig,
@@ -170,7 +182,13 @@ class TestLiteRoutingEquivalence:
         totals = rng.integers(0, 1000, size=64)
         weights = rng.integers(0, 4, size=(64, 8)).astype(np.float64)
         weights[weights.sum(axis=1) == 0, 0] = 1.0  # every row splittable
-        batched = _split_evenly_batched(totals, weights)
+        # One segment per row over its positive weights, scattered back.
+        rows, cols = np.nonzero(weights)
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(rows,
+                                                             minlength=64))))
+        batched = np.zeros((64, 8), dtype=np.int64)
+        batched[rows, cols] = _split_rows(totals, offsets, rows,
+                                          weights[rows, cols])
         for row in range(64):
             assert batched[row].tolist() == scalar_split_evenly(
                 int(totals[row]), weights[row]).tolist()
@@ -187,20 +205,95 @@ class TestLiteRoutingEquivalence:
             routing[rng.uniform(size=(8, 8)) < 0.3] = 0
             layout = random_replicated_layout(rng, 8, 8, capacity=8)
             assert np.array_equal(
-                lite_route(routing, layout, topology),
-                scalar_lite_route(routing, layout, topology))
+                lite_route(routing, layout, topology).to_dense(),
+                scalar_lite_route(routing, layout, topology).to_dense())
 
     def test_lite_route_static_layout_matches_scalar(self, topology):
         rng = np.random.default_rng(5)
         routing = rng.integers(0, 100, size=(8, 8)).astype(np.int64)
         layout = static_ep_layout(8, 8, 2)
-        assert np.array_equal(lite_route(routing, layout, topology),
-                              scalar_lite_route(routing, layout, topology))
+        assert np.array_equal(
+            lite_route(routing, layout, topology).to_dense(),
+            scalar_lite_route(routing, layout, topology).to_dense())
 
     def test_missing_replica_still_raises(self, topology):
         layout = ExpertLayout(np.zeros((8, 2), dtype=np.int64), capacity=1)
         with pytest.raises(ValueError, match="no replica"):
             lite_route(np.ones((8, 2), dtype=np.int64), layout, topology)
+
+
+# ----------------------------------------------------------------------
+# Compact routing plans and heap relocation on every registered scenario
+# ----------------------------------------------------------------------
+@lru_cache(maxsize=None)
+def first_frame_problem(scenario, num_nodes):
+    """The first frame of ``scenario`` on ``num_nodes`` x 8 devices.
+
+    Returns the topology, the routing of each of its two layers, and per
+    layer the pq, even and two perturbed replica schemes with the loads
+    they are placed under.
+    """
+    config = get_model_config("mixtral-8x7b-e8k2")
+    topology = ClusterTopology(num_nodes=num_nodes, devices_per_node=8)
+    ctx = ScenarioContext(num_devices=topology.num_devices,
+                          num_experts=config.num_experts, num_layers=2,
+                          tokens_per_device=4096, top_k=config.top_k,
+                          iterations=1, seed=5)
+    frame = next(iter(make_scenario(scenario, ctx).iter_iterations()))
+    rng = np.random.default_rng(num_nodes)
+    n, e, c = topology.num_devices, config.num_experts, config.expert_capacity
+    layers = []
+    for routing in frame:
+        loads = routing.sum(axis=0)
+        pq = allocate_replicas_priority_queue(loads, n, e, c)
+        even = even_replicas(n, e, c)
+        schemes = (pq, even, perturb_replicas(pq, rng),
+                   perturb_replicas(even, rng))
+        layers.append((routing, loads, schemes))
+    return topology, c, layers
+
+
+FIRST_FRAMES = [(scenario, nodes)
+                for scenario in sorted(default_runnable_scenarios())
+                for nodes in (2, 4, 32)]
+
+
+class TestCompactPlannerDifferential:
+    @pytest.mark.parametrize("scenario,nodes", FIRST_FRAMES)
+    def test_relocation_matches_scalar_scan(self, scenario, nodes):
+        topology, capacity, layers = first_frame_problem(scenario, nodes)
+        for _, loads, schemes in layers:
+            for replicas in schemes:
+                assert relocate_experts(replicas, loads, topology, capacity) \
+                    == scalar_relocate_experts(replicas, loads, topology,
+                                               capacity)
+
+    @pytest.mark.parametrize("scenario,nodes", FIRST_FRAMES)
+    def test_compact_plans_match_scalar_route(self, scenario, nodes):
+        topology, capacity, layers = first_frame_problem(scenario, nodes)
+        for routing, loads, schemes in layers:
+            for replicas in schemes:
+                layout = relocate_experts(replicas, loads, topology, capacity)
+                plan = lite_route(routing, layout, topology)
+                dense = scalar_lite_route(routing, layout, topology).to_dense()
+                assert np.array_equal(plan.to_dense(), dense)
+                assert np.array_equal(plan.pairwise(), dense.sum(axis=1))
+                assert np.array_equal(plan.tokens_per_device(),
+                                      dense.sum(axis=(0, 1)))
+
+    @pytest.mark.parametrize("scenario,nodes", FIRST_FRAMES)
+    def test_batch_matches_per_candidate_route(self, scenario, nodes):
+        topology, capacity, layers = first_frame_problem(scenario, nodes)
+        for routing, loads, schemes in layers:
+            layouts = [relocate_experts(replicas, loads, topology, capacity)
+                       for replicas in schemes]
+            batched = lite_route_batch(routing, layouts, topology)
+            assert len(batched) == len(layouts)
+            for plan, layout in zip(batched, layouts):
+                single = lite_route(routing, layout, topology)
+                for name in ("offsets", "dest", "tokens"):
+                    assert np.array_equal(getattr(plan, name),
+                                          getattr(single, name))
 
 
 # ----------------------------------------------------------------------
