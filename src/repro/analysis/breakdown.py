@@ -7,13 +7,16 @@ from typing import Dict, List, Mapping
 
 from repro.sim.engine import RunResult
 
-#: Component order used when printing breakdowns.
+#: Component order used when printing breakdowns.  ``overflow`` exists only
+#: while the capacity-overflow model is on, so its column is printed only
+#: when some system has the bucket.
 BREAKDOWN_COMPONENTS = (
     "all_to_all",
     "expert_compute",
     "attention_and_other",
     "exposed_comm",
     "relayout",
+    "overflow",
     "other",
 )
 
@@ -52,11 +55,14 @@ class BreakdownTable:
 
     def as_rows(self) -> List[Dict[str, object]]:
         """Rows suitable for tabular printing."""
+        overflow = any("overflow" in row for row in self.rows.values())
+        components = [component for component in BREAKDOWN_COMPONENTS
+                      if overflow or component != "overflow"]
         out: List[Dict[str, object]] = []
         for system in self.rows:
             row: Dict[str, object] = {"system": system,
                                       "iteration_s": round(self.totals[system], 3)}
-            for component in BREAKDOWN_COMPONENTS:
+            for component in components:
                 row[f"{component}_pct"] = round(
                     100.0 * self.fraction(system, component), 1)
             out.append(row)

@@ -22,10 +22,8 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.analysis.breakdown import BreakdownTable
 from repro.analysis.reporting import format_speedup_table, format_table
-from repro.core.cost_model import MoECostModel
 from repro.core.layout import static_ep_layout
 from repro.core.lite_routing import lite_route
-from repro.core.planner import LoadBalancingPlanner, PlannerConfig
 from repro.sim.engine import RunResult, compare_systems
 from repro.sim.systems import make_system
 from repro.api.specs import ExperimentSpec
@@ -231,16 +229,8 @@ class ExperimentRunner:
     system consumes its own deterministic fork.  The systems run in this
     process, one after another; a comparison that needs several processes
     is a study with a ``systems`` axis drained by ``repro fleet run
-    --workers N``.
-
-    The runner is stateless between :meth:`run` calls except for
-    ``last_runs``, which retains the most recent raw
-    :class:`~repro.sim.engine.RunResult` objects for callers that need
-    per-iteration detail beyond the serializable summary.
+    --workers N``.  The runner keeps no state between :meth:`run` calls.
     """
-
-    def __init__(self) -> None:
-        self.last_runs: Dict[str, RunResult] = {}
 
     def run(self, spec: ExperimentSpec) -> ExperimentResult:
         """Run one experiment end to end.
@@ -265,16 +255,13 @@ class ExperimentRunner:
                 system_spec.name, config, topology,
                 spec.workload.tokens_per_device,
                 activation_checkpointing=spec.activation_checkpointing,
-                overflow_penalty=spec.overflow_penalty,
-                token_capacity=spec.token_capacity,
-                drop_policy=spec.drop_policy,
+                overflow=spec.overflow,
                 calibration=spec.calibration,
                 **system_spec.options)
             built.name = system_spec.key
             systems.append(built)
 
         runs = compare_systems(systems, source, warmup=spec.workload.warmup)
-        self.last_runs = runs
 
         reference = (spec.reference if spec.reference in runs
                      else next(iter(runs)))
@@ -349,20 +336,19 @@ def run_planner_study(spec: ExperimentSpec) -> List[PlannerIterationStats]:
     :class:`~repro.workloads.scenarios.TraceSource` one frame at a time
     (like the simulation engine), so memory stays O(1) in the number of
     iterations instead of materializing the whole trace up front.
+
+    The planner, its (calibrated) topology and its cost model are those of
+    the ``laer`` system that :func:`~repro.sim.systems.make_system` builds
+    for the spec.
     """
-    topology = spec.cluster.to_topology()
-    if spec.calibration is not None:
-        topology = spec.calibration.apply_to_topology(topology)
     config = spec.workload.model_config()
-    source = spec.workload.make_source(topology.num_devices)
-    cost_model = MoECostModel.from_model_config(
-        config, topology,
+    planner = make_system(
+        "laer", config, spec.cluster.to_topology(),
+        spec.workload.tokens_per_device,
         activation_checkpointing=spec.activation_checkpointing,
-        comm_bytes_scale=(spec.calibration.comm_bytes_scale
-                          if spec.calibration is not None else 1.0))
-    planner = LoadBalancingPlanner(
-        topology, cost_model, config.num_experts,
-        PlannerConfig(capacity=config.expert_capacity))
+        calibration=spec.calibration).policy.planner
+    topology, cost_model = planner.topology, planner.cost_model
+    source = spec.workload.make_source(topology.num_devices)
     static = static_ep_layout(topology.num_devices, config.num_experts,
                               config.expert_capacity)
 

@@ -28,7 +28,7 @@ from repro.cluster.topology import (
     DEFAULT_INTRA_NODE_LATENCY,
     ClusterTopology,
 )
-from repro.sim.iteration import DROP_POLICIES
+from repro.sim.iteration import OverflowModel
 from repro.sim.systems import registered_system
 from repro.workloads.model_configs import (
     MoEModelConfig,
@@ -300,19 +300,11 @@ class ExperimentSpec:
             absent from ``systems`` the runner substitutes the first system
             (and records the substitution in the result).
         activation_checkpointing: Whether expert recomputation is enabled.
-        overflow_penalty: Capacity-overflow cost factor: tokens a scenario
-            routes beyond a device's memory budget are dropped and
-            recomputed, charged at ``penalty`` times their expert compute
-            time.  ``0.0`` (the default) disables the overflow model.
-        token_capacity: Explicit per-device routed-token budget for the
-            overflow model; ``None`` derives it from the simulated device's
-            memory capacity.
-        drop_policy: How tokens beyond capacity are handled: ``"penalty"``
-            (the default linear charge), ``"truncate"`` (capacity-factor
-            truncation) or ``"recompute"`` (one full extra expert pass); see
-            :class:`repro.sim.iteration.IterationSimulator`.  The
-            non-default policies activate the overflow model even with
-            ``overflow_penalty == 0``.
+        overflow_penalty, token_capacity, drop_policy: The capacity-overflow
+            knobs, kept flat because they are the JSON schema.  Construction
+            derives and validates ``overflow``, one
+            :class:`repro.sim.iteration.OverflowModel`, from them; the
+            defaults leave the model off and stay out of ``to_dict()``.
         calibration: Optional fitted machine corrections
             (:class:`repro.calib.profile.CalibrationProfile`).  When set,
             the runner applies the profile to the materialised topology and
@@ -338,14 +330,8 @@ class ExperimentSpec:
                 self.calibration, CalibrationProfile):
             object.__setattr__(self, "calibration",
                                CalibrationProfile.from_dict(self.calibration))
-        if self.overflow_penalty < 0:
-            raise ValueError("overflow_penalty must be non-negative")
-        if self.token_capacity is not None and self.token_capacity <= 0:
-            raise ValueError("token_capacity must be positive")
-        if self.drop_policy not in DROP_POLICIES:
-            raise ValueError(
-                f"unknown drop_policy {self.drop_policy!r}; "
-                f"expected one of {DROP_POLICIES}")
+        object.__setattr__(self, "overflow", OverflowModel(
+            self.overflow_penalty, self.token_capacity, self.drop_policy))
         systems = tuple(SystemSpec.from_dict(s) if not isinstance(s, SystemSpec)
                         else s for s in self.systems)
         if not systems:
@@ -388,17 +374,7 @@ class ExperimentSpec:
             "reference": self.reference,
             "activation_checkpointing": self.activation_checkpointing,
         }
-        # The overflow knobs are serialized only when set: run ids and spec
-        # fingerprints are content hashes of this dict, so emitting the
-        # defaults would orphan every run stored before the knobs existed
-        # (resume would re-execute finished sweeps, regressions() would
-        # stop pairing old baselines with new candidates).
-        if self.overflow_penalty != 0.0:
-            data["overflow_penalty"] = self.overflow_penalty
-        if self.token_capacity is not None:
-            data["token_capacity"] = self.token_capacity
-        if self.drop_policy != "penalty":
-            data["drop_policy"] = self.drop_policy
+        data.update(self.overflow.to_dict())
         if self.calibration is not None:
             data["calibration"] = self.calibration.to_dict()
         return data

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.baselines.base import LoadBalancingPolicy, PolicyDecision
 from repro.cluster.topology import ClusterTopology
-from repro.core.layout import ExpertLayout
+from repro.core.layout import ExpertLayout, round_robin_layout
 from repro.core.lite_routing import lite_route
 
 
@@ -65,18 +65,6 @@ class FlexMoEPolicy(LoadBalancingPolicy):
         super().reset()
         self._layouts.clear()
         self._history.clear()
-
-    # ------------------------------------------------------------------
-    def _initial_layout(self) -> ExpertLayout:
-        """Even round-robin layout filling the full capacity."""
-        n = self.topology.num_devices
-        assignment = np.zeros((n, self.num_experts), dtype=np.int64)
-        expert = 0
-        for device in range(n):
-            for _ in range(self.capacity):
-                assignment[device, expert % self.num_experts] += 1
-                expert += 1
-        return ExpertLayout(assignment, self.capacity)
 
     # ------------------------------------------------------------------
     def _adjust_layout(self, layout: ExpertLayout,
@@ -130,7 +118,8 @@ class FlexMoEPolicy(LoadBalancingPolicy):
     def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
         routing = np.asarray(routing, dtype=np.int64)
         if layer not in self._layouts:
-            self._layouts[layer] = self._initial_layout()
+            self._layouts[layer] = round_robin_layout(
+                self.topology.num_devices, self.num_experts, self.capacity)
 
         changes = 0
         migration = 0.0

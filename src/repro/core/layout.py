@@ -167,3 +167,17 @@ def static_ep_layout(num_devices: int, num_experts: int,
         for expert in range(ep_rank * capacity, (ep_rank + 1) * capacity):
             assignment[device, expert] = 1
     return ExpertLayout(assignment, capacity)
+
+
+def round_robin_layout(num_devices: int, num_experts: int,
+                       capacity: int) -> ExpertLayout:
+    """Fill every device's ``capacity`` slots with experts in round robin.
+
+    Slot ``k`` of the cluster (device ``k // capacity``) restores expert
+    ``k % E``.  Unlike :func:`static_ep_layout` it exists for every shape,
+    e.g. when ``N`` is not a multiple of ``E / C``.
+    """
+    assignment = np.zeros((num_devices, num_experts), dtype=np.int64)
+    for slot in range(num_devices * capacity):
+        assignment[slot // capacity, slot % num_experts] += 1
+    return ExpertLayout(assignment, capacity)

@@ -18,7 +18,11 @@ import numpy as np
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import CostBreakdown, MoECostModel
-from repro.core.layout import ExpertLayout, static_ep_layout
+from repro.core.layout import (
+    ExpertLayout,
+    round_robin_layout,
+    static_ep_layout,
+)
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.core.lite_routing import lite_route
 from repro.core.routing_plan import RoutingPlan
@@ -89,13 +93,7 @@ class LoadBalancingPlanner:
         try:
             return static_ep_layout(n, self.num_experts, capacity)
         except ValueError:
-            assignment = np.zeros((n, self.num_experts), dtype=np.int64)
-            expert = 0
-            for device in range(n):
-                for _ in range(capacity):
-                    assignment[device, expert % self.num_experts] += 1
-                    expert += 1
-            return ExpertLayout(assignment, capacity)
+            return round_robin_layout(n, self.num_experts, capacity)
 
     # ------------------------------------------------------------------
     # Observation (asynchronous layout tuner input)

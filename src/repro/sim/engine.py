@@ -3,9 +3,8 @@
 The engine consumes any :class:`~repro.workloads.scenarios.TraceSource`
 (fully-materialized :class:`~repro.workloads.routing_traces.RoutingTrace`
 objects included) one iteration at a time, folding every simulated iteration
-into the :class:`RunResult` aggregates as it goes -- memory stays O(1) in the
-number of iterations when ``keep_iterations=False``, and the statistics are
-identical either way because both modes share the same accumulation.
+into the :class:`RunResult` aggregates and then dropping it, so memory stays
+O(1) in the number of iterations.
 
 :func:`compare_systems` runs several systems over the same workload, one
 after another.  Each system consumes its own ``source.fork()`` -- an
@@ -15,8 +14,7 @@ depends on which systems ran before it.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Union
 
 from repro.sim.iteration import IterationResult
@@ -33,36 +31,23 @@ Workload = Union[TraceSource, RoutingTrace]
 class RunResult:
     """Aggregated outcome of simulating a system over a routing workload.
 
-    Statistics are accumulated incrementally via :meth:`add`, so a streaming
-    run never needs the whole iteration list in memory; the per-iteration
-    results are retained only when ``keep_iterations`` is true (the default,
-    for callers that want per-iteration detail).
+    :meth:`add` folds each simulated iteration into running sums and keeps
+    nothing else, so a run holds only its aggregates, whatever its length.
 
     Attributes:
         system: Name of the simulated system.
-        iterations: Per-iteration simulation results (empty when
-            ``keep_iterations`` is false, even though the aggregates cover
-            every added iteration).
         tokens_per_iteration: Global tokens processed per iteration.
-        keep_iterations: Whether :meth:`add` retains the raw
-            :class:`IterationResult` objects.
     """
 
     system: str
-    iterations: List[IterationResult] = field(default_factory=list)
     tokens_per_iteration: int = 0
-    keep_iterations: bool = True
 
     def __post_init__(self) -> None:
-        seeded = list(self.iterations)
-        self.iterations = []
         self._count = 0
         self._time_sum = 0.0
         self._breakdown_sums: Dict[str, float] = {}
         self._rel_max_sum = 0.0
         self._layer_rel_sums: List[float] = []
-        for iteration in seeded:
-            self.add(iteration)
 
     # ------------------------------------------------------------------
     def add(self, result: IterationResult) -> None:
@@ -76,8 +61,6 @@ class RunResult:
             self._layer_rel_sums = [0.0] * len(result.layers)
         for index, layer in enumerate(result.layers[:len(self._layer_rel_sums)]):
             self._layer_rel_sums[index] += layer.relative_max_tokens
-        if self.keep_iterations:
-            self.iterations.append(result)
 
     @property
     def num_iterations(self) -> int:
@@ -151,36 +134,23 @@ class RunResult:
         return [total / self._count for total in self._layer_rel_sums]
 
 
-def _fork_workload(workload: Workload) -> Workload:
-    """Independent replay of a workload (sources fork, traces are immutable)."""
-    fork = getattr(workload, "fork", None)
-    if callable(fork):
-        return fork()
-    return workload
-
-
 class TrainingRunSimulator:
     """Drive a :class:`SystemSpec` over a routing workload."""
 
     def __init__(self, system: SystemSpec):
         self.system = system
 
-    def run(self, workload: Workload, max_iterations: int | None = None,
-            warmup: int = 0, keep_iterations: bool = True) -> RunResult:
+    def run(self, workload: Workload, warmup: int = 0) -> RunResult:
         """Simulate the system over a trace source.
 
         The source is consumed strictly in order, one iteration at a time;
         nothing beyond the current frame and the running aggregates is kept,
-        so arbitrarily long workloads stream in O(1) memory (pass
-        ``keep_iterations=False`` to drop the per-iteration detail too).
+        so arbitrarily long workloads stream in O(1) memory.
 
         Args:
             workload: Trace source (or materialized trace) to replay.
-            max_iterations: Optional cap on the measured iterations.
             warmup: Iterations at the start that are simulated (so adaptive
                 policies build their history) but excluded from the result.
-            keep_iterations: Retain per-iteration results on the
-                :class:`RunResult` (disable for constant-memory streaming).
 
         Returns:
             A :class:`RunResult` aggregating the post-warmup iterations.
@@ -188,17 +158,14 @@ class TrainingRunSimulator:
         if warmup < 0:
             raise ValueError("warmup must be non-negative")
         total = int(workload.num_iterations)
-        if max_iterations is not None:
-            total = min(total, max_iterations + warmup)
         if warmup >= total:
             raise ValueError("warmup leaves no iterations to measure")
 
         self.system.reset()
         global_tokens = int(workload.tokens_per_device) * int(workload.num_devices)
         result = RunResult(system=self.system.name,
-                           tokens_per_iteration=global_tokens,
-                           keep_iterations=keep_iterations)
-        frames = iter(itertools.islice(workload.iter_iterations(), total))
+                           tokens_per_iteration=global_tokens)
+        frames = iter(workload.iter_iterations())
         for iteration in range(total):
             # Telemetry phases (no-op spans unless a tracer is armed):
             # drawing the routing frame, the policy decision (which is
@@ -222,9 +189,7 @@ class TrainingRunSimulator:
 
 
 def compare_systems(systems: List[SystemSpec], workload: Workload,
-                    max_iterations: int | None = None,
-                    warmup: int = 0,
-                    keep_iterations: bool = True) -> Dict[str, RunResult]:
+                    warmup: int = 0) -> Dict[str, RunResult]:
     """Run several systems over the same workload and return results by name.
 
     The systems run in this process, one after another.  Every system
@@ -236,6 +201,5 @@ def compare_systems(systems: List[SystemSpec], workload: Workload,
     results: Dict[str, RunResult] = {}
     for system in systems:
         results[system.name] = TrainingRunSimulator(system).run(
-            _fork_workload(workload), max_iterations=max_iterations,
-            warmup=warmup, keep_iterations=keep_iterations)
+            workload.fork(), warmup=warmup)
     return results

@@ -14,23 +14,18 @@ collective cost models and the Fig. 5 communication schedule:
   depends on the paradigm (FSEP unshard/reshard, FSDP All-Gather /
   Reduce-Scatter, or Megatron's replicated gradients);
 * re-layout overheads reported by the policy (migrations, shadow broadcasts);
-* optionally, a **capacity-overflow model**: when a scenario routes more
-  tokens onto a device than its memory can hold, the overflowing tokens are
-  handled by one of three ``drop_policy`` variants -- ``"penalty"`` (the
-  linear model: extra expert compute scaled by ``overflow_penalty``),
-  ``"truncate"`` (capacity-factor truncation: overflowing tokens are dropped
-  outright, bounding the layer's expert time at capacity), or
-  ``"recompute"`` (the overflowing tokens are re-dispatched through one full
-  extra expert pass).  Off by default (``overflow_penalty=0`` with the
-  ``"penalty"`` policy); the per-device token budget defaults to the
-  paradigm's :class:`~repro.cluster.memory.MemoryModel` feasibility limit
-  and can be pinned explicitly via ``token_capacity``.
+* optionally, a **capacity-overflow model** (:class:`OverflowModel`): when
+  a scenario routes more tokens onto a device than its memory can hold, the
+  overflowing tokens are charged or dropped according to its
+  ``drop_policy``.  Off by default; the per-device token budget defaults to
+  the paradigm's :class:`~repro.cluster.memory.MemoryModel` feasibility
+  limit and can be pinned explicitly via ``token_capacity``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +48,84 @@ BYTES_PER_ELEMENT = 2
 
 #: Supported capacity-overflow handling policies.
 DROP_POLICIES = ("penalty", "truncate", "recompute")
+
+
+@dataclass(frozen=True)
+class OverflowModel:
+    """How a layer charges the tokens routed beyond a device's capacity.
+
+    Attributes:
+        overflow_penalty: Cost factor of the ``"penalty"`` policy: each
+            overflowing token is charged as ``penalty`` times its expert
+            compute time.  ``0.0`` (the default) leaves the model off.
+        token_capacity: Per-device routed-token budget; ``None`` derives it
+            from device memory (see
+            :meth:`IterationSimulator.device_token_capacity`).
+        drop_policy: ``"penalty"`` (the linear charge above), ``"truncate"``
+            (capacity-factor truncation: overflowing tokens are dropped,
+            never computed, so the layer's expert time is bounded at
+            capacity) or ``"recompute"`` (overflowing tokens go through one
+            full extra expert pass: the linear charge at factor 1, whatever
+            ``overflow_penalty`` says).  The non-default policies turn the
+            model on even with ``overflow_penalty == 0``.
+    """
+
+    overflow_penalty: float = 0.0
+    token_capacity: Optional[int] = None
+    drop_policy: str = "penalty"
+
+    def __post_init__(self) -> None:
+        if self.overflow_penalty < 0:
+            raise ValueError("overflow_penalty must be non-negative")
+        if self.token_capacity is not None and self.token_capacity <= 0:
+            raise ValueError("token_capacity must be positive")
+        if self.drop_policy not in DROP_POLICIES:
+            raise ValueError(
+                f"unknown drop_policy {self.drop_policy!r}; "
+                f"expected one of {DROP_POLICIES}")
+
+    @property
+    def active(self) -> bool:
+        """Whether any tokens are compared against a capacity at all."""
+        return self.overflow_penalty > 0 or self.drop_policy != "penalty"
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The non-default settings, keyed by their spec field names.
+
+        Only set knobs are emitted: run ids and spec fingerprints are
+        content hashes of the spec dict, so emitting the defaults would
+        orphan every run stored before the knobs existed (resume would
+        re-execute finished sweeps, regressions() would stop pairing old
+        baselines with new candidates).
+        """
+        data: Dict[str, Any] = {}
+        if self.overflow_penalty != 0.0:
+            data["overflow_penalty"] = self.overflow_penalty
+        if self.token_capacity is not None:
+            data["token_capacity"] = self.token_capacity
+        if self.drop_policy != "penalty":
+            data["drop_policy"] = self.drop_policy
+        return data
+
+    def charge(self, tokens_per_device: np.ndarray, capacity: int,
+               unit_time: float) -> Tuple[np.ndarray, int, float, int]:
+        """Charge one layer's per-device routed tokens against ``capacity``.
+
+        ``unit_time`` is one token's expert compute time.  Returns the
+        tokens each device computes, the hottest device's overflow, the
+        overflow time and the number of dropped tokens.
+        """
+        overflow_tokens = max(0, int(tokens_per_device.max()) - capacity)
+        if self.drop_policy == "truncate":
+            computed = np.minimum(tokens_per_device, capacity)
+            dropped = int(np.maximum(tokens_per_device - capacity, 0.0).sum())
+            return computed, overflow_tokens, 0.0, dropped
+        # Recompute is the linear charge at factor 1: ``overflow_tokens`` is
+        # an int, so ``1.0 * overflow_tokens`` is exact.
+        factor = (1.0 if self.drop_policy == "recompute"
+                  else self.overflow_penalty)
+        return (tokens_per_device, overflow_tokens,
+                (factor * overflow_tokens) * unit_time, 0)
 
 
 @dataclass
@@ -127,23 +200,7 @@ class IterationSimulator:
         activation_checkpointing: Whether expert recomputation is enabled.
         num_layers: Number of MoE transformer layers simulated per iteration;
             defaults to the model's layer count.
-        overflow_penalty: Cost factor for tokens routed beyond a device's
-            memory capacity under the ``"penalty"`` drop policy: each
-            overflowing token is charged as ``penalty`` times its expert
-            compute time.  ``0.0`` (the default) disables the overflow
-            model entirely under ``"penalty"``; the other policies activate
-            it regardless.
-        token_capacity: Per-device routed-token budget the overflow model
-            compares against.  ``None`` derives it from the device's memory
-            via :meth:`MemoryModel.max_tokens_per_device` for the active
-            paradigm.
-        drop_policy: How tokens beyond capacity are handled: ``"penalty"``
-            (linear extra-compute charge scaled by ``overflow_penalty``),
-            ``"truncate"`` (capacity-factor truncation -- overflowing
-            tokens are dropped, never computed, and the layer's expert time
-            is bounded at capacity), or ``"recompute"`` (overflowing tokens
-            are re-dispatched through one full extra expert pass on the
-            critical device).
+        overflow: The capacity-overflow model (off by default).
         comm_bytes_scale: Calibrated multiplier on the bytes moved per
             routed token in the All-to-All (protocol/framing overhead
             fitted by :mod:`repro.calib`); 1.0 models the nominal
@@ -159,9 +216,7 @@ class IterationSimulator:
     ep_size: int = 1
     activation_checkpointing: bool = False
     num_layers: Optional[int] = None
-    overflow_penalty: float = 0.0
-    token_capacity: Optional[int] = None
-    drop_policy: str = "penalty"
+    overflow: OverflowModel = field(default_factory=OverflowModel)
     comm_bytes_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -173,39 +228,29 @@ class IterationSimulator:
             raise ValueError(f"unknown paradigm {self.paradigm!r}")
         if self.tp_size < 1 or self.ep_size < 1:
             raise ValueError("tp_size and ep_size must be at least 1")
-        if self.overflow_penalty < 0:
-            raise ValueError("overflow_penalty must be non-negative")
-        if self.token_capacity is not None and self.token_capacity <= 0:
-            raise ValueError("token_capacity must be positive")
-        if self.drop_policy not in DROP_POLICIES:
-            raise ValueError(
-                f"unknown drop_policy {self.drop_policy!r}; "
-                f"expected one of {DROP_POLICIES}")
         self.collectives = CollectiveCostModel(self.topology)
         self._tp_cost = TensorParallelCost(self.topology, self.config, self.tp_size)
         if self.num_layers is None:
             self.num_layers = self.config.num_layers
-        overflow_active = (self.overflow_penalty > 0
-                           or self.drop_policy != "penalty")
         self._device_token_capacity = (
-            self.device_token_capacity() if overflow_active else None)
+            self.device_token_capacity() if self.overflow.active else None)
         self._layer_invariants: Optional[Tuple[float, float, float, float]] = None
 
     def device_token_capacity(self) -> int:
         """The per-device *routed*-token budget the overflow model enforces.
 
-        Explicit ``token_capacity`` wins (it is compared directly against
-        the routing plan's per-device sums, which count expert slots --
-        ``top_k`` routed copies per input token).  Otherwise the budget is
-        derived from the :class:`MemoryModel` feasibility search: the
-        largest per-device *input*-token count whose activations fit in
-        device memory, scaled by ``top_k`` to land in the same
-        routed-token units as the plan sums -- without the scaling a
-        memory-feasible, perfectly balanced workload would read as
-        overflowing by a factor of ``top_k``.
+        An explicit ``overflow.token_capacity`` wins (it is compared
+        directly against the routing plan's per-device sums, which count
+        expert slots -- ``top_k`` routed copies per input token).
+        Otherwise the budget is derived from the :class:`MemoryModel`
+        feasibility search: the largest per-device *input*-token count
+        whose activations fit in device memory, scaled by ``top_k`` to land
+        in the same routed-token units as the plan sums -- without the
+        scaling a memory-feasible, perfectly balanced workload would read
+        as overflowing by a factor of ``top_k``.
         """
-        if self.token_capacity is not None:
-            return int(self.token_capacity)
+        if self.overflow.token_capacity is not None:
+            return int(self.overflow.token_capacity)
         memory = MemoryModel(self.config, self.topology,
                              activation_checkpointing=self.activation_checkpointing)
         kwargs: Dict[str, int] = {}
@@ -324,28 +369,12 @@ class IterationSimulator:
         max_tokens = int(tokens_per_device.max())
         unit_time = (self.config.expert_flops_per_token
                      / self.topology.device_spec.effective_flops)
-        overflow_tokens = 0
-        overflow_time = 0.0
-        dropped_tokens = 0
-        computed = tokens_per_device
+        computed, overflow_tokens, overflow_time, dropped_tokens = (
+            tokens_per_device, 0, 0.0, 0)
         if self._device_token_capacity is not None:
-            capacity = self._device_token_capacity
-            overflow_tokens = max(0, max_tokens - capacity)
-            if self.drop_policy == "truncate":
-                # Capacity-factor truncation: overflowing tokens are dropped
-                # outright, so no device ever computes more than capacity.
-                computed = np.minimum(tokens_per_device, capacity)
-                dropped_tokens = int(
-                    np.maximum(tokens_per_device - capacity, 0.0).sum())
-            elif self.drop_policy == "recompute":
-                # Overflowing tokens are re-dispatched through one full extra
-                # expert pass on the critical device.
-                overflow_time = overflow_tokens * unit_time
-            else:
-                # Linear penalty: each overflowing token charged as
-                # ``overflow_penalty`` times its expert compute time.
-                overflow_time = (self.overflow_penalty * overflow_tokens
-                                 * unit_time)
+            computed, overflow_tokens, overflow_time, dropped_tokens = (
+                self.overflow.charge(tokens_per_device,
+                                     self._device_token_capacity, unit_time))
         expert_max = float(computed.max()) * unit_time
         expert_mean = float(computed.mean()) * unit_time
         timings = LayerTimings(

@@ -30,7 +30,7 @@ the CLI, the benchmarks and :mod:`repro.api`; they resolve every system --
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.baselines import (
     FasterMoEPolicy,
@@ -49,7 +49,7 @@ from repro.core.comm_schedule import CommScheduleConfig
 from repro.core.cost_model import MoECostModel
 from repro.core.layout_tuner import TunerConfig
 from repro.registry import Registry
-from repro.sim.iteration import IterationSimulator
+from repro.sim.iteration import IterationSimulator, OverflowModel
 from repro.workloads.model_configs import MoEModelConfig
 
 
@@ -115,14 +115,8 @@ class SystemBuildContext:
         topology: Cluster topology.
         tokens_per_device: Tokens per device per micro-batch.
         activation_checkpointing: Whether expert recomputation is enabled.
-        overflow_penalty: Capacity-overflow cost factor forwarded to every
-            built :class:`IterationSimulator` (0 disables the model).
-        token_capacity: Explicit per-device routed-token budget for the
-            overflow model (None derives it from device memory).
-        drop_policy: Capacity-overflow handling policy forwarded to every
-            built simulator (``"penalty"``, ``"truncate"`` or
-            ``"recompute"``; see
-            :class:`repro.sim.iteration.IterationSimulator`).
+        overflow: Capacity-overflow model handed to every built
+            :class:`IterationSimulator` (off by default).
         calibration: Optional fitted machine corrections
             (:class:`repro.calib.profile.CalibrationProfile`).  The
             bandwidth/latency/FLOPs corrections are baked into ``topology``
@@ -136,9 +130,7 @@ class SystemBuildContext:
     topology: ClusterTopology
     tokens_per_device: int
     activation_checkpointing: bool = False
-    overflow_penalty: float = 0.0
-    token_capacity: int | None = None
-    drop_policy: str = "penalty"
+    overflow: OverflowModel = field(default_factory=OverflowModel)
     calibration: "CalibrationProfile | None" = None
 
     # -- derived quantities -------------------------------------------------
@@ -191,9 +183,7 @@ class SystemBuildContext:
             tp_size=tp_size,
             ep_size=ep_size if ep_size is not None else self.ep_size,
             activation_checkpointing=self.activation_checkpointing,
-            overflow_penalty=self.overflow_penalty,
-            token_capacity=self.token_capacity,
-            drop_policy=self.drop_policy,
+            overflow=self.overflow,
             comm_bytes_scale=self.comm_bytes_scale,
         )
         return SystemSpec(name=self.name, paradigm=paradigm, policy=policy,
@@ -214,9 +204,7 @@ system_descriptions = SYSTEMS.descriptions
 def make_system(name: str, config: MoEModelConfig, topology: ClusterTopology,
                 tokens_per_device: int,
                 activation_checkpointing: bool = False,
-                overflow_penalty: float = 0.0,
-                token_capacity: int | None = None,
-                drop_policy: str = "penalty",
+                overflow: OverflowModel = OverflowModel(),
                 calibration: "CalibrationProfile | None" = None,
                 **overrides: object) -> SystemSpec:
     """Instantiate one of the registered training systems.
@@ -227,12 +215,8 @@ def make_system(name: str, config: MoEModelConfig, topology: ClusterTopology,
         topology: Cluster topology.
         tokens_per_device: Tokens per device per micro-batch.
         activation_checkpointing: Whether expert recomputation is enabled.
-        overflow_penalty: Capacity-overflow cost factor (0 disables; see
-            :class:`repro.sim.iteration.IterationSimulator`).
-        token_capacity: Explicit per-device routed-token budget for the
-            overflow model.
-        drop_policy: Capacity-overflow handling policy (``"penalty"``,
-            ``"truncate"`` or ``"recompute"``).
+        overflow: Capacity-overflow model of every simulated layer (see
+            :class:`repro.sim.iteration.OverflowModel`; off by default).
         calibration: Optional fitted machine corrections, applied here to
             the nominal ``topology`` (bandwidth, latency, FLOPs) and to the
             cost model and simulator (per-token byte overhead).
@@ -248,10 +232,7 @@ def make_system(name: str, config: MoEModelConfig, topology: ClusterTopology,
     ctx = SystemBuildContext(name=entry.name, config=config, topology=topology,
                              tokens_per_device=tokens_per_device,
                              activation_checkpointing=activation_checkpointing,
-                             overflow_penalty=overflow_penalty,
-                             token_capacity=token_capacity,
-                             drop_policy=drop_policy,
-                             calibration=calibration)
+                             overflow=overflow, calibration=calibration)
     return entry.build(ctx, **overrides)
 
 

@@ -730,8 +730,7 @@ class ResultStore:
 
     # -- writing --------------------------------------------------------
     def put(self, result: ExperimentResult, tags: Sequence[str] = (),
-            created_at: Optional[float] = None,
-            compact: bool = False) -> StoredRun:
+            created_at: Optional[float] = None) -> StoredRun:
         """Persist one result (overwriting any previous run of the same id).
 
         Returns the :class:`StoredRun` envelope actually written.  The index
@@ -748,10 +747,6 @@ class ResultStore:
             result: The experiment result to store.
             tags: Tags stored on (and part of the identity of) the run.
             created_at: Timestamp override (defaults to now).
-            compact: Escape hatch restoring the old eager behavior: fold the
-                journal (this entry included) straight into ``index.json``
-                via :meth:`compact_index`.  O(n) per call -- reserve it for
-                callers that want a fresh ``index.json`` after every put.
         """
         tags = tuple(sorted({str(t) for t in tags}))
         if created_at is None:
@@ -776,10 +771,7 @@ class ResultStore:
         self._append_journal({"op": "put", "entry": entry})
         inject("store.post-journal", run_id=run.run_id)
         _M_PUTS.inc()
-        if compact:
-            self.compact_index()
-        else:
-            self._maybe_auto_compact()
+        self._maybe_auto_compact()
         return run
 
     def tag(self, run_id: str, *tags: str) -> StoredRun:
@@ -809,11 +801,11 @@ class ResultStore:
               max_runs: Optional[int] = None,
               protect_tags: Sequence[str] = ("baseline",),
               now: Optional[float] = None,
-              compact: bool = True,
               dry_run: bool = False) -> List[str]:
         """Bounded eviction: delete old runs by age and/or count.
 
-        Runs carrying any of ``protect_tags`` (default: ``baseline``, the
+        The deletes are folded into ``index.json`` at the end.  Runs
+        carrying any of ``protect_tags`` (default: ``baseline``, the
         regression-gate anchors) are never deleted and never counted
         against ``max_runs`` enforcement order -- a store can therefore end
         above ``max_runs`` when protected runs alone exceed it.
@@ -825,7 +817,6 @@ class ResultStore:
                 until at most this many runs remain in total.
             protect_tags: Tags that exempt a run from deletion.
             now: Clock override for tests.
-            compact: Fold the deletes into ``index.json`` afterwards.
             dry_run: Report what would be deleted, delete nothing.
 
         Returns the deleted (or, dry-run, doomed) run ids, oldest first.
@@ -855,7 +846,7 @@ class ResultStore:
         if not dry_run:
             for entry in doomed:
                 self.delete(entry.run_id)
-            if doomed and compact:
+            if doomed:
                 self.compact_index()
         return [entry.run_id for entry in doomed]
 

@@ -23,8 +23,9 @@ def make_run(name, attention=1.0, expert=2.0, a2a=1.5, exposed=0.2):
                  "other": 0.0}
     iteration = IterationResult(iteration=0, total_time=total,
                                 breakdown=breakdown, layers=[layer])
-    return RunResult(system=name, iterations=[iteration],
-                     tokens_per_iteration=1000)
+    run = RunResult(system=name, tokens_per_iteration=1000)
+    run.add(iteration)
+    return run
 
 
 class TestBreakdownTable:

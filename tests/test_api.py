@@ -138,6 +138,31 @@ class TestSpecRoundTrip:
         with pytest.raises(ValueError, match="token_capacity"):
             small_spec(token_capacity=0)
 
+    @pytest.mark.parametrize("knobs, run_id, fingerprint", [
+        ({}, "api-test-d14909a48b6e",
+         "bcac4859bc874a5ba20e1f01d8bff6fea92c88379bc460fe3900ae7a7de8f869"),
+        ({"overflow_penalty": 1.5, "token_capacity": 4096},
+         "api-test-cc397b3d1490",
+         "4b1376b1d50b2ba2a3734e6b9003646b08f543ae6a705d7ec211d3dac642ad6e"),
+        ({"drop_policy": "truncate"}, "api-test-7658ae71f0c8",
+         "4cb1e7dbf9f8a1513df2bdff8eeb247f410c844c3a0ba86b1141f895b702686b"),
+        ({"drop_policy": "recompute"}, "api-test-150a2b77eedf",
+         "17c964a12ff3d4908b82cc28415c8e5ade850d6a27f864d682cdaeb3c8926019"),
+        ({"drop_policy": "recompute", "overflow_penalty": 3.0},
+         "api-test-bd41c73faa6a",
+         "d7b298370c9550218830f861598cc2747188a19d7f228ae532f749c629ef521d"),
+    ])
+    def test_overflow_knobs_hash_to_golden_ids(self, knobs, run_id,
+                                               fingerprint):
+        """Stored runs are found by these content hashes, so none may
+        move."""
+        from repro.store import run_id_for, spec_fingerprint
+
+        spec = small_spec(**knobs)
+        assert spec.overflow.to_dict() == knobs
+        assert run_id_for(spec) == run_id
+        assert spec_fingerprint(spec) == fingerprint
+
 
 class TestSpecValidation:
     def test_unknown_field_rejected(self):
@@ -358,6 +383,34 @@ class TestRunner:
         # Past warmup the planner beats (or matches) static EP.
         assert stats[-1].planned_rel_max_tokens <= stats[-1].static_rel_max_tokens
         assert stats[-1].planned_ms > 0
+
+    def test_planner_study_runs_on_the_calibrated_machine(self):
+        from repro.calib.profile import CalibrationProfile
+        from repro.core.cost_model import MoECostModel
+        from repro.core.layout import static_ep_layout
+        from repro.core.lite_routing import lite_route
+
+        spec = small_spec()
+        profile = CalibrationProfile(intra_node_bandwidth_scale=0.5,
+                                     flops_scale=0.8, comm_bytes_scale=1.25)
+        nominal = run_planner_study(spec)
+        calibrated = run_planner_study(spec.with_calibration(profile))
+        assert ([s.to_dict() for s in calibrated]
+                != [s.to_dict() for s in nominal])
+        # The first reported static-EP cost, charged by hand on the
+        # calibrated machine.
+        topology = profile.apply_to_topology(spec.cluster.to_topology())
+        config = spec.workload.model_config()
+        cost_model = MoECostModel.from_model_config(
+            config, topology, comm_bytes_scale=profile.comm_bytes_scale)
+        static = static_ep_layout(topology.num_devices, config.num_experts,
+                                  config.expert_capacity)
+        frames = spec.workload.make_source(topology.num_devices)
+        frame = list(frames.iter_iterations())[spec.workload.warmup]
+        static_total = sum(
+            cost_model.evaluate(lite_route(routing, static, topology)).total
+            for routing in frame)
+        assert calibrated[0].static_ms == static_total * 1000.0
 
 
 class TestResultRoundTripAudit:

@@ -563,6 +563,31 @@ class TestOverflowFlags:
         truncated = capsys.readouterr().out
         assert truncated != penalty
 
+    @staticmethod
+    def breakdown_rows(out):
+        """Header and rows of the printed time-breakdown table."""
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines)
+                     if "iteration_s" in line)
+        header = [cell.strip() for cell in lines[start].split("|")]
+        rows = [dict(zip(header, (cell.strip() for cell in line.split("|"))))
+                for line in lines[start + 2:] if "|" in line]
+        return header, rows
+
+    def test_breakdown_shares_include_the_overflow_bucket(self, capsys):
+        assert main(["compare", *self.ARGS, "--overflow-penalty", "1.0",
+                     "--token-capacity", "1024"]) == 0
+        _, rows = self.breakdown_rows(capsys.readouterr().out)
+        for row in rows:
+            shares = sum(float(value) for key, value in row.items()
+                         if key.endswith("_pct"))
+            assert shares == pytest.approx(100.0, abs=0.5)
+        assert float(rows[0]["overflow_pct"]) > 0.0
+        # Without the overflow model the table keeps its old columns.
+        assert main(["compare", *self.ARGS]) == 0
+        header, _ = self.breakdown_rows(capsys.readouterr().out)
+        assert "overflow_pct" not in header
+
 
 class TestStoreCommands:
     def _populate(self, store):

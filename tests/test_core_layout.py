@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.layout import ExpertLayout, static_ep_layout
+from repro.core.layout import (
+    ExpertLayout,
+    round_robin_layout,
+    static_ep_layout,
+)
 
 
 class TestExpertLayout:
@@ -94,3 +98,19 @@ class TestReferenceLayouts:
             static_ep_layout(num_devices=8, num_experts=7, capacity=2)
         with pytest.raises(ValueError):
             static_ep_layout(num_devices=6, num_experts=8, capacity=2)
+
+    def test_round_robin_layout_where_static_ep_is_inexpressible(self):
+        # N=3 is not a multiple of E/C=2, so static EP does not exist.
+        with pytest.raises(ValueError):
+            static_ep_layout(num_devices=3, num_experts=4, capacity=2)
+        layout = round_robin_layout(num_devices=3, num_experts=4, capacity=2)
+        assert layout.assignment.tolist() == [[1, 1, 0, 0],
+                                              [0, 0, 1, 1],
+                                              [1, 1, 0, 0]]
+        assert layout.capacity == 2
+        layout.validate(require_full_capacity=True)
+
+    def test_round_robin_layout_wraps_within_a_device(self):
+        # More slots than experts on one device: expert 0 gets two replicas.
+        layout = round_robin_layout(num_devices=1, num_experts=2, capacity=3)
+        assert layout.assignment.tolist() == [[2, 1]]

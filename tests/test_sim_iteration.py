@@ -7,7 +7,7 @@ from repro.baselines import LAERPolicy, StaticEPPolicy
 from repro.core.comm_schedule import CommScheduleConfig
 from repro.core.cost_model import MoECostModel
 from repro.core.routing_plan import RoutingPlan
-from repro.sim.iteration import IterationSimulator
+from repro.sim.iteration import IterationSimulator, OverflowModel
 from repro.workloads.model_configs import get_model_config
 from repro.workloads.routing_traces import (
     RoutingTraceConfig,
@@ -19,10 +19,12 @@ CONFIG = get_model_config("mixtral-8x7b-e8k2")
 EXPERT_BYTES = float(CONFIG.expert_param_bytes)
 
 
-def make_simulator(topology, paradigm="fsep", **kwargs):
+def make_simulator(topology, paradigm="fsep", overflow_penalty=0.0,
+                   token_capacity=None, drop_policy="penalty", **kwargs):
+    overflow = OverflowModel(overflow_penalty, token_capacity, drop_policy)
     return IterationSimulator(config=CONFIG, topology=topology,
                               tokens_per_device=8192, paradigm=paradigm,
-                              num_layers=8, **kwargs)
+                              num_layers=8, overflow=overflow, **kwargs)
 
 
 def skewed_routing(topology, seed=0, layers=2):
@@ -214,11 +216,21 @@ class TestCapacityOverflow:
         result = sim.simulate_iteration(0, decisions)
         assert result.breakdown["overflow"] == 0.0
 
-    def test_validation(self, small_topology):
+    def test_model_switch_and_serialized_keys(self):
+        off = OverflowModel()
+        assert not off.active and off.to_dict() == {}
+        # A pinned capacity alone compares nothing against it.
+        assert not OverflowModel(token_capacity=1024).active
+        assert OverflowModel(overflow_penalty=0.5).active
+        assert OverflowModel(drop_policy="truncate").active
+        assert OverflowModel(0.0, 1024, "recompute").to_dict() == {
+            "token_capacity": 1024, "drop_policy": "recompute"}
+
+    def test_validation(self):
         with pytest.raises(ValueError, match="overflow_penalty"):
-            make_simulator(small_topology, overflow_penalty=-1.0)
+            OverflowModel(overflow_penalty=-1.0)
         with pytest.raises(ValueError, match="token_capacity"):
-            make_simulator(small_topology, token_capacity=0)
+            OverflowModel(token_capacity=0)
 
 
 class TestDropPolicies:
@@ -276,16 +288,18 @@ class TestDropPolicies:
         assert result.total_time > base.total_time
         assert result.breakdown["overflow"] > 0.0
         assert all(layer.dropped_tokens == 0 for layer in result.layers)
-        # Recompute equals the linear penalty at factor 1.0 ...
+        # Recompute is the linear penalty at factor 1.0, bit for bit ...
         unit = make_simulator(small_topology, overflow_penalty=1.0,
                               token_capacity=capacity)
-        assert result.total_time == pytest.approx(
-            unit.simulate_iteration(0, decisions).total_time)
         # ... and ignores the penalty factor entirely.
         scaled = make_simulator(small_topology, drop_policy="recompute",
                                 overflow_penalty=3.0, token_capacity=capacity)
-        assert scaled.simulate_iteration(0, decisions).total_time \
-            == pytest.approx(result.total_time)
+        for other in (unit, scaled):
+            same = other.simulate_iteration(0, decisions)
+            assert same.total_time == result.total_time
+            assert same.breakdown == result.breakdown
+            assert ([layer.overflow_time for layer in same.layers]
+                    == [layer.overflow_time for layer in result.layers])
 
     def test_policies_rank_consistently(self, small_topology):
         decisions = self.decisions(small_topology)
@@ -297,6 +311,6 @@ class TestDropPolicies:
             times[policy] = sim.simulate_iteration(0, decisions).total_time
         assert times["truncate"] < times["recompute"]
 
-    def test_validation(self, small_topology):
+    def test_validation(self):
         with pytest.raises(ValueError, match="drop_policy"):
-            make_simulator(small_topology, drop_policy="discard")
+            OverflowModel(drop_policy="discard")

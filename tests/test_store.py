@@ -178,16 +178,6 @@ class TestIndex:
         store.put(result, tags=["b"], created_at=2.0)
         assert len(store.journal_path.read_text().splitlines()) == 2
 
-    def test_compact_put_escape_hatch_folds_into_index(self, tmp_path,
-                                                       result):
-        store = ResultStore(tmp_path)
-        journaled = store.put(result, tags=["j"], created_at=1.0)
-        compacted = store.put(result, tags=["c"], created_at=2.0,
-                              compact=True)
-        index = json.loads(store.index_path.read_text())
-        assert set(index["runs"]) == {journaled.run_id, compacted.run_id}
-        assert store.journal_path.read_text() == ""
-
     def test_compact_index_matches_cold_rebuild_byte_for_byte(self, tmp_path,
                                                               result):
         store = ResultStore(tmp_path)
@@ -280,7 +270,8 @@ class TestIndex:
     def test_put_on_missing_index_does_not_mask_older_runs(self, tmp_path,
                                                            result):
         store = ResultStore(tmp_path)
-        old = store.put(result, tags=["old"], created_at=1.0, compact=True)
+        old = store.put(result, tags=["old"], created_at=1.0)
+        store.compact_index()
         store.index_path.unlink()
         new = store.put(result, tags=["new"], created_at=2.0)
         ids = {entry.run_id for entry in store.entries()}
