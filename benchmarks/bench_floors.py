@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Tuple, TypeVar
 import numpy as np
 import pytest
 
+import repro.core.layout_tuner as layout_tuner_mod
 import repro.core.lite_routing as lite_routing_mod
 import repro.core.relocation as relocation_mod
 import repro.workloads.routing_traces as traces_mod
@@ -116,15 +117,25 @@ def _usable_cpus() -> int:
 # ----------------------------------------------------------------------
 # Vectorized kernels vs their scalar references
 # ----------------------------------------------------------------------
-def _rebind_everywhere(name: str, original: object,
-                       replacement: object) -> List[object]:
-    """Rebind ``name`` in every imported module holding ``original``."""
+def _rebind_everywhere(name: str, original: object, replacement: object,
+                       keep: Tuple[object, ...] = ()) -> List[object]:
+    """Rebind ``name`` in every imported module holding ``original``,
+    except the modules in ``keep``."""
     rebound = []
     for module in list(sys.modules.values()):
-        if module is not None and getattr(module, name, None) is original:
+        if (module is not None and module not in keep
+                and getattr(module, name, None) is original):
             setattr(module, name, replacement)
             rebound.append(module)
     return rebound
+
+
+def _scalar_lite_route_batch(routing, layouts, topology):
+    """:func:`lite_route_batch` as a per-layout loop of ``scalar_lite_route``
+    (``routing`` broadcasts over the layouts the same way)."""
+    routing = np.broadcast_to(routing, (len(layouts),) + np.shape(routing)[-2:])
+    return [scalar_lite_route(matrix, layout, topology)
+            for matrix, layout in zip(routing, layouts)]
 
 
 @contextmanager
@@ -133,18 +144,24 @@ def scalar_kernels():
 
     Yields ``{kernel name: modules it was rebound in}`` for the module-level
     kernels; ``CollectiveCostModel.all_to_all`` is patched on the class.
+    The layout tuner keeps its vectorized ``lite_route_batch``: the scalar
+    side replaces the dispatch of every iteration's layers, and the batched
+    candidate scoring has a floor of its own.
     """
     kernels = {
         "draw_routing_frame": (traces_mod.draw_routing_frame,
                                scalar_draw_routing_frame),
         "lite_route": (lite_routing_mod.lite_route, scalar_lite_route),
+        "lite_route_batch": (lite_routing_mod.lite_route_batch,
+                             _scalar_lite_route_batch),
         "relocate_experts": (relocation_mod.relocate_experts,
                              scalar_relocate_experts),
     }
     vectorized_all_to_all = CollectiveCostModel.all_to_all
     CollectiveCostModel.all_to_all = scalar_all_to_all
+    keep = {"lite_route_batch": (layout_tuner_mod,)}
     rebound: Dict[str, List[object]] = {
-        name: _rebind_everywhere(name, vectorized, scalar)
+        name: _rebind_everywhere(name, vectorized, scalar, keep.get(name, ()))
         for name, (vectorized, scalar) in kernels.items()}
     try:
         yield rebound

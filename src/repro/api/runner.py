@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 from repro.analysis.breakdown import BreakdownTable
 from repro.analysis.reporting import format_speedup_table, format_table
 from repro.core.layout import static_ep_layout
-from repro.core.lite_routing import lite_route
+from repro.core.lite_routing import lite_route_batch
 from repro.sim.engine import RunResult, compare_systems
 from repro.sim.systems import make_system
 from repro.api.specs import ExperimentSpec
@@ -225,11 +225,12 @@ class ExperimentRunner:
     """Execute experiment specs: scenario -> systems -> simulation -> analysis.
 
     The workload is materialised lazily: the spec's scenario is built once
-    into a streaming :class:`~repro.workloads.scenarios.TraceSource` and each
-    system consumes its own deterministic fork.  The systems run in this
-    process, one after another; a comparison that needs several processes
-    is a study with a ``systems`` axis drained by ``repro fleet run
-    --workers N``.  The runner keeps no state between :meth:`run` calls.
+    into a streaming :class:`~repro.workloads.scenarios.TraceSource`, and
+    :func:`~repro.sim.engine.compare_systems` draws each of its frames once
+    and hands it to every system in turn.  The systems run in this process,
+    in lockstep; a comparison that needs several processes is a study with a
+    ``systems`` axis drained by ``repro fleet run --workers N``.  The runner
+    keeps no state between :meth:`run` calls.
     """
 
     def run(self, spec: ExperimentSpec) -> ExperimentResult:
@@ -282,7 +283,7 @@ def run_experiment(spec: ExperimentSpec,
     """Convenience wrapper: run ``spec`` with a fresh :class:`ExperimentRunner`.
 
     ``parallel`` is accepted for existing callers and ignored: the systems
-    always run in this process, one after another.
+    always run in this process, in lockstep.
     """
     return ExperimentRunner().run(spec)
 
@@ -335,7 +336,11 @@ def run_planner_study(spec: ExperimentSpec) -> List[PlannerIterationStats]:
     The workload streams through the scenario's
     :class:`~repro.workloads.scenarios.TraceSource` one frame at a time
     (like the simulation engine), so memory stays O(1) in the number of
-    iterations instead of materializing the whole trace up front.
+    iterations instead of materializing the whole trace up front.  Each
+    iteration routes and scores the static layout's layers in one
+    ``lite_route_batch`` and one ``evaluate_batch``, as
+    :meth:`~repro.core.planner.LoadBalancingPlanner.plan_iteration` does for
+    the planner's.
 
     The planner, its (calibrated) topology and its cost model are those of
     the ``laer`` system that :func:`~repro.sim.systems.make_system` builds
@@ -357,13 +362,12 @@ def run_planner_study(spec: ExperimentSpec) -> List[PlannerIterationStats]:
         plans = planner.plan_iteration(frame)
         if iteration < spec.workload.warmup:
             continue
+        static_costs = cost_model.evaluate_batch(
+            lite_route_batch(frame, [static] * len(frame), topology))
         planned_rel, static_rel = [], []
         planned_total = static_total = 0.0
-        for layer, plan in enumerate(plans):
-            routing = frame[layer]
+        for routing, plan, static_cost in zip(frame, plans, static_costs):
             ideal = routing.sum() / topology.num_devices
-            static_cost = cost_model.evaluate(
-                lite_route(routing, static, topology))
             planned_rel.append(plan.cost.max_tokens / ideal)
             static_rel.append(static_cost.max_tokens / ideal)
             planned_total += plan.cost.total

@@ -4,7 +4,10 @@ A policy is driven one iteration at a time by the simulator (or the trainer).
 For every MoE layer of the iteration it must produce a
 :class:`PolicyDecision`: the expert layout ``A``, the token routing plan ``S``
 for the iteration's actual routing ``R``, and the extra communication the
-policy's re-layout mechanism costs in that iteration.
+policy's re-layout mechanism costs in that iteration.  A policy whose tokens
+follow lite routing (Algorithm 3) leaves ``S`` to
+:meth:`LoadBalancingPolicy.decide_iteration`, which dispatches every such
+layer of the iteration in one batch.
 
 The extra communication is split into two buckets because the simulator charges
 them differently:
@@ -27,7 +30,9 @@ import numpy as np
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout
+from repro.core.lite_routing import lite_route_batch
 from repro.core.routing_plan import RoutingPlan
+from repro.telemetry.trace import span as _span
 
 
 @dataclass
@@ -37,7 +42,10 @@ class PolicyDecision:
     Attributes:
         layout: Expert layout ``A`` used during the iteration.
         routing_plan: Token routing plan ``S``: per (sender, expert), the
-            destination devices and their token counts.
+            destination devices and their token counts.  A
+            :meth:`~LoadBalancingPolicy.decide_layer` that leaves it ``None``
+            asks for lite routing onto ``layout``, which
+            :meth:`~LoadBalancingPolicy.decide_iteration` fills in.
         relayout_bytes_exposed: Per-device bytes of re-layout traffic that sit
             on the critical path of this iteration (0 when nothing changed or
             the system hides re-layout entirely).
@@ -47,7 +55,7 @@ class PolicyDecision:
     """
 
     layout: ExpertLayout
-    routing_plan: RoutingPlan
+    routing_plan: Optional[RoutingPlan] = None
     relayout_bytes_exposed: float = 0.0
     grad_sync_extra_bytes: float = 0.0
     metadata: dict = field(default_factory=dict)
@@ -76,15 +84,40 @@ class LoadBalancingPolicy(abc.ABC):
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
-        """Decide layout + routing for one layer of the current iteration."""
+        """Decide the layout (and, unless lite routing places the tokens, the
+        routing plan) for one layer of the current iteration."""
 
     def decide_iteration(self, routing_by_layer: np.ndarray) -> List[PolicyDecision]:
-        """Decide every layer of an iteration, then advance the iteration counter."""
+        """Decide every layer of an iteration, then advance the iteration counter.
+
+        Calls :meth:`decide_layer` for each layer in order, then lite-routes
+        every layer whose decision left ``routing_plan`` unset onto that
+        decision's layout, all in one :func:`lite_route_batch` call (the
+        ``planner.lite-route`` telemetry span).  The plans equal routing each
+        such layer on its own with :func:`~repro.core.lite_routing.lite_route`.
+
+        Args:
+            routing_by_layer: ``(layers, N, E)`` actual routing of the
+                iteration.
+
+        Returns:
+            One :class:`PolicyDecision` per layer, every ``routing_plan`` set.
+        """
         routing_by_layer = np.asarray(routing_by_layer, dtype=np.int64)
         if routing_by_layer.ndim != 3:
             raise ValueError("routing_by_layer must have shape (layers, N, E)")
         decisions = [self.decide_layer(layer, routing_by_layer[layer])
                      for layer in range(routing_by_layer.shape[0])]
+        unrouted = [layer for layer, decision in enumerate(decisions)
+                    if decision.routing_plan is None]
+        if unrouted:
+            with _span("planner.lite-route", layers=len(unrouted)):
+                plans = lite_route_batch(
+                    routing_by_layer[unrouted],
+                    [decisions[layer].layout for layer in unrouted],
+                    self.topology)
+            for layer, plan in zip(unrouted, plans):
+                decisions[layer].routing_plan = plan
         self._iteration += 1
         return decisions
 

@@ -46,6 +46,7 @@ class FasterMoEPolicy(LoadBalancingPolicy):
         self.hot_threshold = hot_threshold
         self._base_layout = static_ep_layout(
             topology.num_devices, num_experts, capacity)
+        self._owners = ep_owners(topology.num_devices, num_experts, capacity)
         self._last_routing: dict[int, np.ndarray] = {}
 
     def reset(self) -> None:
@@ -84,7 +85,7 @@ class FasterMoEPolicy(LoadBalancingPolicy):
 
         # Routing: shadowed experts are computed locally, the rest follow the
         # classic EP route.
-        owners = ep_owners(n, self.num_experts, self.capacity)
+        owners = self._owners.copy()
         owners[:, shadows] = np.arange(n)[:, None]
         plan = RoutingPlan.from_owners(routing, owners)
 

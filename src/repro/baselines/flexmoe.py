@@ -22,7 +22,6 @@ import numpy as np
 from repro.baselines.base import LoadBalancingPolicy, PolicyDecision
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout, round_robin_layout
-from repro.core.lite_routing import lite_route
 
 
 class FlexMoEPolicy(LoadBalancingPolicy):
@@ -105,10 +104,9 @@ class FlexMoEPolicy(LoadBalancingPolicy):
             # Add a replica of the hot expert on the least-loaded device that
             # now has a free slot and does not already host it (prefer new
             # devices to spread the load).
-            slots_used = assignment.sum(axis=1)
-            free = np.nonzero(slots_used < self.capacity)[0]
-            prefer = [d for d in free if assignment[d, hot] == 0]
-            pool = np.asarray(prefer if prefer else free)
+            free = assignment.sum(axis=1) < self.capacity
+            prefer = free & (assignment[:, hot] == 0)
+            pool = np.nonzero(prefer if prefer.any() else free)[0]
             target_device = int(pool[np.argmin(device_loads[pool])])
             assignment[target_device, hot] += 1
             changes += 1
@@ -132,8 +130,6 @@ class FlexMoEPolicy(LoadBalancingPolicy):
             self._layouts[layer] = new_layout
 
         layout = self._layouts[layer]
-        plan = lite_route(routing, layout, self.topology)
-
         observed = routing.sum(axis=0).astype(np.float64)
         if history is None:
             self._history[layer] = observed
@@ -142,7 +138,6 @@ class FlexMoEPolicy(LoadBalancingPolicy):
 
         return PolicyDecision(
             layout=layout.copy(),
-            routing_plan=plan,
             relayout_bytes_exposed=migration,
             grad_sync_extra_bytes=0.0,
             metadata={"adjustments": changes},

@@ -42,10 +42,9 @@ class LAERPolicy(LoadBalancingPolicy):
 
     # ------------------------------------------------------------------
     def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
-        layout, plan, _ = self.planner.plan_layer(layer, routing)
+        layout, _ = self.planner.plan_layer(layer, routing)
         return PolicyDecision(
             layout=layout,
-            routing_plan=plan,
             relayout_bytes_exposed=0.0,
             grad_sync_extra_bytes=0.0,
             metadata={"per_iteration_relayout": True},

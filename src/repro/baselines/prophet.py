@@ -17,7 +17,6 @@ import numpy as np
 from repro.baselines.base import LoadBalancingPolicy, PolicyDecision
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout
-from repro.core.lite_routing import lite_route
 from repro.core.relocation import relocate_experts
 from repro.core.replica_allocation import allocate_replicas_priority_queue
 
@@ -103,7 +102,6 @@ class ProphetPolicy(LoadBalancingPolicy):
             self._layouts[layer] = new_layout
 
         layout = self._layouts[layer]
-        plan = lite_route(routing, layout, self.topology)
 
         # Replicated experts need their gradients synchronised across replicas.
         extra_replicas = int(layout.replicas_per_expert().sum()) - self.num_experts
@@ -120,7 +118,6 @@ class ProphetPolicy(LoadBalancingPolicy):
 
         return PolicyDecision(
             layout=layout.copy(),
-            routing_plan=plan,
             relayout_bytes_exposed=migration,
             grad_sync_extra_bytes=grad_extra,
             metadata={"resolved": needs_solve},

@@ -16,7 +16,6 @@ import numpy as np
 from repro.baselines.base import LoadBalancingPolicy, PolicyDecision
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout
-from repro.core.lite_routing import lite_route
 from repro.core.relocation import relocate_experts
 
 
@@ -84,7 +83,6 @@ class SmartMoEPolicy(LoadBalancingPolicy):
             self._layouts[layer] = new_layout
 
         layout = self._layouts[layer]
-        plan = lite_route(routing, layout, self.topology)
 
         # Accumulate an exponential moving average of the load history so the
         # next relocation reflects recent behaviour.
@@ -96,7 +94,6 @@ class SmartMoEPolicy(LoadBalancingPolicy):
 
         return PolicyDecision(
             layout=layout.copy(),
-            routing_plan=plan,
             relayout_bytes_exposed=migration,
             grad_sync_extra_bytes=0.0,
             metadata={"relocated": relocated},

@@ -34,25 +34,12 @@ def ep_owners(num_devices: int, num_experts: int, capacity: int) -> np.ndarray:
     return row_start[:, None] + np.arange(num_experts)[None, :] // capacity
 
 
-def ep_group_route(routing: np.ndarray, capacity: int) -> RoutingPlan:
-    """Classic EP routing: tokens go to the expert owner inside the sender's group.
-
-    Args:
-        routing: ``(N, E)`` routing matrix ``R``.
-        capacity: Experts per device ``C``.
-
-    Returns:
-        The plan ``S`` with one destination per (sender, expert) row, the
-        owner from :func:`ep_owners`.
-    """
-    routing = np.asarray(routing, dtype=np.int64)
-    num_devices, num_experts = routing.shape
-    return RoutingPlan.from_owners(
-        routing, ep_owners(num_devices, num_experts, capacity))
-
-
 class StaticEPPolicy(LoadBalancingPolicy):
-    """Fixed expert placement with no replication or relocation."""
+    """Fixed expert placement with no replication or relocation.
+
+    Classic EP routing: every sender's tokens go to the expert's owner
+    inside the sender's own group (:func:`ep_owners`).
+    """
 
     name = "static-ep"
 
@@ -60,6 +47,7 @@ class StaticEPPolicy(LoadBalancingPolicy):
                  capacity: int, expert_param_bytes: float):
         super().__init__(topology, num_experts, capacity, expert_param_bytes)
         self._layout = static_ep_layout(topology.num_devices, num_experts, capacity)
+        self._owners = ep_owners(topology.num_devices, num_experts, capacity)
 
     @property
     def layout(self) -> ExpertLayout:
@@ -67,10 +55,9 @@ class StaticEPPolicy(LoadBalancingPolicy):
         return self._layout.copy()
 
     def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
-        plan = ep_group_route(routing, self.capacity)
         return PolicyDecision(
             layout=self._layout.copy(),
-            routing_plan=plan,
+            routing_plan=RoutingPlan.from_owners(routing, self._owners),
             relayout_bytes_exposed=0.0,
             grad_sync_extra_bytes=0.0,
             metadata={"static": True},

@@ -123,7 +123,7 @@ Workloads are scenarios: ``run``, ``plan`` and ``trace routing`` accept
     repro compare --scenario bursty-churn --param period=20
 
 Every simulation flows through :class:`repro.api.ExperimentRunner`, which
-simulates the compared systems in this process, one after another, so a
+simulates the compared systems in this process, in lockstep, so a
 spec file and the equivalent flags produce identical numbers.  The only way
 to use several processes is the fleet: ``repro fleet run`` drains a study's
 grid -- make the systems a ``systems`` axis to spread a comparison out.

@@ -6,7 +6,8 @@ CPU-side) expert layout tuner solves the re-layout strategy for iteration
 ``t + 1`` from that observation -- so layouts are always one step behind the
 routing they react to, exactly as in the paper.  At execution time the
 synchronous token dispatcher (lite routing) maps the *actual* routing of the
-iteration onto the planned layout.
+iteration onto the planned layouts, every layer of the iteration in one
+batch.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.core.layout import (
     static_ep_layout,
 )
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
-from repro.core.lite_routing import lite_route
+from repro.core.lite_routing import lite_route_batch
 from repro.core.routing_plan import RoutingPlan
 from repro.telemetry.trace import span as _span
 
@@ -136,39 +137,43 @@ class LoadBalancingPlanner:
     # ------------------------------------------------------------------
     # Synchronous dispatch (token dispatcher)
     # ------------------------------------------------------------------
-    def dispatch(self, routing: np.ndarray, layout: ExpertLayout) -> RoutingPlan:
-        """Run the synchronous token dispatcher (lite routing) for one layer."""
-        return lite_route(np.asarray(routing, dtype=np.int64), layout, self.topology)
+    def dispatch(self, routing_by_layer: np.ndarray,
+                 layouts: List[ExpertLayout]) -> List[RoutingPlan]:
+        """Run the synchronous token dispatcher (lite routing) for every
+        layer of an iteration: ``routing_by_layer[l]`` onto ``layouts[l]``,
+        in one batch."""
+        return lite_route_batch(routing_by_layer, layouts, self.topology)
 
     # ------------------------------------------------------------------
     # Full per-layer / per-iteration planning
     # ------------------------------------------------------------------
     def plan_layer(self, layer: int, routing: np.ndarray
-                   ) -> Tuple[ExpertLayout, RoutingPlan, bool]:
-        """Plan one MoE layer of the current iteration.
+                   ) -> Tuple[ExpertLayout, bool]:
+        """Plan the layout of one MoE layer for the current iteration.
 
-        Dispatches ``routing`` (the layer's actual ``(N, E)`` routing) onto
-        the layout tuned from previous iterations, then feeds the routing to
-        the tuner so the next iteration of this layer uses an updated layout.
+        Returns the layout tuned from previous iterations, then feeds
+        ``routing`` (the layer's actual ``(N, E)`` routing) to the tuner so
+        the next iteration of this layer uses an updated layout.  Placing
+        the tokens on the returned layout is the dispatcher's job, done for
+        the whole iteration at once (:meth:`dispatch`, or
+        :meth:`~repro.baselines.base.LoadBalancingPolicy.decide_iteration`
+        for the LAER policy).
 
         Returns:
-            ``(layout, routing_plan, planned_from_history)``: the layout used
-            this iteration, the dispatcher's token routing plan, and whether
-            the layout came from the tuner (False for the static fallback
-            used before any history exists).
+            ``(layout, planned_from_history)``: the layout used this
+            iteration, and whether it came from the tuner (False for the
+            static fallback used before any history exists).
         """
         routing = np.asarray(routing, dtype=np.int64)
         planned = layer in self._pending_layouts
         layout = self.current_layout(layer)
-        # Telemetry phases (no-op spans while no tracer is armed).
-        with _span("planner.lite-route", layer=layer):
-            plan = self.dispatch(routing, layout)
-        # Asynchronous part: feed the observation to the tuner so the next
-        # iteration of this layer uses an updated layout.
+        # Asynchronous part (a no-op span while no tracer is armed): feed the
+        # observation to the tuner so the next iteration of this layer uses
+        # an updated layout.
         with _span("planner.layout-tune", layer=layer):
             self.observe(layer, routing)
             self.tune_layout(layer)
-        return layout, plan, planned
+        return layout, planned
 
     def plan_iteration(self, routing_by_layer: np.ndarray) -> List[IterationPlan]:
         """Plan one training iteration for every MoE layer.
@@ -182,20 +187,26 @@ class LoadBalancingPlanner:
             the one tuned from the *previous* iteration's routing
             (asynchronous adaptation); the dispatch uses the current
             iteration's routing.  After planning, the current routing is
-            observed and a new layout is tuned for the next iteration.
+            observed and a new layout is tuned for the next iteration.  Every
+            layer is dispatched by one :meth:`dispatch` and scored by one
+            :meth:`~repro.core.cost_model.MoECostModel.evaluate_batch`.
         """
         routing_by_layer = np.asarray(routing_by_layer, dtype=np.int64)
         if routing_by_layer.ndim != 3:
             raise ValueError("routing_by_layer must have shape (layers, N, E)")
-        plans: List[IterationPlan] = []
-        for layer in range(routing_by_layer.shape[0]):
-            layout, plan, planned = self.plan_layer(
-                layer, routing_by_layer[layer])
-            with _span("planner.cost-eval", layer=layer):
-                cost = self.cost_model.evaluate(plan)
-            plans.append(IterationPlan(layout=layout, routing_plan=plan,
-                                       cost=cost, planned_from_history=planned))
-        return plans
+        layers = routing_by_layer.shape[0]
+        decided = [self.plan_layer(layer, routing_by_layer[layer])
+                   for layer in range(layers)]
+        # Telemetry phases (no-op spans while no tracer is armed).
+        with _span("planner.lite-route", layers=layers):
+            routing_plans = self.dispatch(
+                routing_by_layer, [layout for layout, _ in decided])
+        with _span("planner.cost-eval", layers=layers):
+            costs = self.cost_model.evaluate_batch(routing_plans)
+        return [IterationPlan(layout=layout, routing_plan=plan, cost=cost,
+                              planned_from_history=planned)
+                for (layout, planned), plan, cost
+                in zip(decided, routing_plans, costs)]
 
     def reset(self) -> None:
         """Clear all observations, pending layouts and the tuner's random stream."""

@@ -83,8 +83,10 @@ class RoutingPlan:
     def pairwise(self) -> np.ndarray:
         """``(N, N)`` float64 tokens sent from device ``i`` to device ``k``."""
         if "pairwise" not in self._cache:
-            n = self.num_devices
-            senders = self.rows() // self.num_experts
+            n, e = self.num_devices, self.num_experts
+            # Entries per sender: the offsets at sender boundaries.
+            senders = np.repeat(np.arange(n),
+                                self.offsets[e::e] - self.offsets[:-1:e])
             self._cache["pairwise"] = _frozen(np.bincount(
                 senders * n + self.dest, weights=self.tokens,
                 minlength=n * n).reshape(n, n))

@@ -9,8 +9,8 @@ trace) tuple into per-iteration times and component breakdowns:
 * :mod:`repro.sim.systems` -- the decorator-based registry of training
   systems compared in the paper (Megatron, FSDP+EP, FlexMoE, LAER-MoE, plus
   ablations as parameterized registry entries).
-* :mod:`repro.sim.engine` -- runs a system over a routing trace and aggregates
-  throughput, breakdowns and balance statistics.
+* :mod:`repro.sim.engine` -- runs systems in lockstep over a routing trace
+  and aggregates throughput, breakdowns and balance statistics.
 """
 
 from repro.sim.iteration import (
@@ -31,7 +31,7 @@ from repro.sim.systems import (
     system_descriptions,
     choose_megatron_tp,
 )
-from repro.sim.engine import TrainingRunSimulator, RunResult, compare_systems
+from repro.sim.engine import RunResult, compare_systems
 
 __all__ = [
     "DROP_POLICIES",
@@ -48,7 +48,6 @@ __all__ = [
     "registered_system",
     "system_descriptions",
     "choose_megatron_tp",
-    "TrainingRunSimulator",
     "RunResult",
     "compare_systems",
 ]

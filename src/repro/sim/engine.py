@@ -6,16 +6,19 @@ objects included) one iteration at a time, folding every simulated iteration
 into the :class:`RunResult` aggregates and then dropping it, so memory stays
 O(1) in the number of iterations.
 
-:func:`compare_systems` runs several systems over the same workload, one
-after another.  Each system consumes its own ``source.fork()`` -- an
-independent, deterministic replay of the workload -- so no system's result
-depends on which systems ran before it.
+:func:`compare_systems` is the one engine loop.  It runs several systems in
+lockstep, one iteration at a time: it draws each routing frame once, from
+one ``workload.fork()``, marks it read-only and hands it to every system in
+turn.  Systems share nothing but the frame, so no system's result depends on
+which other systems run beside it or in what order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Union
+
+import numpy as np
 
 from repro.sim.iteration import IterationResult
 from repro.sim.systems import SystemSpec
@@ -134,72 +137,64 @@ class RunResult:
         return [total / self._count for total in self._layer_rel_sums]
 
 
-class TrainingRunSimulator:
-    """Drive a :class:`SystemSpec` over a routing workload."""
+def compare_systems(systems: List[SystemSpec], workload: Workload,
+                    warmup: int = 0) -> Dict[str, RunResult]:
+    """Simulate several systems over the same workload, results by name.
 
-    def __init__(self, system: SystemSpec):
-        self.system = system
+    The systems run in this process, in lockstep: every iteration's frame
+    is drawn once, from one ``workload.fork()``, marked read-only and
+    decided and simulated by each system in list order.  Each system is
+    reset first.  To spread systems over several processes, make them a
+    study's ``systems`` axis and drain it with ``repro fleet run --workers
+    N`` (:func:`repro.fleet.launch_fleet`).
 
-    def run(self, workload: Workload, warmup: int = 0) -> RunResult:
-        """Simulate the system over a trace source.
+    The source is consumed strictly in order; nothing beyond the current
+    frame and the running aggregates is kept, so arbitrarily long workloads
+    stream in O(1) memory.
 
-        The source is consumed strictly in order, one iteration at a time;
-        nothing beyond the current frame and the running aggregates is kept,
-        so arbitrarily long workloads stream in O(1) memory.
+    Args:
+        systems: Systems to simulate, each at most once.
+        workload: Trace source (or materialized trace) to replay.
+        warmup: Iterations at the start that are simulated (so adaptive
+            policies build their history) but excluded from the results.
 
-        Args:
-            workload: Trace source (or materialized trace) to replay.
-            warmup: Iterations at the start that are simulated (so adaptive
-                policies build their history) but excluded from the result.
+    Returns:
+        ``{system.name: RunResult}`` aggregating the post-warmup iterations,
+        in list order.
+    """
+    if warmup < 0:
+        raise ValueError("warmup must be non-negative")
+    total = int(workload.num_iterations)
+    if warmup >= total:
+        raise ValueError("warmup leaves no iterations to measure")
+    if len({id(system) for system in systems}) != len(systems):
+        raise ValueError("a system may appear only once in a comparison")
 
-        Returns:
-            A :class:`RunResult` aggregating the post-warmup iterations.
-        """
-        if warmup < 0:
-            raise ValueError("warmup must be non-negative")
-        total = int(workload.num_iterations)
-        if warmup >= total:
-            raise ValueError("warmup leaves no iterations to measure")
-
-        self.system.reset()
-        global_tokens = int(workload.tokens_per_device) * int(workload.num_devices)
-        result = RunResult(system=self.system.name,
-                           tokens_per_iteration=global_tokens)
-        frames = iter(workload.iter_iterations())
-        for iteration in range(total):
-            # Telemetry phases (no-op spans unless a tracer is armed):
-            # drawing the routing frame, the policy decision (which is
-            # where the planner's lite-route / cost-eval / layout-tuning
-            # sub-phases nest), and the cost simulation itself.
-            with _span("sim.routing-draw", system=self.system.name,
+    global_tokens = int(workload.tokens_per_device) * int(workload.num_devices)
+    runs = []
+    for system in systems:
+        system.reset()
+        runs.append((system, RunResult(system=system.name,
+                                       tokens_per_iteration=global_tokens)))
+    frames = iter(workload.fork().iter_iterations())
+    for iteration in range(total):
+        # Telemetry phases (no-op spans unless a tracer is armed): drawing
+        # the routing frame, each system's policy decision (where the
+        # planner's lite-route / layout-tuning sub-phases nest) and its cost
+        # simulation.
+        with _span("sim.routing-draw", iteration=iteration):
+            frame = next(frames, None)
+        if frame is None:
+            break  # the source ended early
+        routing = np.asarray(frame, dtype=np.int64)
+        routing.flags.writeable = False
+        for system, result in runs:
+            with _span("sim.decide", system=system.name, iteration=iteration):
+                decisions = system.policy.decide_iteration(routing)
+            with _span("sim.simulate", system=system.name,
                        iteration=iteration):
-                routing = next(frames, None)
-            if routing is None:
-                break  # source ended early; matches the old for-loop
-            with _span("sim.decide", system=self.system.name,
-                       iteration=iteration):
-                decisions = self.system.policy.decide_iteration(routing)
-            with _span("sim.simulate", system=self.system.name,
-                       iteration=iteration):
-                sim_result = self.system.simulator.simulate_iteration(
+                sim_result = system.simulator.simulate_iteration(
                     iteration, decisions)
             if iteration >= warmup:
                 result.add(sim_result)
-        return result
-
-
-def compare_systems(systems: List[SystemSpec], workload: Workload,
-                    warmup: int = 0) -> Dict[str, RunResult]:
-    """Run several systems over the same workload and return results by name.
-
-    The systems run in this process, one after another.  Every system
-    consumes its own ``workload.fork()``, so all systems see bit-identical
-    routing matrices regardless of execution order.  To spread systems over
-    several processes, make them a study's ``systems`` axis and drain it
-    with ``repro fleet run --workers N`` (:func:`repro.fleet.launch_fleet`).
-    """
-    results: Dict[str, RunResult] = {}
-    for system in systems:
-        results[system.name] = TrainingRunSimulator(system).run(
-            workload.fork(), warmup=warmup)
-    return results
+    return {system.name: result for system, result in runs}

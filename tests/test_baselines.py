@@ -12,10 +12,14 @@ from repro.baselines import (
     SmartMoEPolicy,
     StaticEPPolicy,
 )
-from repro.baselines.static_ep import ep_group_route
+from repro.baselines.static_ep import ep_owners
 from repro.core.cost_model import MoECostModel
+from repro.core.lite_routing import lite_route
+from repro.core.routing_plan import RoutingPlan
+from repro.sim.systems import available_systems, make_system
 from repro.workloads.model_configs import get_model_config
 from repro.workloads.routing_traces import RoutingTraceConfig, SyntheticRoutingTraceGenerator
+from repro.workloads.scenarios import ScenarioContext, make_scenario
 
 EXPERT_BYTES = float(get_model_config("mixtral-8x7b-e8k2").expert_param_bytes)
 
@@ -25,6 +29,13 @@ def make_trace(iterations=6, seed=0, devices=8, experts=8):
         num_devices=devices, num_experts=experts, num_layers=2,
         tokens_per_device=2048, top_k=2, skew=0.35, seed=seed))
     return generator.generate(iterations)
+
+
+def ep_group_route(routing, capacity):
+    """Classic EP routing, as StaticEPPolicy places tokens."""
+    num_devices, num_experts = routing.shape
+    return RoutingPlan.from_owners(
+        routing, ep_owners(num_devices, num_experts, capacity))
 
 
 def check_decision(decision, routing):
@@ -245,3 +256,49 @@ class TestLAERAndOracle:
         assert policy.iteration == 1
         policy.reset()
         assert policy.iteration == 0
+
+
+def reference_decide_iteration(policy, routing_by_layer):
+    """Per-layer reference of ``decide_iteration``: every layer whose
+    decision leaves the plan unset is lite-routed on its own, right after
+    it is decided."""
+    decisions = []
+    for layer, routing in enumerate(np.asarray(routing_by_layer,
+                                               dtype=np.int64)):
+        decision = policy.decide_layer(layer, routing)
+        if decision.routing_plan is None:
+            decision.routing_plan = lite_route(routing, decision.layout,
+                                               policy.topology)
+        decisions.append(decision)
+    policy._iteration += 1
+    return decisions
+
+
+class TestDecideIteration:
+    @pytest.mark.parametrize("name", available_systems())
+    def test_batched_dispatch_matches_per_layer_reference(self, name,
+                                                          small_topology):
+        config = get_model_config("mixtral-8x7b-e8k2")
+        source = make_scenario("bursty-churn", ScenarioContext(
+            num_devices=small_topology.num_devices,
+            num_experts=config.num_experts, num_layers=3,
+            tokens_per_device=2048, top_k=config.top_k, iterations=6,
+            seed=4))
+        batched, reference = (
+            make_system(name, config, small_topology, 2048).policy
+            for _ in range(2))
+        for frame in source.iter_iterations():
+            got = batched.decide_iteration(frame)
+            want = reference_decide_iteration(reference, frame)
+            assert len(got) == len(want) == 3
+            for mine, theirs in zip(got, want):
+                assert mine.layout == theirs.layout
+                for part in ("offsets", "dest", "tokens"):
+                    assert np.array_equal(getattr(mine.routing_plan, part),
+                                          getattr(theirs.routing_plan, part))
+                assert (mine.relayout_bytes_exposed
+                        == theirs.relayout_bytes_exposed)
+                assert (mine.grad_sync_extra_bytes
+                        == theirs.grad_sync_extra_bytes)
+                assert mine.metadata == theirs.metadata
+        assert batched.iteration == reference.iteration == 6

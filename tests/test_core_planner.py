@@ -105,6 +105,10 @@ class TestPlanIteration:
 
     def test_dispatch_respects_given_layout(self, planner, small_topology):
         trace = make_trace()
-        layout = planner.current_layout(0)
-        plan = planner.dispatch(trace.layer(0, 0), layout)
-        assert np.array_equal(plan.row_sums(), trace.layer(0, 0))
+        planner.observe(1, trace.layer(0, 1))
+        layouts = [planner.current_layout(0), planner.tune_layout(1)]
+        plans = planner.dispatch(trace.iteration(0), layouts)
+        for layer, (layout, plan) in enumerate(zip(layouts, plans)):
+            assert np.array_equal(plan.row_sums(), trace.layer(0, layer))
+            hosted = layout.assignment[plan.dest, plan.rows() % 8] > 0
+            assert np.all(hosted | (plan.tokens == 0))

@@ -6,9 +6,11 @@ import pytest
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout_tuner import TunerConfig
 from repro.baselines.laer import LAERPolicy
-from repro.sim.engine import RunResult, TrainingRunSimulator, compare_systems
+from repro.baselines.static_ep import StaticEPPolicy
+from repro.sim.engine import RunResult, compare_systems
 from repro.sim.iteration import IterationResult, LayerResult
 from repro.sim.systems import SystemBuildContext, available_systems, make_system
+from repro.workloads import routing_traces, scenarios
 from repro.workloads.model_configs import get_model_config
 from repro.workloads.scenarios import ScenarioContext, make_scenario
 
@@ -26,6 +28,10 @@ def context(topology):
         num_devices=topology.num_devices, num_experts=CONFIG.num_experts,
         num_layers=2, tokens_per_device=2048, top_k=CONFIG.top_k,
         iterations=6, seed=13)
+
+
+def _run_alone(system, workload, warmup: int) -> RunResult:
+    return compare_systems([system], workload, warmup=warmup)[system.name]
 
 
 def _assert_runs_identical(a: RunResult, b: RunResult) -> None:
@@ -46,21 +52,20 @@ class TestStreaming:
         """Same seed => bit-identical RunResult, streamed or materialized."""
         source = make_scenario("bursty-churn", context)
         system = make_system(system_name, CONFIG, topology, 2048)
-        streamed = TrainingRunSimulator(system).run(source, warmup=1)
-        materialized = TrainingRunSimulator(system).run(
-            source.materialize(), warmup=1)
+        streamed = _run_alone(system, source, warmup=1)
+        materialized = _run_alone(system, source.materialize(), warmup=1)
         _assert_runs_identical(streamed, materialized)
 
     def test_warmup_validation(self, topology, context):
         source = make_scenario("drifting", context)
         system = make_system("fsdp_ep", CONFIG, topology, 2048)
         with pytest.raises(ValueError, match="warmup leaves no iterations"):
-            TrainingRunSimulator(system).run(source, warmup=99)
+            _run_alone(system, source, warmup=99)
 
 
 class TestCompareSystems:
     def test_results_do_not_depend_on_system_order(self, topology, context):
-        # Every system consumes its own fork of the workload, so running the
+        # Systems share nothing but the read-only frame, so running the
         # systems in reverse order changes no result.
         source = make_scenario("phase-shift", context)
         names = ("megatron", "fsdp_ep", "flexmoe", "laer")
@@ -74,6 +79,51 @@ class TestCompareSystems:
         assert list(forward) == list(names)
         for name in names:
             _assert_runs_identical(forward[name], backward[name])
+
+    def test_lockstep_equals_each_system_alone(self, topology, context):
+        source = make_scenario("bursty-churn", context)
+        names = available_systems()
+        together = compare_systems(
+            [make_system(name, CONFIG, topology, 2048) for name in names],
+            source, warmup=1)
+        assert list(together) == list(names)
+        for name in names:
+            alone = _run_alone(make_system(name, CONFIG, topology, 2048),
+                               source, warmup=1)
+            _assert_runs_identical(together[name], alone)
+
+    def test_draws_each_frame_once(self, topology, context, monkeypatch):
+        draw = routing_traces.draw_routing_frame
+        draws = []
+
+        def counted(*args):
+            draws.append(args)
+            return draw(*args)
+
+        for module in (routing_traces, scenarios):
+            monkeypatch.setattr(module, "draw_routing_frame", counted)
+        systems = [make_system(name, CONFIG, topology, 2048)
+                   for name in ("fsdp_ep", "flexmoe", "laer")]
+        compare_systems(systems, make_scenario("drifting", context), warmup=1)
+        assert len(draws) == context.iterations
+
+    def test_policies_get_read_only_frames(self, topology, context):
+        class Scribbler(StaticEPPolicy):
+            def decide_layer(self, layer, routing):
+                routing[0, 0] += 1
+                return super().decide_layer(layer, routing)
+
+        ctx = SystemBuildContext(name="scribbler", config=CONFIG,
+                                 topology=topology, tokens_per_device=2048)
+        system = ctx.build(Scribbler(*ctx.policy_args()))
+        with pytest.raises(ValueError, match="read-only"):
+            compare_systems([system], make_scenario("steady", context))
+
+    def test_a_system_runs_once_per_comparison(self, topology, context):
+        system = make_system("fsdp_ep", CONFIG, topology, 2048)
+        with pytest.raises(ValueError, match="only once"):
+            compare_systems([system, system],
+                            make_scenario("steady", context))
 
 
 class TestDegenerateResults:
@@ -118,9 +168,8 @@ class TestResetRegression:
         source = make_scenario("bursty-churn", context)
         for name in available_systems():
             system = make_system(name, CONFIG, topology, 2048)
-            simulator = TrainingRunSimulator(system)
-            first = simulator.run(source, warmup=1)
-            second = simulator.run(source, warmup=1)
+            first = _run_alone(system, source, warmup=1)
+            second = _run_alone(system, source, warmup=1)
             _assert_runs_identical(first, second)
 
     def test_laer_perturbation_rng_reset_between_runs(self, topology,
@@ -132,12 +181,11 @@ class TestResetRegression:
         policy = LAERPolicy(*ctx.policy_args(), ctx.cost_model(),
                             tuner_config=TunerConfig(num_candidates=5))
         system = ctx.build(policy)
-        simulator = TrainingRunSimulator(system)
         state_before = policy.planner.tuner._rng.bit_generator.state
-        first = simulator.run(source, warmup=1)
+        first = _run_alone(system, source, warmup=1)
         # The run consumed perturbation draws; a reset must restore the seed.
         system.reset()
         assert (policy.planner.tuner._rng.bit_generator.state
                 == state_before)
-        second = simulator.run(source, warmup=1)
+        second = _run_alone(system, source, warmup=1)
         _assert_runs_identical(first, second)

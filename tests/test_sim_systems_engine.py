@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.topology import ClusterTopology
-from repro.sim.engine import TrainingRunSimulator, compare_systems
+from repro.sim.engine import compare_systems
 from repro.sim.systems import available_systems, choose_megatron_tp, make_system
 from repro.workloads.model_configs import get_model_config
 from repro.workloads.routing_traces import RoutingTraceConfig, SyntheticRoutingTraceGenerator
@@ -61,10 +61,14 @@ class TestSystemFactory:
         assert no_opt.simulator.schedule.relaxed_prefetch is False
 
 
+def run_alone(system, trace, warmup):
+    return compare_systems([system], trace, warmup=warmup)[system.name]
+
+
 class TestRunSimulator:
     def test_run_produces_iterations(self, topology, trace):
         system = make_system("fsdp_ep", CONFIG, topology, 8192)
-        result = TrainingRunSimulator(system).run(trace, warmup=2)
+        result = run_alone(system, trace, warmup=2)
         assert result.num_iterations == 6
         assert result.mean_iteration_time > 0
         assert result.throughput > 0
@@ -72,11 +76,11 @@ class TestRunSimulator:
     def test_warmup_validation(self, topology, trace):
         system = make_system("fsdp_ep", CONFIG, topology, 8192)
         with pytest.raises(ValueError):
-            TrainingRunSimulator(system).run(trace, warmup=100)
+            run_alone(system, trace, warmup=100)
 
     def test_breakdown_fractions_sum_to_about_one(self, topology, trace):
         system = make_system("fsdp_ep", CONFIG, topology, 8192)
-        result = TrainingRunSimulator(system).run(trace, warmup=1)
+        result = run_alone(system, trace, warmup=1)
         assert sum(result.breakdown_fractions().values()) == pytest.approx(1.0,
                                                                            abs=0.05)
 

@@ -380,8 +380,9 @@ class TestPhaseProfiling:
                 "sim.layer"} <= phases
 
     def test_laer_planner_phases_nest_under_decide(self, tmp_path):
-        # LAER's decisions go through LoadBalancingPlanner.plan_layer, so the
-        # planner's dispatch and layout-tuning spans sit inside sim.decide.
+        # LAER tunes its layouts through LoadBalancingPlanner.plan_layer and
+        # its policy dispatches the iteration's layers in one batch, so the
+        # dispatch and layout-tuning spans sit inside sim.decide.
         install(Tracer(tmp_path, scope="runner"))
         run_experiment(small_spec(systems=("laer",), reference="laer"))
         uninstall()

@@ -253,6 +253,19 @@ def first_frame_problem(scenario, num_nodes):
     return topology, c, layers
 
 
+def per_layout_problem(scenario, num_nodes):
+    """The layouts of :func:`first_frame_problem`, each with its layer's
+    routing: ``(topology, routings, layouts)`` alternating layers 0 and 1."""
+    topology, capacity, layers = first_frame_problem(scenario, num_nodes)
+    routings, layouts = [], []
+    for scheme in range(4):
+        for routing, loads, schemes in layers:
+            routings.append(routing)
+            layouts.append(relocate_experts(schemes[scheme], loads, topology,
+                                            capacity))
+    return topology, routings, layouts
+
+
 FIRST_FRAMES = [(scenario, nodes)
                 for scenario in sorted(default_runnable_scenarios())
                 for nodes in (2, 4, 32)]
@@ -294,6 +307,53 @@ class TestCompactPlannerDifferential:
                 for name in ("offsets", "dest", "tokens"):
                     assert np.array_equal(getattr(plan, name),
                                           getattr(single, name))
+
+    @pytest.mark.parametrize("scenario,nodes", FIRST_FRAMES)
+    def test_per_layout_batch_matches_route_loop(self, scenario, nodes):
+        """One routing per layout, as an iteration's dispatch passes them."""
+        topology, routings, layouts = per_layout_problem(scenario, nodes)
+        batched = lite_route_batch(np.stack(routings), layouts, topology)
+        assert len(batched) == len(layouts)
+        for plan, routing, layout in zip(batched, routings, layouts):
+            single = lite_route(routing, layout, topology)
+            for name in ("offsets", "dest", "tokens"):
+                assert np.array_equal(getattr(plan, name),
+                                      getattr(single, name))
+
+    @pytest.mark.parametrize("scenario,nodes", FIRST_FRAMES)
+    def test_batch_raises_the_first_error_of_the_loop(self, scenario, nodes):
+        topology, routings, layouts = per_layout_problem(scenario, nodes)
+        needed = np.nonzero(routings[1].sum(axis=0))[0]
+        low, high = int(needed[0]), int(needed[-1])
+        assert low < high
+        # Layout 1 loses its highest needed expert, layout 3 its lowest, and
+        # routing 2 goes negative.
+        broken = list(layouts)
+        for index, expert in ((1, high), (3, low)):
+            assignment = layouts[index].assignment.copy()
+            assignment[:, expert] = 0
+            broken[index] = ExpertLayout(assignment, layouts[index].capacity)
+        negative = [routing.copy() for routing in routings]
+        negative[2][0, 0] = -1
+
+        def loop(routings, layouts):
+            return [lite_route(routing, layout, topology)
+                    for routing, layout in zip(routings, layouts)]
+
+        def batch(routings, layouts):
+            return lite_route_batch(np.stack(routings), layouts, topology)
+
+        for case, expected in (
+                ((routings, broken),
+                 f"expert {high} has no replica in the layout"),
+                ((negative, broken),
+                 f"expert {high} has no replica in the layout"),
+                ((negative, layouts[:3] + broken[3:]),
+                 "token counts must be non-negative")):
+            for route in (loop, batch):
+                with pytest.raises(ValueError) as raised:
+                    route(*case)
+                assert str(raised.value) == expected, route.__name__
 
 
 # ----------------------------------------------------------------------
