@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from functools import partialmethod
 from typing import Callable, Dict, List, Tuple, TypeVar
 
 import numpy as np
@@ -48,8 +49,11 @@ from repro.scalar_reference import (
     scalar_draw_routing_frame,
     scalar_lite_route,
     scalar_relocate_experts,
+    scalar_simulate_iteration,
 )
 from repro.serve import ReproServer, ServeClient
+from repro.sim.iteration import IterationSimulator
+from repro.sim.systems import available_systems, make_system
 from repro.store import FIXED_CREATED_AT_ENV, ResultStore
 from repro.study import StudyAxes, StudyRunner, StudySpec
 from repro.suite import adversarial_search, default_suite
@@ -143,10 +147,13 @@ def scalar_kernels():
     """Swap every vectorized kernel for its scalar reference, then restore.
 
     Yields ``{kernel name: modules it was rebound in}`` for the module-level
-    kernels; ``CollectiveCostModel.all_to_all`` is patched on the class.
-    The layout tuner keeps its vectorized ``lite_route_batch``: the scalar
-    side replaces the dispatch of every iteration's layers, and the batched
-    candidate scoring has a floor of its own.
+    kernels.  ``CollectiveCostModel.all_to_all`` and
+    ``IterationSimulator.simulate_iteration`` are patched on their classes:
+    the simulator runs its per-layer loop and charges each layer's token
+    All-to-All with the per-pair loop.  The layout tuner keeps its
+    vectorized ``lite_route_batch``: the scalar side replaces the dispatch
+    of every iteration's layers, and the batched candidate scoring has a
+    floor of its own.
     """
     kernels = {
         "draw_routing_frame": (traces_mod.draw_routing_frame,
@@ -158,7 +165,10 @@ def scalar_kernels():
                              scalar_relocate_experts),
     }
     vectorized_all_to_all = CollectiveCostModel.all_to_all
+    vectorized_simulate = IterationSimulator.simulate_iteration
     CollectiveCostModel.all_to_all = scalar_all_to_all
+    IterationSimulator.simulate_iteration = partialmethod(
+        scalar_simulate_iteration, all_to_all=scalar_all_to_all)
     keep = {"lite_route_batch": (layout_tuner_mod,)}
     rebound: Dict[str, List[object]] = {
         name: _rebind_everywhere(name, vectorized, scalar, keep.get(name, ()))
@@ -167,6 +177,7 @@ def scalar_kernels():
         yield rebound
     finally:
         CollectiveCostModel.all_to_all = vectorized_all_to_all
+        IterationSimulator.simulate_iteration = vectorized_simulate
         for name, modules in rebound.items():
             for module in modules:
                 setattr(module, name, kernels[name][0])
@@ -188,6 +199,26 @@ def test_vectorized_all_to_all_beats_scalar_loop():
 
 
 def test_vectorized_run_experiment_beats_scalar_kernels():
+    """A LAER ``run_experiment`` on 8x8 devices against the scalar kernels.
+
+    First, at 128x8 devices, the one-pass simulator must equal its
+    per-layer reference exactly for every registered system on the first
+    drifting frame."""
+    config = get_model_config("mixtral-8x7b-e8k2")
+    topology = ClusterTopology(num_nodes=128, devices_per_node=8)
+    ctx = ScenarioContext(num_devices=topology.num_devices,
+                          num_experts=config.num_experts, num_layers=2,
+                          tokens_per_device=TOKENS_PER_DEVICE,
+                          top_k=config.top_k, iterations=1, seed=3)
+    frame = next(iter(make_scenario("drifting", ctx).iter_iterations()))
+    for name in available_systems():
+        system = make_system(name, config, topology, TOKENS_PER_DEVICE)
+        decisions = system.policy.decide_iteration(frame)
+        fast = system.simulator.simulate_iteration(0, decisions)
+        exact = scalar_simulate_iteration(system.simulator, 0, decisions)
+        assert (fast.total_time, fast.breakdown, fast.layers) == \
+            (exact.total_time, exact.breakdown, exact.layers), name
+
     spec = ExperimentSpec(
         name="bench-perf",
         cluster=ClusterSpec(num_nodes=8, devices_per_node=8),

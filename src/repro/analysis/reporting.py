@@ -136,17 +136,17 @@ def format_study_report(title: str,
     return "\n".join(parts).rstrip() + "\n"
 
 
-PHASE_COLUMNS = ("phase", "count", "total_ms", "mean_ms", "share")
+PHASE_COLUMNS = ("phase", "count", "total_ms", "self_ms", "mean_ms", "share")
 
 
 def format_phase_breakdown(rows: Sequence[Mapping[str, object]],
                            title: str | None = "Phase breakdown") -> str:
     """Render telemetry phase rows (``repro.telemetry.phase_breakdown``).
 
-    Expects mappings with ``phase``/``count``/``total_ms``/``mean_ms``/
-    ``share`` keys; the share (fraction of the traced wall interval) is
-    shown as a percentage.  Nested spans overlap, so shares need not sum
-    to 100%.
+    Expects mappings with ``phase``/``count``/``total_ms``/``self_ms``/
+    ``mean_ms``/``share`` keys; the share (fraction of the traced wall
+    interval) is shown as a percentage.  Nested spans overlap, so shares
+    need not sum to 100%; self times do not overlap.
     """
     formatted = [{
         **{col: row.get(col, "") for col in PHASE_COLUMNS},

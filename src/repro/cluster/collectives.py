@@ -29,6 +29,13 @@ from repro.cluster.topology import ClusterTopology
 class CollectiveCostModel:
     """Estimate the wall-clock time of collective operations on a topology.
 
+    The All-to-All arithmetic lives in one batched kernel,
+    :meth:`all_to_all_batch`, which costs any number of exchanges from their
+    compressed sender rows in one pass: per-pair byte sums, per-link
+    bandwidth and latency, per-device drain time and the maximum.
+    :meth:`all_to_all` hands it one dense matrix's rows; the iteration
+    simulator hands it every layer's routing-plan entries at once.
+
     Attributes:
         topology: The cluster topology the collectives run on.
         efficiency: Fraction of the theoretical link bandwidth that collectives
@@ -73,9 +80,8 @@ class CollectiveCostModel:
                 omitted, all cluster devices participate in rank order.
 
         Returns:
-            Estimated completion time in seconds: the maximum over devices of
-            the time needed to drain that device's ingress and egress traffic,
-            where each byte is charged at the bandwidth of the link it crosses.
+            Estimated completion time in seconds, as
+            :meth:`all_to_all_batch` charges the matrix's rows.
         """
         members = self._resolve_group(group)
         traffic = np.asarray(traffic, dtype=np.float64)
@@ -86,26 +92,71 @@ class CollectiveCostModel:
             )
         if np.any(traffic < 0):
             raise ValueError("traffic entries must be non-negative")
-
         n = len(members)
+        return float(self.all_to_all_batch(
+            np.full((1, n), n), np.tile(np.arange(n), n), traffic.reshape(-1),
+            group=group)[0])
+
+    def all_to_all_batch(self, row_counts: np.ndarray, receivers: np.ndarray,
+                         traffic: np.ndarray, scale: float = 1.0,
+                         group: Sequence[int] | None = None) -> np.ndarray:
+        """Times of ``B`` All-to-Alls given as compressed sender rows.
+
+        Args:
+            row_counts: ``(B, n)`` number of entries exchange ``b`` sends
+                from the ``a``-th of the ``n`` group members.  Entries are
+                stored row after row, ``(b, a)`` in C order.
+            receivers: Receiving group member of every entry.
+            traffic: Non-negative bytes of every entry.  A pair may span
+                several entries; they are summed before ``scale`` multiplies
+                the sum, so whole byte counts add up exactly in any order.
+            scale: Multiplier on every pair's summed bytes.
+            group: Global device ranks participating, as in
+                :meth:`all_to_all`.
+
+        Returns:
+            ``(B,)`` completion times in seconds: per exchange, the maximum
+            over devices of the time needed to drain that device's egress
+            and ingress traffic, each byte charged at the bandwidth of the
+            link it crosses, plus the worst fixed latency among the links
+            the device sends on.  Local entries cost nothing.
+        """
+        members = self._resolve_group(group)
+        count, n = row_counts.shape
+        if n != len(members):
+            raise ValueError(
+                f"row_counts must have {len(members)} columns, got {n}")
         if n == 1:
-            return 0.0
-        # Pure matrix form of the per-pair scan: the inverse-bandwidth
-        # matrix has a 0 diagonal (1/inf -- local copies are free), so
-        # local traffic contributes 0 to both drain times.  (group=None
-        # passes through so full-cluster calls hit the cached matrices
-        # without slicing or rescaling copies.)
+            return np.zeros(count)
         slice_key = None if group is None else members
-        per_pair = traffic * self._inv_bandwidth(slice_key)
-        send_time = per_pair.sum(axis=1)
-        recv_time = per_pair.sum(axis=0)
+        # Per entry: its row b * n + a, its pair (b * n + a) * n + c in the
+        # batch, and its link a * n + c in the (n, n) topology matrices.
+        rows = np.repeat(np.arange(count * n), row_counts.reshape(-1))
+        pairs = rows * n + receivers
+        links = pairs - np.repeat(np.arange(0, count * n * n, n * n),
+                                  row_counts.sum(axis=1))
+        # Per-pair seconds in one (B, n, n) buffer: the entries are summed
+        # into it, then each touched pair is scaled and priced in place.
+        # The inverse-bandwidth diagonal is 0 (1/inf -- local copies are
+        # free) and untouched pairs stay 0.  (group=None passes through so
+        # full-cluster calls hit the cached matrices without slicing or
+        # rescaling copies.)
+        per_pair = np.bincount(pairs, weights=traffic, minlength=count * n * n)
+        per_pair[pairs] = ((per_pair[pairs] * scale)
+                           * self._inv_bandwidth(slice_key).reshape(-1)[links])
+        per_pair = per_pair.reshape(count, n, n)
+        send_time = per_pair.sum(axis=2)
+        recv_time = per_pair.sum(axis=1)
         # Each sender pays the worst fixed latency among the links it
         # actually uses (the latency diagonal is 0, so local traffic and
         # idle senders contribute nothing).
-        lat = self.topology.latency_matrix(slice_key)
-        latency = np.where(traffic > 0, lat, 0.0).max(axis=1)
-        per_device = np.maximum(send_time, recv_time) + latency
-        return float(per_device.max())
+        latency = np.zeros(count * n)
+        np.maximum.at(latency, rows, np.where(
+            traffic > 0,
+            self.topology.latency_matrix(slice_key).reshape(-1)[links], 0.0))
+        per_device = (np.maximum(send_time, recv_time)
+                      + latency.reshape(count, n))
+        return per_device.max(axis=1)
 
     def uniform_all_to_all(self, bytes_per_pair: float,
                            group: Sequence[int] | None = None) -> float:

@@ -140,6 +140,26 @@ class RoutingPlan:
                    routing.reshape(-1).copy())
 
 
+def stack_plans(plans: "list[RoutingPlan]"
+                ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """The entries of ``M`` plans of one cluster, as compressed sender rows.
+
+    Returns:
+        ``(counts, dest, tokens)``: every plan's entries in plan order, and
+        the ``(M, N)`` number of entries of each (plan, sender) row.
+    """
+    if not plans:
+        raise ValueError("need at least one routing plan")
+    n, e = plans[0].num_devices, plans[0].num_experts
+    if any((plan.num_devices, plan.num_experts) != (n, e) for plan in plans):
+        raise ValueError("routing plans must share one cluster shape")
+    # Entries per (plan, sender): the offsets at sender boundaries.
+    counts = np.stack([plan.offsets[e::e] - plan.offsets[:-1:e]
+                       for plan in plans])
+    return (counts, np.concatenate([plan.dest for plan in plans]),
+            np.concatenate([plan.tokens for plan in plans]))
+
+
 def reduce_plans(plans: "list[RoutingPlan]") -> "tuple[np.ndarray, np.ndarray]":
     """Stacked :meth:`RoutingPlan.pairwise` and
     :meth:`RoutingPlan.tokens_per_device` of ``M`` plans of one cluster.
@@ -148,17 +168,9 @@ def reduce_plans(plans: "list[RoutingPlan]") -> "tuple[np.ndarray, np.ndarray]":
         ``(M, N, N)`` and ``(M, N)`` float64 arrays, each filled by one
         ``np.bincount`` over the entries of every plan.
     """
-    if not plans:
-        raise ValueError("need at least one routing plan")
-    n, e = plans[0].num_devices, plans[0].num_experts
-    if any((plan.num_devices, plan.num_experts) != (n, e) for plan in plans):
-        raise ValueError("routing plans must share one cluster shape")
-    m = len(plans)
-    # Entries per (candidate, sender): the offsets at sender boundaries.
-    senders = np.repeat(np.arange(m * n), np.concatenate(
-        [plan.offsets[e::e] - plan.offsets[:-1:e] for plan in plans]))
-    dest = np.concatenate([plan.dest for plan in plans])
-    tokens = np.concatenate([plan.tokens for plan in plans])
+    counts, dest, tokens = stack_plans(plans)
+    m, n = counts.shape
+    senders = np.repeat(np.arange(m * n), counts.reshape(-1))
     pairwise = np.bincount(senders * n + dest, weights=tokens,
                            minlength=m * n * n).reshape(m, n, n)
     per_device = np.bincount((senders // n) * n + dest, weights=tokens,

@@ -1,9 +1,10 @@
 """Scalar reference kernels: verbatim ports of the pre-vectorization loops.
 
-The vectorized simulation kernels (matrix-form ``all_to_all``, batched
-routing draws, compact lite-routing splits, heap-based replica
-placement) replaced per-pair / per-device Python loops.  This module keeps
-the original loop semantics in one canonical place so that
+The vectorized simulation kernels (the batched All-to-All kernel, batched
+routing draws, compact lite-routing splits, heap-based replica placement,
+the one-pass iteration simulator) replaced per-pair / per-device /
+per-layer Python loops.  This module keeps the original loop semantics in
+one canonical place so that
 
 * ``tests/test_vectorized_kernels.py`` can assert scalar-vs-vectorized
   equivalence against the true original behaviour, and
@@ -20,8 +21,10 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.core.comm_schedule import LayerTimings, schedule_layer
 from repro.core.layout import ExpertLayout
 from repro.core.routing_plan import RoutingPlan
+from repro.sim.iteration import BYTES_PER_ELEMENT, IterationResult, LayerResult
 
 
 def scalar_all_to_all(model, traffic, group=None):
@@ -53,6 +56,163 @@ def scalar_all_to_all(model, traffic, group=None):
             latency[a] = max(latency[a],
                              model.topology.latency(members[a], members[b]))
     return float((np.maximum(send_time, recv_time) + latency).max())
+
+
+def matrix_all_to_all(model, traffic, group=None):
+    """The dense matrix form of ``CollectiveCostModel.all_to_all`` that
+    preceded the batched kernel: a dozen passes over the ``(n, n)`` matrix.
+
+    Signature-compatible with the method, like :func:`scalar_all_to_all`.
+    """
+    members = model._resolve_group(group)
+    traffic = np.asarray(traffic, dtype=np.float64)
+    if traffic.shape != (len(members), len(members)):
+        raise ValueError(
+            f"traffic matrix must be {(len(members), len(members))}, "
+            f"got {traffic.shape}"
+        )
+    if np.any(traffic < 0):
+        raise ValueError("traffic entries must be non-negative")
+
+    n = len(members)
+    if n == 1:
+        return 0.0
+    # Pure matrix form of the per-pair scan: the inverse-bandwidth
+    # matrix has a 0 diagonal (1/inf -- local copies are free), so
+    # local traffic contributes 0 to both drain times.  (group=None
+    # passes through so full-cluster calls hit the cached matrices
+    # without slicing or rescaling copies.)
+    slice_key = None if group is None else members
+    per_pair = traffic * model._inv_bandwidth(slice_key)
+    send_time = per_pair.sum(axis=1)
+    recv_time = per_pair.sum(axis=0)
+    # Each sender pays the worst fixed latency among the links it
+    # actually uses (the latency diagonal is 0, so local traffic and
+    # idle senders contribute nothing).
+    lat = model.topology.latency_matrix(slice_key)
+    latency = np.where(traffic > 0, lat, 0.0).max(axis=1)
+    per_device = np.maximum(send_time, recv_time) + latency
+    return float(per_device.max())
+
+
+def scalar_overflow_charge(overflow, tokens_per_device, capacity, unit_time):
+    """Original one-layer ``OverflowModel.charge``: returns the tokens each
+    device computes, the hottest device's overflow, the overflow time and
+    the number of dropped tokens."""
+    overflow_tokens = max(0, int(tokens_per_device.max()) - capacity)
+    if overflow.drop_policy == "truncate":
+        computed = np.minimum(tokens_per_device, capacity)
+        dropped = int(np.maximum(tokens_per_device - capacity, 0.0).sum())
+        return computed, overflow_tokens, 0.0, dropped
+    # Recompute is the linear charge at factor 1: ``overflow_tokens`` is
+    # an int, so ``1.0 * overflow_tokens`` is exact.
+    factor = (1.0 if overflow.drop_policy == "recompute"
+              else overflow.overflow_penalty)
+    return (tokens_per_device, overflow_tokens,
+            (factor * overflow_tokens) * unit_time, 0)
+
+
+def scalar_simulate_layer(simulator, layer, decision,
+                          all_to_all=matrix_all_to_all):
+    """Original per-layer body of ``IterationSimulator.simulate_iteration``.
+
+    The layer's duration is driven by the *slowest* device's expert
+    computation; in the per-rank-averaged breakdown (what the paper's
+    profiles report), the stall of the faster ranks shows up as
+    All-to-All time, so the expert-compute bucket records the mean and the
+    difference max - mean is added to the All-to-All bucket.
+    """
+    (attention, prefetch, attention_prefetch,
+     grad_sync) = simulator._invariant_times()
+    plan = decision.routing_plan
+    # One token All-to-All (dispatch or combine) from the plan's dense
+    # (N, N) byte matrix.
+    traffic = (plan.pairwise() * simulator.config.hidden_size
+               * BYTES_PER_ELEMENT * simulator.comm_bytes_scale)
+    np.fill_diagonal(traffic, 0.0)
+    a2a = all_to_all(simulator.collectives, traffic)
+    tokens_per_device = plan.tokens_per_device()
+    ideal = plan.tokens.sum() / simulator.topology.num_devices
+    max_tokens = int(tokens_per_device.max())
+    unit_time = (simulator.config.expert_flops_per_token
+                 / simulator.topology.device_spec.effective_flops)
+    computed, overflow_tokens, overflow_time, dropped_tokens = (
+        tokens_per_device, 0, 0.0, 0)
+    if simulator._device_token_capacity is not None:
+        computed, overflow_tokens, overflow_time, dropped_tokens = (
+            scalar_overflow_charge(simulator.overflow, tokens_per_device,
+                                   simulator._device_token_capacity,
+                                   unit_time))
+    expert_max = float(computed.max()) * unit_time
+    expert_mean = float(computed.mean()) * unit_time
+    timings = LayerTimings(
+        attention_compute=attention,
+        expert_compute=expert_max,
+        token_a2a=a2a,
+        expert_prefetch=prefetch,
+        attention_prefetch=attention_prefetch,
+        grad_sync=grad_sync
+        + simulator.exposed_time_from_bytes(decision.grad_sync_extra_bytes),
+    )
+    scheduled = schedule_layer(timings, simulator.schedule)
+    relayout = simulator.exposed_time_from_bytes(
+        decision.relayout_bytes_exposed)
+    if simulator.activation_checkpointing:
+        recompute = expert_max + attention
+    else:
+        recompute = 0.0
+    imbalance_wait = 3.0 * (expert_max - expert_mean)
+    return LayerResult(
+        layer=layer,
+        forward_time=scheduled.forward_time,
+        backward_time=scheduled.backward_time + recompute,
+        attention_time=3.0 * attention,
+        expert_compute_time=3.0 * expert_mean,
+        all_to_all_time=scheduled.a2a_time + imbalance_wait,
+        exposed_comm_time=scheduled.exposed_prefetch + scheduled.exposed_grad_sync,
+        relayout_time=relayout,
+        max_tokens=max_tokens,
+        ideal_tokens=float(ideal),
+        overflow_tokens=overflow_tokens,
+        overflow_time=overflow_time,
+        dropped_tokens=dropped_tokens,
+    )
+
+
+def scalar_simulate_iteration(simulator, iteration, decisions,
+                              all_to_all=matrix_all_to_all):
+    """Original per-layer loop of ``IterationSimulator.simulate_iteration``.
+
+    Signature-compatible with the method (``simulator`` binds as ``self``);
+    ``all_to_all(model, traffic)`` charges each layer's token All-to-All
+    (the matrix form by default, :func:`scalar_all_to_all` for the
+    per-pair loop).
+    """
+    if not decisions:
+        raise ValueError("decisions must not be empty")
+    layer_results = []
+    for layer, decision in enumerate(decisions):
+        layer_results.append(
+            scalar_simulate_layer(simulator, layer, decision, all_to_all))
+    scale = simulator.num_layers / len(layer_results)
+    breakdown = {
+        "attention_and_other": scale * sum(r.attention_time for r in layer_results),
+        "expert_compute": scale * sum(r.expert_compute_time for r in layer_results),
+        "all_to_all": scale * sum(r.all_to_all_time for r in layer_results),
+        "exposed_comm": scale * sum(r.exposed_comm_time for r in layer_results),
+        "relayout": scale * sum(r.relayout_time for r in layer_results),
+    }
+    if simulator._device_token_capacity is not None:
+        breakdown["overflow"] = scale * sum(
+            r.overflow_time for r in layer_results)
+    total = scale * sum(r.total_time for r in layer_results)
+    breakdown["other"] = max(0.0, total - sum(breakdown.values()))
+    return IterationResult(
+        iteration=iteration,
+        total_time=total,
+        breakdown=breakdown,
+        layers=layer_results,
+    )
 
 
 def scalar_draw_routing_frame(rng, probs_by_layer, config):

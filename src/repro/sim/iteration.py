@@ -7,7 +7,9 @@ collective cost models and the Fig. 5 communication schedule:
 * attention (and the rest of the dense transformer work) on every device,
   optionally under tensor parallelism;
 * the token dispatch / combine All-to-All, charged from the actual per-pair
-  traffic of the routing plan;
+  traffic of the routing plans: one pass over the entries of every layer's
+  plan costs all the layers' exchanges at once
+  (:meth:`CollectiveCostModel.all_to_all_batch`);
 * expert computation, taken as the *maximum* across devices (the tail latency
   the paper targets);
 * expert-parameter prefetch and gradient synchronisation, whose exposure
@@ -38,7 +40,7 @@ from repro.core.comm_schedule import (
     LayerTimings,
     schedule_layer,
 )
-from repro.core.routing_plan import RoutingPlan
+from repro.core.routing_plan import stack_plans
 from repro.parallel.tp import TensorParallelCost
 from repro.telemetry.trace import span as _span
 from repro.workloads.model_configs import MoEModelConfig
@@ -108,24 +110,29 @@ class OverflowModel:
         return data
 
     def charge(self, tokens_per_device: np.ndarray, capacity: int,
-               unit_time: float) -> Tuple[np.ndarray, int, float, int]:
-        """Charge one layer's per-device routed tokens against ``capacity``.
+               unit_time: float
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Charge each layer's per-device routed tokens against ``capacity``.
 
-        ``unit_time`` is one token's expert compute time.  Returns the
-        tokens each device computes, the hottest device's overflow, the
+        ``tokens_per_device`` is ``(L, N)``; ``unit_time`` is one token's
+        expert compute time.  Returns the ``(L, N)`` tokens each device
+        computes and, per layer, the hottest device's overflow, the
         overflow time and the number of dropped tokens.
         """
-        overflow_tokens = max(0, int(tokens_per_device.max()) - capacity)
+        overflow_tokens = np.maximum(
+            tokens_per_device.max(axis=1) - capacity, 0).astype(np.int64)
         if self.drop_policy == "truncate":
             computed = np.minimum(tokens_per_device, capacity)
-            dropped = int(np.maximum(tokens_per_device - capacity, 0.0).sum())
-            return computed, overflow_tokens, 0.0, dropped
-        # Recompute is the linear charge at factor 1: ``overflow_tokens`` is
-        # an int, so ``1.0 * overflow_tokens`` is exact.
+            dropped = np.maximum(tokens_per_device - capacity, 0.0).sum(axis=1)
+            return (computed, overflow_tokens, np.zeros(len(overflow_tokens)),
+                    dropped.astype(np.int64))
+        # Recompute is the linear charge at factor 1: the overflow counts
+        # are whole numbers, so ``1.0 * overflow_tokens`` is exact.
         factor = (1.0 if self.drop_policy == "recompute"
                   else self.overflow_penalty)
         return (tokens_per_device, overflow_tokens,
-                (factor * overflow_tokens) * unit_time, 0)
+                (factor * overflow_tokens) * unit_time,
+                np.zeros_like(overflow_tokens))
 
 
 @dataclass
@@ -270,13 +277,6 @@ class IterationSimulator:
         """Forward attention (+ dense work) time per layer per device."""
         return self._tp_cost.attention_forward_time(self.tokens_per_device)
 
-    def token_a2a_time(self, routing_plan: RoutingPlan) -> float:
-        """One token All-to-All (dispatch or combine) from the routing plan."""
-        traffic = (routing_plan.pairwise() * self.config.hidden_size
-                   * BYTES_PER_ELEMENT * self.comm_bytes_scale)
-        np.fill_diagonal(traffic, 0.0)
-        return self.collectives.all_to_all(traffic)
-
     def prefetch_time(self) -> float:
         """Expert-parameter restore time per layer for the active paradigm."""
         expert_bytes = self.config.expert_param_bytes
@@ -331,7 +331,7 @@ class IterationSimulator:
         sync)`` per layer.
 
         They depend only on fields fixed at construction, so the first
-        simulated layer computes them and every later one reuses them.
+        simulated iteration computes them and every later one reuses them.
         Computing them on first use rather than at construction keeps
         building a system cheap.
         """
@@ -351,67 +351,20 @@ class IterationSimulator:
     # ------------------------------------------------------------------
     # Assembly
     # ------------------------------------------------------------------
-    def simulate_layer(self, layer: int, decision: PolicyDecision) -> LayerResult:
-        """Simulate one MoE transformer layer from a policy decision.
-
-        The layer's duration is driven by the *slowest* device's expert
-        computation; in the per-rank-averaged breakdown (what the paper's
-        profiles report), the stall of the faster ranks shows up as
-        All-to-All time, so the expert-compute bucket records the mean and the
-        difference max - mean is added to the All-to-All bucket.
-        """
-        (attention, prefetch, attention_prefetch,
-         grad_sync) = self._invariant_times()
-        plan = decision.routing_plan
-        a2a = self.token_a2a_time(plan)
-        tokens_per_device = plan.tokens_per_device()
-        ideal = plan.tokens.sum() / self.topology.num_devices
-        max_tokens = int(tokens_per_device.max())
-        unit_time = (self.config.expert_flops_per_token
-                     / self.topology.device_spec.effective_flops)
-        computed, overflow_tokens, overflow_time, dropped_tokens = (
-            tokens_per_device, 0, 0.0, 0)
-        if self._device_token_capacity is not None:
-            computed, overflow_tokens, overflow_time, dropped_tokens = (
-                self.overflow.charge(tokens_per_device,
-                                     self._device_token_capacity, unit_time))
-        expert_max = float(computed.max()) * unit_time
-        expert_mean = float(computed.mean()) * unit_time
-        timings = LayerTimings(
-            attention_compute=attention,
-            expert_compute=expert_max,
-            token_a2a=a2a,
-            expert_prefetch=prefetch,
-            attention_prefetch=attention_prefetch,
-            grad_sync=grad_sync
-            + self.exposed_time_from_bytes(decision.grad_sync_extra_bytes),
-        )
-        scheduled = schedule_layer(timings, self.schedule)
-        relayout = self.exposed_time_from_bytes(decision.relayout_bytes_exposed)
-        if self.activation_checkpointing:
-            recompute = expert_max + attention
-        else:
-            recompute = 0.0
-        imbalance_wait = 3.0 * (expert_max - expert_mean)
-        return LayerResult(
-            layer=layer,
-            forward_time=scheduled.forward_time,
-            backward_time=scheduled.backward_time + recompute,
-            attention_time=3.0 * attention,
-            expert_compute_time=3.0 * expert_mean,
-            all_to_all_time=scheduled.a2a_time + imbalance_wait,
-            exposed_comm_time=scheduled.exposed_prefetch + scheduled.exposed_grad_sync,
-            relayout_time=relayout,
-            max_tokens=max_tokens,
-            ideal_tokens=float(ideal),
-            overflow_tokens=overflow_tokens,
-            overflow_time=overflow_time,
-            dropped_tokens=dropped_tokens,
-        )
-
     def simulate_iteration(self, iteration: int,
                            decisions: Sequence[PolicyDecision]) -> IterationResult:
         """Simulate one iteration from the per-layer policy decisions.
+
+        All layers are costed in one pass: the entries of every layer's
+        routing plan give the per-device loads and, through
+        :meth:`CollectiveCostModel.all_to_all_batch`, every layer's token
+        All-to-All; only the Fig. 5 schedule runs layer by layer.
+
+        A layer's duration is driven by the *slowest* device's expert
+        computation; in the per-rank-averaged breakdown (what the paper's
+        profiles report), the stall of the faster ranks shows up as
+        All-to-All time, so the expert-compute bucket records the mean and
+        the difference max - mean is added to the All-to-All bucket.
 
         When the policy was driven with fewer layers than the model has (the
         usual case: traces carry a handful of representative layers), the
@@ -419,10 +372,75 @@ class IterationSimulator:
         """
         if not decisions:
             raise ValueError("decisions must not be empty")
+        (attention, prefetch, attention_prefetch,
+         grad_sync) = self._invariant_times()
+        n, layers = self.topology.num_devices, len(decisions)
+        plans = [decision.routing_plan for decision in decisions]
+        if any(plan.num_devices != n for plan in plans):
+            raise ValueError(
+                f"routing plans must span the topology's {n} devices")
+        row_counts, dest, tokens = stack_plans(plans)
+        with _span("sim.token-a2a", layers=layers):
+            a2a = self.collectives.all_to_all_batch(
+                row_counts, dest,
+                tokens * (self.config.hidden_size * BYTES_PER_ELEMENT),
+                scale=self.comm_bytes_scale).tolist()
+        # Per-device loads are whole token counts, so every reduction
+        # below is exact.
+        layer_of = np.repeat(np.arange(0, layers * n, n),
+                             row_counts.sum(axis=1))
+        loads = np.bincount(layer_of + dest, weights=tokens,
+                            minlength=layers * n).reshape(layers, n)
+        unit_time = (self.config.expert_flops_per_token
+                     / self.topology.device_spec.effective_flops)
+        computed = loads
+        overflow_tokens, overflow_time, dropped_tokens = (
+            [0] * layers, [0.0] * layers, [0] * layers)
+        if self._device_token_capacity is not None:
+            computed, overflow, charged, dropped = self.overflow.charge(
+                loads, self._device_token_capacity, unit_time)
+            overflow_tokens, overflow_time, dropped_tokens = (
+                overflow.tolist(), charged.tolist(), dropped.tolist())
+        expert_max = (computed.max(axis=1) * unit_time).tolist()
+        expert_mean = (computed.mean(axis=1) * unit_time).tolist()
+        max_tokens = loads.max(axis=1).astype(np.int64).tolist()
+        ideal_tokens = (loads.sum(axis=1) / n).tolist()
+
         layer_results = []
         for layer, decision in enumerate(decisions):
             with _span("sim.layer", layer=layer):
-                layer_results.append(self.simulate_layer(layer, decision))
+                timings = LayerTimings(
+                    attention_compute=attention,
+                    expert_compute=expert_max[layer],
+                    token_a2a=a2a[layer],
+                    expert_prefetch=prefetch,
+                    attention_prefetch=attention_prefetch,
+                    grad_sync=grad_sync + self.exposed_time_from_bytes(
+                        decision.grad_sync_extra_bytes),
+                )
+                scheduled = schedule_layer(timings, self.schedule)
+                if self.activation_checkpointing:
+                    recompute = expert_max[layer] + attention
+                else:
+                    recompute = 0.0
+                imbalance_wait = 3.0 * (expert_max[layer] - expert_mean[layer])
+                layer_results.append(LayerResult(
+                    layer=layer,
+                    forward_time=scheduled.forward_time,
+                    backward_time=scheduled.backward_time + recompute,
+                    attention_time=3.0 * attention,
+                    expert_compute_time=3.0 * expert_mean[layer],
+                    all_to_all_time=scheduled.a2a_time + imbalance_wait,
+                    exposed_comm_time=(scheduled.exposed_prefetch
+                                       + scheduled.exposed_grad_sync),
+                    relayout_time=self.exposed_time_from_bytes(
+                        decision.relayout_bytes_exposed),
+                    max_tokens=max_tokens[layer],
+                    ideal_tokens=ideal_tokens[layer],
+                    overflow_tokens=overflow_tokens[layer],
+                    overflow_time=overflow_time[layer],
+                    dropped_tokens=dropped_tokens[layer],
+                ))
         scale = self.num_layers / len(layer_results)
         breakdown = {
             "attention_and_other": scale * sum(r.attention_time for r in layer_results),

@@ -402,24 +402,35 @@ def phase_breakdown(events: Iterable[Mapping[str, Any]],
                     prefix: Optional[str] = None) -> List[Dict[str, Any]]:
     """Aggregate span events into a per-phase time table.
 
-    Returns rows ``{phase, count, total_ms, mean_ms, share}`` sorted by
-    total time, where ``share`` is each phase's fraction of the traced
-    wall interval (nested spans overlap, so shares need not sum to 1).
+    Returns rows ``{phase, count, total_ms, self_ms, mean_ms, share}``
+    sorted by total time.  ``self_ms`` subtracts from each span the
+    durations of its direct children in the same process, so self times
+    never count a nested phase twice; a fleet worker's root span, parented
+    to the coordinator span it runs beside, is not subtracted.  ``share``
+    is each phase's fraction of the traced wall interval (nested spans
+    overlap, so shares need not sum to 1).
     """
+    spans = [event for event in events if event.get("type") == "span"]
+    # Nanoseconds spent in the direct children of each (pid, span id).
+    children_ns: Dict[Any, int] = {}
+    for event in spans:
+        key = (event.get("pid"), event.get("parent"))
+        children_ns[key] = (children_ns.get(key, 0)
+                            + int(event.get("dur_ns", 0)))
     totals: Dict[str, List[float]] = {}
     first_ns: Optional[int] = None
     last_ns: Optional[int] = None
-    for event in events:
-        if event.get("type") != "span":
-            continue
+    for event in spans:
         name = str(event.get("name", "?"))
         if prefix is not None and not name.startswith(prefix):
             continue
         ts = int(event.get("ts_ns", 0))
         dur = int(event.get("dur_ns", 0))
-        entry = totals.setdefault(name, [0, 0.0])
+        entry = totals.setdefault(name, [0, 0.0, 0.0])
         entry[0] += 1
         entry[1] += dur
+        entry[2] += dur - children_ns.get(
+            (event.get("pid"), event.get("id")), 0)
         first_ns = ts if first_ns is None else min(first_ns, ts)
         end = ts + dur
         last_ns = end if last_ns is None else max(last_ns, end)
@@ -427,11 +438,12 @@ def phase_breakdown(events: Iterable[Mapping[str, Any]],
         return []
     wall_ns = max(1, (last_ns or 0) - (first_ns or 0))
     rows = []
-    for name, (count, total) in totals.items():
+    for name, (count, total, own) in totals.items():
         rows.append({
             "phase": name,
             "count": int(count),
             "total_ms": round(total / 1e6, 3),
+            "self_ms": round(own / 1e6, 3),
             "mean_ms": round(total / count / 1e6, 4),
             "share": round(total / wall_ns, 4),
         })

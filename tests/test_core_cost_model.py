@@ -189,8 +189,8 @@ class TestAgreesWithSimulator:
                 costs = np.array([cost.total for cost in
                                   cost_model.evaluate_batch(plans)])
                 times = np.array([
-                    simulator.simulate_layer(
-                        0, PolicyDecision(layout, plan)).total_time
+                    simulator.simulate_iteration(
+                        0, [PolicyDecision(layout, plan)]).layers[0].total_time
                     for layout, plan in zip(layouts, plans)])
                 pick = times[int(np.argmin(costs))]
                 hits += pick == times.min()

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.baselines import LAERPolicy, StaticEPPolicy
+from repro.baselines.base import PolicyDecision
 from repro.core.comm_schedule import CommScheduleConfig
 from repro.core.cost_model import MoECostModel
+from repro.core.layout import static_ep_layout
 from repro.core.routing_plan import RoutingPlan
 from repro.sim.iteration import IterationSimulator, OverflowModel
 from repro.workloads.model_configs import get_model_config
@@ -62,7 +64,11 @@ class TestComponentCosts:
         plan = np.zeros((n, 8, n), dtype=np.int64)
         for dev in range(n):
             plan[dev, :, dev] = 10
-        assert sim.token_a2a_time(RoutingPlan.from_dense(plan)) == 0.0
+        layout = static_ep_layout(n, 8, 2)
+        result = sim.simulate_iteration(
+            0, [PolicyDecision(layout, RoutingPlan.from_dense(plan))])
+        # Balanced local traffic: no token exchange and no imbalance stall.
+        assert result.layers[0].all_to_all_time == 0.0
 
     def test_exposed_time_from_bytes(self, small_topology):
         sim = make_simulator(small_topology)

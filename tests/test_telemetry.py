@@ -364,6 +364,34 @@ class TestExport:
         assert phase_breakdown(events, prefix="sim.layer") != []
         assert phase_breakdown([], prefix=None) == []
 
+    def test_phase_breakdown_self_time_subtracts_direct_children(self):
+        def event(span_id, parent, name, dur_ms, pid=1):
+            return {"type": "span", "id": span_id, "parent": parent,
+                    "name": name, "pid": pid, "ts_ns": 0,
+                    "dur_ns": int(dur_ms * 1e6)}
+
+        events = [
+            event("1.1", None, "sim.simulate", 10),
+            event("1.2", "1.1", "sim.token-a2a", 4),
+            event("1.3", "1.1", "sim.layer", 3),
+            event("1.4", "1.3", "sim.layer", 1),
+            # A worker's root span hangs under the coordinator's span but
+            # runs beside it in another process: not a child there.
+            event("2.1", "1.1", "fleet.worker", 9, pid=2),
+        ]
+        rows = {row["phase"]: row for row in phase_breakdown(events)}
+        assert rows["sim.simulate"]["total_ms"] == 10.0
+        assert rows["sim.simulate"]["self_ms"] == 3.0
+        assert rows["sim.token-a2a"]["self_ms"] == 4.0
+        # Two sim.layer spans, one nested in the other: 4 ms inclusive,
+        # 3 ms of their own.
+        assert rows["sim.layer"]["total_ms"] == 4.0
+        assert rows["sim.layer"]["self_ms"] == 3.0
+        assert rows["fleet.worker"]["self_ms"] == 9.0
+        # Without the cross-process span, self times add up to the root.
+        local = [e for e in events if e["pid"] == 1]
+        assert sum(row["self_ms"] for row in phase_breakdown(local)) == 10.0
+
 
 # ---------------------------------------------------------------------------
 # Phase profiling + determinism
@@ -373,11 +401,19 @@ class TestPhaseProfiling:
         install(Tracer(tmp_path, scope="runner"))
         ExperimentRunner().run(small_spec())
         uninstall()
-        phases = {event["name"]
-                  for event in read_events(tmp_path)
-                  if event["type"] == "span"}
+        spans = [event for event in read_events(tmp_path)
+                 if event["type"] == "span"]
+        phases = {event["name"] for event in spans}
         assert {"sim.routing-draw", "sim.decide", "sim.simulate",
-                "sim.layer"} <= phases
+                "sim.token-a2a", "sim.layer"} <= phases
+        # One token All-to-All span per simulated iteration, covering every
+        # layer, inside sim.simulate.
+        names = {event["id"]: event["name"] for event in spans}
+        a2a = [event for event in spans if event["name"] == "sim.token-a2a"]
+        assert len(a2a) == sum(event["name"] == "sim.simulate"
+                               for event in spans)
+        assert all(names[event["parent"]] == "sim.simulate"
+                   and event["attrs"]["layers"] == 1 for event in a2a)
 
     def test_laer_planner_phases_nest_under_decide(self, tmp_path):
         # LAER tunes its layouts through LoadBalancingPlanner.plan_layer and
@@ -494,6 +530,8 @@ class TestCliTrace:
                      "--output", str(tmp_path / "chrome.json")]) == 0
         out = capsys.readouterr().out
         assert "Chrome trace event(s)" in out
+        assert re.search(r"phase\s+\|\s+count\s+\|\s+total_ms\s+\|\s+self_ms",
+                         out), out
         payload = json.loads((tmp_path / "chrome.json").read_text())
         assert any(e["ph"] == "X" for e in payload["traceEvents"])
 
@@ -565,6 +603,7 @@ class TestStudyReportTraceSection:
                      "--trace", str(trace_dir)]) == 0
         out = capsys.readouterr().out
         assert "## Phase breakdown (traced)" in out
+        assert "| phase | count | total_ms | self_ms | mean_ms | share |" in out
         assert "sim.decide" in out
 
     def test_missing_trace_dir_errors(self, tmp_path, capsys):

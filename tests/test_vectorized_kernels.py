@@ -1,19 +1,24 @@
 """Scalar-vs-vectorized equivalence tests for the simulation kernels.
 
-The vectorized kernels (matrix-form collectives, batched routing draws,
-compact lite-routing plans, heap-based relocation, matrix trace transforms)
-must reproduce the scalar implementations they replaced: collectives to
-float tolerance, integer token splits and replica placements exactly, and
-seeded trace generation deterministically.
+The vectorized kernels (the batched All-to-All kernel, batched routing
+draws, compact lite-routing plans, heap-based relocation, the one-pass
+iteration simulator, matrix trace transforms) must reproduce the scalar
+implementations they replaced: the per-pair collective loops to float
+tolerance, the matrix-form All-to-All and the per-layer simulator loop
+exactly, integer token splits and replica placements exactly, and seeded
+trace generation deterministically.
 The scalar references live in :mod:`repro.scalar_reference` (verbatim ports
 of the pre-vectorization loops, shared with ``benchmarks/bench_floors.py``).
 """
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from repro.baselines.base import PolicyDecision
+from repro.calib.profile import CalibrationProfile
 from repro.cluster.collectives import CollectiveCostModel
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout, static_ep_layout
@@ -29,12 +34,17 @@ from repro.core.replica_allocation import (
     even_replicas,
     perturb_replicas,
 )
+from repro.core.routing_plan import RoutingPlan
 from repro.scalar_reference import (
+    matrix_all_to_all,
     scalar_all_to_all,
     scalar_lite_route,
     scalar_relocate_experts,
+    scalar_simulate_iteration,
     scalar_split_evenly,
 )
+from repro.sim.iteration import IterationSimulator, LayerResult, OverflowModel
+from repro.sim.systems import available_systems, make_system
 from repro.workloads.model_configs import get_model_config
 from repro.workloads.routing_traces import (
     RoutingTrace,
@@ -150,6 +160,45 @@ class TestAllToAllEquivalence:
             model, traffic, list(range(n))), rel=RTOL)
         # The fixed inter-node latency of the only active sender is charged.
         assert vec > 1e6 / (model.topology.inter_node_bandwidth * model.efficiency)
+
+    def test_all_to_all_is_the_matrix_form_exactly(self, model):
+        rng = np.random.default_rng(3)
+        n = model.topology.num_devices
+        for trial in range(20):
+            size = int(rng.integers(1, n + 1))
+            members = rng.choice(n, size=size, replace=False).tolist()
+            traffic = rng.uniform(0.0, 1e8, size=(size, size))
+            traffic[rng.uniform(size=(size, size)) < 0.5] = 0.0
+            for group in (members, None if size == n else members):
+                assert model.all_to_all(traffic, group) == \
+                    matrix_all_to_all(model, traffic, group)
+        full = rng.uniform(0.0, 1e8, size=(n, n))
+        assert model.all_to_all(full) == matrix_all_to_all(model, full)
+
+    def test_batch_sums_a_pairs_entries_before_scaling(self, model):
+        """Entries of one pair add up exactly before the scale multiplies
+        them: three exchanges of whole byte counts, split over entries,
+        cost what their summed matrices cost in the matrix form."""
+        rng = np.random.default_rng(4)
+        n, scale = model.topology.num_devices, 1.1
+        matrices = rng.integers(0, 10 ** 6, size=(3, n, n))
+        matrices[rng.uniform(size=matrices.shape) < 0.6] = 0
+        row_counts, receivers, traffic = [], [], []
+        for matrix in matrices:
+            for row in matrix:
+                # Each pair split at random into three entries.
+                cols = np.nonzero(row)[0]
+                first = rng.integers(0, row[cols] + 1)
+                second = rng.integers(0, row[cols] - first + 1)
+                row_counts.append(3 * cols.size)
+                receivers.append(np.repeat(cols, 3))
+                traffic.append(np.stack(
+                    [first, second, row[cols] - first - second], axis=1))
+        batch = model.all_to_all_batch(
+            np.array(row_counts).reshape(3, n), np.concatenate(receivers),
+            np.concatenate(traffic).reshape(-1), scale=scale)
+        for matrix, time in zip(matrices, batch):
+            assert time == matrix_all_to_all(model, matrix * scale)
 
     def test_ring_collectives_on_random_groups(self, model):
         rng = np.random.default_rng(2)
@@ -354,6 +403,178 @@ class TestCompactPlannerDifferential:
                 with pytest.raises(ValueError) as raised:
                     route(*case)
                 assert str(raised.value) == expected, route.__name__
+
+
+# ----------------------------------------------------------------------
+# The one-pass iteration simulator against the per-layer loop
+# ----------------------------------------------------------------------
+def assert_same_iteration(simulator, decisions):
+    """``simulate_iteration`` equals the per-layer reference exactly, down
+    to every field's type (results serialize to JSON)."""
+    fast = simulator.simulate_iteration(3, decisions)
+    exact = scalar_simulate_iteration(simulator, 3, decisions)
+    assert (fast.iteration, fast.total_time, fast.breakdown) == \
+        (exact.iteration, exact.total_time, exact.breakdown)
+    assert len(fast.layers) == len(exact.layers) == len(decisions)
+    for ours, reference in zip(fast.layers, exact.layers):
+        for field in dataclasses.fields(LayerResult):
+            value, expected = (getattr(ours, field.name),
+                               getattr(reference, field.name))
+            assert value == expected, field.name
+            assert type(value) is type(expected), field.name
+        assert ours.total_time == reference.total_time
+    return fast
+
+
+def first_frame(scenario, nodes):
+    topology, _, layers = first_frame_problem(scenario, nodes)
+    return topology, np.stack([routing for routing, _, _ in layers])
+
+
+def system_decisions(name, topology, frame, **kwargs):
+    system = make_system(name, get_model_config("mixtral-8x7b-e8k2"),
+                         topology, 4096, **kwargs)
+    return system.simulator, system.policy.decide_iteration(frame)
+
+
+SIMULATED_FRAMES = [(scenario, nodes)
+                    for scenario in ("drifting", "bursty-churn", "phase-shift")
+                    for nodes in (2, 4, 32)]
+
+
+class TestOnePassSimulatorDifferential:
+    @pytest.mark.parametrize("scenario,nodes", SIMULATED_FRAMES)
+    def test_every_system_matches_the_layer_loop(self, scenario, nodes):
+        topology, frame = first_frame(scenario, nodes)
+        for name in available_systems():
+            assert_same_iteration(*system_decisions(name, topology, frame))
+
+    @pytest.mark.parametrize("overflow", [
+        OverflowModel(overflow_penalty=1.5, token_capacity=6000),
+        OverflowModel(token_capacity=6000, drop_policy="truncate"),
+        OverflowModel(overflow_penalty=3.0, token_capacity=6000,
+                      drop_policy="recompute"),
+        OverflowModel(overflow_penalty=0.5)],
+        ids=["penalty", "truncate", "recompute", "memory-capacity"])
+    def test_overflow_settings_match(self, overflow):
+        topology, frame = first_frame("bursty-churn", 2)
+        charged = False
+        for name in available_systems():
+            simulator, decisions = system_decisions(
+                name, topology, frame, overflow=overflow)
+            result = assert_same_iteration(simulator, decisions)
+            charged |= any(layer.overflow_tokens > 0
+                           for layer in result.layers)
+        # A pinned capacity of 6000 routed tokens overflows bursty-churn's
+        # hottest devices (8192 routed tokens per device on average).
+        assert charged or overflow.token_capacity is None
+
+    def test_activation_checkpointing_matches(self):
+        topology, frame = first_frame("drifting", 2)
+        for name in available_systems():
+            assert_same_iteration(*system_decisions(
+                name, topology, frame, activation_checkpointing=True))
+
+    def test_calibrated_topology_matches(self):
+        profile = CalibrationProfile(
+            intra_node_bandwidth_scale=0.9, inter_node_bandwidth_scale=0.7,
+            inter_node_latency_s=2e-5, comm_bytes_scale=1.1)
+        topology, frame = first_frame("phase-shift", 4)
+        for name in available_systems():
+            simulator, decisions = system_decisions(
+                name, topology, frame, calibration=profile)
+            assert simulator.comm_bytes_scale == 1.1
+            assert_same_iteration(simulator, decisions)
+
+    @pytest.mark.parametrize("nodes", [4, 32])
+    def test_dense_plans_keep_the_row_sum_order(self, nodes):
+        """Every sender reaching every device: numpy's pairwise row sums
+        (blocked, and split recursively past 128 columns) must round as
+        the per-layer matrix form does."""
+        topology = ClusterTopology(num_nodes=nodes, devices_per_node=8)
+        n = topology.num_devices
+        simulator = make_system("laer", get_model_config("mixtral-8x7b-e8k2"),
+                                topology, 4096).simulator
+        rng = np.random.default_rng(nodes)
+        layout = static_ep_layout(n, 8, 2)
+        decisions = [PolicyDecision(layout, RoutingPlan.from_dense(
+            rng.integers(0, 50, size=(n, 8, n)))) for _ in range(2)]
+        assert_same_iteration(simulator, decisions)
+
+    @pytest.mark.parametrize("scale", [1.1, 0.73])
+    def test_a_pairs_tokens_add_up_before_the_byte_scale(self, scale):
+        """One pair per layer, fed by all eight experts: its bytes are
+        ``((sum of tokens) * H * 2) * scale``, which rounds differently from
+        scaling each expert's share first in about a quarter of layers."""
+        topology = ClusterTopology(num_nodes=2, devices_per_node=8)
+        n = topology.num_devices
+        simulator = make_system(
+            "fsdp_ep", get_model_config("mixtral-8x7b-e8k2"), topology, 4096,
+            calibration=CalibrationProfile(comm_bytes_scale=scale)).simulator
+        rng = np.random.default_rng(6)
+        layout = static_ep_layout(n, 8, 2)
+        decisions = []
+        for _ in range(32):
+            routing = np.zeros((n, 8), dtype=np.int64)
+            routing[0] = rng.integers(1, 5000, size=8)
+            decisions.append(PolicyDecision(layout, RoutingPlan.from_owners(
+                routing, np.full((n, 8), n - 1))))
+        assert_same_iteration(simulator, decisions)
+
+    def test_empty_entries_open_no_link(self):
+        """An entry without tokens (lite routing gives one to each replica
+        a short row cannot reach) pays no latency: sender 0 pays for its
+        one intra-node destination, not for its empty inter-node entries."""
+        topology = ClusterTopology(num_nodes=2, devices_per_node=8)
+        n = topology.num_devices
+        simulator = make_system(
+            "fsdp_ep", get_model_config("mixtral-8x7b-e8k2"), topology,
+            4096).simulator
+        routing = np.zeros((n, 8), dtype=np.int64)
+        routing[0, 0] = 10_000
+        owners = np.full((n, 8), n - 1)
+        owners[0, 0] = 1
+        assert_same_iteration(simulator, [PolicyDecision(
+            static_ep_layout(n, 8, 2), RoutingPlan.from_owners(routing, owners))])
+
+    def test_single_device_exchanges_nothing(self):
+        topology = ClusterTopology(num_nodes=1, devices_per_node=1)
+        simulator = IterationSimulator(
+            config=get_model_config("mixtral-8x7b-e8k2"), topology=topology,
+            tokens_per_device=4096)
+        layout = ExpertLayout(np.ones((1, 8), dtype=np.int64), capacity=8)
+        decisions = [PolicyDecision(layout, RoutingPlan.from_owners(
+            np.full((1, 8), 1024 * (layer + 1)), np.zeros((1, 8))))
+            for layer in range(2)]
+        result = assert_same_iteration(simulator, decisions)
+        assert result.breakdown["all_to_all"] == 0.0
+        assert all(layer.all_to_all_time == 0.0 for layer in result.layers)
+
+    def test_local_plan_exchanges_nothing(self):
+        topology = ClusterTopology(num_nodes=2, devices_per_node=8)
+        n = topology.num_devices
+        simulator = make_system("laer", get_model_config("mixtral-8x7b-e8k2"),
+                                topology, 4096).simulator
+        owners = np.repeat(np.arange(n)[:, None], 8, axis=1)
+        decisions = [PolicyDecision(static_ep_layout(n, 8, 2),
+                                    RoutingPlan.from_owners(
+                                        np.full((n, 8), 512), owners))]
+        result = assert_same_iteration(simulator, decisions)
+        # Balanced and local: no token exchange and no imbalance stall.
+        assert result.layers[0].all_to_all_time == 0.0
+
+    def test_plan_for_another_cluster_raises(self):
+        topology, frame = first_frame("drifting", 2)
+        simulator, decisions = system_decisions("fsdp_ep", topology, frame)
+        other = ClusterTopology(num_nodes=1, devices_per_node=8)
+        _, foreign = system_decisions(
+            "fsdp_ep", other, np.ascontiguousarray(frame[:, :8]))
+        for mixed in (foreign, [decisions[0], foreign[1]]):
+            for simulate in (simulator.simulate_iteration,
+                             lambda it, d: scalar_simulate_iteration(
+                                 simulator, it, d)):
+                with pytest.raises(ValueError):
+                    simulate(0, mixed)
 
 
 # ----------------------------------------------------------------------
