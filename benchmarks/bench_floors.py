@@ -26,6 +26,7 @@ import pytest
 import repro.core.layout_tuner as layout_tuner_mod
 import repro.core.lite_routing as lite_routing_mod
 import repro.core.relocation as relocation_mod
+import repro.core.replica_allocation as replica_allocation_mod
 import repro.workloads.routing_traces as traces_mod
 from repro.api.runner import run_experiment
 from repro.api.specs import ClusterSpec, ExperimentSpec, SystemSpec, WorkloadSpec
@@ -46,6 +47,7 @@ from repro.core.replica_allocation import (
 from repro.fleet import launch_fleet
 from repro.scalar_reference import (
     scalar_all_to_all,
+    scalar_allocate_replicas,
     scalar_draw_routing_frame,
     scalar_lite_route,
     scalar_relocate_experts,
@@ -147,10 +149,11 @@ def scalar_kernels():
     """Swap every vectorized kernel for its scalar reference, then restore.
 
     Yields ``{kernel name: modules it was rebound in}`` for the module-level
-    kernels.  ``CollectiveCostModel.all_to_all`` and
-    ``IterationSimulator.simulate_iteration`` are patched on their classes:
-    the simulator runs its per-layer loop and charges each layer's token
-    All-to-All with the per-pair loop.  The layout tuner keeps its
+    kernels, Algorithm 4's per-slot priority queue and Algorithm 1's
+    per-replica device scan among them.  ``CollectiveCostModel.all_to_all``
+    and ``IterationSimulator.simulate_iteration`` are patched on their
+    classes: the simulator runs its per-layer loop and charges each layer's
+    token All-to-All with the per-pair loop.  The layout tuner keeps its
     vectorized ``lite_route_batch``: the scalar side replaces the dispatch
     of every iteration's layers, and the batched candidate scoring has a
     floor of its own.
@@ -163,6 +166,9 @@ def scalar_kernels():
                              _scalar_lite_route_batch),
         "relocate_experts": (relocation_mod.relocate_experts,
                              scalar_relocate_experts),
+        "allocate_replicas_priority_queue": (
+            replica_allocation_mod.allocate_replicas_priority_queue,
+            scalar_allocate_replicas),
     }
     vectorized_all_to_all = CollectiveCostModel.all_to_all
     vectorized_simulate = IterationSimulator.simulate_iteration
@@ -275,10 +281,11 @@ def test_batched_tuner_eval_beats_per_candidate_loop():
 
 def test_compact_planner_step_beats_scalar_kernels():
     """Routing plus relocation at 1024 devices: the compact plans and the
-    heap placement against the dense per-rank route and the per-replica
-    device scan.  Both must agree exactly on the pq and even schemes of the
-    first frame of every runnable registered scenario; the drifting frame
-    is timed."""
+    round-based placement against the dense per-rank route and the
+    per-replica device scan.  Both must agree exactly on the pq and even
+    schemes of the first frame of every runnable registered scenario, and
+    the closed-form pq scheme must equal the priority queue's; the drifting
+    frame is timed."""
     config = get_model_config("mixtral-8x7b-e8k2")
     topology = ClusterTopology(num_nodes=128, devices_per_node=8)
     n, e, c = topology.num_devices, config.num_experts, config.expert_capacity
@@ -296,9 +303,10 @@ def test_compact_planner_step_beats_scalar_kernels():
                               top_k=config.top_k, iterations=1, seed=3)
         routing = next(iter(make_scenario(scenario, ctx).iter_iterations()))[0]
         loads = routing.sum(axis=0)
-        problem = (routing, loads,
-                   (allocate_replicas_priority_queue(loads, n, e, c),
-                    even_replicas(n, e, c)))
+        pq = allocate_replicas_priority_queue(loads, n, e, c)
+        assert np.array_equal(pq, scalar_allocate_replicas(loads, n, e, c)), \
+            scenario
+        problem = (routing, loads, (pq, even_replicas(n, e, c)))
         layouts, plans = step(relocate_experts, lite_route, *problem)
         scalar_layouts, scalar_plans = step(
             scalar_relocate_experts, scalar_lite_route, *problem)

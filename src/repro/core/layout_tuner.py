@@ -38,8 +38,9 @@ class TunerConfig:
 
     Attributes:
         num_candidates: Size of the candidate replica-scheme set (``epsilon``
-            in Algorithm 2).  The paper's evaluation fixes it to 2 (pq + even);
-            larger values add random perturbations.
+            in Algorithm 2), at least the number of enabled analytic schemes.
+            The paper's evaluation fixes it to 2 (pq + even); larger values
+            add random perturbations.
         use_priority_queue: Include the Algorithm 4 proportional allocation.
         use_even: Include the even allocation.
         perturbation_seed: Seed of the random perturbations (candidates beyond
@@ -52,10 +53,13 @@ class TunerConfig:
     perturbation_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_candidates < 1:
-            raise ValueError("num_candidates must be at least 1")
         if not (self.use_priority_queue or self.use_even):
             raise ValueError("at least one analytic allocation scheme must be enabled")
+        analytic = int(self.use_priority_queue) + int(self.use_even)
+        if self.num_candidates < analytic:
+            raise ValueError(
+                f"num_candidates must be at least {analytic}, the number of "
+                f"enabled analytic schemes")
 
 
 @dataclass
@@ -113,7 +117,7 @@ class ExpertLayoutTuner:
         while len(schemes) < self.config.num_candidates:
             base = schemes[int(self._rng.integers(len(schemes)))]
             schemes.append(perturb_replicas(base, self._rng))
-        return schemes[:max(self.config.num_candidates, len(schemes))]
+        return schemes
 
     # ------------------------------------------------------------------
     def solve(self, routing: np.ndarray) -> TunerResult:

@@ -10,15 +10,24 @@ accumulated load and free capacity.
 That choice is the lexicographic minimum of (replicas of the expert on the
 device's node, device load, device index) over the devices with a free slot.
 All replicas of one expert share one load, so they are placed one after
-another, starting from zero replicas on every node.  Each node therefore
-keeps a heap of (load, device) over its devices with a free slot, and each
-expert a heap of (replicas on the node, the node's top load, its top device,
-node): a replica costs ``O(log N)`` instead of a scan over every device.
+another, starting from zero replicas on every node.  Each node keeps a heap
+of (load, device) over its devices with a free slot, and its top is the
+node's candidate.  Because the choice compares the expert's count on a node
+first, every node with a free slot takes one replica before any node takes
+a second: the placement runs in rounds over the nodes.  A replica changes
+only its own node's heap, so in a round that reaches every such node the
+order of the nodes cannot change where the replicas land, and each node
+simply takes its own heap top.  Only the last, partial round picks nodes:
+the ones with the smallest (top load, top device).  A replica costs one
+operation on its node's heap, ``O(log D)`` for ``D`` devices per node.  The
+device scan this reproduces is
+``repro.scalar_reference.scalar_relocate_experts``.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heapreplace
+from operator import itemgetter
 from typing import List, Tuple
 
 import numpy as np
@@ -50,6 +59,8 @@ def relocate_experts(expert_replicas: np.ndarray, expert_loads: np.ndarray,
         raise ValueError("expert_loads and expert_replicas must align")
     if np.any(expert_replicas < 1):
         raise ValueError("every expert needs at least one replica")
+    if not np.all(np.isfinite(expert_loads)):
+        raise ValueError("expert loads must be finite")
     if np.any(expert_loads < 0):
         raise ValueError("expert loads must be non-negative")
     if capacity <= 0:
@@ -65,8 +76,8 @@ def relocate_experts(expert_replicas: np.ndarray, expert_loads: np.ndarray,
     # ties broken by expert id for determinism.
     replica_loads = expert_loads / expert_replicas
     order = np.lexsort((np.arange(num_experts), -replica_loads))
+    counts = expert_replicas[order]
 
-    assignment = np.zeros((num_devices, num_experts), dtype=np.int64)
     slots = [0] * num_devices
     # Per node: (load, device) of every device with a free slot.  A sorted
     # list is a heap.
@@ -74,26 +85,29 @@ def relocate_experts(expert_replicas: np.ndarray, expert_loads: np.ndarray,
         [(0.0, device) for device in range(node * per_node,
                                            (node + 1) * per_node)]
         for node in range(topology.num_nodes)]
+    devices: List[int] = []  # the device of every replica, in placement order
 
-    for expert in order.tolist():
-        load = float(replica_loads[expert])
-        # (replicas of this expert on the node, the node's top load and
-        # device, node) for every node with a free slot.
-        nodes = [(0, heap[0][0], heap[0][1], node)
-                 for node, heap in enumerate(node_heaps) if heap]
-        heapq.heapify(nodes)
-        for _ in range(int(expert_replicas[expert])):
-            if not nodes:
-                raise ValueError("no device has spare capacity for the replica")
-            count, device_load, device, node = heapq.heappop(nodes)
-            heap = node_heaps[node]
-            slots[device] += 1
-            if slots[device] < capacity:
-                heapq.heapreplace(heap, (device_load + load, device))
-            else:
-                heapq.heappop(heap)
-            assignment[device, expert] += 1
-            if heap:
-                heapq.heappush(nodes, (count + 1, heap[0][0], heap[0][1], node))
+    # The validated total leaves a free slot for every replica, so a round
+    # never finds every node full.
+    for replicas, load in zip(counts.tolist(),
+                              replica_loads[order].tolist()):
+        while replicas:
+            # One round: every node with a free slot, or in the last,
+            # partial round the ones with the lowest (load, device) tops.
+            nodes = [heap for heap in node_heaps if heap]
+            if replicas < len(nodes):
+                nodes = sorted(nodes, key=itemgetter(0))[:replicas]
+            for heap in nodes:
+                device_load, device = heap[0]
+                slots[device] += 1
+                if slots[device] < capacity:
+                    heapreplace(heap, (device_load + load, device))
+                else:
+                    heappop(heap)
+                devices.append(device)
+            replicas -= len(nodes)
 
-    return ExpertLayout(assignment, capacity)
+    placed = (np.asarray(devices, dtype=np.int64) * num_experts
+              + np.repeat(order, counts))
+    assignment = np.bincount(placed, minlength=num_devices * num_experts)
+    return ExpertLayout(assignment.reshape(num_devices, num_experts), capacity)

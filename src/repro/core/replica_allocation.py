@@ -6,12 +6,29 @@ an extra replica to the expert with the highest *average* load (load divided by
 its current replica count) until all slots are used.  The even scheme simply
 gives every expert ``N * C / E`` replicas.  The layout tuner (Algorithm 2)
 evaluates both (plus random perturbations) and keeps the cheapest.
+
+The priority queue is Jefferson's (D'Hondt) apportionment, so it needs no
+queue.  It hands expert ``e`` its ``j``-th extra replica at the quotient
+``load_e / j``, and an expert's quotients never rise with ``j``, so the
+``N * C - E`` extra replicas are the largest quotients, ties going to the
+lower expert, then the lower ``j``: one stable argsort picks them.
+
+Few quotients need building.  If the smallest picked quotient is ``q``,
+every expert's next quotient is at most ``q``, so ``load_e <= q * r_e``
+and ``sum(load) <= q * N * C``; every picked quotient is at least ``q``,
+so ``r_e - 1 <= load_e / q <= load_e * N * C / sum(load)``.  Building
+``floor(load_e * N * C / sum(load)) + 1`` quotients per expert (the 1
+against rounding) therefore builds every picked one, at most ``N * C + E``
+in all.  The argument needs ``q`` to be a normal float, which it is when
+the largest load exceeds ``N * C - E`` times the smallest normal float:
+that expert alone has ``N * C - E`` quotients of at least that size.
+Otherwise (subnormal or all-zero loads) every expert gets ``N * C - E``
+quotients.  All-zero loads thus give expert 0 every extra replica, as the
+queue does.  The queue itself is
+``repro.scalar_reference.scalar_allocate_replicas``.
 """
 
 from __future__ import annotations
-
-import heapq
-from typing import List
 
 import numpy as np
 
@@ -21,6 +38,8 @@ def _validate_inputs(expert_loads: np.ndarray, num_devices: int,
     loads = np.asarray(expert_loads, dtype=np.float64)
     if loads.shape != (num_experts,):
         raise ValueError(f"expert_loads must have shape ({num_experts},)")
+    if not np.all(np.isfinite(loads)):
+        raise ValueError("expert loads must be finite")
     if np.any(loads < 0):
         raise ValueError("expert loads must be non-negative")
     if num_devices <= 0 or capacity <= 0:
@@ -34,7 +53,7 @@ def _validate_inputs(expert_loads: np.ndarray, num_devices: int,
 
 def allocate_replicas_priority_queue(expert_loads: np.ndarray, num_devices: int,
                                      num_experts: int, capacity: int) -> np.ndarray:
-    """Algorithm 4: proportional replica allocation via a priority queue.
+    """Algorithm 4: proportional replica allocation, in closed form.
 
     Args:
         expert_loads: ``(E,)`` total token load of each expert
@@ -48,18 +67,22 @@ def allocate_replicas_priority_queue(expert_loads: np.ndarray, num_devices: int,
         receiving at least one replica.
     """
     loads = _validate_inputs(expert_loads, num_devices, num_experts, capacity)
-    replicas = np.ones(num_experts, dtype=np.int64)
     total_slots = num_devices * capacity
-    # Max-heap keyed by average load per replica (negated for heapq);
-    # ties broken by expert index for determinism.
-    heap: List[tuple] = [(-loads[e], e) for e in range(num_experts)]
-    heapq.heapify(heap)
-    remaining = total_slots - num_experts
-    for _ in range(remaining):
-        neg_avg, expert = heapq.heappop(heap)
-        replicas[expert] += 1
-        heapq.heappush(heap, (-loads[expert] / replicas[expert], expert))
-    return replicas
+    extra = total_slots - num_experts
+    largest = loads.max()
+    if largest > extra * np.finfo(np.float64).tiny:
+        # Scaled by the largest load so that the sum cannot overflow.
+        shares = loads / largest
+        bounds = (shares * (total_slots / shares.sum())).astype(np.int64) + 1
+    else:
+        bounds = np.full(num_experts, extra, dtype=np.int64)
+    # Every candidate quotient load_e / j, expert-major with j ascending, so
+    # a stable sort breaks ties by expert, then by j.
+    experts = np.repeat(np.arange(num_experts), bounds)
+    starts = np.cumsum(bounds) - bounds
+    ranks = np.arange(experts.size) - np.repeat(starts, bounds) + 1
+    picked = np.argsort(-(loads[experts] / ranks), kind="stable")[:extra]
+    return np.bincount(experts[picked], minlength=num_experts) + 1
 
 
 def even_replicas(num_devices: int, num_experts: int, capacity: int) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Scalar reference kernels: verbatim ports of the pre-vectorization loops.
 
 The vectorized simulation kernels (the batched All-to-All kernel, batched
-routing draws, compact lite-routing splits, heap-based replica placement,
-the one-pass iteration simulator) replaced per-pair / per-device /
-per-layer Python loops.  This module keeps the original loop semantics in
+routing draws, compact lite-routing splits, the round-based replica
+placement, the closed-form replica allocation, the one-pass iteration
+simulator) replaced per-pair / per-device / per-slot / per-layer Python
+loops.  This module keeps the original loop semantics in
 one canonical place so that
 
 * ``tests/test_vectorized_kernels.py`` can assert scalar-vs-vectorized
@@ -17,12 +18,14 @@ the production pipeline imports this module.
 
 from __future__ import annotations
 
+import heapq
 from typing import List, Tuple
 
 import numpy as np
 
 from repro.core.comm_schedule import LayerTimings, schedule_layer
 from repro.core.layout import ExpertLayout
+from repro.core.replica_allocation import _validate_inputs
 from repro.core.routing_plan import RoutingPlan
 from repro.sim.iteration import BYTES_PER_ELEMENT, IterationResult, LayerResult
 
@@ -337,3 +340,25 @@ def scalar_relocate_experts(expert_replicas, expert_loads, topology, capacity):
         device_slots[device] += 1
 
     return ExpertLayout(assignment, capacity)
+
+
+def scalar_allocate_replicas(expert_loads, num_devices, num_experts, capacity):
+    """Original priority-queue Algorithm 4: one heap pop and push per extra
+    replica.
+
+    Signature-compatible with
+    ``repro.core.replica_allocation.allocate_replicas_priority_queue``.
+    """
+    loads = _validate_inputs(expert_loads, num_devices, num_experts, capacity)
+    replicas = np.ones(num_experts, dtype=np.int64)
+    total_slots = num_devices * capacity
+    # Max-heap keyed by average load per replica (negated for heapq);
+    # ties broken by expert index for determinism.
+    heap: List[tuple] = [(-loads[e], e) for e in range(num_experts)]
+    heapq.heapify(heap)
+    remaining = total_slots - num_experts
+    for _ in range(remaining):
+        neg_avg, expert = heapq.heappop(heap)
+        replicas[expert] += 1
+        heapq.heappush(heap, (-loads[expert] / replicas[expert], expert))
+    return replicas

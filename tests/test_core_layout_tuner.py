@@ -1,8 +1,13 @@
 """Tests for the expert layout tuner (Algorithm 2)."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import repro.core.relocation as relocation_mod
+from repro.api.runner import run_experiment
+from repro.api.specs import ClusterSpec, ExperimentSpec, WorkloadSpec
 from repro.core.cost_model import MoECostModel
 from repro.core.layout import static_ep_layout
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
@@ -35,6 +40,19 @@ class TestTunerConfig:
             TunerConfig(num_candidates=0)
         with pytest.raises(ValueError):
             TunerConfig(use_priority_queue=False, use_even=False)
+
+    def test_fewer_candidates_than_analytic_schemes_rejected(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            TunerConfig(num_candidates=1)
+
+    def test_one_candidate_with_one_analytic_scheme(self, small_topology,
+                                                    small_cost_model):
+        for config in (TunerConfig(num_candidates=1, use_even=False),
+                       TunerConfig(num_candidates=1, use_priority_queue=False)):
+            result = ExpertLayoutTuner(small_topology, small_cost_model, 2,
+                                       config).solve(skewed_routing())
+            assert result.candidates_evaluated == 1
+            assert len(result.candidate_costs) == 1
 
 
 class TestCandidateGeneration:
@@ -186,3 +204,43 @@ class TestBatchEval:
         events = trace_mod.read_events(tmp_path / "trace")
         spans = [e for e in events if e.get("name") == "planner.batch-eval"]
         assert spans and spans[0]["attrs"]["candidates"] == 4
+
+
+class TestRelocationEntryPoint:
+    def test_every_candidate_is_placed_by_one_relocate_call(self,
+                                                            monkeypatch):
+        """perfbench's tracer rebinds ``relocate_experts`` in every loaded
+        module and counts ``sum(int(r) for r in replicas)`` per call, so
+        every candidate must be placed by its own call with a 1-D replica
+        vector."""
+        original = relocation_mod.relocate_experts
+        calls = []
+
+        def traced(replicas, *args):
+            calls.append(np.asarray(replicas))
+            return original(replicas, *args)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("repro")
+                    and getattr(module, "relocate_experts", None) is original):
+                monkeypatch.setattr(module, "relocate_experts", traced)
+        candidates = []
+        solve = ExpertLayoutTuner.solve
+
+        def counted_solve(self, routing):
+            result = solve(self, routing)
+            candidates.append(result.candidates_evaluated)
+            return result
+
+        monkeypatch.setattr(ExpertLayoutTuner, "solve", counted_solve)
+        run_experiment(ExperimentSpec(
+            name="relocate-entry-point",
+            cluster=ClusterSpec(num_nodes=2, devices_per_node=4),
+            workload=WorkloadSpec(tokens_per_device=1024, layers=2,
+                                  iterations=3, warmup=1),
+            systems=("laer",), reference="laer"))
+
+        slots = 8 * 2  # N * C of mixtral-8x7b-e8k2 on 2 x 4 devices
+        assert candidates and len(calls) == sum(candidates)
+        assert all(replicas.ndim == 1 and sum(int(r) for r in replicas) == slots
+                   for replicas in calls)

@@ -68,6 +68,12 @@ class TestRelocation:
         with pytest.raises(ValueError):
             relocate_experts(replicas, np.ones(8), small_topology, capacity=2)
 
+    def test_non_finite_loads_rejected(self, small_topology):
+        loads = np.array([1.0] * 7 + [np.nan])
+        with pytest.raises(ValueError, match="must be finite"):
+            relocate_experts(even_replicas(8, 8, 2), loads, small_topology,
+                             capacity=2)
+
     def test_mismatched_shapes_rejected(self, small_topology):
         with pytest.raises(ValueError):
             relocate_experts(np.ones(8, dtype=np.int64), np.ones(4),

@@ -54,6 +54,11 @@ class TestPriorityQueueAllocation:
         with pytest.raises(ValueError):
             allocate_replicas_priority_queue(-np.ones(4), 4, 4, 2)
 
+    def test_non_finite_loads_rejected(self):
+        loads = np.array([1.0] * 7 + [np.nan])
+        with pytest.raises(ValueError, match="must be finite"):
+            allocate_replicas_priority_queue(loads, 8, 8, 2)
+
     def test_deterministic(self):
         loads = np.array([5.0, 5.0, 3.0, 2.0])
         a = allocate_replicas_priority_queue(loads, 4, 4, 2)

@@ -1,12 +1,13 @@
 """Scalar-vs-vectorized equivalence tests for the simulation kernels.
 
 The vectorized kernels (the batched All-to-All kernel, batched routing
-draws, compact lite-routing plans, heap-based relocation, the one-pass
-iteration simulator, matrix trace transforms) must reproduce the scalar
-implementations they replaced: the per-pair collective loops to float
-tolerance, the matrix-form All-to-All and the per-layer simulator loop
-exactly, integer token splits and replica placements exactly, and seeded
-trace generation deterministically.
+draws, compact lite-routing plans, round-based relocation, closed-form
+replica allocation, the one-pass iteration simulator, matrix trace
+transforms) must reproduce the scalar implementations they replaced: the
+per-pair collective loops to float tolerance, the matrix-form All-to-All
+and the per-layer simulator loop exactly, integer token splits, replica
+counts and replica placements exactly, and seeded trace generation
+deterministically.
 The scalar references live in :mod:`repro.scalar_reference` (verbatim ports
 of the pre-vectorization loops, shared with ``benchmarks/bench_floors.py``).
 """
@@ -17,7 +18,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import repro.baselines.prophet as prophet_mod
+import repro.baselines.smartmoe as smartmoe_mod
 from repro.baselines.base import PolicyDecision
+from repro.baselines.prophet import ProphetPolicy
+from repro.baselines.smartmoe import SmartMoEPolicy
 from repro.calib.profile import CalibrationProfile
 from repro.cluster.collectives import CollectiveCostModel
 from repro.cluster.topology import ClusterTopology
@@ -38,6 +43,7 @@ from repro.core.routing_plan import RoutingPlan
 from repro.scalar_reference import (
     matrix_all_to_all,
     scalar_all_to_all,
+    scalar_allocate_replicas,
     scalar_lite_route,
     scalar_relocate_experts,
     scalar_simulate_iteration,
@@ -272,7 +278,8 @@ class TestLiteRoutingEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Compact routing plans and heap relocation on every registered scenario
+# Compact routing plans and round-based relocation on every registered
+# scenario
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=None)
 def first_frame_problem(scenario, num_nodes):
@@ -403,6 +410,136 @@ class TestCompactPlannerDifferential:
                 with pytest.raises(ValueError) as raised:
                     route(*case)
                 assert str(raised.value) == expected, route.__name__
+
+
+# ----------------------------------------------------------------------
+# Closed-form Algorithm 4 and round-based relocation on edge inputs
+# ----------------------------------------------------------------------
+def edge_loads(rng, num_experts):
+    """Load vectors that scenario frames rarely or never produce."""
+    return {
+        "counts": rng.integers(0, 4096, size=num_experts).astype(np.float64),
+        "zeros": rng.integers(0, 4096, size=num_experts)
+        * (rng.random(num_experts) < 0.5),
+        "equal": np.full(num_experts, 512.0),
+        "all-zero": np.zeros(num_experts),
+        "tiny": rng.random(num_experts) * 1e-300,
+        "subnormal": rng.integers(0, 4, size=num_experts) * 5e-324,
+        "small": rng.integers(0, 4, size=num_experts).astype(np.float64),
+    }
+
+
+ALLOCATION_PROBLEMS = [(model, num_devices)
+                       for model in ("mixtral-8x7b-e8k2", "mixtral-8x7b-e16k4")
+                       for num_devices in (1, 2, 3, 4, 5, 8, 12, 16, 64, 256,
+                                           1024)]
+
+
+class TestClosedFormAllocationDifferential:
+    @pytest.mark.parametrize("model,num_devices", ALLOCATION_PROBLEMS)
+    def test_matches_priority_queue(self, model, num_devices):
+        config = get_model_config(model)
+        e, c = config.num_experts, config.expert_capacity
+        rng = np.random.default_rng(num_devices)
+        for _ in range(4):
+            for kind, loads in edge_loads(rng, e).items():
+                if num_devices * c < e:
+                    for allocate in (allocate_replicas_priority_queue,
+                                     scalar_allocate_replicas):
+                        with pytest.raises(ValueError, match="at least the"):
+                            allocate(loads, num_devices, e, c)
+                    continue
+                assert np.array_equal(
+                    allocate_replicas_priority_queue(loads, num_devices, e, c),
+                    scalar_allocate_replicas(loads, num_devices, e, c)), kind
+
+    @pytest.mark.parametrize("scenario,nodes", FIRST_FRAMES)
+    def test_first_frames_match_priority_queue(self, scenario, nodes):
+        topology, capacity, layers = first_frame_problem(scenario, nodes)
+        for _, loads, schemes in layers:
+            assert np.array_equal(schemes[0], scalar_allocate_replicas(
+                loads, topology.num_devices, loads.size, capacity))
+
+
+def edge_schemes(rng, loads, num_devices, capacity):
+    """Full and under-full replica schemes for ``loads``."""
+    e = loads.size
+    schemes = {"one-each": np.ones(e, dtype=np.int64)}
+    slots = num_devices * capacity
+    schemes["pq"] = allocate_replicas_priority_queue(loads, num_devices, e,
+                                                     capacity)
+    schemes["perturbed"] = perturb_replicas(schemes["pq"], rng)
+    schemes["even"] = even_replicas(num_devices, e, capacity)
+    extra = rng.multinomial(int(rng.integers(0, slots - e + 1)),
+                            np.full(e, 1.0 / e))
+    schemes["under-full"] = 1 + extra
+    return schemes
+
+
+EDGE_RELOCATIONS = [(nodes, per_node, model, capacity)
+                    for nodes, per_node in ((1, 8), (3, 2), (2, 4), (8, 1))
+                    for model in ("mixtral-8x7b-e8k2", "mixtral-8x7b-e16k4")
+                    for capacity in (1, 2, 4)
+                    if nodes * per_node * capacity
+                    >= get_model_config(model).num_experts]
+
+
+class TestRoundRelocationDifferential:
+    """Inputs that reach the partial round and nodes that fill up partway
+    through an expert: under-full schemes, capacity 1 to 4, equal and zero
+    loads, one node, and nodes of one or two devices."""
+
+    @pytest.mark.parametrize("nodes,per_node,model,capacity",
+                             EDGE_RELOCATIONS)
+    def test_edge_inputs_match_scalar_scan(self, nodes, per_node, model,
+                                           capacity):
+        topology = ClusterTopology(num_nodes=nodes, devices_per_node=per_node)
+        e = get_model_config(model).num_experts
+        rng = np.random.default_rng(nodes * 100 + per_node * 10 + capacity)
+        for _ in range(3):
+            for kind, loads in edge_loads(rng, e).items():
+                for scheme, replicas in edge_schemes(
+                        rng, loads, topology.num_devices, capacity).items():
+                    assert relocate_experts(
+                        replicas, loads, topology, capacity) == \
+                        scalar_relocate_experts(
+                            replicas, loads, topology, capacity), (kind, scheme)
+
+    @pytest.mark.parametrize("nodes,per_node", ((1, 8), (3, 2), (4, 8)))
+    @pytest.mark.parametrize("policy_class,module,options", (
+        (SmartMoEPolicy, smartmoe_mod, {"relocation_interval": 1}),
+        (ProphetPolicy, prophet_mod, {"adjustment_interval": 1,
+                                      "replication_budget": 3})),
+        ids=("smartmoe", "prophet"))
+    def test_baseline_schemes_match_scalar_scan(self, monkeypatch, nodes,
+                                                per_node, policy_class, module,
+                                                options):
+        """SmartMoE's one replica per expert and Prophet's budget-trimmed
+        schemes, as the policies place them over a bursty run."""
+        topology = ClusterTopology(num_nodes=nodes, devices_per_node=per_node)
+        config = get_model_config("mixtral-8x7b-e8k2")
+        calls = []
+
+        def recorded(replicas, loads, topology, capacity):
+            calls.append((np.array(replicas), np.array(loads), capacity))
+            return relocate_experts(replicas, loads, topology, capacity)
+
+        monkeypatch.setattr(module, "relocate_experts", recorded)
+        policy = policy_class(topology, config.num_experts,
+                              config.expert_capacity, 1.0, **options)
+        ctx = ScenarioContext(num_devices=topology.num_devices,
+                              num_experts=config.num_experts, num_layers=2,
+                              tokens_per_device=4096, top_k=config.top_k,
+                              iterations=4, seed=nodes)
+        for frame in make_scenario("bursty-churn", ctx).iter_iterations():
+            policy.decide_iteration(frame)
+
+        slots = topology.num_devices * config.expert_capacity
+        assert calls and all(replicas.sum() < slots
+                             for replicas, _, _ in calls)
+        for replicas, loads, capacity in calls:
+            assert relocate_experts(replicas, loads, topology, capacity) == \
+                scalar_relocate_experts(replicas, loads, topology, capacity)
 
 
 # ----------------------------------------------------------------------
