@@ -5,6 +5,8 @@ priority-queue proportional scheme, the even scheme, and random perturbations
 of those -- places each candidate with the greedy relocation (Algorithm 1),
 routes the observed load with lite routing (Algorithm 3), scores the result
 with the cost model (Sec. 3.2) and keeps the cheapest strategy.
+:meth:`ExpertLayoutTuner.solve_layers` does so for several layers at once,
+routing every layer's candidates in one lite-routing batch.
 
 Because FSEP makes re-layout free (the restore All-to-All happens every
 iteration regardless of the layout), the tuner never penalises changing the
@@ -121,43 +123,78 @@ class ExpertLayoutTuner:
 
     # ------------------------------------------------------------------
     def solve(self, routing: np.ndarray) -> TunerResult:
-        """Solve the expert re-layout strategy for a routing matrix ``R``.
+        """Solve the expert re-layout strategy for one routing matrix ``R``:
+        the one-layer case of :meth:`solve_layers`.
 
         Args:
             routing: ``(N, E)`` token counts per device per expert (the load
-                the layout should balance; the planner passes the previous
-                iteration's observed routing).
+                the layout should balance).
 
         Returns:
             The best candidate found, with its routing plan and cost.
         """
-        routing = np.asarray(routing, dtype=np.int64)
+        return self.solve_layers(np.asarray(routing)[None])[0]
+
+    def solve_layers(self, routing_by_layer: np.ndarray) -> List[TunerResult]:
+        """Solve the re-layout strategy of several layers in one batch.
+
+        Each layer in turn builds its candidate schemes (so the perturbation
+        stream is drawn as a loop of one-layer solves would draw it) and
+        places every candidate with its own :func:`relocate_experts` call.
+        One :func:`lite_route_batch` then routes every candidate of every
+        layer on its layer's routing, and each layer scores its candidates
+        with one :meth:`MoECostModel.evaluate_batch`; one call over all
+        layers would hold every candidate's ``(N, N)`` pairwise traffic at
+        once, for no gain in speed.  Each layer keeps its first cheapest
+        candidate, so ``solve_layers(R)[l]`` equals ``solve(R[l])`` on a
+        tuner whose stream stands where the loop would have left it.
+
+        Args:
+            routing_by_layer: ``(layers, N, E)`` token counts per device per
+                expert, one matrix per layer (the planner passes each
+                layer's routing of the previous iteration).
+
+        Returns:
+            One :class:`TunerResult` per layer, in order.
+        """
+        routing_by_layer = np.asarray(routing_by_layer, dtype=np.int64)
         n = self.topology.num_devices
-        if routing.ndim != 2 or routing.shape[0] != n:
-            raise ValueError(f"routing must have shape (N={n}, E)")
-        num_experts = routing.shape[1]
-        expert_loads = routing.sum(axis=0)
+        if routing_by_layer.ndim != 3 or routing_by_layer.shape[1] != n:
+            raise ValueError(f"routing must have shape (N={n}, E) per layer")
+        num_experts = routing_by_layer.shape[2]
 
-        schemes = self.candidate_replica_schemes(expert_loads, num_experts)
-        with _span("planner.relocate",
-                   replicas=int(sum(scheme.sum() for scheme in schemes))):
-            layouts = [relocate_experts(replicas, expert_loads, self.topology,
-                                        self.capacity)
-                       for replicas in schemes]
+        layouts: List[ExpertLayout] = []
+        sizes: List[int] = []
+        for routing in routing_by_layer:
+            expert_loads = routing.sum(axis=0)
+            schemes = self.candidate_replica_schemes(expert_loads, num_experts)
+            with _span("planner.relocate",
+                       replicas=int(sum(scheme.sum() for scheme in schemes))):
+                layouts.extend(relocate_experts(replicas, expert_loads,
+                                                self.topology, self.capacity)
+                               for replicas in schemes)
+            sizes.append(len(schemes))
 
-        # One batched lite-route + cost evaluation over the whole candidate
-        # set, bit-identical to scoring each candidate with lite_route and
+        # Bit-identical to scoring each candidate with lite_route and
         # MoECostModel.evaluate (guarded by tests and
-        # benchmarks/bench_floors.py).  The first cheapest candidate wins.
+        # benchmarks/bench_floors.py).
+        results = []
         with _span("planner.batch-eval", candidates=len(layouts)):
-            plans = lite_route_batch(routing, layouts, self.topology)
-            costs = self.cost_model.evaluate_batch(plans)
-        candidate_costs = [cost.total for cost in costs]
-        best = candidate_costs.index(min(candidate_costs))
-        return TunerResult(
-            layout=layouts[best],
-            routing_plan=plans[best],
-            cost=costs[best],
-            candidates_evaluated=len(candidate_costs),
-            candidate_costs=candidate_costs,
-        )
+            plans = lite_route_batch(
+                np.repeat(routing_by_layer, sizes, axis=0), layouts,
+                self.topology)
+            first = 0
+            for size in sizes:
+                last = first + size
+                costs = self.cost_model.evaluate_batch(plans[first:last])
+                candidate_costs = [cost.total for cost in costs]
+                best = candidate_costs.index(min(candidate_costs))
+                results.append(TunerResult(
+                    layout=layouts[first + best],
+                    routing_plan=plans[first + best],
+                    cost=costs[best],
+                    candidates_evaluated=size,
+                    candidate_costs=candidate_costs,
+                ))
+                first = last
+        return results

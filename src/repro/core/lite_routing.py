@@ -15,6 +15,24 @@ the iteration simulator.  A node is a contiguous range of devices, so the
 targets of a (node, expert) pair are one contiguous slice of the expert's
 device-sorted replica list, and every sender on every node (and every
 candidate layout of a batch) is routed in one vectorized pass.
+
+A row's ``T`` tokens are split in proportion to its targets' replica counts
+(the largest-remainder rule of :func:`_split_rows`).  Most targets carry
+equal counts ``w``, and then the split has a closed form: ``T // s`` tokens
+to each of the ``s`` targets and one more to each of the first ``T % s``.
+That is exactly what the proportional rule gives while ``T * w < 2**53``:
+
+* ``T * w`` and ``s * w`` are exact in float64, and IEEE division is
+  correctly rounded, so every share ``fl(T * w / (s * w))`` equals
+  ``fl(T / s)``;
+* its floor is ``T // s``, because ``T / s`` lies at least ``1 / s`` below
+  the next integer, more than half a unit in the last place when
+  ``T < 2**53``;
+* every fraction is then the same, so the ``T % s`` leftover tokens go to
+  the earliest entries.
+
+Rows whose targets carry mixed counts, and rows at or past the ``2**53``
+bound, are split by :func:`_split_rows`.
 """
 
 from __future__ import annotations
@@ -61,29 +79,6 @@ def _split_rows(totals: np.ndarray, offsets: np.ndarray, rows: np.ndarray,
     return base + bonus
 
 
-def _split_evenly(total: int, weights: np.ndarray) -> np.ndarray:
-    """Split ``total`` integer tokens proportionally to ``weights``.
-
-    The split is deterministic: the integer floor of the proportional share is
-    assigned first and the remaining tokens are handed out one-by-one to the
-    largest fractional shares (ties by index), so tests (and all devices
-    running the algorithm independently) agree on the result.  Zero weights
-    receive nothing.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if total < 0:
-        raise ValueError("total must be non-negative")
-    if weights.sum() <= 0:
-        raise ValueError("weights must sum to a positive value")
-    positive = np.nonzero(weights > 0)[0]
-    split = np.zeros(weights.shape, dtype=np.int64)
-    split[positive] = _split_rows(
-        np.asarray([total], dtype=np.int64),
-        np.asarray([0, positive.size]),
-        np.zeros(positive.size, dtype=np.int64), weights[positive])
-    return split
-
-
 def _route(routing: np.ndarray, layouts: "list[ExpertLayout]",
            topology: ClusterTopology) -> List[RoutingPlan]:
     """Lite-route onto every layout in one vectorized pass.
@@ -97,20 +92,28 @@ def _route(routing: np.ndarray, layouts: "list[ExpertLayout]",
     n, num_experts = routing.shape[-2:]
     per_node = topology.devices_per_node
     nodes = topology.num_nodes
-    # Every replica of every (candidate, expert), sorted by device: the
+    # Every replica of every (layout, expert), sorted by device: the
     # nonzeros of the stacked (M, E, N) replica counts in C order.
     replica = np.stack([layout.assignment.T for layout in layouts])
-    cand, expert, device = np.nonzero(replica)
-    counts = replica[cand, expert, device]
-    key = (cand * num_experts + expert) * n + device
-    blocks = np.arange(m * num_experts) * n                      # (M*E,)
-    first = np.searchsorted(key, blocks)
-    last = np.searchsorted(key, blocks + n)
+    flat = np.flatnonzero(replica)
+    device = flat % n
+    counts = replica.reshape(-1)[flat]
+    # Per (layout, expert, node): where the node's replicas of the expert
+    # start in that list, how many there are, and their count sum and
+    # maximum; then the same over the expert's replicas on every node.
+    by_node = replica.reshape(m, num_experts, nodes, per_node)
+    size = np.count_nonzero(by_node, axis=-1)
+    start = (np.cumsum(size.reshape(-1)) - size.reshape(-1)).reshape(size.shape)
+    weight = by_node.sum(axis=-1)
+    peak = by_node.max(axis=-1)
+    all_size = size.sum(axis=-1, keepdims=True)
+    all_weight = weight.sum(axis=-1, keepdims=True)
+    all_peak = peak.max(axis=-1, keepdims=True)
 
     negative = np.broadcast_to((routing < 0).any(axis=(-2, -1)), (m,))
     node_tokens = routing.reshape(
         routing.shape[:-2] + (nodes, per_node, num_experts)).sum(axis=-2)
-    missing = (node_tokens > 0) & (first == last).reshape(m, 1, num_experts)
+    missing = (node_tokens > 0) & (all_size == 0).reshape(m, 1, num_experts)
     failing = negative | missing.any(axis=(1, 2))
     if np.any(failing):
         index = int(np.argmax(failing))
@@ -120,36 +123,48 @@ def _route(routing: np.ndarray, layouts: "list[ExpertLayout]",
         expert_id = int(np.argwhere(missing[index])[0, 1])
         raise ValueError(f"expert {expert_id} has no replica in the layout")
 
-    # Targets of (candidate, expert, node): the node's replicas of the
-    # expert when it hosts any, every replica of the expert otherwise.
-    node_starts = blocks[:, None] + np.arange(nodes) * per_node  # (M*E, nodes)
-    lo = np.searchsorted(key, node_starts)
-    hi = np.searchsorted(key, node_starts + per_node)
-    intra = hi > lo
-    lo = np.where(intra, lo, first[:, None])
-    hi = np.where(intra, hi, last[:, None])
+    # Targets of (layout, expert, node): the node's replicas of the expert
+    # when it hosts any, every replica of the expert otherwise.  A group of
+    # equal counts splits in closed form up to the largest total the module
+    # docstring's bound allows; a mixed group's limit of -1 sends its rows
+    # to _split_rows.
+    intra = size > 0
+    start = np.where(intra, start, start[..., :1])
+    size = np.where(intra, size, all_size)
+    weight = np.where(intra, weight, all_weight)
+    peak = np.where(intra, peak, all_peak)
+    limit = np.where(peak * size == weight,
+                     (2 ** 53 - 1) // np.maximum(peak, 1), -1)
 
     def per_row(table: np.ndarray) -> np.ndarray:
-        """(M*E, nodes) -> one value per (candidate, sender, expert) row."""
-        by_node = table.reshape(m, num_experts, nodes).transpose(0, 2, 1)
-        return np.repeat(by_node, per_node, axis=1).reshape(-1)
+        """(M, E, nodes) -> one value per (layout, sender, expert) row."""
+        return np.repeat(table.transpose(0, 2, 1), per_node, axis=1).reshape(-1)
 
     totals = np.broadcast_to(routing, (m, n, num_experts)).reshape(-1)
-    row_lo = per_row(lo)
-    sizes = np.where(totals > 0, per_row(hi) - row_lo, 0)
+    sizes = np.where(totals > 0, per_row(size), 0)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    rows = np.repeat(np.arange(totals.size), sizes)
-    entries = row_lo[rows] + np.arange(rows.size) - offsets[:-1][rows]
+    position = np.arange(offsets[-1])
+    entries = np.repeat(per_row(start) - offsets[:-1], sizes) + position
     dest = device[entries]
-    tokens = _split_rows(totals, offsets, rows, counts[entries])
+    share, extra = np.divmod(totals, np.maximum(sizes, 1))
+    tokens = (np.repeat(share, sizes)
+              + (position < np.repeat(offsets[:-1] + extra, sizes)))
+    mixed = (sizes > 0) & (totals > per_row(limit))
+    if mixed.any():
+        at = np.repeat(mixed, sizes)
+        mixed_sizes = sizes[mixed]
+        tokens[at] = _split_rows(
+            totals[mixed], np.concatenate(([0], np.cumsum(mixed_sizes))),
+            np.repeat(np.arange(mixed_sizes.size), mixed_sizes),
+            counts[entries[at]])
 
     plans = []
     span = n * num_experts
     for index in range(m):
         row_offsets = offsets[index * span:(index + 1) * span + 1]
-        start, stop = int(row_offsets[0]), int(row_offsets[-1])
-        plans.append(RoutingPlan(n, num_experts, row_offsets - start,
-                                 dest[start:stop], tokens[start:stop]))
+        first, last = int(row_offsets[0]), int(row_offsets[-1])
+        plans.append(RoutingPlan(n, num_experts, row_offsets - first,
+                                 dest[first:last], tokens[first:last]))
     return plans
 
 

@@ -8,6 +8,17 @@ routing they react to, exactly as in the paper.  At execution time the
 synchronous token dispatcher (lite routing) maps the *actual* routing of the
 iteration onto the planned layouts, every layer of the iteration in one
 batch.
+
+When the solves run: :meth:`LoadBalancingPlanner.plan_layer` only records
+each observation.  The first time it meets a layer observed since that
+layer's last solve, iteration ``t + 1`` has begun, and every layer observed
+in iteration ``t`` is solved in one
+:meth:`~repro.core.layout_tuner.ExpertLayoutTuner.solve_layers` batch, in
+observation order.  Each layout is the one a solve right after its
+observation would have produced, but the solve after a run's last
+iteration, whose layouts no iteration would use, never runs.
+``current_layout`` solves the batch on demand; ``tune_layout`` solves its
+layer at once.
 """
 
 from __future__ import annotations
@@ -79,6 +90,9 @@ class LoadBalancingPlanner:
                                        config.tuner)
         self._latest: Dict[int, np.ndarray] = {}
         self._pending_layouts: Dict[int, ExpertLayout] = {}
+        # Routing plan_layer observed for each layer since its last solve, in
+        # observation order: the next tuner batch.
+        self._unsolved: Dict[int, np.ndarray] = {}
         self._fallback_layout = self._build_fallback_layout()
 
     # ------------------------------------------------------------------
@@ -101,10 +115,14 @@ class LoadBalancingPlanner:
     # ------------------------------------------------------------------
     def observe(self, layer: int, routing: np.ndarray) -> None:
         """Record the observed routing ``R`` of ``layer`` for the current iteration."""
+        self._latest[layer] = self._checked(routing)
+
+    def _checked(self, routing: np.ndarray) -> np.ndarray:
+        """An int64 copy of one layer's ``(N, E)`` routing."""
         routing = np.asarray(routing, dtype=np.int64)
         if routing.shape != (self.topology.num_devices, self.num_experts):
             raise ValueError("routing matrix has the wrong shape")
-        self._latest[layer] = routing.copy()
+        return routing.copy()
 
     def predicted_routing(self, layer: int) -> Optional[np.ndarray]:
         """Predict the next iteration's routing of ``layer``: the latest one
@@ -116,12 +134,15 @@ class LoadBalancingPlanner:
     # Asynchronous layout tuning
     # ------------------------------------------------------------------
     def tune_layout(self, layer: int) -> ExpertLayout:
-        """Run the layout tuner for ``layer`` on its latest observed routing.
+        """Run the layout tuner for ``layer`` on its latest observed routing, now.
 
         This models the CPU-side solve that happens while the GPU computes the
         current iteration; the returned layout is cached and used by the next
-        :meth:`plan_layer` call for this layer.
+        :meth:`plan_layer` call for this layer.  Layers :meth:`plan_layer`
+        left unsolved are solved first, so the tuner's perturbation stream
+        is drawn in observation order.
         """
+        self._solve_unsolved()
         predicted = self.predicted_routing(layer)
         if predicted is None:
             layout = self._fallback_layout.copy()
@@ -131,8 +152,26 @@ class LoadBalancingPlanner:
         return layout
 
     def current_layout(self, layer: int) -> ExpertLayout:
-        """The layout that will be used for the next iteration of ``layer``."""
+        """The layout that will be used for the next iteration of ``layer``.
+
+        When ``layer`` awaits its solve, every unsolved layer is solved first.
+        """
+        if layer in self._unsolved:
+            self._solve_unsolved()
         return self._pending_layouts.get(layer, self._fallback_layout).copy()
+
+    def _solve_unsolved(self) -> None:
+        """Solve every layer :meth:`plan_layer` observed since its last solve,
+        in one tuner batch."""
+        if not self._unsolved:
+            return
+        layers = list(self._unsolved)
+        with _span("planner.layout-tune", layers=len(layers)):
+            results = self.tuner.solve_layers(
+                np.stack([self._unsolved[layer] for layer in layers]))
+        self._unsolved.clear()
+        for layer, result in zip(layers, results):
+            self._pending_layouts[layer] = result.layout
 
     # ------------------------------------------------------------------
     # Synchronous dispatch (token dispatcher)
@@ -151,11 +190,14 @@ class LoadBalancingPlanner:
                    ) -> Tuple[ExpertLayout, bool]:
         """Plan the layout of one MoE layer for the current iteration.
 
-        Returns the layout tuned from previous iterations, then feeds
-        ``routing`` (the layer's actual ``(N, E)`` routing) to the tuner so
-        the next iteration of this layer uses an updated layout.  Placing
-        the tokens on the returned layout is the dispatcher's job, done for
-        the whole iteration at once (:meth:`dispatch`, or
+        Returns the layout tuned from previous iterations, then records
+        ``routing`` (the layer's actual ``(N, E)`` routing) so the next
+        iteration of this layer uses a layout tuned from it.  Meeting a layer
+        that awaits its solve means a new iteration has begun: every layer
+        observed since its last solve is then solved in one batch (see the
+        module docstring).  Placing the tokens on the returned layout is the
+        dispatcher's job, done for the whole iteration at once
+        (:meth:`dispatch`, or
         :meth:`~repro.baselines.base.LoadBalancingPolicy.decide_iteration`
         for the LAER policy).
 
@@ -164,15 +206,10 @@ class LoadBalancingPlanner:
             iteration, and whether it came from the tuner (False for the
             static fallback used before any history exists).
         """
-        routing = np.asarray(routing, dtype=np.int64)
-        planned = layer in self._pending_layouts
+        routing = self._checked(routing)
         layout = self.current_layout(layer)
-        # Asynchronous part (a no-op span while no tracer is armed): feed the
-        # observation to the tuner so the next iteration of this layer uses
-        # an updated layout.
-        with _span("planner.layout-tune", layer=layer):
-            self.observe(layer, routing)
-            self.tune_layout(layer)
+        planned = layer in self._pending_layouts
+        self._latest[layer] = self._unsolved[layer] = routing
         return layout, planned
 
     def plan_iteration(self, routing_by_layer: np.ndarray) -> List[IterationPlan]:
@@ -187,7 +224,7 @@ class LoadBalancingPlanner:
             the one tuned from the *previous* iteration's routing
             (asynchronous adaptation); the dispatch uses the current
             iteration's routing.  After planning, the current routing is
-            observed and a new layout is tuned for the next iteration.  Every
+            observed, to be tuned from when the next iteration asks.  Every
             layer is dispatched by one :meth:`dispatch` and scored by one
             :meth:`~repro.core.cost_model.MoECostModel.evaluate_batch`.
         """
@@ -212,4 +249,5 @@ class LoadBalancingPlanner:
         """Clear all observations, pending layouts and the tuner's random stream."""
         self._latest.clear()
         self._pending_layouts.clear()
+        self._unsolved.clear()
         self.tuner.reset()

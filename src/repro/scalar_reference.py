@@ -237,7 +237,8 @@ def scalar_draw_routing_frame(rng, probs_by_layer, config):
 
 
 def scalar_split_evenly(total, weights):
-    """Original single-row ``_split_evenly`` (floor + stable-argsort ties)."""
+    """Original single-row token split (floor + stable-argsort ties), which
+    lite routing's ``_split_rows`` and equal-count closed form reproduce."""
     weights = np.asarray(weights, dtype=np.float64)
     raw = total * weights / weights.sum()
     base = np.floor(raw).astype(np.int64)

@@ -1,4 +1,5 @@
-"""Shared test helpers: finite-difference gradient checking."""
+"""Shared test helpers: finite-difference gradient checking, a one-row
+lite-routing split and a per-candidate layout-tuner reference."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.lite_routing import _split_rows, lite_route
+from repro.core.relocation import relocate_experts
 from repro.model.parameter import Module, Parameter
 
 
@@ -92,3 +95,32 @@ def random_parameter(shape, seed: int = 0) -> Parameter:
     """A Parameter with deterministic random contents."""
     rng = np.random.default_rng(seed)
     return Parameter(rng.normal(0.0, 1.0, size=shape))
+
+
+def split_row(total: int, weights) -> np.ndarray:
+    """Split ``total`` over ``weights`` as one row of lite routing's
+    ``_split_rows``; zero weights get nothing."""
+    weights = np.asarray(weights, dtype=np.float64)
+    positive = np.flatnonzero(weights > 0)
+    split = np.zeros(weights.shape, dtype=np.int64)
+    split[positive] = _split_rows(
+        np.array([total], dtype=np.int64), np.array([0, positive.size]),
+        np.zeros(positive.size, dtype=np.int64), weights[positive])
+    return split
+
+
+def scalar_reference_solve(tuner, routing):
+    """Score each candidate with lite_route + evaluate; first cheapest wins."""
+    routing = np.asarray(routing, dtype=np.int64)
+    loads = routing.sum(axis=0)
+    layouts = [relocate_experts(replicas, loads, tuner.topology,
+                                tuner.capacity)
+               for replicas in tuner.candidate_replica_schemes(
+                   loads, routing.shape[1])]
+    plans = [lite_route(routing, layout, tuner.topology) for layout in layouts]
+    costs = [tuner.cost_model.evaluate(plan) for plan in plans]
+    best = 0
+    for index, cost in enumerate(costs):
+        if cost.total < costs[best].total:
+            best = index
+    return layouts[best], plans[best], costs[best], [c.total for c in costs]

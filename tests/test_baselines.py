@@ -7,6 +7,7 @@ from repro.baselines import (
     FasterMoEPolicy,
     FlexMoEPolicy,
     LAERPolicy,
+    LoadBalancingPolicy,
     OracleBalancedPolicy,
     ProphetPolicy,
     SmartMoEPolicy,
@@ -302,3 +303,16 @@ class TestDecideIteration:
                         == theirs.grad_sync_extra_bytes)
                 assert mine.metadata == theirs.metadata
         assert batched.iteration == reference.iteration == 6
+
+    def test_no_policy_overrides_decide_iteration(self):
+        """perfbench's tracer sets the base class's ``decide_iteration`` on
+        every policy class, so an override would run only untraced: a
+        traced run would time a path the untraced run does not take."""
+        policies, pending = [], list(LoadBalancingPolicy.__subclasses__())
+        while pending:
+            cls = pending.pop()
+            policies.append(cls)
+            pending.extend(cls.__subclasses__())
+        assert {LAERPolicy, OracleBalancedPolicy, SmartMoEPolicy} <= set(policies)
+        assert [cls.__name__ for cls in policies
+                if "decide_iteration" in cls.__dict__] == []

@@ -12,9 +12,10 @@ from repro.core.cost_model import MoECostModel
 from repro.core.layout import static_ep_layout
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.core.lite_routing import lite_route
-from repro.core.relocation import relocate_experts
 from repro.workloads.model_configs import tiny_test_config
 from repro.workloads.routing_traces import RoutingTraceConfig, SyntheticRoutingTraceGenerator
+
+from helpers import scalar_reference_solve
 
 
 @pytest.fixture
@@ -141,23 +142,6 @@ class TestReset:
         assert first == second
 
 
-def scalar_reference_solve(tuner, routing):
-    """Score each candidate with lite_route + evaluate; first cheapest wins."""
-    routing = np.asarray(routing, dtype=np.int64)
-    loads = routing.sum(axis=0)
-    layouts = [relocate_experts(replicas, loads, tuner.topology,
-                                tuner.capacity)
-               for replicas in tuner.candidate_replica_schemes(
-                   loads, routing.shape[1])]
-    plans = [lite_route(routing, layout, tuner.topology) for layout in layouts]
-    costs = [tuner.cost_model.evaluate(plan) for plan in plans]
-    best = 0
-    for index, cost in enumerate(costs):
-        if cost.total < costs[best].total:
-            best = index
-    return layouts[best], plans[best], costs[best], [c.total for c in costs]
-
-
 def assert_matches_scalar_reference(topology, cost_model, config, routing):
     batched = ExpertLayoutTuner(topology, cost_model, 2, config).solve(routing)
     layout, plan, cost, candidate_costs = scalar_reference_solve(
@@ -212,7 +196,8 @@ class TestRelocationEntryPoint:
         """perfbench's tracer rebinds ``relocate_experts`` in every loaded
         module and counts ``sum(int(r) for r in replicas)`` per call, so
         every candidate must be placed by its own call with a 1-D replica
-        vector."""
+        vector, also when the planner solves a whole iteration's layers in
+        one ``solve_layers`` batch."""
         original = relocation_mod.relocate_experts
         calls = []
 
@@ -225,14 +210,16 @@ class TestRelocationEntryPoint:
                     and getattr(module, "relocate_experts", None) is original):
                 monkeypatch.setattr(module, "relocate_experts", traced)
         candidates = []
-        solve = ExpertLayoutTuner.solve
+        solve_layers = ExpertLayoutTuner.solve_layers
 
-        def counted_solve(self, routing):
-            result = solve(self, routing)
-            candidates.append(result.candidates_evaluated)
-            return result
+        def counted_solve_layers(self, routing_by_layer):
+            results = solve_layers(self, routing_by_layer)
+            candidates.extend(result.candidates_evaluated
+                              for result in results)
+            return results
 
-        monkeypatch.setattr(ExpertLayoutTuner, "solve", counted_solve)
+        monkeypatch.setattr(ExpertLayoutTuner, "solve_layers",
+                            counted_solve_layers)
         run_experiment(ExperimentSpec(
             name="relocate-entry-point",
             cluster=ClusterSpec(num_nodes=2, devices_per_node=4),
@@ -244,3 +231,6 @@ class TestRelocationEntryPoint:
         assert candidates and len(calls) == sum(candidates)
         assert all(replicas.ndim == 1 and sum(int(r) for r in replicas) == slots
                    for replicas in calls)
+        # 2 layers x 2 candidates, solved before each of the 3 iterations
+        # that follow the first; the 4th iteration's routing is never solved.
+        assert len(calls) == 12

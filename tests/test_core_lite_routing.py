@@ -4,35 +4,48 @@ import numpy as np
 import pytest
 
 from repro.core.layout import ExpertLayout, static_ep_layout
-from repro.core.lite_routing import (
-    lite_route,
-    _split_evenly,
-)
+from repro.core.lite_routing import lite_route
+from repro.scalar_reference import scalar_split_evenly
+
+from helpers import split_row
+
+
+def split(total, weights):
+    """One row split by ``_split_rows``, which must equal the scalar
+    reference's ``scalar_split_evenly``."""
+    result = split_row(total, weights)
+    assert result.tolist() == scalar_split_evenly(total, weights).tolist()
+    return result
 
 
 class TestSplitEvenly:
     def test_exact_division(self):
-        assert _split_evenly(12, np.array([1, 1, 1])).tolist() == [4, 4, 4]
+        assert split(12, np.array([1, 1, 1])).tolist() == [4, 4, 4]
 
     def test_remainder_goes_to_largest_fraction(self):
-        split = _split_evenly(10, np.array([1, 1, 1]))
-        assert split.sum() == 10
-        assert sorted(split.tolist()) == [3, 3, 4]
+        result = split(10, np.array([1, 1, 1]))
+        assert result.sum() == 10
+        assert sorted(result.tolist()) == [3, 3, 4]
 
     def test_weighted_split(self):
-        split = _split_evenly(9, np.array([2, 1]))
-        assert split.tolist() == [6, 3]
+        assert split(9, np.array([2, 1])).tolist() == [6, 3]
 
     def test_zero_total(self):
-        assert _split_evenly(0, np.array([1, 2])).tolist() == [0, 0]
+        assert split(0, np.array([1, 2])).tolist() == [0, 0]
 
-    def test_zero_weights_rejected(self):
-        with pytest.raises(ValueError):
-            _split_evenly(5, np.array([0, 0]))
+    def test_zero_weights_rejected(self, small_topology):
+        """Tokens for an expert without a replica (all-zero weights) raise."""
+        layout = ExpertLayout(np.zeros((8, 1), dtype=np.int64), capacity=1)
+        routing = np.zeros((8, 1), dtype=np.int64)
+        routing[0, 0] = 5
+        with pytest.raises(ValueError, match="no replica"):
+            lite_route(routing, layout, small_topology)
 
-    def test_negative_total_rejected(self):
-        with pytest.raises(ValueError):
-            _split_evenly(-1, np.array([1]))
+    def test_negative_total_rejected(self, small_topology):
+        routing = np.zeros((8, 8), dtype=np.int64)
+        routing[0, 0] = -1
+        with pytest.raises(ValueError, match="non-negative"):
+            lite_route(routing, static_ep_layout(8, 8, 2), small_topology)
 
 
 class TestLiteRouting:

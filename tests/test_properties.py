@@ -19,13 +19,15 @@ from repro.core.cost_model import MoECostModel
 from repro.core.fsep import FSEPShardedExperts
 from repro.core.layout import ExpertLayout
 from repro.core.layout_tuner import ExpertLayoutTuner
-from repro.core.lite_routing import lite_route, _split_evenly
+from repro.core.lite_routing import lite_route
 from repro.core.relocation import relocate_experts
 from repro.core.replica_allocation import (
     allocate_replicas_priority_queue,
     even_replicas,
 )
 from repro.workloads.model_configs import get_model_config
+
+from helpers import split_row
 
 MAX_EXAMPLES = 30
 
@@ -68,7 +70,7 @@ class TestSplitEvenlyProperties:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.sum() == 0:
             weights[0] = 1.0
-        split = _split_evenly(total, weights)
+        split = split_row(total, weights)
         assert split.sum() == total
         assert np.all(split >= 0)
         assert np.all(split[weights == 0] == 0)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import repro.baselines.prophet as prophet_mod
+import repro.core.lite_routing as lite_routing_mod
 import repro.baselines.smartmoe as smartmoe_mod
 from repro.baselines.base import PolicyDecision
 from repro.baselines.prophet import ProphetPolicy
@@ -26,13 +27,15 @@ from repro.baselines.smartmoe import SmartMoEPolicy
 from repro.calib.profile import CalibrationProfile
 from repro.cluster.collectives import CollectiveCostModel
 from repro.cluster.topology import ClusterTopology
+from repro.core.cost_model import MoECostModel
 from repro.core.layout import ExpertLayout, static_ep_layout
+from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.core.lite_routing import (
-    _split_evenly,
     _split_rows,
     lite_route,
     lite_route_batch,
 )
+from repro.core.planner import LoadBalancingPlanner, PlannerConfig
 from repro.core.relocation import relocate_experts
 from repro.core.replica_allocation import (
     allocate_replicas_priority_queue,
@@ -62,6 +65,8 @@ from repro.workloads.scenarios import (
     default_runnable_scenarios,
     make_scenario,
 )
+
+from helpers import scalar_reference_solve, split_row
 
 RTOL = 1e-9
 
@@ -250,7 +255,7 @@ class TestLiteRoutingEquivalence:
             assert batched[row].sum() == totals[row]
 
     def test_split_evenly_single_row_unchanged(self):
-        assert _split_evenly(10, np.array([1, 1, 1])).tolist() == \
+        assert split_row(10, np.array([1, 1, 1])).tolist() == \
             scalar_split_evenly(10, np.array([1, 1, 1])).tolist()
 
     def test_lite_route_exactly_matches_scalar(self, topology):
@@ -282,14 +287,14 @@ class TestLiteRoutingEquivalence:
 # scenario
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=None)
-def first_frame_problem(scenario, num_nodes):
+def first_frame_problem(scenario, num_nodes, model="mixtral-8x7b-e8k2"):
     """The first frame of ``scenario`` on ``num_nodes`` x 8 devices.
 
     Returns the topology, the routing of each of its two layers, and per
     layer the pq, even and two perturbed replica schemes with the loads
     they are placed under.
     """
-    config = get_model_config("mixtral-8x7b-e8k2")
+    config = get_model_config(model)
     topology = ClusterTopology(num_nodes=num_nodes, devices_per_node=8)
     ctx = ScenarioContext(num_devices=topology.num_devices,
                           num_experts=config.num_experts, num_layers=2,
@@ -309,10 +314,11 @@ def first_frame_problem(scenario, num_nodes):
     return topology, c, layers
 
 
-def per_layout_problem(scenario, num_nodes):
+def per_layout_problem(scenario, num_nodes, model="mixtral-8x7b-e8k2"):
     """The layouts of :func:`first_frame_problem`, each with its layer's
     routing: ``(topology, routings, layouts)`` alternating layers 0 and 1."""
-    topology, capacity, layers = first_frame_problem(scenario, num_nodes)
+    topology, capacity, layers = first_frame_problem(scenario, num_nodes,
+                                                     model)
     routings, layouts = [], []
     for scheme in range(4):
         for routing, loads, schemes in layers:
@@ -540,6 +546,293 @@ class TestRoundRelocationDifferential:
         for replicas, loads, capacity in calls:
             assert relocate_experts(replicas, loads, topology, capacity) == \
                 scalar_relocate_experts(replicas, loads, topology, capacity)
+
+
+# ----------------------------------------------------------------------
+# The closed-form lite-routing split, the layout tuner's layer batch and
+# the lazily solving planner
+# ----------------------------------------------------------------------
+def assert_routes_like_scalar(routings, layouts, topology):
+    """One batch over (routing, layout) pairs equals a ``lite_route`` call
+    per pair entry for entry, and ``scalar_lite_route`` token for token."""
+    batched = lite_route_batch(np.stack(routings), layouts, topology)
+    assert len(batched) == len(layouts)
+    for plan, routing, layout in zip(batched, routings, layouts):
+        single = lite_route(routing, layout, topology)
+        for name in ("offsets", "dest", "tokens"):
+            assert np.array_equal(getattr(plan, name), getattr(single, name))
+        assert np.array_equal(
+            plan.to_dense(),
+            scalar_lite_route(routing, layout, topology).to_dense())
+
+
+def split_totals(monkeypatch):
+    """Record the totals every ``_split_rows`` call is asked to split."""
+    seen = []
+    original = lite_routing_mod._split_rows
+
+    def recorded(totals, *args):
+        seen.extend(int(total) for total in totals)
+        return original(totals, *args)
+
+    monkeypatch.setattr(lite_routing_mod, "_split_rows", recorded)
+    return seen
+
+
+def fitted_layout(assignment):
+    """A layout of ``assignment`` whose capacity fits its fullest device."""
+    return ExpertLayout(assignment, capacity=int(assignment.sum(axis=1).max()))
+
+
+def counted_layouts(rng, num_devices, num_experts, counts, layouts=4):
+    """Layouts whose replicas carry counts drawn from ``counts``; each
+    expert sits on 1 to N/2 devices, so some nodes host none of it."""
+    built = []
+    for _ in range(layouts):
+        assignment = np.zeros((num_devices, num_experts), dtype=np.int64)
+        for expert in range(num_experts):
+            hosts = rng.choice(num_devices,
+                               size=rng.integers(1, num_devices // 2 + 1),
+                               replace=False)
+            assignment[hosts, expert] = rng.choice(counts, size=hosts.size)
+        built.append(fitted_layout(assignment))
+    return built
+
+
+def sparse_routings(rng, count, num_devices, num_experts):
+    routings = rng.integers(0, 1000, size=(count, num_devices, num_experts))
+    routings[rng.uniform(size=routings.shape) < 0.3] = 0
+    return list(routings)
+
+
+class TestClosedFormSplitDifferential:
+    @pytest.fixture
+    def topology(self):
+        return ClusterTopology(num_nodes=3, devices_per_node=4)
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_equal_count_groups_match_scalar(self, topology, monkeypatch,
+                                             count):
+        rng = np.random.default_rng(count)
+        layouts = counted_layouts(rng, 12, 6, [count])
+        seen = split_totals(monkeypatch)
+        assert_routes_like_scalar(sparse_routings(rng, 4, 12, 6), layouts,
+                                  topology)
+        assert seen == []  # every group, intra-node or fallback, is equal
+
+    def test_mixed_groups_match_scalar(self, topology, monkeypatch):
+        rng = np.random.default_rng(11)
+        layouts = counted_layouts(rng, 12, 6, [1, 2, 3, 4])
+        seen = split_totals(monkeypatch)
+        assert_routes_like_scalar(sparse_routings(rng, 4, 12, 6), layouts,
+                                  topology)
+        assert seen
+
+    @pytest.mark.parametrize("counts", [(2, 2, 2), (1, 3, 2)],
+                             ids=["equal", "mixed"])
+    def test_fallback_groups_match_scalar(self, topology, monkeypatch,
+                                          counts):
+        """Node 0 hosts no replica of expert 0, so its senders split over
+        every replica of it, on nodes 1 and 2."""
+        assignment = np.zeros((12, 2), dtype=np.int64)
+        assignment[[4, 7, 9], 0] = counts
+        assignment[[0, 5, 10], 1] = 1
+        layout = fitted_layout(assignment)
+        routing = np.zeros((12, 2), dtype=np.int64)
+        routing[:4, 0] = [0, 1, 7, 1000]
+        routing[4:, :] = 5
+        seen = split_totals(monkeypatch)
+        assert_routes_like_scalar([routing], [layout], topology)
+        assert bool(seen) == (len(set(counts)) > 1)
+        plan = lite_route(routing, layout, topology).to_dense()
+        assert plan[3, 0].tolist() == scalar_split_evenly(
+            1000, assignment[:, 0]).tolist()
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_zero_totals_and_the_exactness_guard(self, monkeypatch, count):
+        """Totals of 0, and totals ``T`` just below and at the bound
+        ``T * count < 2**53`` of the closed form."""
+        topology = ClusterTopology(num_nodes=2, devices_per_node=4)
+        below, at = 2 ** 53 // count - 1, 2 ** 53 // count
+        assignment = np.zeros((8, 2), dtype=np.int64)
+        assignment[[0, 1, 2, 5], 0] = count
+        assignment[[4, 6], 1] = count
+        layout = fitted_layout(assignment)
+        routing = np.zeros((8, 2), dtype=np.int64)
+        routing[0, 0], routing[1, 0] = below, at      # 3 intra-node targets
+        routing[4, 1], routing[5, 1] = below, at      # 2 intra-node targets
+        routing[3, 1] = below                         # fallback, 2 targets
+        seen = split_totals(monkeypatch)
+        assert_routes_like_scalar([routing], [layout], topology)
+        assert seen == [at, at] * 2  # the batch, then the single call
+
+    @pytest.mark.parametrize("scenario", ["drifting", "bursty-churn"])
+    @pytest.mark.parametrize("nodes", [2, 4])
+    def test_e16k4_matches_scalar(self, scenario, nodes):
+        topology, routings, layouts = per_layout_problem(
+            scenario, nodes, "mixtral-8x7b-e16k4")
+        assert_routes_like_scalar(routings, layouts, topology)
+
+    def test_batch_of_mixed_layouts_matches_per_layout_calls(self, topology):
+        """Equal, mixed and fallback groups of several layouts in one batch,
+        each layout with its own routing."""
+        rng = np.random.default_rng(5)
+        layouts = (counted_layouts(rng, 12, 6, [1], 2)
+                   + counted_layouts(rng, 12, 6, [2, 4], 2)
+                   + counted_layouts(rng, 12, 6, [1, 2, 3], 2))
+        order = rng.permutation(len(layouts))
+        assert_routes_like_scalar(sparse_routings(rng, len(layouts), 12, 6),
+                                  [layouts[i] for i in order], topology)
+
+
+def tuner_problem(nodes=2, layers=4, iterations=6):
+    """A bursty-churn trace on ``nodes`` x 8 devices, its cost model and
+    capacity: ``(topology, cost_model, capacity, frames)``."""
+    config = get_model_config("mixtral-8x7b-e8k2")
+    topology = ClusterTopology(num_nodes=nodes, devices_per_node=8)
+    ctx = ScenarioContext(num_devices=topology.num_devices,
+                          num_experts=config.num_experts, num_layers=layers,
+                          tokens_per_device=4096, top_k=config.top_k,
+                          iterations=iterations, seed=7)
+    frames = list(make_scenario("bursty-churn", ctx).iter_iterations())
+    return (topology, MoECostModel.from_model_config(config, topology),
+            config.expert_capacity, frames)
+
+
+TUNER_CONFIGS = {"pq+even": TunerConfig(),
+                 "5-candidates": TunerConfig(num_candidates=5),
+                 "pq-only": TunerConfig(num_candidates=1, use_even=False)}
+
+
+class TestLayerBatchedTunerDifferential:
+    @pytest.mark.parametrize("name", sorted(TUNER_CONFIGS))
+    def test_solve_layers_matches_per_layer_solves(self, name):
+        """6 iterations x 4 layers: each batch equals solving its layers one
+        by one (a candidate per lite_route and evaluate call), with the
+        perturbation stream drawn in the same order."""
+        topology, cost_model, capacity, frames = tuner_problem()
+        batched, looped = (ExpertLayoutTuner(topology, cost_model, capacity,
+                                             TUNER_CONFIGS[name])
+                           for _ in range(2))
+        for frame in frames:
+            results = batched.solve_layers(frame)
+            assert len(results) == len(frame)
+            for result, routing in zip(results, frame):
+                layout, plan, cost, candidate_costs = scalar_reference_solve(
+                    looped, routing)
+                assert result.layout == layout
+                assert result.candidate_costs == candidate_costs
+                assert result.candidates_evaluated == len(candidate_costs)
+                for field in dataclasses.fields(cost):
+                    value, expected = (getattr(result.cost, field.name),
+                                       getattr(cost, field.name))
+                    assert np.array_equal(value, expected), field.name
+                    assert type(value) is type(expected), field.name
+                assert np.array_equal(result.routing_plan.to_dense(),
+                                      plan.to_dense())
+
+    def test_solve_is_the_one_layer_batch(self, small_topology,
+                                          small_cost_model):
+        routing = np.random.default_rng(2).integers(0, 500, size=(8, 8))
+        one, batch = (ExpertLayoutTuner(small_topology, small_cost_model, 2,
+                                        TunerConfig(num_candidates=5))
+                      for _ in range(2))
+        single = one.solve(routing)
+        (batched,) = batch.solve_layers(routing[None])
+        assert single.layout == batched.layout
+        assert single.candidate_costs == batched.candidate_costs
+
+
+def eager_plan(tuner, fallback, calls):
+    """The layouts a planner that solves each observation at once returns
+    for ``(layer, routing)`` calls, with their ``planned_from_history``
+    flags, and the layouts it holds after the last call."""
+    pending, returned = {}, []
+    for layer, routing in calls:
+        returned.append((pending.get(layer, fallback), layer in pending))
+        pending[layer] = scalar_reference_solve(tuner, routing)[0]
+    return returned, pending
+
+
+#: Per iteration, the order in which layers are planned: ``(layer, index of
+#: the frame's matrix it is planned on)``.
+PLAN_ORDERS = {
+    "in-order": lambda rng, layers: [(layer, layer)
+                                     for layer in range(layers)],
+    "out-of-order": lambda rng, layers: [(int(layer), int(layer)) for layer
+                                         in rng.permutation(layers)],
+    "repeated-layer": lambda rng, layers: [(0, 0), (0, 1), (1, 2), (0, 3),
+                                           (1, 0), (1, 1)],
+}
+
+
+def lazy_and_eager(order, config):
+    topology, cost_model, capacity, frames = tuner_problem()
+    planner = LoadBalancingPlanner(
+        topology, cost_model, 8, PlannerConfig(capacity=capacity,
+                                               tuner=config))
+    fallback = planner.current_layout(-1)  # a layer never observed
+    rng = np.random.default_rng(3)
+    calls = [(layer, frame[index]) for frame in frames
+             for layer, index in PLAN_ORDERS[order](rng, len(frame))]
+    returned = [planner.plan_layer(layer, routing)
+                for layer, routing in calls]
+    expected, pending = eager_plan(
+        ExpertLayoutTuner(topology, cost_model, capacity, config), fallback,
+        calls)
+    return planner, returned, expected, pending
+
+
+class TestLazyPlannerDifferential:
+    @pytest.mark.parametrize("name", ["pq+even", "5-candidates"])
+    @pytest.mark.parametrize("order", sorted(PLAN_ORDERS))
+    def test_plan_layer_matches_eager_solves(self, order, name):
+        planner, returned, expected, _ = lazy_and_eager(
+            order, TUNER_CONFIGS[name])
+        assert len(returned) == len(expected)
+        for (layout, planned), (want, want_planned) in zip(returned,
+                                                           expected):
+            assert layout == want
+            assert planned == want_planned
+
+    @pytest.mark.parametrize("name", ["pq+even", "5-candidates"])
+    def test_current_layout_after_the_last_observation(self, monkeypatch,
+                                                       name):
+        solved = []
+        solve_layers = ExpertLayoutTuner.solve_layers
+
+        def counted(self, routing_by_layer):
+            solved.append(len(routing_by_layer))
+            return solve_layers(self, routing_by_layer)
+
+        monkeypatch.setattr(ExpertLayoutTuner, "solve_layers", counted)
+        planner, _, _, pending = lazy_and_eager("in-order",
+                                                TUNER_CONFIGS[name])
+        # One batch of 4 layers before each of iterations 2-6; the eager
+        # reference solves through scalar_reference_solve, not the tuner.
+        assert solved == [4] * 5
+        for layer in sorted(pending, reverse=True):
+            assert planner.current_layout(layer) == pending[layer]
+        assert solved == [4] * 6
+
+    def test_tune_layout_solves_the_batch_first(self):
+        """An explicit ``tune_layout`` between ``plan_layer`` calls draws the
+        perturbation stream after the layers observed before it."""
+        config = TUNER_CONFIGS["5-candidates"]
+        topology, cost_model, capacity, frames = tuner_problem()
+        planner = LoadBalancingPlanner(
+            topology, cost_model, 8, PlannerConfig(capacity=capacity,
+                                                   tuner=config))
+        eager = ExpertLayoutTuner(topology, cost_model, capacity, config)
+        for frame in frames[:3]:
+            planner.plan_layer(0, frame[0])
+            planner.plan_layer(1, frame[1])
+            planner.observe(2, frame[2])
+            tuned = planner.tune_layout(2)
+            expected = [scalar_reference_solve(eager, routing)[0]
+                        for routing in frame[:3]]
+            assert [planner.current_layout(0), planner.current_layout(1),
+                    tuned] == expected
 
 
 # ----------------------------------------------------------------------
