@@ -281,11 +281,12 @@ def test_batched_tuner_eval_beats_per_candidate_loop():
 
 def test_compact_planner_step_beats_scalar_kernels():
     """Routing plus relocation at 1024 devices: the compact plans and the
-    round-based placement against the dense per-rank route and the
+    placement over node classes against the dense per-rank route and the
     per-replica device scan.  Both must agree exactly on the pq and even
     schemes of the first frame of every runnable registered scenario, and
-    the closed-form pq scheme must equal the priority queue's; the drifting
-    frame is timed."""
+    the closed-form pq scheme must equal the priority queue's.  The drifting
+    frame's schemes must also be placed alike under equal and all-zero
+    loads, where the node classes tie; its frame is timed."""
     config = get_model_config("mixtral-8x7b-e8k2")
     topology = ClusterTopology(num_nodes=128, devices_per_node=8)
     n, e, c = topology.num_devices, config.num_experts, config.expert_capacity
@@ -320,6 +321,10 @@ def test_compact_planner_step_beats_scalar_kernels():
         if scenario == "drifting":
             timed = problem
 
+    for loads in (np.full(e, 512.0), np.zeros(e)):
+        for replicas in timed[2]:
+            assert relocate_experts(replicas, loads, topology, c) == \
+                scalar_relocate_experts(replicas, loads, topology, c)
     speedup = _speedup(
         lambda: step(scalar_relocate_experts, scalar_lite_route, *timed),
         lambda: step(relocate_experts, lite_route, *timed), 3)

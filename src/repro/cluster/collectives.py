@@ -251,7 +251,9 @@ class CollectiveCostModel:
         members = np.asarray(group, dtype=np.intp).reshape(-1)
         if members.size == 0:
             raise ValueError("group must not be empty")
-        if np.unique(members).size != members.size:
+        # A sort, not np.unique: numpy 2's unique imports numpy.ma.
+        ordered = np.sort(members)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("group contains duplicate devices")
         bad = (members < 0) | (members >= self.topology.num_devices)
         if bad.any():

@@ -20,6 +20,7 @@ back into the study subsystem's error taxonomy
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import threading
 import time
@@ -297,11 +298,12 @@ def launch_fleet(study: StudySpec, store: ResultStore, workers: int = 2,
 
     The coordinator prunes stale queue state, populates the work queue
     (resuming past cells whose runs the store already holds, exactly like
-    :class:`StudyRunner`), spawns the workers, polls progress until the
-    queue drains, then compacts the store index and aggregates the
-    outcome.  Concurrency happens at the *worker* level: run one
-    coordinator per queue at a time (two coordinators reconciling the same
-    queue directory simultaneously may prune each other's records).
+    :class:`StudyRunner`), spawns the workers, supervises them until the
+    queue drains (waking as soon as one exits), then compacts the store
+    index and aggregates the outcome.  Concurrency happens at the *worker*
+    level: run one coordinator per queue at a time (two coordinators
+    reconciling the same queue directory simultaneously may prune each
+    other's records).
 
     Args:
         study: The study to execute.
@@ -313,7 +315,9 @@ def launch_fleet(study: StudySpec, store: ResultStore, workers: int = 2,
             is reclaimed by the survivors.
         queue_root: Queue directory (default: ``<store>/queue/<study-key>``;
             kept around after the run for ``repro fleet status/workers``).
-        poll_interval: Worker sleep between claim attempts.
+        poll_interval: Worker sleep between claim attempts; the
+            coordinator's longest wait between supervision passes is the
+            smaller of it and 0.2 s.
         progress_interval: Seconds between ``on_progress`` snapshots.
         on_progress: Optional callback receiving :class:`QueueStatus`
             snapshots while the fleet runs.
@@ -393,9 +397,15 @@ def launch_fleet(study: StudySpec, store: ResultStore, workers: int = 2,
                     # incarnation) until its budget runs out -- its
                     # in-flight cell is safe either way (the lease expires
                     # and a survivor or the respawn itself takes it over).
+                    # Each worker's liveness is read once per pass, so a
+                    # worker that dies mid-pass is supervised on the next
+                    # one instead of ending the loop unsupervised.
+                    live = []
                     for worker_id, process in list(processes.items()):
-                        if process.is_alive() or \
-                                process.exitcode in (0, None):
+                        if process.is_alive():
+                            live.append(process)
+                            continue
+                        if process.exitcode == 0:
                             continue
                         if (respawns.get(worker_id, 0) < respawn_limit
                                 and queue.outstanding()):
@@ -405,7 +415,8 @@ def launch_fleet(study: StudySpec, store: ResultStore, workers: int = 2,
                             incarnations[worker_id] += 1
                             _M_RESPAWNS.inc()
                             spawn(worker_id)
-                    if not any(p.is_alive() for p in processes.values()):
+                            live.append(processes[worker_id])
+                    if not live:
                         break
                     if on_progress is not None and \
                             time.time() - last_progress >= progress_interval:
@@ -422,7 +433,12 @@ def launch_fleet(study: StudySpec, store: ResultStore, workers: int = 2,
                                 RuntimeWarning)
                             on_progress = None
                         last_progress = time.time()
-                    time.sleep(min(poll_interval, 0.2))
+                    # Wake as soon as a worker exits.  Only live workers'
+                    # sentinels: a dead one's stays ready until it is
+                    # joined, and would spin this loop.
+                    multiprocessing.connection.wait(
+                        [process.sentinel for process in live],
+                        timeout=min(poll_interval, 0.2))
             finally:
                 # Never leave spawned workers orphaned: whatever unwinds
                 # the wait loop, the children are joined before control

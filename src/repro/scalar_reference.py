@@ -1,8 +1,8 @@
 """Scalar reference kernels: verbatim ports of the pre-vectorization loops.
 
 The vectorized simulation kernels (the batched All-to-All kernel, batched
-routing draws, compact lite-routing splits, the round-based replica
-placement, the closed-form replica allocation, the one-pass iteration
+routing draws, compact lite-routing splits, the replica placement over
+node classes, the closed-form replica allocation, the one-pass iteration
 simulator) replaced per-pair / per-device / per-slot / per-layer Python
 loops.  This module keeps the original loop semantics in
 one canonical place so that

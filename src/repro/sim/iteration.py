@@ -301,8 +301,8 @@ class IterationSimulator:
         capacity = self.config.expert_capacity
         n = self.topology.num_devices
         if self.paradigm == "fsep":
-            bytes_per_pair = capacity * expert_bytes / n
-            return self.collectives.uniform_all_to_all(bytes_per_pair)
+            # The reshard All-to-All moves the prefetch's bytes back.
+            return self.prefetch_time()
         if self.paradigm == "fsdp_ep":
             fsdp_size = max(1, n // self.ep_size)
             if fsdp_size == 1:
@@ -336,9 +336,13 @@ class IterationSimulator:
         building a system cheap.
         """
         if self._layer_invariants is None:
+            prefetch = self.prefetch_time()
+            # FSEP's gradient sync is its prefetch All-to-All: price it once.
+            grad_sync = (prefetch if self.paradigm == "fsep"
+                         else self.grad_sync_time())
             self._layer_invariants = (
-                self.attention_forward_time(), self.prefetch_time(),
-                self.attention_prefetch_time(), self.grad_sync_time())
+                self.attention_forward_time(), prefetch,
+                self.attention_prefetch_time(), grad_sync)
         return self._layer_invariants
 
     def exposed_time_from_bytes(self, num_bytes: float) -> float:

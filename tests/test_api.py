@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -468,3 +469,36 @@ class TestImportFootprint:
                                      "repro.core.executor"))]
         assert "repro.api" in loaded
         assert heavy == []
+
+    def test_grouped_collective_does_not_import_numpy_ma(self):
+        """Checking a collective's group for duplicate ranks must not import
+        ``numpy.ma``, as numpy 2's first ``np.unique`` call does: every
+        fresh fleet worker would pay for it in its first cell."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
+        script = textwrap.dedent("""
+            import sys
+            from repro.api import (ClusterSpec, ExperimentSpec,
+                                   WorkloadSpec, run_experiment)
+            from repro.cluster.collectives import CollectiveCostModel
+            groups = []
+            resolve = CollectiveCostModel._resolve_group
+            def recorded(model, group):
+                groups.append(group)
+                return resolve(model, group)
+            CollectiveCostModel._resolve_group = recorded
+            before = "numpy.ma" in sys.modules
+            run_experiment(ExperimentSpec(
+                cluster=ClusterSpec(num_nodes=2, devices_per_node=4),
+                workload=WorkloadSpec(tokens_per_device=256, layers=1,
+                                      iterations=1, warmup=0),
+                systems=("fsdp_ep",), reference="fsdp_ep"))
+            print(before, "numpy.ma" in sys.modules,
+                  any(group is not None for group in groups))
+        """)
+        loaded = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True).stdout.split()
+        # Not loaded before the run, not loaded by it, and the run resolved
+        # a grouped collective.
+        assert loaded == ["False", "False", "True"]

@@ -1,5 +1,6 @@
 """Tests for the expert layout tuner (Algorithm 2)."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -173,6 +174,35 @@ class TestBatchEval:
         assert_matches_scalar_reference(
             small_topology, small_cost_model, TunerConfig(),
             np.full((8, 8), 64, dtype=np.int64))
+
+    @pytest.mark.parametrize("candidates", [2, 4])
+    def test_tied_distinct_candidates_keep_the_first(
+            self, monkeypatch, small_topology, small_cost_model, candidates):
+        """Candidates whose layouts differ but whose costs tie: every layer
+        of a batch keeps its first candidate's layout."""
+        score = MoECostModel.evaluate_batch
+
+        def tied(cost_model, plans):
+            return [dataclasses.replace(cost, total=1.0)
+                    for cost in score(cost_model, plans)]
+
+        monkeypatch.setattr(MoECostModel, "evaluate_batch", tied)
+        config = TunerConfig(num_candidates=candidates)
+        routings = np.stack([skewed_routing(seed=seed) for seed in (1, 2)])
+        results = ExpertLayoutTuner(small_topology, small_cost_model, 2,
+                                    config).solve_layers(routings)
+        # A second tuner draws the same perturbation stream.
+        reference = ExpertLayoutTuner(small_topology, small_cost_model, 2,
+                                      config)
+        for routing, result in zip(routings, results):
+            loads = routing.sum(axis=0)
+            layouts = [relocation_mod.relocate_experts(
+                           replicas, loads, small_topology, 2)
+                       for replicas in reference.candidate_replica_schemes(
+                           loads, routing.shape[1])]
+            assert all(layout != layouts[0] for layout in layouts[1:])
+            assert result.candidate_costs == [1.0] * candidates
+            assert result.layout == layouts[0]
 
     def test_batch_eval_emits_planner_span(self, small_topology,
                                            small_cost_model, tmp_path):

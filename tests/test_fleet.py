@@ -563,3 +563,43 @@ class TestSupervisedRespawn:
                               poll_interval=0.05)
         assert report.respawns == {}
         assert "respawns:" not in report.summary()
+
+    def test_worker_dying_mid_pass_is_still_supervised(self, tmp_path,
+                                                       monkeypatch):
+        """A worker read alive by the supervision pass and dead right after
+        must be respawned on the next pass, not end the loop unsupervised.
+        Stand-in workers make the timing deterministic: each is alive at
+        its first liveness read and SIGKILLed from the second on."""
+        import multiprocessing
+        import signal
+
+        class DiesAfterFirstRead:
+            def __init__(self, target=None, args=(), name=None):
+                self.reads = 0
+                self.sentinel, self._write = os.pipe()  # never ready
+
+            def start(self):
+                pass
+
+            def is_alive(self):
+                self.reads += 1
+                return self.reads == 1
+
+            @property
+            def exitcode(self):
+                return None if self.reads < 2 else -signal.SIGKILL
+
+            def join(self):
+                for fd in (self.sentinel, self._write):
+                    try:
+                        os.close(fd)
+                    except OSError:
+                        pass
+
+        monkeypatch.setattr(multiprocessing, "Process", DiesAfterFirstRead)
+        report = launch_fleet(tiny_study(), ResultStore(tmp_path / "store"),
+                              workers=2, poll_interval=0.01,
+                              queue_root=tmp_path / "queue", check=False,
+                              respawn_limit=1)
+        assert report.respawns == {"worker-1": 1, "worker-2": 1}
+        assert len(report.failures) == 2   # the stand-ins run no cell

@@ -58,6 +58,24 @@ class TestComponentCosts:
             sim = make_simulator(small_topology, paradigm, **kwargs)
             assert sim.grad_sync_time() >= 0
 
+    def test_fsep_prices_its_uniform_all_to_all_once(self, small_topology,
+                                                     monkeypatch):
+        """FSEP's gradient sync is its prefetch's uniform All-to-All, so the
+        per-layer invariants price that collective once."""
+        sim = make_simulator(small_topology, "fsep")
+        calls = []
+        priced = type(sim.collectives).uniform_all_to_all
+
+        def counted(collectives, *args, **kwargs):
+            calls.append(args)
+            return priced(collectives, *args, **kwargs)
+
+        monkeypatch.setattr(type(sim.collectives), "uniform_all_to_all",
+                            counted)
+        _, prefetch, _, grad_sync = sim._invariant_times()
+        assert len(calls) == 1
+        assert grad_sync == prefetch == sim.grad_sync_time()
+
     def test_token_a2a_zero_for_local_plan(self, small_topology):
         sim = make_simulator(small_topology)
         n = small_topology.num_devices

@@ -1,7 +1,7 @@
 """Scalar-vs-vectorized equivalence tests for the simulation kernels.
 
 The vectorized kernels (the batched All-to-All kernel, batched routing
-draws, compact lite-routing plans, round-based relocation, closed-form
+draws, compact lite-routing plans, relocation over node classes, closed-form
 replica allocation, the one-pass iteration simulator, matrix trace
 transforms) must reproduce the scalar implementations they replaced: the
 per-pair collective loops to float tolerance, the matrix-form All-to-All
@@ -283,7 +283,7 @@ class TestLiteRoutingEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Compact routing plans and round-based relocation on every registered
+# Compact routing plans and relocation over node classes on every registered
 # scenario
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=None)
@@ -419,7 +419,7 @@ class TestCompactPlannerDifferential:
 
 
 # ----------------------------------------------------------------------
-# Closed-form Algorithm 4 and round-based relocation on edge inputs
+# Closed-form Algorithm 4 and relocation over node classes on edge inputs
 # ----------------------------------------------------------------------
 def edge_loads(rng, num_experts):
     """Load vectors that scenario frames rarely or never produce."""
@@ -544,6 +544,75 @@ class TestRoundRelocationDifferential:
         assert calls and all(replicas.sum() < slots
                              for replicas, _, _ in calls)
         for replicas, loads, capacity in calls:
+            assert relocate_experts(replicas, loads, topology, capacity) == \
+                scalar_relocate_experts(replicas, loads, topology, capacity)
+
+
+# ----------------------------------------------------------------------
+# Relocation over classes of identical nodes
+# ----------------------------------------------------------------------
+def undivided_schemes(rng, num_nodes, num_devices, num_experts, capacity):
+    """Replica counts that ``num_nodes`` does not divide, so every expert
+    ends in a partial round: one scheme as full as such counts allow, one
+    leaving slots free."""
+    slots = num_devices * capacity
+    remainders = rng.integers(1, num_nodes, size=num_experts)
+    if remainders.sum() > slots:
+        remainders[:] = 1
+    rounds = (slots - int(remainders.sum())) // num_nodes
+    share = np.full(num_experts, 1.0 / num_experts)
+    return {"full": remainders + num_nodes * rng.multinomial(rounds, share),
+            "under-full": remainders + num_nodes * rng.multinomial(
+                int(rng.integers(0, rounds + 1)), share)}
+
+
+# Capacities 1 to 4 on small topologies (nodes of one device, a single
+# node); 128 x 8 at the models' capacity, since the scan is slow there.
+CLASS_PROBLEMS = [(nodes, per_node, capacity)
+                  for nodes, per_node in ((3, 2), (5, 1), (1, 8), (7, 3),
+                                          (16, 8))
+                  for capacity in (1, 2, 3, 4)] + [(128, 8, 2)]
+
+
+class TestNodeClassRelocationDifferential:
+    """Where the classes of identical nodes split: partial rounds, classes
+    tied on their top load, capacity 1 to 4, nodes that fill up, and 3 x 2
+    up to 128 x 8 devices."""
+
+    @pytest.mark.parametrize("nodes,per_node,capacity", CLASS_PROBLEMS)
+    def test_partial_rounds_match_scalar_scan(self, nodes, per_node,
+                                              capacity):
+        topology = ClusterTopology(num_nodes=nodes, devices_per_node=per_node)
+        n = topology.num_devices
+        e = min(16, n * capacity)
+        rng = np.random.default_rng(nodes * 100 + per_node * 10 + capacity)
+        if nodes > 1:
+            schemes = undivided_schemes(rng, nodes, n, e, capacity)
+            assert all(np.all(replicas % nodes) for replicas in
+                       schemes.values())
+        else:
+            schemes = edge_schemes(rng, np.ones(e), n, capacity)
+        for scheme, replicas in schemes.items():
+            # Equal and all-zero loads tie classes on their top load, so
+            # the device index decides; equal per-replica loads also tie
+            # the experts.
+            for kind, loads in (
+                    ("counts", rng.integers(0, 4096, size=e) * 1.0),
+                    ("equal", np.full(e, 512.0)),
+                    ("all-zero", np.zeros(e)),
+                    ("equal per replica", 64.0 * replicas)):
+                assert relocate_experts(replicas, loads, topology,
+                                        capacity) == \
+                    scalar_relocate_experts(replicas, loads, topology,
+                                            capacity), (scheme, kind)
+
+    @pytest.mark.parametrize("scenario", sorted(default_runnable_scenarios()))
+    def test_first_frames_at_1024_devices_match_scalar_scan(self, scenario):
+        """The pq and even schemes of a scenario's first frame at 128 x 8
+        devices (``TestCompactPlannerDifferential`` covers 32 x 8)."""
+        topology, capacity, layers = first_frame_problem(scenario, 128)
+        _, loads, schemes = layers[0]
+        for replicas in schemes[:2]:
             assert relocate_experts(replicas, loads, topology, capacity) == \
                 scalar_relocate_experts(replicas, loads, topology, capacity)
 
