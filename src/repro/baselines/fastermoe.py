@@ -18,7 +18,7 @@ from repro.baselines.base import LoadBalancingPolicy, PolicyDecision
 from repro.baselines.static_ep import ep_owners
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout, static_ep_layout
-from repro.core.routing_plan import RoutingPlan
+from repro.core.routing_plan import RoutingPlan, read_only
 
 
 class FasterMoEPolicy(LoadBalancingPolicy):
@@ -47,11 +47,16 @@ class FasterMoEPolicy(LoadBalancingPolicy):
         self._base_layout = static_ep_layout(
             topology.num_devices, num_experts, capacity)
         self._owners = ep_owners(topology.num_devices, num_experts, capacity)
+        self._owners.flags.writeable = False
         self._last_routing: dict[int, np.ndarray] = {}
+        # Per layer: the last shadow set (sorted), its layout and owners.
+        self._shadowed: dict[int, tuple[tuple[int, ...], ExpertLayout,
+                                        np.ndarray]] = {}
 
     def reset(self) -> None:
         super().reset()
         self._last_routing.clear()
+        self._shadowed.clear()
 
     # ------------------------------------------------------------------
     def _select_shadow_experts(self, layer: int) -> np.ndarray:
@@ -69,12 +74,14 @@ class FasterMoEPolicy(LoadBalancingPolicy):
             hot = hot[order[:self.max_shadow_experts]]
         return hot
 
-    # ------------------------------------------------------------------
-    def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
-        routing = np.asarray(routing, dtype=np.int64)
-        shadows = self._select_shadow_experts(layer)
-        n = self.topology.num_devices
-
+    def _shadow_placement(self, layer: int, shadows: np.ndarray
+                          ) -> tuple[ExpertLayout, np.ndarray]:
+        """The layout and (read-only) owner table of ``layer`` with
+        ``shadows`` on every device, rebuilt only when its shadow set changes."""
+        key = tuple(sorted(shadows.tolist()))
+        last = self._shadowed.get(layer)
+        if last is not None and last[0] == key:
+            return last[1], last[2]
         # Shadowed experts become locally available on every device; the
         # effective capacity grows by the number of shadows.
         assignment = self._base_layout.assignment.copy()
@@ -82,11 +89,19 @@ class FasterMoEPolicy(LoadBalancingPolicy):
             assignment[:, expert] = np.maximum(assignment[:, expert], 1)
         capacity = int(max(self.capacity, assignment.sum(axis=1).max()))
         layout = ExpertLayout(assignment, capacity)
-
         # Routing: shadowed experts are computed locally, the rest follow the
         # classic EP route.
         owners = self._owners.copy()
-        owners[:, shadows] = np.arange(n)[:, None]
+        owners[:, shadows] = np.arange(self.topology.num_devices)[:, None]
+        owners.flags.writeable = False
+        self._shadowed[layer] = (key, layout, owners)
+        return layout, owners
+
+    # ------------------------------------------------------------------
+    def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
+        routing = np.asarray(routing, dtype=np.int64)
+        shadows = self._select_shadow_experts(layer)
+        layout, owners = self._shadow_placement(layer, shadows)
         plan = RoutingPlan.from_owners(routing, owners)
 
         # Broadcast of shadow parameters (each device receives each shadowed
@@ -95,7 +110,7 @@ class FasterMoEPolicy(LoadBalancingPolicy):
         relayout_exposed = shadow_bytes
         grad_extra = 2.0 * shadow_bytes
 
-        self._last_routing[layer] = routing.copy()
+        self._last_routing[layer] = read_only(routing)
         return PolicyDecision(
             layout=layout,
             routing_plan=plan,

@@ -73,7 +73,8 @@ class FlexMoEPolicy(LoadBalancingPolicy):
         Each operation takes one replica slot away from the expert with the
         lowest per-replica load (provided it keeps at least one replica) and
         gives it to the expert with the highest per-replica load, on the
-        least-loaded device with that slot.
+        least-loaded device with that slot.  Without an operation the input
+        layout itself is returned.
         """
         assignment = layout.assignment.copy()
         changes = 0
@@ -110,6 +111,8 @@ class FlexMoEPolicy(LoadBalancingPolicy):
             target_device = int(pool[np.argmin(device_loads[pool])])
             assignment[target_device, hot] += 1
             changes += 1
+        if not changes:
+            return layout, 0
         return ExpertLayout(assignment, self.capacity), changes
 
     # ------------------------------------------------------------------
@@ -137,7 +140,7 @@ class FlexMoEPolicy(LoadBalancingPolicy):
             self._history[layer] = 0.5 * history + 0.5 * observed
 
         return PolicyDecision(
-            layout=layout.copy(),
+            layout=layout,
             relayout_bytes_exposed=migration,
             grad_sync_extra_bytes=0.0,
             metadata={"adjustments": changes},

@@ -117,7 +117,7 @@ class ProphetPolicy(LoadBalancingPolicy):
                                      + self.ema_decay * observed)
 
         return PolicyDecision(
-            layout=layout.copy(),
+            layout=layout,
             relayout_bytes_exposed=migration,
             grad_sync_extra_bytes=grad_extra,
             metadata={"resolved": needs_solve},

@@ -93,7 +93,7 @@ class SmartMoEPolicy(LoadBalancingPolicy):
             self._history[layer] = 0.7 * prev + 0.3 * routing
 
         return PolicyDecision(
-            layout=layout.copy(),
+            layout=layout,
             relayout_bytes_exposed=migration,
             grad_sync_extra_bytes=0.0,
             metadata={"relocated": relocated},

@@ -48,15 +48,16 @@ class StaticEPPolicy(LoadBalancingPolicy):
         super().__init__(topology, num_experts, capacity, expert_param_bytes)
         self._layout = static_ep_layout(topology.num_devices, num_experts, capacity)
         self._owners = ep_owners(topology.num_devices, num_experts, capacity)
+        self._owners.flags.writeable = False
 
     @property
     def layout(self) -> ExpertLayout:
-        """The fixed layout used in every iteration."""
-        return self._layout.copy()
+        """The fixed layout used in every iteration (one read-only object)."""
+        return self._layout
 
     def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
         return PolicyDecision(
-            layout=self._layout.copy(),
+            layout=self._layout,
             routing_plan=RoutingPlan.from_owners(routing, self._owners),
             relayout_bytes_exposed=0.0,
             grad_sync_extra_bytes=0.0,

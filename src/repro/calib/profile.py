@@ -70,16 +70,6 @@ class CalibrationProfile:
         return cls()
 
     @property
-    def is_identity(self) -> bool:
-        """Whether applying this profile is a no-op (ignoring provenance)."""
-        return (self.intra_node_bandwidth_scale == 1.0
-                and self.inter_node_bandwidth_scale == 1.0
-                and self.intra_node_latency_s is None
-                and self.inter_node_latency_s is None
-                and self.flops_scale == 1.0
-                and self.comm_bytes_scale == 1.0)
-
-    @property
     def profile_id(self) -> str:
         """Content hash of the corrections (stable across field ordering).
 

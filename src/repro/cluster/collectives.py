@@ -206,13 +206,6 @@ class CollectiveCostModel:
         latency = self._max_latency(members)
         return latency + num_bytes / (slowest * self.efficiency)
 
-    def point_to_point(self, src: int, dst: int, num_bytes: float) -> float:
-        """Single point-to-point transfer (e.g. pipeline-parallel activations)."""
-        if num_bytes == 0 or src == dst:
-            return 0.0
-        bw = self.topology.bandwidth(src, dst) * self.efficiency
-        return self.topology.latency(src, dst) + num_bytes / bw
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

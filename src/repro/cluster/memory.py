@@ -39,17 +39,6 @@ class MemoryBreakdown:
         return (self.parameters + self.gradients + self.optimizer_state
                 + self.activations + self.transient_buffers)
 
-    def scaled_to_gib(self) -> "MemoryBreakdown":
-        """Return a copy with every field converted from bytes to GiB."""
-        gib = 1024.0 ** 3
-        return MemoryBreakdown(
-            parameters=self.parameters / gib,
-            gradients=self.gradients / gib,
-            optimizer_state=self.optimizer_state / gib,
-            activations=self.activations / gib,
-            transient_buffers=self.transient_buffers / gib,
-        )
-
 
 @dataclass
 class MemoryModel:

@@ -21,7 +21,7 @@ the communication to the right links.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -143,11 +143,6 @@ class FSEPShardedExperts:
         """Bytes of one (unpadded) expert at the configured element width."""
         return self._expert_size * self.bytes_per_element
 
-    def shard_view(self, device: int) -> np.ndarray:
-        """Return device ``device``'s ``(E, chunk_size)`` shard (no copy)."""
-        self._check_device(device)
-        return self._shards[device]
-
     def memory_per_device_bytes(self) -> float:
         """Persistent parameter bytes stored by each device."""
         return self.num_experts * self.chunk_size * self.bytes_per_element
@@ -184,10 +179,6 @@ class FSEPShardedExperts:
         """Reconstruct one expert's full (unpadded) flat parameter vector."""
         self._check_expert(expert)
         return self._shards[:, expert, :].reshape(-1)[:self._expert_size].copy()
-
-    def restore_all(self) -> List[np.ndarray]:
-        """Reconstruct every expert's full flat parameter vector."""
-        return [self.restore_expert(e) for e in range(self.num_experts)]
 
     # ------------------------------------------------------------------
     # Reshard: scatter and reduce full expert gradients back onto shards
@@ -236,19 +227,6 @@ class FSEPShardedExperts:
     # ------------------------------------------------------------------
     # Parameter updates
     # ------------------------------------------------------------------
-    def apply_update(self, sharded_update: np.ndarray) -> None:
-        """Apply an additive update expressed in sharded ``(N, E, chunk)`` form.
-
-        This is how the optimizer step works under FSEP: every device updates
-        only its own chunks, no extra communication is needed.
-        """
-        update = np.asarray(sharded_update, dtype=np.float64)
-        if update.shape != self._shards.shape:
-            raise ValueError(
-                f"update shape {update.shape} does not match shard shape "
-                f"{self._shards.shape}")
-        self._shards += update
-
     def set_expert(self, expert: int, flat: np.ndarray) -> None:
         """Overwrite one expert's parameters from a full flat vector."""
         self._check_expert(expert)
@@ -258,25 +236,6 @@ class FSEPShardedExperts:
         padded = np.zeros(self._padded_size, dtype=np.float64)
         padded[:flat.size] = flat
         self._shards[:, expert, :] = padded.reshape(self.num_devices, self.chunk_size)
-
-    def view_as_parameters(self, flat: np.ndarray) -> Dict[str, np.ndarray]:
-        """View a restored flat expert back into named matrices.
-
-        Requires ``parameter_shapes`` meta-information (Fig. 4a's separation of
-        flattened storage from ``real_experts`` meta-data).
-        """
-        if self.parameter_shapes is None:
-            raise ValueError("parameter_shapes meta-information was not provided")
-        flat = np.asarray(flat).reshape(-1)
-        if flat.size != self._expert_size:
-            raise ValueError("flat vector has the wrong size")
-        out: Dict[str, np.ndarray] = {}
-        offset = 0
-        for name, shape in self.parameter_shapes:
-            count = int(np.prod(shape))
-            out[name] = flat[offset:offset + count].reshape(shape)
-            offset += count
-        return out
 
     # ------------------------------------------------------------------
     # Communication accounting helpers

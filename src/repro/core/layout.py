@@ -13,14 +13,19 @@ provided as reference layouts; the planner produces load-adaptive layouts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ExpertLayout:
     """An expert re-layout strategy ``A``.
+
+    Construction validates ``assignment`` and marks it read-only in place,
+    as :class:`~repro.core.routing_plan.RoutingPlan` does, so a policy may
+    hand out one layout object for as long as its placement is unchanged.
+    A builder writes a fresh array first and constructs the layout from it.
 
     Attributes:
         assignment: ``(N, E)`` integer matrix; ``assignment[i, j]`` is the
@@ -33,16 +38,18 @@ class ExpertLayout:
     capacity: int
 
     def __post_init__(self) -> None:
-        self.assignment = np.asarray(self.assignment, dtype=np.int64)
-        if self.assignment.ndim != 2:
+        assignment = np.asarray(self.assignment, dtype=np.int64)
+        if assignment.ndim != 2:
             raise ValueError("assignment must be a 2-D (N, E) matrix")
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
-        if np.any(self.assignment < 0):
+        if np.any(assignment < 0):
             raise ValueError("assignment entries must be non-negative")
-        if np.any(self.assignment.sum(axis=1) > self.capacity):
+        if np.any(assignment.sum(axis=1) > self.capacity):
             raise ValueError(
                 "a device restores more experts than its capacity allows")
+        assignment.flags.writeable = False
+        object.__setattr__(self, "assignment", assignment)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -66,10 +73,6 @@ class ExpertLayout:
         for expert, count in enumerate(row):
             out.extend([expert] * int(count))
         return out
-
-    def devices_hosting(self, expert: int) -> List[int]:
-        """Devices that restore at least one replica of ``expert``."""
-        return list(np.nonzero(self.assignment[:, expert] > 0)[0])
 
     def experts_used_per_device(self) -> np.ndarray:
         """Number of distinct experts restored on each device."""
@@ -104,16 +107,17 @@ class ExpertLayout:
     def difference(self, other: "ExpertLayout") -> int:
         """Number of expert-slot changes between two layouts.
 
-        Used by baselines (FlexMoE, SmartMoE) that must pay a migration cost
+        The larger of the replicas added and the replicas removed: a moved
+        replica counts once, an added or a removed one once each.  Since
+        ``|A - B|`` sums added plus removed and ``|ΣA - ΣB|`` their
+        difference, half their sum is that maximum (always a whole number).
+        Used by baselines (Prophet, SmartMoE) that must pay a migration cost
         proportional to the number of expert replicas that change device.
         """
         if self.assignment.shape != other.assignment.shape:
             raise ValueError("layouts must have identical shapes")
-        return int(np.abs(self.assignment - other.assignment).sum() // 2
-                   + np.abs(self.assignment.sum() - other.assignment.sum()) // 2)
-
-    def copy(self) -> "ExpertLayout":
-        return ExpertLayout(self.assignment.copy(), self.capacity)
+        return int((np.abs(self.assignment - other.assignment).sum()
+                    + abs(self.assignment.sum() - other.assignment.sum())) // 2)
 
     def as_dict(self) -> Dict[int, List[int]]:
         """Return ``{device: [expert, ...]}`` for human-readable inspection."""
@@ -128,22 +132,6 @@ class ExpertLayout:
     def __repr__(self) -> str:
         return (f"ExpertLayout(N={self.num_devices}, E={self.num_experts}, "
                 f"C={self.capacity})")
-
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_device_lists(cls, device_experts: Sequence[Sequence[int]],
-                          num_experts: int, capacity: int) -> "ExpertLayout":
-        """Build a layout from per-device expert lists."""
-        n = len(device_experts)
-        assignment = np.zeros((n, num_experts), dtype=np.int64)
-        for dev, experts in enumerate(device_experts):
-            for expert in experts:
-                if not 0 <= expert < num_experts:
-                    raise ValueError(f"expert {expert} out of range")
-                assignment[dev, expert] += 1
-        return cls(assignment, capacity)
 
 
 def static_ep_layout(num_devices: int, num_experts: int,

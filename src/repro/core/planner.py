@@ -37,7 +37,7 @@ from repro.core.layout import (
 )
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.core.lite_routing import lite_route_batch
-from repro.core.routing_plan import RoutingPlan
+from repro.core.routing_plan import RoutingPlan, read_only
 from repro.telemetry.trace import span as _span
 
 
@@ -118,17 +118,18 @@ class LoadBalancingPlanner:
         self._latest[layer] = self._checked(routing)
 
     def _checked(self, routing: np.ndarray) -> np.ndarray:
-        """An int64 copy of one layer's ``(N, E)`` routing."""
+        """One layer's ``(N, E)`` routing as a read-only int64 array (a
+        writable input is copied, so its caller may go on writing it)."""
         routing = np.asarray(routing, dtype=np.int64)
         if routing.shape != (self.topology.num_devices, self.num_experts):
             raise ValueError("routing matrix has the wrong shape")
-        return routing.copy()
+        return read_only(routing)
 
     def predicted_routing(self, layer: int) -> Optional[np.ndarray]:
         """Predict the next iteration's routing of ``layer``: the latest one
-        observed (the paper's per-iteration adaptation), None before any."""
-        latest = self._latest.get(layer)
-        return None if latest is None else latest.copy()
+        observed (the paper's per-iteration adaptation, read-only), None
+        before any."""
+        return self._latest.get(layer)
 
     # ------------------------------------------------------------------
     # Asynchronous layout tuning
@@ -145,20 +146,21 @@ class LoadBalancingPlanner:
         self._solve_unsolved()
         predicted = self.predicted_routing(layer)
         if predicted is None:
-            layout = self._fallback_layout.copy()
+            layout = self._fallback_layout
         else:
             layout = self.tuner.solve(predicted).layout
         self._pending_layouts[layer] = layout
         return layout
 
     def current_layout(self, layer: int) -> ExpertLayout:
-        """The layout that will be used for the next iteration of ``layer``.
+        """The layout that will be used for the next iteration of ``layer``:
+        the pending or the fallback layout itself (layouts are read-only).
 
         When ``layer`` awaits its solve, every unsolved layer is solved first.
         """
         if layer in self._unsolved:
             self._solve_unsolved()
-        return self._pending_layouts.get(layer, self._fallback_layout).copy()
+        return self._pending_layouts.get(layer, self._fallback_layout)
 
     def _solve_unsolved(self) -> None:
         """Solve every layer :meth:`plan_layer` observed since its last solve,

@@ -25,6 +25,15 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself when it is read-only, else a read-only copy of it.
+
+    What a holder keeps of an array its caller may still write to: a
+    read-only routing frame is shared, a writable one copied once.
+    """
+    return _frozen(array.copy()) if array.flags.writeable else array
+
+
 @dataclass(frozen=True, eq=False)
 class RoutingPlan:
     """A token routing plan ``S`` with per-(sender, expert) destination rows.

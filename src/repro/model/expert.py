@@ -98,11 +98,6 @@ class SwiGLUExpert(Module):
         return np.concatenate([named[n].grad.reshape(-1)
                                for n in self.parameter_order()])
 
-    @property
-    def flat_size(self) -> int:
-        """Number of scalars in the flattened expert."""
-        return 3 * self.hidden_size * self.intermediate_size
-
     def flops_per_token(self) -> float:
         """Forward FLOPs for one token: ``6 * H * H'`` as used in Sec. 3.1."""
         return 6.0 * self.hidden_size * self.intermediate_size

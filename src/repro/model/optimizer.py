@@ -113,11 +113,6 @@ class Adam:
         self.module.zero_grad()
 
     # ------------------------------------------------------------------
-    def state_size_bytes(self, bytes_per_element: int = 4) -> int:
-        """Total bytes of optimizer state (two moments per parameter)."""
-        total = sum(p.size for p in self.module.parameters())
-        return 2 * total * bytes_per_element
-
     def optimizer_state(self) -> Dict[str, Dict[str, np.ndarray]]:
         """Return a copy of the first/second moment estimates per parameter."""
         return {

@@ -105,26 +105,3 @@ class Module:
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Return a copy of every parameter value, keyed by qualified name."""
         return {name: param.value.copy() for name, param in self.named_parameters()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameter values from a state dictionary produced by ``state_dict``."""
-        own = dict(self.named_parameters())
-        missing = set(own) - set(state)
-        unexpected = set(state) - set(own)
-        if missing or unexpected:
-            raise ValueError(
-                f"state dict mismatch; missing={sorted(missing)}, "
-                f"unexpected={sorted(unexpected)}"
-            )
-        for name, param in own.items():
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != param.value.shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: {value.shape} vs {param.value.shape}"
-                )
-            param.value = value.copy()
-            param.grad = np.zeros_like(param.value)
-
-    def grad_dict(self) -> Dict[str, np.ndarray]:
-        """Return a copy of every parameter gradient, keyed by qualified name."""
-        return {name: param.grad.copy() for name, param in self.named_parameters()}

@@ -91,16 +91,6 @@ class RunResult:
             return 0.0
         return self.tokens_per_iteration / time
 
-    def speedup_over(self, other: "RunResult") -> float:
-        """Throughput ratio of this run over another run.
-
-        Two degenerate (zero-throughput) runs compare as ``1.0``; a real run
-        against a degenerate reference is ``inf``.
-        """
-        if other.throughput == 0:
-            return 1.0 if self.throughput == 0 else float("inf")
-        return self.throughput / other.throughput
-
     # ------------------------------------------------------------------
     def mean_breakdown(self) -> Dict[str, float]:
         """Average per-iteration time of every breakdown component."""

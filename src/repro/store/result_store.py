@@ -865,11 +865,6 @@ class ResultStore:
     def __contains__(self, run_id: object) -> bool:
         return isinstance(run_id, str) and self.run_path(run_id).exists()
 
-    def has_spec(self, spec: ExperimentSpec, tags: Sequence[str] = ()) -> bool:
-        """Whether a run of this exact spec (and tag set) is stored."""
-        tags = tuple(sorted({str(t) for t in tags}))
-        return run_id_for(spec, tags) in self
-
     def run_ids(self) -> List[str]:
         """All stored run ids (from the run files, not the index)."""
         if not self.runs_dir.is_dir():

@@ -22,12 +22,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from repro.api.specs import (
-    ClusterSpec,
-    ExperimentSpec,
-    WorkloadSpec,
-    _check_fields,
-)
+from repro.api.specs import WorkloadSpec, _check_fields
 from repro.workloads.model_configs import list_model_configs
 from repro.workloads.scenarios import registered_scenario
 
@@ -147,10 +142,6 @@ class SuiteSpec:
         digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
         return f"{_slug(self.name)}-v{self.version}-{digest}"
 
-    @property
-    def member_names(self) -> Tuple[str, ...]:
-        return tuple(m.name for m in self.members)
-
     def member(self, name: str) -> SuiteMember:
         for m in self.members:
             if m.name == name:
@@ -174,18 +165,6 @@ class SuiteSpec:
         if member.drift is not None:
             kwargs["drift"] = member.drift
         return WorkloadSpec(**kwargs)
-
-    def member_experiment(self, member: SuiteMember, cluster: ClusterSpec,
-                          systems: Tuple[str, ...] = ("fsdp_ep", "laer"),
-                          reference: str = "fsdp_ep") -> ExperimentSpec:
-        """An :class:`ExperimentSpec` running one member on ``cluster``."""
-        return ExperimentSpec(
-            name=f"suite/{_slug(self.name)}-v{self.version}/{member.name}",
-            cluster=cluster,
-            workload=self.member_workload(member),
-            systems=tuple(systems),
-            reference=reference,
-        )
 
     def with_member(self, member: SuiteMember) -> "SuiteSpec":
         """Graduate ``member`` into a new suite version."""

@@ -63,13 +63,6 @@ class ConvergenceCurve:
         return [((step + 1) * self.seconds_per_iteration, loss)
                 for step, loss in enumerate(self.losses)]
 
-    def time_to_reach(self, target: float) -> Optional[float]:
-        """Wall-clock seconds to reach a target loss (None if never reached)."""
-        step = steps_to_reach_loss(self.losses, target)
-        if step is None:
-            return None
-        return (step + 1) * self.seconds_per_iteration
-
 
 @dataclass
 class ConvergenceStudy:

@@ -147,11 +147,6 @@ class MoEModelConfig:
         scores = 4.0 * s * self.hidden_size
         return proj + scores
 
-    def moe_layer_flops_per_token(self) -> float:
-        """Forward FLOPs of the MoE MLP for one token (top-k experts + router)."""
-        router = 2.0 * self.hidden_size * self.num_experts
-        return self.top_k * self.expert_flops_per_token + router
-
     @property
     def expert_param_bytes(self) -> int:
         """bf16 bytes of one expert (``Psi_expert`` in bytes)."""

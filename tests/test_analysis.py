@@ -60,11 +60,6 @@ class TestBreakdownTable:
 
 
 class TestRunResultHelpers:
-    def test_speedup_over(self):
-        fast = make_run("fast", expert=1.0)
-        slow = make_run("slow", expert=3.0)
-        assert fast.speedup_over(slow) > 1.0
-
     def test_relative_max_tokens(self):
         run = make_run("x")
         assert run.mean_relative_max_tokens() == pytest.approx(1.2)

@@ -15,6 +15,7 @@ from repro.baselines import (
 )
 from repro.baselines.static_ep import ep_owners
 from repro.core.cost_model import MoECostModel
+from repro.core.layout import ExpertLayout
 from repro.core.lite_routing import lite_route
 from repro.core.routing_plan import RoutingPlan
 from repro.sim.systems import available_systems, make_system
@@ -316,3 +317,140 @@ class TestDecideIteration:
         assert {LAERPolicy, OracleBalancedPolicy, SmartMoEPolicy} <= set(policies)
         assert [cls.__name__ for cls in policies
                 if "decide_iteration" in cls.__dict__] == []
+
+
+def decide_run(policy, trace, iterations):
+    """Every iteration's decisions, ``[iteration][layer]``."""
+    return [policy.decide_iteration(trace.iteration(it))
+            for it in range(iterations)]
+
+
+def same_layout_as_before(runs):
+    """``[iteration][layer]``: whether the layer's layout is the very object
+    of the previous iteration (None for the first iteration)."""
+    return [[None if it == 0 else decision.layout is runs[it - 1][layer].layout
+             for layer, decision in enumerate(decisions)]
+            for it, decisions in enumerate(runs)]
+
+
+def hot_routing(hot, devices=8, experts=8):
+    """A routing where expert ``hot`` draws 20x the tokens of the others."""
+    routing = np.full((devices, experts), 10, dtype=np.int64)
+    routing[:, hot] = 200
+    return routing
+
+
+class TestSharedLayouts:
+    """Layouts are read-only, so a policy hands out the same layout object
+    for as long as its placement is unchanged."""
+
+    def test_static_ep_hands_out_one_layout(self, small_topology):
+        policy = StaticEPPolicy(small_topology, 8, 2, EXPERT_BYTES)
+        runs = decide_run(policy, make_trace(iterations=4, seed=20), 4)
+        assert policy.layout is policy.layout
+        assert all(decision.layout is policy.layout
+                   for decisions in runs for decision in decisions)
+        assert not policy._owners.flags.writeable
+
+    def test_prophet_shares_layout_between_resolves(self, small_topology):
+        policy = ProphetPolicy(small_topology, 8, 2, EXPERT_BYTES,
+                               adjustment_interval=3)
+        runs = decide_run(policy, make_trace(iterations=8, seed=21), 8)
+        for it, same in enumerate(same_layout_as_before(runs)[1:], start=1):
+            assert same == [it % 3 != 0] * 2
+            assert all(decision.metadata["resolved"] == (it % 3 == 0)
+                       for decision in runs[it])
+
+    def test_smartmoe_shares_layout_between_relocations(self, small_topology):
+        policy = SmartMoEPolicy(small_topology, 8, 2, EXPERT_BYTES,
+                                relocation_interval=3)
+        runs = decide_run(policy, make_trace(iterations=8, seed=22), 8)
+        for it, same in enumerate(same_layout_as_before(runs)[1:], start=1):
+            assert same == [it % 3 != 0] * 2
+
+    def test_flexmoe_shares_layout_without_adjustment(self, small_topology):
+        trace = make_trace(iterations=8, seed=23)
+        idle = FlexMoEPolicy(small_topology, 8, 2, EXPERT_BYTES,
+                             imbalance_trigger=1e9)
+        idle_runs = decide_run(idle, trace, 8)
+        assert all(all(same) for same in same_layout_as_before(idle_runs)[1:])
+        policy = FlexMoEPolicy(small_topology, 8, 2, EXPERT_BYTES)
+        runs = decide_run(policy, trace, 8)
+        adjusted = [[decision.metadata["adjustments"] > 0
+                     for decision in decisions] for decisions in runs]
+        for it, same in enumerate(same_layout_as_before(runs)[1:], start=1):
+            assert same == [not changed for changed in adjusted[it]]
+        assert any(any(changed) for changed in adjusted)
+
+    def test_fastermoe_reuses_layout_for_a_repeated_shadow_set(
+            self, small_topology):
+        policy = FasterMoEPolicy(small_topology, 8, 2, EXPERT_BYTES,
+                                 max_shadow_experts=1)
+        layouts = []
+        for hot in (0, 0, 0, 5, 5):
+            routing = hot_routing(hot)
+            decision = policy.decide_layer(0, routing)
+            check_decision(decision, routing)
+            layouts.append(decision.layout)
+            policy._iteration += 1
+        # Iteration 0 shadows nothing; 1 and 2 shadow expert 0, 3 expert 0
+        # (chosen from iteration 2's routing), 4 expert 5.
+        assert [layout is layouts[1] for layout in layouts] == [
+            False, True, True, True, False]
+        assert layouts[4].assignment[:, 5].min() == 1
+
+    def test_fastermoe_keeps_its_own_copy_of_a_writable_routing(
+            self, small_topology):
+        policy = FasterMoEPolicy(small_topology, 8, 2, EXPERT_BYTES,
+                                 max_shadow_experts=1)
+        routing = hot_routing(3)
+        policy.decide_layer(0, routing)
+        routing[:] = hot_routing(6)        # the caller reuses its buffer
+        decision = policy.decide_layer(0, routing)
+        assert decision.metadata["shadow_experts"] == [3]
+
+    def test_layouts_built_only_on_placement_changes(self, small_topology,
+                                                     monkeypatch):
+        """Counted over StaticEP, Prophet, SmartMoE, FlexMoE and FasterMoE:
+        every layout construction is a placement change."""
+        built = []
+        post_init = ExpertLayout.__post_init__
+
+        def counting(layout):
+            built.append(layout)
+            post_init(layout)
+
+        monkeypatch.setattr(ExpertLayout, "__post_init__", counting)
+        iterations, layers = 10, 2
+        trace = make_trace(iterations=iterations, seed=24)
+        policies = {
+            "static": StaticEPPolicy(small_topology, 8, 2, EXPERT_BYTES),
+            "prophet": ProphetPolicy(small_topology, 8, 2, EXPERT_BYTES,
+                                     adjustment_interval=4),
+            "smartmoe": SmartMoEPolicy(small_topology, 8, 2, EXPERT_BYTES,
+                                       relocation_interval=4),
+            "flexmoe": FlexMoEPolicy(small_topology, 8, 2, EXPERT_BYTES),
+            "fastermoe": FasterMoEPolicy(small_topology, 8, 2, EXPERT_BYTES),
+        }
+        runs = {name: decide_run(policy, trace, iterations)
+                for name, policy in policies.items()}
+        shadow_sets = [[sorted(decision.metadata["shadow_experts"])
+                        for decision in decisions]
+                       for decisions in runs["fastermoe"]]
+        changes = {
+            "static": 1,
+            "prophet": sum(decision.metadata["resolved"]
+                           for decisions in runs["prophet"]
+                           for decision in decisions),
+            "smartmoe": layers * (1 + (iterations - 1) // 4),
+            "flexmoe": layers + sum(decision.metadata["adjustments"] > 0
+                                    for decisions in runs["flexmoe"]
+                                    for decision in decisions),
+            # The static base layout, then one per new shadow set.
+            "fastermoe": 1 + sum(
+                it == 0 or shadow_sets[it][layer] != shadow_sets[it - 1][layer]
+                for it in range(iterations) for layer in range(layers)),
+        }
+        assert changes["prophet"] == layers * 3
+        assert len(built) <= sum(changes.values())
+        assert len(built) < layers * iterations * len(policies)

@@ -40,10 +40,9 @@ class TestCalibrationProfile:
 
     def test_identity_serializes_to_nothing(self):
         identity = CalibrationProfile.identity()
-        assert identity.is_identity
         assert identity.to_dict() == {}
         assert CalibrationProfile.from_dict({}) == identity
-        assert not drawn_profile().is_identity
+        assert drawn_profile().to_dict() != {}
 
     def test_profile_id_is_content_hashed(self):
         assert drawn_profile(1).profile_id == drawn_profile(1).profile_id

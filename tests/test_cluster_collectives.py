@@ -104,10 +104,6 @@ class TestBroadcastAndP2P:
         inter = model.broadcast(1e8, group=[0, 1, 4])
         assert inter > intra
 
-    def test_point_to_point(self, model):
-        assert model.point_to_point(0, 0, 1e9) == 0.0
-        assert model.point_to_point(0, 4, 1e8) > model.point_to_point(0, 1, 1e8)
-
 
 class TestValidation:
     def test_efficiency_bounds(self):

@@ -19,12 +19,6 @@ class TestMemoryBreakdown:
                                     transient_buffers=5.0)
         assert breakdown.total == 15.0
 
-    def test_gib_conversion(self):
-        gib = 1024.0 ** 3
-        breakdown = MemoryBreakdown(parameters=gib, gradients=0, optimizer_state=0,
-                                    activations=0, transient_buffers=0)
-        assert breakdown.scaled_to_gib().parameters == pytest.approx(1.0)
-
 
 class TestParadigmBudgets:
     def test_fsep_close_to_fsdp(self, memory_model):

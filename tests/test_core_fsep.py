@@ -18,7 +18,6 @@ class TestSharding:
         assert sharded.num_experts == 4
         assert sharded.expert_size == 24
         assert sharded.chunk_size == 6
-        assert sharded.shard_view(0).shape == (4, 6)
 
     def test_padding_when_not_divisible(self):
         sharded = FSEPShardedExperts(make_experts(size=25), num_devices=4)
@@ -42,26 +41,10 @@ class TestSharding:
         with pytest.raises(ValueError):
             FSEPShardedExperts([np.zeros(8), np.zeros(9)], num_devices=2)
 
-    def test_parameter_shapes_metadata(self):
-        shapes = [("gate", (2, 3)), ("up", (2, 3)), ("down", (3, 2))]
-        experts = make_experts(size=18)
-        sharded = FSEPShardedExperts(experts, num_devices=3,
-                                     parameter_shapes=shapes)
-        views = sharded.view_as_parameters(sharded.restore_expert(0))
-        assert set(views) == {"gate", "up", "down"}
-        assert views["gate"].shape == (2, 3)
-        rebuilt = np.concatenate([views[name].reshape(-1) for name, _ in shapes])
-        assert np.array_equal(rebuilt, experts[0])
-
     def test_bad_metadata_rejected(self):
         with pytest.raises(ValueError):
             FSEPShardedExperts(make_experts(size=10), num_devices=2,
                                parameter_shapes=[("w", (3, 3))])
-
-    def test_view_without_metadata_rejected(self):
-        sharded = FSEPShardedExperts(make_experts(), num_devices=2)
-        with pytest.raises(ValueError):
-            sharded.view_as_parameters(sharded.restore_expert(0))
 
 
 class TestUnshard:
@@ -160,18 +143,6 @@ class TestReshard:
 
 
 class TestUpdates:
-    def test_apply_sharded_update(self):
-        experts = make_experts(seed=6)
-        sharded = FSEPShardedExperts(experts, num_devices=4)
-        update = np.ones((4, 4, sharded.chunk_size))
-        sharded.apply_update(update)
-        assert np.allclose(sharded.restore_expert(0), experts[0] + 1.0)
-
-    def test_apply_update_shape_checked(self):
-        sharded = FSEPShardedExperts(make_experts(), num_devices=4)
-        with pytest.raises(ValueError):
-            sharded.apply_update(np.zeros((2, 2)))
-
     def test_set_expert(self):
         sharded = FSEPShardedExperts(make_experts(), num_devices=4)
         new_values = np.arange(24, dtype=float)

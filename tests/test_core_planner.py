@@ -112,3 +112,64 @@ class TestPlanIteration:
             assert np.array_equal(plan.row_sums(), trace.layer(0, layer))
             hosted = layout.assignment[plan.dest, plan.rows() % 8] > 0
             assert np.all(hosted | (plan.tokens == 0))
+
+
+def frozen_copy(array):
+    array = np.array(array, dtype=np.int64)
+    array.flags.writeable = False
+    return array
+
+
+class TestReadOnlyState:
+    """The planner hands out its layouts and keeps read-only routing
+    frames as they are; only a writable input is copied."""
+
+    def test_current_layout_is_the_pending_layout_itself(self, planner):
+        fallback = planner.current_layout(0)
+        assert planner.current_layout(0) is fallback
+        assert planner.current_layout(1) is fallback
+        assert planner.tune_layout(2) is fallback     # no history yet
+        trace = make_trace()
+        planner.observe(0, trace.layer(0, 0))
+        tuned = planner.tune_layout(0)
+        assert planner.current_layout(0) is tuned
+
+    def test_plan_layer_hands_out_the_pending_layout(self, planner):
+        trace = make_trace(iterations=2)
+        first = [planner.plan_layer(layer, trace.layer(0, layer))[0]
+                 for layer in range(2)]
+        assert first[0] is first[1] is planner.current_layout(3)  # fallback
+        pending = [planner.current_layout(layer) for layer in range(2)]
+        second = [planner.plan_layer(layer, trace.layer(1, layer))[0]
+                  for layer in range(2)]
+        assert all(got is want for got, want in zip(second, pending))
+        assert pending[0] is not first[0]
+
+    def test_read_only_frame_is_kept_without_a_copy(self, planner):
+        frame = frozen_copy(make_trace().layer(0, 0))
+        planner.observe(0, frame)
+        assert planner.predicted_routing(0) is frame
+        planner.plan_layer(1, frame)
+        assert planner.predicted_routing(1) is frame
+
+    def test_writable_routing_is_copied_once(self, planner, small_topology,
+                                             small_cost_model):
+        trace = make_trace(iterations=2)
+        reference = LoadBalancingPlanner(small_topology, small_cost_model,
+                                         num_experts=8,
+                                         config=PlannerConfig(capacity=2))
+        for layer in range(2):
+            reference.plan_layer(layer, trace.layer(0, layer))
+        buffer = np.array(trace.layer(0, 0), dtype=np.int64)
+        planner.observe(0, buffer)
+        kept = planner.predicted_routing(0)
+        assert kept is not buffer and not kept.flags.writeable
+        assert planner.predicted_routing(0) is kept
+        for layer in range(2):
+            buffer[:] = trace.layer(0, layer)
+            planner.plan_layer(layer, buffer)
+        buffer[:] = trace.layer(1, 0)     # the caller reuses its buffer
+        for layer in range(2):
+            assert np.array_equal(planner.predicted_routing(layer),
+                                  trace.layer(0, layer))
+            assert planner.current_layout(layer) == reference.current_layout(layer)

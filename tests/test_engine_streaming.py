@@ -8,7 +8,7 @@ from repro.core.layout_tuner import TunerConfig
 from repro.baselines.laer import LAERPolicy
 from repro.baselines.static_ep import StaticEPPolicy
 from repro.sim.engine import RunResult, compare_systems
-from repro.sim.iteration import IterationResult, LayerResult
+from repro.sim.iteration import IterationResult
 from repro.sim.systems import SystemBuildContext, available_systems, make_system
 from repro.workloads import routing_traces, scenarios
 from repro.workloads.model_configs import get_model_config
@@ -142,23 +142,6 @@ class TestDegenerateResults:
         iteration = IterationResult(iteration=0, total_time=0.0,
                                     breakdown={}, layers=[])
         assert iteration.throughput(global_tokens=1000) == 0.0
-
-    def test_speedup_over_handles_degenerate_pairs(self):
-        layer = LayerResult(layer=0, forward_time=1.0, backward_time=1.0,
-                            attention_time=0.5, expert_compute_time=1.0,
-                            all_to_all_time=0.4, exposed_comm_time=0.1,
-                            relayout_time=0.0, max_tokens=10,
-                            ideal_tokens=10.0)
-        real = RunResult(system="real", tokens_per_iteration=1000)
-        real.add(IterationResult(iteration=0, total_time=2.0,
-                                 breakdown={"expert_compute": 2.0},
-                                 layers=[layer]))
-        empty_a = RunResult(system="a", tokens_per_iteration=1000)
-        empty_b = RunResult(system="b", tokens_per_iteration=1000)
-        assert empty_a.speedup_over(empty_b) == 1.0   # both degenerate
-        assert real.speedup_over(empty_a) == float("inf")
-        assert empty_a.speedup_over(real) == 0.0
-        assert real.speedup_over(real) == 1.0
 
 
 class TestResetRegression:

@@ -57,7 +57,7 @@ class TestForwardBackward:
 class TestFlattening:
     def test_flat_size(self):
         expert = make_expert(hidden=8, inter=12)
-        assert expert.flatten_parameters().size == expert.flat_size == 3 * 8 * 12
+        assert expert.flatten_parameters().size == 3 * 8 * 12
 
     def test_flatten_roundtrip(self):
         expert = make_expert(seed=3)

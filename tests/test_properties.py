@@ -7,8 +7,12 @@ inputs and check the invariants the paper's correctness relies on:
 * greedy relocation always produces capacity-respecting, complete layouts;
 * lite routing conserves tokens and never routes to a non-hosting device;
 * FSEP shard -> restore is lossless and reshard-reduce equals a plain sum;
-* the layout tuner's plan always satisfies the cost-model constraints.
+* the layout tuner's plan always satisfies the cost-model constraints;
+* more bandwidth never slows a simulated iteration down, and the overflow
+  charge is monotone in the device capacity.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -25,7 +29,13 @@ from repro.core.replica_allocation import (
     allocate_replicas_priority_queue,
     even_replicas,
 )
+from repro.sim.iteration import DROP_POLICIES, OverflowModel
+from repro.sim.systems import make_system
 from repro.workloads.model_configs import get_model_config
+from repro.workloads.routing_traces import (
+    RoutingTraceConfig,
+    SyntheticRoutingTraceGenerator,
+)
 
 from helpers import split_row
 
@@ -180,3 +190,65 @@ class TestTunerProperties:
         tuner = ExpertLayoutTuner(topology, cost_model, capacity)
         result = tuner.solve(routing)
         assert result.cost.max_tokens <= routing.sum()
+
+
+class TestCrossSystemProperties:
+    """Invariants every simulated system must keep."""
+
+    @given(system=st.sampled_from(["laer", "flexmoe", "fsdp_ep", "megatron"]),
+           num_nodes=st.sampled_from([1, 2]),
+           links=st.sampled_from(["intra", "inter", "both"]),
+           scale=st.floats(min_value=1.0, max_value=16.0),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_more_bandwidth_never_slows_an_iteration(self, system, num_nodes,
+                                                     links, scale, seed):
+        """The same decisions, simulated on a cluster whose intra- and/or
+        inter-node links are ``scale`` times faster, take no longer (FSEP,
+        FSDP+EP and Megatron paradigms)."""
+        config = get_model_config("mixtral-8x7b-e8k2")
+        topology = ClusterTopology(num_nodes=num_nodes,
+                                   devices_per_node=8 // num_nodes)
+        faster = dataclasses.replace(
+            topology,
+            intra_node_bandwidth=topology.intra_node_bandwidth
+            * (scale if links != "inter" else 1.0),
+            inter_node_bandwidth=topology.inter_node_bandwidth
+            * (scale if links != "intra" else 1.0))
+        base = make_system(system, config, topology, 1024)
+        fast = make_system(system, config, faster, 1024)
+        trace = SyntheticRoutingTraceGenerator(RoutingTraceConfig(
+            num_devices=8, num_experts=config.num_experts, num_layers=2,
+            tokens_per_device=1024, top_k=config.top_k, skew=0.4,
+            seed=seed)).generate(2)
+        base.policy.decide_iteration(trace.iteration(0))
+        decisions = base.policy.decide_iteration(trace.iteration(1))
+        slow_result = base.simulator.simulate_iteration(1, decisions)
+        fast_result = fast.simulator.simulate_iteration(1, decisions)
+        assert fast_result.total_time <= slow_result.total_time
+
+    @given(policy=st.sampled_from(DROP_POLICIES),
+           penalty=st.floats(min_value=0.0, max_value=4.0),
+           loads=st.lists(st.lists(st.integers(min_value=0, max_value=5_000),
+                                   min_size=4, max_size=4),
+                          min_size=1, max_size=3),
+           capacity=st.integers(min_value=1, max_value=5_000),
+           extra=st.integers(min_value=0, max_value=5_000),
+           unit_time=st.floats(min_value=1e-9, max_value=1e-3))
+    @settings(max_examples=60, deadline=None)
+    def test_overflow_charge_is_monotone_in_capacity(self, policy, penalty,
+                                                     loads, capacity, extra,
+                                                     unit_time):
+        """With more capacity, no drop policy charges more overflow tokens,
+        overflow time or dropped tokens, nor computes fewer tokens.  (The
+        total time is not monotone under ``truncate``, so it is not
+        asserted.)"""
+        model = OverflowModel(overflow_penalty=penalty, drop_policy=policy)
+        tokens = np.asarray(loads, dtype=np.float64)
+        small = model.charge(tokens, capacity, unit_time)
+        large = model.charge(tokens, capacity + extra, unit_time)
+        computed, overflow, overflow_time, dropped = small
+        assert np.all(large[0] >= computed)
+        assert np.all(large[1] <= overflow)
+        assert np.all(large[2] <= overflow_time)
+        assert np.all(large[3] <= dropped)

@@ -86,8 +86,8 @@ class TestPutGetQuery:
         assert loaded.tags == ("smoke",)
         assert loaded.created_at == 123.0
         assert run.run_id in store
-        assert store.has_spec(result.spec, tags=["smoke"])
-        assert not store.has_spec(result.spec)  # untagged id differs
+        assert run_id_for(result.spec, ["smoke"]) == run.run_id
+        assert run_id_for(result.spec) not in store  # untagged id differs
 
     def test_get_missing_run_raises(self, tmp_path):
         with pytest.raises(KeyError, match="no run"):

@@ -67,7 +67,8 @@ class TestSuiteSpec:
         grown = suite.with_member(SuiteMember(name="extra", scenario="steady",
                                               seed=9))
         assert grown.version == suite.version + 1
-        assert grown.member_names == suite.member_names + ("extra",)
+        assert ([m.name for m in grown.members]
+                == [m.name for m in suite.members] + ["extra"])
         assert grown.suite_id != suite.suite_id
         assert suite.version == 1 and len(suite.members) == 3
 
@@ -102,14 +103,6 @@ class TestSuiteSpec:
         # Members without overrides keep the WorkloadSpec defaults.
         default = suite.member_workload(suite.member("drifty"))
         assert default.skew == WorkloadSpec().skew
-
-    def test_member_experiment_names_suite_version(self):
-        suite = tiny_suite()
-        spec = suite.member_experiment(suite.member("bursty"),
-                                       ClusterSpec(num_nodes=1,
-                                                   devices_per_node=8))
-        assert spec.name == "suite/tiny-v1/bursty"
-        assert spec.workload.params == {"period": 4, "burst_length": 1}
 
 
 def synthetic_profile(name, values):
@@ -248,7 +241,7 @@ class TestAdversarialSearch:
         result = self.search(suite, store, budget=6)
         assert len(result.evaluations) == 6
         assert result.simulated == 6 and result.cached == 0
-        assert set(result.member_regrets) == set(suite.member_names)
+        assert set(result.member_regrets) == {m.name for m in suite.members}
         for evaluation in result.evaluations:
             assert evaluation.run_id in store
         assert result.winner is not None
@@ -292,7 +285,7 @@ class TestAdversarialSearch:
         store = ResultStore(tmp_path / "store")
         result = adversarial_search(suite, "static_ep", store, budget=12,
                                     seed=7, cluster=CLUSTER)
-        assert set(result.member_regrets) == set(suite.member_names)
+        assert set(result.member_regrets) == {m.name for m in suite.members}
         assert result.winner.regret > result.max_member_regret
 
     def test_search_tags_scope_suite_and_target(self):

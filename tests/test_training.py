@@ -114,8 +114,6 @@ class TestConvergenceUtilities:
         curve = ConvergenceCurve(label="laer", losses=[3.0, 2.0, 1.0],
                                  seconds_per_iteration=2.0)
         assert curve.loss_vs_time()[-1] == (6.0, 1.0)
-        assert curve.time_to_reach(2.5) == pytest.approx(4.0)
-        assert curve.time_to_reach(0.1) is None
 
     def test_convergence_study_sweep(self, config, dataset):
         study = ConvergenceStudy(

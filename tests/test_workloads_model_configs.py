@@ -69,10 +69,6 @@ class TestDerivedQuantities:
         assert (cfg.activation_bytes_per_token(checkpointing=True)
                 < cfg.activation_bytes_per_token(checkpointing=False))
 
-    def test_moe_layer_flops_include_router(self):
-        cfg = tiny_test_config()
-        assert cfg.moe_layer_flops_per_token() > cfg.top_k * cfg.expert_flops_per_token
-
     def test_summary_fields(self):
         summary = get_model_config("mixtral-8x7b-e8k2").summary()
         assert summary["experts"] == 8
