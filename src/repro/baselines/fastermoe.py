@@ -10,8 +10,6 @@ shadowed experts, which is why FasterMoE limits how many experts it shadows.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.baselines.base import LoadBalancingPolicy, PolicyDecision

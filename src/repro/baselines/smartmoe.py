@@ -9,7 +9,7 @@ iterations); between relocations the placement goes stale as routing drifts.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 

@@ -25,6 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Token All-to-Alls per MoE layer and iteration: dispatch and combine, in
+#: the forward and in the backward pass.
+TOKEN_ALL_TO_ALLS = 4
+
 
 @dataclass(frozen=True)
 class CommScheduleConfig:
@@ -172,6 +176,7 @@ def schedule_layer(timings: LayerTimings,
         backward_time=backward_time,
         exposed_prefetch=exposed_prefetch_fw + exposed_prefetch_bw,
         exposed_grad_sync=exposed_grad_sync,
-        a2a_time=4.0 * timings.token_a2a + a2a_penalty_fw + a2a_penalty_bw,
+        a2a_time=(TOKEN_ALL_TO_ALLS * timings.token_a2a + a2a_penalty_fw
+                  + a2a_penalty_bw),
         compute_time=3.0 * (timings.attention_compute + timings.expert_compute),
     )

@@ -144,8 +144,8 @@ class ExpertLayoutTuner:
         One :func:`lite_route_batch` then routes every candidate of every
         layer on its layer's routing, and each layer scores its candidates
         with one :meth:`MoECostModel.evaluate_batch`; one call over all
-        layers would hold every candidate's ``(N, N)`` pairwise traffic at
-        once, for no gain in speed.  Each layer keeps its first cheapest
+        layers would hold an ``(N, N)`` per-pair buffer for every candidate
+        at once, for no gain in speed.  Each layer keeps its first cheapest
         candidate, so ``solve_layers(R)[l]`` equals ``solve(R[l])`` on a
         tuner whose stream stands where the loop would have left it.
 

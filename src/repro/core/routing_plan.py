@@ -8,14 +8,15 @@ zeros -- a (sender, expert) row reaches a handful of devices -- so a
 compressed-row-storage layout of sparse matrix kernels).
 
 Row ``r = sender * E + expert`` owns ``dest[offsets[r]:offsets[r + 1]]``
-and the matching ``tokens``; destinations ascend within a row.  Every
-consumer of a plan reads the ``(N, N)`` pairwise traffic and the ``(N,)``
-per-device load, each one cached ``np.bincount``.
+and the matching ``tokens``; destinations ascend within a row.  Plans are
+priced many at a time: :func:`stack_plans` lays their entries end to end for
+the one token All-to-All price,
+:func:`repro.core.cost_model.token_all_to_all`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +39,7 @@ def read_only(array: np.ndarray) -> np.ndarray:
 class RoutingPlan:
     """A token routing plan ``S`` with per-(sender, expert) destination rows.
 
-    Construction validates the arrays and marks them read-only in place,
-    which keeps the cached reductions valid.
+    Construction validates the arrays and marks them read-only in place.
 
     Attributes:
         num_devices: Number of devices ``N``.
@@ -56,7 +56,6 @@ class RoutingPlan:
     offsets: np.ndarray
     dest: np.ndarray
     tokens: np.ndarray
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         n, e = self.num_devices, self.num_experts
@@ -88,25 +87,6 @@ class RoutingPlan:
         """The ``sender * E + expert`` row of every entry."""
         return np.repeat(np.arange(self.num_devices * self.num_experts),
                          np.diff(self.offsets))
-
-    def pairwise(self) -> np.ndarray:
-        """``(N, N)`` float64 tokens sent from device ``i`` to device ``k``."""
-        if "pairwise" not in self._cache:
-            n, e = self.num_devices, self.num_experts
-            # Entries per sender: the offsets at sender boundaries.
-            senders = np.repeat(np.arange(n),
-                                self.offsets[e::e] - self.offsets[:-1:e])
-            self._cache["pairwise"] = _frozen(np.bincount(
-                senders * n + self.dest, weights=self.tokens,
-                minlength=n * n).reshape(n, n))
-        return self._cache["pairwise"]
-
-    def tokens_per_device(self) -> np.ndarray:
-        """``(N,)`` float64 token-expert assignments each device computes."""
-        if "tokens_per_device" not in self._cache:
-            self._cache["tokens_per_device"] = _frozen(np.bincount(
-                self.dest, weights=self.tokens, minlength=self.num_devices))
-        return self._cache["tokens_per_device"]
 
     def row_sums(self) -> np.ndarray:
         """``(N, E)`` int64 tokens each sender routes to each expert."""
@@ -167,21 +147,3 @@ def stack_plans(plans: "list[RoutingPlan]"
                        for plan in plans])
     return (counts, np.concatenate([plan.dest for plan in plans]),
             np.concatenate([plan.tokens for plan in plans]))
-
-
-def reduce_plans(plans: "list[RoutingPlan]") -> "tuple[np.ndarray, np.ndarray]":
-    """Stacked :meth:`RoutingPlan.pairwise` and
-    :meth:`RoutingPlan.tokens_per_device` of ``M`` plans of one cluster.
-
-    Returns:
-        ``(M, N, N)`` and ``(M, N)`` float64 arrays, each filled by one
-        ``np.bincount`` over the entries of every plan.
-    """
-    counts, dest, tokens = stack_plans(plans)
-    m, n = counts.shape
-    senders = np.repeat(np.arange(m * n), counts.reshape(-1))
-    pairwise = np.bincount(senders * n + dest, weights=tokens,
-                           minlength=m * n * n).reshape(m, n, n)
-    per_device = np.bincount((senders // n) * n + dest, weights=tokens,
-                             minlength=m * n).reshape(m, n)
-    return pairwise, per_device

@@ -7,11 +7,11 @@ optimizer state can be sharded / inspected the same way parameters are.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 import numpy as np
 
-from repro.model.parameter import Module, Parameter
+from repro.model.parameter import Module
 
 
 def clip_gradients(module: Module, max_norm: float) -> float:

@@ -24,10 +24,11 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.comm_schedule import LayerTimings, schedule_layer
+from repro.core.cost_model import BYTES_PER_ELEMENT
 from repro.core.layout import ExpertLayout
 from repro.core.replica_allocation import _validate_inputs
 from repro.core.routing_plan import RoutingPlan
-from repro.sim.iteration import BYTES_PER_ELEMENT, IterationResult, LayerResult
+from repro.sim.iteration import IterationResult, LayerResult
 
 
 def scalar_all_to_all(model, traffic, group=None):
@@ -128,13 +129,15 @@ def scalar_simulate_layer(simulator, layer, decision,
     (attention, prefetch, attention_prefetch,
      grad_sync) = simulator._invariant_times()
     plan = decision.routing_plan
+    dense = plan.to_dense()
     # One token All-to-All (dispatch or combine) from the plan's dense
-    # (N, N) byte matrix.
-    traffic = (plan.pairwise() * simulator.config.hidden_size
-               * BYTES_PER_ELEMENT * simulator.comm_bytes_scale)
+    # (N, N) byte matrix; token counts are whole, so float64 holds them.
+    traffic = (dense.sum(axis=1).astype(np.float64)
+               * simulator.config.hidden_size * BYTES_PER_ELEMENT
+               * simulator.comm_bytes_scale)
     np.fill_diagonal(traffic, 0.0)
     a2a = all_to_all(simulator.collectives, traffic)
-    tokens_per_device = plan.tokens_per_device()
+    tokens_per_device = dense.sum(axis=(0, 1)).astype(np.float64)
     ideal = plan.tokens.sum() / simulator.topology.num_devices
     max_tokens = int(tokens_per_device.max())
     unit_time = (simulator.config.expert_flops_per_token

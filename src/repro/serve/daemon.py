@@ -54,7 +54,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.specs import ExperimentSpec
 from repro.serve.coalescing import InFlightTable
-from repro.serve.executor import FleetQueueExecutor, PoolExecutor
+from repro.serve.executor import PoolExecutor
 from repro.store import ResultStore, run_id_for, spec_fingerprint
 from repro.study.runner import study_run_tags
 from repro.study.spec import StudySpec

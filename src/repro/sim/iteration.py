@@ -9,7 +9,8 @@ collective cost models and the Fig. 5 communication schedule:
 * the token dispatch / combine All-to-All, charged from the actual per-pair
   traffic of the routing plans: one pass over the entries of every layer's
   plan costs all the layers' exchanges at once
-  (:meth:`CollectiveCostModel.all_to_all_batch`);
+  (:func:`repro.core.cost_model.token_all_to_all`, the price the planner's
+  cost model charges too);
 * expert computation, taken as the *maximum* across devices (the tail latency
   the paper targets);
 * expert-parameter prefetch and gradient synchronisation, whose exposure
@@ -40,13 +41,10 @@ from repro.core.comm_schedule import (
     LayerTimings,
     schedule_layer,
 )
-from repro.core.routing_plan import stack_plans
+from repro.core.cost_model import BYTES_PER_ELEMENT, token_all_to_all
 from repro.parallel.tp import TensorParallelCost
 from repro.telemetry.trace import span as _span
 from repro.workloads.model_configs import MoEModelConfig
-
-#: Activation / parameter element width used throughout the simulator (bf16).
-BYTES_PER_ELEMENT = 2
 
 #: Supported capacity-overflow handling policies.
 DROP_POLICIES = ("penalty", "truncate", "recompute")
@@ -359,10 +357,10 @@ class IterationSimulator:
                            decisions: Sequence[PolicyDecision]) -> IterationResult:
         """Simulate one iteration from the per-layer policy decisions.
 
-        All layers are costed in one pass: the entries of every layer's
-        routing plan give the per-device loads and, through
-        :meth:`CollectiveCostModel.all_to_all_batch`, every layer's token
-        All-to-All; only the Fig. 5 schedule runs layer by layer.
+        All layers are costed in one pass: one
+        :func:`~repro.core.cost_model.token_all_to_all` call over the entries
+        of every layer's routing plan gives every layer's token All-to-All
+        and per-device loads; only the Fig. 5 schedule runs layer by layer.
 
         A layer's duration is driven by the *slowest* device's expert
         computation; in the per-rank-averaged breakdown (what the paper's
@@ -379,22 +377,15 @@ class IterationSimulator:
         (attention, prefetch, attention_prefetch,
          grad_sync) = self._invariant_times()
         n, layers = self.topology.num_devices, len(decisions)
-        plans = [decision.routing_plan for decision in decisions]
-        if any(plan.num_devices != n for plan in plans):
-            raise ValueError(
-                f"routing plans must span the topology's {n} devices")
-        row_counts, dest, tokens = stack_plans(plans)
         with _span("sim.token-a2a", layers=layers):
-            a2a = self.collectives.all_to_all_batch(
-                row_counts, dest,
-                tokens * (self.config.hidden_size * BYTES_PER_ELEMENT),
-                scale=self.comm_bytes_scale).tolist()
+            a2a, loads = token_all_to_all(
+                self.collectives,
+                [decision.routing_plan for decision in decisions],
+                self.config.hidden_size * BYTES_PER_ELEMENT,
+                self.comm_bytes_scale)
+        a2a = a2a.tolist()
         # Per-device loads are whole token counts, so every reduction
         # below is exact.
-        layer_of = np.repeat(np.arange(0, layers * n, n),
-                             row_counts.sum(axis=1))
-        loads = np.bincount(layer_of + dest, weights=tokens,
-                            minlength=layers * n).reshape(layers, n)
         unit_time = (self.config.expert_flops_per_token
                      / self.topology.device_spec.effective_flops)
         computed = loads

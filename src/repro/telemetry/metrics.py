@@ -31,7 +31,7 @@ import json
 import math
 import re
 import threading
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",

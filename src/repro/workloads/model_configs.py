@@ -13,7 +13,7 @@ Table 2 (46.70B / 12.88B for Mixtral-8x7B, etc.).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List
 
 

@@ -21,7 +21,7 @@ module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 

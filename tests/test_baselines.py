@@ -52,7 +52,7 @@ def check_decision(decision, routing):
 
 
 def max_relative_tokens(decision):
-    tokens = decision.routing_plan.tokens_per_device()
+    tokens = decision.routing_plan.to_dense().sum(axis=(0, 1))
     return tokens.max() / (decision.routing_plan.tokens.sum() / tokens.shape[0])
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.routing_plan import RoutingPlan, reduce_plans
+from repro.core.routing_plan import RoutingPlan, stack_plans
 
 
 def random_dense(seed, n=6, e=4, density=0.3):
@@ -27,12 +27,7 @@ class TestRoundTrip:
         dense = random_dense(seed)
         plan = RoutingPlan.from_dense(dense)
         assert np.array_equal(plan.to_dense(), dense)
-        assert np.array_equal(plan.pairwise(), dense.sum(axis=1))
-        assert np.array_equal(plan.tokens_per_device(),
-                              dense.sum(axis=(0, 1)))
         assert np.array_equal(plan.row_sums(), dense.sum(axis=2))
-        assert plan.pairwise().dtype == plan.tokens_per_device().dtype \
-            == np.float64
 
     def test_rows_name_sender_and_expert(self):
         plan = RoutingPlan.from_dense(random_dense(3))
@@ -50,27 +45,29 @@ class TestRoundTrip:
         assert dense[1, 1, 1] == 7 and dense.sum() == routing.sum()
         assert np.array_equal(plan.row_sums(), routing)
 
-    def test_reduce_plans_stacks_the_cached_reductions(self):
+    def test_stack_plans_lays_entries_end_to_end(self):
         plans = [RoutingPlan.from_dense(random_dense(seed))
                  for seed in range(3)]
-        pairwise, tokens = reduce_plans(plans)
+        counts, dest, tokens = stack_plans(plans)
+        assert counts.shape == (3, 6)
+        starts = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
         for index, plan in enumerate(plans):
-            assert np.array_equal(pairwise[index], plan.pairwise())
-            assert np.array_equal(tokens[index], plan.tokens_per_device())
+            entries = slice(starts[index], starts[index + 1])
+            assert np.array_equal(dest[entries], plan.dest)
+            assert np.array_equal(tokens[entries], plan.tokens)
+            senders = np.repeat(np.arange(6), counts[index])
+            assert np.array_equal(senders, plan.rows() // plan.num_experts)
         with pytest.raises(ValueError):
-            reduce_plans([])
+            stack_plans([])
         with pytest.raises(ValueError):
-            reduce_plans([plans[0], RoutingPlan.from_dense(
+            stack_plans([plans[0], RoutingPlan.from_dense(
                 random_dense(0, n=5))])
 
 
 class TestImmutability:
-    def test_cached_arrays_are_read_only(self):
+    def test_arrays_are_read_only(self):
         plan = RoutingPlan.from_dense(random_dense(4))
-        assert plan.pairwise() is plan.pairwise()
-        assert plan.tokens_per_device() is plan.tokens_per_device()
-        for array in (plan.pairwise(), plan.tokens_per_device(),
-                      plan.offsets, plan.dest, plan.tokens):
+        for array in (plan.offsets, plan.dest, plan.tokens):
             with pytest.raises(ValueError):
                 array[0] = 1
 
@@ -83,7 +80,7 @@ class TestImmutability:
 class TestValidation:
     def test_well_formed_plan_builds(self):
         plan = two_row_plan()
-        assert plan.pairwise().tolist() == [[0.0, 3.0], [0.0, 4.0]]
+        assert plan.to_dense().sum(axis=1).tolist() == [[0, 3], [0, 4]]
 
     def test_negative_tokens_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -8,16 +8,21 @@ inputs and check the invariants the paper's correctness relies on:
 * lite routing conserves tokens and never routes to a non-hosting device;
 * FSEP shard -> restore is lossless and reshard-reduce equals a plain sum;
 * the layout tuner's plan always satisfies the cost-model constraints;
+* the cost model's ``T_comm`` is exactly four of the token All-to-Alls the
+  simulator charges for the same plan;
 * more bandwidth never slows a simulated iteration down, and the overflow
   charge is monotone in the device capacity.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.base import PolicyDecision
+from repro.cluster.collectives import CollectiveCostModel
 from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import MoECostModel
 from repro.core.fsep import FSEPShardedExperts
@@ -29,7 +34,8 @@ from repro.core.replica_allocation import (
     allocate_replicas_priority_queue,
     even_replicas,
 )
-from repro.sim.iteration import DROP_POLICIES, OverflowModel
+from repro.core.routing_plan import RoutingPlan
+from repro.sim.iteration import DROP_POLICIES, IterationSimulator, OverflowModel
 from repro.sim.systems import make_system
 from repro.workloads.model_configs import get_model_config
 from repro.workloads.routing_traces import (
@@ -190,6 +196,61 @@ class TestTunerProperties:
         tuner = ExpertLayoutTuner(topology, cost_model, capacity)
         result = tuner.solve(routing)
         assert result.cost.max_tokens <= routing.sum()
+
+
+class TestOneAllToAllPrice:
+    @given(num_nodes=st.sampled_from([2, 3, 4]),
+           devices_per_node=st.sampled_from([1, 2, 4]),
+           layers=st.integers(min_value=1, max_value=3),
+           density=st.floats(min_value=0.05, max_value=1.0),
+           comm_bytes_scale=st.sampled_from([1.0, 1.1]),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_comm_time_is_four_simulated_token_all_to_alls(
+            self, num_nodes, devices_per_node, layers, density,
+            comm_bytes_scale, seed):
+        """For random plans on clusters with intra- and inter-node links,
+        calibrated or not, ``T_comm`` equals (``==``) four times the token
+        All-to-All ``simulate_iteration`` charges, read off the kernel."""
+        config = get_model_config("mixtral-8x7b-e8k2")
+        topology = ClusterTopology(num_nodes=num_nodes,
+                                   devices_per_node=devices_per_node)
+        n, e = topology.num_devices, config.num_experts
+        rng = np.random.default_rng(seed)
+        plans = []
+        for _ in range(layers):
+            dense = rng.integers(0, 500, size=(n, e, n))
+            dense[rng.uniform(size=dense.shape) > density] = 0
+            plans.append(RoutingPlan.from_dense(dense))
+        simulator = IterationSimulator(
+            config=config, topology=topology, tokens_per_device=1024,
+            comm_bytes_scale=comm_bytes_scale)
+        kernel = CollectiveCostModel.all_to_all_batch
+        charged = []
+
+        def recording(collectives, *args, **kwargs):
+            seconds = kernel(collectives, *args, **kwargs)
+            charged.extend(seconds.tolist())
+            return seconds
+
+        # Every device hosts every expert, so any plan is a valid dispatch.
+        layout = ExpertLayout(np.ones((n, e), dtype=np.int64), capacity=e)
+        decisions = [PolicyDecision(layout, plan) for plan in plans]
+        # The first iteration also prices FSEP's uniform prefetch
+        # All-to-All, once: record the second.
+        simulator.simulate_iteration(0, decisions)
+        with mock.patch.object(CollectiveCostModel, "all_to_all_batch",
+                               recording):
+            simulated = simulator.simulate_iteration(1, decisions)
+        assert len(charged) == layers
+        cost_model = MoECostModel.from_model_config(
+            config, topology, comm_bytes_scale=comm_bytes_scale)
+        costs = cost_model.evaluate_batch(plans)
+        assert [cost.comm_time for cost in costs] == \
+            [4 * seconds for seconds in charged]
+        assert cost_model.evaluate(plans[-1]).comm_time == 4 * charged[-1]
+        assert [cost.max_tokens for cost in costs] == \
+            [layer.max_tokens for layer in simulated.layers]
 
 
 class TestCrossSystemProperties:

@@ -352,9 +352,6 @@ class TestCompactPlannerDifferential:
                 plan = lite_route(routing, layout, topology)
                 dense = scalar_lite_route(routing, layout, topology).to_dense()
                 assert np.array_equal(plan.to_dense(), dense)
-                assert np.array_equal(plan.pairwise(), dense.sum(axis=1))
-                assert np.array_equal(plan.tokens_per_device(),
-                                      dense.sum(axis=(0, 1)))
 
     @pytest.mark.parametrize("scenario,nodes", FIRST_FRAMES)
     def test_batch_matches_per_candidate_route(self, scenario, nodes):
