@@ -3,8 +3,8 @@
 The training systems in this repository use five collectives:
 
 * **All-to-All** -- token dispatch/combine in expert parallelism and the FSEP
-  unshard/reshard operations.  Cost is driven by the per-pair traffic matrix
-  and the slowest link it crosses.
+  unshard/reshard operations.  Cost is driven by the bytes each device
+  sends and receives per link class and that class's bandwidth.
 * **All-Gather** -- FSDP parameter unsharding.
 * **Reduce-Scatter** -- FSDP gradient synchronisation.
 * **All-Reduce** -- data-parallel gradient synchronisation and TP activations.
@@ -31,8 +31,8 @@ class CollectiveCostModel:
 
     The All-to-All arithmetic lives in one batched kernel,
     :meth:`all_to_all_batch`, which costs any number of exchanges from their
-    compressed sender rows in one pass: per-pair byte sums, per-link
-    bandwidth and latency, per-device drain time and the maximum.
+    compressed sender rows in one pass: per (device, link class) byte sums,
+    two scalars per class, per-device drain time and the maximum.
     :meth:`all_to_all` hands it one dense matrix's rows; the iteration
     simulator hands it every layer's routing-plan entries at once.
 
@@ -49,21 +49,6 @@ class CollectiveCostModel:
     def __post_init__(self) -> None:
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must be in (0, 1]")
-        # Lazily built full-cluster 1 / (bw * efficiency) matrix; topology
-        # and efficiency are fixed after construction, so the hot
-        # group=None all_to_all path pays the scaling exactly once.
-        self._inv_bw_eff: np.ndarray | None = None
-
-    def _inv_bandwidth(self, slice_key) -> np.ndarray:
-        """``1 / (bw * efficiency)`` for the group (cached when full)."""
-        if slice_key is None:
-            if self._inv_bw_eff is None:
-                self._inv_bw_eff = 1.0 / (self.topology.bandwidth_matrix()
-                                          * self.efficiency)
-                self._inv_bw_eff.setflags(write=False)
-            return self._inv_bw_eff
-        return 1.0 / (self.topology.bandwidth_matrix(slice_key)
-                      * self.efficiency)
 
     # ------------------------------------------------------------------
     # All-to-All
@@ -107,56 +92,58 @@ class CollectiveCostModel:
                 from the ``a``-th of the ``n`` group members.  Entries are
                 stored row after row, ``(b, a)`` in C order.
             receivers: Receiving group member of every entry.
-            traffic: Non-negative bytes of every entry.  A pair may span
-                several entries; they are summed before ``scale`` multiplies
-                the sum, so whole byte counts add up exactly in any order.
-            scale: Multiplier on every pair's summed bytes.
-            group: Global device ranks participating, as in
-                :meth:`all_to_all`.
+            traffic: Non-negative bytes of every entry.  A device's entries
+                on one link class are summed before ``scale`` multiplies the
+                sum, so whole byte counts add up exactly in any order.
+            scale: Multiplier on every summed byte count.
+            group: Global device ranks participating, as in :meth:`all_to_all`.
 
         Returns:
             ``(B,)`` completion times in seconds: per exchange, the maximum
             over devices of the time needed to drain that device's egress
-            and ingress traffic, each byte charged at the bandwidth of the
-            link it crosses, plus the worst fixed latency among the links
-            the device sends on.  Local entries cost nothing.
+            and ingress traffic, each link class's bytes charged at that
+            class's bandwidth, plus the worst fixed latency among the
+            classes the device sends bytes on.  Local entries cost nothing.
         """
         members = self._resolve_group(group)
         count, n = row_counts.shape
         if n != len(members):
             raise ValueError(
                 f"row_counts must have {len(members)} columns, got {n}")
-        if n == 1:
-            return np.zeros(count)
-        slice_key = None if group is None else members
-        # Per entry: its row b * n + a, its pair (b * n + a) * n + c in the
-        # batch, and its link a * n + c in the (n, n) topology matrices.
-        rows = np.repeat(np.arange(count * n), row_counts.reshape(-1))
-        pairs = rows * n + receivers
-        links = pairs - np.repeat(np.arange(0, count * n * n, n * n),
-                                  row_counts.sum(axis=1))
-        # Per-pair seconds in one (B, n, n) buffer: the entries are summed
-        # into it, then each touched pair is scaled and priced in place.
-        # The inverse-bandwidth diagonal is 0 (1/inf -- local copies are
-        # free) and untouched pairs stay 0.  (group=None passes through so
-        # full-cluster calls hit the cached matrices without slicing or
-        # rescaling copies.)
-        per_pair = np.bincount(pairs, weights=traffic, minlength=count * n * n)
-        per_pair[pairs] = ((per_pair[pairs] * scale)
-                           * self._inv_bandwidth(slice_key).reshape(-1)[links])
-        per_pair = per_pair.reshape(count, n, n)
-        send_time = per_pair.sum(axis=2)
-        recv_time = per_pair.sum(axis=1)
-        # Each sender pays the worst fixed latency among the links it
-        # actually uses (the latency diagonal is 0, so local traffic and
-        # idle senders contribute nothing).
-        latency = np.zeros(count * n)
-        np.maximum.at(latency, rows, np.where(
-            traffic > 0,
-            self.topology.latency_matrix(slice_key).reshape(-1)[links], 0.0))
-        per_device = (np.maximum(send_time, recv_time)
-                      + latency.reshape(count, n))
-        return per_device.max(axis=1)
+        nodes = self.topology.device_nodes()[members]
+        # Per entry: its (exchange, sender) row b * n + a, its link class
+        # (0 local, 1 intra-node, 2 inter-node) and the slot 3 * row +
+        # class its bytes add to on the sending side; the receiving side's
+        # slot is the same class in row b * n + c.
+        per_row = row_counts.reshape(-1)
+        rows = np.repeat(np.arange(count * n), per_row)
+        senders = np.repeat(np.tile(np.arange(n), count), per_row)
+        link = ((senders != receivers).view(np.int8)
+                + (np.repeat(np.tile(nodes, count), per_row)
+                   != nodes[receivers]).view(np.int8))
+        sent_at = rows * 3 + link
+        slots = 3 * count * n
+        sent = np.bincount(sent_at, weights=traffic,
+                           minlength=slots).reshape(count, n, 3)
+        received = np.bincount(sent_at + 3 * (receivers - senders),
+                               weights=traffic,
+                               minlength=slots).reshape(count, n, 3)
+        # Two scalars per class: 1 / (bw * efficiency) and the latency.
+        topology = self.topology
+        intra = 1.0 / (topology.intra_node_bandwidth * self.efficiency)
+        inter = 1.0 / (topology.inter_node_bandwidth * self.efficiency)
+
+        def drain(sums: np.ndarray) -> np.ndarray:
+            return ((sums[..., 1] * scale) * intra
+                    + (sums[..., 2] * scale) * inter)
+
+        # Each sender pays the worst fixed latency among the classes it
+        # sends bytes on; local bytes and idle senders pay none.
+        latency = np.maximum(
+            np.where(sent[..., 1] > 0, topology.intra_node_latency, 0.0),
+            np.where(sent[..., 2] > 0, topology.inter_node_latency, 0.0))
+        return (np.maximum(drain(sent), drain(received))
+                + latency).max(axis=1)
 
     def uniform_all_to_all(self, bytes_per_pair: float,
                            group: Sequence[int] | None = None) -> float:
@@ -165,8 +152,6 @@ class CollectiveCostModel:
         n = len(members)
         traffic = np.full((n, n), float(bytes_per_pair), dtype=np.float64)
         np.fill_diagonal(traffic, 0.0)
-        # Forward the caller's group (not the resolved members) so the
-        # full-cluster case keeps its no-copy fast path in all_to_all.
         return self.all_to_all(traffic, group)
 
     # ------------------------------------------------------------------

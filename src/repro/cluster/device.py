@@ -46,12 +46,6 @@ class DeviceSpec:
         """Sustained FLOP/s used by the compute-time model (``B_comp``)."""
         return self.peak_flops * self.mfu
 
-    def compute_time(self, flops: float) -> float:
-        """Return the time in seconds to execute ``flops`` floating point ops."""
-        if flops < 0:
-            raise ValueError("flops must be non-negative")
-        return flops / self.effective_flops
-
     def scaled(self, factor: float, name: str | None = None) -> "DeviceSpec":
         """Return a copy with compute throughput scaled by ``factor``.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, List, Sequence
+from typing import Iterator, List
 
 import numpy as np
 
@@ -75,8 +75,7 @@ class ClusterTopology:
             raise ValueError("latencies must be non-negative")
         # Lazily built N-sized / NxN caches.  The topology is treated as
         # immutable after construction (nothing in the repo mutates link
-        # parameters in place); the caches are what turns the per-pair
-        # bandwidth/latency lookups of the collectives into array slicing.
+        # parameters in place).
         self._matrix_cache: dict = {}
 
     # ------------------------------------------------------------------
@@ -174,37 +173,20 @@ class ClusterTopology:
             self._matrix_cache[key] = cached
         return cached
 
-    def _sliced(self, matrix: np.ndarray,
-                group: Sequence[int] | None) -> np.ndarray:
-        if group is None:
-            return matrix
-        idx = np.asarray(group, dtype=np.intp)
-        return matrix[np.ix_(idx, idx)]
+    def bandwidth_matrix(self) -> np.ndarray:
+        """Return the cached, read-only ``N x N`` bandwidth matrix (bytes/s).
 
-    def bandwidth_matrix(self, group: Sequence[int] | None = None) -> np.ndarray:
-        """Return the ``N x N`` bandwidth matrix (bytes/s), built once.
-
-        The diagonal is ``inf`` (local copies are free in our model).  With
-        ``group``, the ``(len(group), len(group))`` slice for those global
-        ranks is returned; entry ``[a, b]`` is ``bw(group[a], group[b])``.
-        The full matrix is cached (and read-only); group slices are fresh
-        arrays.
+        The diagonal is ``inf`` (local copies are free in our model).
         """
-        full = self._full_matrix("bandwidth", np.inf,
+        return self._full_matrix("bandwidth", np.inf,
                                  self.intra_node_bandwidth,
                                  self.inter_node_bandwidth)
-        return self._sliced(full, group)
 
-    def latency_matrix(self, group: Sequence[int] | None = None) -> np.ndarray:
-        """Return the ``N x N`` fixed message latency matrix (seconds).
-
-        The diagonal is 0 (no transfer).  ``group`` slices as in
-        :meth:`bandwidth_matrix`.
-        """
-        full = self._full_matrix("latency", 0.0,
-                                 self.intra_node_latency,
+    def latency_matrix(self) -> np.ndarray:
+        """Return the cached, read-only ``N x N`` message latency matrix
+        (seconds); the diagonal is 0 (no transfer)."""
+        return self._full_matrix("latency", 0.0, self.intra_node_latency,
                                  self.inter_node_latency)
-        return self._sliced(full, group)
 
     # ------------------------------------------------------------------
     # Convenience constructors

@@ -15,14 +15,15 @@ cost and one extra forward when activation checkpointing is enabled.
 
 ``a2a(S)`` is :func:`token_all_to_all`, the price the iteration simulator
 charges for the same plan: the slowest device's time to drain its egress and
-ingress bytes, each at its link's bandwidth, plus its worst link latency.
-Sec. 3.2 writes ``T_comm = 4 * V_comm * sum_{i,j,k} S[i,j,k] / bw(i, k)``
-instead, a serial sum over device pairs.  Under weak scaling the sum grows
-with ``N`` and the drain does not, so the sum ranked candidate layouts unlike
-the simulator; a model should predict the bottleneck resource, not the sum
-over resources (Alappat et al., ECM).  Scoring candidates on the frame they
-are tuned from (mixtral-8x7b-e8k2; steady, drifting, bursty-churn and
-phase-shift), the cost model's argmin matches the simulator's in:
+ingress bytes, summed per link class at that class's bandwidth, plus its
+worst link latency.  Sec. 3.2 writes ``T_comm = 4 * V_comm * sum_{i,j,k}
+S[i,j,k] / bw(i, k)`` instead, a serial sum over device pairs.  Under weak
+scaling the sum grows with ``N`` and the drain does not, so the sum ranked
+candidate layouts unlike the simulator; a model should predict the
+bottleneck resource, not the sum over resources (Alappat et al., ECM).
+Scoring candidates on the frame they are tuned from (mixtral-8x7b-e8k2;
+steady, drifting, bursty-churn and phase-shift), the cost model's argmin
+matches the simulator's in:
 
 =======  ===================  ==========  ==================
 devices  candidates x frames  serial sum  drain (this model)
@@ -52,7 +53,7 @@ from repro.cluster.collectives import CollectiveCostModel
 from repro.cluster.topology import ClusterTopology
 from repro.core.comm_schedule import TOKEN_ALL_TO_ALLS
 from repro.core.layout import ExpertLayout
-from repro.core.routing_plan import RoutingPlan, stack_plans
+from repro.core.routing_plan import RoutingBatch, RoutingPlan
 from repro.workloads.model_configs import MoEModelConfig
 
 #: Activation / parameter element width used throughout the simulator (bf16).
@@ -65,8 +66,9 @@ def token_all_to_all(collectives: CollectiveCostModel,
     """One token All-to-All per plan, priced in one pass over their entries.
 
     The one price of a token exchange, for the simulator and the cost model
-    alike.  Each token moves ``bytes_per_token``, and ``scale`` (the
-    calibrated ``comm_bytes_scale``) multiplies each pair's summed bytes in
+    alike, read from one flat routing batch.  Each token moves
+    ``bytes_per_token``, and ``scale`` (the calibrated ``comm_bytes_scale``)
+    multiplies each device's bytes per link class in
     :meth:`~repro.cluster.collectives.CollectiveCostModel.all_to_all_batch`.
 
     Returns:
@@ -74,16 +76,18 @@ def token_all_to_all(collectives: CollectiveCostModel,
         ``(M, N)`` float64 tokens each device computes under each plan
         (whole numbers, so every reduction over them is exact).
     """
-    n = collectives.topology.num_devices
-    if any(plan.num_devices != n for plan in plans):
+    batch = RoutingBatch.of(plans)
+    m, n = batch.num_plans, collectives.topology.num_devices
+    if batch.num_devices != n:
         raise ValueError(
             f"routing plans must span the topology's {n} devices")
-    row_counts, dest, tokens = stack_plans(plans)
+    # Entries per (plan, sender): the offsets at sender boundaries.
+    counts = np.diff(batch.offsets[::batch.num_experts]).reshape(m, n)
+    tokens = batch.tokens.astype(np.float64)
     seconds = collectives.all_to_all_batch(
-        row_counts, dest, tokens * bytes_per_token, scale=scale)
-    m = row_counts.shape[0]
-    plan_of = np.repeat(np.arange(0, m * n, n), row_counts.sum(axis=1))
-    loads = np.bincount(plan_of + dest, weights=tokens,
+        counts, batch.dest, tokens * bytes_per_token, scale=scale)
+    plan_of = np.repeat(np.arange(0, m * n, n), counts.sum(axis=1))
+    loads = np.bincount(plan_of + batch.dest, weights=tokens,
                         minlength=m * n).reshape(m, n)
     return seconds, loads
 
@@ -122,7 +126,7 @@ class MoECostModel:
         device_flops: ``B_comp`` -- sustained FLOP/s of each device.
         activation_checkpointing: ``F_ckpt`` -- whether expert recomputation is
             enabled (adds one forward pass to the compute term).
-        comm_bytes_scale: Calibrated multiplier on each device pair's bytes
+        comm_bytes_scale: Calibrated multiplier on each device's link bytes
             (:class:`repro.calib.profile.CalibrationProfile.comm_bytes_scale`),
             applied as the simulator applies it; 1.0 when uncalibrated.
     """
@@ -178,7 +182,7 @@ class MoECostModel:
             ``[CostBreakdown, ...]`` in candidate order.
         """
         a2a, loads = token_all_to_all(
-            self._collectives, list(routing_plans),
+            self._collectives, routing_plans,
             self.comm_bytes_per_token, self.comm_bytes_scale)
         forward_factor = 3.0 + (1.0 if self.activation_checkpointing else 0.0)
         costs = []

@@ -13,7 +13,6 @@ provided as reference layouts; the planner produces load-adaptive layouts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
 
 import numpy as np
 
@@ -66,14 +65,6 @@ class ExpertLayout:
         """Return the ``(E,)`` vector of total replica counts per expert."""
         return self.assignment.sum(axis=0)
 
-    def experts_on_device(self, device: int) -> List[int]:
-        """Expert ids restored on ``device`` (repeated per extra replica)."""
-        row = self.assignment[device]
-        out: List[int] = []
-        for expert, count in enumerate(row):
-            out.extend([expert] * int(count))
-        return out
-
     def experts_used_per_device(self) -> np.ndarray:
         """Number of distinct experts restored on each device."""
         return (self.assignment > 0).sum(axis=1)
@@ -118,10 +109,6 @@ class ExpertLayout:
             raise ValueError("layouts must have identical shapes")
         return int((np.abs(self.assignment - other.assignment).sum()
                     + abs(self.assignment.sum() - other.assignment.sum())) // 2)
-
-    def as_dict(self) -> Dict[int, List[int]]:
-        """Return ``{device: [expert, ...]}`` for human-readable inspection."""
-        return {dev: self.experts_on_device(dev) for dev in range(self.num_devices)}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExpertLayout):

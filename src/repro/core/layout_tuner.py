@@ -142,12 +142,12 @@ class ExpertLayoutTuner:
         stream is drawn as a loop of one-layer solves would draw it) and
         places every candidate with its own :func:`relocate_experts` call.
         One :func:`lite_route_batch` then routes every candidate of every
-        layer on its layer's routing, and each layer scores its candidates
-        with one :meth:`MoECostModel.evaluate_batch`; one call over all
-        layers would hold an ``(N, N)`` per-pair buffer for every candidate
-        at once, for no gain in speed.  Each layer keeps its first cheapest
-        candidate, so ``solve_layers(R)[l]`` equals ``solve(R[l])`` on a
-        tuner whose stream stands where the loop would have left it.
+        layer on its layer's routing, and each layer scores its run of that
+        batch's plans with one :meth:`MoECostModel.evaluate_batch` (one call
+        over all layers was no faster at 32x8 devices and raised peak
+        memory).  Each layer keeps its first cheapest candidate, so
+        ``solve_layers(R)[l]`` equals ``solve(R[l])`` on a tuner whose
+        stream stands where the loop would have left it.
 
         Args:
             routing_by_layer: ``(layers, N, E)`` token counts per device per
@@ -180,9 +180,9 @@ class ExpertLayoutTuner:
         # benchmarks/bench_floors.py).
         results = []
         with _span("planner.batch-eval", candidates=len(layouts)):
-            plans = lite_route_batch(
+            plans = list(lite_route_batch(
                 np.repeat(routing_by_layer, sizes, axis=0), layouts,
-                self.topology)
+                self.topology))
             first = 0
             for size in sizes:
                 last = first + size

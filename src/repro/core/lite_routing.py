@@ -14,7 +14,8 @@ The result is the routing plan ``S`` (a compact
 the iteration simulator.  A node is a contiguous range of devices, so the
 targets of a (node, expert) pair are one contiguous slice of the expert's
 device-sorted replica list, and every sender on every node (and every
-candidate layout of a batch) is routed in one vectorized pass.
+candidate layout of a batch) is routed in one vectorized pass, into one
+:class:`~repro.core.routing_plan.RoutingBatch` checked once.
 
 A row's ``T`` tokens are split in proportion to its targets' replica counts
 (the largest-remainder rule of :func:`_split_rows`).  Most targets carry
@@ -37,13 +38,11 @@ bound, are split by :func:`_split_rows`.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout
-from repro.core.routing_plan import RoutingPlan
+from repro.core.routing_plan import RoutingBatch, RoutingPlan
 
 
 def _split_rows(totals: np.ndarray, offsets: np.ndarray, rows: np.ndarray,
@@ -80,7 +79,7 @@ def _split_rows(totals: np.ndarray, offsets: np.ndarray, rows: np.ndarray,
 
 
 def _route(routing: np.ndarray, layouts: "list[ExpertLayout]",
-           topology: ClusterTopology) -> List[RoutingPlan]:
+           topology: ClusterTopology) -> RoutingBatch:
     """Lite-route onto every layout in one vectorized pass.
 
     ``routing`` is one ``(N, E)`` matrix shared by every layout or an
@@ -158,14 +157,7 @@ def _route(routing: np.ndarray, layouts: "list[ExpertLayout]",
             np.repeat(np.arange(mixed_sizes.size), mixed_sizes),
             counts[entries[at]])
 
-    plans = []
-    span = n * num_experts
-    for index in range(m):
-        row_offsets = offsets[index * span:(index + 1) * span + 1]
-        first, last = int(row_offsets[0]), int(row_offsets[-1])
-        plans.append(RoutingPlan(n, num_experts, row_offsets - first,
-                                 dest[first:last], tokens[first:last]))
-    return plans
+    return RoutingBatch(m, n, num_experts, offsets, dest, tokens)
 
 
 def _check_routing(routing: np.ndarray, shapes: "list[tuple]",
@@ -202,7 +194,7 @@ def lite_route(routing: np.ndarray, layout: ExpertLayout,
 
 
 def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
-                     topology: ClusterTopology) -> List[RoutingPlan]:
+                     topology: ClusterTopology) -> RoutingBatch:
     """Run :func:`lite_route` for ``M`` layouts in one batch.
 
     ``routing`` broadcasts over the layouts.  The layout tuner scores every
@@ -222,7 +214,7 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
         topology: Cluster topology.
 
     Returns:
-        ``M`` plans; ``plans[m]`` equals
+        The ``M`` plans as one :class:`RoutingBatch`; ``batch[m]`` equals
         ``lite_route(routing[m], layouts[m], topology)`` exactly (with
         ``routing`` itself for a shared matrix).
     """

@@ -37,7 +37,7 @@ from repro.core.layout import (
 )
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.core.lite_routing import lite_route_batch
-from repro.core.routing_plan import RoutingPlan, read_only
+from repro.core.routing_plan import RoutingBatch, RoutingPlan, read_only
 from repro.telemetry.trace import span as _span
 
 
@@ -179,10 +179,10 @@ class LoadBalancingPlanner:
     # Synchronous dispatch (token dispatcher)
     # ------------------------------------------------------------------
     def dispatch(self, routing_by_layer: np.ndarray,
-                 layouts: List[ExpertLayout]) -> List[RoutingPlan]:
+                 layouts: List[ExpertLayout]) -> RoutingBatch:
         """Run the synchronous token dispatcher (lite routing) for every
         layer of an iteration: ``routing_by_layer[l]`` onto ``layouts[l]``,
-        in one batch."""
+        in one routing batch (``batch[l]`` is layer ``l``'s plan)."""
         return lite_route_batch(routing_by_layer, layouts, self.topology)
 
     # ------------------------------------------------------------------

@@ -23,6 +23,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.cluster.topology import LinkType
 from repro.core.comm_schedule import LayerTimings, schedule_layer
 from repro.core.cost_model import BYTES_PER_ELEMENT
 from repro.core.layout import ExpertLayout
@@ -31,7 +32,7 @@ from repro.core.routing_plan import RoutingPlan
 from repro.sim.iteration import IterationResult, LayerResult
 
 
-def scalar_all_to_all(model, traffic, group=None):
+def scalar_all_to_all(model, traffic, group=None, scale=1.0):
     """Original O(n^2) per-pair loop of ``CollectiveCostModel.all_to_all``.
 
     Signature-compatible with the method (``model`` binds as ``self`` when
@@ -54,7 +55,7 @@ def scalar_all_to_all(model, traffic, group=None):
             if a == b or traffic[a, b] == 0:
                 continue
             bw = model.topology.bandwidth(members[a], members[b]) * model.efficiency
-            t = traffic[a, b] / bw
+            t = (traffic[a, b] * scale) / bw
             send_time[a] += t
             recv_time[b] += t
             latency[a] = max(latency[a],
@@ -62,41 +63,35 @@ def scalar_all_to_all(model, traffic, group=None):
     return float((np.maximum(send_time, recv_time) + latency).max())
 
 
-def matrix_all_to_all(model, traffic, group=None):
-    """The dense matrix form of ``CollectiveCostModel.all_to_all`` that
-    preceded the batched kernel: a dozen passes over the ``(n, n)`` matrix.
-
-    Signature-compatible with the method, like :func:`scalar_all_to_all`.
-    """
+def scalar_class_all_to_all(model, traffic, group=None, scale=1.0):
+    """Per-entry loop of the link-class All-to-All kernel on a dense
+    ``traffic`` matrix: each member's bytes per link class, added in the
+    kernel's (row-major) order, then priced per class; ``scale`` multiplies
+    each class sum.  Signature-compatible with ``all_to_all``."""
     members = model._resolve_group(group)
     traffic = np.asarray(traffic, dtype=np.float64)
     if traffic.shape != (len(members), len(members)):
-        raise ValueError(
-            f"traffic matrix must be {(len(members), len(members))}, "
-            f"got {traffic.shape}"
-        )
-    if np.any(traffic < 0):
-        raise ValueError("traffic entries must be non-negative")
-
-    n = len(members)
-    if n == 1:
-        return 0.0
-    # Pure matrix form of the per-pair scan: the inverse-bandwidth
-    # matrix has a 0 diagonal (1/inf -- local copies are free), so
-    # local traffic contributes 0 to both drain times.  (group=None
-    # passes through so full-cluster calls hit the cached matrices
-    # without slicing or rescaling copies.)
-    slice_key = None if group is None else members
-    per_pair = traffic * model._inv_bandwidth(slice_key)
-    send_time = per_pair.sum(axis=1)
-    recv_time = per_pair.sum(axis=0)
-    # Each sender pays the worst fixed latency among the links it
-    # actually uses (the latency diagonal is 0, so local traffic and
-    # idle senders contribute nothing).
-    lat = model.topology.latency_matrix(slice_key)
-    latency = np.where(traffic > 0, lat, 0.0).max(axis=1)
-    per_device = np.maximum(send_time, recv_time) + latency
-    return float(per_device.max())
+        raise ValueError("traffic matrix shape mismatch")
+    topology = model.topology
+    # Link classes in the order the kernel numbers them.
+    classes = (LinkType.LOCAL, LinkType.INTRA_NODE, LinkType.INTER_NODE)
+    sent = np.zeros((len(members), 3))
+    received = np.zeros((len(members), 3))
+    for a, sender in enumerate(members):
+        for b, receiver in enumerate(members):
+            link = classes.index(topology.link_type(sender, receiver))
+            sent[a, link] += traffic[a, b]
+            received[b, link] += traffic[a, b]
+    intra = 1.0 / (topology.intra_node_bandwidth * model.efficiency)
+    inter = 1.0 / (topology.inter_node_bandwidth * model.efficiency)
+    worst = 0.0
+    for out, into in zip(sent.tolist(), received.tolist()):
+        drain = max((out[1] * scale) * intra + (out[2] * scale) * inter,
+                    (into[1] * scale) * intra + (into[2] * scale) * inter)
+        latency = max(topology.intra_node_latency if out[1] > 0 else 0.0,
+                      topology.inter_node_latency if out[2] > 0 else 0.0)
+        worst = max(worst, drain + latency)
+    return worst
 
 
 def scalar_overflow_charge(overflow, tokens_per_device, capacity, unit_time):
@@ -117,7 +112,7 @@ def scalar_overflow_charge(overflow, tokens_per_device, capacity, unit_time):
 
 
 def scalar_simulate_layer(simulator, layer, decision,
-                          all_to_all=matrix_all_to_all):
+                          all_to_all=scalar_class_all_to_all):
     """Original per-layer body of ``IterationSimulator.simulate_iteration``.
 
     The layer's duration is driven by the *slowest* device's expert
@@ -133,10 +128,10 @@ def scalar_simulate_layer(simulator, layer, decision,
     # One token All-to-All (dispatch or combine) from the plan's dense
     # (N, N) byte matrix; token counts are whole, so float64 holds them.
     traffic = (dense.sum(axis=1).astype(np.float64)
-               * simulator.config.hidden_size * BYTES_PER_ELEMENT
-               * simulator.comm_bytes_scale)
+               * simulator.config.hidden_size * BYTES_PER_ELEMENT)
     np.fill_diagonal(traffic, 0.0)
-    a2a = all_to_all(simulator.collectives, traffic)
+    a2a = all_to_all(simulator.collectives, traffic,
+                     scale=simulator.comm_bytes_scale)
     tokens_per_device = dense.sum(axis=(0, 1)).astype(np.float64)
     ideal = plan.tokens.sum() / simulator.topology.num_devices
     max_tokens = int(tokens_per_device.max())
@@ -186,13 +181,13 @@ def scalar_simulate_layer(simulator, layer, decision,
 
 
 def scalar_simulate_iteration(simulator, iteration, decisions,
-                              all_to_all=matrix_all_to_all):
+                              all_to_all=scalar_class_all_to_all):
     """Original per-layer loop of ``IterationSimulator.simulate_iteration``.
 
     Signature-compatible with the method (``simulator`` binds as ``self``);
-    ``all_to_all(model, traffic)`` charges each layer's token All-to-All
-    (the matrix form by default, :func:`scalar_all_to_all` for the
-    per-pair loop).
+    ``all_to_all(model, traffic, scale=...)`` charges each layer's token
+    All-to-All (the per-entry class-sum loop by default,
+    :func:`scalar_all_to_all` for the per-pair loop).
     """
     if not decisions:
         raise ValueError("decisions must not be empty")

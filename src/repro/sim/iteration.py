@@ -6,9 +6,9 @@ collective cost models and the Fig. 5 communication schedule:
 
 * attention (and the rest of the dense transformer work) on every device,
   optionally under tensor parallelism;
-* the token dispatch / combine All-to-All, charged from the actual per-pair
-  traffic of the routing plans: one pass over the entries of every layer's
-  plan costs all the layers' exchanges at once
+* the token dispatch / combine All-to-All, charged from the actual traffic
+  of the routing plans: one pass over the routing batch holding every
+  layer's plan costs all the layers' exchanges at once
   (:func:`repro.core.cost_model.token_all_to_all`, the price the planner's
   cost model charges too);
 * expert computation, taken as the *maximum* across devices (the tail latency
@@ -358,9 +358,9 @@ class IterationSimulator:
         """Simulate one iteration from the per-layer policy decisions.
 
         All layers are costed in one pass: one
-        :func:`~repro.core.cost_model.token_all_to_all` call over the entries
-        of every layer's routing plan gives every layer's token All-to-All
-        and per-device loads; only the Fig. 5 schedule runs layer by layer.
+        :func:`~repro.core.cost_model.token_all_to_all` call over the routing
+        batch of every layer's plan gives every layer's token All-to-All and
+        per-device loads; only the Fig. 5 schedule runs layer by layer.
 
         A layer's duration is driven by the *slowest* device's expert
         computation; in the per-rank-averaged breakdown (what the paper's

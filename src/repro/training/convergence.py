@@ -69,8 +69,8 @@ class ConvergenceStudy:
     """Run the Fig. 2 / Fig. 9 convergence experiments on a small model.
 
     Attributes:
-        model_config: Small model configuration (typically a scaled-down
-            Table 2 entry from ``tiny_test_config`` / ``scaled_down``).
+        model_config: Small model configuration (typically
+            ``tiny_test_config``).
         dataset: Synthetic dataset standing in for WikiText / C4.
         num_steps: Training steps per run.
         base_trainer_config: Shared trainer hyper-parameters; each run

@@ -191,23 +191,6 @@ class MoEModelConfig:
             num_layers=num_layers if num_layers is not None else self.num_layers,
         )
 
-    def scaled_down(self, name: str, hidden_size: int = 128,
-                    intermediate_size: int = 256, num_layers: int = 2,
-                    vocab_size: int = 512, seq_length: int = 128) -> "MoEModelConfig":
-        """Return a laptop-scale variant for the numpy convergence experiments."""
-        heads = max(2, hidden_size // 32)
-        return replace(
-            self,
-            name=name,
-            hidden_size=hidden_size,
-            intermediate_size=intermediate_size,
-            num_layers=num_layers,
-            vocab_size=vocab_size,
-            seq_length=seq_length,
-            num_attention_heads=heads,
-            num_kv_heads=max(1, heads // 2),
-        )
-
     def summary(self) -> Dict[str, object]:
         """Return the Table 2 style summary row for this configuration."""
         return {

@@ -10,18 +10,6 @@ class TestDeviceSpec:
         assert A100_SPEC.effective_flops < A100_SPEC.peak_flops
         assert A100_SPEC.effective_flops == A100_SPEC.peak_flops * A100_SPEC.mfu
 
-    def test_compute_time_scales_linearly(self):
-        t1 = A100_SPEC.compute_time(1e12)
-        t2 = A100_SPEC.compute_time(2e12)
-        assert t2 == pytest.approx(2 * t1)
-
-    def test_compute_time_zero(self):
-        assert A100_SPEC.compute_time(0) == 0.0
-
-    def test_compute_time_rejects_negative(self):
-        with pytest.raises(ValueError):
-            A100_SPEC.compute_time(-1.0)
-
     def test_registry_ordering(self):
         assert H100_SPEC.peak_flops > A100_SPEC.peak_flops > V100_SPEC.peak_flops
 

@@ -17,12 +17,12 @@ class TestExpertLayout:
         assert layout.num_devices == 2
         assert layout.num_experts == 4
         assert layout.replicas_per_expert().tolist() == [1, 1, 1, 1]
-        assert layout.experts_on_device(0) == [0, 1]
+        assert layout.assignment[0].tolist() == [1, 1, 0, 0]
 
     def test_multiple_replicas_on_one_device(self):
         assignment = np.array([[2, 0], [0, 1]])
         layout = ExpertLayout(assignment, capacity=2)
-        assert layout.experts_on_device(0) == [0, 0]
+        assert layout.assignment[0].tolist() == [2, 0]
         assert layout.experts_used_per_device().tolist() == [1, 1]
 
     def test_capacity_enforced(self):
@@ -80,10 +80,6 @@ class TestExpertLayout:
             b.capacity = 2
         assert a == b
 
-    def test_as_dict(self):
-        layout = ExpertLayout(np.array([[1, 0], [0, 1]]), capacity=1)
-        assert layout.as_dict() == {0: [0], 1: [1]}
-
 
 class TestReferenceLayouts:
     def test_static_ep_layout_structure(self):
@@ -92,8 +88,8 @@ class TestReferenceLayouts:
         assert layout.replicas_per_expert().tolist() == [2] * 8
         assert np.all(layout.assignment.sum(axis=1) == 2)
         # Devices 0 and 4 share EP rank 0 and host experts 0-1.
-        assert layout.experts_on_device(0) == [0, 1]
-        assert layout.experts_on_device(4) == [0, 1]
+        assert layout.assignment[0].tolist() == [1, 1, 0, 0, 0, 0, 0, 0]
+        assert layout.assignment[4].tolist() == [1, 1, 0, 0, 0, 0, 0, 0]
 
     def test_static_ep_layout_matches_fig6a(self):
         """Fig. 6(a): N=4, C=2, E=4 -> experts 0,1 on devices 0,2; 2,3 on 1,3."""

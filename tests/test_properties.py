@@ -10,6 +10,8 @@ inputs and check the invariants the paper's correctness relies on:
 * the layout tuner's plan always satisfies the cost-model constraints;
 * the cost model's ``T_comm`` is exactly four of the token All-to-Alls the
   simulator charges for the same plan;
+* the link-class All-to-All kernel equals its per-entry class-sum loop
+  exactly, and the per-pair loop to rounding;
 * more bandwidth never slows a simulated iteration down, and the overflow
   charge is monotone in the device capacity.
 """
@@ -35,6 +37,7 @@ from repro.core.replica_allocation import (
     even_replicas,
 )
 from repro.core.routing_plan import RoutingPlan
+from repro.scalar_reference import scalar_all_to_all, scalar_class_all_to_all
 from repro.sim.iteration import DROP_POLICIES, IterationSimulator, OverflowModel
 from repro.sim.systems import make_system
 from repro.workloads.model_configs import get_model_config
@@ -251,6 +254,67 @@ class TestOneAllToAllPrice:
         assert cost_model.evaluate(plans[-1]).comm_time == 4 * charged[-1]
         assert [cost.max_tokens for cost in costs] == \
             [layer.max_tokens for layer in simulated.layers]
+
+
+@st.composite
+def class_exchanges(draw):
+    """A random topology (single devices included, inter-node latency below
+    intra-node latency in about half the draws) and a random batch of
+    exchanges on it, as compressed sender rows of whole byte counts."""
+    num_nodes, devices_per_node = draw(st.one_of(
+        st.just((1, 1)),
+        st.tuples(st.integers(1, 6), st.integers(1, 8))))
+    bandwidth = st.floats(min_value=1e8, max_value=1e12)
+    latency = st.floats(min_value=0.0, max_value=1e-4)
+    topology = ClusterTopology(
+        num_nodes=num_nodes, devices_per_node=devices_per_node,
+        intra_node_bandwidth=draw(bandwidth),
+        inter_node_bandwidth=draw(bandwidth),
+        intra_node_latency=draw(latency), inter_node_latency=draw(latency))
+    model = CollectiveCostModel(
+        topology, efficiency=draw(st.floats(min_value=0.05, max_value=1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    n = topology.num_devices
+    exchanges = draw(st.integers(1, 3))
+    # Up to 2n entries per sender (repeated pairs and local entries), idle
+    # senders, and zero-byte entries; sparse draws leave devices that
+    # receive on a link class they send nothing on.
+    row_counts = rng.integers(0, 2 * n + 1, size=(exchanges, n))
+    row_counts[rng.uniform(size=row_counts.shape) < draw(
+        st.floats(min_value=0.0, max_value=0.9))] = 0
+    size = int(row_counts.sum())
+    receivers = rng.integers(0, n, size=size)
+    traffic = rng.integers(0, 10 ** 7, size=size).astype(np.float64)
+    traffic[rng.uniform(size=size) < draw(
+        st.floats(min_value=0.0, max_value=0.9))] = 0.0
+    return model, row_counts, receivers, traffic
+
+
+class TestLinkClassKernel:
+    @given(exchange=class_exchanges(), scale=st.sampled_from([1.0, 1.1]))
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_batch_is_the_class_sum_loop(self, exchange, scale):
+        """``all_to_all_batch`` equals (``==``) the per-entry class-sum
+        reference on each exchange's summed matrix (whole bytes add up
+        exactly in any order), and stays within rounding of the per-pair
+        loop."""
+        model, row_counts, receivers, traffic = exchange
+        times = model.all_to_all_batch(row_counts, receivers, traffic,
+                                       scale=scale)
+        n = model.topology.num_devices
+        senders = np.repeat(np.tile(np.arange(n), len(row_counts)),
+                            row_counts.reshape(-1))
+        exchange_of = np.repeat(np.arange(len(row_counts)),
+                                row_counts.sum(axis=1))
+        assert times.shape == (len(row_counts),)
+        for index, seconds in enumerate(times.tolist()):
+            matrix = np.zeros((n, n))
+            mine = exchange_of == index
+            np.add.at(matrix, (senders[mine], receivers[mine]), traffic[mine])
+            assert seconds == scalar_class_all_to_all(model, matrix,
+                                                      scale=scale)
+            assert seconds == pytest.approx(
+                scalar_all_to_all(model, matrix, scale=scale), rel=1e-12)
 
 
 class TestCrossSystemProperties:

@@ -1,5 +1,7 @@
 """Tests for the numpy training loop and the convergence-study utilities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ class TestTrainerConfig:
 
 class TestTrainer:
     def test_vocab_mismatch_rejected(self, dataset):
-        small_vocab = tiny_test_config().scaled_down("tiny", vocab_size=16)
+        small_vocab = dataclasses.replace(tiny_test_config(), vocab_size=16)
         with pytest.raises(ValueError):
             Trainer(small_vocab, TrainerConfig(), dataset)
 

@@ -4,8 +4,8 @@ The vectorized kernels (the batched All-to-All kernel, batched routing
 draws, compact lite-routing plans, relocation over node classes, closed-form
 replica allocation, the one-pass iteration simulator, matrix trace
 transforms) must reproduce the scalar implementations they replaced: the
-per-pair collective loops to float tolerance, the matrix-form All-to-All
-and the per-layer simulator loop exactly, integer token splits, replica
+per-pair collective loops to float tolerance, the per-entry class-sum
+All-to-All loop and the per-layer simulator loop exactly, integer token splits, replica
 counts and replica placements exactly, and seeded trace generation
 deterministically.
 The scalar references live in :mod:`repro.scalar_reference` (verbatim ports
@@ -44,8 +44,8 @@ from repro.core.replica_allocation import (
 )
 from repro.core.routing_plan import RoutingPlan
 from repro.scalar_reference import (
-    matrix_all_to_all,
     scalar_all_to_all,
+    scalar_class_all_to_all,
     scalar_allocate_replicas,
     scalar_lite_route,
     scalar_relocate_experts,
@@ -110,15 +110,6 @@ class TestTopologyMatrices:
                 assert bw[i, j] == topo.bandwidth(i, j)
                 assert lat[i, j] == topo.latency(i, j)
 
-    def test_group_slice_matches_global_ranks(self, topo):
-        group = [1, 4, 9, 14]
-        bw = topo.bandwidth_matrix(group)
-        lat = topo.latency_matrix(group)
-        for a, ga in enumerate(group):
-            for b, gb in enumerate(group):
-                assert bw[a, b] == topo.bandwidth(ga, gb)
-                assert lat[a, b] == topo.latency(ga, gb)
-
     def test_full_matrices_are_cached_and_read_only(self, topo):
         first = topo.bandwidth_matrix()
         assert topo.bandwidth_matrix() is first
@@ -172,7 +163,26 @@ class TestAllToAllEquivalence:
         # The fixed inter-node latency of the only active sender is charged.
         assert vec > 1e6 / (model.topology.inter_node_bandwidth * model.efficiency)
 
-    def test_all_to_all_is_the_matrix_form_exactly(self, model):
+    def test_latency_follows_the_classes_a_device_sends_on(self):
+        """Device 2 receives a few inter-node bytes and sends many
+        intra-node ones: it pays the intra-node latency, not the
+        inter-node one, and sets the exchange's time."""
+        topology = ClusterTopology(num_nodes=2, devices_per_node=2,
+                                   intra_node_latency=1e-6,
+                                   inter_node_latency=1e-3)
+        model = CollectiveCostModel(topology)
+        traffic = np.zeros((4, 4))
+        traffic[0, 2] = 1e3
+        traffic[2, 3] = 1e9
+        expected = (1e9 / (topology.intra_node_bandwidth * model.efficiency)
+                    + 1e-6)
+        assert model.all_to_all(traffic) == \
+            scalar_class_all_to_all(model, traffic)
+        assert model.all_to_all(traffic) == pytest.approx(expected, rel=1e-12)
+
+    def test_all_to_all_is_the_class_sum_loop_exactly(self, model):
+        """Fractional bytes too: the kernel adds a device's entries in
+        the loop's order."""
         rng = np.random.default_rng(3)
         n = model.topology.num_devices
         for trial in range(20):
@@ -182,14 +192,15 @@ class TestAllToAllEquivalence:
             traffic[rng.uniform(size=(size, size)) < 0.5] = 0.0
             for group in (members, None if size == n else members):
                 assert model.all_to_all(traffic, group) == \
-                    matrix_all_to_all(model, traffic, group)
+                    scalar_class_all_to_all(model, traffic, group)
         full = rng.uniform(0.0, 1e8, size=(n, n))
-        assert model.all_to_all(full) == matrix_all_to_all(model, full)
+        assert model.all_to_all(full) == scalar_class_all_to_all(model, full)
 
-    def test_batch_sums_a_pairs_entries_before_scaling(self, model):
-        """Entries of one pair add up exactly before the scale multiplies
-        them: three exchanges of whole byte counts, split over entries,
-        cost what their summed matrices cost in the matrix form."""
+    def test_batch_sums_each_class_before_scaling(self, model):
+        """A device's entries on one link class add up exactly before the
+        scale multiplies them: three exchanges of whole byte counts, split
+        over entries, cost what their summed matrices cost in the class-sum
+        loop."""
         rng = np.random.default_rng(4)
         n, scale = model.topology.num_devices, 1.1
         matrices = rng.integers(0, 10 ** 6, size=(3, n, n))
@@ -209,7 +220,7 @@ class TestAllToAllEquivalence:
             np.array(row_counts).reshape(3, n), np.concatenate(receivers),
             np.concatenate(traffic).reshape(-1), scale=scale)
         for matrix, time in zip(matrices, batch):
-            assert time == matrix_all_to_all(model, matrix * scale)
+            assert time == scalar_class_all_to_all(model, matrix, scale=scale)
 
     def test_ring_collectives_on_random_groups(self, model):
         rng = np.random.default_rng(2)
