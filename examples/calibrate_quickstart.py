@@ -5,9 +5,9 @@ Walks the whole measure -> fit -> report -> apply loop in-process:
 
 1. **measure** -- run the seeded microbenchmark schedule (pairwise
    transfers, per-device compute kernels, uniform All-to-All exchanges)
-   against a hidden ground-truth machine drawn from a seed.  In a real
-   campaign these timings come off the cluster; here they are synthesized
-   so the script is self-contained and the truth is known;
+   against a hidden machine, a calibration profile drawn from a seed.  In
+   a real campaign these timings come off the cluster; here they are
+   synthesized so the script is self-contained and the truth is known;
 2. **fit** -- recover per-link bandwidth scales, latency intercepts, the
    sustained-FLOPs efficiency and the per-token byte overhead from the
    observations alone, and print the recovered vs hidden parameters;
@@ -27,7 +27,7 @@ from __future__ import annotations
 from repro.api import ClusterSpec, ExperimentSpec, WorkloadSpec
 from repro.api.runner import run_experiment
 from repro.calib import (
-    GroundTruthMachine,
+    draw_machine,
     fit_calibration,
     fit_report,
     fit_summary_line,
@@ -46,8 +46,8 @@ def main() -> int:
     # machine is what the microbenchmarks actually see.
     nominal = ClusterTopology(num_nodes=NUM_NODES,
                               devices_per_node=DEVICES_PER_NODE)
-    machine = GroundTruthMachine.draw(SEED)
-    observations = run_microbenchmarks(nominal, machine, seed=SEED)
+    truth = draw_machine(SEED)
+    observations = run_microbenchmarks(nominal, truth, seed=SEED)
     counts = observations.counts()
     print(f"measured {counts['comm']} transfers, {counts['compute']} "
           f"kernels, {counts['all_to_all']} All-to-All exchanges on the "
@@ -56,7 +56,6 @@ def main() -> int:
     # -- 2. fit --------------------------------------------------------
     fit = fit_calibration(observations)
     print(fit_summary_line(fit))
-    truth = machine.as_profile()
     print(f"{'parameter':28s} {'hidden':>10s} {'recovered':>10s}")
     for label, expected, actual in (
             ("intra_node_bandwidth_scale", truth.intra_node_bandwidth_scale,

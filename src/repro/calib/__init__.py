@@ -8,15 +8,20 @@ ECM-style analytic modelling:
 
 * :mod:`repro.calib.measure` -- run seeded microbenchmark schedules (pairwise
   transfers, All-to-All at several sizes, per-device compute kernels) through
-  the simulator against a hidden ground-truth machine, producing synthetic
-  "measured" observations; or load external observations from CSV files.
+  the simulator against a hidden machine (a profile drawn by
+  ``draw_machine``), producing synthetic "measured" observations; or load
+  external observations from CSV files.
 * :mod:`repro.calib.fit` -- least-squares / robust (Huber) fitting of
   bandwidth scale factors per link type, latency intercepts, a device-FLOPs
-  efficiency and a ``comm_bytes_per_token`` overhead, producing a frozen,
+  efficiency and the ``comm_bytes_scale`` on token bytes, producing a frozen,
   JSON-round-tripping :class:`~repro.calib.profile.CalibrationProfile`.
 * :mod:`repro.calib.report` -- goodness-of-fit reporting (per-term R²,
   MAPE, residual tables, worst-fit links) rendered with
   :mod:`repro.analysis.reporting`.
+
+Calibration holds no price of its own: every All-to-All time it generates
+or predicts is ``TOKEN_ALL_TO_ALLS`` times the simulator's
+``CollectiveCostModel.uniform_all_to_all``.
 
 The resulting profile threads through :class:`repro.api.ExperimentSpec`
 (serialized only when set, so existing content-hashed run ids are untouched)
@@ -29,9 +34,9 @@ from repro.calib.measure import (
     AllToAllObservation,
     CommObservation,
     ComputeObservation,
-    GroundTruthMachine,
     MeasureConfig,
     ObservationSet,
+    draw_machine,
     run_microbenchmarks,
 )
 from repro.calib.profile import CalibrationProfile
@@ -43,10 +48,10 @@ __all__ = [
     "CommObservation",
     "ComputeObservation",
     "FitResult",
-    "GroundTruthMachine",
     "MeasureConfig",
     "ObservationSet",
     "TermFit",
+    "draw_machine",
     "fit_calibration",
     "fit_report",
     "fit_summary_line",

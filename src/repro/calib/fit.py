@@ -11,9 +11,15 @@ model decomposes:
 * **Dense kernels** follow ``seconds = flops / effective_flops``; a
   slope-through-origin fit yields the sustained FLOP/s, reported as a scale
   over the device spec's nominal ``effective_flops``.
-* **Uniform All-to-All** observations are predicted with the *already
-  calibrated* bandwidths and the nominal per-token bytes; the remaining
-  multiplicative residual is the ``comm_bytes_per_token`` overhead.
+* **Uniform All-to-All** observations are predicted on the *already
+  calibrated* topology by the simulator's kernel
+  (:func:`~repro.calib.measure.uniform_all_to_all_seconds`), whose price is
+  affine in its ``scale``: the latency alone at scale 0 (latency is charged
+  on unscaled bytes), plus the bandwidth part at scale 1.  The
+  ``comm_bytes_scale`` is the slope through the origin of the measured time
+  less that latency against the bandwidth part; the latency is never folded
+  into the scale.  Each term keeps one fitted parameter, so its R² stays
+  informative on as few as two sizes.
 
 Everything is stdlib + numpy; no SciPy.
 """
@@ -269,7 +275,7 @@ def fit_calibration(observations: ObservationSet,
                 measured=obs.seconds, predicted=float(pred)))
         fitted["flops_scale"] = effective / nominal_flops
 
-    # --- All-to-All byte overhead (needs calibrated bandwidths) ------------
+    # --- All-to-All byte overhead (needs calibrated links) -----------------
     partial = CalibrationProfile(
         intra_node_bandwidth_scale=fitted.get("intra_node_bandwidth_scale", 1.0),
         inter_node_bandwidth_scale=fitted.get("inter_node_bandwidth_scale", 1.0),
@@ -281,14 +287,18 @@ def fit_calibration(observations: ObservationSet,
         calibrated = partial.apply_to_topology(topology)
         config = observations.model_config()
         y = np.array([obs.seconds for obs in observations.all_to_all])
-        baseline = np.array([
-            uniform_all_to_all_seconds(calibrated, config,
-                                       obs.tokens_per_device)
-            for obs in observations.all_to_all])
-        scale = _slope_through_origin(baseline, y)
+
+        def priced(scale: float) -> np.ndarray:
+            return np.array([
+                uniform_all_to_all_seconds(calibrated, config,
+                                           obs.tokens_per_device, scale=scale)
+                for obs in observations.all_to_all])
+
+        latency = priced(0.0)
+        scale = _slope_through_origin(priced(1.0) - latency, y - latency)
         if scale <= 0:
             raise ValueError("all_to_all: fitted a non-positive byte overhead")
-        predicted = baseline * scale
+        predicted = priced(scale)
         terms.append(TermFit(
             term="all_to_all", num_observations=len(observations.all_to_all),
             r2=_r2(y, predicted), mape=_mape(y, predicted),

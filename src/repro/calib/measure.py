@@ -3,10 +3,18 @@
 Real deployments measure pairwise transfers, All-to-All exchanges and dense
 compute kernels on the target cluster; this module reproduces that loop
 *inside* the simulator by running the same seeded microbenchmark schedule
-against a **hidden ground-truth machine** -- the nominal topology with
-secret scale factors applied -- so the fit in :mod:`repro.calib.fit` can be
-validated end to end: it must recover the hidden machine from observations
-alone.
+against a **hidden machine** -- a :class:`CalibrationProfile` drawn from a
+seed (:func:`draw_machine`) and applied to the nominal topology -- so the
+fit in :mod:`repro.calib.fit` can be validated end to end: it must recover
+the hidden machine from observations alone.
+
+Calibration holds no price of its own.  Transfers and kernels are timed by
+the topology's alpha-beta ``p2p_time`` and the device's ``effective_flops``,
+and a uniform All-to-All by :func:`uniform_all_to_all_seconds`, which is
+``TOKEN_ALL_TO_ALLS`` times the simulator's All-to-All kernel
+(:meth:`~repro.cluster.collectives.CollectiveCostModel.uniform_all_to_all`),
+with ``comm_bytes_scale`` passed as the kernel's ``scale`` exactly as the
+simulator applies it to token bytes.
 
 External measurements plug into the same path through the CSV formats:
 
@@ -32,86 +40,36 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.calib.profile import CalibrationProfile
+from repro.cluster.collectives import CollectiveCostModel
 from repro.cluster.topology import ClusterTopology, LinkType
-from repro.workloads.model_configs import MoEModelConfig, get_model_config
+from repro.core.comm_schedule import TOKEN_ALL_TO_ALLS
+from repro.workloads.model_configs import (
+    BYTES_PER_ELEMENT,
+    MoEModelConfig,
+    get_model_config,
+)
 
 _MIB = 1024.0 ** 2
 
-#: Bytes per routed element (bf16), matching the cost model's default.
-BYTES_PER_ELEMENT = 2
 
+def draw_machine(seed: int) -> CalibrationProfile:
+    """Draw a plausible degraded machine from a seeded distribution.
 
-@dataclass(frozen=True)
-class GroundTruthMachine:
-    """The hidden machine the synthetic microbenchmarks run against.
-
-    The fields mirror :class:`~repro.calib.profile.CalibrationProfile`; a
-    perfect fit on noise-free observations recovers exactly
-    ``machine.as_profile()``.
+    Bandwidth efficiencies and MFU land below nominal (links and GEMMs
+    rarely beat their spec sheet) while latencies and per-token bytes land
+    above (switch hops, protocol framing).  A perfect fit on noise-free
+    observations of the machine recovers it.
     """
-
-    intra_node_bandwidth_scale: float = 1.0
-    inter_node_bandwidth_scale: float = 1.0
-    intra_node_latency_s: float = 3e-6
-    inter_node_latency_s: float = 12e-6
-    flops_scale: float = 1.0
-    comm_bytes_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("intra_node_bandwidth_scale", "inter_node_bandwidth_scale",
-                     "flops_scale", "comm_bytes_scale"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.intra_node_latency_s < 0 or self.inter_node_latency_s < 0:
-            raise ValueError("latencies must be non-negative")
-
-    @classmethod
-    def draw(cls, seed: int) -> "GroundTruthMachine":
-        """Draw a plausible degraded machine from a seeded distribution.
-
-        Bandwidth efficiencies and MFU land below nominal (links and GEMMs
-        rarely beat their spec sheet) while latencies and per-token bytes
-        land above (switch hops, protocol framing).
-        """
-        rng = np.random.default_rng(seed)
-        return cls(
-            intra_node_bandwidth_scale=float(rng.uniform(0.55, 0.95)),
-            inter_node_bandwidth_scale=float(rng.uniform(0.5, 0.9)),
-            intra_node_latency_s=float(rng.uniform(2e-6, 8e-6)),
-            inter_node_latency_s=float(rng.uniform(10e-6, 40e-6)),
-            flops_scale=float(rng.uniform(0.7, 1.0)),
-            comm_bytes_scale=float(rng.uniform(1.0, 1.3)),
-        )
-
-    def as_profile(self, source: str = "") -> CalibrationProfile:
-        """The calibration profile a perfect fit of this machine yields."""
-        return CalibrationProfile(
-            intra_node_bandwidth_scale=self.intra_node_bandwidth_scale,
-            inter_node_bandwidth_scale=self.inter_node_bandwidth_scale,
-            intra_node_latency_s=self.intra_node_latency_s,
-            inter_node_latency_s=self.inter_node_latency_s,
-            flops_scale=self.flops_scale,
-            comm_bytes_scale=self.comm_bytes_scale,
-            source=source,
-        )
-
-    def true_topology(self, base: ClusterTopology) -> ClusterTopology:
-        """The hidden machine as a concrete topology derived from ``base``."""
-        return self.as_profile().apply_to_topology(base)
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "intra_node_bandwidth_scale": self.intra_node_bandwidth_scale,
-            "inter_node_bandwidth_scale": self.inter_node_bandwidth_scale,
-            "intra_node_latency_s": self.intra_node_latency_s,
-            "inter_node_latency_s": self.inter_node_latency_s,
-            "flops_scale": self.flops_scale,
-            "comm_bytes_scale": self.comm_bytes_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, float]) -> "GroundTruthMachine":
-        return cls(**{str(k): float(v) for k, v in data.items()})
+    rng = np.random.default_rng(seed)
+    return CalibrationProfile(
+        intra_node_bandwidth_scale=float(rng.uniform(0.55, 0.95)),
+        inter_node_bandwidth_scale=float(rng.uniform(0.5, 0.9)),
+        intra_node_latency_s=float(rng.uniform(2e-6, 8e-6)),
+        inter_node_latency_s=float(rng.uniform(10e-6, 40e-6)),
+        flops_scale=float(rng.uniform(0.7, 1.0)),
+        comm_bytes_scale=float(rng.uniform(1.0, 1.3)),
+        source=f"hidden:seed={seed}",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -350,25 +308,25 @@ def _noisy(seconds: float, noise: float, rng: np.random.Generator) -> float:
 def uniform_all_to_all_seconds(topology: ClusterTopology,
                                config: MoEModelConfig,
                                tokens_per_device: int,
-                               comm_bytes_scale: float = 1.0) -> float:
-    """Modelled time of one iteration's All-to-All under uniform routing.
+                               scale: float = 1.0) -> float:
+    """Time of one iteration's token All-to-Alls under uniform routing.
 
     Every device scatters ``tokens_per_device`` hidden vectors evenly over
-    all devices; the time is the cost model's ``T_comm`` term (four
-    All-to-All operations per layer) on that uniform traffic.  Used both to
-    *generate* synthetic observations (on the hidden true topology with the
-    hidden byte overhead) and to *predict* them during fitting (on the
-    calibrated topology with ``comm_bytes_scale=1``).
+    all devices, and an iteration runs ``TOKEN_ALL_TO_ALLS`` such exchanges
+    per layer, each priced by the simulator's kernel with ``scale`` (the
+    ``comm_bytes_scale``) multiplying the token bytes.  Used both to
+    *generate* synthetic observations (on the hidden topology at the hidden
+    scale) and to *predict* them during fitting (on the calibrated
+    topology).
     """
-    n = topology.num_devices
-    pairwise = np.full((n, n), tokens_per_device / n, dtype=np.float64)
-    inv_bw = 1.0 / topology.bandwidth_matrix()
-    bytes_per_token = config.hidden_size * BYTES_PER_ELEMENT * comm_bytes_scale
-    return 4.0 * bytes_per_token * float(np.sum(pairwise * inv_bw))
+    bytes_per_pair = (tokens_per_device / topology.num_devices
+                      * config.hidden_size * BYTES_PER_ELEMENT)
+    return TOKEN_ALL_TO_ALLS * CollectiveCostModel(topology).uniform_all_to_all(
+        bytes_per_pair, scale=scale)
 
 
 def run_microbenchmarks(base_topology: ClusterTopology,
-                        machine: GroundTruthMachine,
+                        machine: CalibrationProfile,
                         config: Optional[MeasureConfig] = None,
                         seed: int = 0) -> ObservationSet:
     """Run the seeded microbenchmark schedule against a hidden machine.
@@ -376,7 +334,8 @@ def run_microbenchmarks(base_topology: ClusterTopology,
     Args:
         base_topology: The *nominal* cluster description (what the operator
             believes the machine is).
-        machine: The hidden ground truth the measurements actually see.
+        machine: The hidden machine the measurements actually see, as the
+            profile that maps ``base_topology`` onto it.
         config: Schedule shape (sizes, counts, noise).
         seed: PRNG seed for pair sampling and measurement noise.
 
@@ -386,7 +345,7 @@ def run_microbenchmarks(base_topology: ClusterTopology,
     """
     config = config or MeasureConfig()
     rng = np.random.default_rng(seed)
-    true_topology = machine.true_topology(base_topology)
+    true_topology = machine.apply_to_topology(base_topology)
     model_config = get_model_config(config.model)
     obs = ObservationSet(model=config.model,
                          num_nodes=base_topology.num_nodes,
@@ -416,7 +375,7 @@ def run_microbenchmarks(base_topology: ClusterTopology,
     for tokens in config.all_to_all_tokens:
         seconds = uniform_all_to_all_seconds(
             true_topology, model_config, tokens,
-            comm_bytes_scale=machine.comm_bytes_scale)
+            scale=machine.comm_bytes_scale)
         obs.all_to_all.append(AllToAllObservation(
             tokens_per_device=int(tokens),
             seconds=_noisy(seconds, config.noise, rng)))

@@ -168,9 +168,9 @@ from repro.api import (
     run_planner_study,
 )
 from repro.calib import (
-    GroundTruthMachine,
     MeasureConfig,
     ObservationSet,
+    draw_machine,
     fit_calibration,
     run_microbenchmarks,
 )
@@ -1869,7 +1869,7 @@ def cmd_calib_measure(args: argparse.Namespace) -> int:
     if args.noise:
         config = dataclasses.replace(config, noise=args.noise)
     machine_seed = args.seed if args.machine_seed is None else args.machine_seed
-    machine = GroundTruthMachine.draw(machine_seed)
+    machine = draw_machine(machine_seed)
     topology = ClusterTopology(num_nodes=args.num_nodes,
                                devices_per_node=args.devices_per_node)
     observations = run_microbenchmarks(topology, machine,
@@ -1879,9 +1879,7 @@ def cmd_calib_measure(args: argparse.Namespace) -> int:
         path = observations.save(args.output)
         # The hidden machine rides along so tests and CI can check recovery;
         # real measurement campaigns simply won't have this file.
-        with (path / "ground_truth.json").open("w") as handle:
-            json.dump(machine.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        machine.save(path / "ground_truth.json")
         return path
 
     path = _write_or_error("observations", args.output, save)

@@ -1,14 +1,15 @@
 """Analytic cost models for collective communication operations.
 
-The training systems in this repository use five collectives:
+The training systems in this repository use four collectives:
 
 * **All-to-All** -- token dispatch/combine in expert parallelism and the FSEP
   unshard/reshard operations.  Cost is driven by the bytes each device
-  sends and receives per link class and that class's bandwidth.
+  sends and receives per link class and that class's bandwidth.  It is also
+  the price :mod:`repro.calib` generates and fits uniform All-to-All
+  observations with.
 * **All-Gather** -- FSDP parameter unsharding.
 * **Reduce-Scatter** -- FSDP gradient synchronisation.
 * **All-Reduce** -- data-parallel gradient synchronisation and TP activations.
-* **Broadcast** -- FasterMoE-style shadow-expert replication.
 
 All models follow the alpha-beta convention: a per-message latency plus a
 bandwidth term.  For ring-based collectives the bandwidth term uses the
@@ -54,7 +55,8 @@ class CollectiveCostModel:
     # All-to-All
     # ------------------------------------------------------------------
     def all_to_all(self, traffic: np.ndarray,
-                   group: Sequence[int] | None = None) -> float:
+                   group: Sequence[int] | None = None,
+                   scale: float = 1.0) -> float:
         """Time of an All-to-All described by a per-pair ``traffic`` matrix.
 
         Args:
@@ -63,6 +65,8 @@ class CollectiveCostModel:
                 ``b``-th group member.  The diagonal (local data) is ignored.
             group: Global device ranks participating in the collective.  When
                 omitted, all cluster devices participate in rank order.
+            scale: Multiplier on the summed bytes, as in
+                :meth:`all_to_all_batch`.
 
         Returns:
             Estimated completion time in seconds, as
@@ -80,7 +84,7 @@ class CollectiveCostModel:
         n = len(members)
         return float(self.all_to_all_batch(
             np.full((1, n), n), np.tile(np.arange(n), n), traffic.reshape(-1),
-            group=group)[0])
+            scale=scale, group=group)[0])
 
     def all_to_all_batch(self, row_counts: np.ndarray, receivers: np.ndarray,
                          traffic: np.ndarray, scale: float = 1.0,
@@ -146,13 +150,19 @@ class CollectiveCostModel:
                 + latency).max(axis=1)
 
     def uniform_all_to_all(self, bytes_per_pair: float,
-                           group: Sequence[int] | None = None) -> float:
-        """All-to-All where every device sends ``bytes_per_pair`` to every other."""
+                           group: Sequence[int] | None = None,
+                           scale: float = 1.0) -> float:
+        """All-to-All where every device sends ``bytes_per_pair`` to every other.
+
+        Over the whole cluster every device drains the same bytes per link
+        class and pays the same latency, so the time is affine in ``scale``:
+        the latency at scale 0, plus ``scale`` times the bandwidth part.
+        """
         members = self._resolve_group(group)
         n = len(members)
         traffic = np.full((n, n), float(bytes_per_pair), dtype=np.float64)
         np.fill_diagonal(traffic, 0.0)
-        return self.all_to_all(traffic, group)
+        return self.all_to_all(traffic, group, scale=scale)
 
     # ------------------------------------------------------------------
     # Ring-style collectives
@@ -176,20 +186,6 @@ class CollectiveCostModel:
             return 0.0
         shard = num_bytes / p
         return self._ring_collective(shard, members, passes=2.0)
-
-    def broadcast(self, num_bytes: float,
-                  group: Sequence[int] | None = None) -> float:
-        """Broadcast ``num_bytes`` from the first group member to the rest.
-
-        Modelled as a pipelined chain: the payload traverses the slowest link
-        once (large-message regime).
-        """
-        members = self._resolve_group(group)
-        if len(members) <= 1 or num_bytes == 0:
-            return 0.0
-        slowest = self._slowest_bandwidth(members)
-        latency = self._max_latency(members)
-        return latency + num_bytes / (slowest * self.efficiency)
 
     # ------------------------------------------------------------------
     # Internals

@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.topology import ClusterTopology
-from repro.workloads.model_configs import MoEModelConfig
+from repro.workloads.model_configs import BYTES_PER_ELEMENT, MoEModelConfig
 
-#: Bytes per parameter for bf16 weights.
-BYTES_BF16 = 2
 #: Bytes per parameter for fp32 master weights / optimizer moments.
 BYTES_FP32 = 4
 #: Adam keeps fp32 master weights + two fp32 moments per parameter.
@@ -61,17 +59,18 @@ class MemoryModel:
     @property
     def total_param_bytes(self) -> float:
         """Total bf16 parameter bytes of the full model."""
-        return self.config.total_params * BYTES_BF16
+        return self.config.total_params * BYTES_PER_ELEMENT
 
     @property
     def expert_param_bytes_per_layer(self) -> float:
         """bf16 bytes of all experts of one MoE layer."""
-        return self.config.expert_params_per_layer * self.config.num_experts * BYTES_BF16
+        return (self.config.expert_params_per_layer * self.config.num_experts
+                * BYTES_PER_ELEMENT)
 
     @property
     def single_expert_param_bytes(self) -> float:
         """bf16 bytes of a single expert (``Psi_expert`` in the paper)."""
-        return self.config.expert_params_per_layer * BYTES_BF16
+        return self.config.expert_param_bytes
 
     # ------------------------------------------------------------------
     # Paradigm-specific budgets
@@ -105,7 +104,7 @@ class MemoryModel:
         sharded_params = self.total_param_bytes / n
         sharded_grads = self.total_param_bytes / n
         optimizer = self.config.total_params * ADAM_STATE_BYTES_PER_PARAM / n
-        other_layer = self.config.non_expert_params_per_layer * BYTES_BF16
+        other_layer = self.config.non_expert_params_per_layer * BYTES_PER_ELEMENT
         restored_experts = 2 * capacity * self.single_expert_param_bytes
         activations = self._activation_bytes(tokens_per_device)
         return MemoryBreakdown(
@@ -134,7 +133,7 @@ class MemoryModel:
         optimizer = (self.config.total_params * ADAM_STATE_BYTES_PER_PARAM) / n
         experts_per_device = self.config.num_experts / ep_size
         unsharded = (experts_per_device * self.single_expert_param_bytes
-                     + self.config.non_expert_params_per_layer * BYTES_BF16)
+                     + self.config.non_expert_params_per_layer * BYTES_PER_ELEMENT)
         activations = self._activation_bytes(tokens_per_device)
         return MemoryBreakdown(
             parameters=sharded_params + unsharded,
@@ -161,7 +160,7 @@ class MemoryModel:
         non_expert_bytes = self.total_param_bytes - expert_bytes
         params = expert_bytes / ep_size + non_expert_bytes / tp_size
         grads = params
-        optimizer = (params / BYTES_BF16 * ADAM_STATE_BYTES_PER_PARAM
+        optimizer = (params / BYTES_PER_ELEMENT * ADAM_STATE_BYTES_PER_PARAM
                      / optimizer_sharding_dp)
         activations = self._activation_bytes(tokens_per_device) / tp_size
         return MemoryBreakdown(
@@ -210,7 +209,7 @@ class MemoryModel:
     def _layer_param_bytes(self) -> float:
         per_layer = (self.config.non_expert_params_per_layer
                      + self.config.expert_params_per_layer * self.config.num_experts)
-        return per_layer * BYTES_BF16
+        return per_layer * BYTES_PER_ELEMENT
 
     def _activation_bytes(self, tokens_per_device: int) -> float:
         per_token = self.config.activation_bytes_per_token(

@@ -73,10 +73,9 @@ class ClusterTopology:
             raise ValueError("bandwidths must be positive")
         if self.intra_node_latency < 0 or self.inter_node_latency < 0:
             raise ValueError("latencies must be non-negative")
-        # Lazily built N-sized / NxN caches.  The topology is treated as
-        # immutable after construction (nothing in the repo mutates link
-        # parameters in place).
-        self._matrix_cache: dict = {}
+        # Built on first use.  The topology is treated as immutable after
+        # construction (nothing in the repo mutates it in place).
+        self._device_nodes: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Basic structure
@@ -150,43 +149,16 @@ class ClusterTopology:
         return self.latency(src, dst) + num_bytes / self.bandwidth(src, dst)
 
     # ------------------------------------------------------------------
-    # Matrix form (cached)
+    # Array form (cached)
     # ------------------------------------------------------------------
     def device_nodes(self) -> np.ndarray:
-        """Return the cached ``(N,)`` array mapping device rank to node index."""
-        cached = self._matrix_cache.get("nodes")
-        if cached is None:
-            cached = np.arange(self.num_devices) // self.devices_per_node
-            cached.setflags(write=False)
-            self._matrix_cache["nodes"] = cached
-        return cached
-
-    def _full_matrix(self, key: str, local: float, intra: float,
-                     inter: float) -> np.ndarray:
-        cached = self._matrix_cache.get(key)
-        if cached is None:
-            nodes = self.device_nodes()
-            same = nodes[:, None] == nodes[None, :]
-            cached = np.where(same, intra, inter)
-            np.fill_diagonal(cached, local)
-            cached.setflags(write=False)
-            self._matrix_cache[key] = cached
-        return cached
-
-    def bandwidth_matrix(self) -> np.ndarray:
-        """Return the cached, read-only ``N x N`` bandwidth matrix (bytes/s).
-
-        The diagonal is ``inf`` (local copies are free in our model).
-        """
-        return self._full_matrix("bandwidth", np.inf,
-                                 self.intra_node_bandwidth,
-                                 self.inter_node_bandwidth)
-
-    def latency_matrix(self) -> np.ndarray:
-        """Return the cached, read-only ``N x N`` message latency matrix
-        (seconds); the diagonal is 0 (no transfer)."""
-        return self._full_matrix("latency", 0.0, self.intra_node_latency,
-                                 self.inter_node_latency)
+        """Return the cached, read-only ``(N,)`` array mapping device rank to
+        node index."""
+        if self._device_nodes is None:
+            nodes = np.arange(self.num_devices) // self.devices_per_node
+            nodes.setflags(write=False)
+            self._device_nodes = nodes
+        return self._device_nodes
 
     # ------------------------------------------------------------------
     # Convenience constructors

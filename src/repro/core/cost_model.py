@@ -54,10 +54,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.comm_schedule import TOKEN_ALL_TO_ALLS
 from repro.core.layout import ExpertLayout
 from repro.core.routing_plan import RoutingBatch, RoutingPlan
-from repro.workloads.model_configs import MoEModelConfig
-
-#: Activation / parameter element width used throughout the simulator (bf16).
-BYTES_PER_ELEMENT = 2
+from repro.workloads.model_configs import BYTES_PER_ELEMENT, MoEModelConfig
 
 
 def token_all_to_all(collectives: CollectiveCostModel,

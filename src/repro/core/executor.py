@@ -34,6 +34,7 @@ from repro.core.lite_routing import lite_route
 from repro.core.routing_plan import RoutingPlan
 from repro.model.expert import SwiGLUExpert
 from repro.model.moe_layer import MoELayer
+from repro.workloads.model_configs import BYTES_PER_ELEMENT
 from repro.workloads.routing_traces import routing_from_assignments
 
 
@@ -66,11 +67,9 @@ class DistributedMoEOutput:
 class FSEPExecutor:
     """Execute a :class:`MoELayer` under FSEP with an arbitrary expert layout."""
 
-    def __init__(self, moe_layer: MoELayer, topology: ClusterTopology,
-                 bytes_per_element: int = 2):
+    def __init__(self, moe_layer: MoELayer, topology: ClusterTopology):
         self.moe_layer = moe_layer
         self.topology = topology
-        self.bytes_per_element = bytes_per_element
         shapes = [(name, tuple(param.shape))
                   for name, param in moe_layer.experts[0].named_parameters()
                   if name in moe_layer.experts[0].parameter_order()]
@@ -80,7 +79,6 @@ class FSEPExecutor:
         self.sharded = FSEPShardedExperts(
             expert_parameters=[e.flatten_parameters() for e in moe_layer.experts],
             num_devices=topology.num_devices,
-            bytes_per_element=bytes_per_element,
             parameter_shapes=shapes,
         )
 
@@ -175,7 +173,7 @@ class FSEPExecutor:
         device_expert_tokens: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         tokens_per_device = np.zeros(self.num_devices, dtype=np.int64)
         dispatch_bytes = 0.0
-        hidden_bytes = hidden * self.bytes_per_element
+        hidden_bytes = hidden * BYTES_PER_ELEMENT
 
         for dst in range(self.num_devices):
             restored = unshard.device_experts[dst]

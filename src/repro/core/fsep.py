@@ -26,6 +26,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.core.layout import ExpertLayout
+from repro.workloads.model_configs import BYTES_PER_ELEMENT
 
 
 @dataclass
@@ -70,8 +71,6 @@ class FSEPShardedExperts:
             experts must have identical sizes (they are instances of the same
             SwiGLU architecture).
         num_devices: Number of devices ``N`` the experts are sharded over.
-        bytes_per_element: Bytes per parameter element used for traffic
-            accounting (2 for bf16 as in the paper).
         parameter_shapes: Optional meta-information recording the original
             (name, shape) structure of one expert so restored flat vectors can
             be viewed back into matrices (the ``real_experts`` meta of Fig. 4a).
@@ -79,7 +78,6 @@ class FSEPShardedExperts:
 
     expert_parameters: Sequence[np.ndarray]
     num_devices: int
-    bytes_per_element: int = 2
     parameter_shapes: Sequence[Tuple[str, Tuple[int, ...]]] | None = None
 
     _shards: np.ndarray = field(init=False, repr=False)
@@ -140,12 +138,12 @@ class FSEPShardedExperts:
 
     @property
     def expert_bytes(self) -> float:
-        """Bytes of one (unpadded) expert at the configured element width."""
-        return self._expert_size * self.bytes_per_element
+        """bf16 bytes of one (unpadded) expert."""
+        return self._expert_size * BYTES_PER_ELEMENT
 
     def memory_per_device_bytes(self) -> float:
         """Persistent parameter bytes stored by each device."""
-        return self.num_experts * self.chunk_size * self.bytes_per_element
+        return self.num_experts * self.chunk_size * BYTES_PER_ELEMENT
 
     # ------------------------------------------------------------------
     # Unshard: restore complete expert parameters according to a layout
@@ -159,7 +157,7 @@ class FSEPShardedExperts:
         layout uses the full per-device capacity.
         """
         self._check_layout(layout)
-        chunk_bytes = self.chunk_size * self.bytes_per_element
+        chunk_bytes = self.chunk_size * BYTES_PER_ELEMENT
         traffic = np.zeros((self.num_devices, self.num_devices), dtype=np.float64)
         device_experts: Dict[int, Dict[int, np.ndarray]] = {}
         for device in range(self.num_devices):
@@ -196,7 +194,7 @@ class FSEPShardedExperts:
         Returns:
             The reduced ``(N, E, chunk)`` sharded gradients plus traffic.
         """
-        chunk_bytes = self.chunk_size * self.bytes_per_element
+        chunk_bytes = self.chunk_size * BYTES_PER_ELEMENT
         traffic = np.zeros((self.num_devices, self.num_devices), dtype=np.float64)
         sharded = np.zeros_like(self._shards)
         for device, grads in device_gradients.items():
@@ -243,7 +241,7 @@ class FSEPShardedExperts:
     def unshard_bytes_per_device(self, capacity: int) -> float:
         """Per-device unshard receive volume ``C * (N-1)/N * Psi_expert`` bytes."""
         n = self.num_devices
-        return capacity * (n - 1) / n * self.padded_expert_size * self.bytes_per_element
+        return capacity * (n - 1) / n * self.padded_expert_size * BYTES_PER_ELEMENT
 
     # ------------------------------------------------------------------
     # Internal checks

@@ -3,8 +3,8 @@
 Megatron splits the attention projections across ``tp_size`` devices and
 synchronises the activations with two All-Reduces per layer in the forward
 pass (and two in the backward pass).  TP also reduces GEMM efficiency because
-each device multiplies smaller matrices; the ``efficiency_factor`` captures
-that empirically-observed degradation.
+each device multiplies smaller matrices; :data:`EFFICIENCY_LOSS_PER_SPLIT`
+captures that empirically-observed degradation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 from repro.cluster.collectives import CollectiveCostModel
 from repro.cluster.topology import ClusterTopology
-from repro.workloads.model_configs import MoEModelConfig
+from repro.workloads.model_configs import BYTES_PER_ELEMENT, MoEModelConfig
+
+#: Multiplicative GEMM efficiency loss for every doubling of the TP degree
+#: (smaller per-device matrices).
+EFFICIENCY_LOSS_PER_SPLIT = 0.06
 
 
 @dataclass
@@ -24,22 +28,15 @@ class TensorParallelCost:
         topology: Cluster topology.
         config: Model configuration.
         tp_size: Tensor-parallel degree.
-        bytes_per_element: Activation element width (bf16).
-        efficiency_loss_per_split: Multiplicative GEMM efficiency loss applied
-            for every doubling of ``tp_size`` (smaller per-device matrices).
     """
 
     topology: ClusterTopology
     config: MoEModelConfig
     tp_size: int
-    bytes_per_element: int = 2
-    efficiency_loss_per_split: float = 0.06
 
     def __post_init__(self) -> None:
         if self.tp_size < 1:
             raise ValueError("tp_size must be at least 1")
-        if not 0.0 <= self.efficiency_loss_per_split < 1.0:
-            raise ValueError("efficiency_loss_per_split must be in [0, 1)")
         self._collectives = CollectiveCostModel(self.topology)
 
     # ------------------------------------------------------------------
@@ -50,7 +47,7 @@ class TensorParallelCost:
         while size > 1:
             splits += 1
             size //= 2
-        return (1.0 - self.efficiency_loss_per_split) ** splits
+        return (1.0 - EFFICIENCY_LOSS_PER_SPLIT) ** splits
 
     def attention_forward_time(self, tokens_per_device: int) -> float:
         """Forward attention time per layer per device, including TP comm.
@@ -81,6 +78,6 @@ class TensorParallelCost:
         if self.tp_size > self.topology.devices_per_node:
             group = list(range(self.tp_size))
         activation_bytes = (self.tp_size * tokens_per_device
-                            * self.config.hidden_size * self.bytes_per_element)
+                            * self.config.hidden_size * BYTES_PER_ELEMENT)
         one = self._collectives.all_reduce(activation_bytes, group)
         return 4.0 * one

@@ -16,6 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List
 
+#: Bytes per activation or parameter element (bf16), the one element width
+#: of the cost model, the simulator, the memory model and calibration.
+BYTES_PER_ELEMENT = 2
+
 
 @dataclass(frozen=True)
 class MoEModelConfig:
@@ -150,7 +154,7 @@ class MoEModelConfig:
     @property
     def expert_param_bytes(self) -> int:
         """bf16 bytes of one expert (``Psi_expert`` in bytes)."""
-        return 2 * self.expert_params_per_layer
+        return BYTES_PER_ELEMENT * self.expert_params_per_layer
 
     def activation_bytes_per_token(self, checkpointing: bool = True) -> float:
         """Resident activation bytes per token.
@@ -159,7 +163,7 @@ class MoEModelConfig:
         (one hidden vector per layer); without it we additionally keep the
         attention and expert intermediates.
         """
-        bytes_per_el = 2.0
+        bytes_per_el = float(BYTES_PER_ELEMENT)
         layer_input = self.hidden_size * bytes_per_el
         if checkpointing:
             return self.num_layers * layer_input

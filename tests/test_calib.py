@@ -11,21 +11,36 @@ import pytest
 from repro.api.specs import ClusterSpec, ExperimentSpec, WorkloadSpec
 from repro.calib import (
     CalibrationProfile,
-    GroundTruthMachine,
     MeasureConfig,
     ObservationSet,
     fit_calibration,
     fit_report,
     fit_summary_line,
+    measure,
     run_microbenchmarks,
 )
-from repro.calib.measure import CommObservation
+from repro.calib.measure import (
+    AllToAllObservation,
+    CommObservation,
+    ComputeObservation,
+)
+from repro.cluster.collectives import CollectiveCostModel
 from repro.cluster.topology import ClusterTopology, LinkType
+from repro.core.comm_schedule import TOKEN_ALL_TO_ALLS
+from repro.core.cost_model import BYTES_PER_ELEMENT, token_all_to_all
+from repro.core.layout import static_ep_layout
+from repro.core.lite_routing import lite_route
+from repro.core.routing_plan import RoutingPlan
 from repro.store.result_store import run_id_for
+from repro.workloads.model_configs import get_model_config
+
+PROFILE_FIELDS = ("intra_node_bandwidth_scale", "inter_node_bandwidth_scale",
+                  "intra_node_latency_s", "inter_node_latency_s",
+                  "flops_scale", "comm_bytes_scale")
 
 
 def drawn_profile(seed: int = 3) -> CalibrationProfile:
-    return GroundTruthMachine.draw(seed).as_profile(source=f"seed {seed}")
+    return measure.draw_machine(seed)
 
 
 # ----------------------------------------------------------------------
@@ -158,15 +173,31 @@ class TestSpecCalibration:
 # Measurement
 # ----------------------------------------------------------------------
 class TestMeasurement:
-    def test_ground_truth_draw_is_deterministic(self):
-        assert GroundTruthMachine.draw(7) == GroundTruthMachine.draw(7)
-        assert GroundTruthMachine.draw(7) != GroundTruthMachine.draw(8)
-        machine = GroundTruthMachine.draw(7)
-        assert GroundTruthMachine.from_dict(machine.to_dict()) == machine
+    def test_draw_machine_is_deterministic(self):
+        assert drawn_profile(7) == drawn_profile(7)
+        assert drawn_profile(7) != drawn_profile(8)
+        machine = drawn_profile(7)
+        assert CalibrationProfile.from_dict(machine.to_dict()) == machine
+
+    def test_ground_truth_written_before_profiles_still_loads(self, tmp_path):
+        """``repro calib measure`` wrote the hidden machine as these six
+        keys before it wrote a profile; such a file loads as the profile
+        ``draw_machine`` now draws for its seed."""
+        path = tmp_path / "ground_truth.json"
+        path.write_text(json.dumps({
+            "comm_bytes_scale": 1.1299380820709422,
+            "flops_scale": 0.7282385926721198,
+            "inter_node_bandwidth_scale": 0.5947242026384398,
+            "inter_node_latency_s": 2.746486108193104e-05,
+            "intra_node_bandwidth_scale": 0.5842596668574498,
+            "intra_node_latency_s": 6.807646791238382e-06,
+        }, indent=2, sort_keys=True) + "\n")
+        assert CalibrationProfile.load(path) == dataclasses.replace(
+            drawn_profile(3), source="")
 
     def test_microbenchmarks_cover_all_terms(self, small_topology):
         observations = run_microbenchmarks(
-            small_topology, GroundTruthMachine.draw(0),
+            small_topology, drawn_profile(0),
             config=MeasureConfig.tiny(), seed=0)
         counts = observations.counts()
         assert counts["comm"] > 0
@@ -178,7 +209,7 @@ class TestMeasurement:
 
     def test_observation_csv_round_trip(self, small_topology, tmp_path):
         observations = run_microbenchmarks(
-            small_topology, GroundTruthMachine.draw(2),
+            small_topology, drawn_profile(2),
             config=MeasureConfig.tiny(), seed=2)
         observations.save(tmp_path / "obs")
         restored = ObservationSet.load(tmp_path / "obs")
@@ -201,10 +232,9 @@ class TestFit:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_noise_free_fit_recovers_the_hidden_machine(
             self, small_topology, seed):
-        machine = GroundTruthMachine.draw(seed)
-        observations = run_microbenchmarks(small_topology, machine, seed=seed)
+        truth = drawn_profile(seed)
+        observations = run_microbenchmarks(small_topology, truth, seed=seed)
         fit = fit_calibration(observations)
-        truth = machine.as_profile()
         assert fit.r2_min >= 0.99
         assert fit.profile.intra_node_bandwidth_scale == pytest.approx(
             truth.intra_node_bandwidth_scale, rel=1e-9)
@@ -221,7 +251,7 @@ class TestFit:
         assert fit_summary_line(fit).startswith("calib fit: ok")
 
     def test_robust_fit_survives_noise_and_outliers(self, small_topology):
-        machine = GroundTruthMachine.draw(4)
+        machine = drawn_profile(4)
         observations = run_microbenchmarks(
             small_topology, machine,
             config=MeasureConfig(noise=0.03), seed=4)
@@ -242,7 +272,7 @@ class TestFit:
 
     def test_report_renders_all_sections(self, small_topology):
         observations = run_microbenchmarks(
-            small_topology, GroundTruthMachine.draw(1),
+            small_topology, drawn_profile(1),
             config=MeasureConfig.tiny(), seed=1)
         fit = fit_calibration(observations)
         text = fit_report(fit, title="unit")
@@ -259,14 +289,100 @@ class TestEndToEnd:
     def test_fitted_profile_reproduces_hidden_machine_timings(
             self, small_topology):
         """A fit applied to the nominal topology predicts the hidden one."""
-        machine = GroundTruthMachine.draw(9)
+        machine = drawn_profile(9)
         observations = run_microbenchmarks(small_topology, machine, seed=9)
         fit = fit_calibration(observations)
         calibrated = fit.profile.apply_to_topology(small_topology)
-        hidden = machine.true_topology(small_topology)
+        hidden = machine.apply_to_topology(small_topology)
         size = 64 * 1024 * 1024
         for src, dst in ((0, 1), (0, 4), (3, 7)):
             assert calibrated.p2p_time(src, dst, size) == pytest.approx(
                 hidden.p2p_time(src, dst, size), rel=1e-9)
         assert calibrated.device_spec.effective_flops == pytest.approx(
             hidden.device_spec.effective_flops, rel=1e-9)
+
+
+# ----------------------------------------------------------------------
+# Observations priced by the simulator's own kernels
+# ----------------------------------------------------------------------
+#: The hidden machine, written out rather than drawn: the observations
+#: below use no calibration code but ``apply_to_topology``.
+HIDDEN = CalibrationProfile(
+    intra_node_bandwidth_scale=0.584, inter_node_bandwidth_scale=0.595,
+    intra_node_latency_s=6.8e-6, inter_node_latency_s=27.5e-6,
+    flops_scale=0.728, comm_bytes_scale=1.130)
+
+MODEL = "mixtral-8x7b-e8k2"
+CLUSTER_SHAPES = pytest.mark.parametrize(
+    "num_nodes, devices_per_node", [(2, 4), (8, 8), (32, 8)],
+    ids=["2x4", "8x8", "32x8"])
+
+
+def kernel_priced_observations(nominal: ClusterTopology) -> ObservationSet:
+    """What a measurement campaign would see on ``HIDDEN`` if the machine
+    behaved exactly as the simulator charges: alpha-beta transfers, FLOPs
+    at the hidden efficiency, and ``TOKEN_ALL_TO_ALLS`` uniform token
+    exchanges priced by ``token_all_to_all`` at the hidden byte scale."""
+    hidden = HIDDEN.apply_to_topology(nominal)
+    config = get_model_config(MODEL)
+    n, per_node = nominal.num_devices, nominal.devices_per_node
+    observations = ObservationSet(model=MODEL, num_nodes=nominal.num_nodes,
+                                  devices_per_node=per_node)
+    for src, dst in ((0, 1), (0, per_node)):  # one intra-, one inter-node
+        for size in (2.0 ** 20, 2.0 ** 24, 2.0 ** 28):
+            observations.comm.append(CommObservation(
+                src, dst, size, hidden.p2p_time(src, dst, size)))
+    for flops in (1e12, 8e12):
+        observations.compute.append(ComputeObservation(
+            0, flops, flops / hidden.device_spec.effective_flops))
+    collectives = CollectiveCostModel(hidden)
+    for tokens in (4096, 16384):
+        # Whole tokens per (sender, receiver) pair, all on expert 0.
+        dense = np.zeros((n, config.num_experts, n), dtype=np.int64)
+        dense[:, 0, :] = tokens // n
+        (seconds,), _ = token_all_to_all(
+            collectives, [RoutingPlan.from_dense(dense)],
+            config.hidden_size * BYTES_PER_ELEMENT, HIDDEN.comm_bytes_scale)
+        observations.all_to_all.append(AllToAllObservation(
+            tokens, TOKEN_ALL_TO_ALLS * float(seconds)))
+    return observations
+
+
+class TestFitsTheChargedPrice:
+    @CLUSTER_SHAPES
+    def test_fit_recovers_the_hidden_machine(self, num_nodes,
+                                             devices_per_node):
+        nominal = ClusterTopology(num_nodes=num_nodes,
+                                  devices_per_node=devices_per_node)
+        fit = fit_calibration(kernel_priced_observations(nominal))
+        for name in PROFILE_FIELDS:
+            assert getattr(fit.profile, name) == pytest.approx(
+                getattr(HIDDEN, name), rel=1e-6), name
+        assert fit.r2_min == pytest.approx(1.0, abs=1e-9)
+
+    @CLUSTER_SHAPES
+    def test_fit_predicts_a_skewed_exchange_it_never_saw(
+            self, num_nodes, devices_per_node):
+        """A lite-routed drifting frame, priced on the hidden machine, is
+        predicted on the calibrated topology at the fitted byte scale."""
+        nominal = ClusterTopology(num_nodes=num_nodes,
+                                  devices_per_node=devices_per_node)
+        fitted = fit_calibration(kernel_priced_observations(nominal)).profile
+        config = get_model_config(MODEL)
+        n = nominal.num_devices
+        workload = WorkloadSpec(model=MODEL, tokens_per_device=4096,
+                                layers=1, iterations=1, warmup=0)
+        routing = next(workload.make_source(n).iter_iterations())[0]
+        plan = lite_route(routing, static_ep_layout(
+            n, config.num_experts, config.expert_capacity), nominal)
+        bytes_per_token = config.hidden_size * BYTES_PER_ELEMENT
+
+        def price(profile: CalibrationProfile) -> float:
+            collectives = CollectiveCostModel(
+                profile.apply_to_topology(nominal))
+            (seconds,), _ = token_all_to_all(
+                collectives, [plan], bytes_per_token,
+                profile.comm_bytes_scale)
+            return float(seconds)
+
+        assert price(fitted) == pytest.approx(price(HIDDEN), rel=0.01)

@@ -863,13 +863,13 @@ class TestCalibCommands:
         assert "calib fit: ok" in out
         assert "r2_min=1.0000" in out
         assert profile_path.exists()
-        from repro.calib import CalibrationProfile, GroundTruthMachine
-        import json as json_mod
+        from repro.calib import CalibrationProfile
         fitted = CalibrationProfile.load(profile_path)
-        truth = GroundTruthMachine.from_dict(json_mod.loads(
-            (obs / "ground_truth.json").read_text())).as_profile()
+        truth = CalibrationProfile.load(obs / "ground_truth.json")
         assert fitted.flops_scale == pytest.approx(truth.flops_scale,
                                                    rel=1e-9)
+        assert fitted.comm_bytes_scale == pytest.approx(
+            truth.comm_bytes_scale, rel=1e-9)
 
     def test_fit_gate_trips_on_impossible_floor(self, tmp_path, capsys):
         obs = self._measure(tmp_path, capsys, extra=("--noise", "0.3"))

@@ -92,19 +92,6 @@ class TestRingCollectives:
         assert intra < inter
 
 
-class TestBroadcastAndP2P:
-    def test_broadcast_zero(self, model):
-        assert model.broadcast(0.0) == 0.0
-
-    def test_broadcast_single_member(self, model):
-        assert model.broadcast(1e9, group=[0]) == 0.0
-
-    def test_broadcast_inter_node_slower(self, model):
-        intra = model.broadcast(1e8, group=[0, 1, 2])
-        inter = model.broadcast(1e8, group=[0, 1, 4])
-        assert inter > intra
-
-
 class TestValidation:
     def test_efficiency_bounds(self):
         topo = ClusterTopology(num_nodes=1, devices_per_node=2)

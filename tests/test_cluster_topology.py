@@ -1,6 +1,5 @@
 """Tests for the cluster topology substrate."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.topology import ClusterTopology, LinkType
@@ -89,15 +88,6 @@ class TestLinks:
         topo = ClusterTopology(num_nodes=1, devices_per_node=2)
         with pytest.raises(ValueError):
             topo.p2p_time(0, 1, -1.0)
-
-    def test_bandwidth_matrix_structure(self):
-        topo = ClusterTopology(num_nodes=2, devices_per_node=2)
-        mat = topo.bandwidth_matrix()
-        assert mat.shape == (4, 4)
-        assert np.all(np.isinf(np.diag(mat)))
-        assert mat[0, 1] == topo.intra_node_bandwidth
-        assert mat[0, 2] == topo.inter_node_bandwidth
-        assert mat[2, 3] == topo.intra_node_bandwidth
 
 
 class TestConstructors:

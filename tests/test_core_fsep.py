@@ -33,8 +33,7 @@ class TestSharding:
             assert np.array_equal(sharded.restore_expert(idx), original)
 
     def test_memory_per_device(self):
-        sharded = FSEPShardedExperts(make_experts(), num_devices=4,
-                                     bytes_per_element=2)
+        sharded = FSEPShardedExperts(make_experts(), num_devices=4)
         assert sharded.memory_per_device_bytes() == 4 * 6 * 2
 
     def test_mismatched_expert_sizes_rejected(self):
@@ -86,8 +85,7 @@ class TestUnshard:
     def test_traffic_volume_matches_analysis(self):
         """Per-device receive volume equals C * (N-1)/N * Psi_expert bytes."""
         num_devices, capacity = 4, 2
-        sharded = FSEPShardedExperts(make_experts(size=32), num_devices=num_devices,
-                                     bytes_per_element=2)
+        sharded = FSEPShardedExperts(make_experts(size=32), num_devices=num_devices)
         layout = static_ep_layout(num_devices, 4, capacity)
         result = sharded.unshard(layout)
         per_device_recv = result.traffic.sum(axis=0)[0]
@@ -121,8 +119,7 @@ class TestReshard:
         assert np.allclose(sharded.reduce_full_gradient(result, 0), 0.0)
 
     def test_traffic_counted_per_sender(self):
-        sharded = FSEPShardedExperts(make_experts(size=32), num_devices=4,
-                                     bytes_per_element=2)
+        sharded = FSEPShardedExperts(make_experts(size=32), num_devices=4)
         grad = np.ones(32)
         result = sharded.reshard({1: {0: grad}})
         # Device 1 sends 3 chunks (to devices 0, 2, 3) of 8 elements each.

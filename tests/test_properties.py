@@ -12,6 +12,8 @@ inputs and check the invariants the paper's correctness relies on:
   simulator charges for the same plan;
 * the link-class All-to-All kernel equals its per-entry class-sum loop
   exactly, and the per-pair loop to rounding;
+* a uniform All-to-All's price is affine in the byte scale, the identity
+  calibration fits ``comm_bytes_scale`` on;
 * more bandwidth never slows a simulated iteration down, and the overflow
   charge is monotone in the device capacity.
 """
@@ -257,10 +259,9 @@ class TestOneAllToAllPrice:
 
 
 @st.composite
-def class_exchanges(draw):
-    """A random topology (single devices included, inter-node latency below
-    intra-node latency in about half the draws) and a random batch of
-    exchanges on it, as compressed sender rows of whole byte counts."""
+def collective_models(draw):
+    """A collective model on a random topology (single devices included,
+    inter-node latency below intra-node latency in about half the draws)."""
     num_nodes, devices_per_node = draw(st.one_of(
         st.just((1, 1)),
         st.tuples(st.integers(1, 6), st.integers(1, 8))))
@@ -271,8 +272,16 @@ def class_exchanges(draw):
         intra_node_bandwidth=draw(bandwidth),
         inter_node_bandwidth=draw(bandwidth),
         intra_node_latency=draw(latency), inter_node_latency=draw(latency))
-    model = CollectiveCostModel(
+    return CollectiveCostModel(
         topology, efficiency=draw(st.floats(min_value=0.05, max_value=1.0)))
+
+
+@st.composite
+def class_exchanges(draw):
+    """A random collective model and a random batch of exchanges on it, as
+    compressed sender rows of whole byte counts."""
+    model = draw(collective_models())
+    topology = model.topology
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     n = topology.num_devices
     exchanges = draw(st.integers(1, 3))
@@ -315,6 +324,28 @@ class TestLinkClassKernel:
                                                       scale=scale)
             assert seconds == pytest.approx(
                 scalar_all_to_all(model, matrix, scale=scale), rel=1e-12)
+
+
+class TestUniformExchangeIsAffineInScale:
+    @given(model=collective_models(),
+           bytes_per_pair=st.integers(min_value=0, max_value=10 ** 7),
+           scale=st.floats(min_value=0.0, max_value=4.0))
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_price_is_latency_plus_scale_times_bandwidth_part(
+            self, model, bytes_per_pair, scale):
+        """A uniform exchange's price at scale ``s`` is its scale-0 price
+        (the latency, charged on unscaled bytes) plus ``s`` times its
+        scale-1 price less that latency: every device drains the same
+        bytes per link class and pays the same latency.  Calibration fits
+        ``comm_bytes_scale`` on this identity.  A skewed exchange is only
+        piecewise affine in ``s``, since the device paying the worst
+        latency need not drain the most, so the fit uses uniform ones."""
+        def price(s):
+            return model.uniform_all_to_all(bytes_per_pair, scale=s)
+
+        latency = price(0.0)
+        assert price(scale) == pytest.approx(
+            latency + scale * (price(1.0) - latency), rel=1e-12)
 
 
 class TestCrossSystemProperties:
