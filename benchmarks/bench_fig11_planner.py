@@ -23,7 +23,8 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import MoECostModel
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.workloads.model_configs import get_model_config
-from repro.workloads.routing_traces import RoutingTraceConfig, SyntheticRoutingTraceGenerator
+from repro.workloads.routing_traces import RoutingTraceConfig
+from repro.workloads.scenarios import SyntheticTraceSource
 
 from conftest import make_trace, run_systems
 
@@ -38,10 +39,10 @@ def solve_time(num_devices: int, capacity: int, num_experts: int = 8) -> float:
     cost_model = MoECostModel.from_model_config(config, topology)
     tuner = ExpertLayoutTuner(topology, cost_model, capacity,
                               TunerConfig(num_candidates=2))
-    generator = SyntheticRoutingTraceGenerator(RoutingTraceConfig(
+    source = SyntheticTraceSource(RoutingTraceConfig(
         num_devices=num_devices, num_experts=num_experts, num_layers=1,
-        tokens_per_device=16384, top_k=2, skew=0.5, seed=41))
-    routing = generator.generate(1).layer(0, 0)
+        tokens_per_device=16384, top_k=2, skew=0.5, seed=41), 1)
+    routing = source.materialize().layer(0, 0)
     start = time.perf_counter()
     for _ in range(SOLVE_REPEATS):
         tuner.solve(routing)

@@ -23,11 +23,8 @@ from repro.cluster.topology import ClusterTopology
 from repro.sim.engine import RunResult, compare_systems
 from repro.sim.systems import make_system
 from repro.workloads.model_configs import MoEModelConfig, get_model_config
-from repro.workloads.routing_traces import (
-    RoutingTrace,
-    RoutingTraceConfig,
-    SyntheticRoutingTraceGenerator,
-)
+from repro.workloads.routing_traces import RoutingTrace, RoutingTraceConfig
+from repro.workloads.scenarios import SyntheticTraceSource
 
 #: Tokens per device per micro-batch used across the simulator benchmarks
 #: (8K context as in Sec. 5.2, two sequences per device).
@@ -66,7 +63,7 @@ def make_trace(config: MoEModelConfig, topology: ClusterTopology,
     """Build the synthetic routing trace for one experimental configuration."""
     params = DATASET_TRACE_PARAMS[dataset]
     skew = params["skew"] * AUX_LOSS_SKEW_MULTIPLIER.get(aux_loss_weight, 1.0)
-    generator = SyntheticRoutingTraceGenerator(RoutingTraceConfig(
+    routing_config = RoutingTraceConfig(
         num_devices=topology.num_devices,
         num_experts=config.num_experts,
         num_layers=layers,
@@ -79,8 +76,8 @@ def make_trace(config: MoEModelConfig, topology: ClusterTopology,
         drift=0.08,
         churn_prob=0.0,
         seed=params["seed"],
-    ))
-    return generator.generate(iterations)
+    )
+    return SyntheticTraceSource(routing_config, iterations).materialize()
 
 
 def run_systems(system_names: Sequence[str], config: MoEModelConfig,

@@ -29,7 +29,7 @@ from repro.core.layout import static_ep_layout
 from repro.core.planner import PlannerConfig
 from repro.workloads import (
     RoutingTraceConfig,
-    SyntheticRoutingTraceGenerator,
+    SyntheticTraceSource,
     get_model_config,
 )
 
@@ -44,7 +44,7 @@ def main() -> None:
           f"{config.num_experts} experts, top-{config.top_k})")
 
     # 2. A routing trace with the skew and drift of Fig. 1(a).
-    generator = SyntheticRoutingTraceGenerator(RoutingTraceConfig(
+    source = SyntheticTraceSource(RoutingTraceConfig(
         num_devices=topology.num_devices,
         num_experts=config.num_experts,
         num_layers=1,
@@ -52,8 +52,8 @@ def main() -> None:
         top_k=config.top_k,
         skew=0.45,
         seed=7,
-    ))
-    trace = generator.generate(4)
+    ), 4)
+    trace = source.materialize()
     print(f"Mean expert-load imbalance of the trace: {trace.mean_imbalance():.2f}x")
 
     # 3. The planner: cost model + layout tuner + token dispatcher.

@@ -53,7 +53,7 @@ from repro.workloads import (
     list_model_configs,
     MoEModelConfig,
     RoutingTrace,
-    SyntheticRoutingTraceGenerator,
+    SyntheticTraceSource,
 )
 from repro.core import (
     ExpertLayout,
@@ -81,7 +81,7 @@ __all__ = [
     "list_model_configs",
     "MoEModelConfig",
     "RoutingTrace",
-    "SyntheticRoutingTraceGenerator",
+    "SyntheticTraceSource",
     "ExpertLayout",
     "FSEPShardedExperts",
     "LoadBalancingPlanner",

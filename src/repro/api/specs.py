@@ -9,7 +9,7 @@ dataclasses that round-trip losslessly through ``to_dict`` / ``from_dict``
 The specs are purely declarative: they name a model configuration from
 :mod:`repro.workloads.model_configs` and systems from the
 :mod:`repro.sim.systems` registry, and hold the numeric knobs of the
-synthetic trace generator.  :class:`repro.api.runner.ExperimentRunner`
+synthetic routing scenarios.  :class:`repro.api.runner.ExperimentRunner`
 materialises them into topologies, traces and simulated systems.
 """
 
@@ -35,10 +35,7 @@ from repro.workloads.model_configs import (
     get_model_config,
     list_model_configs,
 )
-from repro.workloads.routing_traces import (
-    RoutingTrace,
-    RoutingTraceConfig,
-)
+from repro.workloads.routing_traces import RoutingTrace
 from repro.workloads.scenarios import (
     ScenarioContext,
     TraceSource,
@@ -138,7 +135,7 @@ class WorkloadSpec:
         drift: Per-iteration random-walk magnitude of the popularity logits.
         churn_prob: Probability per iteration of a hot-expert reshuffle.
         device_noise: Relative per-device multiplicative routing noise.
-        seed: PRNG seed of the trace generator.
+        seed: PRNG seed of the routing scenario.
         scenario: Name of a registered routing scenario
             (:func:`repro.workloads.scenarios.available_scenarios`); the
             default ``drifting`` reproduces the historical synthetic trace.
@@ -191,10 +188,6 @@ class WorkloadSpec:
     def model_config(self) -> MoEModelConfig:
         """Look up the model configuration named by the spec."""
         return get_model_config(self.model)
-
-    def trace_config(self, num_devices: int) -> RoutingTraceConfig:
-        """Trace-generator configuration for a cluster of ``num_devices``."""
-        return self.scenario_context(num_devices).trace_config()
 
     def scenario_context(self, num_devices: int) -> ScenarioContext:
         """Scenario build context for a cluster of ``num_devices``."""

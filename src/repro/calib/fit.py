@@ -51,7 +51,8 @@ class TermFit:
         term: ``"comm:intra_node"``, ``"comm:inter_node"``, ``"compute"`` or
             ``"all_to_all"``.
         num_observations: Observations the term was fitted on.
-        r2: Coefficient of determination of the fitted predictions.
+        r2: Coefficient of determination of the fitted predictions; NaN
+            (undefined) when every measurement of the term is equal.
         mape: Mean absolute percentage error of the fitted predictions.
         params: Fitted parameters (term-specific, e.g. ``bandwidth_scale``
             and ``latency_s`` for a comm term).
@@ -90,8 +91,12 @@ class FitResult:
 
     @property
     def r2_min(self) -> float:
-        """Worst per-term R² (the headline goodness-of-fit number)."""
-        return min((term.r2 for term in self.terms), default=float("nan"))
+        """Worst per-term R² (the headline goodness-of-fit number).
+
+        NaN when a term's R² is undefined, so no ``>=`` floor passes it.
+        """
+        r2s = [term.r2 for term in self.terms]
+        return float(np.min(r2s)) if r2s else float("nan")
 
     @property
     def mape_max(self) -> float:
@@ -162,9 +167,11 @@ def _r2(measured: np.ndarray, predicted: np.ndarray) -> float:
     ss_res = float(np.sum((measured - predicted) ** 2))
     ss_tot = float(np.sum((measured - np.mean(measured)) ** 2))
     if ss_tot <= 0:
-        # All measurements identical: perfect iff the predictions match too.
-        return 1.0 if ss_res <= 1e-24 else 0.0
+        # All measurements equal: nothing varies for the model to explain,
+        # so any fitted value would "explain" it.
+        return float("nan")
     return 1.0 - ss_res / ss_tot
+
 
 def _mape(measured: np.ndarray, predicted: np.ndarray) -> float:
     measured = np.asarray(measured, dtype=np.float64)

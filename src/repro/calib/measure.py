@@ -26,7 +26,9 @@ External measurements plug into the same path through the CSV formats:
 
 ``ObservationSet.save``/``load`` round-trip a directory holding those files
 plus a ``meta.json`` recording the model and cluster shape the observations
-were taken on.
+were taken on, and the All-to-All price (:data:`ALL_TO_ALL_PRICE`) a
+synthesized set was made with: ``load`` refuses a ``synthetic:`` directory
+made with another price.
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ from repro.workloads.model_configs import (
 )
 
 _MIB = 1024.0 ** 2
+
+#: The All-to-All price synthetic observations are made with.  A directory
+#: synthesized under another price holds times that fit a wrong
+#: ``comm_bytes_scale`` at R² 1, so change this whenever
+#: :func:`uniform_all_to_all_seconds` prices differently.
+ALL_TO_ALL_PRICE = "TOKEN_ALL_TO_ALLS*CollectiveCostModel.uniform_all_to_all"
 
 
 def draw_machine(seed: int) -> CalibrationProfile:
@@ -165,7 +173,7 @@ class ObservationSet:
                 writer.writerow([obs.tokens_per_device, repr(obs.seconds)])
         meta = {"model": self.model, "num_nodes": self.num_nodes,
                 "devices_per_node": self.devices_per_node,
-                "source": self.source}
+                "source": self.source, "all_to_all_price": ALL_TO_ALL_PRICE}
         (directory / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
         return directory
 
@@ -176,6 +184,11 @@ class ObservationSet:
         External observations work too: only the CSV files that exist are
         read, and a missing ``meta.json`` falls back to the defaults (pass
         the real cluster shape by editing ``meta.json``).
+
+        Raises:
+            ValueError: When the directory was synthesized (its source
+                starts with ``synthetic:``) under an All-to-All price other
+                than :data:`ALL_TO_ALL_PRICE`.
         """
         directory = Path(directory)
         if not directory.is_dir():
@@ -184,6 +197,11 @@ class ObservationSet:
         meta_path = directory / "meta.json"
         if meta_path.exists():
             meta = json.loads(meta_path.read_text())
+        if (str(meta.get("source", "")).startswith("synthetic:")
+                and meta.get("all_to_all_price") != ALL_TO_ALL_PRICE):
+            raise ValueError(
+                f"{directory} was synthesized under an older All-to-All "
+                f"price; run `repro calib measure` again to re-synthesize it")
         obs = cls(model=str(meta.get("model", cls.model)),
                   num_nodes=int(meta.get("num_nodes", cls.num_nodes)),
                   devices_per_node=int(meta.get("devices_per_node",
@@ -238,9 +256,11 @@ class MeasureConfig:
         transfer_sizes: Message sizes (bytes) of the pairwise transfers;
             at least two distinct sizes are needed to separate the latency
             intercept from the bandwidth slope.
-        compute_flops: Kernel sizes (FLOPs) of the per-device compute runs.
+        compute_flops: Kernel sizes (FLOPs) of the per-device compute runs;
+            at least two distinct sizes, like every size list here: a term
+            measured at one size has nothing for R² to explain.
         all_to_all_tokens: Per-device token counts of the uniform
-            All-to-All exchanges.
+            All-to-All exchanges; at least two distinct counts.
         pairs_per_link_type: Pairwise transfers sampled per link type and
             size.
         noise: Relative (multiplicative, Gaussian) measurement noise; 0
@@ -257,12 +277,12 @@ class MeasureConfig:
     model: str = "mixtral-8x7b-e8k2"
 
     def __post_init__(self) -> None:
-        if len(set(self.transfer_sizes)) < 2:
-            raise ValueError("need at least two distinct transfer sizes")
-        if any(size <= 0 for size in self.transfer_sizes):
-            raise ValueError("transfer sizes must be positive")
-        if not self.compute_flops or any(f <= 0 for f in self.compute_flops):
-            raise ValueError("compute_flops must be positive")
+        for name in ("transfer_sizes", "compute_flops", "all_to_all_tokens"):
+            sizes = getattr(self, name)
+            if len(set(sizes)) < 2:
+                raise ValueError(f"{name} needs at least two distinct sizes")
+            if any(size <= 0 for size in sizes):
+                raise ValueError(f"{name} must be positive")
         if self.pairs_per_link_type < 1:
             raise ValueError("pairs_per_link_type must be at least 1")
         if self.noise < 0:
@@ -273,7 +293,7 @@ class MeasureConfig:
         """A minimal schedule for smoke tests and CI."""
         return cls(transfer_sizes=(1 * _MIB, 16 * _MIB),
                    compute_flops=(1e12, 8e12),
-                   all_to_all_tokens=(2048,),
+                   all_to_all_tokens=(2048, 8192),
                    pairs_per_link_type=2,
                    model=model)
 

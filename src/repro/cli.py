@@ -1916,8 +1916,9 @@ def cmd_calib_fit(args: argparse.Namespace) -> int:
         if path is None:
             return 2
         print(f"Profile {fit.profile.profile_id} saved to {path}")
-    if args.min_r2 is not None and fit.r2_min < args.min_r2:
-        print(f"FIT GATE FAILED: r2_min {fit.r2_min:.4f} < {args.min_r2}",
+    if args.min_r2 is not None and not fit.r2_min >= args.min_r2:
+        print(f"FIT GATE FAILED: r2_min {fit.r2_min:.4f} is not >= "
+              f"{args.min_r2}",
               file=sys.stderr)
         return 1
     return 0

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.fsep import FSEPShardedExperts
-from repro.core.layout import ExpertLayout
+from repro.core.layout import ExpertLayout, round_robin_layout
 from repro.core.lite_routing import lite_route
 from repro.core.routing_plan import RoutingPlan
 from repro.model.expert import SwiGLUExpert
@@ -286,16 +286,6 @@ class FSEPExecutor:
 
     # ------------------------------------------------------------------
     def _default_layout(self) -> ExpertLayout:
-        """A static layout giving every expert ``N*C/E`` round-robin replicas."""
-        n = self.num_devices
-        capacity = max(1, self.moe_layer.num_experts // max(1, n)) \
-            if self.moe_layer.num_experts >= n else 1
-        # Simple round-robin: device d restores experts d*C..d*C+C-1 modulo E.
-        capacity = max(capacity, int(np.ceil(self.num_experts / n)))
-        assignment = np.zeros((n, self.num_experts), dtype=np.int64)
-        expert = 0
-        for device in range(n):
-            for _ in range(capacity):
-                assignment[device, expert % self.num_experts] += 1
-                expert += 1
-        return ExpertLayout(assignment, capacity)
+        """Every device restores ``C = ceil(E / N)`` experts in round robin."""
+        capacity = -(-self.num_experts // self.num_devices)
+        return round_robin_layout(self.num_devices, self.num_experts, capacity)

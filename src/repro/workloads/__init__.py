@@ -4,10 +4,12 @@ This subpackage provides the inputs the experiments consume:
 
 * The Table 2 model configuration registry (Mixtral-8x7B, Mixtral-8x22B,
   Qwen-8x7B in their e8k2 and e16k4 variants).
-* Synthetic routing-trace generators that reproduce the skewed, drifting
-  expert-load distributions the paper observes during Mixtral training
-  (Fig. 1a), plus utilities to replay traces captured from real (small) numpy
-  training runs.
+* Routing traces and the scenario registry of streaming trace sources
+  (:mod:`repro.workloads.scenarios`): :class:`SyntheticTraceSource` draws the
+  skewed, drifting expert-load distributions the paper observes during
+  Mixtral training (Fig. 1a), other scenarios add bursts, cycles, phases,
+  stragglers and tenants, and recorded traces from real (small) numpy
+  training runs replay through the same protocol.
 * Synthetic token datasets standing in for WikiText-103 and C4.
 """
 
@@ -26,7 +28,6 @@ from repro.workloads.model_configs import (
 from repro.workloads.routing_traces import (
     RoutingTrace,
     RoutingTraceConfig,
-    SyntheticRoutingTraceGenerator,
     balanced_routing,
     routing_from_assignments,
 )
@@ -49,7 +50,6 @@ from repro.workloads.scenarios import (
     StragglerTraceSource,
     SyntheticTraceSource,
     TraceSource,
-    as_trace_source,
     available_scenario_wrappers,
     available_scenarios,
     default_runnable_scenarios,
@@ -81,7 +81,6 @@ __all__ = [
     "QWEN_8X7B_E16K4",
     "RoutingTrace",
     "RoutingTraceConfig",
-    "SyntheticRoutingTraceGenerator",
     "balanced_routing",
     "routing_from_assignments",
     "save_trace",
@@ -110,7 +109,6 @@ __all__ = [
     "available_scenarios",
     "default_runnable_scenarios",
     "scenario_descriptions",
-    "as_trace_source",
     "SyntheticTextDataset",
     "DatasetConfig",
     "WIKITEXT_LIKE",

@@ -10,17 +10,20 @@ The paper collects traces from real Mixtral-8x7B training (Fig. 1a shows the
 resulting skew and drift).  We do not have those proprietary traces, so this
 module provides:
 
-* :class:`SyntheticRoutingTraceGenerator` -- draws expert popularity from a
-  Dirichlet distribution, lets it drift over iterations through a random walk
-  in logit space, and occasionally reshuffles the hot experts ("hotspot
-  churn"), reproducing the qualitative behaviour of Fig. 1a.
+* :class:`RoutingTraceConfig` -- the shape and popularity parameters the
+  synthetic sources of :mod:`repro.workloads.scenarios` draw from; the
+  drifting, churning process of Fig. 1a is
+  :class:`~repro.workloads.scenarios.SyntheticTraceSource`.
+* :func:`draw_routing_frame` -- the one multinomial draw of a frame from
+  per-layer expert popularities.
+* :class:`RoutingTrace` -- a materialized trace, itself a trace source.
 * :func:`routing_from_assignments` -- builds ``R`` from explicit per-token
   expert assignments, used to extract traces from the numpy training runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -28,7 +31,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class RoutingTraceConfig:
-    """Parameters of the synthetic routing-trace generator.
+    """Shape and popularity parameters of a synthetic routing workload.
 
     Attributes:
         num_devices: Number of devices ``N`` (each holds a data shard).
@@ -196,12 +199,12 @@ def draw_routing_frame(rng: np.random.Generator, probs_by_layer: np.ndarray,
                        config: RoutingTraceConfig) -> np.ndarray:
     """Draw one ``(layers, N, E)`` routing frame from per-layer popularities.
 
-    The single multinomial-draw implementation shared by the synthetic
-    generator and every scenario source in :mod:`repro.workloads.scenarios`:
-    each device perturbs the shared popularity with lognormal noise
-    (different data shards disagree slightly) and draws a multinomial over
-    experts.  Keeping one code path is what guarantees scenarios built on
-    the same popularity schedule stay bit-identical across refactors.
+    The single multinomial-draw implementation of every synthetic source in
+    :mod:`repro.workloads.scenarios`: each device perturbs the shared
+    popularity with lognormal noise (different data shards disagree
+    slightly) and draws a multinomial over experts.  Keeping one code path
+    is what guarantees scenarios built on the same popularity schedule stay
+    bit-identical across refactors.
     """
     assignments = config.tokens_per_device * config.top_k
     shape = (config.num_layers, config.num_devices, config.num_experts)
@@ -216,66 +219,6 @@ def draw_routing_frame(rng: np.random.Generator, probs_by_layer: np.ndarray,
     # Generator.multinomial broadcasts over the leading axes of pvals,
     # replacing the per-(layer, device) Python loop with one batched draw.
     return rng.multinomial(assignments, np.ascontiguousarray(pvals))
-
-
-@dataclass
-class SyntheticRoutingTraceGenerator:
-    """Generates synthetic skewed, drifting routing traces.
-
-    The generator maintains per-layer popularity logits.  Every iteration the
-    logits take a Gaussian random-walk step (drift); with probability
-    ``churn_prob`` the logits are re-drawn entirely (hotspot churn).  Each
-    device's routing is a multinomial draw around the shared popularity with a
-    small per-device perturbation, so different data shards disagree slightly,
-    as real data-parallel shards do.
-    """
-
-    config: RoutingTraceConfig
-    _rng: np.random.Generator = field(init=False, repr=False)
-    _logits: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._rng = np.random.default_rng(self.config.seed)
-        self._logits = self._draw_logits()
-
-    # ------------------------------------------------------------------
-    def _draw_logits(self) -> np.ndarray:
-        cfg = self.config
-        probs = self._rng.dirichlet([cfg.skew] * cfg.num_experts, size=cfg.num_layers)
-        return np.log(np.maximum(probs, 1e-9))
-
-    def _step_logits(self) -> None:
-        cfg = self.config
-        if self._rng.random() < cfg.churn_prob:
-            self._logits = self._draw_logits()
-            return
-        self._logits = self._logits + self._rng.normal(
-            0.0, cfg.drift, size=self._logits.shape)
-
-    def _layer_probs(self, layer: int) -> np.ndarray:
-        logits = self._logits[layer]
-        logits = logits - logits.max()
-        probs = np.exp(logits)
-        return probs / probs.sum()
-
-    # ------------------------------------------------------------------
-    def next_iteration(self) -> np.ndarray:
-        """Generate the routing ``(num_layers, N, E)`` of the next iteration."""
-        cfg = self.config
-        probs = np.stack([self._layer_probs(layer)
-                          for layer in range(cfg.num_layers)])
-        out = draw_routing_frame(self._rng, probs, cfg)
-        self._step_logits()
-        return out
-
-    def generate(self, num_iterations: int) -> RoutingTrace:
-        """Generate a trace of ``num_iterations`` iterations."""
-        if num_iterations <= 0:
-            raise ValueError("num_iterations must be positive")
-        frames = [self.next_iteration() for _ in range(num_iterations)]
-        return RoutingTrace(routing=np.stack(frames, axis=0),
-                            top_k=self.config.top_k,
-                            tokens_per_device=self.config.tokens_per_device)
 
 
 def balanced_routing(num_devices: int, num_experts: int,

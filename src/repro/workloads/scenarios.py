@@ -12,7 +12,15 @@ first-class concepts:
   processes) can consume the same workload and see bit-identical matrices.
   :class:`repro.workloads.routing_traces.RoutingTrace` satisfies the protocol
   too, so fully-materialized traces and streaming sources are interchangeable
-  everywhere.
+  everywhere.  The concrete sources share :class:`TraceSourceBase`, which
+  reads the five shape properties from one ``_shape`` object.
+* :class:`SyntheticTraceSource` -- the one drifting popularity process of
+  Fig. 1(a): Dirichlet logits that take a random-walk step per iteration or
+  are re-drawn on a ``churn_prob`` coin.  ``SyntheticTraceSource(config,
+  n).materialize()`` is the way to get a synthetic :class:`RoutingTrace`;
+  :class:`BurstyChurnTraceSource` runs the same walk with scheduled bursts
+  in place of the coin.  Every synthetic frame is drawn by
+  :func:`~repro.workloads.routing_traces.draw_routing_frame`.
 * the **scenario registry** -- ``SCENARIOS``, a decorator-based
   :class:`repro.registry.Registry` (the class behind the system and study
   registries too) that maps scenario names to source factories.
@@ -57,7 +65,6 @@ from repro.registry import Registry
 from repro.workloads.routing_traces import (
     RoutingTrace,
     RoutingTraceConfig,
-    SyntheticRoutingTraceGenerator,
     draw_routing_frame,
     routing_from_assignments,
 )
@@ -110,7 +117,19 @@ class TraceSource(Protocol):
 
 
 class TraceSourceBase:
-    """Shared behaviour of the concrete sources (fork + materialize)."""
+    """Shared behaviour of the concrete sources: shape, fork, materialize.
+
+    The five shape properties read one ``_shape`` object -- the config, the
+    loaded trace, the inner source or the first mixture component -- so a
+    source declares only ``_shape``, ``num_iterations`` and its iterator
+    (a mixture also sums its tenants' ``tokens_per_device``).
+    """
+
+    num_layers = property(lambda self: self._shape.num_layers)
+    num_devices = property(lambda self: self._shape.num_devices)
+    num_experts = property(lambda self: self._shape.num_experts)
+    tokens_per_device = property(lambda self: self._shape.tokens_per_device)
+    top_k = property(lambda self: self._shape.top_k)
 
     def fork(self) -> "TraceSource":
         return copy.deepcopy(self)
@@ -123,7 +142,6 @@ class TraceSourceBase:
                             top_k=self.top_k,
                             tokens_per_device=self.tokens_per_device)
 
-    # Subclasses provide the metadata and the iterator.
     def iter_iterations(self) -> Iterator[np.ndarray]:  # pragma: no cover
         raise NotImplementedError
 
@@ -135,18 +153,24 @@ def _dirichlet_probs(rng: np.random.Generator,
                          size=config.num_layers)
 
 
+def _dirichlet_logits(rng: np.random.Generator,
+                      config: RoutingTraceConfig) -> np.ndarray:
+    """Log-popularity of a fresh Dirichlet draw (floored at ``1e-9``)."""
+    return np.log(np.maximum(_dirichlet_probs(rng, config), 1e-9))
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Per-layer popularity of ``(layers, E)`` logits."""
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
 # ----------------------------------------------------------------------
 # Concrete sources
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class SyntheticTraceSource(TraceSourceBase):
-    """Streaming view of the skewed / drifting synthetic generator.
-
-    Wraps :class:`SyntheticRoutingTraceGenerator`: every ``iter_iterations``
-    call builds a fresh generator from the config, so the stream is
-    restartable and deterministic, and ``materialize()`` is bit-identical to
-    ``SyntheticRoutingTraceGenerator(config).generate(n)``.
-    """
+class ConfigTraceSource(TraceSourceBase):
+    """A source drawn from a :class:`RoutingTraceConfig` for ``iterations``."""
 
     config: RoutingTraceConfig
     iterations: int
@@ -155,34 +179,40 @@ class SyntheticTraceSource(TraceSourceBase):
         if self.iterations <= 0:
             raise ValueError("iterations must be positive")
 
-    @property
-    def num_iterations(self) -> int:
-        return self.iterations
+    _shape = property(lambda self: self.config)
+    num_iterations = property(lambda self: self.iterations)
 
-    @property
-    def num_layers(self) -> int:
-        return self.config.num_layers
 
-    @property
-    def num_devices(self) -> int:
-        return self.config.num_devices
+@dataclass(frozen=True)
+class SyntheticTraceSource(ConfigTraceSource):
+    """Skewed expert popularity that drifts and churns (Fig. 1a).
 
-    @property
-    def num_experts(self) -> int:
-        return self.config.num_experts
+    Per-layer popularity logits start from a Dirichlet draw of the config's
+    ``skew``.  After every frame they are re-drawn on a ``churn_prob`` coin
+    (hotspot churn) or take a Gaussian random-walk step of ``drift``.  Each
+    ``iter_iterations`` call restarts from the config's seed, so the stream
+    is restartable and deterministic.
+    """
 
-    @property
-    def tokens_per_device(self) -> int:
-        return self.config.tokens_per_device
+    def _churns(self, rng: np.random.Generator, iteration: int) -> bool:
+        """Whether the logits are re-drawn after frame ``iteration``.
 
-    @property
-    def top_k(self) -> int:
-        return self.config.top_k
+        The coin is tossed on every step, ``churn_prob`` 0 included:
+        skipping it would shift every later draw and so every seeded frame.
+        """
+        return rng.random() < self.config.churn_prob
 
     def iter_iterations(self) -> Iterator[np.ndarray]:
-        generator = SyntheticRoutingTraceGenerator(self.config)
-        for _ in range(self.iterations):
-            yield generator.next_iteration()
+        config = self.config
+        rng = np.random.default_rng(config.seed)
+        logits = _dirichlet_logits(rng, config)
+        for iteration in range(self.iterations):
+            yield draw_routing_frame(rng, _softmax(logits), config)
+            if self._churns(rng, iteration):
+                logits = _dirichlet_logits(rng, config)
+            else:
+                logits = logits + rng.normal(0.0, config.drift,
+                                             size=logits.shape)
 
 
 class FileTraceSource(TraceSourceBase):
@@ -202,29 +232,8 @@ class FileTraceSource(TraceSourceBase):
             self._trace = load_trace(self.path)
         return self._trace
 
-    @property
-    def num_iterations(self) -> int:
-        return self._loaded().num_iterations
-
-    @property
-    def num_layers(self) -> int:
-        return self._loaded().num_layers
-
-    @property
-    def num_devices(self) -> int:
-        return self._loaded().num_devices
-
-    @property
-    def num_experts(self) -> int:
-        return self._loaded().num_experts
-
-    @property
-    def tokens_per_device(self) -> int:
-        return self._loaded().tokens_per_device
-
-    @property
-    def top_k(self) -> int:
-        return self._loaded().top_k
+    _shape = property(lambda self: self._loaded())
+    num_iterations = property(lambda self: self._loaded().num_iterations)
 
     def iter_iterations(self) -> Iterator[np.ndarray]:
         yield from self._loaded().iter_iterations()
@@ -248,58 +257,36 @@ class FileTraceSource(TraceSourceBase):
 
 
 @dataclass(frozen=True)
-class BurstyChurnTraceSource(TraceSourceBase):
+class BurstyChurnTraceSource(SyntheticTraceSource):
     """Calm drift punctuated by bursts of complete hotspot churn.
 
-    Between bursts the popularity logits random-walk with the config's
-    ``drift``; during the last ``burst_length`` iterations of every
-    ``period`` the whole popularity distribution is re-drawn each iteration
-    (abrupt hotspot reshuffles, the hardest regime for one-step-lagged
-    adaptive planners).
+    The drifting process of :class:`SyntheticTraceSource` with a schedule in
+    place of the churn coin: during the last ``burst_length`` iterations of
+    every ``period`` the whole popularity distribution is re-drawn each
+    iteration (abrupt hotspot reshuffles, the hardest regime for
+    one-step-lagged adaptive planners); the config's ``churn_prob`` is not
+    read.
     """
 
-    config: RoutingTraceConfig
-    iterations: int
     period: int = 12
     burst_length: int = 3
 
     def __post_init__(self) -> None:
-        if self.iterations <= 0:
-            raise ValueError("iterations must be positive")
+        super().__post_init__()
         if self.period < 2:
             raise ValueError("period must be at least 2")
         if not 1 <= self.burst_length < self.period:
             raise ValueError("burst_length must be in [1, period)")
 
-    num_iterations = property(lambda self: self.iterations)
-    num_layers = property(lambda self: self.config.num_layers)
-    num_devices = property(lambda self: self.config.num_devices)
-    num_experts = property(lambda self: self.config.num_experts)
-    tokens_per_device = property(lambda self: self.config.tokens_per_device)
-    top_k = property(lambda self: self.config.top_k)
-
     def in_burst(self, iteration: int) -> bool:
         return iteration % self.period >= self.period - self.burst_length
 
-    def iter_iterations(self) -> Iterator[np.ndarray]:
-        config = self.config
-        rng = np.random.default_rng(config.seed)
-        probs = _dirichlet_probs(rng, config)
-        logits = np.log(np.maximum(probs, 1e-9))
-        for iteration in range(self.iterations):
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            probs = np.exp(shifted)
-            probs = probs / probs.sum(axis=1, keepdims=True)
-            yield draw_routing_frame(rng, probs, config)
-            if self.in_burst(iteration + 1):
-                logits = np.log(np.maximum(_dirichlet_probs(rng, config), 1e-9))
-            else:
-                logits = logits + rng.normal(0.0, config.drift,
-                                             size=logits.shape)
+    def _churns(self, rng: np.random.Generator, iteration: int) -> bool:
+        return self.in_burst(iteration + 1)
 
 
 @dataclass(frozen=True)
-class DiurnalTraceSource(TraceSourceBase):
+class DiurnalTraceSource(ConfigTraceSource):
     """Popularity oscillating between a "day" and a "night" profile.
 
     Two skewed popularity profiles are drawn once; every iteration mixes
@@ -308,22 +295,12 @@ class DiurnalTraceSource(TraceSourceBase):
     smoothly but *predictably* -- the friendliest drifting regime.
     """
 
-    config: RoutingTraceConfig
-    iterations: int
     period: int = 16
 
     def __post_init__(self) -> None:
-        if self.iterations <= 0:
-            raise ValueError("iterations must be positive")
+        super().__post_init__()
         if self.period < 2:
             raise ValueError("period must be at least 2")
-
-    num_iterations = property(lambda self: self.iterations)
-    num_layers = property(lambda self: self.config.num_layers)
-    num_devices = property(lambda self: self.config.num_devices)
-    num_experts = property(lambda self: self.config.num_experts)
-    tokens_per_device = property(lambda self: self.config.tokens_per_device)
-    top_k = property(lambda self: self.config.top_k)
 
     def iter_iterations(self) -> Iterator[np.ndarray]:
         config = self.config
@@ -338,7 +315,7 @@ class DiurnalTraceSource(TraceSourceBase):
 
 
 @dataclass(frozen=True)
-class PhaseShiftTraceSource(TraceSourceBase):
+class PhaseShiftTraceSource(ConfigTraceSource):
     """Piecewise-stationary popularity: distinct regimes switching abruptly.
 
     The trace is divided into phases of ``phase_length`` iterations; each
@@ -348,22 +325,12 @@ class PhaseShiftTraceSource(TraceSourceBase):
     regime -- the workload SPEC-style suites use to probe phase behaviour.
     """
 
-    config: RoutingTraceConfig
-    iterations: int
     phase_length: int = 8
 
     def __post_init__(self) -> None:
-        if self.iterations <= 0:
-            raise ValueError("iterations must be positive")
+        super().__post_init__()
         if self.phase_length < 1:
             raise ValueError("phase_length must be at least 1")
-
-    num_iterations = property(lambda self: self.iterations)
-    num_layers = property(lambda self: self.config.num_layers)
-    num_devices = property(lambda self: self.config.num_devices)
-    num_experts = property(lambda self: self.config.num_experts)
-    tokens_per_device = property(lambda self: self.config.tokens_per_device)
-    top_k = property(lambda self: self.config.top_k)
 
     def phase_probs(self, phase: int) -> np.ndarray:
         """The ``(layers, E)`` popularity of one phase (seed + phase keyed)."""
@@ -408,12 +375,8 @@ class StragglerTraceSource(TraceSourceBase):
             raise ValueError(
                 "num_failed must leave at least one surviving device")
 
+    _shape = property(lambda self: self.inner)
     num_iterations = property(lambda self: self.inner.num_iterations)
-    num_layers = property(lambda self: self.inner.num_layers)
-    num_devices = property(lambda self: self.inner.num_devices)
-    num_experts = property(lambda self: self.inner.num_experts)
-    tokens_per_device = property(lambda self: self.inner.tokens_per_device)
-    top_k = property(lambda self: self.inner.top_k)
 
     def failed_devices(self, iteration: int) -> List[int]:
         """Devices down at ``iteration`` (empty outside failure windows)."""
@@ -465,10 +428,7 @@ class MixtureTraceSource(TraceSourceBase):
                 raise ValueError(
                     "mixture components must share (layers, N, E) and top_k")
 
-    num_layers = property(lambda self: self.components[0].num_layers)
-    num_devices = property(lambda self: self.components[0].num_devices)
-    num_experts = property(lambda self: self.components[0].num_experts)
-    top_k = property(lambda self: self.components[0].top_k)
+    _shape = property(lambda self: self.components[0])
 
     @property
     def num_iterations(self) -> int:
@@ -476,6 +436,7 @@ class MixtureTraceSource(TraceSourceBase):
 
     @property
     def tokens_per_device(self) -> int:
+        """The tenants' summed budget, not the first component's."""
         return sum(c.tokens_per_device for c in self.components)
 
     def iter_iterations(self) -> Iterator[np.ndarray]:
@@ -561,15 +522,8 @@ class AssignmentReplayTraceSource(TraceSourceBase):
         self._trace = trace
         return trace
 
-    num_layers = property(lambda self: self._loaded().num_layers)
-    num_devices = property(lambda self: self._loaded().num_devices)
-    num_experts = property(lambda self: self._loaded().num_experts)
-    tokens_per_device = property(lambda self: self._loaded().tokens_per_device)
-    top_k = property(lambda self: self._loaded().top_k)
-
-    @property
-    def num_iterations(self) -> int:
-        return self.iterations
+    _shape = property(lambda self: self._loaded())
+    num_iterations = property(lambda self: self.iterations)
 
     def iter_iterations(self) -> Iterator[np.ndarray]:
         recorded = self._loaded()
@@ -845,20 +799,3 @@ def _build_compose(ctx: ScenarioContext, base: str = "diurnal",
         source = registered_scenario_wrapper(name).build(source, ctx, **params)
     return source
 
-
-def as_trace_source(workload: Union[TraceSource, RoutingTrace,
-                                    Sequence[np.ndarray]]) -> TraceSource:
-    """Coerce a workload into a :class:`TraceSource`.
-
-    Accepts any object already satisfying the protocol (including
-    :class:`RoutingTrace`); bare sequences of ``(layers, N, E)`` frames are
-    wrapped in a materialized trace for convenience.
-    """
-    if isinstance(workload, TraceSource):
-        return workload
-    frames = [np.asarray(frame) for frame in workload]
-    # Per-device token budget: worst per-device count over the (layers, N, E)
-    # frame, i.e. sum over the expert axis.
-    trace = RoutingTrace(routing=np.stack(frames, axis=0), top_k=1,
-                         tokens_per_device=int(frames[0].sum(axis=2).max()))
-    return trace

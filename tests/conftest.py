@@ -10,10 +10,8 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import MoECostModel
 from repro.workloads.datasets import SyntheticTextDataset, WIKITEXT_LIKE
 from repro.workloads.model_configs import get_model_config, tiny_test_config
-from repro.workloads.routing_traces import (
-    RoutingTraceConfig,
-    SyntheticRoutingTraceGenerator,
-)
+from repro.workloads.routing_traces import RoutingTraceConfig
+from repro.workloads.scenarios import SyntheticTraceSource
 
 
 @pytest.fixture
@@ -71,7 +69,7 @@ def collectives(small_topology) -> CollectiveCostModel:
 @pytest.fixture
 def skewed_trace(small_topology):
     """A short skewed routing trace on the small topology (8 experts, top-2)."""
-    generator = SyntheticRoutingTraceGenerator(RoutingTraceConfig(
+    config = RoutingTraceConfig(
         num_devices=small_topology.num_devices,
         num_experts=8,
         num_layers=2,
@@ -79,8 +77,8 @@ def skewed_trace(small_topology):
         top_k=2,
         skew=0.4,
         seed=11,
-    ))
-    return generator.generate(6)
+    )
+    return SyntheticTraceSource(config, 6).materialize()
 
 
 @pytest.fixture

@@ -20,17 +20,21 @@ from repro.core.lite_routing import lite_route
 from repro.core.routing_plan import RoutingPlan
 from repro.sim.systems import available_systems, make_system
 from repro.workloads.model_configs import get_model_config
-from repro.workloads.routing_traces import RoutingTraceConfig, SyntheticRoutingTraceGenerator
-from repro.workloads.scenarios import ScenarioContext, make_scenario
+from repro.workloads.routing_traces import RoutingTraceConfig
+from repro.workloads.scenarios import (
+    ScenarioContext,
+    SyntheticTraceSource,
+    make_scenario,
+)
 
 EXPERT_BYTES = float(get_model_config("mixtral-8x7b-e8k2").expert_param_bytes)
 
 
 def make_trace(iterations=6, seed=0, devices=8, experts=8):
-    generator = SyntheticRoutingTraceGenerator(RoutingTraceConfig(
+    config = RoutingTraceConfig(
         num_devices=devices, num_experts=experts, num_layers=2,
-        tokens_per_device=2048, top_k=2, skew=0.35, seed=seed))
-    return generator.generate(iterations)
+        tokens_per_device=2048, top_k=2, skew=0.35, seed=seed)
+    return SyntheticTraceSource(config, iterations).materialize()
 
 
 def ep_group_route(routing, capacity):

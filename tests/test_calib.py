@@ -202,7 +202,7 @@ class TestMeasurement:
         counts = observations.counts()
         assert counts["comm"] > 0
         assert counts["compute"] == small_topology.num_devices * 2
-        assert counts["all_to_all"] == 1
+        assert counts["all_to_all"] == 2
         kinds = {small_topology.link_type(o.link_src, o.link_dst)
                  for o in observations.comm}
         assert kinds == {LinkType.INTRA_NODE, LinkType.INTER_NODE}
@@ -212,6 +212,8 @@ class TestMeasurement:
             small_topology, drawn_profile(2),
             config=MeasureConfig.tiny(), seed=2)
         observations.save(tmp_path / "obs")
+        meta = json.loads((tmp_path / "obs" / "meta.json").read_text())
+        assert meta["all_to_all_price"] == measure.ALL_TO_ALL_PRICE
         restored = ObservationSet.load(tmp_path / "obs")
         assert restored.comm == observations.comm
         assert restored.compute == observations.compute
@@ -223,6 +225,52 @@ class TestMeasurement:
         (tmp_path / "empty").mkdir()
         with pytest.raises(ValueError, match="no observations"):
             ObservationSet.load(tmp_path / "empty")
+
+    @pytest.mark.parametrize("overrides", [
+        {"all_to_all_tokens": (4096,)},
+        {"all_to_all_tokens": (4096, 4096)},
+        {"compute_flops": (1e12,)},
+        {"compute_flops": (4e12, 4e12, 4e12)},
+        {"transfer_sizes": (1e6,)},
+        {"all_to_all_tokens": (0, 4096)},
+    ])
+    def test_schedule_needs_two_distinct_positive_sizes_per_term(
+            self, overrides):
+        """A term measured at one size has no variance for R² to explain."""
+        with pytest.raises(ValueError, match=next(iter(overrides))):
+            MeasureConfig(**overrides)
+
+    def test_tiny_schedule_measures_two_all_to_all_sizes(self):
+        assert len(set(MeasureConfig.tiny().all_to_all_tokens)) == 2
+
+    def synthesized(self, small_topology, tmp_path):
+        observations = run_microbenchmarks(
+            small_topology, drawn_profile(2),
+            config=MeasureConfig.tiny(), seed=2)
+        return observations.save(tmp_path / "obs")
+
+    @pytest.mark.parametrize("price", [None, "serial-sum"])
+    def test_load_refuses_observations_synthesized_under_another_price(
+            self, small_topology, tmp_path, price):
+        """A directory ``repro calib measure`` wrote before the current
+        All-to-All price (no ``all_to_all_price`` in ``meta.json``) or
+        under another one would fit a wrong ``comm_bytes_scale``."""
+        directory = self.synthesized(small_topology, tmp_path)
+        meta = json.loads((directory / "meta.json").read_text())
+        meta.pop("all_to_all_price", None)
+        if price is not None:
+            meta["all_to_all_price"] = price
+        (directory / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="repro calib measure"):
+            ObservationSet.load(directory)
+
+    def test_external_observations_without_meta_still_load(
+            self, small_topology, tmp_path):
+        directory = self.synthesized(small_topology, tmp_path)
+        (directory / "meta.json").unlink()
+        restored = ObservationSet.load(directory)
+        assert restored.source == str(directory)
+        assert len(restored.all_to_all) == 2
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +317,21 @@ class TestFit:
     def test_fit_requires_observations(self):
         with pytest.raises(ValueError):
             fit_calibration(ObservationSet())
+
+    def test_r2_of_a_constant_term_is_undefined(self, small_topology):
+        """One All-to-All size leaves nothing for the byte scale to explain:
+        any scale would read R² 1, so the term's R² is NaN and no floor
+        passes it."""
+        observations = run_microbenchmarks(
+            small_topology, drawn_profile(5),
+            config=MeasureConfig.tiny(), seed=5)
+        del observations.all_to_all[1:]
+        fit = fit_calibration(observations)
+        assert np.isnan(fit.term("all_to_all").r2)
+        assert fit.term("compute").r2 == pytest.approx(1.0, abs=1e-9)
+        assert np.isnan(fit.r2_min)
+        assert fit_summary_line(fit).startswith("calib fit: poor")
+        assert "r2_min=nan" in fit_summary_line(fit)
 
     def test_report_renders_all_sections(self, small_topology):
         observations = run_microbenchmarks(

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import json
 import shutil
 
 import pytest
@@ -877,6 +878,28 @@ class TestCalibCommands:
                      "--min-r2", "0.9999999"])
         assert code == 1
         assert "FIT GATE FAILED" in capsys.readouterr().err
+
+    def test_fit_gate_trips_on_an_undefined_r2(self, tmp_path, capsys):
+        """An observation directory with one All-to-All size cannot pass
+        ``--min-r2``, whatever byte scale the fit lands on."""
+        obs = self._measure(tmp_path, capsys)
+        rows = (obs / "all_to_all.csv").read_text().splitlines()
+        (obs / "all_to_all.csv").write_text("\n".join(rows[:2]) + "\n")
+        code = main(["calib", "fit", "--observations", str(obs),
+                     "--min-r2", "0.99"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "calib fit: poor" in captured.out
+        assert "FIT GATE FAILED: r2_min nan" in captured.err
+
+    def test_fit_refuses_stale_synthetic_observations(self, tmp_path, capsys):
+        obs = self._measure(tmp_path, capsys)
+        meta = json.loads((obs / "meta.json").read_text())
+        meta.pop("all_to_all_price", None)
+        (obs / "meta.json").write_text(json.dumps(meta))
+        code = main(["calib", "fit", "--observations", str(obs)])
+        assert code == 2
+        assert "repro calib measure" in capsys.readouterr().err
 
     def test_fit_missing_observations_is_usage_error(self, tmp_path, capsys):
         code = main(["calib", "fit", "--observations",

@@ -129,3 +129,32 @@ class TestBackwardEquivalence:
         reference, _ = moe_layer.forward(x)
         assert np.allclose(after, reference, atol=1e-10)
         assert not np.allclose(after, before)
+
+
+class TestDefaultLayout:
+    @staticmethod
+    def slot_by_slot(num_devices, num_experts):
+        """The executor's former default: ``ceil(E / N)`` slots per device,
+        filled expert after expert across the cluster."""
+        capacity = int(np.ceil(num_experts / num_devices))
+        assignment = np.zeros((num_devices, num_experts), dtype=np.int64)
+        expert = 0
+        for device in range(num_devices):
+            for _ in range(capacity):
+                assignment[device, expert % num_experts] += 1
+                expert += 1
+        return assignment, capacity
+
+    @pytest.mark.parametrize("nodes,per_node,experts", [
+        (1, 2, 8), (2, 2, 8), (1, 3, 8), (2, 4, 8), (3, 2, 4), (1, 4, 6),
+        (1, 2, 3),
+    ])
+    def test_round_robin_with_ceil_capacity(self, nodes, per_node, experts):
+        layer = MoELayer(hidden_size=4, intermediate_size=8,
+                         num_experts=experts, top_k=2,
+                         rng=np.random.default_rng(0))
+        executor = FSEPExecutor(layer, ClusterTopology(nodes, per_node))
+        layout = executor._default_layout()
+        assignment, capacity = self.slot_by_slot(nodes * per_node, experts)
+        assert layout.capacity == capacity
+        assert np.array_equal(layout.assignment, assignment)

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.layout_tuner import TunerConfig
 from repro.core.planner import IterationPlan, LoadBalancingPlanner, PlannerConfig
-from repro.workloads.routing_traces import RoutingTraceConfig, SyntheticRoutingTraceGenerator
+from repro.workloads.routing_traces import RoutingTraceConfig
+from repro.workloads.scenarios import SyntheticTraceSource
 
 
 @pytest.fixture
@@ -15,10 +16,10 @@ def planner(small_topology, small_cost_model):
 
 
 def make_trace(iterations=5, seed=0, layers=2):
-    generator = SyntheticRoutingTraceGenerator(RoutingTraceConfig(
+    config = RoutingTraceConfig(
         num_devices=8, num_experts=8, num_layers=layers, tokens_per_device=2048,
-        top_k=2, skew=0.35, seed=seed))
-    return generator.generate(iterations)
+        top_k=2, skew=0.35, seed=seed)
+    return SyntheticTraceSource(config, iterations).materialize()
 
 
 class TestPlannerConfig:

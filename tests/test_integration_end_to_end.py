@@ -70,12 +70,12 @@ class TestTraceToSimulatorPipeline:
 class TestScalabilityClaim:
     def test_speedup_stable_across_cluster_sizes(self):
         """Table 4: the MLP speedup stays roughly constant from 8 to 32+ GPUs."""
-        from repro.workloads.routing_traces import (
-            RoutingTraceConfig, SyntheticRoutingTraceGenerator)
+        from repro.workloads.routing_traces import RoutingTraceConfig
+        from repro.workloads.scenarios import SyntheticTraceSource
         config = get_model_config("mixtral-8x7b-e8k2")
-        base = SyntheticRoutingTraceGenerator(RoutingTraceConfig(
+        base = SyntheticTraceSource(RoutingTraceConfig(
             num_devices=8, num_experts=8, num_layers=2, tokens_per_device=8192,
-            top_k=2, skew=0.4, seed=31)).generate(6)
+            top_k=2, skew=0.4, seed=31), 6).materialize()
         speedups = []
         for num_devices in (8, 16, 32):
             topology = ClusterTopology.homogeneous(num_devices, devices_per_node=8)

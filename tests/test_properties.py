@@ -43,10 +43,8 @@ from repro.scalar_reference import scalar_all_to_all, scalar_class_all_to_all
 from repro.sim.iteration import DROP_POLICIES, IterationSimulator, OverflowModel
 from repro.sim.systems import make_system
 from repro.workloads.model_configs import get_model_config
-from repro.workloads.routing_traces import (
-    RoutingTraceConfig,
-    SyntheticRoutingTraceGenerator,
-)
+from repro.workloads.routing_traces import RoutingTraceConfig
+from repro.workloads.scenarios import SyntheticTraceSource
 
 from helpers import split_row
 
@@ -373,10 +371,10 @@ class TestCrossSystemProperties:
             * (scale if links != "intra" else 1.0))
         base = make_system(system, config, topology, 1024)
         fast = make_system(system, config, faster, 1024)
-        trace = SyntheticRoutingTraceGenerator(RoutingTraceConfig(
+        trace = SyntheticTraceSource(RoutingTraceConfig(
             num_devices=8, num_experts=config.num_experts, num_layers=2,
             tokens_per_device=1024, top_k=config.top_k, skew=0.4,
-            seed=seed)).generate(2)
+            seed=seed), 2).materialize()
         base.policy.decide_iteration(trace.iteration(0))
         decisions = base.policy.decide_iteration(trace.iteration(1))
         slow_result = base.simulator.simulate_iteration(1, decisions)

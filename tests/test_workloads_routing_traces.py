@@ -1,4 +1,4 @@
-"""Tests for the routing-trace generators."""
+"""Tests for routing traces and the synthetic drifting source."""
 
 import numpy as np
 import pytest
@@ -6,55 +6,56 @@ import pytest
 from repro.workloads.routing_traces import (
     RoutingTrace,
     RoutingTraceConfig,
-    SyntheticRoutingTraceGenerator,
     balanced_routing,
     routing_from_assignments,
 )
+from repro.workloads.scenarios import SyntheticTraceSource
 
 
-def make_generator(**overrides):
+def generate(iterations, **overrides):
     defaults = dict(num_devices=8, num_experts=8, num_layers=2,
                     tokens_per_device=1024, top_k=2, seed=3)
     defaults.update(overrides)
-    return SyntheticRoutingTraceGenerator(RoutingTraceConfig(**defaults))
+    return SyntheticTraceSource(RoutingTraceConfig(**defaults),
+                                iterations).materialize()
 
 
 class TestTraceGeneration:
     def test_shape(self):
-        trace = make_generator().generate(5)
+        trace = generate(5)
         assert trace.routing.shape == (5, 2, 8, 8)
 
     def test_token_conservation(self):
         """Every device routes exactly tokens * top_k assignments per layer."""
-        trace = make_generator().generate(3)
+        trace = generate(3)
         per_device = trace.routing.sum(axis=3)
         assert np.all(per_device == 1024 * 2)
 
     def test_counts_non_negative(self):
-        trace = make_generator().generate(3)
+        trace = generate(3)
         assert np.all(trace.routing >= 0)
 
     def test_determinism_with_seed(self):
-        t1 = make_generator(seed=42).generate(4)
-        t2 = make_generator(seed=42).generate(4)
+        t1 = generate(4, seed=42)
+        t2 = generate(4, seed=42)
         assert np.array_equal(t1.routing, t2.routing)
 
     def test_different_seeds_differ(self):
-        t1 = make_generator(seed=1).generate(4)
-        t2 = make_generator(seed=2).generate(4)
+        t1 = generate(4, seed=1)
+        t2 = generate(4, seed=2)
         assert not np.array_equal(t1.routing, t2.routing)
 
     def test_skew_controls_imbalance(self):
-        skewed = make_generator(skew=0.2, seed=5).generate(8)
-        balanced = make_generator(skew=50.0, seed=5).generate(8)
+        skewed = generate(8, skew=0.2, seed=5)
+        balanced = generate(8, skew=50.0, seed=5)
         assert skewed.mean_imbalance() > balanced.mean_imbalance()
 
     def test_imbalance_exceeds_one_for_skewed_traces(self):
-        trace = make_generator(skew=0.3).generate(10)
+        trace = generate(10, skew=0.3)
         assert trace.mean_imbalance() > 1.3
 
     def test_drift_changes_distribution_over_time(self):
-        trace = make_generator(drift=0.5, churn_prob=0.0, seed=9).generate(50)
+        trace = generate(50, drift=0.5, churn_prob=0.0, seed=9)
         first = trace.expert_loads(0, 0) / trace.expert_loads(0, 0).sum()
         last = trace.expert_loads(49, 0) / trace.expert_loads(49, 0).sum()
         assert np.abs(first - last).sum() > 0.05
@@ -69,12 +70,12 @@ class TestTraceGeneration:
 
     def test_generate_requires_positive_iterations(self):
         with pytest.raises(ValueError):
-            make_generator().generate(0)
+            generate(0)
 
 
 class TestRoutingTrace:
     def test_accessors(self):
-        trace = make_generator().generate(4)
+        trace = generate(4)
         assert trace.num_iterations == 4
         assert trace.num_layers == 2
         assert trace.num_devices == 8
@@ -83,7 +84,7 @@ class TestRoutingTrace:
         assert trace.layer(1, 0).shape == (8, 8)
 
     def test_remap_devices_preserves_expert_totals(self):
-        trace = make_generator().generate(2)
+        trace = generate(2)
         remapped = trace.remap_devices(16)
         assert remapped.num_devices == 16
         for it in range(2):
@@ -93,7 +94,7 @@ class TestRoutingTrace:
                     trace.routing[it, layer].sum(axis=0))
 
     def test_remap_devices_rejects_bad_count(self):
-        trace = make_generator().generate(1)
+        trace = generate(1)
         with pytest.raises(ValueError):
             trace.remap_devices(0)
 

@@ -1,11 +1,12 @@
 """Tests for the Scenario API: trace sources and the scenario registry."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.workloads.routing_traces import (
     RoutingTraceConfig,
-    SyntheticRoutingTraceGenerator,
     routing_from_assignments,
 )
 from repro.workloads.scenarios import (
@@ -16,8 +17,8 @@ from repro.workloads.scenarios import (
     StragglerTraceSource,
     SyntheticTraceSource,
     TraceSource,
-    as_trace_source,
     available_scenarios,
+    default_runnable_scenarios,
     make_scenario,
     register_scenario,
     registered_scenario,
@@ -137,13 +138,6 @@ class TestBuiltinSources:
         assert not all(np.array_equal(x, y) for x, y in
                        zip(a.iter_iterations(), b.iter_iterations()))
 
-    def test_drifting_matches_legacy_generator(self):
-        """The default scenario reproduces the historical synthetic trace."""
-        config = CTX.trace_config()
-        legacy = SyntheticRoutingTraceGenerator(config).generate(CTX.iterations)
-        source = make_scenario("drifting", CTX)
-        assert np.array_equal(source.materialize().routing, legacy.routing)
-
     def test_steady_popularity_is_stationary(self):
         source = make_scenario("steady", CTX)
         frames = list(source.iter_iterations())
@@ -205,6 +199,132 @@ class TestBuiltinSources:
             MixtureTraceSource((a, b))
 
 
+class TestPinnedFrames:
+    """Every default-runnable scenario's frames and shape, pinned by digest.
+
+    A suite is comparable across changes only while its workloads stay
+    fixed, so a refactor of the routing process must leave these frames
+    bit-identical.  The digests cover the integer frames of numpy's
+    ``Generator`` streams; a numpy upgrade that changes one of its
+    distributions changes them too, and they may be re-pinned only after
+    the same upgrade gives the same new digests on the previous commit.
+    """
+
+    #: Three workload shapes: "8x16-churn" reshuffles the hot experts on a
+    #: quarter of the drifting steps; "6x4-quiet" draws without per-device
+    #: noise, over enough iterations for two churn bursts and four phases.
+    CONTEXTS = {
+        "4x8": ScenarioContext(num_devices=4, num_experts=8, num_layers=2,
+                               tokens_per_device=512, top_k=2, iterations=8,
+                               seed=5),
+        "8x16-churn": ScenarioContext(
+            num_devices=8, num_experts=16, num_layers=3, tokens_per_device=256,
+            top_k=4, iterations=14, seed=11, skew=0.3, drift=0.2,
+            churn_prob=0.25),
+        "6x4-quiet": ScenarioContext(
+            num_devices=6, num_experts=4, num_layers=1, tokens_per_device=100,
+            top_k=1, iterations=26, seed=0, device_noise=0.0),
+    }
+    #: (num_iterations, num_layers, num_devices, num_experts,
+    #: tokens_per_device, top_k) of every source built at each shape.
+    SHAPES = {
+        "4x8": (8, 2, 4, 8, 512, 2),
+        "8x16-churn": (14, 3, 8, 16, 256, 4),
+        "6x4-quiet": (26, 1, 6, 4, 100, 1),
+    }
+    PINNED_FRAMES = {
+        "4x8": {
+            "steady":
+                "b9122d1119c8e756ad30e11151d7411b6db384863da8e2b7e661ff62f2231c60",
+            "drifting":
+                "36dd9962181ac07c572c9490144b5e5233fcbe3aedef009b38ddcb9578e72179",
+            "bursty-churn":
+                "a722b8bf5649143c632f2de6f2fc09cac779d96dfd1e7437a46c83a490767662",
+            "diurnal":
+                "45125fc48e48f75a53227534ccc3314ac3170bb336f6260fabce56b38d41c59c",
+            "phase-shift":
+                "6c6224a064fc5bd60ad02c9bfe27a78220bb4ae92e7f7fc0bab397827c2d97b0",
+            "straggler":
+                "2e64c46e2852becc4ee24689e7d4e5cf38095dbfef846ab999ee00708805b0dd",
+            "multi-tenant-mix":
+                "3c3b09f9eda9f4042917e8987b224a1fb1455bfb0b5dcb0eaad9b332c7eac172",
+            "compose":
+                "c50ee0b187b26ebf83e0ad8415e3d2407f106a3a4903cc993cee167d063a4307",
+        },
+        "8x16-churn": {
+            "steady":
+                "b399d03881b7a83291fb0b79aab9c142cee271fdf18582866c732f9ab49fcb72",
+            "drifting":
+                "67714d19d047d5da4be1904f6bd3d02d4f86fe85ddab29636deb9c69874c6edc",
+            "bursty-churn":
+                "412d85beffc26892ff7ea35b3926c9283bdafe263a7280cba02a2d0fae25cb8b",
+            "diurnal":
+                "0283485f1c4839498a2434604527caa587ded5936aaa31263963e99c4aedd0bd",
+            "phase-shift":
+                "7e790dbcf1fdbaddd1ebfc70137a5170119971ec791fadb52c5f5a1742ae471f",
+            "straggler":
+                "c274b05772d0b12496e69197931bce01ef198a99c125104cce13e2c035f27f52",
+            "multi-tenant-mix":
+                "d198c65ef60afee49f0376760aae3e0d1ec8a471cae82a2e12b1bbd2fae6c80b",
+            "compose":
+                "52716c621f537a7db18e27f91bbe01a1984bf83ca3bea544a70c0e8095800aab",
+        },
+        "6x4-quiet": {
+            "steady":
+                "1ff025b11cd694a2c2891368b6bd6435f692af3007f4a4c9d08a725379f34857",
+            "drifting":
+                "bc67454e1a03520a683856140c2447a805a54b2a22819cc81f8c86bfa47d1552",
+            "bursty-churn":
+                "74592334ab97442b0632227a9fe6270ab81a3d43d08b2b126ee5f404ad20eeb9",
+            "diurnal":
+                "b26f12bb6f0bca3506014a21f55fd82ad537e01cf52acef004b86e7400393899",
+            "phase-shift":
+                "4c55f029eed7c18d71a1a956339a2b6b818c75f257e3ad1e51f46962ea8741c8",
+            "straggler":
+                "9ad81720268e11293db4141292bd46bb2746b29db257dd196f5d5b794f0716ec",
+            "multi-tenant-mix":
+                "ee898146daebb5b4dda4d4c11279c018f2dfe71cd5420cebeda0b3107477aeca",
+            "compose":
+                "4bb5a51d9d4ece6d9bdf42abe214a220665bf42be68f6d838eef7041f1b66246",
+        },
+    }
+    #: RoutingTraceConfig's own defaults (``churn_prob=0.02``, which
+    #: reshuffles once in these 50 iterations), as quickstart draws them.
+    DEFAULTS_FRAMES = (
+        "865d0624bb68ca4535f7ea1ad67f47bfca3dc7b1486998e367d019707649c2aa")
+
+    @staticmethod
+    def digest(source):
+        digest = hashlib.sha256()
+        for frame in source.iter_iterations():
+            frame = np.ascontiguousarray(frame)
+            digest.update(f"{frame.dtype.str}{frame.shape}".encode())
+            digest.update(frame.tobytes())
+        return digest.hexdigest()
+
+    @staticmethod
+    def shape(source):
+        return (source.num_iterations, source.num_layers, source.num_devices,
+                source.num_experts, source.tokens_per_device, source.top_k)
+
+    def test_every_runnable_scenario_is_pinned(self):
+        for pinned in self.PINNED_FRAMES.values():
+            assert sorted(pinned) == sorted(default_runnable_scenarios())
+
+    @pytest.mark.parametrize("key", sorted(CONTEXTS))
+    def test_scenario_frames_and_shapes(self, key):
+        for name, expected in self.PINNED_FRAMES[key].items():
+            source = make_scenario(name, self.CONTEXTS[key])
+            assert self.shape(source) == self.SHAPES[key], name
+            assert self.digest(source) == expected, name
+
+    def test_synthetic_source_on_config_defaults(self):
+        source = SyntheticTraceSource(
+            RoutingTraceConfig(num_devices=4, num_experts=8), 50)
+        assert self.shape(source) == (50, 1, 4, 8, 16384, 2)
+        assert self.digest(source) == self.DEFAULTS_FRAMES
+
+
 class TestFileTraceSource:
     def test_lazy_round_trip(self, tmp_path):
         trace = SyntheticTraceSource(CTX.trace_config(),
@@ -223,22 +343,6 @@ class TestFileTraceSource:
         source = FileTraceSource(tmp_path / "missing.npz")  # cheap to build
         with pytest.raises(FileNotFoundError):
             source.num_iterations
-
-
-class TestAsTraceSource:
-    def test_passthrough_for_sources(self):
-        source = SyntheticTraceSource(CTX.trace_config(), 4)
-        assert as_trace_source(source) is source
-        trace = source.materialize()
-        assert as_trace_source(trace) is trace
-
-    def test_frame_sequence_tokens_per_device(self):
-        """tokens_per_device is the worst per-device count, not expert load."""
-        frames = [np.full((2, 4, 8), 25, dtype=np.int64) for _ in range(3)]
-        source = as_trace_source(frames)
-        assert source.num_iterations == 3
-        assert source.tokens_per_device == 25 * 8   # sum over the expert axis
-        assert source.num_devices == 4
 
 
 class TestRoutingTraceAsSource:

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.workloads.routing_traces import RoutingTraceConfig, SyntheticRoutingTraceGenerator
+from repro.workloads.routing_traces import RoutingTraceConfig
+from repro.workloads.scenarios import SyntheticTraceSource
 from repro.workloads.trace_io import load_trace, save_trace, summarize_trace
 
 
 @pytest.fixture
 def trace():
-    return SyntheticRoutingTraceGenerator(RoutingTraceConfig(
+    return SyntheticTraceSource(RoutingTraceConfig(
         num_devices=4, num_experts=8, num_layers=2, tokens_per_device=512,
-        top_k=2, skew=0.4, seed=3)).generate(5)
+        top_k=2, skew=0.4, seed=3), 5).materialize()
 
 
 class TestSaveLoad:
