@@ -21,7 +21,7 @@ from repro.api.specs import ClusterSpec, ExperimentSpec, WorkloadSpec
 from repro.baselines.laer import LAERPolicy
 from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import MoECostModel
-from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
+from repro.core.layout_tuner import ExpertLayoutTuner
 from repro.workloads.model_configs import get_model_config
 from repro.workloads.routing_traces import RoutingTraceConfig
 from repro.workloads.scenarios import SyntheticTraceSource
@@ -37,8 +37,7 @@ def solve_time(num_devices: int, capacity: int, num_experts: int = 8) -> float:
     topology = ClusterTopology.homogeneous(num_devices, devices_per_node=8)
     config = get_model_config("mixtral-8x7b-e8k2")
     cost_model = MoECostModel.from_model_config(config, topology)
-    tuner = ExpertLayoutTuner(topology, cost_model, capacity,
-                              TunerConfig(num_candidates=2))
+    tuner = ExpertLayoutTuner(topology, cost_model, capacity)
     source = SyntheticTraceSource(RoutingTraceConfig(
         num_devices=num_devices, num_experts=num_experts, num_layers=1,
         tokens_per_device=16384, top_k=2, skew=0.5, seed=41), 1)

@@ -37,7 +37,6 @@ from repro.chaos.injection import uninstall as uninstall_injector
 from repro.cluster.collectives import CollectiveCostModel
 from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import MoECostModel
-from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.core.lite_routing import lite_route, lite_route_batch
 from repro.core.relocation import relocate_experts
 from repro.core.replica_allocation import (
@@ -250,21 +249,21 @@ def test_vectorized_run_experiment_beats_scalar_kernels():
 
 
 def test_batched_tuner_eval_beats_per_candidate_loop():
+    """Eight candidate layouts, as a tuner batch scores them: the pq scheme
+    of each of 8 seeded load vectors, placed under one routing's loads."""
     topology = ClusterTopology(num_nodes=2, devices_per_node=4)
     model_config = get_model_config("mixtral-8x7b-e8k2")
     cost_model = MoECostModel.from_model_config(model_config, topology)
-    tuner = ExpertLayoutTuner(
-        topology, cost_model, capacity=4,
-        config=TunerConfig(num_candidates=8, perturbation_seed=7))
-    num_experts = model_config.num_experts
-    routing = np.random.default_rng(7).integers(
-        0, 2 * TOKENS_PER_DEVICE // num_experts,
-        size=(topology.num_devices, num_experts))
+    n, num_experts, capacity = topology.num_devices, model_config.num_experts, 4
+    rng = np.random.default_rng(7)
+    routing = rng.integers(0, 2 * TOKENS_PER_DEVICE // num_experts,
+                           size=(n, num_experts))
     expert_loads = routing.sum(axis=0)
-    layouts = [relocate_experts(replicas, expert_loads, topology,
-                                tuner.capacity)
-               for replicas in tuner.candidate_replica_schemes(
-                   expert_loads, num_experts)]
+    layouts = [relocate_experts(
+                   allocate_replicas_priority_queue(loads, n, num_experts,
+                                                    capacity),
+                   expert_loads, topology, capacity)
+               for loads in rng.integers(1, 1000, size=(8, num_experts))]
 
     def per_candidate() -> List[float]:
         return [cost_model.evaluate(lite_route(routing, layout, topology))

@@ -26,7 +26,6 @@ from repro.core import (
     lite_route,
 )
 from repro.core.layout import static_ep_layout
-from repro.core.planner import PlannerConfig
 from repro.workloads import (
     RoutingTraceConfig,
     SyntheticTraceSource,
@@ -59,8 +58,7 @@ def main() -> None:
     # 3. The planner: cost model + layout tuner + token dispatcher.
     cost_model = MoECostModel.from_model_config(config, topology)
     planner = LoadBalancingPlanner(
-        topology, cost_model, config.num_experts,
-        PlannerConfig(capacity=config.expert_capacity))
+        topology, cost_model, config.num_experts, config.expert_capacity)
 
     rows = []
     for iteration in range(trace.num_iterations):

@@ -8,9 +8,9 @@ penalty.  The result is an expert layout that *tracks* the routing
 distribution with a lag, instead of being re-solved from scratch every
 iteration the way LAER-MoE's planner does.
 
-The paper evaluates FlexMoE's scheduler on top of FSEP (so migrations are
-free); the ``charge_migration`` flag covers the standalone case where replica
-changes move parameters and optimizer state on the critical path.
+The paper evaluates FlexMoE's scheduler on top of FSEP, where FSEP's
+every-iteration restore makes a replica change free, so the policy exposes no
+re-layout bytes.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ class FlexMoEPolicy(LoadBalancingPolicy):
     def __init__(self, topology: ClusterTopology, num_experts: int,
                  capacity: int, expert_param_bytes: float,
                  max_adjustments_per_iteration: int = 2,
-                 imbalance_trigger: float = 1.15,
-                 charge_migration: bool = False,
-                 state_multiplier: float = 6.0):
+                 imbalance_trigger: float = 1.15):
         """Create the policy.
 
         Args:
@@ -43,10 +41,6 @@ class FlexMoEPolicy(LoadBalancingPolicy):
             imbalance_trigger: Adjustments run only when the ratio of the
                 hottest expert's per-replica load to the average exceeds this
                 threshold (the penalty on cheap-but-pointless adjustments).
-            charge_migration: Charge parameter/optimizer migration for changed
-                slots (True when FlexMoE runs on classic EP rather than FSEP).
-            state_multiplier: Migration bytes per changed replica relative to
-                the bf16 parameter size.
         """
         super().__init__(topology, num_experts, capacity, expert_param_bytes)
         if max_adjustments_per_iteration < 1:
@@ -55,8 +49,6 @@ class FlexMoEPolicy(LoadBalancingPolicy):
             raise ValueError("imbalance_trigger must be at least 1.0")
         self.max_adjustments = max_adjustments_per_iteration
         self.imbalance_trigger = imbalance_trigger
-        self.charge_migration = charge_migration
-        self.state_multiplier = state_multiplier
         self._layouts: Dict[int, ExpertLayout] = {}
         self._history: Dict[int, np.ndarray] = {}
 
@@ -123,14 +115,10 @@ class FlexMoEPolicy(LoadBalancingPolicy):
                 self.topology.num_devices, self.num_experts, self.capacity)
 
         changes = 0
-        migration = 0.0
         history = self._history.get(layer)
         if history is not None:
-            old_layout = self._layouts[layer]
-            new_layout, changes = self._adjust_layout(old_layout, history)
-            if changes and self.charge_migration:
-                migration = changes * self.expert_param_bytes * self.state_multiplier
-            self._layouts[layer] = new_layout
+            self._layouts[layer], changes = self._adjust_layout(
+                self._layouts[layer], history)
 
         layout = self._layouts[layer]
         observed = routing.sum(axis=0).astype(np.float64)
@@ -141,7 +129,7 @@ class FlexMoEPolicy(LoadBalancingPolicy):
 
         return PolicyDecision(
             layout=layout,
-            relayout_bytes_exposed=migration,
+            relayout_bytes_exposed=0.0,
             grad_sync_extra_bytes=0.0,
             metadata={"adjustments": changes},
         )

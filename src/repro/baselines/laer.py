@@ -18,7 +18,7 @@ from repro.baselines.base import LoadBalancingPolicy, PolicyDecision
 from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import MoECostModel
 from repro.core.layout_tuner import TunerConfig
-from repro.core.planner import LoadBalancingPlanner, PlannerConfig
+from repro.core.planner import LoadBalancingPlanner
 
 
 class LAERPolicy(LoadBalancingPolicy):
@@ -31,10 +31,8 @@ class LAERPolicy(LoadBalancingPolicy):
                  cost_model: MoECostModel,
                  tuner_config: Optional[TunerConfig] = None):
         super().__init__(topology, num_experts, capacity, expert_param_bytes)
-        planner_config = PlannerConfig(
-            capacity=capacity, tuner=tuner_config or TunerConfig())
         self.planner = LoadBalancingPlanner(topology, cost_model, num_experts,
-                                            planner_config)
+                                            capacity, tuner_config)
 
     def reset(self) -> None:
         super().reset()

@@ -13,7 +13,7 @@ import numpy as np
 from repro.baselines.base import LoadBalancingPolicy, PolicyDecision
 from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import MoECostModel
-from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
+from repro.core.layout_tuner import ExpertLayoutTuner
 
 
 class OracleBalancedPolicy(LoadBalancingPolicy):
@@ -23,15 +23,9 @@ class OracleBalancedPolicy(LoadBalancingPolicy):
 
     def __init__(self, topology: ClusterTopology, num_experts: int,
                  capacity: int, expert_param_bytes: float,
-                 cost_model: MoECostModel,
-                 tuner_config: TunerConfig | None = None):
+                 cost_model: MoECostModel):
         super().__init__(topology, num_experts, capacity, expert_param_bytes)
-        self.tuner = ExpertLayoutTuner(topology, cost_model, capacity,
-                                       tuner_config or TunerConfig())
-
-    def reset(self) -> None:
-        super().reset()
-        self.tuner.reset()
+        self.tuner = ExpertLayoutTuner(topology, cost_model, capacity)
 
     def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
         routing = np.asarray(routing, dtype=np.int64)

@@ -16,11 +16,11 @@ Modules:
   (per (sender, expert) destination rows).
 * :mod:`repro.core.lite_routing` -- Algorithm 3 (token dispatcher).
 * :mod:`repro.core.replica_allocation` -- Algorithm 4 (priority-queue replica
-  allocation).
+  allocation) and the even scheme.
 * :mod:`repro.core.relocation` -- Algorithm 1 (greedy topology-aware expert
   relocation).
-* :mod:`repro.core.layout_tuner` -- Algorithm 2 (candidate replica schemes +
-  selection by the cost model).
+* :mod:`repro.core.layout_tuner` -- Algorithm 2 (the named replica schemes,
+  each placed, routed and scored by the cost model; the cheapest wins).
 * :mod:`repro.core.planner` -- the load-balancing planner combining the
   asynchronous layout tuner with the synchronous token dispatcher (Fig. 3/7).
 * :mod:`repro.core.comm_schedule` -- the fine-grained communication scheduling
@@ -39,7 +39,7 @@ from repro.core.lite_routing import lite_route
 from repro.core.replica_allocation import allocate_replicas_priority_queue, even_replicas
 from repro.core.relocation import relocate_experts
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig, TunerResult
-from repro.core.planner import LoadBalancingPlanner, PlannerConfig, IterationPlan
+from repro.core.planner import LoadBalancingPlanner, IterationPlan
 from repro.core.comm_schedule import (
     CommScheduleConfig,
     LayerTimings,
@@ -64,7 +64,6 @@ __all__ = [
     "TunerConfig",
     "TunerResult",
     "LoadBalancingPlanner",
-    "PlannerConfig",
     "IterationPlan",
     "CommScheduleConfig",
     "LayerTimings",

@@ -1,10 +1,11 @@
 """Expert layout tuner (Algorithm 2): choose the re-layout strategy.
 
-The tuner builds a small candidate set of replica allocations -- the
-priority-queue proportional scheme, the even scheme, and random perturbations
-of those -- places each candidate with the greedy relocation (Algorithm 1),
-routes the observed load with lite routing (Algorithm 3), scores the result
-with the cost model (Sec. 3.2) and keeps the cheapest strategy.
+The tuner's candidate set is the replica allocations its configuration
+names -- the priority-queue proportional scheme and the even scheme, as in the
+paper's evaluation.  It places each candidate with the greedy relocation
+(Algorithm 1), routes the observed load with lite routing (Algorithm 3),
+scores the result with the cost model (Sec. 3.2) and keeps the cheapest
+strategy, so its answer depends only on the routing it is given.
 :meth:`ExpertLayoutTuner.solve_layers` does so for several layers at once,
 routing every layer's candidates in one lite-routing batch.
 
@@ -28,7 +29,6 @@ from repro.core.relocation import relocate_experts
 from repro.core.replica_allocation import (
     allocate_replicas_priority_queue,
     even_replicas,
-    perturb_replicas,
 )
 from repro.core.routing_plan import RoutingPlan
 from repro.telemetry.trace import span as _span
@@ -36,32 +36,20 @@ from repro.telemetry.trace import span as _span
 
 @dataclass(frozen=True)
 class TunerConfig:
-    """Configuration of the expert layout tuner.
+    """The replica schemes the expert layout tuner scores (``epsilon`` in
+    Algorithm 2); the paper's evaluation scores both.
 
     Attributes:
-        num_candidates: Size of the candidate replica-scheme set (``epsilon``
-            in Algorithm 2), at least the number of enabled analytic schemes.
-            The paper's evaluation fixes it to 2 (pq + even); larger values
-            add random perturbations.
         use_priority_queue: Include the Algorithm 4 proportional allocation.
         use_even: Include the even allocation.
-        perturbation_seed: Seed of the random perturbations (candidates beyond
-            the two analytic schemes).
     """
 
-    num_candidates: int = 2
     use_priority_queue: bool = True
     use_even: bool = True
-    perturbation_seed: int = 0
 
     def __post_init__(self) -> None:
         if not (self.use_priority_queue or self.use_even):
             raise ValueError("at least one analytic allocation scheme must be enabled")
-        analytic = int(self.use_priority_queue) + int(self.use_even)
-        if self.num_candidates < analytic:
-            raise ValueError(
-                f"num_candidates must be at least {analytic}, the number of "
-                f"enabled analytic schemes")
 
 
 @dataclass
@@ -94,16 +82,6 @@ class ExpertLayoutTuner:
         self.cost_model = cost_model
         self.capacity = capacity
         self.config = config or TunerConfig()
-        self._rng = np.random.default_rng(self.config.perturbation_seed)
-
-    def reset(self) -> None:
-        """Re-seed the perturbation stream so repeated runs are identical.
-
-        The tuner consumes ``_rng`` whenever ``num_candidates`` exceeds the
-        analytic schemes; without re-seeding, two back-to-back runs of the
-        same system would draw different perturbation candidates.
-        """
-        self._rng = np.random.default_rng(self.config.perturbation_seed)
 
     # ------------------------------------------------------------------
     def candidate_replica_schemes(self, expert_loads: np.ndarray,
@@ -116,9 +94,6 @@ class ExpertLayoutTuner:
                 expert_loads, n, num_experts, self.capacity))
         if self.config.use_even:
             schemes.append(even_replicas(n, num_experts, self.capacity))
-        while len(schemes) < self.config.num_candidates:
-            base = schemes[int(self._rng.integers(len(schemes)))]
-            schemes.append(perturb_replicas(base, self._rng))
         return schemes
 
     # ------------------------------------------------------------------
@@ -138,16 +113,14 @@ class ExpertLayoutTuner:
     def solve_layers(self, routing_by_layer: np.ndarray) -> List[TunerResult]:
         """Solve the re-layout strategy of several layers in one batch.
 
-        Each layer in turn builds its candidate schemes (so the perturbation
-        stream is drawn as a loop of one-layer solves would draw it) and
-        places every candidate with its own :func:`relocate_experts` call.
-        One :func:`lite_route_batch` then routes every candidate of every
-        layer on its layer's routing, and each layer scores its run of that
+        Each layer builds its candidate schemes and places every candidate
+        with its own :func:`relocate_experts` call.  One
+        :func:`lite_route_batch` then routes every candidate of every layer
+        on its layer's routing, and each layer scores its run of that
         batch's plans with one :meth:`MoECostModel.evaluate_batch` (one call
         over all layers was no faster at 32x8 devices and raised peak
         memory).  Each layer keeps its first cheapest candidate, so
-        ``solve_layers(R)[l]`` equals ``solve(R[l])`` on a tuner whose
-        stream stands where the loop would have left it.
+        ``solve_layers(R)[l]`` equals ``solve(R[l])``.
 
         Args:
             routing_by_layer: ``(layers, N, E)`` token counts per device per

@@ -13,17 +13,17 @@ When the solves run: :meth:`LoadBalancingPlanner.plan_layer` only records
 each observation.  The first time it meets a layer observed since that
 layer's last solve, iteration ``t + 1`` has begun, and every layer observed
 in iteration ``t`` is solved in one
-:meth:`~repro.core.layout_tuner.ExpertLayoutTuner.solve_layers` batch, in
-observation order.  Each layout is the one a solve right after its
-observation would have produced, but the solve after a run's last
-iteration, whose layouts no iteration would use, never runs.
-``current_layout`` solves the batch on demand; ``tune_layout`` solves its
-layer at once.
+:meth:`~repro.core.layout_tuner.ExpertLayoutTuner.solve_layers` batch.  The
+tuner is a pure function of the routing it is given, so each layout is the
+one a solve right after its observation would have produced, but the solve
+after a run's last iteration, whose layouts no iteration would use, never
+runs.  ``current_layout`` solves the batch on demand; ``tune_layout`` solves
+its layer at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,23 +39,6 @@ from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.core.lite_routing import lite_route_batch
 from repro.core.routing_plan import RoutingBatch, RoutingPlan, read_only
 from repro.telemetry.trace import span as _span
-
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    """Configuration of the load-balancing planner.
-
-    Attributes:
-        capacity: Expert capacity per device ``C``.
-        tuner: Configuration of the embedded expert layout tuner.
-    """
-
-    capacity: int
-    tuner: TunerConfig = field(default_factory=TunerConfig)
-
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ValueError("capacity must be positive")
 
 
 @dataclass
@@ -81,13 +64,17 @@ class LoadBalancingPlanner:
     """Per-layer planner combining the layout tuner and the token dispatcher."""
 
     def __init__(self, topology: ClusterTopology, cost_model: MoECostModel,
-                 num_experts: int, config: PlannerConfig):
+                 num_experts: int, capacity: int,
+                 tuner_config: Optional[TunerConfig] = None):
+        """Plan ``num_experts`` experts on ``topology``, at most ``capacity``
+        experts per device, tuning with ``tuner_config`` (both schemes by
+        default)."""
         self.topology = topology
         self.cost_model = cost_model
         self.num_experts = num_experts
-        self.config = config
-        self.tuner = ExpertLayoutTuner(topology, cost_model, config.capacity,
-                                       config.tuner)
+        self.capacity = capacity
+        self.tuner = ExpertLayoutTuner(topology, cost_model, capacity,
+                                       tuner_config)
         self._latest: Dict[int, np.ndarray] = {}
         self._pending_layouts: Dict[int, ExpertLayout] = {}
         # Routing plan_layer observed for each layer since its last solve, in
@@ -104,11 +91,10 @@ class LoadBalancingPlanner:
         to a round-robin assignment that fills every device's capacity.
         """
         n = self.topology.num_devices
-        capacity = self.config.capacity
         try:
-            return static_ep_layout(n, self.num_experts, capacity)
+            return static_ep_layout(n, self.num_experts, self.capacity)
         except ValueError:
-            return round_robin_layout(n, self.num_experts, capacity)
+            return round_robin_layout(n, self.num_experts, self.capacity)
 
     # ------------------------------------------------------------------
     # Observation (asynchronous layout tuner input)
@@ -140,8 +126,7 @@ class LoadBalancingPlanner:
         This models the CPU-side solve that happens while the GPU computes the
         current iteration; the returned layout is cached and used by the next
         :meth:`plan_layer` call for this layer.  Layers :meth:`plan_layer`
-        left unsolved are solved first, so the tuner's perturbation stream
-        is drawn in observation order.
+        left unsolved are solved first, so no pending batch replaces it.
         """
         self._solve_unsolved()
         predicted = self.predicted_routing(layer)
@@ -248,8 +233,7 @@ class LoadBalancingPlanner:
                 in zip(decided, routing_plans, costs)]
 
     def reset(self) -> None:
-        """Clear all observations, pending layouts and the tuner's random stream."""
+        """Clear all observations and pending layouts."""
         self._latest.clear()
         self._pending_layouts.clear()
         self._unsolved.clear()
-        self.tuner.reset()

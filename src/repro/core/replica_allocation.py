@@ -5,7 +5,7 @@ priority-queue scheme starts with one replica per expert and repeatedly gives
 an extra replica to the expert with the highest *average* load (load divided by
 its current replica count) until all slots are used.  The even scheme simply
 gives every expert ``N * C / E`` replicas.  The layout tuner (Algorithm 2)
-evaluates both (plus random perturbations) and keeps the cheapest.
+scores the schemes its configuration names and keeps the cheapest.
 
 The priority queue is Jefferson's (D'Hondt) apportionment, so it needs no
 queue.  It hands expert ``e`` its ``j``-th extra replica at the quotient
@@ -102,30 +102,3 @@ def even_replicas(num_devices: int, num_experts: int, capacity: int) -> np.ndarr
     replicas[:remainder] += 1
     return replicas
 
-
-def perturb_replicas(replicas: np.ndarray, rng: np.random.Generator,
-                     max_moves: int = 2) -> np.ndarray:
-    """Randomly move up to ``max_moves`` replicas between experts.
-
-    Used by Algorithm 2 to enlarge the candidate set beyond the two analytic
-    schemes.  The perturbation never drops an expert below one replica, so the
-    result is always a valid allocation.
-    """
-    replicas = np.asarray(replicas, dtype=np.int64).copy()
-    if np.any(replicas < 1):
-        raise ValueError("every expert must start with at least one replica")
-    num_experts = replicas.shape[0]
-    if num_experts < 2:
-        return replicas
-    moves = int(rng.integers(1, max_moves + 1))
-    for _ in range(moves):
-        donors = np.nonzero(replicas > 1)[0]
-        if donors.size == 0:
-            break
-        src = int(rng.choice(donors))
-        dst = int(rng.integers(num_experts))
-        if dst == src:
-            dst = (dst + 1) % num_experts
-        replicas[src] -= 1
-        replicas[dst] += 1
-    return replicas

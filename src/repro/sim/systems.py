@@ -92,10 +92,10 @@ def choose_megatron_tp(config: MoEModelConfig, topology: ClusterTopology,
 
 def _laer_tuner_config(variant: str) -> TunerConfig:
     if variant == "pq_only":
-        return TunerConfig(num_candidates=1, use_priority_queue=True, use_even=False)
+        return TunerConfig(use_even=False)
     if variant == "even_only":
-        return TunerConfig(num_candidates=1, use_priority_queue=False, use_even=True)
-    return TunerConfig(num_candidates=2, use_priority_queue=True, use_even=True)
+        return TunerConfig(use_priority_queue=False)
+    return TunerConfig()
 
 
 # ----------------------------------------------------------------------

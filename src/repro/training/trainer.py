@@ -23,8 +23,7 @@ import numpy as np
 from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import MoECostModel
 from repro.core.executor import FSEPExecutor
-from repro.core.layout_tuner import TunerConfig
-from repro.core.planner import LoadBalancingPlanner, PlannerConfig
+from repro.core.planner import LoadBalancingPlanner
 from repro.model.optimizer import Adam, clip_gradients
 from repro.model.transformer import ModelOutput, MoETransformer
 from repro.workloads.datasets import SyntheticTextDataset
@@ -139,8 +138,7 @@ class Trainer:
                                       / self.topology.num_devices)))
         capacity = max(capacity, self.model_config.expert_capacity)
         self._planner = LoadBalancingPlanner(
-            self.topology, cost_model, self.model_config.num_experts,
-            PlannerConfig(capacity=capacity, tuner=TunerConfig()))
+            self.topology, cost_model, self.model_config.num_experts, capacity)
         self._executors = [FSEPExecutor(block.moe, self.topology)
                            for block in self.model.blocks]
 

@@ -1,5 +1,6 @@
 """Shared test helpers: finite-difference gradient checking, a one-row
-lite-routing split and a per-candidate layout-tuner reference."""
+lite-routing split, a per-candidate layout-tuner reference and seeded
+perturbed replica schemes for tests that need more than the tuner's two."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.layout_tuner import ExpertLayoutTuner
 from repro.core.lite_routing import _split_rows, lite_route
 from repro.core.relocation import relocate_experts
 from repro.model.parameter import Module, Parameter
@@ -124,3 +126,51 @@ def scalar_reference_solve(tuner, routing):
         if cost.total < costs[best].total:
             best = index
     return layouts[best], plans[best], costs[best], [c.total for c in costs]
+
+
+def perturb_replicas(replicas: np.ndarray, rng: np.random.Generator,
+                     max_moves: int = 2) -> np.ndarray:
+    """Move up to ``max_moves`` replicas between random experts, never
+    dropping one below a replica: a valid scheme unlike either analytic one.
+
+    The draws are the ones the layout tuner made when it still scored
+    perturbations beyond its analytic schemes, so tests that take these
+    schemes as input keep their cases.
+    """
+    replicas = np.asarray(replicas, dtype=np.int64).copy()
+    if np.any(replicas < 1):
+        raise ValueError("every expert must start with at least one replica")
+    num_experts = replicas.shape[0]
+    if num_experts < 2:
+        return replicas
+    moves = int(rng.integers(1, max_moves + 1))
+    for _ in range(moves):
+        donors = np.nonzero(replicas > 1)[0]
+        if donors.size == 0:
+            break
+        src = int(rng.choice(donors))
+        dst = int(rng.integers(num_experts))
+        if dst == src:
+            dst = (dst + 1) % num_experts
+        replicas[src] -= 1
+        replicas[dst] += 1
+    return replicas
+
+
+class PerturbingTuner(ExpertLayoutTuner):
+    """A layout tuner that also scores seeded perturbations of its schemes,
+    up to ``candidates`` in all: each perturbs a scheme drawn from those
+    built so far, from one stream seeded with ``seed`` at construction."""
+
+    def __init__(self, topology, cost_model, capacity, config=None, *,
+                 candidates: int, seed: int = 0):
+        super().__init__(topology, cost_model, capacity, config)
+        self.candidates = candidates
+        self.rng = np.random.default_rng(seed)
+
+    def candidate_replica_schemes(self, expert_loads, num_experts):
+        schemes = super().candidate_replica_schemes(expert_loads, num_experts)
+        while len(schemes) < self.candidates:
+            base = schemes[int(self.rng.integers(len(schemes)))]
+            schemes.append(perturb_replicas(base, self.rng))
+        return schemes

@@ -1,5 +1,6 @@
 """Tests for the declarative experiment API (specs, registry, runner)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -452,6 +453,61 @@ class TestResultRoundTripAudit:
         # Hand-edited / legacy files may carry an explicit null.
         data["execution_mode"] = None
         assert ExperimentResult.from_dict(data).execution_mode == ""
+
+
+class TestPinnedResults:
+    """Every registered system's results on three scenarios and three
+    cluster sizes, pinned by digest.
+
+    A refactor that claims byte-identical outputs must leave these results
+    bit-identical.  Each digest is the sha256 of the sorted-key JSON of one
+    spec's ``run_experiment(spec).to_dict()["systems"]``, all 12 registered
+    systems side by side on 2 layers, 4 + 2 iterations of 4,096 tokens per
+    device at seed 0.  Re-pin only for an intended output change, and
+    record the change and its new digests in CHANGES.md.
+    """
+
+    PINNED = {
+        (1, "drifting"):
+            "5c96c9519f1e86fd2edaa99aa0cfad475fe9000c5988c3d23dc95f2c7f342225",
+        (1, "bursty-churn"):
+            "76bbdaebfd33acb17137c6bb7708d29cfd294e8ee8f853a024fbaa528449b759",
+        (1, "phase-shift"):
+            "da12140d5069426ebf0b244f0f460d6c9f083d97745766f42504dca68bd48467",
+        (4, "drifting"):
+            "554501bc4cf49b338ba6a7ed11fb1c7a4eff169d4285c1daefdad86290fbfd71",
+        (4, "bursty-churn"):
+            "b2e7ac496b2e72ad82e5e39609529ce89a158ebb48131f9c06e605effe4d3b80",
+        (4, "phase-shift"):
+            "cd7356917473c330528b022a05b766527aaec2ca4ead250a3f87930863f5eb3f",
+        (32, "drifting"):
+            "b139445dee36101bde11c91d92c374d0578983cadb23248d8fbf15553c9cad32",
+        (32, "bursty-churn"):
+            "26214661d8b478d7454f9df377a2e28ed4c56dd8af669f870d1c6eca756bfaab",
+        (32, "phase-shift"):
+            "dbfb83018aed01dfff1c9fde133e1dfa7f038b848d6d8e1c915f3e4730ad7725",
+    }
+
+    SYSTEMS = ("megatron", "fsdp_ep", "fastermoe", "smartmoe", "prophet",
+               "flexmoe", "laer", "oracle", "laer_pq_only", "laer_even_only",
+               "laer_no_comm_opt", "static_ep")
+
+    def test_every_registered_system_is_pinned(self):
+        assert available_systems() == list(self.SYSTEMS)
+
+    @pytest.mark.parametrize("nodes,scenario", sorted(PINNED))
+    def test_results_match_pinned_digest(self, nodes, scenario):
+        spec = ExperimentSpec(
+            name="pinned",
+            cluster=ClusterSpec(num_nodes=nodes, devices_per_node=8),
+            workload=WorkloadSpec(tokens_per_device=4096, layers=2,
+                                  iterations=4, warmup=2, seed=0,
+                                  scenario=scenario),
+            systems=self.SYSTEMS)
+        text = json.dumps(run_experiment(spec).to_dict()["systems"],
+                          sort_keys=True)
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == self.PINNED[nodes, scenario])
 
 
 class TestImportFootprint:

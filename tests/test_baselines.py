@@ -185,6 +185,9 @@ class TestFlexMoE:
             decisions = policy.decide_iteration(trace.iteration(it))
             for layer, decision in enumerate(decisions):
                 check_decision(decision, trace.layer(it, layer))
+                # FSEP restores every replica each iteration, so FlexMoE's
+                # adjustments move no bytes.
+                assert decision.relayout_bytes_exposed == 0.0
             if previous_layout is not None:
                 assert decisions[0].layout.difference(previous_layout) <= 1
             previous_layout = decisions[0].layout
@@ -198,20 +201,6 @@ class TestFlexMoE:
         for it in range(1, 10):
             last = policy.decide_iteration(trace.iteration(it))
         assert max_relative_tokens(last[0]) < max_relative_tokens(first[0]) + 0.2
-
-    def test_migration_charged_only_when_enabled(self, small_topology):
-        trace = make_trace(iterations=3, seed=15)
-        free = FlexMoEPolicy(small_topology, 8, 2, EXPERT_BYTES,
-                             charge_migration=False)
-        charged = FlexMoEPolicy(small_topology, 8, 2, EXPERT_BYTES,
-                                charge_migration=True)
-        for policy in (free, charged):
-            policy.decide_iteration(trace.iteration(0))
-        free_dec = free.decide_iteration(trace.iteration(1))
-        charged_dec = charged.decide_iteration(trace.iteration(1))
-        assert free_dec[0].relayout_bytes_exposed == 0.0
-        if charged_dec[0].metadata["adjustments"]:
-            assert charged_dec[0].relayout_bytes_exposed > 0.0
 
 
 class TestLAERAndOracle:

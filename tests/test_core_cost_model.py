@@ -8,12 +8,13 @@ from repro.baselines.base import PolicyDecision
 from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import MoECostModel
 from repro.core.layout import static_ep_layout
-from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.core.lite_routing import lite_route, lite_route_batch
 from repro.core.relocation import relocate_experts
 from repro.core.routing_plan import RoutingPlan
 from repro.sim.iteration import IterationSimulator
 from repro.workloads.model_configs import get_model_config, tiny_test_config
+
+from helpers import PerturbingTuner
 
 
 @pytest.fixture
@@ -181,7 +182,8 @@ class TestAgreesWithSimulator:
     simulator charges for the same plan, so on every frame, at every cluster
     size, the cost model must pick the candidate layout the simulator finds
     fastest: a disagreeing argmin means the planner optimises a cost it is
-    not charged."""
+    not charged.  Each frame's candidates are the pq and even schemes and
+    seeded perturbations of them."""
 
     @pytest.mark.parametrize("nodes,num_candidates,iterations", [
         (4, 12, 16), (32, 12, 8), (128, 6, 6)],
@@ -204,13 +206,13 @@ class TestAgreesWithSimulator:
             for index, frame in enumerate(frames):
                 routing = frame[0]
                 loads = routing.sum(axis=0)
-                tuner = ExpertLayoutTuner(
-                    topology, cost_model, capacity,
-                    TunerConfig(num_candidates=num_candidates))
+                tuner = PerturbingTuner(topology, cost_model, capacity,
+                                        candidates=num_candidates)
                 layouts = [relocate_experts(replicas, loads, topology,
                                             capacity)
                            for replicas in tuner.candidate_replica_schemes(
                                loads, routing.shape[1])]
+                assert len(layouts) == num_candidates
                 plans = lite_route_batch(routing, layouts, topology)
                 costs = np.array([cost.total for cost in
                                   cost_model.evaluate_batch(plans)])

@@ -17,7 +17,7 @@ from repro.workloads.model_configs import tiny_test_config
 from repro.workloads.routing_traces import RoutingTraceConfig
 from repro.workloads.scenarios import SyntheticTraceSource
 
-from helpers import scalar_reference_solve
+from helpers import PerturbingTuner, scalar_reference_solve
 
 
 @pytest.fixture
@@ -35,23 +35,16 @@ def skewed_routing(num_devices=8, num_experts=8, seed=0):
 class TestTunerConfig:
     def test_defaults(self):
         cfg = TunerConfig()
-        assert cfg.num_candidates == 2
         assert cfg.use_priority_queue and cfg.use_even
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TunerConfig(num_candidates=0)
-        with pytest.raises(ValueError):
             TunerConfig(use_priority_queue=False, use_even=False)
-
-    def test_fewer_candidates_than_analytic_schemes_rejected(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            TunerConfig(num_candidates=1)
 
     def test_one_candidate_with_one_analytic_scheme(self, small_topology,
                                                     small_cost_model):
-        for config in (TunerConfig(num_candidates=1, use_even=False),
-                       TunerConfig(num_candidates=1, use_priority_queue=False)):
+        for config in (TunerConfig(use_even=False),
+                       TunerConfig(use_priority_queue=False)):
             result = ExpertLayoutTuner(small_topology, small_cost_model, 2,
                                        config).solve(skewed_routing())
             assert result.candidates_evaluated == 1
@@ -64,13 +57,6 @@ class TestCandidateGeneration:
         schemes = tuner.candidate_replica_schemes(loads, 8)
         assert len(schemes) == 2
         assert all(s.sum() == 16 for s in schemes)
-
-    def test_perturbations_added(self, small_topology, small_cost_model):
-        tuner = ExpertLayoutTuner(small_topology, small_cost_model, capacity=2,
-                                  config=TunerConfig(num_candidates=5))
-        schemes = tuner.candidate_replica_schemes(np.ones(8), 8)
-        assert len(schemes) == 5
-        assert all(s.sum() == 16 and np.all(s >= 1) for s in schemes)
 
 
 class TestSolve:
@@ -112,13 +98,13 @@ class TestSolve:
         """Using both schemes can only improve on either alone (Fig. 12)."""
         routing = skewed_routing(seed=9)
         both = ExpertLayoutTuner(small_topology, small_cost_model, 2,
-                                 TunerConfig(num_candidates=2)).solve(routing)
+                                 TunerConfig()).solve(routing)
         pq_only = ExpertLayoutTuner(
             small_topology, small_cost_model, 2,
-            TunerConfig(num_candidates=1, use_even=False)).solve(routing)
+            TunerConfig(use_even=False)).solve(routing)
         even_only = ExpertLayoutTuner(
             small_topology, small_cost_model, 2,
-            TunerConfig(num_candidates=1, use_priority_queue=False)).solve(routing)
+            TunerConfig(use_priority_queue=False)).solve(routing)
         assert both.cost.total <= pq_only.cost.total + 1e-12
         assert both.cost.total <= even_only.cost.total + 1e-12
 
@@ -131,23 +117,11 @@ class TestSolve:
             ExpertLayoutTuner(small_topology, small_cost_model, capacity=0)
 
 
-class TestReset:
-    def test_reset_reseeds_perturbation_stream(self, small_topology,
-                                               small_cost_model):
-        """After reset(), the tuner draws the same perturbation candidates."""
-        tuner = ExpertLayoutTuner(small_topology, small_cost_model, 2,
-                                  TunerConfig(num_candidates=5))
-        routing = skewed_routing(seed=4)
-        first = [tuner.solve(routing).candidate_costs for _ in range(3)]
-        tuner.reset()
-        second = [tuner.solve(routing).candidate_costs for _ in range(3)]
-        assert first == second
-
-
-def assert_matches_scalar_reference(topology, cost_model, config, routing):
-    batched = ExpertLayoutTuner(topology, cost_model, 2, config).solve(routing)
+def assert_matches_scalar_reference(make_tuner, routing):
+    """``make_tuner()`` builds a fresh tuner for either path."""
+    batched = make_tuner().solve(routing)
     layout, plan, cost, candidate_costs = scalar_reference_solve(
-        ExpertLayoutTuner(topology, cost_model, 2, config), routing)
+        make_tuner(), routing)
     # Not approx: the batched path must be the same arithmetic.
     assert batched.candidate_costs == candidate_costs
     assert batched.candidates_evaluated == len(candidate_costs)
@@ -163,17 +137,19 @@ class TestBatchEval:
     @pytest.mark.parametrize("candidates", [1, 2, 4, 8])
     def test_batched_solve_is_bit_identical_to_scalar(
             self, small_topology, small_cost_model, candidates):
-        """One candidate (the laer_pq_only ablation) up to eight."""
+        """One candidate (the laer_pq_only ablation) up to eight (seeded
+        perturbations beyond pq and even)."""
         assert_matches_scalar_reference(
-            small_topology, small_cost_model,
-            TunerConfig(num_candidates=candidates, use_even=candidates > 1),
+            lambda: PerturbingTuner(
+                small_topology, small_cost_model, 2,
+                TunerConfig(use_even=candidates > 1), candidates=candidates),
             skewed_routing(seed=candidates))
 
     def test_tie_breaks_pick_the_first_candidate(self, small_topology,
                                                  small_cost_model):
         """Equal-cost candidates resolve like the scalar reference."""
         assert_matches_scalar_reference(
-            small_topology, small_cost_model, TunerConfig(),
+            lambda: ExpertLayoutTuner(small_topology, small_cost_model, 2),
             np.full((8, 8), 64, dtype=np.int64))
 
     @pytest.mark.parametrize("candidates", [2, 4])
@@ -188,13 +164,12 @@ class TestBatchEval:
                     for cost in score(cost_model, plans)]
 
         monkeypatch.setattr(MoECostModel, "evaluate_batch", tied)
-        config = TunerConfig(num_candidates=candidates)
         routings = np.stack([skewed_routing(seed=seed) for seed in (1, 2)])
-        results = ExpertLayoutTuner(small_topology, small_cost_model, 2,
-                                    config).solve_layers(routings)
+        results = PerturbingTuner(small_topology, small_cost_model, 2,
+                                  candidates=candidates).solve_layers(routings)
         # A second tuner draws the same perturbation stream.
-        reference = ExpertLayoutTuner(small_topology, small_cost_model, 2,
-                                      config)
+        reference = PerturbingTuner(small_topology, small_cost_model, 2,
+                                    candidates=candidates)
         for routing, result in zip(routings, results):
             loads = routing.sum(axis=0)
             layouts = [relocation_mod.relocate_experts(
@@ -211,9 +186,8 @@ class TestBatchEval:
         tracer = trace_mod.Tracer(tmp_path / "trace", scope="test")
         trace_mod.install(tracer)
         try:
-            ExpertLayoutTuner(
-                small_topology, small_cost_model, 2,
-                TunerConfig(num_candidates=4)).solve(skewed_routing(seed=1))
+            PerturbingTuner(small_topology, small_cost_model, 2,
+                            candidates=4).solve(skewed_routing(seed=1))
         finally:
             trace_mod.uninstall()
         events = trace_mod.read_events(tmp_path / "trace")

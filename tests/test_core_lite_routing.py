@@ -144,11 +144,9 @@ class TestLiteRouting:
 class TestLiteRouteBatch:
     def layouts(self, n=8, num_experts=8, count=4, seed=0):
         from repro.core.relocation import relocate_experts
-        from repro.core.replica_allocation import (
-            even_replicas,
-            perturb_replicas,
-        )
+        from repro.core.replica_allocation import even_replicas
         from repro.cluster.topology import ClusterTopology
+        from helpers import perturb_replicas
         topology = ClusterTopology(num_nodes=2, devices_per_node=n // 2)
         rng = np.random.default_rng(seed)
         schemes = [even_replicas(n, num_experts, 2)]

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.layout_tuner import TunerConfig
-from repro.core.planner import IterationPlan, LoadBalancingPlanner, PlannerConfig
+from repro.core.planner import IterationPlan, LoadBalancingPlanner
 from repro.workloads.routing_traces import RoutingTraceConfig
 from repro.workloads.scenarios import SyntheticTraceSource
 
@@ -12,7 +11,7 @@ from repro.workloads.scenarios import SyntheticTraceSource
 @pytest.fixture
 def planner(small_topology, small_cost_model):
     return LoadBalancingPlanner(small_topology, small_cost_model, num_experts=8,
-                                config=PlannerConfig(capacity=2))
+                                capacity=2)
 
 
 def make_trace(iterations=5, seed=0, layers=2):
@@ -22,10 +21,11 @@ def make_trace(iterations=5, seed=0, layers=2):
     return SyntheticTraceSource(config, iterations).materialize()
 
 
-class TestPlannerConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PlannerConfig(capacity=0)
+class TestPlannerValidation:
+    def test_capacity_must_be_positive(self, small_topology, small_cost_model):
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            LoadBalancingPlanner(small_topology, small_cost_model,
+                                 num_experts=8, capacity=0)
 
 
 class TestHistory:
@@ -59,8 +59,7 @@ class TestLayoutTuning:
     def test_fallback_for_non_divisible_expert_count(self, small_topology,
                                                      small_cost_model):
         planner = LoadBalancingPlanner(small_topology, small_cost_model,
-                                       num_experts=6,
-                                       config=PlannerConfig(capacity=2))
+                                       num_experts=6, capacity=2)
         layout = planner.current_layout(0)
         layout.validate()
 
@@ -157,8 +156,7 @@ class TestReadOnlyState:
                                              small_cost_model):
         trace = make_trace(iterations=2)
         reference = LoadBalancingPlanner(small_topology, small_cost_model,
-                                         num_experts=8,
-                                         config=PlannerConfig(capacity=2))
+                                         num_experts=8, capacity=2)
         for layer in range(2):
             reference.plan_layer(layer, trace.layer(0, layer))
         buffer = np.array(trace.layer(0, 0), dtype=np.int64)

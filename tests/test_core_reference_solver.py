@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import MoECostModel
-from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
+from repro.core.layout_tuner import ExpertLayoutTuner
 from repro.workloads.model_configs import get_model_config
 
 from reference_solver import enumerate_layouts, solve_reference
@@ -58,8 +58,7 @@ class TestReferenceSolution:
             routing = rng.integers(0, 200, size=(3, 3)).astype(np.int64)
             reference = solve_reference(routing, tiny_topology, cost_model,
                                         capacity=2)
-            tuner = ExpertLayoutTuner(tiny_topology, cost_model, capacity=2,
-                                      config=TunerConfig(num_candidates=2))
+            tuner = ExpertLayoutTuner(tiny_topology, cost_model, capacity=2)
             heuristic = tuner.solve(routing)
             assert heuristic.cost.total <= reference.cost.total * 1.15 + 1e-12
 

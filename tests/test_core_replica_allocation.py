@@ -6,8 +6,9 @@ import pytest
 from repro.core.replica_allocation import (
     allocate_replicas_priority_queue,
     even_replicas,
-    perturb_replicas,
 )
+
+from helpers import perturb_replicas
 
 
 class TestPriorityQueueAllocation:
@@ -83,6 +84,9 @@ class TestEvenAllocation:
 
 
 class TestPerturbation:
+    """The seeded perturbed schemes other tests take as input (from
+    ``tests/helpers.py``) are valid allocations."""
+
     def test_preserves_total_and_minimum(self):
         rng = np.random.default_rng(0)
         base = even_replicas(8, 8, 2)

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.topology import ClusterTopology
-from repro.core.layout_tuner import TunerConfig
-from repro.baselines.laer import LAERPolicy
 from repro.baselines.static_ep import StaticEPPolicy
 from repro.sim.engine import RunResult, compare_systems
 from repro.sim.iteration import IterationResult
@@ -154,21 +152,3 @@ class TestResetRegression:
             first = _run_alone(system, source, warmup=1)
             second = _run_alone(system, source, warmup=1)
             _assert_runs_identical(first, second)
-
-    def test_laer_perturbation_rng_reset_between_runs(self, topology,
-                                                      context):
-        """A tuner that consumes its perturbation RNG still repeats exactly."""
-        source = make_scenario("drifting", context)
-        ctx = SystemBuildContext(name="laer_rng", config=CONFIG,
-                                 topology=topology, tokens_per_device=2048)
-        policy = LAERPolicy(*ctx.policy_args(), ctx.cost_model(),
-                            tuner_config=TunerConfig(num_candidates=5))
-        system = ctx.build(policy)
-        state_before = policy.planner.tuner._rng.bit_generator.state
-        first = _run_alone(system, source, warmup=1)
-        # The run consumed perturbation draws; a reset must restore the seed.
-        system.reset()
-        assert (policy.planner.tuner._rng.bit_generator.state
-                == state_before)
-        second = _run_alone(system, source, warmup=1)
-        _assert_runs_identical(first, second)

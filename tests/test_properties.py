@@ -7,7 +7,9 @@ inputs and check the invariants the paper's correctness relies on:
 * greedy relocation always produces capacity-respecting, complete layouts;
 * lite routing conserves tokens and never routes to a non-hosting device;
 * FSEP shard -> restore is lossless and reshard-reduce equals a plain sum;
-* the layout tuner's plan always satisfies the cost-model constraints;
+* the layout tuner's plan always satisfies the cost-model constraints, and
+  the tuner is a pure function of its routing: layer order, batching and
+  earlier solves never change a layer's layout or candidate costs;
 * the cost model's ``T_comm`` is exactly four of the token All-to-Alls the
   simulator charges for the same plan;
 * the link-class All-to-All kernel equals its per-entry class-sum loop
@@ -31,7 +33,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import MoECostModel
 from repro.core.fsep import FSEPShardedExperts
 from repro.core.layout import ExpertLayout
-from repro.core.layout_tuner import ExpertLayoutTuner
+from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.core.lite_routing import lite_route
 from repro.core.relocation import relocate_experts
 from repro.core.replica_allocation import (
@@ -199,6 +201,34 @@ class TestTunerProperties:
         tuner = ExpertLayoutTuner(topology, cost_model, capacity)
         result = tuner.solve(routing)
         assert result.cost.max_tokens <= routing.sum()
+
+    #: The tuner configurations the registered systems build (``laer`` and
+    #: ``oracle``, ``laer_pq_only``, ``laer_even_only``).
+    REGISTERED_CONFIGS = (TunerConfig(), TunerConfig(use_even=False),
+                          TunerConfig(use_priority_queue=False))
+
+    @given(problem=allocation_problem(), layers=st.integers(1, 4),
+           frames=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           config=st.sampled_from(REGISTERED_CONFIGS), data=st.data())
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_tuner_is_a_pure_function_of_its_routing(
+            self, problem, layers, frames, seed, config, data):
+        """One tuner solves each frame's layers in a drawn order, in one
+        batch; every layer equals a fresh tuner's one-layer solve."""
+        num_devices, num_experts, capacity, _ = problem
+        topology = topology_for(num_devices)
+        cost_model = MoECostModel.from_model_config(
+            get_model_config("mixtral-8x7b-e8k2"), topology)
+        routings = np.random.default_rng(seed).integers(
+            0, 500, size=(frames, layers, num_devices, num_experts))
+        reused = ExpertLayoutTuner(topology, cost_model, capacity, config)
+        for frame in routings:
+            order = data.draw(st.permutations(range(layers)))
+            for layer, result in zip(order, reused.solve_layers(frame[order])):
+                fresh = ExpertLayoutTuner(topology, cost_model, capacity,
+                                          config).solve(frame[layer])
+                assert result.layout == fresh.layout
+                assert result.candidate_costs == fresh.candidate_costs
 
 
 class TestOneAllToAllPrice:

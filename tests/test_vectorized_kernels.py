@@ -35,12 +35,11 @@ from repro.core.lite_routing import (
     lite_route,
     lite_route_batch,
 )
-from repro.core.planner import LoadBalancingPlanner, PlannerConfig
+from repro.core.planner import LoadBalancingPlanner
 from repro.core.relocation import relocate_experts
 from repro.core.replica_allocation import (
     allocate_replicas_priority_queue,
     even_replicas,
-    perturb_replicas,
 )
 from repro.core.routing_plan import RoutingPlan
 from repro.scalar_reference import (
@@ -66,7 +65,12 @@ from repro.workloads.scenarios import (
     make_scenario,
 )
 
-from helpers import scalar_reference_solve, split_row
+from helpers import (
+    PerturbingTuner,
+    perturb_replicas,
+    scalar_reference_solve,
+    split_row,
+)
 
 RTOL = 1e-9
 
@@ -765,17 +769,17 @@ def tuner_problem(nodes=2, layers=4, iterations=6):
             config.expert_capacity, frames)
 
 
+#: The tuner configurations the registered systems build.
 TUNER_CONFIGS = {"pq+even": TunerConfig(),
-                 "5-candidates": TunerConfig(num_candidates=5),
-                 "pq-only": TunerConfig(num_candidates=1, use_even=False)}
+                 "pq-only": TunerConfig(use_even=False),
+                 "even-only": TunerConfig(use_priority_queue=False)}
 
 
 class TestLayerBatchedTunerDifferential:
     @pytest.mark.parametrize("name", sorted(TUNER_CONFIGS))
     def test_solve_layers_matches_per_layer_solves(self, name):
         """6 iterations x 4 layers: each batch equals solving its layers one
-        by one (a candidate per lite_route and evaluate call), with the
-        perturbation stream drawn in the same order."""
+        by one (a candidate per lite_route and evaluate call)."""
         topology, cost_model, capacity, frames = tuner_problem()
         batched, looped = (ExpertLayoutTuner(topology, cost_model, capacity,
                                              TUNER_CONFIGS[name])
@@ -800,8 +804,8 @@ class TestLayerBatchedTunerDifferential:
     def test_solve_is_the_one_layer_batch(self, small_topology,
                                           small_cost_model):
         routing = np.random.default_rng(2).integers(0, 500, size=(8, 8))
-        one, batch = (ExpertLayoutTuner(small_topology, small_cost_model, 2,
-                                        TunerConfig(num_candidates=5))
+        one, batch = (PerturbingTuner(small_topology, small_cost_model, 2,
+                                      candidates=5)
                       for _ in range(2))
         single = one.solve(routing)
         (batched,) = batch.solve_layers(routing[None])
@@ -834,9 +838,7 @@ PLAN_ORDERS = {
 
 def lazy_and_eager(order, config):
     topology, cost_model, capacity, frames = tuner_problem()
-    planner = LoadBalancingPlanner(
-        topology, cost_model, 8, PlannerConfig(capacity=capacity,
-                                               tuner=config))
+    planner = LoadBalancingPlanner(topology, cost_model, 8, capacity, config)
     fallback = planner.current_layout(-1)  # a layer never observed
     rng = np.random.default_rng(3)
     calls = [(layer, frame[index]) for frame in frames
@@ -850,7 +852,7 @@ def lazy_and_eager(order, config):
 
 
 class TestLazyPlannerDifferential:
-    @pytest.mark.parametrize("name", ["pq+even", "5-candidates"])
+    @pytest.mark.parametrize("name", sorted(TUNER_CONFIGS))
     @pytest.mark.parametrize("order", sorted(PLAN_ORDERS))
     def test_plan_layer_matches_eager_solves(self, order, name):
         planner, returned, expected, _ = lazy_and_eager(
@@ -861,7 +863,7 @@ class TestLazyPlannerDifferential:
             assert layout == want
             assert planned == want_planned
 
-    @pytest.mark.parametrize("name", ["pq+even", "5-candidates"])
+    @pytest.mark.parametrize("name", sorted(TUNER_CONFIGS))
     def test_current_layout_after_the_last_observation(self, monkeypatch,
                                                        name):
         solved = []
@@ -882,13 +884,13 @@ class TestLazyPlannerDifferential:
         assert solved == [4] * 6
 
     def test_tune_layout_solves_the_batch_first(self):
-        """An explicit ``tune_layout`` between ``plan_layer`` calls draws the
-        perturbation stream after the layers observed before it."""
-        config = TUNER_CONFIGS["5-candidates"]
+        """An explicit ``tune_layout`` between ``plan_layer`` calls solves
+        the layers observed before it, and its own layer on its latest
+        observation."""
+        config = TUNER_CONFIGS["pq+even"]
         topology, cost_model, capacity, frames = tuner_problem()
-        planner = LoadBalancingPlanner(
-            topology, cost_model, 8, PlannerConfig(capacity=capacity,
-                                                   tuner=config))
+        planner = LoadBalancingPlanner(topology, cost_model, 8, capacity,
+                                       config)
         eager = ExpertLayoutTuner(topology, cost_model, capacity, config)
         for frame in frames[:3]:
             planner.plan_layer(0, frame[0])
