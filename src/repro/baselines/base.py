@@ -28,11 +28,13 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.cluster.memory import ADAM_STATE_BYTES_PER_PARAM
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout
 from repro.core.lite_routing import lite_route_batch
 from repro.core.routing_plan import RoutingPlan
 from repro.telemetry.trace import span as _span
+from repro.workloads.model_configs import BYTES_PER_ELEMENT
 
 
 @dataclass
@@ -135,15 +137,16 @@ class LoadBalancingPolicy(abc.ABC):
     # Shared helpers
     # ------------------------------------------------------------------
     def migration_bytes(self, old_layout: Optional[ExpertLayout],
-                        new_layout: ExpertLayout,
-                        state_multiplier: float = 6.0) -> float:
+                        new_layout: ExpertLayout) -> float:
         """Bytes moved when the expert layout changes between iterations.
 
-        Relocating an expert replica moves its parameters plus optimizer state;
-        the paper quotes a typical multiplier of 6x the bf16 parameter size
-        (fp32 master weights + two Adam moments).
+        Relocating an expert replica moves its fp32 master weights and two
+        Adam moments, the memory model's ``ADAM_STATE_BYTES_PER_PARAM`` per
+        parameter: 6x its bf16 parameter bytes, the multiplier the paper
+        quotes.
         """
         if old_layout is None:
             return 0.0
         changed = new_layout.difference(old_layout)
-        return changed * self.expert_param_bytes * state_multiplier
+        return (changed * self.expert_param_bytes
+                * (ADAM_STATE_BYTES_PER_PARAM / BYTES_PER_ELEMENT))

@@ -26,14 +26,16 @@ class SmartMoEPolicy(LoadBalancingPolicy):
 
     def __init__(self, topology: ClusterTopology, num_experts: int,
                  capacity: int, expert_param_bytes: float,
-                 relocation_interval: int = 100,
-                 state_multiplier: float = 6.0):
+                 relocation_interval: int = 100):
         """Create the policy.
+
+        Every relocation re-places the ``E`` single replicas by the load
+        history, leaving the ``N * C - E`` spare slots empty.  It moves each
+        relocated replica's parameters and optimizer state, priced by
+        :meth:`LoadBalancingPolicy.migration_bytes`.
 
         Args:
             relocation_interval: Iterations between placement re-solves.
-            state_multiplier: Bytes moved per relocated expert, as a multiple
-                of its bf16 parameter size (parameters + optimizer state).
         """
         super().__init__(topology, num_experts, capacity, expert_param_bytes)
         if relocation_interval < 1:
@@ -41,7 +43,6 @@ class SmartMoEPolicy(LoadBalancingPolicy):
         if num_experts > topology.num_devices * capacity:
             raise ValueError("cluster capacity cannot host one replica per expert")
         self.relocation_interval = relocation_interval
-        self.state_multiplier = state_multiplier
         self._layouts: Dict[int, ExpertLayout] = {}
         self._history: Dict[int, np.ndarray] = {}
 
@@ -77,8 +78,7 @@ class SmartMoEPolicy(LoadBalancingPolicy):
             self._layouts[layer] = self._initial_layout()
         elif self._iteration % self.relocation_interval == 0 and self._iteration > 0:
             new_layout = self._solve_layout(layer)
-            migration = self.migration_bytes(self._layouts[layer], new_layout,
-                                             self.state_multiplier)
+            migration = self.migration_bytes(self._layouts[layer], new_layout)
             relocated = migration > 0
             self._layouts[layer] = new_layout
 

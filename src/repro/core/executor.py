@@ -1,29 +1,33 @@
 """FSEP executor: runs real MoE computation under a planned expert layout.
 
 The executor takes an ordinary (single-device) :class:`~repro.model.moe_layer.MoELayer`
-and executes its expert computation the way LAER-MoE would on a cluster:
+and adds only what FSEP changes, namely which device computes which (token,
+expert) pair:
 
-1. the global token batch is split into per-device shards (data parallelism);
-2. the gate runs on each shard, producing the routing matrix ``R``;
-3. the planner's layout ``A`` decides which experts each device restores
-   (FSEP unshard of the flattened expert parameters);
-4. the token dispatcher (lite routing) produces ``S`` and tokens travel to the
-   devices hosting their experts;
-5. every device runs its restored experts over the tokens it received;
-6. outputs are combined back on the owning devices, and in the backward pass
-   the full expert gradients are reshard-reduced onto the parameter shards and
-   accumulated into the original layer's parameters.
+1. the global token batch is split into contiguous per-device shards (data
+   parallelism), and the gate's decision over each shard gives the routing
+   matrix ``R``;
+2. lite routing turns ``R`` and the planner's layout ``A`` into the token
+   routing plan ``S``, and every plan row's tokens are dispatched onto its
+   destination devices in token order;
+3. every device restores the experts the layout assigns it from the
+   flattened parameter shards (FSEP unshard) and runs them over the tokens it
+   received, through the layer's own gate-weighted combine
+   (:func:`~repro.model.moe_layer.run_experts`);
+4. in the backward pass the restored replicas' gradients are reshard-reduced
+   onto the parameter shards and accumulated into the layer's experts.
 
-Because the computation is mathematically identical to the reference layer
-(only the partitioning of tokens into expert calls changes), the executor lets
-the tests and the convergence study verify the paper's claim that FSEP incurs
-no loss of numerical precision.
+The math is the layer's own; only the grouping of tokens into expert calls,
+and so the order of the floating-point sums, changes.  That lets the tests
+and the convergence study verify the paper's claim that FSEP incurs no loss
+of numerical precision.  The token traffic (``tokens_per_device``,
+``dispatch_bytes``) is read off the routing plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -33,9 +37,13 @@ from repro.core.layout import ExpertLayout, round_robin_layout
 from repro.core.lite_routing import lite_route
 from repro.core.routing_plan import RoutingPlan
 from repro.model.expert import SwiGLUExpert
-from repro.model.moe_layer import MoELayer
+from repro.model.moe_layer import (
+    ExpertGroups,
+    MoELayer,
+    backward_experts,
+    run_experts,
+)
 from repro.workloads.model_configs import BYTES_PER_ELEMENT
-from repro.workloads.routing_traces import routing_from_assignments
 
 
 @dataclass
@@ -70,12 +78,10 @@ class FSEPExecutor:
     def __init__(self, moe_layer: MoELayer, topology: ClusterTopology):
         self.moe_layer = moe_layer
         self.topology = topology
-        shapes = [(name, tuple(param.shape))
-                  for name, param in moe_layer.experts[0].named_parameters()
-                  if name in moe_layer.experts[0].parameter_order()]
-        # Preserve the canonical flatten order.
-        order = moe_layer.experts[0].parameter_order()
-        shapes.sort(key=lambda item: order.index(item[0]))
+        # The (name, shape) meta of one expert, in its flatten order.
+        named = dict(moe_layer.experts[0].named_parameters())
+        shapes = [(name, named[name].shape)
+                  for name in moe_layer.experts[0].parameter_order()]
         self.sharded = FSEPShardedExperts(
             expert_parameters=[e.flatten_parameters() for e in moe_layer.experts],
             num_devices=topology.num_devices,
@@ -97,13 +103,6 @@ class FSEPExecutor:
             self.sharded.set_expert(expert_id, expert.flatten_parameters())
 
     # ------------------------------------------------------------------
-    def _split_tokens(self, num_tokens: int) -> List[np.ndarray]:
-        """Split global token indices into contiguous per-device shards."""
-        shard = int(np.ceil(num_tokens / self.num_devices))
-        return [np.arange(dev * shard, min((dev + 1) * shard, num_tokens))
-                for dev in range(self.num_devices)]
-
-    # ------------------------------------------------------------------
     def forward(self, x: np.ndarray, layout: Optional[ExpertLayout] = None
                 ) -> DistributedMoEOutput:
         """Distributed forward pass.
@@ -120,107 +119,62 @@ class FSEPExecutor:
         """
         if x.ndim != 3:
             raise ValueError("expected input of shape (batch, seq, hidden)")
-        batch, seq, hidden = x.shape
-        flat = x.reshape(-1, hidden)
-        num_tokens = flat.shape[0]
-
+        flat = x.reshape(-1, x.shape[-1])
         gating, gate_cache = self.moe_layer.gate.forward(flat)
-        device_tokens = self._split_tokens(num_tokens)
-        routing = routing_from_assignments(
-            [gating.expert_indices[idx].reshape(-1) for idx in device_tokens],
-            self.num_experts)
+        n, e = self.num_devices, self.num_experts
+        # The plan row (sender * E + expert) of every (token, slot) pair, the
+        # tokens split into contiguous per-device shards.
+        senders = np.arange(flat.shape[0]) // -(-flat.shape[0] // n)
+        pair_rows = (senders[:, None] * e + gating.expert_indices).reshape(-1)
+        routing = np.bincount(pair_rows, minlength=n * e).reshape(n, e)
 
         if layout is None:
             layout = self._default_layout()
         layout.validate()
         plan = lite_route(routing, layout, self.topology)
-
+        if not np.array_equal(plan.row_sums(), routing):
+            raise RuntimeError("some token assignments were not dispatched")
         unshard = self.sharded.unshard(layout)
 
-        # Assign each (token, slot) pair to a destination device according to
-        # the plan, per (source device, expert) in deterministic token order:
-        # the row's destinations ascend, so tokens fill devices in order.
-        dest_device = np.full(gating.expert_indices.shape, -1, dtype=np.int64)
-        for src, token_idx in enumerate(device_tokens):
-            if token_idx.size == 0:
-                continue
-            local_experts = gating.expert_indices[token_idx]
-            for expert in range(self.num_experts):
-                rows, cols = np.nonzero(local_experts == expert)
-                if rows.size == 0:
-                    continue
-                order = np.argsort(rows, kind="stable")
-                rows, cols = rows[order], cols[order]
-                row = src * self.num_experts + expert
-                lo, hi = plan.offsets[row], plan.offsets[row + 1]
-                cursor = 0
-                for dst, count in zip(plan.dest[lo:hi].tolist(),
-                                      plan.tokens[lo:hi].tolist()):
-                    if count == 0:
-                        continue
-                    sel = slice(cursor, cursor + count)
-                    dest_device[token_idx[rows[sel]], cols[sel]] = dst
-                    cursor += count
+        # Every row's pairs, in token order, fill the row's destinations in
+        # order (they ascend).
+        row_dests = np.repeat(plan.dest, plan.tokens)
+        pair_dest = np.empty_like(pair_rows)
+        pair_dest[np.argsort(pair_rows, kind="stable")] = row_dests
+        pair_dest = pair_dest.reshape(gating.expert_indices.shape)
 
-        if np.any(dest_device < 0):
-            raise RuntimeError("some token assignments were not dispatched")
-
-        # Every destination device materialises its restored experts and runs
-        # the tokens it received.
-        out = np.zeros_like(flat)
-        device_expert_modules: Dict[int, Dict[int, SwiGLUExpert]] = {}
-        device_expert_caches: Dict[Tuple[int, int], Dict[str, Any]] = {}
-        device_expert_tokens: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-        tokens_per_device = np.zeros(self.num_devices, dtype=np.int64)
-        dispatch_bytes = 0.0
-        hidden_bytes = hidden * BYTES_PER_ELEMENT
-
-        for dst in range(self.num_devices):
-            restored = unshard.device_experts[dst]
-            modules: Dict[int, SwiGLUExpert] = {}
+        # Every device materialises its restored experts and runs the tokens
+        # it received.
+        groups: ExpertGroups = {}
+        for dst, restored in unshard.device_experts.items():
             for expert_id, flat_params in restored.items():
-                module = SwiGLUExpert(self.moe_layer.hidden_size,
-                                      self.moe_layer.intermediate_size)
-                module.load_flat_parameters(flat_params)
-                modules[expert_id] = module
-            device_expert_modules[dst] = modules
-            my_tokens = device_tokens[dst]
-            local_token_set = set(my_tokens.tolist())
-            for expert_id, module in modules.items():
-                token_rows, slot_cols = np.nonzero(
-                    (dest_device == dst)
-                    & (gating.expert_indices == expert_id))
-                if token_rows.size == 0:
-                    continue
-                expert_in = flat[token_rows]
-                expert_out, cache = module.forward(expert_in)
-                weights = gating.gate_weights[token_rows, slot_cols][:, None]
-                np.add.at(out, token_rows, weights * expert_out)
-                device_expert_caches[(dst, expert_id)] = cache
-                device_expert_caches[(dst, expert_id)]["expert_out"] = expert_out
-                device_expert_tokens[(dst, expert_id)] = (token_rows, slot_cols)
-                tokens_per_device[dst] += token_rows.size
-                remote = sum(1 for t in token_rows if t not in local_token_set)
-                # dispatch + combine both move one hidden vector per token.
-                dispatch_bytes += 2.0 * remote * hidden_bytes
+                token_idx, slot_idx = np.nonzero(
+                    (pair_dest == dst) & (gating.expert_indices == expert_id))
+                if token_idx.size:
+                    module = SwiGLUExpert(self.moe_layer.hidden_size,
+                                          self.moe_layer.intermediate_size)
+                    module.load_flat_parameters(flat_params)
+                    groups[dst, expert_id] = (module, token_idx, slot_idx)
+        out, expert_caches = run_experts(flat, gating, groups)
 
+        # Dispatch and combine each move one hidden vector per token sent off
+        # its sender.
+        remote = int(plan.tokens[plan.rows() // e != plan.dest].sum())
         cache = {
             "gating": gating,
             "gate_cache": gate_cache,
-            "flat": flat,
-            "shape": (batch, seq, hidden),
-            "device_expert_modules": device_expert_modules,
-            "device_expert_caches": device_expert_caches,
-            "device_expert_tokens": device_expert_tokens,
+            "groups": groups,
+            "expert_caches": expert_caches,
+            "shape": x.shape,
         }
         return DistributedMoEOutput(
-            output=out.reshape(batch, seq, hidden),
+            output=out.reshape(x.shape),
             routing=routing,
             routing_plan=plan,
             layout=layout,
-            tokens_per_device=tokens_per_device,
+            tokens_per_device=np.bincount(row_dests, minlength=n),
             unshard_bytes=unshard.total_bytes,
-            dispatch_bytes=dispatch_bytes,
+            dispatch_bytes=2.0 * remote * x.shape[-1] * BYTES_PER_ELEMENT,
             cache=cache,
         )
 
@@ -237,34 +191,15 @@ class FSEPExecutor:
         Returns the gradient w.r.t. the layer input.
         """
         cache = result.cache
-        batch, seq, hidden = cache["shape"]
-        gating = cache["gating"]
-        flat = cache["flat"]
-        flat_grad_out = grad_output.reshape(-1, hidden)
+        shape = cache["shape"]
+        grad_flat, grad_gate_weights = backward_experts(
+            grad_output.reshape(-1, shape[-1]), cache["gating"],
+            cache["groups"], cache["expert_caches"])
 
-        grad_flat = np.zeros_like(flat)
-        grad_gate_weights = np.zeros_like(gating.gate_weights)
-        device_gradients: Dict[int, Dict[int, np.ndarray]] = {
-            dev: {} for dev in range(self.num_devices)}
-
-        for (dst, expert_id), (token_rows, slot_cols) in \
-                cache["device_expert_tokens"].items():
-            module = cache["device_expert_modules"][dst][expert_id]
-            expert_cache = cache["device_expert_caches"][(dst, expert_id)]
-            expert_out = expert_cache["expert_out"]
-            weights = gating.gate_weights[token_rows, slot_cols][:, None]
-            upstream = flat_grad_out[token_rows]
-            grad_gate_weights[token_rows, slot_cols] += np.sum(
-                upstream * expert_out, axis=-1)
-            grad_expert_in = module.backward(upstream * weights, expert_cache)
-            np.add.at(grad_flat, token_rows, grad_expert_in)
-            grads = device_gradients[dst]
-            flat_grad = module.flatten_gradients()
-            if expert_id in grads:
-                grads[expert_id] = grads[expert_id] + flat_grad
-            else:
-                grads[expert_id] = flat_grad
-
+        device_gradients: Dict[int, Dict[int, np.ndarray]] = {}
+        for (dst, expert_id), (module, _, _) in cache["groups"].items():
+            grads = device_gradients.setdefault(dst, {})
+            grads[expert_id] = module.flatten_gradients()
         reshard = self.sharded.reshard(device_gradients)
 
         # Accumulate the reduced gradients into the reference layer's experts
@@ -281,8 +216,8 @@ class FSEPExecutor:
 
         grad_flat += self.moe_layer.gate.backward(
             grad_gate_weights, aux_loss_weight, cache["gate_cache"])
-        result.cache["reshard_bytes"] = reshard.total_bytes
-        return grad_flat.reshape(batch, seq, hidden)
+        cache["reshard_bytes"] = reshard.total_bytes
+        return grad_flat.reshape(shape)
 
     # ------------------------------------------------------------------
     def _default_layout(self) -> ExpertLayout:

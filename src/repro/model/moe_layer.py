@@ -3,17 +3,78 @@
 Tokens are dispatched to their top-k experts, each expert processes its
 assigned tokens, and the outputs are combined with the gate weights.  Training
 is *dropless* (no capacity-factor token dropping), matching Sec. 5.1.
+
+The gate-weighted expert combine and its gradient are written once, in
+:func:`run_experts` and :func:`backward_experts`, over an ordered mapping of
+expert calls.  :class:`MoELayer` makes one call per expert; the FSEP executor
+(:mod:`repro.core.executor`) makes one per (device, expert), so the two differ
+only in which call computes which (token, slot) pair, and so in the order of
+the floating-point sums.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Hashable, List, Tuple
 
 import numpy as np
 
 from repro.model.expert import SwiGLUExpert
 from repro.model.gating import GatingOutput, TopKGate
 from repro.model.parameter import Module
+
+#: Expert calls in run order: ``key -> (expert, token_idx, slot_idx)``, the
+#: expert and the (token, slot) pairs it computes.  Every pair of the batch
+#: belongs to exactly one call.
+ExpertGroups = Dict[Hashable, Tuple[SwiGLUExpert, np.ndarray, np.ndarray]]
+
+
+def run_experts(flat: np.ndarray, gating: GatingOutput, groups: ExpertGroups
+                ) -> Tuple[np.ndarray, Dict[Hashable, Dict[str, Any]]]:
+    """Run every call's expert over its tokens and combine the outputs with
+    the gate weights.
+
+    Args:
+        flat: ``(tokens, hidden)`` layer input.
+        gating: The gate's decision over ``flat``.
+        groups: The expert calls, run in order.
+
+    Returns:
+        The ``(tokens, hidden)`` combined output and each call's expert cache,
+        keyed like ``groups``.
+    """
+    out = np.zeros_like(flat)
+    caches: Dict[Hashable, Dict[str, Any]] = {}
+    for key, (expert, token_idx, slot_idx) in groups.items():
+        expert_out, cache = expert.forward(flat[token_idx])
+        weights = gating.gate_weights[token_idx, slot_idx][:, None]
+        np.add.at(out, token_idx, weights * expert_out)
+        cache["expert_out"] = expert_out
+        caches[key] = cache
+    return out, caches
+
+
+def backward_experts(grad_output: np.ndarray, gating: GatingOutput,
+                     groups: ExpertGroups,
+                     caches: Dict[Hashable, Dict[str, Any]]
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Backward of :func:`run_experts`, in the same call order.
+
+    Accumulates every call's expert parameter gradients and returns the
+    ``(tokens, hidden)`` input gradient through the experts and the
+    ``(tokens, k)`` gradient of the gate weights.
+    """
+    grad_flat = np.zeros_like(grad_output)
+    grad_gate_weights = np.zeros_like(gating.gate_weights)
+    for key, (expert, token_idx, slot_idx) in groups.items():
+        cache = caches[key]
+        upstream = grad_output[token_idx]
+        # d/d gate_weight = <upstream, expert_out>
+        grad_gate_weights[token_idx, slot_idx] += np.sum(
+            upstream * cache["expert_out"], axis=-1)
+        weights = gating.gate_weights[token_idx, slot_idx][:, None]
+        np.add.at(grad_flat, token_idx,
+                  expert.backward(upstream * weights, cache))
+    return grad_flat, grad_gate_weights
 
 
 class MoELayer(Module):
@@ -53,34 +114,22 @@ class MoELayer(Module):
         """
         if x.ndim != 3:
             raise ValueError("expected input of shape (batch, seq, hidden)")
-        batch, seq, hidden = x.shape
-        flat = x.reshape(-1, hidden)
+        flat = x.reshape(-1, x.shape[-1])
         gating, gate_cache = self.gate.forward(flat)
-
-        out = np.zeros_like(flat)
-        expert_caches: Dict[int, Dict[str, Any]] = {}
-        expert_token_slots: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        for expert_id in range(self.num_experts):
+        groups: ExpertGroups = {}
+        for expert_id, expert in enumerate(self.experts):
             token_idx, slot_idx = np.nonzero(gating.expert_indices == expert_id)
-            if token_idx.size == 0:
-                continue
-            expert_in = flat[token_idx]
-            expert_out, cache = self.experts[expert_id].forward(expert_in)
-            weights = gating.gate_weights[token_idx, slot_idx][:, None]
-            np.add.at(out, token_idx, weights * expert_out)
-            expert_caches[expert_id] = cache
-            expert_caches[expert_id]["expert_out"] = expert_out
-            expert_token_slots[expert_id] = (token_idx, slot_idx)
-
+            if token_idx.size:
+                groups[expert_id] = (expert, token_idx, slot_idx)
+        out, expert_caches = run_experts(flat, gating, groups)
         cache = {
             "gating": gating,
             "gate_cache": gate_cache,
+            "groups": groups,
             "expert_caches": expert_caches,
-            "expert_token_slots": expert_token_slots,
-            "flat": flat,
-            "shape": (batch, seq, hidden),
+            "shape": x.shape,
         }
-        return out.reshape(batch, seq, hidden), cache
+        return out.reshape(x.shape), cache
 
     # ------------------------------------------------------------------
     def backward(self, grad_output: np.ndarray, cache: Dict[str, Any],
@@ -93,30 +142,13 @@ class MoELayer(Module):
             aux_loss_weight: Auxiliary-loss coefficient (the aux-loss gradient
                 is injected here so the layer is self-contained).
         """
-        batch, seq, hidden = cache["shape"]
-        gating: GatingOutput = cache["gating"]
-        flat_grad_out = grad_output.reshape(-1, hidden)
-        flat = cache["flat"]
-
-        grad_flat = np.zeros_like(flat)
-        grad_gate_weights = np.zeros_like(gating.gate_weights)
-
-        for expert_id, (token_idx, slot_idx) in cache["expert_token_slots"].items():
-            expert_cache = cache["expert_caches"][expert_id]
-            expert_out = expert_cache["expert_out"]
-            weights = gating.gate_weights[token_idx, slot_idx][:, None]
-            upstream = flat_grad_out[token_idx]
-            # d/d gate_weight = <upstream, expert_out>
-            grad_gate_weights[token_idx, slot_idx] += np.sum(
-                upstream * expert_out, axis=-1)
-            grad_expert_out = upstream * weights
-            grad_expert_in = self.experts[expert_id].backward(
-                grad_expert_out, expert_cache)
-            np.add.at(grad_flat, token_idx, grad_expert_in)
-
+        shape = cache["shape"]
+        grad_flat, grad_gate_weights = backward_experts(
+            grad_output.reshape(-1, shape[-1]), cache["gating"],
+            cache["groups"], cache["expert_caches"])
         grad_flat += self.gate.backward(
             grad_gate_weights, aux_loss_weight, cache["gate_cache"])
-        return grad_flat.reshape(batch, seq, hidden)
+        return grad_flat.reshape(shape)
 
     # ------------------------------------------------------------------
     def expert_counts(self, cache: Dict[str, Any]) -> np.ndarray:

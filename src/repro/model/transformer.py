@@ -4,12 +4,16 @@ Each block is pre-norm: ``x + Attn(RMSNorm(x))`` followed by
 ``x + MoE(RMSNorm(x))``.  The model ties everything together with an input
 embedding, a final RMSNorm and an (untied) LM head, and computes the
 cross-entropy language-modelling loss plus the weighted auxiliary loss.
+
+The forward and backward passes are written once: a caller may run every
+block's MoE MLP through a layer of its own with :class:`MoELayer`'s contract,
+as FSEP training does with the executor (:mod:`repro.training.trainer`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,28 +66,32 @@ class TransformerBlock(Module):
             "moe", MoELayer(config.hidden_size, config.intermediate_size,
                             config.num_experts, config.top_k, rng=rng))
 
-    def forward(self, x: np.ndarray) -> Tuple[np.ndarray, Dict[str, Any]]:
+    def forward(self, x: np.ndarray, moe: Optional[Any] = None
+                ) -> Tuple[np.ndarray, Dict[str, Any]]:
+        """Run the block; ``moe`` stands in for the block's own MoE layer
+        (same contract as :class:`MoELayer`), and :meth:`backward` calls
+        back whichever layer ran."""
+        moe = self.moe if moe is None else moe
         normed, attn_norm_cache = self.attn_norm.forward(x)
         attn_out, attn_cache = self.attention.forward(normed)
         h = x + attn_out
         normed2, moe_norm_cache = self.moe_norm.forward(h)
-        moe_out, moe_cache = self.moe.forward(normed2)
+        moe_out, moe_cache = moe.forward(normed2)
         out = h + moe_out
         cache = {
             "attn_norm_cache": attn_norm_cache, "attn_cache": attn_cache,
-            "moe_norm_cache": moe_norm_cache, "moe_cache": moe_cache,
+            "moe_norm_cache": moe_norm_cache, "moe": moe,
+            "moe_cache": moe_cache,
         }
         return out, cache
 
     def backward(self, grad_output: np.ndarray, cache: Dict[str, Any],
                  aux_loss_weight: float) -> np.ndarray:
-        grad_moe_out = grad_output
-        grad_normed2 = self.moe.backward(
-            grad_moe_out, cache["moe_cache"], aux_loss_weight)
+        grad_normed2 = cache["moe"].backward(
+            grad_output, cache["moe_cache"], aux_loss_weight)
         grad_h = grad_output + self.moe_norm.backward(
             grad_normed2, cache["moe_norm_cache"])
-        grad_attn_out = grad_h
-        grad_normed = self.attention.backward(grad_attn_out, cache["attn_cache"])
+        grad_normed = self.attention.backward(grad_h, cache["attn_cache"])
         grad_x = grad_h + self.attn_norm.backward(
             grad_normed, cache["attn_norm_cache"])
         return grad_x
@@ -123,29 +131,38 @@ class MoETransformer(Module):
 
     # ------------------------------------------------------------------
     def forward(self, token_ids: np.ndarray,
-                targets: Optional[np.ndarray] = None) -> ModelOutput:
-        """Run the model; when ``targets`` is given compute the training loss."""
+                targets: Optional[np.ndarray] = None,
+                moe_layers: Optional[Sequence[Any]] = None) -> ModelOutput:
+        """Run the model; when ``targets`` is given compute the training loss.
+
+        Args:
+            token_ids: ``(batch, seq)`` input token ids.
+            targets: ``(batch, seq)`` next-token targets, or ``None``.
+            moe_layers: One MoE layer per block to run in place of the
+                block's own, each with :class:`MoELayer`'s contract:
+                ``forward(x) -> (out, cache)`` with the ``gating`` decision
+                in the cache, and ``backward(grad, cache, aux_loss_weight)``.
+                FSEP training passes the layers its executors run.
+        """
         token_ids = np.asarray(token_ids)
         if token_ids.ndim != 2:
             raise ValueError("token_ids must have shape (batch, seq)")
+        if moe_layers is None:
+            moe_layers = [block.moe for block in self.blocks]
+        if len(moe_layers) != len(self.blocks):
+            raise ValueError("moe_layers must hold one layer per block")
         x, embed_cache = self.embedding.forward(token_ids)
         block_caches: List[Dict[str, Any]] = []
-        for block in self.blocks:
-            x, cache = block.forward(x)
+        for block, moe in zip(self.blocks, moe_layers):
+            x, cache = block.forward(x, moe)
             block_caches.append(cache)
         normed, final_norm_cache = self.final_norm.forward(x)
         logits, head_cache = self.lm_head.forward(normed)
 
-        expert_counts = np.stack([
-            block_caches[i]["moe_cache"]["gating"].expert_counts
-            for i in range(len(self.blocks))
-        ])
-        expert_indices = [
-            block_caches[i]["moe_cache"]["gating"].expert_indices
-            for i in range(len(self.blocks))
-        ]
-        aux_losses = [block_caches[i]["moe_cache"]["gating"].aux_loss
-                      for i in range(len(self.blocks))]
+        gatings = [cache["moe_cache"]["gating"] for cache in block_caches]
+        expert_counts = np.stack([gating.expert_counts for gating in gatings])
+        expert_indices = [gating.expert_indices for gating in gatings]
+        aux_losses = [gating.aux_loss for gating in gatings]
         aux_loss = float(np.mean(aux_losses)) if aux_losses else 0.0
 
         lm_loss = 0.0

@@ -16,7 +16,7 @@ The paper's convergence claims have two parts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -87,17 +87,10 @@ class ConvergenceStudy:
                    execution: str = "reference",
                    seed: Optional[int] = None) -> TrainingResult:
         """Train once with the given auxiliary-loss weight and execution mode."""
-        cfg = TrainerConfig(
-            batch_size=self.base_trainer_config.batch_size,
-            seq_length=self.base_trainer_config.seq_length,
-            learning_rate=self.base_trainer_config.learning_rate,
-            weight_decay=self.base_trainer_config.weight_decay,
-            max_grad_norm=self.base_trainer_config.max_grad_norm,
-            aux_loss_weight=aux_loss_weight,
-            execution=execution,
-            num_devices=self.base_trainer_config.num_devices,
-            seed=self.base_trainer_config.seed if seed is None else seed,
-        )
+        base = self.base_trainer_config
+        cfg = replace(
+            base, aux_loss_weight=aux_loss_weight, execution=execution,
+            seed=base.seed if seed is None else seed)
         trainer = Trainer(self.model_config, cfg, self.dataset)
         return trainer.train(self.num_steps)
 

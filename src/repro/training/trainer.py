@@ -1,13 +1,16 @@
 """Training loop for the numpy MoE transformer.
 
-Supports two execution modes for the MoE layers:
+Both execution modes run :meth:`MoETransformer.forward` and
+:meth:`MoETransformer.backward`; they differ only in the MoE layer each block
+calls:
 
-* ``reference`` -- the plain single-device :class:`MoELayer` forward/backward
-  (this is what Megatron-style training computes);
-* ``fsep`` -- every MoE layer's expert computation is executed through the
-  :class:`~repro.core.executor.FSEPExecutor`, i.e. tokens are sharded over the
-  simulated cluster, experts are restored per the planner's layout and
-  gradients travel through the reshard path.
+* ``reference`` -- the block's own single-device :class:`MoELayer` (this is
+  what Megatron-style training computes);
+* ``fsep`` -- the block's MoE layer run through the
+  :class:`~repro.core.executor.FSEPExecutor` under the planner's current
+  layout: tokens are sharded over the simulated cluster, experts are restored
+  per the layout and gradients travel through the reshard path.  The planner
+  then observes the layer's routing and tunes its next layout.
 
 Both modes produce the same gradients up to floating-point summation order,
 which is exactly the paper's "no loss in precision" claim (Sec. 3.1, Fig. 9b).
@@ -16,7 +19,7 @@ which is exactly the paper's "no loss in precision" claim (Sec. 3.1, Fig. 9b).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -106,6 +109,31 @@ class TrainingResult:
         return values
 
 
+class _FSEPLayer:
+    """One block's MoE layer run through FSEP, with :class:`MoELayer`'s
+    forward/backward contract: the executor runs under the planner's current
+    layout, then the planner observes the routing and tunes the next one."""
+
+    def __init__(self, layer: int, executor: FSEPExecutor,
+                 planner: LoadBalancingPlanner):
+        self.layer = layer
+        self.executor = executor
+        self.planner = planner
+
+    def forward(self, x: np.ndarray) -> Tuple[np.ndarray, Dict[str, Any]]:
+        result = self.executor.forward(
+            x, self.planner.current_layout(self.layer))
+        self.planner.observe(self.layer, result.routing)
+        self.planner.tune_layout(self.layer)
+        return result.output, {"gating": result.cache["gating"],
+                               "result": result}
+
+    def backward(self, grad_output: np.ndarray, cache: Dict[str, Any],
+                 aux_loss_weight: float) -> np.ndarray:
+        return self.executor.backward(grad_output, cache["result"],
+                                      aux_loss_weight)
+
+
 class Trainer:
     """Train a :class:`MoETransformer` on a synthetic dataset."""
 
@@ -126,21 +154,22 @@ class Trainer:
                               weight_decay=trainer_config.weight_decay)
         self.topology = topology or ClusterTopology.single_node(
             trainer_config.num_devices)
-        self._executors: Optional[List[FSEPExecutor]] = None
-        self._planner: Optional[LoadBalancingPlanner] = None
+        # The MoE layers the model runs in place of its own (None: its own).
+        self._moe_layers: Optional[List[_FSEPLayer]] = None
         if trainer_config.execution == "fsep":
-            self._build_fsep_execution()
+            self._moe_layers = self._fsep_layers()
 
     # ------------------------------------------------------------------
-    def _build_fsep_execution(self) -> None:
+    def _fsep_layers(self) -> List[_FSEPLayer]:
         cost_model = MoECostModel.from_model_config(self.model_config, self.topology)
         capacity = max(1, int(np.ceil(self.model_config.num_experts
                                       / self.topology.num_devices)))
         capacity = max(capacity, self.model_config.expert_capacity)
-        self._planner = LoadBalancingPlanner(
+        planner = LoadBalancingPlanner(
             self.topology, cost_model, self.model_config.num_experts, capacity)
-        self._executors = [FSEPExecutor(block.moe, self.topology)
-                           for block in self.model.blocks]
+        return [_FSEPLayer(layer, FSEPExecutor(block.moe, self.topology),
+                           planner)
+                for layer, block in enumerate(self.model.blocks)]
 
     # ------------------------------------------------------------------
     def _step(self, step: int) -> ModelOutput:
@@ -149,92 +178,14 @@ class Trainer:
             self.config.batch_size, self.config.seq_length,
             seed=self.config.seed + step)
         self.model.zero_grad()
-        if self.config.execution == "reference":
-            output = self.model.forward(inputs, targets)
-            self.model.backward(output)
-        else:
-            output = self._fsep_forward_backward(inputs, targets)
+        output = self.model.forward(inputs, targets, self._moe_layers)
+        self.model.backward(output)
         if self.config.max_grad_norm > 0:
             clip_gradients(self.model, self.config.max_grad_norm)
         self.optimizer.step()
-        if self.config.execution == "fsep":
-            assert self._executors is not None
-            for executor in self._executors:
-                executor.refresh_shards()
+        for layer in self._moe_layers or ():
+            layer.executor.refresh_shards()
         return output
-
-    # ------------------------------------------------------------------
-    def _fsep_forward_backward(self, inputs: np.ndarray, targets: np.ndarray):
-        """Forward/backward where each MoE layer runs through the FSEP executor.
-
-        The attention/embedding parts reuse the reference model's modules (they
-        are data-parallel and identical in both systems); only the expert
-        computation is re-routed through FSEP.
-        """
-        assert self._executors is not None and self._planner is not None
-        model = self.model
-        x, embed_cache = model.embedding.forward(inputs)
-        block_caches = []
-        executor_results = []
-        for layer_idx, block in enumerate(model.blocks):
-            normed, attn_norm_cache = block.attn_norm.forward(x)
-            attn_out, attn_cache = block.attention.forward(normed)
-            h = x + attn_out
-            normed2, moe_norm_cache = block.moe_norm.forward(h)
-            layout = self._planner.current_layout(layer_idx)
-            result = self._executors[layer_idx].forward(normed2, layout)
-            self._planner.observe(layer_idx, result.routing)
-            self._planner.tune_layout(layer_idx)
-            x = h + result.output
-            block_caches.append({
-                "attn_norm_cache": attn_norm_cache,
-                "attn_cache": attn_cache,
-                "moe_norm_cache": moe_norm_cache,
-            })
-            executor_results.append(result)
-        normed, final_norm_cache = model.final_norm.forward(x)
-        logits, head_cache = model.lm_head.forward(normed)
-
-        from repro.model.layers import cross_entropy  # local import avoids cycle
-        lm_loss, grad_logits = cross_entropy(logits, targets)
-        aux_losses = [
-            res.cache["gating"].aux_loss for res in executor_results]
-        aux_loss = float(np.mean(aux_losses)) if aux_losses else 0.0
-        total_loss = lm_loss + model.aux_loss_weight * aux_loss
-
-        # Backward pass (mirrors MoETransformer.backward but uses the executor
-        # for every MoE layer).
-        grad_normed = model.lm_head.backward(grad_logits, head_cache)
-        grad_x = model.final_norm.backward(grad_normed, final_norm_cache)
-        per_layer_aux = model.aux_loss_weight / max(1, len(model.blocks))
-        for layer_idx in reversed(range(len(model.blocks))):
-            block = model.blocks[layer_idx]
-            caches = block_caches[layer_idx]
-            result = executor_results[layer_idx]
-            grad_moe_out = grad_x
-            grad_normed2 = self._executors[layer_idx].backward(
-                grad_moe_out, result, aux_loss_weight=per_layer_aux)
-            grad_h = grad_x + block.moe_norm.backward(
-                grad_normed2, caches["moe_norm_cache"])
-            grad_normed_attn = block.attention.backward(
-                grad_h, caches["attn_cache"])
-            grad_x = grad_h + block.attn_norm.backward(
-                grad_normed_attn, caches["attn_norm_cache"])
-        model.embedding.backward(grad_x, embed_cache)
-
-        expert_counts = np.stack([
-            res.cache["gating"].expert_counts for res in executor_results])
-        expert_indices = [res.cache["gating"].expert_indices
-                          for res in executor_results]
-        return ModelOutput(
-            loss=total_loss,
-            lm_loss=lm_loss,
-            aux_loss=aux_loss,
-            logits=logits,
-            expert_counts=expert_counts,
-            expert_indices=expert_indices,
-            cache={},
-        )
 
     # ------------------------------------------------------------------
     def train(self, num_steps: int, log_every: int = 0) -> TrainingResult:

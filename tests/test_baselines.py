@@ -145,14 +145,17 @@ class TestSmartMoE:
             if it % 3 != 0 or it == 0:
                 assert cost == 0.0
 
-    def test_migration_cost_uses_state_multiplier(self, small_topology):
+    def test_migration_moves_optimizer_state(self, small_topology):
+        """A relocation moves 6x each moved replica's bf16 parameter bytes:
+        fp32 master weights and two Adam moments."""
         policy = SmartMoEPolicy(small_topology, 8, 2, EXPERT_BYTES,
-                                relocation_interval=1, state_multiplier=6.0)
+                                relocation_interval=1)
         trace = make_trace(iterations=4, seed=10)
-        policy.decide_iteration(trace.iteration(0))
-        decisions = policy.decide_iteration(trace.iteration(1))
-        if decisions[0].metadata["relocated"]:
-            assert decisions[0].relayout_bytes_exposed % (EXPERT_BYTES * 6.0) == 0
+        before = policy.decide_iteration(trace.iteration(0))[0].layout
+        decision = policy.decide_iteration(trace.iteration(1))[0]
+        moved = decision.layout.difference(before)
+        assert moved > 0 and decision.metadata["relocated"]
+        assert decision.relayout_bytes_exposed == moved * EXPERT_BYTES * 6.0
 
 
 class TestProphet:
@@ -165,14 +168,16 @@ class TestProphet:
             for layer, decision in enumerate(decisions):
                 check_decision(decision, trace.layer(it, layer))
 
-    def test_replication_budget(self, small_topology):
+    def test_layouts_fill_every_slot(self, small_topology):
+        """Algorithm 4 places exactly N * C replicas at every re-plan."""
         policy = ProphetPolicy(small_topology, 8, 2, EXPERT_BYTES,
-                               adjustment_interval=1, replication_budget=2)
+                               adjustment_interval=1)
         trace = make_trace(iterations=3, seed=12)
-        policy.decide_iteration(trace.iteration(0))
-        decisions = policy.decide_iteration(trace.iteration(1))
-        extra = decisions[0].layout.replicas_per_expert().sum() - 8
-        assert extra <= 2
+        for it in range(3):
+            for decision in policy.decide_iteration(trace.iteration(it)):
+                decision.layout.validate(require_full_capacity=True)
+                assert decision.layout.replicas_per_expert().sum() == \
+                    small_topology.num_devices * 2
 
 
 class TestFlexMoE:

@@ -9,7 +9,7 @@ from repro.core.layout import ExpertLayout
 from repro.core.layout_tuner import ExpertLayoutTuner
 from repro.core.cost_model import MoECostModel
 from repro.model.moe_layer import MoELayer
-from repro.workloads.model_configs import tiny_test_config
+from repro.workloads.model_configs import BYTES_PER_ELEMENT, tiny_test_config
 
 
 @pytest.fixture
@@ -80,11 +80,43 @@ class TestForwardEquivalence:
         assert np.array_equal(result.tokens_per_device,
                               result.routing_plan.to_dense().sum(axis=(0, 1)))
 
+    @pytest.mark.parametrize("shape,seed", [((2, 8), 3), ((3, 7), 4),
+                                            ((1, 3), 5)])
+    def test_dispatch_follows_the_plan(self, executor, shape, seed):
+        """Every (token, slot) pair runs on the device a per-pair scan of
+        the plan sends it to: each row's pairs, in token order, fill the
+        row's destinations in order."""
+        x = np.random.default_rng(seed).normal(size=(*shape, 16))
+        result = executor.forward(x, custom_layout(capacity=4, seed=seed))
+        indices = result.cache["gating"].expert_indices
+        plan = result.routing_plan
+        shard = -(-indices.shape[0] // executor.num_devices)
+        left = plan.tokens.copy()
+        expected = np.full(indices.shape, -1)
+        for token, slot in np.ndindex(*indices.shape):
+            row = (token // shard) * executor.num_experts + indices[token, slot]
+            entry = plan.offsets[row]
+            while left[entry] == 0:
+                entry += 1
+            left[entry] -= 1
+            expected[token, slot] = plan.dest[entry]
+        ran = np.full(indices.shape, -1)
+        for (dst, expert), (_, token_idx, slot_idx) in \
+                result.cache["groups"].items():
+            assert np.all(indices[token_idx, slot_idx] == expert)
+            ran[token_idx, slot_idx] = dst
+        assert np.array_equal(ran, expected)
+
     def test_communication_volumes_reported(self, executor):
+        """Dispatch and combine each move one hidden vector per token the
+        plan sends off its sender."""
         x = np.random.default_rng(6).normal(size=(2, 8, 16))
-        result = executor.forward(x)
+        result = executor.forward(x, custom_layout(capacity=4, seed=3))
+        plan = result.routing_plan.to_dense()
+        remote = plan.sum() - np.einsum("iei->", plan)
+        assert remote > 0
         assert result.unshard_bytes > 0
-        assert result.dispatch_bytes >= 0
+        assert result.dispatch_bytes == 2 * 16 * BYTES_PER_ELEMENT * remote
 
     def test_rejects_bad_input(self, executor):
         with pytest.raises(ValueError):

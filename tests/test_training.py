@@ -1,6 +1,7 @@
 """Tests for the numpy training loop and the convergence-study utilities."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -97,6 +98,69 @@ class TestFSEPExecutionEquivalence:
         result = make_trainer(config, dataset, execution="fsep",
                               batch_size=4, seq_length=32).train(15)
         assert result.lm_losses[-1] < result.lm_losses[0]
+
+
+class TestPinnedTraining:
+    """Reference and FSEP training runs at three configurations, pinned by
+    digest.
+
+    FSEP changes only which device computes which (token, expert) pair, so
+    a refactor of the training path must leave these runs bit-identical.
+    Each digest is the sha256 of one run's ``losses``, ``lm_losses`` and
+    ``aux_losses``, every parameter's value and gradient after the last
+    step, and the routing trace.  At 2 and 4 devices FSEP equals the
+    reference bit for bit; at 8 its expert groups sum in another order.
+    Re-pin only for an intended output change, and record the change and
+    its new digests in CHANGES.md.
+    """
+
+    #: (aux_loss_weight, seed, num_devices) -> execution -> digest.
+    PINNED = {
+        (0.0, 0, 4): {
+            "reference":
+                "acf9d612dbdc7f5ac0f1b372830d26395b0293df4e24ee1f90b758621d1810d9",
+            "fsep":
+                "acf9d612dbdc7f5ac0f1b372830d26395b0293df4e24ee1f90b758621d1810d9",
+        },
+        (1e-4, 3, 8): {
+            "reference":
+                "90f5d30feac2ef06d8ff3f779bd728a7f1c82db62ddf1fb19f13e837af598044",
+            "fsep":
+                "093738949c033e953733969719922f4077579a594dd8f7a8bc354b2634de1099",
+        },
+        (1e-2, 7, 2): {
+            "reference":
+                "0b5217203631b2201be50b3969c8aff3e59866867c6b36a556b76fa19cbe0640",
+            "fsep":
+                "0b5217203631b2201be50b3969c8aff3e59866867c6b36a556b76fa19cbe0640",
+        },
+    }
+
+    @staticmethod
+    def digest(trainer, result):
+        digest = hashlib.sha256()
+        for curve in (result.losses, result.lm_losses, result.aux_losses):
+            digest.update(np.asarray(curve, dtype=np.float64).tobytes())
+        for name, param in trainer.model.named_parameters():
+            digest.update(name.encode())
+            digest.update(param.value.tobytes())
+            digest.update(param.grad.tobytes())
+        routing = result.routing_trace.routing
+        digest.update(f"{routing.dtype.str}{routing.shape}".encode())
+        digest.update(routing.tobytes())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("execution", ["reference", "fsep"])
+    @pytest.mark.parametrize("aux,seed,devices", sorted(PINNED))
+    def test_run_matches_pinned_digest(self, config, dataset, aux, seed,
+                                       devices, execution):
+        trainer = Trainer(config, TrainerConfig(
+            batch_size=4, seq_length=16, learning_rate=3e-3,
+            aux_loss_weight=aux, execution=execution, num_devices=devices,
+            seed=seed), dataset)
+        result = trainer.train(6)
+        assert (self.digest(trainer, result)
+                == self.PINNED[aux, seed, devices][execution])
 
 
 class TestConvergenceUtilities:

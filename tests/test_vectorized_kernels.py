@@ -513,16 +513,16 @@ class TestRoundRelocationDifferential:
                             replicas, loads, topology, capacity), (kind, scheme)
 
     @pytest.mark.parametrize("nodes,per_node", ((1, 8), (3, 2), (4, 8)))
-    @pytest.mark.parametrize("policy_class,module,options", (
-        (SmartMoEPolicy, smartmoe_mod, {"relocation_interval": 1}),
-        (ProphetPolicy, prophet_mod, {"adjustment_interval": 1,
-                                      "replication_budget": 3})),
+    @pytest.mark.parametrize("policy_class,module,options,fills_slots", (
+        (SmartMoEPolicy, smartmoe_mod, {"relocation_interval": 1}, False),
+        (ProphetPolicy, prophet_mod, {"adjustment_interval": 1}, True)),
         ids=("smartmoe", "prophet"))
     def test_baseline_schemes_match_scalar_scan(self, monkeypatch, nodes,
                                                 per_node, policy_class, module,
-                                                options):
-        """SmartMoE's one replica per expert and Prophet's budget-trimmed
-        schemes, as the policies place them over a bursty run."""
+                                                options, fills_slots):
+        """SmartMoE's one replica per expert (schemes below N * C) and
+        Prophet's full-capacity schemes, as the policies place them over a
+        bursty run."""
         topology = ClusterTopology(num_nodes=nodes, devices_per_node=per_node)
         config = get_model_config("mixtral-8x7b-e8k2")
         calls = []
@@ -542,7 +542,9 @@ class TestRoundRelocationDifferential:
             policy.decide_iteration(frame)
 
         slots = topology.num_devices * config.expert_capacity
-        assert calls and all(replicas.sum() < slots
+        placed = slots if fills_slots else config.num_experts
+        assert config.num_experts < slots
+        assert calls and all(replicas.sum() == placed
                              for replicas, _, _ in calls)
         for replicas, loads, capacity in calls:
             assert relocate_experts(replicas, loads, topology, capacity) == \
