@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 from repro.analysis.breakdown import BreakdownTable
 from repro.analysis.reporting import format_speedup_table, format_table
 from repro.core.layout import static_ep_layout
-from repro.core.lite_routing import lite_route_batch
+from repro.core.lite_routing import LiteRouting
 from repro.sim.engine import RunResult, compare_systems
 from repro.sim.systems import make_system
 from repro.api.specs import ExperimentSpec
@@ -337,10 +337,10 @@ def run_planner_study(spec: ExperimentSpec) -> List[PlannerIterationStats]:
     :class:`~repro.workloads.scenarios.TraceSource` one frame at a time
     (like the simulation engine), so memory stays O(1) in the number of
     iterations instead of materializing the whole trace up front.  Each
-    iteration routes and scores the static layout's layers in one
-    ``lite_route_batch`` and one ``evaluate_batch``, as
-    :meth:`~repro.core.planner.LoadBalancingPlanner.plan_iteration` does for
-    the planner's.
+    iteration scores the static layout's layers with one ``evaluate_batch``
+    of their unbuilt ``LiteRouting``, equal to scoring their plans as
+    :meth:`~repro.core.planner.LoadBalancingPlanner.plan_iteration` does
+    for the planner's.
 
     The planner, its (calibrated) topology and its cost model are those of
     the ``laer`` system that :func:`~repro.sim.systems.make_system` builds
@@ -363,7 +363,7 @@ def run_planner_study(spec: ExperimentSpec) -> List[PlannerIterationStats]:
         if iteration < spec.workload.warmup:
             continue
         static_costs = cost_model.evaluate_batch(
-            lite_route_batch(frame, [static] * len(frame), topology))
+            LiteRouting(frame, [static] * len(frame)))
         planned_rel, static_rel = [], []
         planned_total = static_total = 0.0
         for routing, plan, static_cost in zip(frame, plans, static_costs):

@@ -28,11 +28,10 @@ class OracleBalancedPolicy(LoadBalancingPolicy):
         self.tuner = ExpertLayoutTuner(topology, cost_model, capacity)
 
     def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
-        routing = np.asarray(routing, dtype=np.int64)
-        result = self.tuner.solve(routing)
+        # Lite routing places the tokens: decide_iteration dispatches every
+        # layer of the iteration in one batch.
         return PolicyDecision(
-            layout=result.layout,
-            routing_plan=result.routing_plan,
+            layout=self.tuner.solve(routing).layout,
             relayout_bytes_exposed=0.0,
             grad_sync_extra_bytes=0.0,
             metadata={"oracle": True},

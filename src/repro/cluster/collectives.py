@@ -30,12 +30,12 @@ from repro.cluster.topology import ClusterTopology
 class CollectiveCostModel:
     """Estimate the wall-clock time of collective operations on a topology.
 
-    The All-to-All arithmetic lives in one batched kernel,
-    :meth:`all_to_all_batch`, which costs any number of exchanges from their
-    compressed sender rows in one pass: per (device, link class) byte sums,
-    two scalars per class, per-device drain time and the maximum.
-    :meth:`all_to_all` hands it one dense matrix's rows; the iteration
-    simulator hands it every layer's routing-plan entries at once.
+    Every All-to-All is priced by one drain formula, :meth:`drain_time`, from
+    per (device, link class) byte sums.  They come from three sources:
+    :meth:`all_to_all_batch` (compressed sender rows, a dense matrix's or
+    every layer's routing-plan entries, in one pass),
+    :meth:`uniform_all_to_all` (peer counts) and closed-form lite routing
+    (:func:`~repro.core.lite_routing.lite_route_tokens`).
 
     Attributes:
         topology: The cluster topology the collectives run on.
@@ -132,6 +132,14 @@ class CollectiveCostModel:
         received = np.bincount(sent_at + 3 * (receivers - senders),
                                weights=traffic,
                                minlength=slots).reshape(count, n, 3)
+        return self.drain_time(sent, received, scale)
+
+    def drain_time(self, sent: np.ndarray, received: np.ndarray,
+                   scale: float = 1.0) -> np.ndarray:
+        """Times of ``B`` All-to-Alls, as :meth:`all_to_all_batch` describes
+        them, from the ``(B, n, 3)`` bytes each member sends and receives
+        per link class (local, intra-node, inter-node); ``scale``
+        multiplies every sum."""
         # Two scalars per class: 1 / (bw * efficiency) and the latency.
         topology = self.topology
         intra = 1.0 / (topology.intra_node_bandwidth * self.efficiency)
@@ -154,15 +162,25 @@ class CollectiveCostModel:
                            scale: float = 1.0) -> float:
         """All-to-All where every device sends ``bytes_per_pair`` to every other.
 
-        Over the whole cluster every device drains the same bytes per link
-        class and pays the same latency, so the time is affine in ``scale``:
-        the latency at scale 0, plus ``scale`` times the bandwidth part.
+        Equal to :meth:`all_to_all` of the dense matrix, from each member's
+        same-node and other-node peer counts.  Over the whole cluster every
+        device drains the same bytes per link class and pays the same
+        latency, so the time is affine in ``scale``: the latency at scale 0,
+        plus ``scale`` times the bandwidth part.
         """
         members = self._resolve_group(group)
         n = len(members)
-        traffic = np.full((n, n), float(bytes_per_pair), dtype=np.float64)
-        np.fill_diagonal(traffic, 0.0)
-        return self.all_to_all(traffic, group, scale=scale)
+        if bytes_per_pair < 0 and n > 1:
+            raise ValueError("traffic entries must be non-negative")
+        nodes = self.topology.device_nodes()[members]
+        peers = np.bincount(nodes)[nodes] - 1
+        # The kernel adds a member's bytes on a class one pair at a time;
+        # a sequential prefix sum adds them in the same order.
+        added = np.concatenate(
+            ([0.0], np.cumsum(np.full(n, float(bytes_per_pair)))))
+        sums = np.stack((np.zeros(n), added[peers], added[n - 1 - peers]),
+                        axis=-1)[None]
+        return float(self.drain_time(sums, sums, scale)[0])
 
     # ------------------------------------------------------------------
     # Ring-style collectives

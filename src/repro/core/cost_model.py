@@ -16,11 +16,14 @@ cost and one extra forward when activation checkpointing is enabled.
 ``a2a(S)`` is :func:`token_all_to_all`, the price the iteration simulator
 charges for the same plan: the slowest device's time to drain its egress and
 ingress bytes, summed per link class at that class's bandwidth, plus its
-worst link latency.  Sec. 3.2 writes ``T_comm = 4 * V_comm * sum_{i,j,k}
-S[i,j,k] / bw(i, k)`` instead, a serial sum over device pairs.  Under weak
-scaling the sum grows with ``N`` and the drain does not, so the sum ranked
-candidate layouts unlike the simulator; a model should predict the
-bottleneck resource, not the sum over resources (Alappat et al., ECM).
+worst link latency.  The layout tuner's candidates are priced from lite
+routing's class sums in closed form, with no plan built, and their
+``T_comm`` is still ``==`` 4x the simulator's price of the plan.  Sec. 3.2
+writes ``T_comm = 4 * V_comm * sum_{i,j,k} S[i,j,k] / bw(i, k)`` instead, a
+serial sum over device pairs.  Under weak scaling the sum grows with ``N``
+and the drain does not, so the sum ranked candidate layouts unlike the
+simulator; a model should predict the bottleneck resource, not the sum over
+resources (Alappat et al., ECM).
 Scoring candidates on the frame they are tuned from (mixtral-8x7b-e8k2;
 steady, drifting, bursty-churn and phase-shift), the cost model's argmin
 matches the simulator's in:
@@ -53,12 +56,14 @@ from repro.cluster.collectives import CollectiveCostModel
 from repro.cluster.topology import ClusterTopology
 from repro.core.comm_schedule import TOKEN_ALL_TO_ALLS
 from repro.core.layout import ExpertLayout
+from repro.core.lite_routing import LiteRouting, lite_route_tokens
 from repro.core.routing_plan import RoutingBatch, RoutingPlan
 from repro.workloads.model_configs import BYTES_PER_ELEMENT, MoEModelConfig
 
 
 def token_all_to_all(collectives: CollectiveCostModel,
-                     plans: Sequence[RoutingPlan], bytes_per_token: float,
+                     plans: Sequence[RoutingPlan] | LiteRouting,
+                     bytes_per_token: float,
                      scale: float) -> Tuple[np.ndarray, np.ndarray]:
     """One token All-to-All per plan, priced in one pass over their entries.
 
@@ -66,13 +71,20 @@ def token_all_to_all(collectives: CollectiveCostModel,
     alike, read from one flat routing batch.  Each token moves
     ``bytes_per_token``, and ``scale`` (the calibrated ``comm_bytes_scale``)
     multiplies each device's bytes per link class in
-    :meth:`~repro.cluster.collectives.CollectiveCostModel.all_to_all_batch`.
+    :meth:`~repro.cluster.collectives.CollectiveCostModel.drain_time`.
+    Unbuilt :class:`~repro.core.lite_routing.LiteRouting` is priced from
+    its tokens per link class, ``==`` to pricing its plans.
 
     Returns:
         The ``(M,)`` seconds of one dispatch (or combine) per plan, and the
         ``(M, N)`` float64 tokens each device computes under each plan
         (whole numbers, so every reduction over them is exact).
     """
+    if isinstance(plans, LiteRouting):
+        sent, received, loads = lite_route_tokens(*plans, collectives.topology)
+        return collectives.drain_time(sent * bytes_per_token,
+                                      received * bytes_per_token,
+                                      scale), loads
     batch = RoutingBatch.of(plans)
     m, n = batch.num_plans, collectives.topology.num_devices
     if batch.num_devices != n:
@@ -116,8 +128,8 @@ class MoECostModel:
 
     Attributes:
         topology: Cluster topology whose links price the All-to-All.
-        comm_bytes_per_token: ``V_comm`` -- bytes moved per routed token per
-            All-to-All (one hidden vector in bf16).
+        comm_bytes_per_token: ``V_comm`` -- whole bytes moved per routed
+            token per All-to-All (one hidden vector in bf16).
         compute_flops_per_token: ``V_comp`` -- expert FLOPs per token-expert
             assignment (``6 * H * H'`` for SwiGLU).
         device_flops: ``B_comp`` -- sustained FLOP/s of each device.
@@ -136,8 +148,9 @@ class MoECostModel:
     comm_bytes_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.comm_bytes_per_token < 0:
-            raise ValueError("comm_bytes_per_token must be non-negative")
+        if self.comm_bytes_per_token < 0 or self.comm_bytes_per_token % 1:
+            raise ValueError(
+                "comm_bytes_per_token must be a non-negative whole number")
         if self.compute_flops_per_token <= 0:
             raise ValueError("compute_flops_per_token must be positive")
         if self.device_flops <= 0:
@@ -168,12 +181,13 @@ class MoECostModel:
         """Evaluate the full objective ``T = T_comm + T_comp`` for a plan."""
         return self.evaluate_batch([routing_plan])[0]
 
-    def evaluate_batch(self, routing_plans: Sequence[RoutingPlan]
+    def evaluate_batch(self, routing_plans: Sequence[RoutingPlan] | LiteRouting
                        ) -> List[CostBreakdown]:
         """Evaluate ``M`` candidate plans with one :func:`token_all_to_all`.
 
         Each plan's costs come from its own row of the batch, so they equal
-        what :meth:`evaluate` gives it alone.
+        what :meth:`evaluate` gives it alone; unbuilt lite routing costs
+        what its plans cost.
 
         Returns:
             ``[CostBreakdown, ...]`` in candidate order.

@@ -151,9 +151,9 @@ class FSEPExecutor:
                 token_idx, slot_idx = np.nonzero(
                     (pair_dest == dst) & (gating.expert_indices == expert_id))
                 if token_idx.size:
-                    module = SwiGLUExpert(self.moe_layer.hidden_size,
-                                          self.moe_layer.intermediate_size)
-                    module.load_flat_parameters(flat_params)
+                    module = SwiGLUExpert.from_flat_parameters(
+                        flat_params, self.moe_layer.hidden_size,
+                        self.moe_layer.intermediate_size)
                     groups[dst, expert_id] = (module, token_idx, slot_idx)
         out, expert_caches = run_experts(flat, gating, groups)
 

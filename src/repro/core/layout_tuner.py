@@ -3,11 +3,11 @@
 The tuner's candidate set is the replica allocations its configuration
 names -- the priority-queue proportional scheme and the even scheme, as in the
 paper's evaluation.  It places each candidate with the greedy relocation
-(Algorithm 1), routes the observed load with lite routing (Algorithm 3),
-scores the result with the cost model (Sec. 3.2) and keeps the cheapest
-strategy, so its answer depends only on the routing it is given.
-:meth:`ExpertLayoutTuner.solve_layers` does so for several layers at once,
-routing every layer's candidates in one lite-routing batch.
+(Algorithm 1), prices the observed load's lite routing (Algorithm 3) with the
+cost model (Sec. 3.2) and keeps the cheapest strategy, so its answer depends
+only on the routing it is given.  :meth:`ExpertLayoutTuner.solve_layers` does
+so for several layers at once, in one scoring call that builds no
+candidate's routing plan (:class:`~repro.core.lite_routing.LiteRouting`).
 
 Because FSEP makes re-layout free (the restore All-to-All happens every
 iteration regardless of the layout), the tuner never penalises changing the
@@ -24,13 +24,12 @@ import numpy as np
 from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import CostBreakdown, MoECostModel
 from repro.core.layout import ExpertLayout
-from repro.core.lite_routing import lite_route_batch
+from repro.core.lite_routing import LiteRouting
 from repro.core.relocation import relocate_experts
 from repro.core.replica_allocation import (
     allocate_replicas_priority_queue,
     even_replicas,
 )
-from repro.core.routing_plan import RoutingPlan
 from repro.telemetry.trace import span as _span
 
 
@@ -58,14 +57,13 @@ class TunerResult:
 
     Attributes:
         layout: The selected expert re-layout strategy ``A``.
-        routing_plan: The lite-routing plan ``S`` for the load used to solve.
-        cost: Cost breakdown of the selected strategy.
+        cost: Cost breakdown of the selected strategy under lite routing
+            of the load used to solve.
         candidates_evaluated: Number of candidate replica schemes scored.
         candidate_costs: Total cost of every candidate, in evaluation order.
     """
 
     layout: ExpertLayout
-    routing_plan: RoutingPlan
     cost: CostBreakdown
     candidates_evaluated: int
     candidate_costs: List[float] = field(default_factory=list)
@@ -106,7 +104,7 @@ class ExpertLayoutTuner:
                 the layout should balance).
 
         Returns:
-            The best candidate found, with its routing plan and cost.
+            The best candidate found, with its cost.
         """
         return self.solve_layers(np.asarray(routing)[None])[0]
 
@@ -115,12 +113,13 @@ class ExpertLayoutTuner:
 
         Each layer builds its candidate schemes and places every candidate
         with its own :func:`relocate_experts` call.  One
-        :func:`lite_route_batch` then routes every candidate of every layer
-        on its layer's routing, and each layer scores its run of that
-        batch's plans with one :meth:`MoECostModel.evaluate_batch` (one call
-        over all layers was no faster at 32x8 devices and raised peak
-        memory).  Each layer keeps its first cheapest candidate, so
-        ``solve_layers(R)[l]`` equals ``solve(R[l])``.
+        :meth:`MoECostModel.evaluate_batch` then prices every candidate of
+        every layer under its layer's routing, as unbuilt
+        :class:`~repro.core.lite_routing.LiteRouting`: bit-identical to
+        pricing each candidate's lite-routing plan (guarded by tests and
+        ``benchmarks/bench_floors.py``).  Each layer keeps its first
+        cheapest candidate, so ``solve_layers(R)[l]`` equals
+        ``solve(R[l])``.
 
         Args:
             routing_by_layer: ``(layers, N, E)`` token counts per device per
@@ -148,26 +147,19 @@ class ExpertLayoutTuner:
                                for replicas in schemes)
             sizes.append(len(schemes))
 
-        # Bit-identical to scoring each candidate with lite_route and
-        # MoECostModel.evaluate (guarded by tests and
-        # benchmarks/bench_floors.py).
-        results = []
         with _span("planner.batch-eval", candidates=len(layouts)):
-            plans = list(lite_route_batch(
-                np.repeat(routing_by_layer, sizes, axis=0), layouts,
-                self.topology))
-            first = 0
-            for size in sizes:
-                last = first + size
-                costs = self.cost_model.evaluate_batch(plans[first:last])
-                candidate_costs = [cost.total for cost in costs]
-                best = candidate_costs.index(min(candidate_costs))
-                results.append(TunerResult(
-                    layout=layouts[first + best],
-                    routing_plan=plans[first + best],
-                    cost=costs[best],
-                    candidates_evaluated=size,
-                    candidate_costs=candidate_costs,
-                ))
-                first = last
+            costs = self.cost_model.evaluate_batch(LiteRouting(
+                np.repeat(routing_by_layer, sizes, axis=0), layouts))
+        results = []
+        first = 0
+        for size in sizes:
+            candidate_costs = [cost.total for cost in costs[first:first + size]]
+            best = first + candidate_costs.index(min(candidate_costs))
+            results.append(TunerResult(
+                layout=layouts[best],
+                cost=costs[best],
+                candidates_evaluated=size,
+                candidate_costs=candidate_costs,
+            ))
+            first += size
         return results

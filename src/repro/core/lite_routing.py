@@ -34,9 +34,22 @@ That is exactly what the proportional rule gives while ``T * w < 2**53``:
 
 Rows whose targets carry mixed counts, and rows at or past the ``2**53``
 bound, are split by :func:`_split_rows`.
+
+Pricing needs only each device's tokens per link class and the tokens it
+computes, and those are sums over the (node, expert) groups, so
+:func:`lite_route_tokens` prices without a plan (:class:`LiteRouting`, the
+layout tuner's candidates).  A sender keeps its own
+``T // s + [rank < T % s]`` tokens, and the target at rank ``p`` receives
+``sum(T // s) + #{senders with T % s > p}`` from its group.  Mixed and
+past-the-bound rows are split entry by entry, as :func:`_route` splits
+them.  The sums are whole numbers, so times whole bytes per token they
+equal the price kernel's float sums of per-entry bytes in any order while
+each device's bytes stay below ``2**53``.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,14 +91,17 @@ def _split_rows(totals: np.ndarray, offsets: np.ndarray, rows: np.ndarray,
     return base + bonus
 
 
-def _route(routing: np.ndarray, layouts: "list[ExpertLayout]",
-           topology: ClusterTopology) -> RoutingBatch:
-    """Lite-route onto every layout in one vectorized pass.
-
-    ``routing`` is one ``(N, E)`` matrix shared by every layout or an
-    ``(M, N, E)`` stack, one matrix per layout.  An invalid batch raises the
-    error of its first invalid layout: the one a loop of single-layout
-    calls would raise first.
+def _groups(routing: np.ndarray, layouts: "list[ExpertLayout]",
+            topology: ClusterTopology) -> "tuple[np.ndarray, ...]":
+    """Every replica (``flat``, its index into the stacked ``(M, E, N)``
+    replica counts, and its ``counts``); where each (layout, expert, node)'s
+    replicas start in that list (``starts``, then its end); and per (layout,
+    expert, node) group of senders, ``(M, E, nodes)`` tables of its
+    targets' first replica and number, whether they are on the node, and
+    the largest total a row splits in closed form.  ``routing`` is one
+    ``(N, E)`` matrix shared by every layout or an ``(M, N, E)`` stack; an
+    invalid batch raises the error of its first invalid layout, as a loop
+    of single-layout calls would.
     """
     m = len(layouts)
     n, num_experts = routing.shape[-2:]
@@ -95,24 +111,22 @@ def _route(routing: np.ndarray, layouts: "list[ExpertLayout]",
     # nonzeros of the stacked (M, E, N) replica counts in C order.
     replica = np.stack([layout.assignment.T for layout in layouts])
     flat = np.flatnonzero(replica)
-    device = flat % n
     counts = replica.reshape(-1)[flat]
-    # Per (layout, expert, node): where the node's replicas of the expert
-    # start in that list, how many there are, and their count sum and
-    # maximum; then the same over the expert's replicas on every node.
-    by_node = replica.reshape(m, num_experts, nodes, per_node)
-    size = np.count_nonzero(by_node, axis=-1)
-    start = (np.cumsum(size.reshape(-1)) - size.reshape(-1)).reshape(size.shape)
-    weight = by_node.sum(axis=-1)
-    peak = by_node.max(axis=-1)
-    all_size = size.sum(axis=-1, keepdims=True)
-    all_weight = weight.sum(axis=-1, keepdims=True)
-    all_peak = peak.max(axis=-1, keepdims=True)
+    # Per (layout, expert, node): the number of the node's replicas of the
+    # expert, their count sum and square sum (the counts are equal iff
+    # size * square == sum ** 2); then the same over every node.
+    tables = np.stack([
+        np.bincount(flat // per_node, weights, m * num_experts * nodes)
+        for weights in (None, counts, counts * counts)]).astype(np.int64)
+    tables = tables.reshape(3, m, num_experts, nodes)
+    everywhere = tables.sum(axis=-1, keepdims=True)
+    starts = np.concatenate(([0], np.cumsum(tables[0])))
 
     negative = np.broadcast_to((routing < 0).any(axis=(-2, -1)), (m,))
     node_tokens = routing.reshape(
         routing.shape[:-2] + (nodes, per_node, num_experts)).sum(axis=-2)
-    missing = (node_tokens > 0) & (all_size == 0).reshape(m, 1, num_experts)
+    missing = ((node_tokens > 0)
+               & (everywhere[0] == 0).reshape(m, 1, num_experts))
     failing = negative | missing.any(axis=(1, 2))
     if np.any(failing):
         index = int(np.argmax(failing))
@@ -125,45 +139,60 @@ def _route(routing: np.ndarray, layouts: "list[ExpertLayout]",
     # Targets of (layout, expert, node): the node's replicas of the expert
     # when it hosts any, every replica of the expert otherwise.  A group of
     # equal counts splits in closed form up to the largest total the module
-    # docstring's bound allows; a mixed group's limit of -1 sends its rows
-    # to _split_rows.
-    intra = size > 0
+    # docstring's bound allows; a mixed group's limit of 0 sends every row
+    # with tokens to _split_rows.
+    intra = tables[0] > 0
+    start = starts[:-1].reshape(intra.shape)
     start = np.where(intra, start, start[..., :1])
-    size = np.where(intra, size, all_size)
-    weight = np.where(intra, weight, all_weight)
-    peak = np.where(intra, peak, all_peak)
-    limit = np.where(peak * size == weight,
-                     (2 ** 53 - 1) // np.maximum(peak, 1), -1)
+    size, total, square = np.where(intra, tables, everywhere)
+    peak = np.maximum(total // np.maximum(size, 1), 1)
+    limit = np.where(size * square == total * total, (2 ** 53 - 1) // peak, 0)
+    return flat, counts, starts, start, size, intra, limit
 
-    def per_row(table: np.ndarray) -> np.ndarray:
-        """(M, E, nodes) -> one value per (layout, sender, expert) row."""
-        return np.repeat(table.transpose(0, 2, 1), per_node, axis=1).reshape(-1)
 
+def _split_mixed(totals: np.ndarray, start: np.ndarray, size: np.ndarray,
+                 counts: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Rows of ``totals`` tokens, each over the ``size`` replicas from its
+    ``start``, split by :func:`_split_rows` over the replicas' ``counts``:
+    every entry's replica and tokens, row after row."""
+    offsets = np.concatenate(([0], np.cumsum(size)))
+    entries = np.repeat(start - offsets[:-1], size) + np.arange(offsets[-1])
+    return entries, _split_rows(totals, offsets,
+                                np.repeat(np.arange(size.size), size),
+                                counts[entries])
+
+
+def _route(routing: np.ndarray, layouts: "list[ExpertLayout]",
+           topology: ClusterTopology) -> RoutingBatch:
+    """Lite-route ``routing`` onto every layout in one vectorized pass."""
+    flat, counts, _, start, size, _, limit = _groups(
+        routing, layouts, topology)
+    m = len(layouts)
+    n, num_experts = routing.shape[-2:]
+    # One value per (layout, sender, expert) row.
+    start, size, limit = (
+        np.repeat(table.transpose(0, 2, 1), topology.devices_per_node,
+                  axis=1).reshape(-1) for table in (start, size, limit))
     totals = np.broadcast_to(routing, (m, n, num_experts)).reshape(-1)
-    sizes = np.where(totals > 0, per_row(size), 0)
+    sizes = np.where(totals > 0, size, 0)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     position = np.arange(offsets[-1])
-    entries = np.repeat(per_row(start) - offsets[:-1], sizes) + position
-    dest = device[entries]
+    dest = (flat % n)[np.repeat(start - offsets[:-1], sizes) + position]
     share, extra = np.divmod(totals, np.maximum(sizes, 1))
     tokens = (np.repeat(share, sizes)
               + (position < np.repeat(offsets[:-1] + extra, sizes)))
-    mixed = (sizes > 0) & (totals > per_row(limit))
+    mixed = totals > limit
     if mixed.any():
-        at = np.repeat(mixed, sizes)
-        mixed_sizes = sizes[mixed]
-        tokens[at] = _split_rows(
-            totals[mixed], np.concatenate(([0], np.cumsum(mixed_sizes))),
-            np.repeat(np.arange(mixed_sizes.size), mixed_sizes),
-            counts[entries[at]])
-
+        tokens[np.repeat(mixed, sizes)] = _split_mixed(
+            totals[mixed], start[mixed], size[mixed], counts)[1]
     return RoutingBatch(m, n, num_experts, offsets, dest, tokens)
 
 
 def _check_routing(routing: np.ndarray, shapes: "list[tuple]",
                    topology: ClusterTopology, what: str) -> np.ndarray:
     """Check ``routing`` against the accepted ``shapes`` and the topology;
-    return it as int64.  Token counts are checked per layout by :func:`_route`."""
+    return it as int64.  Token counts are checked per layout by
+    :func:`_groups`."""
     routing = np.asarray(routing, dtype=np.int64)
     if routing.shape not in shapes:
         raise ValueError(
@@ -197,15 +226,12 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
                      topology: ClusterTopology) -> RoutingBatch:
     """Run :func:`lite_route` for ``M`` layouts in one batch.
 
-    ``routing`` broadcasts over the layouts.  The layout tuner scores every
-    candidate layout on the *same* ``(N, E)`` matrix (its hot path, in the
-    ``planner.batch-eval`` telemetry span); a policy's iteration dispatch
+    ``routing`` broadcasts over the layouts.  A policy's iteration dispatch
     routes each MoE layer's own matrix onto that layer's layout, passing the
-    ``(M, N, E)`` stack (in the ``planner.lite-route`` span).  The
-    ``(layout, sender, expert)`` rows of all layouts are split in one
-    vectorized pass, bit-identical to ``M`` separate :func:`lite_route`
-    calls; an invalid batch raises the error the first failing call of
-    that loop would raise.
+    ``(M, N, E)`` stack (in the ``planner.lite-route`` span).  The rows of
+    all layouts are split in one vectorized pass, bit-identical to ``M``
+    separate :func:`lite_route` calls; an invalid batch raises the error
+    the first failing call of that loop would raise.
 
     Args:
         routing: ``(N, E)`` routing matrix ``R`` shared by all layouts, or
@@ -218,6 +244,13 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
         ``lite_route(routing[m], layouts[m], topology)`` exactly (with
         ``routing`` itself for a shared matrix).
     """
+    return _route(_checked_batch(routing, layouts, topology), layouts,
+                  topology)
+
+
+def _checked_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
+                   topology: ClusterTopology) -> np.ndarray:
+    """:func:`lite_route_batch`'s checks of its arguments, in its order."""
     if not layouts:
         raise ValueError("need at least one candidate layout")
     n = layouts[0].num_devices
@@ -225,7 +258,75 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
     for layout in layouts:
         if layout.num_devices != n or layout.num_experts != num_experts:
             raise ValueError("candidate layouts must share one cluster shape")
-    routing = _check_routing(
+    return _check_routing(
         routing, [(n, num_experts), (len(layouts), n, num_experts)],
         topology, "layouts")
-    return _route(routing, layouts, topology)
+
+
+class LiteRouting(NamedTuple):
+    """``lite_route_batch(routing, layouts, ...)`` left unbuilt, for
+    :func:`~repro.core.cost_model.token_all_to_all` to price."""
+
+    routing: np.ndarray
+    layouts: "list[ExpertLayout]"
+
+
+def lite_route_tokens(routing: np.ndarray, layouts: "list[ExpertLayout]",
+                      topology: ClusterTopology
+                      ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """What ``lite_route_batch(routing, layouts, topology)`` moves per
+    (layout, device), summed per target group (module docstring): the
+    ``(M, N, 3)`` float64 tokens sent and received per link class (local,
+    intra-node, inter-node), and the ``(M, N)`` tokens computed.  Invalid
+    input raises :func:`lite_route_batch`'s errors, in its order."""
+    routing = _checked_batch(routing, layouts, topology)
+    flat, counts, starts, start, size, intra, limit = _groups(
+        routing, layouts, topology)
+    m = len(layouts)
+    n, num_experts = routing.shape[-2:]
+    nodes = topology.num_nodes
+    count = flat.size
+    # Rows (layout, expert, node, sender on the node): each group's tables
+    # broadcast over its senders, and replica k's own row is flat[k].
+    totals = np.broadcast_to(routing, (m, n, num_experts)).transpose(
+        0, 2, 1).reshape(intra.shape + (-1,))
+    mixed = totals > limit[..., None]
+    share, extra = np.divmod(np.where(mixed, 0, totals),
+                             np.maximum(size, 1)[..., None])
+    # Replica k is slot k of its node's target group and slot count + k of
+    # its expert's group on every node.  A group adds up its floors at its
+    # first slot and counts each remainder at the slot it names (a zero at
+    # the first slot, which no target's count of larger ones reads).
+    first = np.where(intra, start, start + count)
+    floors = np.bincount(first.reshape(-1), share.sum(axis=-1).reshape(-1),
+                         2 * count)
+    above = np.cumsum(np.bincount((first[..., None] + extra).reshape(-1),
+                                  minlength=2 * count))
+    group, expert = flat // topology.devices_per_node, flat // n * nodes
+    low = np.concatenate((starts[group], count + starts[expert]))
+    high = np.concatenate((starts[group + 1], count + starts[expert + nodes]))
+    receive = floors[low] + above[high - 1] - above[:2 * count]
+    # What each replica's device keeps of its own row.
+    keep = (share.reshape(-1)[flat]
+            + (np.arange(count) - low[:count] < extra.reshape(-1)[flat]))
+    if mixed.any():
+        starts_at, sizes, on_nodes = (
+            np.broadcast_to(table[..., None], totals.shape)[mixed]
+            for table in (start, size, intra))
+        entries, tokens = _split_mixed(totals[mixed], starts_at, sizes,
+                                       counts)
+        receive = receive + np.bincount(
+            entries + count * ~on_nodes.repeat(sizes), tokens, 2 * count)
+        # Entries whose target is their own sender stay local.
+        kept = flat[entries] % n == np.flatnonzero(mixed).repeat(sizes) % n
+        keep = keep + np.bincount(entries[kept], tokens[kept], count)
+    owner = flat // (num_experts * n) * n + flat % n
+    hold, into_node, into_other = (
+        np.bincount(owner, weights, m * n)
+        for weights in (keep, receive[:count], receive[count:]))
+    on_node = (totals * intra[..., None]).sum(axis=1).reshape(-1)
+    sent = (hold, on_node - hold, totals.sum(axis=1).reshape(-1) - on_node)
+    received = (hold, into_node - hold, into_other)
+    return (np.stack(sent, axis=-1).reshape(m, n, 3),
+            np.stack(received, axis=-1).reshape(m, n, 3),
+            (into_node + into_other).reshape(m, n))

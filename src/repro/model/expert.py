@@ -39,6 +39,24 @@ class SwiGLUExpert(Module):
         self.down_proj = self.register_module(
             "down_proj", Linear(intermediate_size, hidden_size, rng=rng))
 
+    @classmethod
+    def from_flat_parameters(cls, flat: np.ndarray, hidden_size: int,
+                             intermediate_size: int) -> "SwiGLUExpert":
+        """An expert holding copies of ``flat``'s weights, as
+        :meth:`load_flat_parameters` copies them, without first drawing
+        the initial weights they replace (FSEP's restored replicas)."""
+        expert = cls.__new__(cls)
+        Module.__init__(expert)
+        expert.hidden_size = hidden_size
+        expert.intermediate_size = intermediate_size
+        shapes = [(hidden_size, intermediate_size)] * 2 + [
+            (intermediate_size, hidden_size)]
+        for name, shape in zip(("gate_proj", "up_proj", "down_proj"), shapes):
+            setattr(expert, name, expert.register_module(
+                name, Linear.from_weight(np.empty(shape))))
+        expert.load_flat_parameters(flat)
+        return expert
+
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray) -> Tuple[np.ndarray, Dict[str, Any]]:
         """Run the expert over ``x`` of shape ``(tokens, hidden)``."""

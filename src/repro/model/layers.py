@@ -38,6 +38,16 @@ class Linear(Module):
             self.bias = self.register_parameter(
                 "bias", Parameter(np.zeros(out_features)))
 
+    @classmethod
+    def from_weight(cls, weight: np.ndarray) -> "Linear":
+        """A bias-free projection holding ``weight``, drawing nothing."""
+        layer = cls.__new__(cls)
+        Module.__init__(layer)
+        layer.in_features, layer.out_features = weight.shape
+        layer.weight = layer.register_parameter("weight", Parameter(weight))
+        layer.bias = None
+        return layer
+
     def forward(self, x: np.ndarray) -> Tuple[np.ndarray, Dict[str, Any]]:
         if x.shape[-1] != self.in_features:
             raise ValueError(

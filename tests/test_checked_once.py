@@ -3,7 +3,9 @@ checked once, and pricing holds no per-pair buffer.
 
 * Lite routing checks an iteration's plans once, as one
   :class:`~repro.core.routing_plan.RoutingBatch`; each layer's plan is a
-  view of it and is not checked again.
+  view of it and is not checked again.  A policy that tunes its layouts
+  (the oracle solves each layer on its own) routes no candidate: the
+  dispatch is its only routing batch.
 * Owner routing (StaticEP, FasterMoE) checks each ``from_owners`` input
   pair once and builds its plan without checking it again.
 * Pricing 8 lite-routed layers at 1024 devices sums bytes per (device,
@@ -31,8 +33,6 @@ from repro.workloads.scenarios import ScenarioContext, make_scenario
 
 CONFIG = get_model_config("mixtral-8x7b-e8k2")
 LAYERS = 4
-#: Systems whose policy solves each layer's layout (and plan) on its own.
-PER_LAYER_SOLVES = {"oracle"}
 
 
 def first_frame(num_devices, layers, tokens_per_device=4096):
@@ -75,15 +75,11 @@ def test_one_iteration_checks_each_plan_once(name, monkeypatch):
         return
     assert counts["owners"] == 0
     assert counts["batch"] == counts["routes"]
+    # The iteration's dispatch: one batch, layer l its view l.
     batches = {id(decision.routing_plan.batch) for decision in decisions}
-    if name in PER_LAYER_SOLVES:
-        # One candidate batch per layer; each plan is a view of its own.
-        assert counts["batch"] == len(batches) == LAYERS
-    else:
-        # The iteration's dispatch: one batch, layer l its view l.
-        assert counts["batch"] == len(batches) == 1
-        assert [decision.routing_plan.index for decision in decisions] == \
-            list(range(LAYERS))
+    assert counts["batch"] == len(batches) == 1
+    assert [decision.routing_plan.index for decision in decisions] == \
+        list(range(LAYERS))
 
 
 def test_pricing_1024_devices_holds_no_pairwise_buffer():

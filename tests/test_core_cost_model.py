@@ -147,6 +147,15 @@ class TestConstruction:
                          compute_flops_per_token=1, device_flops=1,
                          comm_bytes_scale=0.0)
 
+    def test_bytes_per_token_must_be_whole(self, small_topology):
+        """Closed-form lite routing prices whole bytes per token exactly."""
+        with pytest.raises(ValueError, match="whole number"):
+            MoECostModel(small_topology, comm_bytes_per_token=1.5,
+                         compute_flops_per_token=1, device_flops=1)
+        assert MoECostModel(small_topology, comm_bytes_per_token=8192.0,
+                            compute_flops_per_token=1,
+                            device_flops=1).comm_bytes_per_token == 8192
+
 
 class TestEvaluateBatch:
     def test_batch_matches_scalar_bitwise(self, small_topology,

@@ -64,8 +64,9 @@ class TestSolve:
         routing = skewed_routing()
         result = tuner.solve(routing)
         result.layout.validate()
-        small_cost_model.check_constraints(result.layout, result.routing_plan,
-                                           routing)
+        small_cost_model.check_constraints(
+            result.layout, lite_route(routing, result.layout, small_topology),
+            routing)
         assert result.candidates_evaluated == 2
         assert len(result.candidate_costs) == 2
         assert result.cost.total == pytest.approx(min(result.candidate_costs))
@@ -119,7 +120,8 @@ class TestSolve:
 
 def assert_matches_scalar_reference(make_tuner, routing):
     """``make_tuner()`` builds a fresh tuner for either path."""
-    batched = make_tuner().solve(routing)
+    tuner = make_tuner()
+    batched = tuner.solve(routing)
     layout, plan, cost, candidate_costs = scalar_reference_solve(
         make_tuner(), routing)
     # Not approx: the batched path must be the same arithmetic.
@@ -129,7 +131,9 @@ def assert_matches_scalar_reference(make_tuner, routing):
     assert batched.cost.comm_time == cost.comm_time
     assert np.array_equal(batched.cost.tokens_per_device,
                           cost.tokens_per_device)
-    assert np.array_equal(batched.routing_plan.to_dense(), plan.to_dense())
+    assert np.array_equal(
+        lite_route(routing, batched.layout, tuner.topology).to_dense(),
+        plan.to_dense())
     assert np.array_equal(batched.layout.assignment, layout.assignment)
 
 

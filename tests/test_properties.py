@@ -14,6 +14,9 @@ inputs and check the invariants the paper's correctness relies on:
   simulator charges for the same plan;
 * the link-class All-to-All kernel equals its per-entry class-sum loop
   exactly, and the per-pair loop to rounding;
+* lite routing priced in closed form, without its plans, equals pricing
+  the plans exactly and fails as building them fails, and a uniform
+  All-to-All priced from peer counts equals its dense matrix's price;
 * a uniform All-to-All's price is affine in the byte scale, the identity
   calibration fits ``comm_bytes_scale`` on;
 * more bandwidth never slows a simulated iteration down, and the overflow
@@ -30,11 +33,11 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.base import PolicyDecision
 from repro.cluster.collectives import CollectiveCostModel
 from repro.cluster.topology import ClusterTopology
-from repro.core.cost_model import MoECostModel
+from repro.core.cost_model import MoECostModel, token_all_to_all
 from repro.core.fsep import FSEPShardedExperts
 from repro.core.layout import ExpertLayout
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
-from repro.core.lite_routing import lite_route
+from repro.core.lite_routing import LiteRouting, lite_route, lite_route_batch
 from repro.core.relocation import relocate_experts
 from repro.core.replica_allocation import (
     allocate_replicas_priority_queue,
@@ -189,7 +192,9 @@ class TestTunerProperties:
             get_model_config("mixtral-8x7b-e8k2"), topology)
         tuner = ExpertLayoutTuner(topology, cost_model, capacity)
         result = tuner.solve(routing)
-        cost_model.check_constraints(result.layout, result.routing_plan, routing)
+        cost_model.check_constraints(
+            result.layout, lite_route(routing, result.layout, topology),
+            routing)
 
     @given(problem=routing_problem())
     @settings(max_examples=15, deadline=None)
@@ -352,6 +357,140 @@ class TestLinkClassKernel:
                                                       scale=scale)
             assert seconds == pytest.approx(
                 scalar_all_to_all(model, matrix, scale=scale), rel=1e-12)
+
+
+#: Bytes per token of the closed-form pricing cases: none, one, and two
+#: models' hidden vectors in bf16.
+BYTES_PER_TOKEN = (0, 1, 8192, 10240)
+
+
+@st.composite
+def lite_routing_cases(draw):
+    """A random collective model and lite routing on it: 1-4 layouts with
+    replica counts 0-3 (groups of mixed counts, nodes hosting no replica
+    of an expert), a shared ``(N, E)`` or stacked routing with zero rows,
+    and in a quarter of the draws one row past the ``2**53`` bound of the
+    closed-form split (its group's counts all 3, one byte per token, so
+    every device's bytes stay below ``2**53``)."""
+    model = draw(collective_models())
+    n = model.topology.num_devices
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    num_experts, count = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    past_bound = draw(st.integers(0, 3)) == 0
+    layouts = []
+    for _ in range(count):
+        replicas = rng.integers(0, 4, size=(n, num_experts))
+        replicas[rng.uniform(size=replicas.shape) < rng.uniform(0, 0.9)] = 0
+        replicas[rng.integers(n, size=num_experts),
+                 np.arange(num_experts)] = rng.integers(1, 4, num_experts)
+        if past_bound:
+            replicas[:, 0] = np.where(replicas[:, 0] > 0, 3, 0)
+        layouts.append(ExpertLayout(replicas,
+                                    capacity=int(replicas.sum(axis=1).max())))
+    shape = (n, num_experts) if draw(st.booleans()) else (count, n,
+                                                         num_experts)
+    routing = rng.integers(0, 600, size=shape)
+    routing[rng.uniform(size=shape) < draw(st.floats(0.0, 0.9))] = 0
+    bytes_per_token = draw(st.sampled_from(BYTES_PER_TOKEN))
+    if past_bound:
+        routing[..., int(rng.integers(n)), 0] = 2 ** 53 // 3 + 1
+        bytes_per_token = 1
+    return model, routing, layouts, bytes_per_token
+
+
+def raised(call):
+    """The message of the ValueError ``call()`` raises."""
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+class TestClosedFormLiteRoutingPrice:
+    @given(case=lite_routing_cases(), scale=st.sampled_from([1.0, 1.13]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_pricing_the_plans(self, case, scale):
+        """``token_all_to_all`` of unbuilt lite routing equals (``==``) the
+        price and loads of its plans, and ``evaluate_batch`` equals it
+        field by field."""
+        model, routing, layouts, bytes_per_token = case
+        topology = model.topology
+        plans = lite_route_batch(routing, layouts, topology)
+        unbuilt = LiteRouting(routing, layouts)
+        for got, want in zip(
+                token_all_to_all(model, unbuilt, bytes_per_token, scale),
+                token_all_to_all(model, plans, bytes_per_token, scale)):
+            assert np.array_equal(got, want)
+        cost_model = MoECostModel(topology, bytes_per_token, 1e9, 1e14,
+                                  comm_bytes_scale=scale)
+        for got, want in zip(cost_model.evaluate_batch(unbuilt),
+                             cost_model.evaluate_batch(plans)):
+            for field in dataclasses.fields(got):
+                assert np.array_equal(getattr(got, field.name),
+                                      getattr(want, field.name)), field.name
+
+    @given(case=lite_routing_cases(), data=st.data())
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_invalid_input_fails_as_building_the_plans(self, case, data):
+        """Negative counts, a missing expert (per layout, so the first
+        failing layout names the error), a wrong shape or a wrong topology
+        raise what ``lite_route_batch`` raises."""
+        model, routing, layouts, _ = case
+        topology = model.topology
+        routing = np.broadcast_to(
+            routing, (len(layouts),) + routing.shape[-2:]).copy()
+        for index, layout in enumerate(layouts):
+            fault = data.draw(st.sampled_from(["none", "negative",
+                                               "missing"]))
+            if fault == "negative":
+                routing[index, -1, -1] = -1
+            elif fault == "missing":
+                replicas = layout.assignment.copy()
+                replicas[:, -1] = 0
+                layouts[index] = ExpertLayout(replicas, layout.capacity)
+                routing[index, 0, -1] = 1
+        calls = [(routing, layouts, topology),
+                 (routing[:, :-1], layouts, topology),
+                 (routing, layouts, ClusterTopology(
+                     num_nodes=1, devices_per_node=topology.num_devices + 1)),
+                 (routing, [], topology)]
+        cost_model = MoECostModel(topology, 1, 1e9, 1e14)
+        for args in calls:
+            try:
+                lite_route_batch(*args)
+            except ValueError as error:
+                message = str(error)
+            else:
+                continue
+            assert raised(lambda: token_all_to_all(
+                CollectiveCostModel(args[2]), LiteRouting(*args[:2]), 1,
+                1.0)) == message
+            if args[2] is topology:
+                assert raised(lambda: cost_model.evaluate_batch(
+                    LiteRouting(*args[:2]))) == message
+
+
+class TestUniformAllToAllPeerCounts:
+    @given(model=collective_models(),
+           bytes_per_pair=st.one_of(st.integers(0, 10 ** 7),
+                                    st.floats(0.0, 1e7)),
+           scale=st.one_of(st.sampled_from([1.0, 1.13]),
+                           st.floats(0.0, 4.0)),
+           data=st.data())
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_equals_the_dense_matrix_price(self, model, bytes_per_pair,
+                                           scale, data):
+        """Priced from each member's peer counts, a uniform exchange costs
+        exactly (``==``) what its dense matrix costs: the whole cluster,
+        or a subgroup in any order, at whole or fractional bytes."""
+        n = model.topology.num_devices
+        group = data.draw(st.one_of(
+            st.none(), st.permutations(range(n)).flatmap(
+                lambda order: st.integers(1, n).map(lambda k: order[:k]))))
+        size = n if group is None else len(group)
+        dense = np.full((size, size), float(bytes_per_pair))
+        np.fill_diagonal(dense, 0.0)
+        assert model.uniform_all_to_all(bytes_per_pair, group, scale=scale) \
+            == model.all_to_all(dense, group, scale=scale)
 
 
 class TestUniformExchangeIsAffineInScale:
