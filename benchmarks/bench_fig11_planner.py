@@ -23,8 +23,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import MoECostModel
 from repro.core.layout_tuner import ExpertLayoutTuner
 from repro.workloads.model_configs import get_model_config
-from repro.workloads.routing_traces import RoutingTraceConfig
-from repro.workloads.scenarios import SyntheticTraceSource
+from repro.workloads.scenarios import ScenarioContext, SyntheticTraceSource
 
 from conftest import make_trace, run_systems
 
@@ -38,9 +37,9 @@ def solve_time(num_devices: int, capacity: int, num_experts: int = 8) -> float:
     config = get_model_config("mixtral-8x7b-e8k2")
     cost_model = MoECostModel.from_model_config(config, topology)
     tuner = ExpertLayoutTuner(topology, cost_model, capacity)
-    source = SyntheticTraceSource(RoutingTraceConfig(
+    source = SyntheticTraceSource(ScenarioContext(
         num_devices=num_devices, num_experts=num_experts, num_layers=1,
-        tokens_per_device=16384, top_k=2, skew=0.5, seed=41), 1)
+        tokens_per_device=16384, top_k=2, iterations=1, skew=0.5, seed=41))
     routing = source.materialize().layer(0, 0)
     start = time.perf_counter()
     for _ in range(SOLVE_REPEATS):

@@ -23,8 +23,8 @@ from repro.cluster.topology import ClusterTopology
 from repro.sim.engine import RunResult, compare_systems
 from repro.sim.systems import make_system
 from repro.workloads.model_configs import MoEModelConfig, get_model_config
-from repro.workloads.routing_traces import RoutingTrace, RoutingTraceConfig
-from repro.workloads.scenarios import SyntheticTraceSource
+from repro.workloads.routing_traces import RoutingTrace
+from repro.workloads.scenarios import ScenarioContext, SyntheticTraceSource
 
 #: Tokens per device per micro-batch used across the simulator benchmarks
 #: (8K context as in Sec. 5.2, two sequences per device).
@@ -63,12 +63,13 @@ def make_trace(config: MoEModelConfig, topology: ClusterTopology,
     """Build the synthetic routing trace for one experimental configuration."""
     params = DATASET_TRACE_PARAMS[dataset]
     skew = params["skew"] * AUX_LOSS_SKEW_MULTIPLIER.get(aux_loss_weight, 1.0)
-    routing_config = RoutingTraceConfig(
+    ctx = ScenarioContext(
         num_devices=topology.num_devices,
         num_experts=config.num_experts,
         num_layers=layers,
         tokens_per_device=TOKENS_PER_DEVICE,
         top_k=config.top_k,
+        iterations=iterations,
         skew=skew,
         # Hot experts drift gradually across iterations (Fig. 1a); abrupt
         # whole-distribution churn is disabled here because every adaptive
@@ -77,7 +78,7 @@ def make_trace(config: MoEModelConfig, topology: ClusterTopology,
         churn_prob=0.0,
         seed=params["seed"],
     )
-    return SyntheticTraceSource(routing_config, iterations).materialize()
+    return SyntheticTraceSource(ctx).materialize()
 
 
 def run_systems(system_names: Sequence[str], config: MoEModelConfig,

@@ -27,7 +27,7 @@ from repro.core import (
 )
 from repro.core.layout import static_ep_layout
 from repro.workloads import (
-    RoutingTraceConfig,
+    ScenarioContext,
     SyntheticTraceSource,
     get_model_config,
 )
@@ -43,15 +43,16 @@ def main() -> None:
           f"{config.num_experts} experts, top-{config.top_k})")
 
     # 2. A routing trace with the skew and drift of Fig. 1(a).
-    source = SyntheticTraceSource(RoutingTraceConfig(
+    source = SyntheticTraceSource(ScenarioContext(
         num_devices=topology.num_devices,
         num_experts=config.num_experts,
         num_layers=1,
         tokens_per_device=16384,
         top_k=config.top_k,
+        iterations=4,
         skew=0.45,
         seed=7,
-    ), 4)
+    ))
     trace = source.materialize()
     print(f"Mean expert-load imbalance of the trace: {trace.mean_imbalance():.2f}x")
 

@@ -96,9 +96,10 @@ def token_all_to_all(collectives: CollectiveCostModel,
     seconds = collectives.all_to_all_batch(
         counts, batch.dest, tokens * bytes_per_token, scale=scale)
     plan_of = np.repeat(np.arange(0, m * n, n), counts.sum(axis=1))
+    # bincount of no entries is int64 whatever the weights' dtype.
     loads = np.bincount(plan_of + batch.dest, weights=tokens,
-                        minlength=m * n).reshape(m, n)
-    return seconds, loads
+                        minlength=m * n).astype(np.float64, copy=False)
+    return seconds, loads.reshape(m, n)
 
 
 @dataclass(frozen=True)

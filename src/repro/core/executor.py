@@ -44,6 +44,7 @@ from repro.model.moe_layer import (
     run_experts,
 )
 from repro.workloads.model_configs import BYTES_PER_ELEMENT
+from repro.workloads.routing_traces import routing_from_assignments
 
 
 @dataclass
@@ -122,11 +123,13 @@ class FSEPExecutor:
         flat = x.reshape(-1, x.shape[-1])
         gating, gate_cache = self.moe_layer.gate.forward(flat)
         n, e = self.num_devices, self.num_experts
-        # The plan row (sender * E + expert) of every (token, slot) pair, the
-        # tokens split into contiguous per-device shards.
-        senders = np.arange(flat.shape[0]) // -(-flat.shape[0] // n)
+        routing = routing_from_assignments(gating.expert_indices, e, n)
+        # The plan row (sender * E + expert) of every (token, slot) pair: a
+        # device's shard is the next run of tokens, as many as its routing
+        # row counts (top_k pairs each).
+        shard_tokens = routing.sum(axis=1) // gating.expert_indices.shape[1]
+        senders = np.repeat(np.arange(n), shard_tokens)
         pair_rows = (senders[:, None] * e + gating.expert_indices).reshape(-1)
-        routing = np.bincount(pair_rows, minlength=n * e).reshape(n, e)
 
         if layout is None:
             layout = self._default_layout()

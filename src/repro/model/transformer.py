@@ -205,25 +205,3 @@ class MoETransformer(Module):
                                       reversed(cache["block_caches"])):
             grad_x = block.backward(grad_x, block_cache, per_layer_aux_weight)
         self.embedding.backward(grad_x, cache["embed_cache"])
-
-    # ------------------------------------------------------------------
-    def routing_matrices(self, output: ModelOutput,
-                         num_devices: int) -> np.ndarray:
-        """Convert a forward pass's routing into per-device ``R`` matrices.
-
-        Tokens are split into ``num_devices`` equal contiguous shards (data
-        parallel order) and each shard's expert assignments are counted,
-        producing the ``(layers, N, E)`` matrix the planner consumes.
-        """
-        layers = len(self.blocks)
-        num_experts = self.config.num_experts
-        matrices = np.zeros((layers, num_devices, num_experts), dtype=np.int64)
-        for layer, indices in enumerate(output.expert_indices):
-            tokens = indices.shape[0]
-            shard = int(np.ceil(tokens / num_devices))
-            for dev in range(num_devices):
-                chunk = indices[dev * shard:(dev + 1) * shard].reshape(-1)
-                if chunk.size:
-                    matrices[layer, dev] = np.bincount(
-                        chunk, minlength=num_experts)
-        return matrices

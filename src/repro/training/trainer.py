@@ -31,7 +31,10 @@ from repro.model.optimizer import Adam, clip_gradients
 from repro.model.transformer import ModelOutput, MoETransformer
 from repro.workloads.datasets import SyntheticTextDataset
 from repro.workloads.model_configs import MoEModelConfig
-from repro.workloads.routing_traces import RoutingTrace
+from repro.workloads.routing_traces import (
+    RoutingTrace,
+    routing_from_assignments,
+)
 
 
 @dataclass(frozen=True)
@@ -193,21 +196,22 @@ class Trainer:
         if num_steps <= 0:
             raise ValueError("num_steps must be positive")
         result = TrainingResult()
-        routing_frames = []
+        expert_indices = []
         for step in range(num_steps):
             output = self._step(step)
             result.losses.append(output.loss)
             result.lm_losses.append(output.lm_loss)
             result.aux_losses.append(output.aux_loss)
             result.expert_counts.append(output.expert_counts.copy())
-            routing_frames.append(self.model.routing_matrices(
-                output, self.config.num_devices))
+            expert_indices.append(np.stack(output.expert_indices))
             if log_every and (step + 1) % log_every == 0:
                 print(f"step {step + 1}/{num_steps} "
                       f"loss={output.loss:.4f} lm={output.lm_loss:.4f} "
                       f"aux={output.aux_loss:.4f}")
         result.routing_trace = RoutingTrace(
-            routing=np.stack(routing_frames, axis=0),
+            routing=routing_from_assignments(
+                np.stack(expert_indices), self.model_config.num_experts,
+                self.config.num_devices),
             top_k=self.model_config.top_k,
             tokens_per_device=int(np.ceil(
                 self.config.batch_size * self.config.seq_length

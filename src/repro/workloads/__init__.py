@@ -27,7 +27,6 @@ from repro.workloads.model_configs import (
 )
 from repro.workloads.routing_traces import (
     RoutingTrace,
-    RoutingTraceConfig,
     balanced_routing,
     routing_from_assignments,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "QWEN_8X7B_E8K2",
     "QWEN_8X7B_E16K4",
     "RoutingTrace",
-    "RoutingTraceConfig",
     "balanced_routing",
     "routing_from_assignments",
     "save_trace",

@@ -10,71 +10,28 @@ The paper collects traces from real Mixtral-8x7B training (Fig. 1a shows the
 resulting skew and drift).  We do not have those proprietary traces, so this
 module provides:
 
-* :class:`RoutingTraceConfig` -- the shape and popularity parameters the
-  synthetic sources of :mod:`repro.workloads.scenarios` draw from; the
+* :func:`draw_routing_frame` -- the one multinomial draw of a frame from
+  per-layer expert popularities, in the shape of a
+  :class:`~repro.workloads.scenarios.ScenarioContext`, the one description
+  of a routing workload.  Every synthetic source of
+  :mod:`repro.workloads.scenarios` draws its frames through it; the
   drifting, churning process of Fig. 1a is
   :class:`~repro.workloads.scenarios.SyntheticTraceSource`.
-* :func:`draw_routing_frame` -- the one multinomial draw of a frame from
-  per-layer expert popularities.
 * :class:`RoutingTrace` -- a materialized trace, itself a trace source.
-* :func:`routing_from_assignments` -- builds ``R`` from explicit per-token
-  expert assignments, used to extract traces from the numpy training runs.
+* :func:`routing_from_assignments` -- counts ``R`` from explicit per-token
+  expert assignments split data-parallel across the devices: the routing of
+  the numpy training runs, the FSEP executor and recorded traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class RoutingTraceConfig:
-    """Shape and popularity parameters of a synthetic routing workload.
-
-    Attributes:
-        num_devices: Number of devices ``N`` (each holds a data shard).
-        num_experts: Number of experts ``E`` per MoE layer.
-        num_layers: Number of MoE layers.
-        tokens_per_device: Tokens per device per micro-batch ``S``.
-        top_k: Experts selected per token ``K`` (total assignments are
-            ``tokens_per_device * top_k`` per device).
-        skew: Dirichlet concentration controlling imbalance; smaller values
-            produce more skewed expert popularity (0.3-0.6 matches Fig. 1a).
-        drift: Standard deviation of the per-iteration random walk applied to
-            the popularity logits (temporal drift of hot experts).
-        churn_prob: Probability per iteration that the hot-expert ranking is
-            reshuffled (abrupt hotspot changes).
-        device_noise: Relative multiplicative noise applied per device, so
-            different data shards see slightly different routing.
-        seed: PRNG seed.
-    """
-
-    num_devices: int
-    num_experts: int
-    num_layers: int = 1
-    tokens_per_device: int = 16384
-    top_k: int = 2
-    skew: float = 0.5
-    drift: float = 0.08
-    churn_prob: float = 0.02
-    device_noise: float = 0.05
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_devices <= 0 or self.num_experts <= 0 or self.num_layers <= 0:
-            raise ValueError("num_devices, num_experts and num_layers must be positive")
-        if self.tokens_per_device <= 0:
-            raise ValueError("tokens_per_device must be positive")
-        if not 1 <= self.top_k <= self.num_experts:
-            raise ValueError("top_k must be in [1, num_experts]")
-        if self.skew <= 0:
-            raise ValueError("skew must be positive")
-        if self.drift < 0 or self.device_noise < 0:
-            raise ValueError("drift and device_noise must be non-negative")
-        if not 0.0 <= self.churn_prob <= 1.0:
-            raise ValueError("churn_prob must be a probability")
+if TYPE_CHECKING:
+    from repro.workloads.scenarios import ScenarioContext
 
 
 @dataclass
@@ -181,7 +138,9 @@ class RoutingTrace:
         Used by the scalability study (Table 4): the same global routing
         distribution is replayed on clusters of different sizes by splitting
         each expert's global token count evenly (with remainders) across the
-        new device set.
+        new device set.  ``tokens_per_device`` is the first frame's peak
+        per-device slot count in tokens (``top_k`` slots each, rounded up,
+        at least 1), so throughput stays comparable with the original.
         """
         if num_devices <= 0:
             raise ValueError("num_devices must be positive")
@@ -191,30 +150,32 @@ class RoutingTrace:
         # Device d gets one extra token of expert j exactly when d < rem[j].
         device_index = np.arange(num_devices, dtype=np.int64)[None, None, :, None]
         out = base[:, :, None, :] + (device_index < rem[:, :, None, :])
+        peak_slots = int(out[0, 0].sum(axis=1).max())
         return RoutingTrace(routing=out, top_k=self.top_k,
-                            tokens_per_device=int(out[0, 0].sum(axis=1).max()))
+                            tokens_per_device=max(1, -(-peak_slots // self.top_k)))
 
 
 def draw_routing_frame(rng: np.random.Generator, probs_by_layer: np.ndarray,
-                       config: RoutingTraceConfig) -> np.ndarray:
+                       ctx: ScenarioContext) -> np.ndarray:
     """Draw one ``(layers, N, E)`` routing frame from per-layer popularities.
 
     The single multinomial-draw implementation of every synthetic source in
-    :mod:`repro.workloads.scenarios`: each device perturbs the shared
-    popularity with lognormal noise (different data shards disagree
-    slightly) and draws a multinomial over experts.  Keeping one code path
-    is what guarantees scenarios built on the same popularity schedule stay
+    :mod:`repro.workloads.scenarios`: each of the context's devices perturbs
+    the shared popularity with lognormal noise of ``ctx.device_noise``
+    (different data shards disagree slightly) and draws ``tokens_per_device
+    * top_k`` assignments over the experts.  Keeping one code path is what
+    guarantees scenarios built on the same popularity schedule stay
     bit-identical across refactors.
     """
-    assignments = config.tokens_per_device * config.top_k
-    shape = (config.num_layers, config.num_devices, config.num_experts)
+    assignments = ctx.tokens_per_device * ctx.top_k
+    shape = (ctx.num_layers, ctx.num_devices, ctx.num_experts)
     pvals = np.broadcast_to(
         np.asarray(probs_by_layer, dtype=np.float64)[:, None, :], shape)
-    if config.device_noise > 0:
+    if ctx.device_noise > 0:
         # One (layers, N, E) lognormal tensor instead of layers*N small
         # draws; row-normalise so every (layer, device) slice is a
         # probability vector again.
-        noisy = pvals * rng.lognormal(0.0, config.device_noise, size=shape)
+        noisy = pvals * rng.lognormal(0.0, ctx.device_noise, size=shape)
         pvals = noisy / noisy.sum(axis=-1, keepdims=True)
     # Generator.multinomial broadcasts over the leading axes of pvals,
     # replacing the per-(layer, device) Python loop with one batched draw.
@@ -239,23 +200,40 @@ def balanced_routing(num_devices: int, num_experts: int,
                         tokens_per_device=tokens_per_device)
 
 
-def routing_from_assignments(assignments: Sequence[np.ndarray],
-                             num_experts: int) -> np.ndarray:
-    """Build the ``(N, E)`` routing matrix from per-device expert assignments.
+def routing_from_assignments(assignments: np.ndarray, num_experts: int,
+                             num_devices: Optional[int] = None) -> np.ndarray:
+    """Count expert assignments into ``(..., N, E)`` routing matrices.
+
+    The ``T`` rows are split data-parallel: device ``d`` holds the
+    contiguous rows ``[d * s, (d + 1) * s)`` with ``s = ceil(T / N)``, so
+    the last devices hold fewer rows, or none.
 
     Args:
-        assignments: One integer array per device, holding the expert index
-            chosen for each (token, k) slot on that device.
+        assignments: ``(..., T, K)`` integer array, the experts chosen in
+            each of ``T`` rows' ``K`` slots: a token's top-k choices, or a
+            whole device's slots.  Leading axes (layers, iterations) are
+            counted in the same call.
         num_experts: Number of experts ``E``.
+        num_devices: Number of devices ``N`` the rows are split across;
+            by default ``T``, one device per row.
 
     Returns:
-        ``(N, E)`` int64 matrix of token counts.
+        ``(..., N, E)`` int64 matrices of token counts.
     """
-    num_devices = len(assignments)
-    out = np.zeros((num_devices, num_experts), dtype=np.int64)
-    for dev, assignment in enumerate(assignments):
-        flat = np.asarray(assignment).reshape(-1)
-        if flat.size and (flat.min() < 0 or flat.max() >= num_experts):
-            raise ValueError("expert assignment out of range")
-        out[dev] = np.bincount(flat, minlength=num_experts)
-    return out
+    experts = np.asarray(assignments)
+    if experts.ndim < 2:
+        raise ValueError("assignments must have shape (..., rows, slots)")
+    *batch, rows, _ = experts.shape
+    devices = rows if num_devices is None else num_devices
+    if devices <= 0:
+        raise ValueError("num_devices must be positive")
+    if experts.size and (experts.min() < 0 or experts.max() >= num_experts):
+        raise ValueError("expert assignment out of range")
+    frames = int(np.prod(batch, dtype=np.int64))
+    senders = np.arange(rows) // max(1, -(-rows // devices))
+    # Index (frame, sender, expert) of the flat (frames * N * E) count.
+    frame_base = np.arange(frames).reshape(*batch, 1, 1) * devices
+    index = (frame_base + senders[:, None]) * num_experts + experts
+    counts = np.bincount(index.reshape(-1),
+                         minlength=frames * devices * num_experts)
+    return counts.reshape(*batch, devices, num_experts)

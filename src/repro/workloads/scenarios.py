@@ -14,10 +14,15 @@ first-class concepts:
   too, so fully-materialized traces and streaming sources are interchangeable
   everywhere.  The concrete sources share :class:`TraceSourceBase`, which
   reads the five shape properties from one ``_shape`` object.
+* :class:`ScenarioContext` -- the one frozen, validated description of a
+  routing workload: its shape, its length in iterations and the popularity
+  knobs (seed, skew, drift, churn, device noise).  Every synthetic source
+  is built from a context alone, and a factory that varies a knob builds
+  ``dataclasses.replace(ctx, drift=0.0)``.
 * :class:`SyntheticTraceSource` -- the one drifting popularity process of
   Fig. 1(a): Dirichlet logits that take a random-walk step per iteration or
-  are re-drawn on a ``churn_prob`` coin.  ``SyntheticTraceSource(config,
-  n).materialize()`` is the way to get a synthetic :class:`RoutingTrace`;
+  are re-drawn on a ``churn_prob`` coin.  ``SyntheticTraceSource(ctx)
+  .materialize()`` is the way to get a synthetic :class:`RoutingTrace`;
   :class:`BurstyChurnTraceSource` runs the same walk with scheduled bursts
   in place of the coin.  Every synthetic frame is drawn by
   :func:`~repro.workloads.routing_traces.draw_routing_frame`.
@@ -28,11 +33,14 @@ first-class concepts:
   :class:`repro.api.WorkloadSpec`; users register new scenarios without
   editing this module::
 
-      from repro.workloads.scenarios import ScenarioContext, register_scenario
+      import dataclasses
+
+      from repro.workloads.scenarios import (
+          ScenarioContext, SyntheticTraceSource, register_scenario)
 
       @register_scenario("my-scenario", description="custom workload")
       def _build(ctx: ScenarioContext, knob: float = 1.0) -> TraceSource:
-          return SyntheticTraceSource(ctx.trace_config(skew=knob), ctx.iterations)
+          return SyntheticTraceSource(dataclasses.replace(ctx, skew=knob))
 
 Built-in scenarios: ``steady``, ``drifting`` (the historical default),
 ``bursty-churn``, ``diurnal``, ``phase-shift``, ``straggler``,
@@ -44,7 +52,7 @@ registered *wrappers* -- e.g. straggler failures -- on any base scenario).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
     Dict,
@@ -64,7 +72,6 @@ import numpy as np
 from repro.registry import Registry
 from repro.workloads.routing_traces import (
     RoutingTrace,
-    RoutingTraceConfig,
     draw_routing_frame,
     routing_from_assignments,
 )
@@ -119,7 +126,7 @@ class TraceSource(Protocol):
 class TraceSourceBase:
     """Shared behaviour of the concrete sources: shape, fork, materialize.
 
-    The five shape properties read one ``_shape`` object -- the config, the
+    The five shape properties read one ``_shape`` object -- the context, the
     loaded trace, the inner source or the first mixture component -- so a
     source declares only ``_shape``, ``num_iterations`` and its iterator
     (a mixture also sums its tenants' ``tokens_per_device``).
@@ -146,17 +153,74 @@ class TraceSourceBase:
         raise NotImplementedError
 
 
+@dataclass(frozen=True)
+class ScenarioContext:
+    """The one description of a routing workload; every source is built from it.
+
+    Mirrors :class:`repro.sim.systems.SystemBuildContext`: the experiment
+    describes *what* cluster/model/budget it runs on, the scenario decides
+    *how* the routing behaves over time.  The popularity defaults are
+    :class:`repro.api.WorkloadSpec`'s.
+
+    Attributes:
+        num_devices: Number of devices ``N`` (each holds a data shard).
+        num_experts: Number of experts ``E`` per MoE layer.
+        num_layers: Number of MoE layers carried by the trace.
+        tokens_per_device: Tokens per device per micro-batch ``S``.
+        top_k: Experts selected per token ``K`` (each device routes
+            ``tokens_per_device * top_k`` assignments per layer).
+        iterations: Total iterations the source must provide (including any
+            warmup the runner replays).
+        seed: Base PRNG seed.
+        skew: Dirichlet concentration of the expert popularity; smaller
+            values produce more skewed popularity (0.3-0.6 matches Fig. 1a).
+        drift: Standard deviation of the per-iteration random walk of the
+            popularity logits (temporal drift of hot experts).
+        churn_prob: Per-iteration probability that the hot-expert ranking is
+            re-drawn (abrupt hotspot changes).
+        device_noise: Relative per-device multiplicative routing noise, so
+            different data shards see slightly different routing.
+    """
+
+    num_devices: int
+    num_experts: int
+    num_layers: int
+    tokens_per_device: int
+    top_k: int
+    iterations: int
+    seed: int = 0
+    skew: float = 0.45
+    drift: float = 0.08
+    churn_prob: float = 0.0
+    device_noise: float = 0.05
+
+    def __post_init__(self) -> None:
+        if self.num_devices <= 0 or self.num_experts <= 0 or self.num_layers <= 0:
+            raise ValueError("num_devices, num_experts and num_layers must be positive")
+        if self.tokens_per_device <= 0:
+            raise ValueError("tokens_per_device must be positive")
+        if not 1 <= self.top_k <= self.num_experts:
+            raise ValueError("top_k must be in [1, num_experts]")
+        if self.iterations <= 0:
+            raise ValueError("iterations must be positive")
+        if self.skew <= 0:
+            raise ValueError("skew must be positive")
+        if self.drift < 0 or self.device_noise < 0:
+            raise ValueError("drift and device_noise must be non-negative")
+        if not 0.0 <= self.churn_prob <= 1.0:
+            raise ValueError("churn_prob must be a probability")
+
+
 def _dirichlet_probs(rng: np.random.Generator,
-                     config: RoutingTraceConfig) -> np.ndarray:
-    """Draw a ``(layers, E)`` popularity matrix from the config's skew."""
-    return rng.dirichlet([config.skew] * config.num_experts,
-                         size=config.num_layers)
+                     ctx: ScenarioContext) -> np.ndarray:
+    """Draw a ``(layers, E)`` popularity matrix from the context's skew."""
+    return rng.dirichlet([ctx.skew] * ctx.num_experts, size=ctx.num_layers)
 
 
 def _dirichlet_logits(rng: np.random.Generator,
-                      config: RoutingTraceConfig) -> np.ndarray:
+                      ctx: ScenarioContext) -> np.ndarray:
     """Log-popularity of a fresh Dirichlet draw (floored at ``1e-9``)."""
-    return np.log(np.maximum(_dirichlet_probs(rng, config), 1e-9))
+    return np.log(np.maximum(_dirichlet_probs(rng, ctx), 1e-9))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -170,27 +234,22 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ConfigTraceSource(TraceSourceBase):
-    """A source drawn from a :class:`RoutingTraceConfig` for ``iterations``."""
+    """A source drawn from a :class:`ScenarioContext` for its iterations."""
 
-    config: RoutingTraceConfig
-    iterations: int
+    ctx: ScenarioContext
 
-    def __post_init__(self) -> None:
-        if self.iterations <= 0:
-            raise ValueError("iterations must be positive")
-
-    _shape = property(lambda self: self.config)
-    num_iterations = property(lambda self: self.iterations)
+    _shape = property(lambda self: self.ctx)
+    num_iterations = property(lambda self: self.ctx.iterations)
 
 
 @dataclass(frozen=True)
 class SyntheticTraceSource(ConfigTraceSource):
     """Skewed expert popularity that drifts and churns (Fig. 1a).
 
-    Per-layer popularity logits start from a Dirichlet draw of the config's
+    Per-layer popularity logits start from a Dirichlet draw of the context's
     ``skew``.  After every frame they are re-drawn on a ``churn_prob`` coin
     (hotspot churn) or take a Gaussian random-walk step of ``drift``.  Each
-    ``iter_iterations`` call restarts from the config's seed, so the stream
+    ``iter_iterations`` call restarts from the context's seed, so the stream
     is restartable and deterministic.
     """
 
@@ -200,18 +259,18 @@ class SyntheticTraceSource(ConfigTraceSource):
         The coin is tossed on every step, ``churn_prob`` 0 included:
         skipping it would shift every later draw and so every seeded frame.
         """
-        return rng.random() < self.config.churn_prob
+        return rng.random() < self.ctx.churn_prob
 
     def iter_iterations(self) -> Iterator[np.ndarray]:
-        config = self.config
-        rng = np.random.default_rng(config.seed)
-        logits = _dirichlet_logits(rng, config)
-        for iteration in range(self.iterations):
-            yield draw_routing_frame(rng, _softmax(logits), config)
+        ctx = self.ctx
+        rng = np.random.default_rng(ctx.seed)
+        logits = _dirichlet_logits(rng, ctx)
+        for iteration in range(ctx.iterations):
+            yield draw_routing_frame(rng, _softmax(logits), ctx)
             if self._churns(rng, iteration):
-                logits = _dirichlet_logits(rng, config)
+                logits = _dirichlet_logits(rng, ctx)
             else:
-                logits = logits + rng.normal(0.0, config.drift,
+                logits = logits + rng.normal(0.0, ctx.drift,
                                              size=logits.shape)
 
 
@@ -264,7 +323,7 @@ class BurstyChurnTraceSource(SyntheticTraceSource):
     place of the churn coin: during the last ``burst_length`` iterations of
     every ``period`` the whole popularity distribution is re-drawn each
     iteration (abrupt hotspot reshuffles, the hardest regime for
-    one-step-lagged adaptive planners); the config's ``churn_prob`` is not
+    one-step-lagged adaptive planners); the context's ``churn_prob`` is not
     read.
     """
 
@@ -272,7 +331,6 @@ class BurstyChurnTraceSource(SyntheticTraceSource):
     burst_length: int = 3
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         if self.period < 2:
             raise ValueError("period must be at least 2")
         if not 1 <= self.burst_length < self.period:
@@ -298,20 +356,19 @@ class DiurnalTraceSource(ConfigTraceSource):
     period: int = 16
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         if self.period < 2:
             raise ValueError("period must be at least 2")
 
     def iter_iterations(self) -> Iterator[np.ndarray]:
-        config = self.config
-        rng = np.random.default_rng(config.seed)
-        day = _dirichlet_probs(rng, config)
-        night = _dirichlet_probs(rng, config)
-        for iteration in range(self.iterations):
+        ctx = self.ctx
+        rng = np.random.default_rng(ctx.seed)
+        day = _dirichlet_probs(rng, ctx)
+        night = _dirichlet_probs(rng, ctx)
+        for iteration in range(ctx.iterations):
             weight = 0.5 * (1.0 - np.cos(2.0 * np.pi * iteration / self.period))
             probs = (1.0 - weight) * day + weight * night
             probs = probs / probs.sum(axis=1, keepdims=True)
-            yield draw_routing_frame(rng, probs, config)
+            yield draw_routing_frame(rng, probs, ctx)
 
 
 @dataclass(frozen=True)
@@ -328,25 +385,24 @@ class PhaseShiftTraceSource(ConfigTraceSource):
     phase_length: int = 8
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         if self.phase_length < 1:
             raise ValueError("phase_length must be at least 1")
 
     def phase_probs(self, phase: int) -> np.ndarray:
         """The ``(layers, E)`` popularity of one phase (seed + phase keyed)."""
-        phase_rng = np.random.default_rng([self.config.seed, 1 + phase])
-        return _dirichlet_probs(phase_rng, self.config)
+        phase_rng = np.random.default_rng([self.ctx.seed, 1 + phase])
+        return _dirichlet_probs(phase_rng, self.ctx)
 
     def iter_iterations(self) -> Iterator[np.ndarray]:
-        draw_rng = np.random.default_rng([self.config.seed, 0])
+        draw_rng = np.random.default_rng([self.ctx.seed, 0])
         probs = self.phase_probs(0)
         current_phase = 0
-        for iteration in range(self.iterations):
+        for iteration in range(self.ctx.iterations):
             phase = iteration // self.phase_length
             if phase != current_phase:
                 probs = self.phase_probs(phase)
                 current_phase = phase
-            yield draw_routing_frame(draw_rng, probs, self.config)
+            yield draw_routing_frame(draw_rng, probs, self.ctx)
 
 
 @dataclass(frozen=True)
@@ -459,82 +515,62 @@ class AssignmentReplayTraceSource(TraceSourceBase):
     from disk.
 
     Recordings rarely match the simulated cluster exactly, so the source
-    adapts in two ways: integer ``scale`` multiplies every token count
-    (small numpy training runs have realistic distributions but tiny
-    absolute counts), and when the recording's device count differs from
-    ``num_devices`` the trace is re-partitioned with
+    adapts the recording to the context in two ways: integer ``scale``
+    multiplies every token count (small numpy training runs have realistic
+    distributions but tiny absolute counts), and when the recording's device
+    count differs from ``ctx.num_devices`` the trace is re-partitioned with
     :meth:`RoutingTrace.remap_devices` (preserving the global expert
     distribution) -- which is what lets one recording drive a cluster-size
-    sweep.  If the requested iteration count exceeds the recording, the
-    frames cycle.
+    sweep.  The layer count is the recording's.  If ``ctx.iterations``
+    exceeds the recording, the frames cycle.
     """
 
-    def __init__(self, path: Union[str, Path], num_experts: int, top_k: int,
-                 iterations: int, num_devices: Optional[int] = None,
+    def __init__(self, path: Union[str, Path], ctx: ScenarioContext,
                  scale: int = 1):
-        if iterations <= 0:
-            raise ValueError("iterations must be positive")
         if int(scale) <= 0:
             raise ValueError("scale must be a positive integer")
         self.path = Path(path)
-        self.target_experts = int(num_experts)
-        self.target_top_k = int(top_k)
-        self.iterations = int(iterations)
-        self.target_devices = None if num_devices is None else int(num_devices)
+        self.ctx = ctx
         self.scale = int(scale)
         self._trace: Optional[RoutingTrace] = None
 
     def _loaded(self) -> RoutingTrace:
         if self._trace is not None:
             return self._trace
+        ctx = self.ctx
         assignments = load_assignments(self.path)
-        iterations, layers, devices, slots = assignments.shape
+        iterations, _, _, slots = assignments.shape
         if iterations == 0:
             raise ValueError(f"assignment file {self.path} is empty")
-        if assignments.size and int(assignments.max()) >= self.target_experts:
+        if assignments.size and int(assignments.max()) >= ctx.num_experts:
             raise ValueError(
                 f"assignment file {self.path} routes to expert "
                 f"{int(assignments.max())} but the model has only "
-                f"{self.target_experts} experts")
-        if slots % self.target_top_k:
+                f"{ctx.num_experts} experts")
+        if slots % ctx.top_k:
             raise ValueError(
                 f"assignment file {self.path} has {slots} slots per device, "
-                f"not divisible by top_k={self.target_top_k}")
-        frames = np.stack([
-            np.stack([routing_from_assignments(list(assignments[it, layer]),
-                                               self.target_experts)
-                      for layer in range(layers)])
-            for it in range(iterations)])
-        trace = RoutingTrace(routing=frames, top_k=self.target_top_k,
-                             tokens_per_device=slots // self.target_top_k)
+                f"not divisible by top_k={ctx.top_k}")
+        trace = RoutingTrace(
+            routing=routing_from_assignments(assignments, ctx.num_experts),
+            top_k=ctx.top_k, tokens_per_device=slots // ctx.top_k)
         if self.scale != 1:
             trace = trace.scaled(self.scale)
-        if (self.target_devices is not None
-                and self.target_devices != trace.num_devices):
-            remapped = trace.remap_devices(self.target_devices)
-            # remap_devices reports the peak per-device *slot* count as
-            # tokens_per_device; divide the top_k factor back out so
-            # throughput (tokens/s) stays comparable with unremapped runs.
-            trace = RoutingTrace(
-                routing=remapped.routing, top_k=remapped.top_k,
-                tokens_per_device=max(
-                    1, -(-remapped.tokens_per_device // self.target_top_k)))
+        if trace.num_devices != ctx.num_devices:
+            trace = trace.remap_devices(ctx.num_devices)
         self._trace = trace
         return trace
 
     _shape = property(lambda self: self._loaded())
-    num_iterations = property(lambda self: self.iterations)
+    num_iterations = property(lambda self: self.ctx.iterations)
 
     def iter_iterations(self) -> Iterator[np.ndarray]:
         recorded = self._loaded()
-        for iteration in range(self.iterations):
+        for iteration in range(self.ctx.iterations):
             yield recorded.routing[iteration % recorded.num_iterations]
 
     def fork(self) -> "AssignmentReplayTraceSource":
-        return AssignmentReplayTraceSource(
-            self.path, num_experts=self.target_experts,
-            top_k=self.target_top_k, iterations=self.iterations,
-            num_devices=self.target_devices, scale=self.scale)
+        return AssignmentReplayTraceSource(self.path, self.ctx, self.scale)
 
     def __getstate__(self) -> Dict[str, object]:
         # Workers rebuild from disk; keep pickles parameter-sized.
@@ -544,70 +580,12 @@ class AssignmentReplayTraceSource(TraceSourceBase):
 
     def __repr__(self) -> str:
         return (f"AssignmentReplayTraceSource({str(self.path)!r}, "
-                f"iterations={self.iterations}, scale={self.scale})")
+                f"iterations={self.ctx.iterations}, scale={self.scale})")
 
 
 # ----------------------------------------------------------------------
 # Scenario registry
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ScenarioContext:
-    """Workload inputs every scenario factory receives.
-
-    Mirrors :class:`repro.sim.systems.SystemBuildContext`: the experiment
-    describes *what* cluster/model/budget it runs on, the scenario decides
-    *how* the routing behaves over time.
-
-    Attributes:
-        num_devices: Number of devices ``N``.
-        num_experts: Number of experts ``E`` per MoE layer.
-        num_layers: Number of MoE layers carried by the trace.
-        tokens_per_device: Tokens per device per micro-batch.
-        top_k: Experts selected per token.
-        iterations: Total iterations the source must provide (including any
-            warmup the runner replays).
-        seed: Base PRNG seed.
-        skew: Dirichlet concentration of the expert popularity.
-        drift: Per-iteration random-walk magnitude of the popularity logits.
-        churn_prob: Per-iteration probability of a hot-expert reshuffle
-            (used by scenarios that model random churn).
-        device_noise: Relative per-device multiplicative routing noise.
-    """
-
-    num_devices: int
-    num_experts: int
-    num_layers: int
-    tokens_per_device: int
-    top_k: int
-    iterations: int
-    seed: int = 0
-    skew: float = 0.45
-    drift: float = 0.08
-    churn_prob: float = 0.0
-    device_noise: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.iterations <= 0:
-            raise ValueError("iterations must be positive")
-
-    def trace_config(self, **overrides: object) -> RoutingTraceConfig:
-        """Build a :class:`RoutingTraceConfig` from the context (+ overrides)."""
-        kwargs: Dict[str, object] = dict(
-            num_devices=self.num_devices,
-            num_experts=self.num_experts,
-            num_layers=self.num_layers,
-            tokens_per_device=self.tokens_per_device,
-            top_k=self.top_k,
-            skew=self.skew,
-            drift=self.drift,
-            churn_prob=self.churn_prob,
-            device_noise=self.device_noise,
-            seed=self.seed,
-        )
-        kwargs.update(overrides)
-        return RoutingTraceConfig(**kwargs)  # type: ignore[arg-type]
-
-
 #: The scenario registry; factories take the :class:`ScenarioContext`.
 SCENARIOS = Registry("scenario", skip=1)
 register_scenario = SCENARIOS.register
@@ -648,15 +626,14 @@ def make_scenario(name: str, ctx: ScenarioContext,
     "steady",
     description="fixed skewed popularity; no drift, no churn")
 def _build_steady(ctx: ScenarioContext) -> TraceSource:
-    return SyntheticTraceSource(
-        ctx.trace_config(drift=0.0, churn_prob=0.0), ctx.iterations)
+    return SyntheticTraceSource(replace(ctx, drift=0.0, churn_prob=0.0))
 
 
 @register_scenario(
     "drifting",
     description="skewed popularity with random-walk drift (historical default)")
 def _build_drifting(ctx: ScenarioContext) -> TraceSource:
-    return SyntheticTraceSource(ctx.trace_config(), ctx.iterations)
+    return SyntheticTraceSource(ctx)
 
 
 @register_scenario(
@@ -664,8 +641,7 @@ def _build_drifting(ctx: ScenarioContext) -> TraceSource:
     description="calm drift punctuated by bursts of complete hotspot churn")
 def _build_bursty_churn(ctx: ScenarioContext, period: int = 12,
                         burst_length: int = 3) -> TraceSource:
-    return BurstyChurnTraceSource(ctx.trace_config(churn_prob=0.0),
-                                  ctx.iterations, period=period,
+    return BurstyChurnTraceSource(ctx, period=period,
                                   burst_length=burst_length)
 
 
@@ -673,8 +649,7 @@ def _build_bursty_churn(ctx: ScenarioContext, period: int = 12,
     "diurnal", period=16,
     description="popularity oscillates between day and night profiles")
 def _build_diurnal(ctx: ScenarioContext, period: int = 16) -> TraceSource:
-    return DiurnalTraceSource(ctx.trace_config(drift=0.0, churn_prob=0.0),
-                              ctx.iterations, period=period)
+    return DiurnalTraceSource(ctx, period=period)
 
 
 @register_scenario(
@@ -682,8 +657,7 @@ def _build_diurnal(ctx: ScenarioContext, period: int = 16) -> TraceSource:
     description="piecewise-stationary regimes switching abruptly")
 def _build_phase_shift(ctx: ScenarioContext,
                        phase_length: int = 8) -> TraceSource:
-    return PhaseShiftTraceSource(ctx.trace_config(drift=0.0, churn_prob=0.0),
-                                 ctx.iterations, phase_length=phase_length)
+    return PhaseShiftTraceSource(ctx, phase_length=phase_length)
 
 
 @register_scenario(
@@ -691,9 +665,8 @@ def _build_phase_shift(ctx: ScenarioContext,
     description="recurring device failures redistribute shard load")
 def _build_straggler(ctx: ScenarioContext, period: int = 6,
                      duration: int = 2, num_failed: int = 1) -> TraceSource:
-    inner = SyntheticTraceSource(ctx.trace_config(), ctx.iterations)
-    return StragglerTraceSource(inner, period=period, duration=duration,
-                                num_failed=num_failed)
+    return StragglerTraceSource(SyntheticTraceSource(ctx), period=period,
+                                duration=duration, num_failed=num_failed)
 
 
 @register_scenario(
@@ -711,10 +684,9 @@ def _build_multi_tenant_mix(ctx: ScenarioContext,
     components = []
     for tenant, budget in enumerate(budgets):
         skew = max(0.05, ctx.skew * (0.5 ** tenant))
-        components.append(SyntheticTraceSource(
-            ctx.trace_config(tokens_per_device=budget, skew=skew,
-                             seed=ctx.seed + 7919 * tenant),
-            ctx.iterations))
+        components.append(SyntheticTraceSource(replace(
+            ctx, tokens_per_device=budget, skew=skew,
+            seed=ctx.seed + 7919 * tenant)))
     return MixtureTraceSource(tuple(components))
 
 
@@ -746,10 +718,9 @@ def _wrap_straggler(inner: TraceSource, ctx: ScenarioContext, period: int = 6,
 def _wrap_tenant_overlay(inner: TraceSource, ctx: ScenarioContext,
                          skew_factor: float = 0.5,
                          seed_offset: int = 7919) -> TraceSource:
-    overlay = SyntheticTraceSource(
-        ctx.trace_config(skew=max(0.05, ctx.skew * skew_factor),
-                         seed=ctx.seed + seed_offset),
-        ctx.iterations)
+    overlay = SyntheticTraceSource(replace(
+        ctx, skew=max(0.05, ctx.skew * skew_factor),
+        seed=ctx.seed + seed_offset))
     return MixtureTraceSource((inner, overlay))
 
 
@@ -758,9 +729,7 @@ def _wrap_tenant_overlay(inner: TraceSource, ctx: ScenarioContext,
     description="replay recorded per-token expert assignments (.npz path)")
 def _build_trace_replay(ctx: ScenarioContext, path: str,
                         scale: int = 1) -> TraceSource:
-    return AssignmentReplayTraceSource(
-        path, num_experts=ctx.num_experts, top_k=ctx.top_k,
-        iterations=ctx.iterations, num_devices=ctx.num_devices, scale=scale)
+    return AssignmentReplayTraceSource(path, ctx, scale)
 
 
 @register_scenario(

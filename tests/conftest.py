@@ -10,8 +10,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import MoECostModel
 from repro.workloads.datasets import SyntheticTextDataset, WIKITEXT_LIKE
 from repro.workloads.model_configs import get_model_config, tiny_test_config
-from repro.workloads.routing_traces import RoutingTraceConfig
-from repro.workloads.scenarios import SyntheticTraceSource
+from repro.workloads.scenarios import ScenarioContext, SyntheticTraceSource
 
 
 @pytest.fixture
@@ -69,16 +68,17 @@ def collectives(small_topology) -> CollectiveCostModel:
 @pytest.fixture
 def skewed_trace(small_topology):
     """A short skewed routing trace on the small topology (8 experts, top-2)."""
-    config = RoutingTraceConfig(
+    ctx = ScenarioContext(
         num_devices=small_topology.num_devices,
         num_experts=8,
         num_layers=2,
         tokens_per_device=2048,
         top_k=2,
+        iterations=6,
         skew=0.4,
         seed=11,
     )
-    return SyntheticTraceSource(config, 6).materialize()
+    return SyntheticTraceSource(ctx).materialize()
 
 
 @pytest.fixture

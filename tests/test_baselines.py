@@ -20,7 +20,6 @@ from repro.core.lite_routing import lite_route
 from repro.core.routing_plan import RoutingPlan
 from repro.sim.systems import available_systems, make_system
 from repro.workloads.model_configs import get_model_config
-from repro.workloads.routing_traces import RoutingTraceConfig
 from repro.workloads.scenarios import (
     ScenarioContext,
     SyntheticTraceSource,
@@ -31,10 +30,11 @@ EXPERT_BYTES = float(get_model_config("mixtral-8x7b-e8k2").expert_param_bytes)
 
 
 def make_trace(iterations=6, seed=0, devices=8, experts=8):
-    config = RoutingTraceConfig(
+    ctx = ScenarioContext(
         num_devices=devices, num_experts=experts, num_layers=2,
-        tokens_per_device=2048, top_k=2, skew=0.35, seed=seed)
-    return SyntheticTraceSource(config, iterations).materialize()
+        tokens_per_device=2048, top_k=2, iterations=iterations, skew=0.35,
+        churn_prob=0.02, seed=seed)
+    return SyntheticTraceSource(ctx).materialize()
 
 
 def ep_group_route(routing, capacity):

@@ -14,8 +14,7 @@ from repro.core.layout import static_ep_layout
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.core.lite_routing import lite_route
 from repro.workloads.model_configs import tiny_test_config
-from repro.workloads.routing_traces import RoutingTraceConfig
-from repro.workloads.scenarios import SyntheticTraceSource
+from repro.workloads.scenarios import ScenarioContext, SyntheticTraceSource
 
 from helpers import PerturbingTuner, scalar_reference_solve
 
@@ -26,10 +25,10 @@ def tuner(small_topology, small_cost_model):
 
 
 def skewed_routing(num_devices=8, num_experts=8, seed=0):
-    config = RoutingTraceConfig(
+    ctx = ScenarioContext(
         num_devices=num_devices, num_experts=num_experts, num_layers=1,
-        tokens_per_device=2048, top_k=2, skew=0.3, seed=seed)
-    return SyntheticTraceSource(config, 1).materialize().layer(0, 0)
+        tokens_per_device=2048, top_k=2, iterations=1, skew=0.3, seed=seed)
+    return SyntheticTraceSource(ctx).materialize().layer(0, 0)
 
 
 class TestTunerConfig:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.planner import IterationPlan, LoadBalancingPlanner
-from repro.workloads.routing_traces import RoutingTraceConfig
-from repro.workloads.scenarios import SyntheticTraceSource
+from repro.workloads.scenarios import ScenarioContext, SyntheticTraceSource
 
 
 @pytest.fixture
@@ -15,10 +14,10 @@ def planner(small_topology, small_cost_model):
 
 
 def make_trace(iterations=5, seed=0, layers=2):
-    config = RoutingTraceConfig(
+    ctx = ScenarioContext(
         num_devices=8, num_experts=8, num_layers=layers, tokens_per_device=2048,
-        top_k=2, skew=0.35, seed=seed)
-    return SyntheticTraceSource(config, iterations).materialize()
+        top_k=2, iterations=iterations, skew=0.35, seed=seed)
+    return SyntheticTraceSource(ctx).materialize()
 
 
 class TestPlannerValidation:

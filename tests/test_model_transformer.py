@@ -5,6 +5,7 @@ import pytest
 
 from repro.model.transformer import MoETransformer
 from repro.workloads.model_configs import tiny_test_config
+from repro.workloads.routing_traces import routing_from_assignments
 
 
 @pytest.fixture
@@ -98,17 +99,24 @@ class TestBackward:
 
 
 class TestRoutingExtraction:
-    def test_routing_matrices_shape_and_conservation(self, model):
+    """A forward pass's per-layer expert choices counted into ``R``."""
+
+    @staticmethod
+    def routing(model, out, num_devices):
+        return routing_from_assignments(np.stack(out.expert_indices),
+                                        model.config.num_experts, num_devices)
+
+    def test_routing_shape_and_conservation(self, model):
         inputs, targets = batch(model, batch_size=4, seq=8)
         out = model.forward(inputs, targets)
-        routing = model.routing_matrices(out, num_devices=4)
+        routing = self.routing(model, out, num_devices=4)
         assert routing.shape == (model.config.num_layers, 4,
                                  model.config.num_experts)
         total_assignments = 4 * 8 * model.config.top_k
         assert routing.sum() == model.config.num_layers * total_assignments
 
-    def test_routing_matrices_single_device(self, model):
+    def test_routing_single_device(self, model):
         inputs, targets = batch(model)
         out = model.forward(inputs, targets)
-        routing = model.routing_matrices(out, num_devices=1)
+        routing = self.routing(model, out, num_devices=1)
         assert np.array_equal(routing[:, 0, :], out.expert_counts)

@@ -48,8 +48,7 @@ from repro.scalar_reference import scalar_all_to_all, scalar_class_all_to_all
 from repro.sim.iteration import DROP_POLICIES, IterationSimulator, OverflowModel
 from repro.sim.systems import make_system
 from repro.workloads.model_configs import get_model_config
-from repro.workloads.routing_traces import RoutingTraceConfig
-from repro.workloads.scenarios import SyntheticTraceSource
+from repro.workloads.scenarios import ScenarioContext, SyntheticTraceSource
 
 from helpers import split_row
 
@@ -428,6 +427,26 @@ class TestClosedFormLiteRoutingPrice:
                 assert np.array_equal(getattr(got, field.name),
                                       getattr(want, field.name)), field.name
 
+    @given(case=lite_routing_cases())
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_all_zero_routing_prices_float_loads(self, case):
+        """With no token routed, plans (a batch of no entries) and unbuilt
+        lite routing both price float64 loads of 0, as documented, and
+        ``evaluate_batch`` reports float64 ``tokens_per_device``."""
+        model, routing, layouts, bytes_per_token = case
+        routing = np.zeros_like(routing)
+        cost_model = MoECostModel(model.topology, bytes_per_token, 1e9, 1e14)
+        for routed in (lite_route_batch(routing, layouts, model.topology),
+                       LiteRouting(routing, layouts)):
+            seconds, loads = token_all_to_all(model, routed, bytes_per_token,
+                                              1.0)
+            assert seconds.dtype == loads.dtype == np.float64
+            assert loads.shape == (len(layouts), model.topology.num_devices)
+            assert not loads.any()
+            for cost in cost_model.evaluate_batch(routed):
+                assert cost.tokens_per_device.dtype == np.float64
+                assert cost.max_tokens == 0
+
     @given(case=lite_routing_cases(), data=st.data())
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     def test_invalid_input_fails_as_building_the_plans(self, case, data):
@@ -540,10 +559,10 @@ class TestCrossSystemProperties:
             * (scale if links != "intra" else 1.0))
         base = make_system(system, config, topology, 1024)
         fast = make_system(system, config, faster, 1024)
-        trace = SyntheticTraceSource(RoutingTraceConfig(
+        trace = SyntheticTraceSource(ScenarioContext(
             num_devices=8, num_experts=config.num_experts, num_layers=2,
-            tokens_per_device=1024, top_k=config.top_k, skew=0.4,
-            seed=seed), 2).materialize()
+            tokens_per_device=1024, top_k=config.top_k, iterations=2,
+            skew=0.4, churn_prob=0.02, seed=seed)).materialize()
         base.policy.decide_iteration(trace.iteration(0))
         decisions = base.policy.decide_iteration(trace.iteration(1))
         slow_result = base.simulator.simulate_iteration(1, decisions)

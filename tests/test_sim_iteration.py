@@ -11,8 +11,8 @@ from repro.core.layout import static_ep_layout
 from repro.core.routing_plan import RoutingPlan
 from repro.sim.iteration import IterationSimulator, OverflowModel
 from repro.workloads.model_configs import get_model_config
-from repro.workloads.routing_traces import RoutingTraceConfig, balanced_routing
-from repro.workloads.scenarios import SyntheticTraceSource
+from repro.workloads.routing_traces import balanced_routing
+from repro.workloads.scenarios import ScenarioContext, SyntheticTraceSource
 
 CONFIG = get_model_config("mixtral-8x7b-e8k2")
 EXPERT_BYTES = float(CONFIG.expert_param_bytes)
@@ -27,10 +27,10 @@ def make_simulator(topology, paradigm="fsep", overflow_penalty=0.0,
 
 
 def skewed_routing(topology, seed=0, layers=2):
-    config = RoutingTraceConfig(
+    ctx = ScenarioContext(
         num_devices=topology.num_devices, num_experts=8, num_layers=layers,
-        tokens_per_device=8192, top_k=2, skew=0.35, seed=seed)
-    return SyntheticTraceSource(config, 1).materialize().iteration(0)
+        tokens_per_device=8192, top_k=2, iterations=1, skew=0.35, seed=seed)
+    return SyntheticTraceSource(ctx).materialize().iteration(0)
 
 
 class TestComponentCosts:

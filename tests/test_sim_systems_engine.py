@@ -6,8 +6,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.sim.engine import compare_systems
 from repro.sim.systems import available_systems, choose_megatron_tp, make_system
 from repro.workloads.model_configs import get_model_config
-from repro.workloads.routing_traces import RoutingTraceConfig
-from repro.workloads.scenarios import SyntheticTraceSource
+from repro.workloads.scenarios import ScenarioContext, SyntheticTraceSource
 
 CONFIG = get_model_config("mixtral-8x7b-e8k2")
 
@@ -19,10 +18,10 @@ def topology():
 
 @pytest.fixture(scope="module")
 def trace(topology):
-    config = RoutingTraceConfig(
+    ctx = ScenarioContext(
         num_devices=topology.num_devices, num_experts=8, num_layers=2,
-        tokens_per_device=8192, top_k=2, skew=0.4, seed=21)
-    return SyntheticTraceSource(config, 8).materialize()
+        tokens_per_device=8192, top_k=2, iterations=8, skew=0.4, seed=21)
+    return SyntheticTraceSource(ctx).materialize()
 
 
 class TestSystemFactory:

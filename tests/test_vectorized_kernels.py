@@ -54,11 +54,7 @@ from repro.scalar_reference import (
 from repro.sim.iteration import IterationSimulator, LayerResult, OverflowModel
 from repro.sim.systems import available_systems, make_system
 from repro.workloads.model_configs import get_model_config
-from repro.workloads.routing_traces import (
-    RoutingTrace,
-    RoutingTraceConfig,
-    draw_routing_frame,
-)
+from repro.workloads.routing_traces import RoutingTrace, draw_routing_frame
 from repro.workloads.scenarios import (
     ScenarioContext,
     default_runnable_scenarios,
@@ -1082,25 +1078,26 @@ class TestOnePassSimulatorDifferential:
 # Trace kernels
 # ----------------------------------------------------------------------
 class TestTraceKernels:
-    CONFIG = RoutingTraceConfig(num_devices=6, num_experts=8, num_layers=3,
-                                tokens_per_device=512, top_k=2, seed=11)
+    CTX = ScenarioContext(num_devices=6, num_experts=8, num_layers=3,
+                          tokens_per_device=512, top_k=2, iterations=1,
+                          seed=11)
 
     def test_draw_routing_frame_deterministic_and_conserving(self):
         probs = np.random.default_rng(0).dirichlet(
-            [0.5] * self.CONFIG.num_experts, size=self.CONFIG.num_layers)
-        a = draw_routing_frame(np.random.default_rng(42), probs, self.CONFIG)
-        b = draw_routing_frame(np.random.default_rng(42), probs, self.CONFIG)
+            [0.5] * self.CTX.num_experts, size=self.CTX.num_layers)
+        a = draw_routing_frame(np.random.default_rng(42), probs, self.CTX)
+        b = draw_routing_frame(np.random.default_rng(42), probs, self.CTX)
         assert np.array_equal(a, b)
         assert a.shape == (3, 6, 8)
         assert a.dtype == np.int64
         assert (a.sum(axis=2) == 512 * 2).all()
 
     def test_draw_without_noise_matches_per_row_multinomial(self):
-        config = RoutingTraceConfig(num_devices=4, num_experts=8, num_layers=2,
-                                    tokens_per_device=256, top_k=2,
-                                    device_noise=0.0, seed=0)
+        ctx = ScenarioContext(num_devices=4, num_experts=8, num_layers=2,
+                              tokens_per_device=256, top_k=2, iterations=1,
+                              device_noise=0.0, seed=0)
         probs = np.random.default_rng(1).dirichlet([0.5] * 8, size=2)
-        frame = draw_routing_frame(np.random.default_rng(9), probs, config)
+        frame = draw_routing_frame(np.random.default_rng(9), probs, ctx)
         # Batched Generator.multinomial fills leading axes in C order, so the
         # noise-free frame equals per-(layer, device) sequential draws.
         rng = np.random.default_rng(9)
@@ -1142,8 +1139,9 @@ class TestTraceKernels:
                     for j in range(experts):
                         expected[it, layer, :int(rem[j]), j] += 1
             assert np.array_equal(remapped.routing, expected)
-            assert remapped.tokens_per_device == int(
-                expected[0, 0].sum(axis=1).max())
+            # The peak per-device slot count in tokens of top_k slots.
+            peak_slots = int(expected[0, 0].sum(axis=1).max())
+            assert remapped.tokens_per_device == max(1, -(-peak_slots // 2))
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,13 @@
 """Tests for the Scenario API: trace sources and the scenario registry."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from repro.workloads.routing_traces import (
-    RoutingTraceConfig,
-    routing_from_assignments,
-)
+from repro.api.specs import WorkloadSpec
+from repro.workloads.routing_traces import routing_from_assignments
 from repro.workloads.scenarios import (
     BurstyChurnTraceSource,
     FileTraceSource,
@@ -29,6 +28,41 @@ from repro.workloads.trace_io import save_assignments, save_trace
 
 CTX = ScenarioContext(num_devices=4, num_experts=8, num_layers=2,
                       tokens_per_device=512, top_k=2, iterations=8, seed=5)
+
+
+class TestScenarioContext:
+    """The one validated description of a routing workload."""
+
+    REJECTIONS = [
+        ("num_devices", 0, "num_devices, num_experts and num_layers"),
+        ("num_experts", 0, "num_devices, num_experts and num_layers"),
+        ("num_layers", 0, "num_devices, num_experts and num_layers"),
+        ("tokens_per_device", 0, "tokens_per_device must be positive"),
+        ("top_k", 9, r"top_k must be in \[1, num_experts\]"),
+        ("top_k", 0, r"top_k must be in \[1, num_experts\]"),
+        ("iterations", 0, "iterations must be positive"),
+        ("skew", -1.0, "skew must be positive"),
+        ("skew", 0.0, "skew must be positive"),
+        ("drift", -0.1, "drift and device_noise must be non-negative"),
+        ("device_noise", -0.1, "drift and device_noise must be non-negative"),
+        ("churn_prob", 1.5, "churn_prob must be a probability"),
+        ("churn_prob", -0.1, "churn_prob must be a probability"),
+    ]
+
+    @pytest.mark.parametrize("field,value,message", REJECTIONS,
+                             ids=[f"{f}={v}" for f, v, _ in REJECTIONS])
+    def test_rejects_an_invalid_workload(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(CTX, **{field: value})
+
+    def test_shares_the_spec_popularity_defaults(self):
+        """A spec and a context left at their defaults describe the same
+        popularity process, so the two sets of defaults cannot split."""
+        spec = WorkloadSpec()
+        ctx = ScenarioContext(num_devices=4, num_experts=8, num_layers=2,
+                              tokens_per_device=512, top_k=2, iterations=8)
+        for name in ("skew", "drift", "churn_prob", "device_noise", "seed"):
+            assert getattr(ctx, name) == getattr(spec, name), name
 
 
 class TestRegistry:
@@ -73,9 +107,8 @@ class TestRegistry:
     def test_user_registered_scenario(self):
         @register_scenario("custom-steady", description="registry test")
         def _build(ctx, skew_override=0.3):
-            return SyntheticTraceSource(
-                ctx.trace_config(drift=0.0, churn_prob=0.0,
-                                 skew=skew_override), ctx.iterations)
+            return SyntheticTraceSource(dataclasses.replace(
+                ctx, drift=0.0, churn_prob=0.0, skew=skew_override))
 
         try:
             source = make_scenario("custom-steady", CTX, skew_override=0.2)
@@ -148,9 +181,9 @@ class TestBuiltinSources:
         assert spread < 0.05
 
     def test_bursty_churn_reshuffles_inside_bursts(self):
-        source = BurstyChurnTraceSource(CTX.trace_config(drift=0.0),
-                                        iterations=12, period=6,
-                                        burst_length=2)
+        source = BurstyChurnTraceSource(
+            dataclasses.replace(CTX, drift=0.0, iterations=12), period=6,
+            burst_length=2)
         frames = list(source.iter_iterations())
         hottest = [int(np.argmax(f[0].sum(axis=0))) for f in frames]
         calm = [hottest[it] for it in range(12) if not source.in_burst(it)]
@@ -160,7 +193,7 @@ class TestBuiltinSources:
         assert len(calm) > len(set(calm))
 
     def test_straggler_windows_zero_failed_devices(self):
-        inner = SyntheticTraceSource(CTX.trace_config(), CTX.iterations)
+        inner = SyntheticTraceSource(CTX)
         source = StragglerTraceSource(inner, period=4, duration=1,
                                       num_failed=1)
         frames = list(source.iter_iterations())
@@ -176,7 +209,7 @@ class TestBuiltinSources:
                 assert np.array_equal(frame, inner_frames[it])
 
     def test_straggler_rotates_failed_devices(self):
-        inner = SyntheticTraceSource(CTX.trace_config(), CTX.iterations)
+        inner = SyntheticTraceSource(CTX)
         source = StragglerTraceSource(inner, period=4, duration=1,
                                       num_failed=1)
         assert source.failed_devices(0) != source.failed_devices(4)
@@ -192,9 +225,8 @@ class TestBuiltinSources:
                                   sum(comp[it] for comp in components))
 
     def test_mixture_rejects_mismatched_components(self):
-        a = SyntheticTraceSource(CTX.trace_config(), CTX.iterations)
-        b = SyntheticTraceSource(CTX.trace_config(num_experts=16),
-                                 CTX.iterations)
+        a = SyntheticTraceSource(CTX)
+        b = SyntheticTraceSource(dataclasses.replace(CTX, num_experts=16))
         with pytest.raises(ValueError, match="mixture components"):
             MixtureTraceSource((a, b))
 
@@ -288,8 +320,8 @@ class TestPinnedFrames:
                 "4bb5a51d9d4ece6d9bdf42abe214a220665bf42be68f6d838eef7041f1b66246",
         },
     }
-    #: RoutingTraceConfig's own defaults (``churn_prob=0.02``, which
-    #: reshuffles once in these 50 iterations), as quickstart draws them.
+    #: A one-layer 4x8 walk at 16,384 tokens, top-2, skew 0.5 and
+    #: ``churn_prob=0.02``, which reshuffles once in these 50 iterations.
     DEFAULTS_FRAMES = (
         "865d0624bb68ca4535f7ea1ad67f47bfca3dc7b1486998e367d019707649c2aa")
 
@@ -319,16 +351,17 @@ class TestPinnedFrames:
             assert self.digest(source) == expected, name
 
     def test_synthetic_source_on_config_defaults(self):
-        source = SyntheticTraceSource(
-            RoutingTraceConfig(num_devices=4, num_experts=8), 50)
+        source = SyntheticTraceSource(ScenarioContext(
+            num_devices=4, num_experts=8, num_layers=1,
+            tokens_per_device=16384, top_k=2, iterations=50, skew=0.5,
+            churn_prob=0.02))
         assert self.shape(source) == (50, 1, 4, 8, 16384, 2)
         assert self.digest(source) == self.DEFAULTS_FRAMES
 
 
 class TestFileTraceSource:
     def test_lazy_round_trip(self, tmp_path):
-        trace = SyntheticTraceSource(CTX.trace_config(),
-                                     CTX.iterations).materialize()
+        trace = SyntheticTraceSource(CTX).materialize()
         path = save_trace(trace, tmp_path / "trace.npz")
         source = FileTraceSource(path)
         assert source.num_iterations == trace.num_iterations
@@ -347,7 +380,8 @@ class TestFileTraceSource:
 
 class TestRoutingTraceAsSource:
     def test_trace_satisfies_protocol(self):
-        trace = SyntheticTraceSource(CTX.trace_config(), 4).materialize()
+        trace = SyntheticTraceSource(
+            dataclasses.replace(CTX, iterations=4)).materialize()
         assert isinstance(trace, TraceSource)
         frames = list(trace.iter_iterations())
         assert len(frames) == 4

@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.workloads.routing_traces import RoutingTraceConfig
-from repro.workloads.scenarios import SyntheticTraceSource
+from repro.workloads.scenarios import ScenarioContext, SyntheticTraceSource
 from repro.workloads.trace_io import load_trace, save_trace, summarize_trace
 
 
 @pytest.fixture
 def trace():
-    return SyntheticTraceSource(RoutingTraceConfig(
+    return SyntheticTraceSource(ScenarioContext(
         num_devices=4, num_experts=8, num_layers=2, tokens_per_device=512,
-        top_k=2, skew=0.4, seed=3), 5).materialize()
+        top_k=2, iterations=5, skew=0.4, seed=3)).materialize()
 
 
 class TestSaveLoad:
